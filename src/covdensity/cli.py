@@ -30,7 +30,7 @@ from .covariance import (
     sample_covariance,
     trace_normalize,
 )
-from .errors import ConfigError
+from .errors import ConfigError, ShapeError
 from .spectral import eigh
 
 EXPERIMENT_SUBCOMMANDS = {
@@ -493,13 +493,14 @@ def _cmd_predict(args) -> int:
     model_path = args.model or "model.json"
     model, cov_matrix = network.load_model(model_path)
     data = read_csv_data(args.input, header=args.header)
+    if data.dim != cov_matrix.shape[0]:
+        raise ShapeError(f"input has {data.dim} columns, model expects {cov_matrix.shape[0]}")
     decomp = eigh(cov_matrix)
     out_dir = _ensure_output_dir(args)
     _write_manifest(out_dir, "predict", {"model": model_path, "input": args.input, "horizon": args.horizon}, args.seed or 0)
     lines = []
     records = []
-    for i in range(data.n_samples):
-        out = network.model_forward(model, decomp, data.values[i])
+    for i, out in enumerate(network.forward_rows(model, decomp, data.values)):
         params = {"row": i, "target_row": i + args.horizon} if args.horizon else {"row": i}
         if model.task == "classification":
             label = int(np.argmax(out))

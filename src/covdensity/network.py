@@ -10,6 +10,25 @@ scale's density eigenvalues live on the same fixed spectrum; beta gradients
 therefore flow through the eigenvalue map only, via
 d rho_i / d beta = rho_i (E_q[lambda] - lambda_i).
 
+Batch layout: every pass carries a batch axis.  A layer's input is an array
+of shape (B, f_in, m, T) -- B samples, f_in channels, m covariance
+eigen-directions, T time points -- and its output is (B, f_out, m, T).  The
+density eigenvalues rho and the filter responses depend only on the
+parameters, so each layer computes them once per call; the basis changes are
+the broadcast matmuls v.T @ x and v @ y; the head works on the flattened
+(B, C * m * T) features.  ``model_forward`` and ``layer_forward`` are B = 1
+views of this one kernel, and the backward pass reduces over B.
+
+Block forward: forward-only calls over many rows (``forward_rows``, and
+through it ``evaluate_loss``, ``accuracy`` and CLI ``predict``) run the rows in
+blocks of ``FORWARD_BLOCK`` and keep no backward tape, so peak memory does not
+grow with the row count.  ``model_gradients`` runs its batch as one block.
+
+Dropout stream: ``model_gradients`` draws its dropout mask as one
+``rng.random((B, hidden))`` call.  That consumes the generator's stream exactly
+as B consecutive ``rng.random(hidden)`` draws, one per sample in batch order,
+so seeded training does not depend on how samples are grouped into passes.
+
 All gradients are analytic (no autodiff dependency) and are validated against
 central finite differences in the test suite.
 """
@@ -33,6 +52,11 @@ from .filtering import FilterSpec, filter_apply
 AGGREGATIONS = ("concatenate", "sum", "mean")
 TASKS = ("regression", "classification")
 LOSSES = ("mse", "mae", "cross_entropy")
+
+# Rows per forward-only pass: large enough to amortise per-call overhead, small
+# enough that the pass's temporaries (about 4.5 KB a row at dim 22, three
+# scales, 128 hidden units) stay a small fraction of the process.
+FORWARD_BLOCK = 64
 
 
 def _tanh(x):
@@ -139,6 +163,15 @@ class HeadParams:
         self.b2 = np.array(self.b2, dtype=float)
         if self.activation not in ACTIVATIONS:
             raise ValueError(f"unknown activation {self.activation!r}")
+        if self.w1.ndim != 2 or self.w2.ndim != 2:
+            raise ShapeError(f"w1 and w2 must be matrices, got shapes {self.w1.shape} and {self.w2.shape}")
+        hidden = self.w1.shape[0]
+        if self.b1.shape != (hidden,):
+            raise ShapeError(f"b1 has shape {self.b1.shape}, but w1 has {hidden} rows")
+        if self.w2.shape[1] != hidden:
+            raise ShapeError(f"w2 has {self.w2.shape[1]} columns, but the hidden size is {hidden}")
+        if self.b2.shape != (self.w2.shape[0],):
+            raise ShapeError(f"b2 has shape {self.b2.shape}, but w2 has {self.w2.shape[0]} rows")
 
     @property
     def n_outputs(self) -> int:
@@ -193,27 +226,19 @@ def as_decomposition(c) -> spectral.SpectralDecomposition:
     return spectral.eigh(as_matrix(c))
 
 
-def _density_values(beta: float, eigenvalues: np.ndarray) -> np.ndarray:
-    exponents = -beta * eigenvalues
-    weights = np.exp(exponents - np.max(exponents))
-    return weights / weights.sum()
+def _density_values(betas: np.ndarray, eigenvalues: np.ndarray) -> np.ndarray:
+    """Density eigenvalues softmax(-beta * lambda), one row per beta: shape (n_beta, m)."""
+    exponents = -np.outer(betas, eigenvalues)
+    weights = np.exp(exponents - exponents.max(axis=1, keepdims=True))
+    return weights / weights.sum(axis=1, keepdims=True)
 
 
-def _poly_and_derivative(coeffs: np.ndarray, rho: np.ndarray, k_start: int):
-    """sum_k h_k rho^k and its rho-derivative, for coeffs (f_in, K+1) over rho (m,)."""
-    f_in, n_taps = coeffs.shape
-    response = np.zeros((f_in, rho.shape[0]))
-    d_response = np.zeros_like(response)
-    power = np.ones_like(rho)
-    prev_power = np.zeros_like(rho)
-    for k in range(n_taps):
-        if k >= k_start:
-            response += coeffs[:, k, None] * power
-            if k >= 1:
-                d_response += coeffs[:, k, None] * (k * prev_power)
-        prev_power = power
-        power = power * rho
-    return response, d_response
+def _tap_powers(rho: np.ndarray, order: int) -> np.ndarray:
+    """rho**k for k = 0..order, shape (f_out, order + 1, m), by repeated products."""
+    powers = np.ones((rho.shape[0], order + 1, rho.shape[1]))
+    for k in range(1, order + 1):
+        powers[:, k] = powers[:, k - 1] * rho
+    return powers
 
 
 def perceptron_forward(f: FilterSpec, rho: DensityOperator, activation: str, x) -> np.ndarray:
@@ -236,105 +261,118 @@ def layer_forward(p: LayerParams, rhos: Sequence[DensityOperator], x_in) -> np.n
         x = x[None, :]
     if x.shape != (p.f_in, decomp.dim):
         raise ShapeError(f"expected input shape ({p.f_in}, {decomp.dim}), got {x.shape}")
-    rho_values = np.stack([r.density_eigenvalues for r in rhos])
-    channels = _layer_channels(p, decomp, rho_values, x[:, :, None])[0][:, :, 0]
-    return aggregate(p.aggregation, channels)
+    rho = np.stack([r.density_eigenvalues for r in rhos])
+    out, _ = _layer_channels(p, decomp.eigenvectors, rho, x[None, :, :, None])
+    return _aggregate(p.aggregation, out).reshape(-1)
 
 
-def aggregate(mode: str, channels: np.ndarray) -> np.ndarray:
-    """Fold per-scale outputs: concatenate, sum, or mean over the scale axis."""
+def _aggregate(mode: str, channels: np.ndarray) -> np.ndarray:
+    """Fold per-scale outputs (B, f_out, m, T): concatenate keeps them, sum/mean leave one channel."""
     if mode == "concatenate":
-        return channels.reshape(-1, *channels.shape[2:]) if channels.ndim > 2 else channels.reshape(-1)
+        return channels
     if mode == "sum":
-        return channels.sum(axis=0)
+        return channels.sum(axis=1, keepdims=True)
     if mode == "mean":
-        return channels.mean(axis=0)
+        return channels.mean(axis=1, keepdims=True)
     raise ValueError(f"unknown aggregation {mode!r}")
 
 
-def _layer_channels(p: LayerParams, decomp, rho_values: np.ndarray, x: np.ndarray):
-    """Activated per-scale outputs for input channels x of shape (f_in, m, T).
+def _unaggregate(p: LayerParams, d_folded: np.ndarray) -> np.ndarray:
+    """Gradient of the per-scale outputs (B, f_out, m, T) from that of the aggregated ones."""
+    if p.aggregation == "concatenate":
+        return d_folded
+    if p.aggregation == "mean":
+        d_folded = d_folded / p.f_out
+    return np.broadcast_to(d_folded, (d_folded.shape[0], p.f_out, *d_folded.shape[2:]))
 
-    Returns (activated outputs (f_out, m, T), tape dict for backprop).
+
+@dataclass
+class _LayerTape:
+    """What the backward pass of one layer needs from its forward pass."""
+
+    x_hat: np.ndarray  # input in the eigenbasis, (B, f_in, m, T)
+    rho: np.ndarray  # density eigenvalues, (f_out, m)
+    powers: np.ndarray  # rho**k, (f_out, order + 1, m)
+    response: np.ndarray  # filter responses, (f_out, f_in, m)
+    pre_activation: np.ndarray  # (B, f_out, m, T)
+
+
+def _layer_channels(p: LayerParams, v: np.ndarray, rho: np.ndarray, x: np.ndarray):
+    """Activated per-scale outputs (B, f_out, m, T) for input channels x of shape (B, f_in, m, T).
+
+    ``v`` is the covariance eigenbasis and ``rho`` the (f_out, m) density
+    eigenvalues.  Returns the outputs and the layer's tape for backprop.
     """
-    v = decomp.eigenvectors
-    x_hat = np.einsum("ji,gjt->git", v, x)
-    response = np.empty((p.f_out, p.f_in, decomp.dim))
-    d_response = np.empty_like(response)
-    for mo in range(p.f_out):
-        r, dr = _poly_and_derivative(p.coeffs[mo], rho_values[mo], p.k_start)
-        response[mo], d_response[mo] = r, dr
-    y_hat = np.einsum("ogi,git->oit", response, x_hat)
-    y = np.einsum("ij,ojt->oit", v, y_hat)
-    act, dact = ACTIVATIONS[p.activation]
-    out = act(y)
-    tape = {
-        "x_hat": x_hat,
-        "response": response,
-        "d_response": d_response,
-        "rho_values": rho_values,
-        "pre_activation": y,
-        "dact": dact,
-    }
-    return out, tape
+    powers = _tap_powers(rho, p.order)
+    k0 = p.k_start
+    response = np.einsum("ogk,oki->ogi", p.coeffs[:, :, k0:], powers[:, k0:])
+    x_hat = v.T @ x
+    y = v @ np.einsum("ogi,bgit->boit", response, x_hat)
+    out = ACTIVATIONS[p.activation][0](y)
+    return out, _LayerTape(x_hat, rho, powers, response, y)
 
 
 def model_forward(model: ModelParams, c, x) -> np.ndarray:
     """Predict from a signal (dim,) or (dim, time): per-time filtering, flatten, head."""
-    out, _ = _forward_tape(model, as_decomposition(c), _as_signal(x), rng=None, dropout=0.0)
-    return out
+    out, _ = _forward(model, as_decomposition(c), _as_signals([x]))
+    return out[0]
 
 
-def _as_signal(x) -> np.ndarray:
-    x = np.asarray(x, dtype=float)
-    if x.ndim == 1:
-        x = x[:, None]
-    if x.ndim != 2:
-        raise ShapeError(f"signal must be (dim,) or (dim, time), got shape {x.shape}")
+def forward_rows(model: ModelParams, c, xs) -> np.ndarray:
+    """Outputs (n, n_outputs) for n signals, each (dim,) or (dim, time).
+
+    Rows run through the network in blocks of ``FORWARD_BLOCK``, so the pass's
+    temporaries do not grow with n.
+    """
+    decomp = as_decomposition(c)
+    x = _as_signals(xs)
+    blocks = [_forward(model, decomp, x[s : s + FORWARD_BLOCK])[0] for s in range(0, len(x), FORWARD_BLOCK)]
+    return np.concatenate(blocks)
+
+
+def _as_signals(xs) -> np.ndarray:
+    x = np.asarray(xs, dtype=float)
+    if x.ndim == 2:
+        x = x[:, :, None]
+    if x.ndim != 3 or not len(x):
+        raise ShapeError(f"signals must be (n, dim) or (n, dim, time) with n >= 1, got shape {x.shape}")
     return x
 
 
-def _forward_tape(model, decomp, x, rng, dropout):
-    signal = x[None, :, :]
+@dataclass
+class _Tape:
+    layers: list  # one _LayerTape per layer
+    flat: np.ndarray  # (B, head inputs)
+    z1: np.ndarray  # hidden pre-activation, (B, hidden)
+    h1: np.ndarray  # hidden activation after dropout, (B, hidden)
+    mask: np.ndarray | None  # dropout mask, (B, hidden)
+    final_shape: tuple  # last layer's aggregated output, (B, C, m, T)
+
+
+def _forward(model: ModelParams, decomp, x: np.ndarray, mask=None, keep_tape=False):
+    """Outputs (B, n_outputs) for signals x of shape (B, m, T), and the tape if ``keep_tape``."""
+    v, lam = decomp.eigenvectors, decomp.eigenvalues
+    signal = x[:, None]
     layer_tapes = []
     for layer in model.layers:
-        rho_values = np.stack([_density_values(b, decomp.eigenvalues) for b in layer.betas])
-        out, tape = _layer_channels(layer, decomp, rho_values, signal)
-        tape["in_channels"] = signal
-        layer_tapes.append(tape)
-        last_out = out
-        if layer.aggregation == "concatenate":
-            signal = out
-        else:
-            signal = aggregate(layer.aggregation, out)[None, :, :]
-    final = aggregate(model.layers[-1].aggregation, last_out)
-    flat = final.reshape(-1)
+        out, tape = _layer_channels(layer, v, _density_values(layer.betas, lam), signal)
+        if keep_tape:
+            layer_tapes.append(tape)
+        signal = _aggregate(layer.aggregation, out)
+    flat = signal.reshape(len(x), -1)
 
     head = model.head
-    if head.w1.shape[1] != flat.size:
+    if head.w1.shape[1] != flat.shape[1]:
         raise ShapeError(
-            f"head expects {head.w1.shape[1]} flattened features, got {flat.size} "
+            f"head expects {head.w1.shape[1]} flattened features, got {flat.shape[1]} "
             f"(check dim/time_points against the model)"
         )
-    z1 = head.w1 @ flat + head.b1
-    act, dact = ACTIVATIONS[head.activation]
-    h1 = act(z1)
-    if dropout > 0.0 and rng is not None:
-        mask = (rng.random(h1.shape) >= dropout) / (1.0 - dropout)
+    z1 = flat @ head.w1.T + head.b1
+    h1 = ACTIVATIONS[head.activation][0](z1)
+    if mask is not None:
         h1 = h1 * mask
-    else:
-        mask = None
-    out = head.w2 @ h1 + head.b2
-    tape = {
-        "layers": layer_tapes,
-        "final_shape": final.shape,
-        "flat": flat,
-        "z1": z1,
-        "h1": h1,
-        "mask": mask,
-        "dact_head": dact,
-    }
-    return out, tape
+    out = h1 @ head.w2.T + head.b2
+    return out, (_Tape(layer_tapes, flat, z1, h1, mask, signal.shape) if keep_tape else None)
 
 
 @dataclass
@@ -346,141 +384,100 @@ class ModelGradients:
     head_w2: np.ndarray
     head_b2: np.ndarray
 
-    @classmethod
-    def zeros_like(cls, model: ModelParams) -> "ModelGradients":
-        return cls(
-            layer_coeffs=[np.zeros_like(l.coeffs) for l in model.layers],
-            layer_betas=[np.zeros_like(l.betas) for l in model.layers],
-            head_w1=np.zeros_like(model.head.w1),
-            head_b1=np.zeros_like(model.head.b1),
-            head_w2=np.zeros_like(model.head.w2),
-            head_b2=np.zeros_like(model.head.b2),
-        )
 
-    def add_scaled(self, other: "ModelGradients", scale: float = 1.0):
-        for mine, theirs in zip(self.layer_coeffs, other.layer_coeffs):
-            mine += scale * theirs
-        for mine, theirs in zip(self.layer_betas, other.layer_betas):
-            mine += scale * theirs
-        self.head_w1 += scale * other.head_w1
-        self.head_b1 += scale * other.head_b1
-        self.head_w2 += scale * other.head_w2
-        self.head_b2 += scale * other.head_b2
-
-
-def _loss_and_grad(out: np.ndarray, target, loss: str):
-    if loss == "mse":
-        target = np.asarray(target, dtype=float).reshape(out.shape)
-        diff = out - target
-        return float(np.mean(diff * diff)), 2.0 * diff / diff.size
-    if loss == "mae":
-        target = np.asarray(target, dtype=float).reshape(out.shape)
-        diff = out - target
-        return float(np.mean(np.abs(diff))), np.sign(diff) / diff.size
+def _loss_and_grad(out: np.ndarray, targets, loss: str):
+    """Per-row losses (B,) and their gradients (B, n_outputs) with respect to ``out``."""
     if loss == "cross_entropy":
-        label = int(target)
-        shifted = out - np.max(out)
-        log_z = math.log(float(np.sum(np.exp(shifted))))
-        log_probs = shifted - log_z
+        rows = np.arange(len(out))
+        labels = np.asarray(targets).reshape(len(out)).astype(int)
+        shifted = out - out.max(axis=1, keepdims=True)
+        log_probs = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
         grad = np.exp(log_probs)
-        grad[label] -= 1.0
-        return float(-log_probs[label]), grad
-    raise ValueError(f"unknown loss {loss!r}")
+        grad[rows, labels] -= 1.0
+        return -log_probs[rows, labels], grad
+    if loss not in ("mse", "mae"):
+        raise ValueError(f"unknown loss {loss!r}")
+    diff = out - np.asarray(targets, dtype=float).reshape(out.shape)
+    if loss == "mse":
+        return np.mean(diff * diff, axis=1), 2.0 * diff / diff.shape[1]
+    return np.mean(np.abs(diff), axis=1), np.sign(diff) / diff.shape[1]
 
 
-def _backward_sample(model, decomp, tape, d_out, grads: ModelGradients):
+def _backward(model: ModelParams, decomp, tape: _Tape, d_out: np.ndarray) -> ModelGradients:
+    """Gradients of sum_b <d_out[b], out[b]>, reduced over the batch axis."""
     head = model.head
-    d_h1 = head.w2.T @ d_out
-    grads.head_w2 += np.outer(d_out, tape["h1"])
-    grads.head_b2 += d_out
-    if tape["mask"] is not None:
-        d_h1 = d_h1 * tape["mask"]
-    d_z1 = d_h1 * tape["dact_head"](tape["z1"])
-    grads.head_w1 += np.outer(d_z1, tape["flat"])
-    grads.head_b1 += d_z1
-    d_flat = head.w1.T @ d_z1
+    d_h1 = d_out @ head.w2
+    if tape.mask is not None:
+        d_h1 = d_h1 * tape.mask
+    d_z1 = d_h1 * ACTIVATIONS[head.activation][1](tape.z1)
+    d_signal = (d_z1 @ head.w1).reshape(tape.final_shape)
 
-    d_final = d_flat.reshape(tape["final_shape"])
-    last = model.layers[-1]
-    if last.aggregation == "concatenate":
-        d_channels = d_final.reshape(last.f_out, decomp.dim, -1)
-    elif last.aggregation == "sum":
-        d_channels = np.broadcast_to(d_final, (last.f_out, *d_final.shape)).copy()
-    else:
-        d_channels = np.broadcast_to(d_final / last.f_out, (last.f_out, *d_final.shape)).copy()
-
-    v = decomp.eigenvectors
-    lam = decomp.eigenvalues
-    for idx in range(len(model.layers) - 1, -1, -1):
+    v, lam = decomp.eigenvectors, decomp.eigenvalues
+    n_layers = len(model.layers)
+    coeff_grads, beta_grads = [None] * n_layers, [None] * n_layers
+    for idx in range(n_layers - 1, -1, -1):
         layer = model.layers[idx]
-        ltape = tape["layers"][idx]
-        d_y = d_channels * ltape["dact"](ltape["pre_activation"])
-        d_y_hat = np.einsum("ji,ojt->oit", v, d_y)
-        d_resp = np.einsum("oit,git->ogi", d_y_hat, ltape["x_hat"])
+        ltape = tape.layers[idx]
+        d_y = _unaggregate(layer, d_signal) * ACTIVATIONS[layer.activation][1](ltape.pre_activation)
+        d_y_hat = v.T @ d_y
+        d_resp = np.einsum("boit,bgit->ogi", d_y_hat, ltape.x_hat)
         # Coefficient taps: d h_k = sum_i d_resp_i rho_i^k.
-        rho_values = ltape["rho_values"]
-        order = layer.order
-        power = np.ones_like(rho_values)
-        for k in range(order + 1):
-            if k >= layer.k_start:
-                grads.layer_coeffs[idx][:, :, k] += np.einsum("ogi,oi->og", d_resp, power)
-            power = power * rho_values
+        k0 = layer.k_start
+        coeff_grads[idx] = np.zeros_like(layer.coeffs)
+        coeff_grads[idx][:, :, k0:] = np.einsum("ogi,oki->ogk", d_resp, ltape.powers[:, k0:])
+        beta_grads[idx] = np.zeros_like(layer.betas)
         if layer.betas_learnable:
-            mean_lambda = rho_values @ lam
-            d_rho_d_beta = rho_values * (mean_lambda[:, None] - lam[None, :])
-            d_beta_resp = ltape["d_response"] * d_rho_d_beta[:, None, :]
-            grads.layer_betas[idx] += np.einsum("ogi,ogi->o", d_resp, d_beta_resp)
-        d_x_hat = np.einsum("ogi,oit->git", ltape["response"], d_y_hat)
-        d_in = np.einsum("ij,gjt->git", v, d_x_hat)
-        if idx == 0:
-            break
-        prev = model.layers[idx - 1]
-        if prev.aggregation == "concatenate":
-            d_channels = d_in
-        elif prev.aggregation == "sum":
-            d_channels = np.broadcast_to(d_in[0], (prev.f_out, *d_in.shape[1:])).copy()
-        else:
-            d_channels = np.broadcast_to(d_in[0] / prev.f_out, (prev.f_out, *d_in.shape[1:])).copy()
+            rho = ltape.rho
+            taps = np.arange(1, layer.order + 1)
+            d_response = np.einsum("ogk,oki->ogi", layer.coeffs[:, :, 1:] * taps, ltape.powers[:, :-1])
+            d_rho_d_beta = rho * ((rho @ lam)[:, None] - lam[None, :])
+            beta_grads[idx] = np.einsum("ogi,ogi,oi->o", d_resp, d_response, d_rho_d_beta)
+        if idx:
+            d_signal = v @ np.einsum("ogi,boit->bgit", ltape.response, d_y_hat)
+
+    return ModelGradients(
+        layer_coeffs=coeff_grads,
+        layer_betas=beta_grads,
+        head_w1=d_z1.T @ tape.flat,
+        head_b1=d_z1.sum(axis=0),
+        head_w2=d_out.T @ tape.h1,
+        head_b2=d_out.sum(axis=0),
+    )
 
 
-def model_gradients(model: ModelParams, c, batch_x, batch_y, loss: str):
+def model_gradients(model: ModelParams, c, batch_x, batch_y, loss: str, rng=None, dropout: float = 0.0):
     """Mean batch loss and analytic gradients for coeffs, betas, and head weights.
+
+    The whole batch runs as one pass.  With ``dropout > 0`` each hidden unit of
+    each sample is kept with probability ``1 - dropout`` (and scaled by its
+    inverse), by a mask drawn from ``rng`` as described in the module docstring.
 
     Raises:
         TrainingError: the loss is non-finite.
     """
     decomp = as_decomposition(c)
-    grads = ModelGradients.zeros_like(model)
-    total = 0.0
-    n = len(batch_x)
-    for x, y in zip(batch_x, batch_y):
-        out, tape = _forward_tape(model, decomp, _as_signal(x), rng=None, dropout=0.0)
-        value, d_out = _loss_and_grad(out, y, loss)
-        total += value
-        _backward_sample(model, decomp, tape, d_out / n, grads)
-    mean_loss = total / n
+    x = _as_signals(batch_x)
+    mask = None
+    if dropout > 0.0:
+        if rng is None:
+            raise ValueError("dropout needs an rng")
+        mask = (rng.random((len(x), model.head.w1.shape[0])) >= dropout) / (1.0 - dropout)
+    out, tape = _forward(model, decomp, x, mask, keep_tape=True)
+    losses, d_out = _loss_and_grad(out, batch_y, loss)
+    mean_loss = float(losses.sum()) / len(x)
     if not math.isfinite(mean_loss):
         raise TrainingError(f"non-finite batch loss {mean_loss!r}")
-    return mean_loss, grads
+    return mean_loss, _backward(model, decomp, tape, d_out / len(x))
 
 
 def evaluate_loss(model: ModelParams, c, xs, ys, loss: str) -> float:
-    decomp = as_decomposition(c)
-    total = 0.0
-    for x, y in zip(xs, ys):
-        out, _ = _forward_tape(model, decomp, _as_signal(x), rng=None, dropout=0.0)
-        value, _ = _loss_and_grad(out, y, loss)
-        total += value
-    return total / len(xs)
+    losses, _ = _loss_and_grad(forward_rows(model, c, xs), ys, loss)
+    return float(losses.sum()) / len(losses)
 
 
 def accuracy(model: ModelParams, c, xs, ys) -> float:
-    decomp = as_decomposition(c)
-    hits = 0
-    for x, y in zip(xs, ys):
-        out, _ = _forward_tape(model, decomp, _as_signal(x), rng=None, dropout=0.0)
-        hits += int(np.argmax(out) == int(y))
-    return hits / len(xs)
+    labels = np.argmax(forward_rows(model, c, xs), axis=1)
+    return float(np.mean(labels == np.asarray(ys).reshape(-1).astype(int)))
 
 
 @dataclass
@@ -542,7 +539,7 @@ def train(model: ModelParams, c, train_data, val_data, cfg: TrainConfig) -> Trai
     aborts and the last finite state is kept, with ``diverged=True``.
     """
     decomp = as_decomposition(c)
-    xs, ys = train_data
+    xs, ys = _as_signals(train_data[0]), np.asarray(train_data[1])
     val_xs, val_ys = val_data
     rng = np.random.default_rng(cfg.seed)
     optimizer = _Adam(_trainable_params(model), cfg.learning_rate, cfg.adam_betas, cfg.adam_eps)
@@ -557,14 +554,7 @@ def train(model: ModelParams, c, train_data, val_data, cfg: TrainConfig) -> Trai
         try:
             for start in range(0, n, cfg.batch_size):
                 idx = order[start : start + cfg.batch_size]
-                batch_x = [xs[i] for i in idx]
-                batch_y = [ys[i] for i in idx]
-                if cfg.dropout > 0.0:
-                    _, grads = _gradients_with_dropout(
-                        model, decomp, batch_x, batch_y, cfg.loss, rng, cfg.dropout
-                    )
-                else:
-                    _, grads = model_gradients(model, decomp, batch_x, batch_y, cfg.loss)
+                _, grads = model_gradients(model, decomp, xs[idx], ys[idx], cfg.loss, rng, cfg.dropout)
                 optimizer.step(_gradient_list(model, grads))
         except TrainingError:
             diverged = True
@@ -581,21 +571,6 @@ def train(model: ModelParams, c, train_data, val_data, cfg: TrainConfig) -> Trai
             best_epoch = epoch
             best_model = copy.deepcopy(model)
     return TrainResult(model=best_model, history=history, best_epoch=best_epoch, diverged=diverged)
-
-
-def _gradients_with_dropout(model, decomp, batch_x, batch_y, loss, rng, dropout):
-    grads = ModelGradients.zeros_like(model)
-    total = 0.0
-    n = len(batch_x)
-    for x, y in zip(batch_x, batch_y):
-        out, tape = _forward_tape(model, decomp, _as_signal(x), rng=rng, dropout=dropout)
-        value, d_out = _loss_and_grad(out, y, loss)
-        total += value
-        _backward_sample(model, decomp, tape, d_out / n, grads)
-    mean_loss = total / n
-    if not math.isfinite(mean_loss):
-        raise TrainingError(f"non-finite batch loss {mean_loss!r}")
-    return mean_loss, grads
 
 
 def init_model(
@@ -697,6 +672,14 @@ def model_from_dict(payload: dict) -> tuple[ModelParams, np.ndarray]:
     )
     model = ModelParams(layers=layers, head=head, task=payload["task"])
     covariance = np.array(payload["covariance"], dtype=float)
+    if covariance.ndim != 2 or covariance.shape[0] != covariance.shape[1] or not covariance.size:
+        raise ShapeError(f"checkpoint covariance must be a non-empty square matrix, got shape {covariance.shape}")
+    channels, dim = layers[-1].out_channels(), covariance.shape[0]
+    if head.w1.shape[1] % (channels * dim):
+        raise ShapeError(
+            f"head w1 has {head.w1.shape[1]} columns, not a multiple of "
+            f"{channels} channels x covariance dim {dim}"
+        )
     return model, covariance
 
 

@@ -337,6 +337,23 @@ class TestTrainPredict:
         assert len(model["layers"][0]["betas"]) == 4
 
 
+class TestPredictInput:
+    def test_column_count_mismatch_names_both_counts(self, capsys, tmp_path, rng):
+        from covdensity.network import init_model, save_model
+
+        model_path = tmp_path / "model.json"
+        save_model(model_path, init_model(dim=5, n_outputs=2, betas=[1.0], task="classification"), np.eye(5))
+        data_path = tmp_path / "rows.csv"
+        data_path.write_text("\n".join(",".join(repr(float(v)) for v in row) for row in rng.standard_normal((6, 4))))
+        code, out, err = run_cli(
+            capsys, "predict", "--input", str(data_path), "--model", str(model_path),
+            "--output-dir", str(tmp_path / "preds"),
+        )
+        assert code == 2
+        assert out == ""
+        assert "input has 4 columns, model expects 5" in err
+
+
 def test_console_script_version():
     import subprocess
 

@@ -9,12 +9,14 @@ from covdensity.density import density_operator
 from covdensity.filtering import FilterSpec, filter_apply
 from covdensity.network import (
     ACTIVATIONS,
+    FORWARD_BLOCK,
     HeadParams,
     LayerParams,
     ModelParams,
     TrainConfig,
     accuracy,
     evaluate_loss,
+    forward_rows,
     init_model,
     layer_forward,
     model_forward,
@@ -24,7 +26,7 @@ from covdensity.network import (
     perceptron_forward,
     train,
 )
-from covdensity.errors import TrainingError
+from covdensity.errors import ShapeError, TrainingError
 
 
 def layer_oracle(params, rhos, x_in):
@@ -42,8 +44,8 @@ def layer_oracle(params, rhos, x_in):
     return np.stack(outs)
 
 
-def model_oracle(model, cov_matrix, x):
-    """Independently coded forward pass: per-time layers, flatten, head."""
+def model_oracle(model, cov_matrix, x, mask=None):
+    """Independently coded forward pass: per-time layers, flatten, head (hidden units times ``mask``)."""
     if x.ndim == 1:
         x = x[:, None]
     per_time = []
@@ -60,7 +62,10 @@ def model_oracle(model, cov_matrix, x):
         per_time.append(final)
     flat = np.stack(per_time, axis=1).reshape(-1)
     act = ACTIVATIONS[model.head.activation][0]
-    return model.head.w2 @ act(model.head.w1 @ flat + model.head.b1) + model.head.b2
+    hidden = act(model.head.w1 @ flat + model.head.b1)
+    if mask is not None:
+        hidden = hidden * mask
+    return model.head.w2 @ hidden + model.head.b2
 
 
 def small_model(rng, dim=4, n_out=2, betas=(0.5, -0.4, 2.0), **kwargs):
@@ -211,6 +216,16 @@ class TestModelForward:
         want = model_oracle(model, c.matrix, x)
         np.testing.assert_allclose(got, want, rtol=1e-9, atol=1e-11)
 
+    @pytest.mark.parametrize("time_points", [1, 3])
+    def test_forward_rows_match_single_rows_across_blocks(self, rng, time_points):
+        dim = 4
+        c = random_psd(rng, dim)
+        model = init_model(dim=dim, n_outputs=3, betas=(0.3, 2.0), hidden_dim=6, time_points=time_points, seed=5)
+        xs = rng.standard_normal((FORWARD_BLOCK + 3, dim, time_points))
+        got = forward_rows(model, c, xs)
+        want = np.stack([model_forward(model, c, x) for x in xs])
+        np.testing.assert_allclose(got, want, rtol=1e-12)
+
 
 def finite_difference_gradients(model, cov, xs, ys, loss, step=1e-5):
     """Central differences on every trainable array, one entry at a time."""
@@ -335,6 +350,83 @@ class TestGradients:
         model = small_model(rng, dim=3)
         with pytest.raises(TrainingError):
             model_gradients(model, c, [np.zeros(3)], [np.array([np.nan, 0.0])], "mse")
+
+
+def gradient_arrays(grads):
+    """Every gradient array of a ModelGradients, by name."""
+    arrays = {f"coeffs_{i}": g for i, g in enumerate(grads.layer_coeffs)}
+    arrays.update({f"betas_{i}": g for i, g in enumerate(grads.layer_betas)})
+    arrays.update(
+        head_w1=grads.head_w1, head_b1=grads.head_b1, head_w2=grads.head_w2, head_b2=grads.head_b2
+    )
+    return arrays
+
+
+def per_sample_oracle(model, c, xs, ys, loss, rng=None, dropout=0.0):
+    """Mean loss and mean gradients over a loop of B = 1 model_gradients calls."""
+    losses, per_sample = [], []
+    for x, y in zip(xs, ys):
+        value, grads = model_gradients(model, c, [x], [y], loss, rng=rng, dropout=dropout)
+        losses.append(value)
+        per_sample.append(gradient_arrays(grads))
+    mean_grads = {name: np.mean([g[name] for g in per_sample], axis=0) for name in per_sample[0]}
+    return float(np.mean(losses)), mean_grads
+
+
+def assert_gradients_match(grads, oracle):
+    """Equal to rtol 1e-12; entries that cancel to near zero are held to 1e-12 of their array's scale,
+    since the batch and the loop add the same per-sample terms in a different order."""
+    got = gradient_arrays(grads)
+    assert sorted(got) == sorted(oracle)
+    for name, want in oracle.items():
+        scale = float(np.max(np.abs(want), initial=0.0))
+        np.testing.assert_allclose(got[name], want, rtol=1e-12, atol=1e-12 * scale, err_msg=name)
+
+
+class TestBatchedEngine:
+    @pytest.mark.parametrize("batch", [1, 7, 64])
+    @pytest.mark.parametrize("aggregation", ["concatenate", "sum", "mean"])
+    @pytest.mark.parametrize("num_layers", [1, 2])
+    @pytest.mark.parametrize("time_points", [1, 3])
+    @pytest.mark.parametrize("loss", ["mse", "mae", "cross_entropy"])
+    @pytest.mark.parametrize("learnable", [True, False])
+    def test_matches_per_sample_oracle(self, rng, batch, aggregation, num_layers, time_points, loss, learnable):
+        dim, n_out = 4, 3
+        c = random_psd(rng, dim)
+        model = init_model(
+            dim=dim, n_outputs=n_out, betas=(0.4, -0.8, 2.5), order=2, hidden_dim=5,
+            num_layers=num_layers, aggregation=aggregation, betas_learnable=learnable,
+            time_points=time_points, seed=int(rng.integers(0, 2**31)),
+        )
+        xs = rng.standard_normal((batch, dim, time_points))
+        if loss == "cross_entropy":
+            ys = [int(v) for v in rng.integers(0, n_out, batch)]
+        else:
+            ys = rng.standard_normal((batch, n_out))
+        value, grads = model_gradients(model, c, xs, ys, loss)
+        want_value, want_grads = per_sample_oracle(model, c, xs, ys, loss)
+        assert value == pytest.approx(want_value, rel=1e-12)
+        assert_gradients_match(grads, want_grads)
+
+    def test_dropout_mask_is_the_sequential_per_sample_stream(self, rng):
+        dim, hidden, batch, dropout = 4, 6, 9, 0.4
+        c = random_psd(rng, dim)
+        model = init_model(dim=dim, n_outputs=2, betas=(0.5, 3.0), hidden_dim=hidden, seed=8)
+        xs = rng.standard_normal((batch, dim))
+        ys = rng.standard_normal((batch, 2))
+        batched_rng, loop_rng, draw_rng = (np.random.default_rng(99) for _ in range(3))
+
+        value, grads = model_gradients(model, c, xs, ys, "mse", rng=batched_rng, dropout=dropout)
+        want_value, want_grads = per_sample_oracle(model, c, xs, ys, "mse", rng=loop_rng, dropout=dropout)
+        assert value == pytest.approx(want_value, rel=1e-12)
+        assert_gradients_match(grads, want_grads)
+
+        # B sequential rng.random(hidden) draws, one per sample, give the same loss.
+        masks = [(draw_rng.random(hidden) >= dropout) / (1.0 - dropout) for _ in range(batch)]
+        per_row = [np.mean((model_oracle(model, c.matrix, x, m) - y) ** 2) for x, y, m in zip(xs, ys, masks)]
+        assert value == pytest.approx(float(np.mean(per_row)), rel=1e-9)
+        assert batched_rng.bit_generator.state == loop_rng.bit_generator.state
+        assert batched_rng.bit_generator.state == draw_rng.bit_generator.state
 
 
 def toy_two_class_problem(rng, n=200, dim=4):
@@ -469,4 +561,21 @@ class TestCheckpoint:
         payload = model_to_dict(small_model(rng, dim=3), c)
         payload["version"] = 99
         with pytest.raises(ValueError, match="version"):
+            model_from_dict(payload)
+
+    @pytest.mark.parametrize(
+        "corrupt",
+        [
+            pytest.param(lambda p: p["head"].update(b1=p["head"]["b1"][:-1]), id="b1-length"),
+            pytest.param(lambda p: p["head"].update(w2=[r + [0.0] for r in p["head"]["w2"]]), id="w2-columns"),
+            pytest.param(lambda p: p["head"].update(b2=[0.0]), id="b2-length"),
+            pytest.param(lambda p: p.update(covariance=p["covariance"][:-1]), id="covariance-not-square"),
+            pytest.param(lambda p: p.update(covariance=[r[:-1] for r in p["covariance"][:-1]]), id="w1-width"),
+        ],
+    )
+    def test_inconsistent_shapes_rejected_at_load(self, rng, corrupt):
+        payload = model_to_dict(small_model(rng, dim=5, n_out=2), random_psd(rng, 5))
+        model_from_dict(copy.deepcopy(payload))
+        corrupt(payload)
+        with pytest.raises(ShapeError):
             model_from_dict(payload)
