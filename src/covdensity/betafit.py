@@ -18,10 +18,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .covariance import as_matrix
-from .density import DensityOperator, density_operator
+from .density import DensityOperator, density_operator, density_values
 from .errors import InfeasibleTargetError
 
 _BRACKET_BUDGET = 60
@@ -54,18 +53,18 @@ def _validate(spectrum, target_p):
 
 def _softmax_stats(lam: np.ndarray, beta: float):
     """Mean and variance of the spectrum under q_beta = softmax(-beta lambda)."""
-    exponents = -beta * lam
-    q = np.exp(exponents - np.max(exponents))
-    q /= q.sum()
+    q = density_values(lam, (beta,))[0][0]
     mean = float(np.dot(q, lam))
     var = float(np.dot(q, (lam - mean) ** 2))
     return mean, var
 
 
-def moment_objective(spectrum, target_p, beta: float) -> float:
-    """f(beta) = beta <p, lambda> + ln Z(beta), stabilized via logsumexp."""
+def moment_objective(spectrum, target_p, beta):
+    """f(beta) = beta <p, lambda> + ln Z(beta), for a scalar beta or a 1-D array of betas."""
     lam, p = _validate(spectrum, target_p)
-    return float(beta * np.dot(p, lam) + logsumexp(-beta * lam))
+    log_z = density_values(lam, np.atleast_1d(beta))[1]
+    values = beta * np.dot(p, lam) + log_z
+    return float(values[0]) if np.ndim(beta) == 0 else values
 
 
 def moment_derivatives(spectrum, target_p, beta: float) -> tuple[float, float]:
@@ -174,8 +173,11 @@ def fit_beta(
     )
 
 
-def kl_to_density(spectrum, target_p, beta: float) -> float:
-    """D_KL(p || q_beta); differs from the moment objective by sum p ln p."""
+def kl_to_density(spectrum, target_p, beta):
+    """D_KL(p || q_beta); differs from the moment objective by sum p ln p.
+
+    ``beta`` may be a scalar or a 1-D array of betas, which are scored in one pass.
+    """
     lam, p = _validate(spectrum, target_p)
     nonzero = p > 0.0
     entropy_term = float(np.sum(p[nonzero] * np.log(p[nonzero])))

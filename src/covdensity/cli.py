@@ -45,7 +45,7 @@ EXPERIMENT_SUBCOMMANDS = {
 
 _EXPERIMENT_KEYS = {
     "schema_version", "experiment", "dim", "n_samples", "sample_grid", "betas", "noise_levels",
-    "trials", "seed", "threads", "window", "n_windows", "regime_scale",
+    "trials", "seed", "window", "n_windows", "regime_scale",
     "base_spectrum", "edge_prob", "filter_coeffs", "families", "n_informative",
     "n_train", "n_test", "ridge", "weight_scale", "max_filter_order",
     "beta_range", "eigenvalue_range",
@@ -115,7 +115,6 @@ def _build_parser() -> _Parser:
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--output-dir", default=".")
         p.add_argument("--config", default=None)
-        p.add_argument("--threads", type=int, default=None)
         if with_beta:
             p.add_argument("--beta", type=float, default=None)
 
@@ -210,11 +209,8 @@ def _resolve_experiment_config(args, experiment: str) -> lab.ExperimentConfig:
     if args.config:
         payload = _load_json_config(args.config, _EXPERIMENT_KEYS, "experiment config")
     payload["experiment"] = experiment
-    if "threads" not in payload and args.threads is None:
-        payload["threads"] = os.cpu_count() or 1
     overrides = {
         "seed": args.seed,
-        "threads": args.threads,
         "dim": args.dim,
         "n_samples": args.n_samples,
         "trials": args.trials,

@@ -78,7 +78,10 @@ class CovarianceMatrix:
     min_eig_shift: float = 0.0
 
     def __post_init__(self):
-        m = spectral.symmetrize(self.matrix)
+        m = np.asarray(self.matrix, dtype=float)
+        if not np.all(np.isfinite(m)):
+            raise ValueError("covariance matrix contains non-finite entries")
+        m = spectral.symmetrize(m)
         eigenvalues = np.linalg.eigvalsh(m)
         norm = float(np.max(np.abs(eigenvalues)))
         min_eig = float(eigenvalues[0])

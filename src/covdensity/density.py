@@ -8,9 +8,11 @@ I/m regardless of C.
 
 Operators are stored spectrally (basis plus eigenvalue vector) rather than as
 dense matrix exponentials, so powers and matrix-vector products are exact in
-the eigenbasis and cost O(m^2).  Exponentials are stabilized by subtracting the
-maximum exponent, and |beta| * ||C|| is capped at 700 to stay inside double
-range.
+the eigenbasis and cost O(m^2).  Every density map goes through one kernel,
+:func:`density_values`, which evaluates any number of betas over one spectrum,
+so a beta sweep needs a single eigendecomposition.  The kernel subtracts the
+maximum exponent before exponentiating and returns ln Z rather than Z.
+|beta| * ||C|| is capped at 700 to stay inside double range.
 """
 
 from __future__ import annotations
@@ -37,12 +39,17 @@ class DensityOperator:
     ``density_eigenvalues[i]`` is exp(-beta * lambda_i) / Z aligned with
     ``basis`` (source eigenvalues ascending).  All density eigenvalues are
     strictly positive and sum to one, even when C is singular.
+    ``log_partition`` is ln Z.
     """
 
     beta: float
     basis: spectral.SpectralDecomposition
     density_eigenvalues: np.ndarray
-    partition_function: float
+    log_partition: float
+
+    @property
+    def partition_function(self) -> float:
+        return math.exp(self.log_partition)
 
     @property
     def dim(self) -> int:
@@ -68,52 +75,68 @@ class DensityOperator:
         return v @ scaled
 
 
-def _check_guard(beta: float, eigenvalues: np.ndarray):
-    norm = float(np.max(np.abs(eigenvalues))) if eigenvalues.size else 0.0
-    product = abs(beta) * norm
+def _as_decomposition(c) -> spectral.SpectralDecomposition:
+    """Return ``c`` if it is already a SpectralDecomposition, else eigendecompose it."""
+    if isinstance(c, spectral.SpectralDecomposition):
+        return c
+    return spectral.eigh(as_matrix(c))
+
+
+def _norm(eigenvalues: np.ndarray) -> float:
+    """Operator norm of a symmetric matrix from its eigenvalues."""
+    return float(np.max(np.abs(eigenvalues))) if eigenvalues.size else 0.0
+
+
+def _check_guard(betas, eigenvalues: np.ndarray):
+    product = float(np.max(np.abs(betas))) * _norm(eigenvalues)
     if product > OVERFLOW_GUARD:
         raise BetaRangeError(
             f"|beta| * ||C|| = {product:.3e} exceeds the overflow guard {OVERFLOW_GUARD}"
         )
 
 
-def _density_eigenvalues(beta: float, eigenvalues: np.ndarray):
-    """Stabilized softmax of -beta * lambda; returns (rho, Z)."""
-    exponents = -beta * eigenvalues
-    shift = float(np.max(exponents))
-    weights = np.exp(exponents - shift)
-    total = float(np.sum(weights))
-    rho = weights / total
-    z = math.exp(shift) * total
-    return rho, z
+def density_values(eigenvalues, betas) -> tuple[np.ndarray, np.ndarray]:
+    """Softmax of -beta * lambda per beta: ``(rho[n_beta, m], log_z[n_beta])``.
+
+    Each row's exponents are shifted by their maximum before exponentiating, so
+    every entry is finite and ln Z stays finite even where Z itself would overflow.
+    """
+    exponents = -np.outer(betas, eigenvalues)
+    shift = exponents.max(axis=1)
+    weights = np.exp(exponents - shift[:, None])
+    total = weights.sum(axis=1)
+    return weights / total[:, None], shift + np.log(total)
 
 
 def density_operator(c, beta: float) -> DensityOperator:
     """Build the density operator of a symmetric matrix at inverse temperature beta.
 
-    Accepts a CovarianceMatrix or a plain symmetric array.
+    Accepts a CovarianceMatrix, a plain symmetric array, or a
+    SpectralDecomposition (which is used as is, without decomposing again).
 
     Raises:
         BetaRangeError: |beta| * ||C|| exceeds the overflow guard.
     """
-    decomp = spectral.eigh(as_matrix(c))
+    decomp = _as_decomposition(c)
     _check_guard(beta, decomp.eigenvalues)
-    rho, z = _density_eigenvalues(beta, decomp.eigenvalues)
+    rho, log_z = density_values(decomp.eigenvalues, (beta,))
     rho.flags.writeable = False
     return DensityOperator(
         beta=float(beta),
         basis=decomp,
-        density_eigenvalues=rho,
-        partition_function=z,
+        density_eigenvalues=rho[0],
+        log_partition=float(log_z[0]),
     )
+
+
+def _log_partition(eigenvalues: np.ndarray, beta: float) -> float:
+    _check_guard(beta, eigenvalues)
+    return float(density_values(eigenvalues, (beta,))[1][0])
 
 
 def partition_function(c, beta: float) -> float:
     """Z = sum_i exp(-beta * lambda_i)."""
-    eigenvalues = np.linalg.eigvalsh(as_matrix(c))
-    _check_guard(beta, eigenvalues)
-    _, z = _density_eigenvalues(beta, eigenvalues)
-    return z
+    return math.exp(_log_partition(np.linalg.eigvalsh(as_matrix(c)), beta))
 
 
 def f_factor(beta: float, norm_c: float, norm_c_plus_dc: float) -> float:
@@ -136,6 +159,14 @@ def f_factor(beta: float, norm_c: float, norm_c_plus_dc: float) -> float:
     return amp * math.expm1(arg) / arg
 
 
+def _error_bound(beta, dim, norm_c, norm_perturbed, norm_dc, log_z, log_z_perturbed) -> float:
+    """The density error bound from operator norms and the two log partition functions."""
+    ratio = math.exp(log_z_perturbed - log_z)
+    factor = f_factor(beta, norm_c, norm_perturbed)
+    tail = 1.0 + dim * math.exp(abs(beta) * norm_c if beta < 0 else 0.0)
+    return abs(beta) * norm_dc * factor / ratio * tail
+
+
 def density_error_bound(c, dc, beta: float) -> float:
     """Upper bound on ||rho(C + dC) - rho(C)|| in operator norm.
 
@@ -147,18 +178,18 @@ def density_error_bound(c, dc, beta: float) -> float:
     dc = np.asarray(dc, dtype=float)
     if dc.shape != c.shape:
         raise ShapeError(f"perturbation shape {dc.shape} != matrix shape {c.shape}")
-    m = c.shape[0]
-    norm_c = spectral.operator_norm(c)
-    norm_perturbed = spectral.operator_norm(c + dc)
-    norm_dc = spectral.operator_norm(dc)
-    z = partition_function(c, beta)
-    z_perturbed = partition_function(c + dc, beta)
-    ratio = z_perturbed / z
-    factor = f_factor(beta, norm_c, norm_perturbed)
-    tail = 1.0 + m * math.exp(abs(beta) * norm_c if beta < 0 else 0.0)
-    return abs(beta) * norm_dc * factor / ratio * tail
+    lam = np.linalg.eigvalsh(c)
+    log_z = _log_partition(lam, beta)
+    lam_perturbed = np.linalg.eigvalsh(as_matrix(c + dc))
+    log_z_perturbed = _log_partition(lam_perturbed, beta)
+    return _error_bound(
+        beta, c.shape[0], _norm(lam), _norm(lam_perturbed), spectral.operator_norm(dc),
+        log_z, log_z_perturbed,
+    )
 
 
 def partition_ratio(c, dc, beta: float) -> float:
     """R = Z(C + dC) / Z(C), the measured partition-function ratio."""
-    return partition_function(as_matrix(c) + np.asarray(dc, dtype=float), beta) / partition_function(c, beta)
+    c = as_matrix(c)
+    log_z_perturbed = _log_partition(np.linalg.eigvalsh(as_matrix(c + np.asarray(dc, dtype=float))), beta)
+    return math.exp(log_z_perturbed - _log_partition(np.linalg.eigvalsh(c), beta))

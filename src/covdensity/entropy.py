@@ -43,6 +43,8 @@ class EntropyReport:
 def cvne(c, beta: float) -> EntropyReport:
     """Entropy report for a PSD matrix at inverse temperature beta.
 
+    ``c`` may be a CovarianceMatrix, a plain array, or a SpectralDecomposition
+    (only its eigenvalues are read), so a beta sweep decomposes once.
     entropy_nats is -sum_i rho_i ln rho_i; gibbs_form_nats evaluates the same
     quantity as beta Tr[C rho] + ln Z (the two agree to roundoff and both are
     reported as a cross-check).
@@ -65,11 +67,7 @@ def cvne(c, beta: float) -> EntropyReport:
 
 def _gibbs_from_operator(rho) -> float:
     energy = float(np.sum(rho.source_spectrum * rho.density_eigenvalues))
-    # ln Z computed stably from the same shifted exponentials the operator used.
-    exponents = -rho.beta * rho.source_spectrum
-    shift = float(np.max(exponents))
-    log_z = shift + math.log(float(np.sum(np.exp(exponents - shift))))
-    return rho.beta * energy + log_z
+    return rho.beta * energy + rho.log_partition
 
 
 def gibbs_entropy(c, beta: float) -> float:
@@ -137,21 +135,10 @@ def threshold_auc(scores_a, scores_b) -> float:
     b = np.asarray(scores_b, dtype=float)
     if a.size == 0 or b.size == 0:
         raise ValueError("both groups must be non-empty")
-    order = np.concatenate([a, b]).argsort(kind="mergesort")
-    ranks = np.empty(order.size, dtype=float)
-    ranks[order] = np.arange(1, order.size + 1)
-    combined = np.concatenate([a, b])
-    # Average ranks over ties.
-    sorted_vals = combined[order]
-    i = 0
-    while i < sorted_vals.size:
-        j = i
-        while j + 1 < sorted_vals.size and sorted_vals[j + 1] == sorted_vals[i]:
-            j += 1
-        if j > i:
-            tie_indices = order[i : j + 1]
-            ranks[tie_indices] = ranks[tie_indices].mean()
-        i = j + 1
+    # Average 1-based ranks: a run of ties ending at sorted position `end` spans
+    # end - count + 1 .. end, whose mean is end - (count - 1) / 2.
+    _, inverse, counts = np.unique(np.concatenate([a, b]), return_inverse=True, return_counts=True)
+    ranks = (np.cumsum(counts) - (counts - 1) / 2.0)[inverse]
     rank_sum_b = float(ranks[a.size :].sum())
     auc = (rank_sum_b - b.size * (b.size + 1) / 2.0) / (a.size * b.size)
     return max(auc, 1.0 - auc)

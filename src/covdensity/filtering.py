@@ -41,7 +41,7 @@ class FilterSpec:
     skip_k0: bool = False
 
     def __post_init__(self):
-        c = np.asarray(self.coeffs, dtype=float)
+        c = np.array(self.coeffs, dtype=float)  # a copy: the caller's array stays writable
         if c.ndim != 1 or c.size == 0:
             raise ShapeError("coeffs must be a non-empty 1-D sequence")
         if not np.all(np.isfinite(c)):

@@ -14,9 +14,7 @@ from __future__ import annotations
 
 import csv
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -56,7 +54,6 @@ class ExperimentConfig:
     noise_levels: tuple[float, ...] = ()
     trials: int = 100
     seed: int = 0
-    threads: int = 1
     # stability / discrimination extras
     window: int = 128
     n_windows: int = 500
@@ -181,15 +178,6 @@ def summarize(records) -> dict:
     return summary
 
 
-def _map_trials(fn: Callable[[int], list], n: int, threads: int) -> list:
-    if threads <= 1:
-        batches = [fn(i) for i in range(n)]
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            batches = list(pool.map(fn, range(n)))
-    return [record for batch in batches for record in batch]
-
-
 def _symmetric_noise(rng, dim: int, norm: float) -> np.ndarray:
     e = rng.standard_normal((dim, dim))
     e = (e + e.T) / 2.0
@@ -199,13 +187,20 @@ def _symmetric_noise(rng, dim: int, norm: float) -> np.ndarray:
     return norm * e / scale
 
 
+def _symmetric_norm(m: np.ndarray) -> float:
+    """Operator norm of a symmetric matrix, from its eigenvalues (no SVD)."""
+    return density._norm(np.linalg.eigvalsh(m))
+
+
 def run_stability(cfg: ExperimentConfig) -> list[TrialRecord]:
     """Perturbation response of density operators vs the trace-normalized baseline.
 
     Per (trial, noise level): one symmetric perturbation with exact operator
     norm equal to the noise level, applied to a Gaussian sample covariance;
     records the density response per beta (with the error bound and measured
-    partition ratio R) plus the trace-normalized covariance response.
+    partition ratio R) plus the trace-normalized covariance response.  The
+    regularized matrix is decomposed once per trial and its perturbation once
+    per noise level; every beta's density comes from those two spectra.
     """
     betas = cfg.betas or (-1.0, -0.1, 0.0, 0.1, 1.0, 5.0)
     noise_levels = cfg.noise_levels or (0.01, 0.05, 0.1, 0.2, 0.5)
@@ -218,11 +213,17 @@ def run_stability(cfg: ExperimentConfig) -> list[TrialRecord]:
         # on the shift-regularized matrix changes none of the measured responses
         # while keeping Z >= 1, which is what makes the error bound valid.
         reg = shift_regularize(cov)
+        base = spectral.eigh(reg.matrix)
+        density._check_guard(betas, base.eigenvalues)
+        values_base, log_z_base = density.density_values(base.eigenvalues, betas)
+        rho_base = [spectral.spectral_matrix(base, values) for values in values_base]
+        norm_base = density._norm(base.eigenvalues)
+        tn_base = cov.matrix / np.trace(cov.matrix)
         records = []
         for eps in noise_levels:
             dc = _symmetric_noise(rng, cfg.dim, eps)
+            norm_dc = _symmetric_norm(dc)
             perturbed = cov.matrix + dc
-            tn_base = cov.matrix / np.trace(cov.matrix)
             tn_pert = perturbed / np.trace(perturbed)
             records.append(
                 TrialRecord(
@@ -230,31 +231,36 @@ def run_stability(cfg: ExperimentConfig) -> list[TrialRecord]:
                     seed=cfg.seed,
                     params={"trial": t, "noise": eps, "method": "trace_normalized"},
                     metrics={
-                        "delta_c_norm": spectral.operator_norm(dc),
-                        "delta_rho_norm": spectral.operator_norm(tn_pert - tn_base),
+                        "delta_c_norm": norm_dc,
+                        "delta_rho_norm": _symmetric_norm(tn_pert - tn_base),
                     },
                 )
             )
-            for beta in betas:
-                rho_base = density.density_operator(reg, beta)
-                rho_pert = density.density_operator(reg.matrix + dc, beta)
-                delta = spectral.operator_norm(rho_pert.matrix() - rho_base.matrix())
+            pert = spectral.eigh(reg.matrix + dc)
+            density._check_guard(betas, pert.eigenvalues)
+            rho_pert, log_z_pert = density.density_values(pert.eigenvalues, betas)
+            norm_pert = density._norm(pert.eigenvalues)
+            for i, beta in enumerate(betas):
+                delta = spectral.spectral_matrix(pert, rho_pert[i]) - rho_base[i]
+                bound = density._error_bound(
+                    beta, cfg.dim, norm_base, norm_pert, norm_dc, log_z_base[i], log_z_pert[i]
+                )
                 records.append(
                     TrialRecord(
                         experiment="stability",
                         seed=cfg.seed,
                         params={"trial": t, "noise": eps, "method": "density", "beta": beta},
                         metrics={
-                            "delta_c_norm": spectral.operator_norm(dc),
-                            "delta_rho_norm": delta,
-                            "bound_value": density.density_error_bound(reg, dc, beta),
-                            "r_ratio": density.partition_ratio(reg, dc, beta),
+                            "delta_c_norm": norm_dc,
+                            "delta_rho_norm": _symmetric_norm(delta),
+                            "bound_value": bound,
+                            "r_ratio": math.exp(log_z_pert[i] - log_z_base[i]),
                         },
                     )
                 )
         return records
 
-    return _map_trials(one_trial, cfg.trials, cfg.threads)
+    return [record for t in range(cfg.trials) for record in one_trial(t)]
 
 
 def run_lipschitz(cfg: ExperimentConfig) -> list[TrialRecord]:
@@ -299,16 +305,7 @@ def run_lipschitz(cfg: ExperimentConfig) -> list[TrialRecord]:
             )
         ]
 
-    return _map_trials(one_trial, cfg.trials, cfg.threads)
-
-
-def _population_filter_values(coeffs, eigenvalues: np.ndarray) -> np.ndarray:
-    g = np.zeros_like(eigenvalues)
-    power = np.ones_like(eigenvalues)
-    for a_k in coeffs:
-        g += a_k * power
-        power = power * eigenvalues
-    return g
+    return [record for t in range(cfg.trials) for record in one_trial(t)]
 
 
 def matched_alignment(sample_cov: CovarianceMatrix, laplacian: np.ndarray, coeffs) -> tuple[float, bool]:
@@ -322,7 +319,8 @@ def matched_alignment(sample_cov: CovarianceMatrix, laplacian: np.ndarray, coeff
     """
     dl = spectral.eigh(laplacian)
     dc = spectral.eigh(sample_cov.matrix)
-    scores = _population_filter_values(np.asarray(coeffs, dtype=float), dl.eigenvalues) ** 2
+    g = filtering.polynomial_response(filtering.FilterSpec(coeffs=coeffs, beta=0.0), dl.eigenvalues)
+    scores = g**2
     order = np.argsort(scores, kind="stable")
     sorted_scores = scores[order]
     scale = max(1.0, float(np.max(np.abs(scores))))
@@ -357,24 +355,19 @@ def run_surrogate(cfg: ExperimentConfig) -> list[TrialRecord]:
             )
         return records
 
-    return _map_trials(one_trial, cfg.trials, cfg.threads)
+    return [record for t in range(cfg.trials) for record in one_trial(t)]
 
 
-def shifted_feature_transform(cov_tn: CovarianceMatrix, beta: float) -> np.ndarray:
+def shifted_feature_transform(cov_tn, beta: float) -> np.ndarray:
     """Feature map of the density regression: rho(C) - I/Z on a unit-trace C.
 
     Applying it to a signal x gives rho x - x/Z, which removes the identity
     component so only the covariance-dependent part of the density drives the
-    features.
+    features.  ``cov_tn`` may be a CovarianceMatrix or its SpectralDecomposition.
     """
-    decomp = spectral.eigh(cov_tn.matrix)
-    exponents = -beta * decomp.eigenvalues
-    shift = np.max(exponents)
-    weights = np.exp(exponents - shift)
-    z_stable = float(weights.sum())
-    rho = weights / z_stable
-    inv_z = math.exp(-shift) / z_stable
-    return spectral.spectral_matrix(decomp, rho - inv_z)
+    decomp = density._as_decomposition(cov_tn)
+    rho, log_z = density.density_values(decomp.eigenvalues, (beta,))
+    return spectral.spectral_matrix(decomp, rho[0] - math.exp(-log_z[0]))
 
 
 def _ridge_fit_mae(z_train, y_train, z_test, y_test, ridge: float) -> float:
@@ -418,9 +411,10 @@ def run_regression(cfg: ExperimentConfig) -> list[TrialRecord]:
             baseline = float(np.mean(np.abs(y_test - np.mean(y_train))))
             for n_cov in grid:
                 cov_tn = trace_normalize(sample_covariance(DataMatrix(pool[:n_cov])))
+                decomp = spectral.eigh(cov_tn.matrix)
                 methods = {"raw_covariance": cov_tn.matrix}
                 for beta in betas:
-                    methods[f"density_beta_{beta:g}"] = shifted_feature_transform(cov_tn, beta)
+                    methods[f"density_beta_{beta:g}"] = shifted_feature_transform(decomp, beta)
                 for name, transform in methods.items():
                     mae = _ridge_fit_mae(
                         x_train @ transform, y_train, x_test @ transform, y_test, cfg.ridge
@@ -435,7 +429,7 @@ def run_regression(cfg: ExperimentConfig) -> list[TrialRecord]:
                     )
         return records
 
-    return _map_trials(one_trial, cfg.trials, cfg.threads)
+    return [record for t in range(cfg.trials) for record in one_trial(t)]
 
 
 def run_entropy_curve(cfg: ExperimentConfig) -> list[TrialRecord]:
@@ -446,9 +440,9 @@ def run_entropy_curve(cfg: ExperimentConfig) -> list[TrialRecord]:
         records = []
         for fam_idx, family in enumerate(cfg.families):
             data = gen_gaussian_data(cfg.dim, cfg.n_samples, family, seed=[cfg.seed, t, fam_idx])
-            cov = shift_regularize(sample_covariance(data))
+            decomp = spectral.eigh(shift_regularize(sample_covariance(data)).matrix)
             for beta in beta_grid:
-                report = entropy.cvne(cov, beta)
+                report = entropy.cvne(decomp, beta)
                 records.append(
                     TrialRecord(
                         experiment="entropy_curve",
@@ -462,7 +456,7 @@ def run_entropy_curve(cfg: ExperimentConfig) -> list[TrialRecord]:
                 )
         return records
 
-    return _map_trials(one_trial, cfg.trials, cfg.threads)
+    return [record for t in range(cfg.trials) for record in one_trial(t)]
 
 
 def run_discrimination(cfg: ExperimentConfig) -> list[TrialRecord]:
@@ -519,7 +513,7 @@ def run_betafit_demo(cfg: ExperimentConfig) -> list[TrialRecord]:
             result = fit_beta(lam_noisy, target)
             kl_star = kl_to_density(lam_noisy, target, result.beta_star)
             others = rng.uniform(result.beta_star - 5.0, result.beta_star + 5.0, size=50)
-            kl_others = min(kl_to_density(lam_noisy, target, b) for b in others)
+            kl_others = float(np.min(kl_to_density(lam_noisy, target, others)))
             records.append(
                 TrialRecord(
                     experiment="betafit_demo",
@@ -536,7 +530,7 @@ def run_betafit_demo(cfg: ExperimentConfig) -> list[TrialRecord]:
             )
         return records
 
-    return _map_trials(one_trial, cfg.trials, cfg.threads)
+    return [record for t in range(cfg.trials) for record in one_trial(t)]
 
 
 RUNNERS = {

@@ -43,9 +43,8 @@ from typing import Sequence
 
 import numpy as np
 
-from . import spectral
 from .covariance import CovarianceMatrix, as_matrix
-from .density import DensityOperator
+from .density import DensityOperator, _as_decomposition, density_values
 from .errors import ShapeError, TrainingError
 from .filtering import FilterSpec, filter_apply
 
@@ -220,19 +219,6 @@ class TrainConfig:
             raise ValueError("dropout must be in [0, 1)")
 
 
-def as_decomposition(c) -> spectral.SpectralDecomposition:
-    if isinstance(c, spectral.SpectralDecomposition):
-        return c
-    return spectral.eigh(as_matrix(c))
-
-
-def _density_values(betas: np.ndarray, eigenvalues: np.ndarray) -> np.ndarray:
-    """Density eigenvalues softmax(-beta * lambda), one row per beta: shape (n_beta, m)."""
-    exponents = -np.outer(betas, eigenvalues)
-    weights = np.exp(exponents - exponents.max(axis=1, keepdims=True))
-    return weights / weights.sum(axis=1, keepdims=True)
-
-
 def _tap_powers(rho: np.ndarray, order: int) -> np.ndarray:
     """rho**k for k = 0..order, shape (f_out, order + 1, m), by repeated products."""
     powers = np.ones((rho.shape[0], order + 1, rho.shape[1]))
@@ -314,7 +300,7 @@ def _layer_channels(p: LayerParams, v: np.ndarray, rho: np.ndarray, x: np.ndarra
 
 def model_forward(model: ModelParams, c, x) -> np.ndarray:
     """Predict from a signal (dim,) or (dim, time): per-time filtering, flatten, head."""
-    out, _ = _forward(model, as_decomposition(c), _as_signals([x]))
+    out, _ = _forward(model, _as_decomposition(c), _as_signals([x]))
     return out[0]
 
 
@@ -324,7 +310,7 @@ def forward_rows(model: ModelParams, c, xs) -> np.ndarray:
     Rows run through the network in blocks of ``FORWARD_BLOCK``, so the pass's
     temporaries do not grow with n.
     """
-    decomp = as_decomposition(c)
+    decomp = _as_decomposition(c)
     x = _as_signals(xs)
     blocks = [_forward(model, decomp, x[s : s + FORWARD_BLOCK])[0] for s in range(0, len(x), FORWARD_BLOCK)]
     return np.concatenate(blocks)
@@ -355,7 +341,7 @@ def _forward(model: ModelParams, decomp, x: np.ndarray, mask=None, keep_tape=Fal
     signal = x[:, None]
     layer_tapes = []
     for layer in model.layers:
-        out, tape = _layer_channels(layer, v, _density_values(layer.betas, lam), signal)
+        out, tape = _layer_channels(layer, v, density_values(lam, layer.betas)[0], signal)
         if keep_tape:
             layer_tapes.append(tape)
         signal = _aggregate(layer.aggregation, out)
@@ -455,7 +441,7 @@ def model_gradients(model: ModelParams, c, batch_x, batch_y, loss: str, rng=None
     Raises:
         TrainingError: the loss is non-finite.
     """
-    decomp = as_decomposition(c)
+    decomp = _as_decomposition(c)
     x = _as_signals(batch_x)
     mask = None
     if dropout > 0.0:
@@ -538,7 +524,7 @@ def train(model: ModelParams, c, train_data, val_data, cfg: TrainConfig) -> Trai
     (ties broken by the earliest epoch).  If the loss goes non-finite, training
     aborts and the last finite state is kept, with ``diverged=True``.
     """
-    decomp = as_decomposition(c)
+    decomp = _as_decomposition(c)
     xs, ys = _as_signals(train_data[0]), np.asarray(train_data[1])
     val_xs, val_ys = val_data
     rng = np.random.default_rng(cfg.seed)

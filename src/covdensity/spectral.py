@@ -78,14 +78,13 @@ def eigh(matrix) -> SpectralDecomposition:
 
 
 def _fix_signs(vectors: np.ndarray) -> np.ndarray:
-    out = np.array(vectors, copy=True)
-    for j in range(out.shape[1]):
-        col = out[:, j]
-        nonzero = np.nonzero(np.abs(col) > _SIGN_EPS)[0]
-        anchor = nonzero[0] if nonzero.size else 0
-        if col[anchor] < 0:
-            out[:, j] = -col
-    return out
+    """Flip each column so its first entry above _SIGN_EPS in magnitude (else its first) is positive."""
+    if vectors.size == 0:
+        return vectors.copy()
+    # argmax over booleans finds the first True, and row 0 when a column has none.
+    anchors = np.argmax(np.abs(vectors) > _SIGN_EPS, axis=0)
+    leading = vectors[anchors, np.arange(vectors.shape[1])]
+    return vectors * np.where(leading < 0, -1.0, 1.0)
 
 
 def spectral_matrix(decomp: SpectralDecomposition, values) -> np.ndarray:

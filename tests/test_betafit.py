@@ -169,3 +169,13 @@ class TestReconstructDensity:
             kl_star = kl_to_density(noisy, target, result.beta_star)
             for beta in rng.uniform(result.beta_star - 4, result.beta_star + 4, 50):
                 assert kl_star <= kl_to_density(noisy, target, float(beta)) + 1e-12
+
+
+def test_kl_scores_an_array_of_betas_like_scalars(rng):
+    lam = np.sort(rng.uniform(0.0, 4.0, 7))
+    target = rng.dirichlet(np.ones(7))
+    betas = rng.uniform(-6.0, 6.0, 50)
+    vectorized = kl_to_density(lam, target, betas)
+    assert vectorized.shape == (50,)
+    np.testing.assert_array_equal(vectorized, [kl_to_density(lam, target, float(b)) for b in betas])
+    assert isinstance(moment_objective(lam, target, 0.5), float)

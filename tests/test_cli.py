@@ -1,10 +1,13 @@
 import json
 import math
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import covdensity
 from covdensity.cli import main
 
 
@@ -89,6 +92,18 @@ class TestEntropyCommand:
         assert code == 2
         assert "error" in err.lower()
 
+    @pytest.mark.parametrize("subcommand", ["entropy", "density"])
+    @pytest.mark.parametrize("bad", ["nan", "inf"])
+    def test_non_finite_covariance_is_runtime_error(self, capsys, tmp_path, subcommand, bad):
+        path = tmp_path / "cov.csv"
+        path.write_text(f"1,{bad}\n{bad},1\n")
+        code, _, err = run_cli(
+            capsys, subcommand, "--input", str(path), "--input-is-covariance",
+            "--output-dir", str(tmp_path / "out"),
+        )
+        assert code == 2
+        assert "non-finite" in err and "RuntimeWarning" not in err
+
 
 class TestFitBetaCommand:
     def test_closed_form_case(self, capsys, tmp_path):
@@ -154,18 +169,6 @@ class TestExperimentCommands:
         a = open(os.path.join(dirs[0], "results.csv"), "rb").read()
         b = open(os.path.join(dirs[1], "results.csv"), "rb").read()
         assert a == b
-
-    def test_threads_flag_does_not_change_outputs(self, capsys, tmp_path):
-        outs = []
-        for threads, name in ((1, "t1"), (3, "t3")):
-            d = tmp_path / name
-            code, _, _ = run_cli(
-                capsys, "surrogate", "--dim", "6", "--trials", "4", "--seed", "9",
-                "--sample-grid", "300", "--threads", str(threads), "--output-dir", str(d),
-            )
-            assert code == 0
-            outs.append((d / "results.csv").read_bytes())
-        assert outs[0] == outs[1]
 
     def test_config_file_with_flag_override(self, capsys, tmp_path):
         cfg_path = tmp_path / "cfg.json"
@@ -352,6 +355,14 @@ class TestPredictInput:
         assert code == 2
         assert out == ""
         assert "input has 4 columns, model expects 5" in err
+
+
+def test_cli_import_does_not_load_scipy():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(covdensity.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    probe = "import sys, covdensity.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True, capture_output=True, text=True)
+    assert out.stdout.strip() == "[]"
 
 
 def test_console_script_version():

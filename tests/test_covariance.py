@@ -1,4 +1,5 @@
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -249,3 +250,10 @@ class TestCovarianceMatrixInvariants:
     def test_data_matrix_rejects_non_finite(self):
         with pytest.raises(ValueError):
             DataMatrix(values=np.array([[1.0, np.nan]]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_before_symmetrizing(self, bad):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # inf - inf in the symmetry check would warn
+            with pytest.raises(ValueError, match="non-finite"):
+                CovarianceMatrix(matrix=np.array([[1.0, bad], [bad, 1.0]]))

@@ -2,18 +2,21 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_low_rank, random_psd
 from covdensity.covariance import shift_regularize
 from covdensity.density import (
     density_error_bound,
     density_operator,
+    density_values,
     f_factor,
     partition_function,
     partition_ratio,
 )
 from covdensity.errors import BetaRangeError, ShapeError
-from covdensity.spectral import operator_norm
+from covdensity.spectral import eigh, operator_norm
 
 
 def scalar_density(eigenvalues, beta):
@@ -161,9 +164,91 @@ class TestErrorBound:
         with pytest.raises(ShapeError):
             density_error_bound(c, np.zeros((2, 2)), 1.0)
 
+    @pytest.mark.parametrize("beta", [1.0, -1.0])
+    def test_hand_solved_diagonal_case(self, beta):
+        # ||C|| = 2, ||C + dC|| = 2.5, ||dC|| = 0.5, m = 2.
+        c, dc = np.diag([2.0, 0.0]), np.diag([0.5, 0.0])
+        ratio = (math.exp(-2.5 * beta) + 1.0) / (math.exp(-2.0 * beta) + 1.0)
+        if beta > 0:
+            factor, tail = 1.0, 3.0
+        else:
+            factor, tail = math.exp(2.0) * math.expm1(0.5) / 0.5, 1.0 + 2.0 * math.exp(2.0)
+        assert partition_ratio(c, dc, beta) == pytest.approx(ratio, rel=1e-14)
+        assert density_error_bound(c, dc, beta) == pytest.approx(0.5 * factor / ratio * tail, rel=1e-14)
+
 
 def test_accepts_covariance_matrix_and_ndarray(rng):
     c = random_psd(rng, 4)
     a = density_operator(c, 0.8).density_eigenvalues
     b = density_operator(c.matrix, 0.8).density_eigenvalues
     np.testing.assert_array_equal(a, b)
+
+
+def per_beta_density(eigenvalues, beta):
+    """The per-beta stabilized softmax the density map used before it was vectorized: (rho, Z)."""
+    exponents = -beta * eigenvalues
+    shift = float(np.max(exponents))
+    weights = np.exp(exponents - shift)
+    total = float(np.sum(weights))
+    return weights / total, math.exp(shift) * total
+
+
+# Spectra in [-50, 50] and betas in [-5, 5] keep every |beta * lambda| <= 250,
+# so the old formula's Z = e^shift * total stays in double range, and every
+# weight stays far above underflow.
+spectra = st.lists(st.floats(-50.0, 50.0), min_size=1, max_size=12).map(np.array)
+beta_lists = st.lists(
+    st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0]), st.floats(-5.0, 5.0)), min_size=1, max_size=8
+)
+
+
+class TestDensityValues:
+    @settings(max_examples=200, deadline=None)
+    @given(spectra, beta_lists)
+    def test_matches_per_beta_formula(self, lam, betas):
+        rho, log_z = density_values(lam, betas)
+        assert rho.shape == (len(betas), lam.size) and log_z.shape == (len(betas),)
+        for i, beta in enumerate(betas):
+            expected_rho, expected_z = per_beta_density(lam, beta)
+            np.testing.assert_allclose(rho[i], expected_rho, rtol=1e-12)
+            assert math.exp(log_z[i]) == pytest.approx(expected_z, rel=1e-12)
+
+    @settings(max_examples=200, deadline=None)
+    @given(spectra, beta_lists)
+    def test_rows_are_strictly_positive_distributions(self, lam, betas):
+        rho, _ = density_values(lam, betas)
+        assert np.all(rho > 0)
+        np.testing.assert_allclose(rho.sum(axis=1), 1.0, rtol=0, atol=1e-12)
+
+    @settings(max_examples=200, deadline=None)
+    @given(spectra, beta_lists, st.floats(-50.0, 50.0))
+    def test_shift_invariance(self, lam, betas, s):
+        rho, log_z = density_values(lam, betas)
+        rho_shifted, log_z_shifted = density_values(lam + s, betas)
+        np.testing.assert_allclose(rho_shifted, rho, rtol=1e-12)
+        # ln Z can cancel to zero, so its error is bounded in absolute terms by
+        # roundoff in the exponents beta * (lambda + s).
+        b = np.asarray(betas)
+        scale = 1.0 + np.abs(b) * (np.max(np.abs(lam)) + abs(s))
+        assert np.all(np.abs(log_z_shifted - (log_z - b * s)) <= 1e-12 * scale)
+
+    def test_log_partition_beyond_double_range(self):
+        # Z = e^800 overflows a double; ln Z does not.
+        _, log_z = density_values(np.array([-800.0, -799.0]), [1.0])
+        assert log_z[0] == pytest.approx(800.0 + math.log1p(math.exp(-1.0)), rel=1e-15)
+
+
+class TestDecomposeOnce:
+    def test_operator_from_decomposition_matches_matrix(self, rng):
+        c = random_psd(rng, 5)
+        decomp = eigh(c.matrix)
+        for beta in (-2.0, 0.0, 0.7):
+            from_decomp = density_operator(decomp, beta)
+            from_matrix = density_operator(c, beta)
+            assert from_decomp.basis is decomp
+            np.testing.assert_array_equal(from_decomp.density_eigenvalues, from_matrix.density_eigenvalues)
+            assert from_decomp.log_partition == from_matrix.log_partition
+
+    def test_guard_applies_to_decomposition_input(self):
+        with pytest.raises(BetaRangeError, match="guard"):
+            density_operator(eigh(np.diag([100.0, 0.0])), 8.0)

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_low_rank, random_psd
 from covdensity.covariance import CovarianceMatrix, shift_regularize
@@ -187,6 +189,17 @@ class TestThresholdAuc:
     def test_interleaved(self):
         auc = threshold_auc([0.0, 2.0], [1.0, 3.0])
         assert auc == pytest.approx(0.75)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(st.integers(0, 4), min_size=1, max_size=40),
+        st.lists(st.integers(0, 4), min_size=1, max_size=40),
+    )
+    def test_matches_pairwise_count_with_many_ties(self, a, b):
+        wins = sum((y > x) + 0.5 * (y == x) for x in a for y in b)
+        pairwise = wins / (len(a) * len(b))
+        expected = max(pairwise, 1.0 - pairwise)
+        assert threshold_auc(np.array(a, float), np.array(b, float)) == pytest.approx(expected, abs=1e-12)
 
 
 class TestDiscriminationExperiment:

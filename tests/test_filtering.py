@@ -236,3 +236,11 @@ class TestFilterSpecValidation:
 
     def test_order_property(self):
         assert FilterSpec(coeffs=[1.0, 2.0, 3.0], beta=0.0).order == 2
+
+    def test_leaves_caller_array_writable(self):
+        coeffs = np.array([1.0, 0.5])
+        spec = FilterSpec(coeffs=coeffs, beta=1.0)
+        coeffs[0] = 3.0
+        assert spec.coeffs[0] == 1.0
+        with pytest.raises(ValueError):
+            spec.coeffs[0] = 2.0

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from covdensity import density
+from covdensity.covariance import gen_gaussian_data, sample_covariance, shift_regularize
 from covdensity.errors import ConfigError
 from covdensity.lab import (
     ExperimentConfig,
@@ -15,6 +17,7 @@ from covdensity.lab import (
     run_surrogate,
     summarize,
 )
+from covdensity.spectral import operator_norm
 
 
 def metric_mean(records, metric, **param_filter):
@@ -222,9 +225,89 @@ class TestDeterminismAndThreads:
         b = run_experiment(cfg)
         assert a == b
 
-    def test_threads_do_not_change_results(self):
-        base = ExperimentConfig(experiment="surrogate", dim=6, trials=6, seed=3, sample_grid=(200,))
-        threaded = ExperimentConfig(
-            experiment="surrogate", dim=6, trials=6, seed=3, sample_grid=(200,), threads=4
+
+def stability_oracle(cfg):
+    """run_stability rebuilt from the public per-beta API, one decomposition per call."""
+    records = []
+    for t in range(cfg.trials):
+        rng = np.random.default_rng([cfg.seed, t])
+        data = gen_gaussian_data(cfg.dim, cfg.n_samples, "gaussian", seed=[cfg.seed, t, 1])
+        cov = sample_covariance(data)
+        reg = shift_regularize(cov)
+        for eps in cfg.noise_levels:
+            e = rng.standard_normal((cfg.dim, cfg.dim))
+            e = (e + e.T) / 2.0
+            dc = eps * e / operator_norm(e)
+            perturbed = cov.matrix + dc
+            tn_delta = perturbed / np.trace(perturbed) - cov.matrix / np.trace(cov.matrix)
+            records.append(
+                ({"trial": t, "noise": eps, "method": "trace_normalized"},
+                 {"delta_c_norm": operator_norm(dc), "delta_rho_norm": operator_norm(tn_delta)})
+            )
+            for beta in cfg.betas:
+                rho_base = density.density_operator(reg, beta)
+                rho_pert = density.density_operator(reg.matrix + dc, beta)
+                records.append(
+                    ({"trial": t, "noise": eps, "method": "density", "beta": beta},
+                     {
+                         "delta_c_norm": operator_norm(dc),
+                         "delta_rho_norm": operator_norm(rho_pert.matrix() - rho_base.matrix()),
+                         "bound_value": density.density_error_bound(reg, dc, beta),
+                         "r_ratio": density.partition_ratio(reg, dc, beta),
+                     })
+                )
+    return records
+
+
+class TestDecomposeOnce:
+    def test_stability_matches_public_api_oracle(self):
+        cfg = ExperimentConfig(
+            experiment="stability", dim=7, trials=3, seed=5,
+            betas=(-1.0, -0.1, 0.0, 0.1, 1.0, 5.0), noise_levels=(0.01, 0.2),
         )
-        assert run_experiment(base) == run_experiment(threaded)
+        records = run_stability(cfg)
+        expected = stability_oracle(cfg)
+        assert [r.params for r in records] == [
+            {k: float(v) if not isinstance(v, str) else v for k, v in params.items()}
+            for params, _ in expected
+        ]
+        for name in ("delta_c_norm", "delta_rho_norm", "bound_value", "r_ratio"):
+            got = np.array([r.metrics[name] for r in records if name in r.metrics])
+            want = np.array([metrics[name] for _, metrics in expected if name in metrics])
+            # The beta = 0 responses are pure roundoff (~1e-16), so entries are
+            # also held to 1e-12 of the largest value of the same metric.
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.max(np.abs(want)))
+
+    @pytest.fixture
+    def eigh_calls(self, monkeypatch):
+        calls = []
+        original = np.linalg.eigh
+
+        def counting(m, *args, **kwargs):
+            calls.append(np.shape(m))
+            return original(m, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", counting)
+        return calls
+
+    def test_stability_decomposes_once_per_matrix(self, eigh_calls):
+        cfg = ExperimentConfig(
+            experiment="stability", dim=5, trials=2, seed=1,
+            betas=(-1.0, 0.0, 2.0), noise_levels=(0.1, 0.2, 0.3),
+        )
+        run_stability(cfg)
+        # Per trial: the regularized matrix, then one perturbation per noise level.
+        assert len(eigh_calls) == cfg.trials * (1 + len(cfg.noise_levels))
+
+    def test_entropy_curve_decomposes_once_per_family(self, eigh_calls):
+        cfg = ExperimentConfig(experiment="entropy_curve", dim=5, trials=2, seed=1, betas=(0.0, 1.0, 4.0))
+        run_entropy_curve(cfg)
+        assert len(eigh_calls) == cfg.trials * len(cfg.families)
+
+    def test_regression_decomposes_once_per_covariance(self, eigh_calls):
+        cfg = ExperimentConfig(
+            experiment="regression", dim=5, trials=1, seed=1, betas=(0.1, 1.0, 5.0),
+            noise_levels=(0.0,), sample_grid=(25, 50), n_test=50,
+        )
+        run_regression(cfg)
+        assert len(eigh_calls) == len(cfg.noise_levels) * len(cfg.sample_grid)

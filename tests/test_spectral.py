@@ -1,9 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from covdensity.errors import ShapeError, SymmetryError
 from covdensity.spectral import (
+    _SIGN_EPS,
     SpectralDecomposition,
+    _fix_signs,
     apply_spectral_function,
     eigh,
     operator_norm,
@@ -142,3 +147,43 @@ def test_decomposition_is_immutable(rng):
     assert isinstance(d, SpectralDecomposition)
     with pytest.raises(ValueError):
         d.eigenvalues[0] = 5.0
+
+
+def loop_fix_signs(vectors):
+    """Column-by-column reference for the sign convention."""
+    out = np.array(vectors, copy=True)
+    for j in range(out.shape[1]):
+        col = out[:, j]
+        nonzero = np.nonzero(np.abs(col) > _SIGN_EPS)[0]
+        anchor = nonzero[0] if nonzero.size else 0
+        if col[anchor] < 0:
+            out[:, j] = -col
+    return out
+
+
+# Entries at, just below and just above the anchor threshold, signed zeros,
+# and ordinary values, so columns often lead with sub-threshold entries and
+# some have no entry above it at all.
+_entries = st.one_of(
+    st.sampled_from([0.0, -0.0, _SIGN_EPS, -_SIGN_EPS, 0.5 * _SIGN_EPS, -0.5 * _SIGN_EPS,
+                     2.0 * _SIGN_EPS, -2.0 * _SIGN_EPS]),
+    st.floats(-1.0, 1.0),
+)
+
+
+_matrices = st.tuples(st.integers(1, 6), st.integers(1, 6)).flatmap(
+    lambda shape: arrays(np.float64, shape, elements=_entries)
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_matrices)
+def test_vectorized_sign_fix_equals_loop(vectors):
+    fixed = _fix_signs(vectors)
+    expected = loop_fix_signs(vectors)
+    np.testing.assert_array_equal(fixed, expected)
+    np.testing.assert_array_equal(np.signbit(fixed), np.signbit(expected))
+
+
+def test_sign_fix_of_empty_matrix():
+    assert eigh(np.zeros((0, 0))).eigenvectors.shape == (0, 0)
