@@ -13,7 +13,7 @@ trials can run in parallel and reproduce exactly.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
@@ -76,6 +76,8 @@ class CovarianceMatrix:
     matrix: np.ndarray
     regularization: Regularization = Regularization.RAW
     min_eig_shift: float = 0.0
+    # The spectrum the PSD check computed, kept so shift_regularize need not recompute it.
+    _eigenvalues: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         m = np.asarray(self.matrix, dtype=float)
@@ -83,14 +85,10 @@ class CovarianceMatrix:
             raise ValueError("covariance matrix contains non-finite entries")
         m = spectral.symmetrize(m)
         eigenvalues = np.linalg.eigvalsh(m)
-        norm = float(np.max(np.abs(eigenvalues)))
+        tolerance = _check_psd(eigenvalues)
         min_eig = float(eigenvalues[0])
-        if min_eig < -PSD_RTOL * max(1.0, norm):
-            raise ValueError(
-                f"matrix is not PSD within tolerance: min eigenvalue {min_eig:.3e}"
-            )
         if self.regularization == Regularization.SHIFTED_MIN_EIG_ZERO:
-            if abs(min_eig) > PSD_RTOL * max(1.0, norm):
+            if abs(min_eig) > tolerance:
                 raise ValueError(
                     f"shift-regularized matrix has min eigenvalue {min_eig:.3e}, expected 0"
                 )
@@ -98,11 +96,26 @@ class CovarianceMatrix:
             if abs(float(np.trace(m)) - 1.0) > 1e-10:
                 raise ValueError("trace-normalized matrix must have unit trace")
         m.flags.writeable = False
+        eigenvalues.flags.writeable = False
         object.__setattr__(self, "matrix", m)
+        object.__setattr__(self, "_eigenvalues", eigenvalues)
 
     @property
     def dim(self) -> int:
         return self.matrix.shape[0]
+
+
+def _check_psd(eigenvalues: np.ndarray):
+    """Raise unless each ascending spectrum (last axis) has min eigenvalue >= -tolerance.
+
+    The tolerance, PSD_RTOL * max(1, ||C||) per spectrum, is returned.
+    """
+    tolerance = PSD_RTOL * np.maximum(1.0, np.max(np.abs(eigenvalues), axis=-1))
+    failing = np.flatnonzero(eigenvalues[..., 0] < -tolerance)
+    if failing.size:
+        min_eig = float(np.ravel(eigenvalues[..., 0])[failing[0]])
+        raise ValueError(f"matrix is not PSD within tolerance: min eigenvalue {min_eig:.3e}")
+    return tolerance
 
 
 def as_matrix(c) -> np.ndarray:
@@ -122,20 +135,25 @@ def sample_covariance(data: DataMatrix) -> CovarianceMatrix:
         raise InsufficientDataError(
             f"need at least 2 observations, got {data.n_samples}"
         )
-    x = data.values
+    return CovarianceMatrix(matrix=_covariance_array(data.values))
+
+
+def _covariance_array(x: np.ndarray) -> np.ndarray:
+    """The symmetric centered sample covariance (divisor n) of an observations-by-variables array."""
     centered = x - x.mean(axis=0, keepdims=True)
-    c = centered.T @ centered / data.n_samples
-    return CovarianceMatrix(matrix=(c + c.T) / 2.0)
+    c = centered.T @ centered / x.shape[0]
+    return (c + c.T) / 2.0
 
 
 def shift_regularize(cov: CovarianceMatrix) -> CovarianceMatrix:
     """Subtract (min eigenvalue) * I so the smallest eigenvalue is zero.
 
     The shift leaves the density operator and its entropy unchanged while
-    guaranteeing a partition function >= 1 for beta > 0.
+    guaranteeing a partition function >= 1 for beta > 0.  The minimum is read
+    from the spectrum ``cov``'s PSD check computed.
     """
     m = cov.matrix
-    shift = float(np.min(np.linalg.eigvalsh(m)))
+    shift = float(np.min(cov._eigenvalues))
     out = m - shift * np.eye(cov.dim)
     return CovarianceMatrix(
         matrix=out,

@@ -10,9 +10,11 @@ Operators are stored spectrally (basis plus eigenvalue vector) rather than as
 dense matrix exponentials, so powers and matrix-vector products are exact in
 the eigenbasis and cost O(m^2).  Every density map goes through one kernel,
 :func:`density_values`, which evaluates any number of betas over one spectrum,
-so a beta sweep needs a single eigendecomposition.  The kernel subtracts the
-maximum exponent before exponentiating and returns ln Z rather than Z.
-|beta| * ||C|| is capped at 700 to stay inside double range.
+so a beta sweep needs a single eigendecomposition.  The kernel reduces over the
+last axis, so spectra stacked on leading axes (one per window, trial or noise
+level) are mapped by one call.  It subtracts the maximum exponent before
+exponentiating and returns ln Z rather than Z.  |beta| * ||C|| is capped at 700
+to stay inside double range.
 """
 
 from __future__ import annotations
@@ -82,30 +84,41 @@ def _as_decomposition(c) -> spectral.SpectralDecomposition:
     return spectral.eigh(as_matrix(c))
 
 
-def _norm(eigenvalues: np.ndarray) -> float:
-    """Operator norm of a symmetric matrix from its eigenvalues."""
-    return float(np.max(np.abs(eigenvalues))) if eigenvalues.size else 0.0
+def _norm(eigenvalues: np.ndarray):
+    """Operator norm of symmetric matrices from their eigenvalues (last axis)."""
+    return np.max(np.abs(eigenvalues), axis=-1, initial=0.0)
 
 
 def _check_guard(betas, eigenvalues: np.ndarray):
-    product = float(np.max(np.abs(betas))) * _norm(eigenvalues)
-    if product > OVERFLOW_GUARD:
+    """Raise for the first spectrum and beta, in order, with |beta| * ||C|| past the guard."""
+    products = np.ravel(_norm(eigenvalues)[..., None] * np.abs(np.ravel(betas)))
+    over = np.flatnonzero(products > OVERFLOW_GUARD)
+    if over.size:
         raise BetaRangeError(
-            f"|beta| * ||C|| = {product:.3e} exceeds the overflow guard {OVERFLOW_GUARD}"
+            f"|beta| * ||C|| = {products[over[0]]:.3e} exceeds the overflow guard {OVERFLOW_GUARD}"
         )
 
 
 def density_values(eigenvalues, betas) -> tuple[np.ndarray, np.ndarray]:
-    """Softmax of -beta * lambda per beta: ``(rho[n_beta, m], log_z[n_beta])``.
+    """Softmax of -beta * lambda per beta: ``(rho[..., n_beta, m], log_z[..., n_beta])``.
 
+    ``eigenvalues`` holds one spectrum on its last axis, or several stacked on
+    leading axes; each spectrum's rows are computed exactly as a 1-D call would.
     Each row's exponents are shifted by their maximum before exponentiating, so
     every entry is finite and ln Z stays finite even where Z itself would overflow.
     """
-    exponents = -np.outer(betas, eigenvalues)
-    shift = exponents.max(axis=1)
-    weights = np.exp(exponents - shift[:, None])
-    total = weights.sum(axis=1)
-    return weights / total[:, None], shift + np.log(total)
+    lam = np.asarray(eigenvalues, dtype=float)
+    exponents = -(np.ravel(betas)[:, None] * lam[..., None, :])
+    shift = exponents.max(axis=-1)
+    weights = np.exp(exponents - shift[..., None])
+    total = weights.sum(axis=-1)
+    return weights / total[..., None], shift + np.log(total)
+
+
+def _guarded_values(eigenvalues, betas) -> tuple[np.ndarray, np.ndarray]:
+    """density_values after the overflow guard has passed every spectrum and beta."""
+    _check_guard(betas, eigenvalues)
+    return density_values(eigenvalues, betas)
 
 
 def density_operator(c, beta: float) -> DensityOperator:
@@ -118,8 +131,7 @@ def density_operator(c, beta: float) -> DensityOperator:
         BetaRangeError: |beta| * ||C|| exceeds the overflow guard.
     """
     decomp = _as_decomposition(c)
-    _check_guard(beta, decomp.eigenvalues)
-    rho, log_z = density_values(decomp.eigenvalues, (beta,))
+    rho, log_z = _guarded_values(decomp.eigenvalues, (beta,))
     rho.flags.writeable = False
     return DensityOperator(
         beta=float(beta),
@@ -130,8 +142,7 @@ def density_operator(c, beta: float) -> DensityOperator:
 
 
 def _log_partition(eigenvalues: np.ndarray, beta: float) -> float:
-    _check_guard(beta, eigenvalues)
-    return float(density_values(eigenvalues, (beta,))[1][0])
+    return float(_guarded_values(eigenvalues, (beta,))[1][0])
 
 
 def partition_function(c, beta: float) -> float:
@@ -164,7 +175,7 @@ def _error_bound(beta, dim, norm_c, norm_perturbed, norm_dc, log_z, log_z_pertur
     ratio = math.exp(log_z_perturbed - log_z)
     factor = f_factor(beta, norm_c, norm_perturbed)
     tail = 1.0 + dim * math.exp(abs(beta) * norm_c if beta < 0 else 0.0)
-    return abs(beta) * norm_dc * factor / ratio * tail
+    return float(abs(beta) * norm_dc * factor / ratio * tail)
 
 
 def density_error_bound(c, dc, beta: float) -> float:

@@ -20,11 +20,12 @@ import numpy as np
 from .covariance import (
     CovarianceMatrix,
     DataMatrix,
+    _check_psd,
+    _covariance_array,
     as_matrix,
-    sample_covariance,
     shift_regularize,
 )
-from .density import density_operator
+from .density import _guarded_values, density_operator
 from .errors import DegenerateCovarianceError, ShapeError
 
 _RANK_RTOL = 1e-10
@@ -50,8 +51,7 @@ def cvne(c, beta: float) -> EntropyReport:
     reported as a cross-check).
     """
     rho = density_operator(c, beta)
-    values = rho.density_eigenvalues
-    nats = max(0.0, float(-np.sum(values * np.log(values))))
+    nats = float(_shannon_nats(rho.density_eigenvalues))
     spectrum = rho.source_spectrum
     scale = float(np.max(np.abs(spectrum))) if spectrum.size else 0.0
     rank = int(np.sum(np.abs(spectrum) > _RANK_RTOL * max(1.0, scale)))
@@ -63,6 +63,14 @@ def cvne(c, beta: float) -> EntropyReport:
         source_dim=rho.dim,
         source_rank_estimate=rank,
     )
+
+
+def _shannon_nats(values: np.ndarray):
+    """-sum p ln p of each distribution on the last axis, floored at zero; 0 ln 0 counts as 0."""
+    # An entry that underflowed to 0 contributes 0 ln 1 = 0 instead of 0 * -inf = NaN.
+    terms = values * np.log(np.where(values > 0.0, values, 1.0))
+    # fmax(0, x) keeps 0.0 where x is -0.0 or NaN (a NaN beta), exactly as max(0.0, x) does.
+    return np.fmax(0.0, -np.sum(terms, axis=-1))
 
 
 def _gibbs_from_operator(rho) -> float:
@@ -84,14 +92,25 @@ def naive_entropy(c) -> float:
     Raises:
         DegenerateCovarianceError: trace is (numerically) zero.
     """
-    eigenvalues = np.linalg.eigvalsh(as_matrix(c))
+    return float(_naive_bits(np.linalg.eigvalsh(as_matrix(c))))
+
+
+def _naive_bits(eigenvalues: np.ndarray):
+    """naive_entropy of each ascending spectrum on the last axis."""
     weights = np.clip(eigenvalues, 0.0, None)
-    total = float(np.sum(weights))
-    if total <= 1e-14:
+    total = np.sum(weights, axis=-1)
+    if np.any(total <= 1e-14):
         raise DegenerateCovarianceError("zero-trace matrix has no normalized spectrum")
-    p = weights / total
-    nonzero = p > 0.0
-    return float(-np.sum(p[nonzero] * np.log2(p[nonzero])))
+    p = (weights / total[..., None]).reshape(-1, weights.shape[-1])
+    # Spectra ascend, so the zero weights of a row lead it.  Summing each row's
+    # positive tail adds the same terms in the same order as a 1-D sum over p[p > 0].
+    leading_zeros = np.sum(~(p > 0.0), axis=-1)
+    bits = np.empty(len(p))
+    for k in set(leading_zeros.tolist()):
+        rows = leading_zeros == k
+        tail = p[rows, k:]
+        bits[rows] = -np.sum(tail * np.log2(tail), axis=-1)
+    return bits.reshape(total.shape)
 
 
 class SubadditivityCheck(NamedTuple):
@@ -158,6 +177,18 @@ class DiscriminationResult:
     windows: tuple[WindowScore, ...]
 
 
+def _window_entropies(covariances: np.ndarray, beta: float) -> tuple[np.ndarray, np.ndarray]:
+    """Naive and density entropies (bits) of stacked covariances, with every check of
+    CovarianceMatrix, naive_entropy and cvne, from one ``eigvalsh`` of the stack."""
+    if not np.all(np.isfinite(covariances)):
+        raise ValueError("covariance matrix contains non-finite entries")
+    eigenvalues = np.linalg.eigvalsh(covariances)
+    _check_psd(eigenvalues)
+    naive = _naive_bits(eigenvalues)
+    rho, _ = _guarded_values(eigenvalues, (beta,))
+    return naive, _shannon_nats(rho[..., 0, :]) / math.log(2.0)
+
+
 def discrimination_experiment(
     window: int = 128,
     n_windows: int = 500,
@@ -175,6 +206,12 @@ def discrimination_experiment(
     and by the density entropy at ``beta``; both scores are classified by a
     best-direction threshold sweep.  Near-pure scalings leave the naive score
     at chance while the density entropy tracks the absolute spectrum.
+
+    Each window has its own seeded stream.  One ``eigvalsh`` of the stacked
+    ``(2, n_windows, m, m)`` covariances gives both scores and every check, so the
+    density entropy reads ``eigvalsh`` eigenvalues where :func:`cvne` reads
+    ``eigh`` ones (they can differ in the last bits).  A failing window raises
+    what a window-by-window evaluation would raise first.
     """
     base = np.asarray(base_spectrum, dtype=float)
     scale = np.asarray(regime_scale, dtype=float)
@@ -184,22 +221,27 @@ def discrimination_experiment(
     if window < dim + 1:
         raise ValueError(f"window {window} too small for dim {dim} (need >= dim + 1)")
     spectra = (base, base * scale)
-    scores_naive = [[], []]
-    scores_vne = [[], []]
-    rows = []
-    for regime in (0, 1):
-        sigma_sqrt = np.sqrt(spectra[regime])
-        for w in range(n_windows):
-            rng = np.random.default_rng([seed, regime, w])
-            samples = rng.standard_normal((window, dim)) * sigma_sqrt
-            cov = sample_covariance(DataMatrix(values=samples))
-            s_naive = naive_entropy(cov)
-            s_vne = cvne(cov, beta).entropy_bits
-            scores_naive[regime].append(s_naive)
-            scores_vne[regime].append(s_vne)
-            rows.append(WindowScore(w, regime, s_naive, s_vne))
+    covariances = []
+    try:
+        for regime in (0, 1):
+            sigma_sqrt = np.sqrt(spectra[regime])
+            for w in range(n_windows):
+                rng = np.random.default_rng([seed, regime, w])
+                data = DataMatrix(values=rng.standard_normal((window, dim)) * sigma_sqrt)
+                covariances.append(_covariance_array(data.values))
+        s_naive, s_vne = _window_entropies(np.reshape(covariances, (2, -1, dim, dim)), beta)
+    except ValueError:
+        # Score the windows drawn so far one at a time, so the earliest failing
+        # window's own error is raised ahead of any later window's.
+        for cov in covariances:
+            _window_entropies(cov, beta)
+        raise
     return DiscriminationResult(
-        auc_naive=threshold_auc(scores_naive[0], scores_naive[1]),
-        auc_vne=threshold_auc(scores_vne[0], scores_vne[1]),
-        windows=tuple(rows),
+        auc_naive=threshold_auc(s_naive[0], s_naive[1]),
+        auc_vne=threshold_auc(s_vne[0], s_vne[1]),
+        windows=tuple(
+            WindowScore(w, regime, float(s_naive[regime, w]), float(s_vne[regime, w]))
+            for regime in (0, 1)
+            for w in range(s_naive.shape[1])
+        ),
     )

@@ -89,7 +89,11 @@ def frequency_response(f: FilterSpec, lam: float, z: float) -> float:
     """
     if z <= 0:
         raise ValueError(f"partition function must be positive, got {z}")
-    log_z = math.log(z)
+    return _log_frequency_response(f, lam, math.log(z))
+
+
+def _log_frequency_response(f: FilterSpec, lam: float, log_z: float) -> float:
+    """frequency_response given ln Z instead of Z."""
     total = 0.0
     for k in range(f.k_start, f.order + 1):
         total += f.coeffs[k] * math.exp(-f.beta * lam * k - k * log_z)

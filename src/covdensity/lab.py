@@ -187,11 +187,6 @@ def _symmetric_noise(rng, dim: int, norm: float) -> np.ndarray:
     return norm * e / scale
 
 
-def _symmetric_norm(m: np.ndarray) -> float:
-    """Operator norm of a symmetric matrix, from its eigenvalues (no SVD)."""
-    return density._norm(np.linalg.eigvalsh(m))
-
-
 def run_stability(cfg: ExperimentConfig) -> list[TrialRecord]:
     """Perturbation response of density operators vs the trace-normalized baseline.
 
@@ -200,7 +195,8 @@ def run_stability(cfg: ExperimentConfig) -> list[TrialRecord]:
     records the density response per beta (with the error bound and measured
     partition ratio R) plus the trace-normalized covariance response.  The
     regularized matrix is decomposed once per trial and its perturbation once
-    per noise level; every beta's density comes from those two spectra.
+    per noise level; every beta's density comes from those two spectra.  A noise
+    level's operator norms (dC and every response) come from one stacked ``eigvalsh``.
     """
     betas = cfg.betas or (-1.0, -0.1, 0.0, 0.1, 1.0, 5.0)
     noise_levels = cfg.noise_levels or (0.01, 0.05, 0.1, 0.2, 0.5)
@@ -214,34 +210,29 @@ def run_stability(cfg: ExperimentConfig) -> list[TrialRecord]:
         # while keeping Z >= 1, which is what makes the error bound valid.
         reg = shift_regularize(cov)
         base = spectral.eigh(reg.matrix)
-        density._check_guard(betas, base.eigenvalues)
-        values_base, log_z_base = density.density_values(base.eigenvalues, betas)
-        rho_base = [spectral.spectral_matrix(base, values) for values in values_base]
+        values_base, log_z_base = density._guarded_values(base.eigenvalues, betas)
+        rho_base = spectral.spectral_matrix(base, values_base)
         norm_base = density._norm(base.eigenvalues)
         tn_base = cov.matrix / np.trace(cov.matrix)
         records = []
         for eps in noise_levels:
             dc = _symmetric_noise(rng, cfg.dim, eps)
-            norm_dc = _symmetric_norm(dc)
             perturbed = cov.matrix + dc
-            tn_pert = perturbed / np.trace(perturbed)
+            pert = spectral.eigh(reg.matrix + dc)
+            rho_pert, log_z_pert = density._guarded_values(pert.eigenvalues, betas)
+            norm_pert = density._norm(pert.eigenvalues)
+            deltas = [dc, perturbed / np.trace(perturbed) - tn_base]
+            deltas.extend(spectral.spectral_matrix(pert, rho_pert) - rho_base)
+            norm_dc, norm_tn, *norm_rho = density._norm(np.linalg.eigvalsh(deltas))
             records.append(
                 TrialRecord(
                     experiment="stability",
                     seed=cfg.seed,
                     params={"trial": t, "noise": eps, "method": "trace_normalized"},
-                    metrics={
-                        "delta_c_norm": norm_dc,
-                        "delta_rho_norm": _symmetric_norm(tn_pert - tn_base),
-                    },
+                    metrics={"delta_c_norm": norm_dc, "delta_rho_norm": norm_tn},
                 )
             )
-            pert = spectral.eigh(reg.matrix + dc)
-            density._check_guard(betas, pert.eigenvalues)
-            rho_pert, log_z_pert = density.density_values(pert.eigenvalues, betas)
-            norm_pert = density._norm(pert.eigenvalues)
             for i, beta in enumerate(betas):
-                delta = spectral.spectral_matrix(pert, rho_pert[i]) - rho_base[i]
                 bound = density._error_bound(
                     beta, cfg.dim, norm_base, norm_pert, norm_dc, log_z_base[i], log_z_pert[i]
                 )
@@ -252,7 +243,7 @@ def run_stability(cfg: ExperimentConfig) -> list[TrialRecord]:
                         params={"trial": t, "noise": eps, "method": "density", "beta": beta},
                         metrics={
                             "delta_c_norm": norm_dc,
-                            "delta_rho_norm": _symmetric_norm(delta),
+                            "delta_rho_norm": norm_rho[i],
                             "bound_value": bound,
                             "r_ratio": math.exp(log_z_pert[i] - log_z_base[i]),
                         },
@@ -284,10 +275,10 @@ def run_lipschitz(cfg: ExperimentConfig) -> list[TrialRecord]:
         gap = abs(lam2 - lam1)
         if gap < 1e-12 or alpha == 0.0:
             return []
-        z = density.partition_function(np.diag([lam1, lam2]), beta)
+        log_z = density._log_partition(np.sort([lam1, lam2]), beta)
         diff = abs(
-            filtering.frequency_response(spec, lam2, z)
-            - filtering.frequency_response(spec, lam1, z)
+            filtering._log_frequency_response(spec, lam2, log_z)
+            - filtering._log_frequency_response(spec, lam1, log_z)
         )
         return [
             TrialRecord(
@@ -441,17 +432,14 @@ def run_entropy_curve(cfg: ExperimentConfig) -> list[TrialRecord]:
         for fam_idx, family in enumerate(cfg.families):
             data = gen_gaussian_data(cfg.dim, cfg.n_samples, family, seed=[cfg.seed, t, fam_idx])
             decomp = spectral.eigh(shift_regularize(sample_covariance(data)).matrix)
-            for beta in beta_grid:
-                report = entropy.cvne(decomp, beta)
+            rho, _ = density._guarded_values(decomp.eigenvalues, beta_grid)
+            for beta, nats in zip(beta_grid, entropy._shannon_nats(rho)):
                 records.append(
                     TrialRecord(
                         experiment="entropy_curve",
                         seed=cfg.seed,
                         params={"trial": t, "family": family, "beta": beta},
-                        metrics={
-                            "entropy_nats": report.entropy_nats,
-                            "entropy_bits": report.entropy_bits,
-                        },
+                        metrics={"entropy_nats": nats, "entropy_bits": nats / math.log(2.0)},
                     )
                 )
         return records

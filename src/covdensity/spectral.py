@@ -88,12 +88,15 @@ def _fix_signs(vectors: np.ndarray) -> np.ndarray:
 
 
 def spectral_matrix(decomp: SpectralDecomposition, values) -> np.ndarray:
-    """Assemble V diag(values) V^T for per-eigenvalue scalars ``values``."""
+    """Assemble V diag(values) V^T for per-eigenvalue scalars on the last axis of ``values``.
+
+    Leading axes of ``values`` stack several value vectors and give a stack of matrices.
+    """
     values = np.asarray(values, dtype=float)
-    if values.shape != (decomp.dim,):
+    if values.ndim == 0 or values.shape[-1] != decomp.dim:
         raise ShapeError(f"expected {decomp.dim} spectral values, got shape {values.shape}")
     v = decomp.eigenvectors
-    return (v * values) @ v.T
+    return (v * values[..., None, :]) @ v.T
 
 
 def apply_spectral_function(

@@ -16,6 +16,19 @@ def random_low_rank(rng, dim, rank) -> CovarianceMatrix:
     return CovarianceMatrix(matrix=factor @ factor.T)
 
 
+def count_linalg_calls(monkeypatch, name):
+    """Replace np.linalg.<name> with a wrapper that records each call's input shape."""
+    calls = []
+    original = getattr(np.linalg, name)
+
+    def counting(m, *args, **kwargs):
+        calls.append(np.shape(m))
+        return original(m, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, name, counting)
+    return calls
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(1234)

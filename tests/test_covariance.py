@@ -4,6 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
+from conftest import count_linalg_calls
 from covdensity.covariance import (
     CovarianceMatrix,
     DataMatrix,
@@ -88,6 +89,23 @@ class TestShiftRegularize:
             np.testing.assert_allclose(
                 after.eigenvalues, before.eigenvalues - reg.min_eig_shift, atol=1e-9
             )
+
+
+    def test_reuses_the_validated_spectrum(self, rng, monkeypatch):
+        cov = sample_covariance(DataMatrix(values=rng.standard_normal((30, 6))))
+        expected_shift = float(np.min(np.linalg.eigvalsh(cov.matrix)))
+        calls = count_linalg_calls(monkeypatch, "eigvalsh")
+        reg = shift_regularize(cov)
+        # One decomposition: the shifted matrix's own validation.
+        assert calls == [(6, 6)]
+        assert reg.min_eig_shift == expected_shift
+        np.testing.assert_array_equal(reg.matrix, cov.matrix - expected_shift * np.eye(6))
+
+    def test_cached_spectrum_is_hidden_and_read_only(self):
+        c = CovarianceMatrix(matrix=np.diag([3.0, 1.0]))
+        assert "_eigenvalues" not in repr(c)
+        with pytest.raises(ValueError):
+            c._eigenvalues[0] = 0.0
 
 
 class TestTraceNormalize:

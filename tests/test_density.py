@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from conftest import random_low_rank, random_psd
 from covdensity.covariance import shift_regularize
@@ -231,6 +232,22 @@ class TestDensityValues:
         b = np.asarray(betas)
         scale = 1.0 + np.abs(b) * (np.max(np.abs(lam)) + abs(s))
         assert np.all(np.abs(log_z_shifted - (log_z - b * s)) <= 1e-12 * scale)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.tuples(st.integers(1, 3), st.integers(1, 4), st.integers(1, 12)).flatmap(
+            lambda shape: arrays(np.float64, shape, elements=st.floats(-50.0, 50.0))
+        ),
+        beta_lists,
+    )
+    def test_stacked_spectra_equal_row_by_row_calls(self, stack, betas):
+        rho, log_z = density_values(stack, betas)
+        assert rho.shape == stack.shape[:-1] + (len(betas), stack.shape[-1])
+        assert log_z.shape == stack.shape[:-1] + (len(betas),)
+        for index in np.ndindex(stack.shape[:-1]):
+            row_rho, row_log_z = density_values(stack[index], betas)
+            np.testing.assert_array_equal(rho[index], row_rho)
+            np.testing.assert_array_equal(log_z[index], row_log_z)
 
     def test_log_partition_beyond_double_range(self):
         # Z = e^800 overflows a double; ln Z does not.

@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
-from conftest import random_low_rank, random_psd
-from covdensity.covariance import CovarianceMatrix, shift_regularize
+from conftest import count_linalg_calls, random_low_rank, random_psd
+from covdensity.covariance import CovarianceMatrix, DataMatrix, sample_covariance, shift_regularize
 from covdensity.entropy import (
+    _naive_bits,
     check_subadditivity,
     cvne,
     discrimination_experiment,
@@ -15,7 +17,8 @@ from covdensity.entropy import (
     naive_entropy,
     threshold_auc,
 )
-from covdensity.errors import DegenerateCovarianceError, ShapeError
+from covdensity.errors import BetaRangeError, DegenerateCovarianceError, ShapeError
+from covdensity.spectral import SpectralDecomposition
 
 
 def scalar_entropy_nats(eigenvalues, beta):
@@ -127,6 +130,53 @@ class TestNaiveEntropy:
             naive_entropy(np.zeros((3, 3)))
 
 
+def masked_naive_bits(eigenvalues):
+    """Reference: the 1-D trace-normalized entropy with zero weights masked out."""
+    weights = np.clip(eigenvalues, 0.0, None)
+    p = weights / float(np.sum(weights))
+    nonzero = p > 0.0
+    return float(-np.sum(p[nonzero] * np.log2(p[nonzero])))
+
+
+# Ascending spectra with runs of exact zeros and roundoff-negative entries,
+# which clip to zero weight, up to 24 wide so the summation's 8-way unrolling
+# is exercised, stacked on up to two leading axes.
+_spectrum_entries = st.one_of(st.sampled_from([0.0, -0.0, -1e-17, 1e-300]), st.floats(0.0, 10.0))
+_spectrum_stacks = st.tuples(st.integers(1, 3), st.integers(1, 4), st.integers(1, 24)).flatmap(
+    lambda shape: arrays(np.float64, shape, elements=_spectrum_entries).map(lambda a: np.sort(a, axis=-1))
+)
+
+
+class TestNaiveBitsOnStacks:
+    @settings(max_examples=300, deadline=None)
+    @given(_spectrum_stacks)
+    def test_stacked_equals_masked_row_formula(self, stack):
+        stack[..., -1] += 1.0  # every spectrum keeps a positive trace
+        bits = _naive_bits(stack)
+        assert bits.shape == stack.shape[:-1]
+        for index in np.ndindex(stack.shape[:-1]):
+            assert bits[index] == masked_naive_bits(stack[index])
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(2, 24), st.integers(1, 24), st.integers(0, 2**32 - 1))
+    def test_naive_entropy_of_rank_deficient_matrix(self, dim, rank, seed):
+        cov = random_low_rank(np.random.default_rng(seed), dim, min(rank, dim))
+        assert naive_entropy(cov) == masked_naive_bits(np.linalg.eigvalsh(cov.matrix))
+
+    def test_zero_trace_in_any_spectrum_is_rejected(self):
+        with pytest.raises(DegenerateCovarianceError):
+            _naive_bits(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+
+def test_entropy_of_a_density_with_an_underflowed_eigenvalue():
+    # beta * (lambda_max - lambda_min) = 1400: the top eigenvalue's weight
+    # e^-1400 underflows to 0, which must count as 0 ln 0 = 0, not NaN.
+    report = cvne(np.diag([-500.0, -499.0, 500.0]), 1.4)
+    expected = scalar_entropy_nats([-500.0, -499.0], 1.4)
+    assert report.entropy_nats == pytest.approx(expected, rel=1e-12)
+    assert report.gibbs_form_nats == pytest.approx(expected, rel=1e-9)
+
+
 class TestSubadditivity:
     def test_worked_example(self):
         chk = check_subadditivity([np.diag([2.0, 0.0, 0.0]), np.diag([1.0, 1.0, 0.0])], 1.0)
@@ -227,3 +277,91 @@ class TestDiscriminationExperiment:
     def test_window_too_small(self):
         with pytest.raises(ValueError):
             discrimination_experiment(window=3)
+
+
+def window_by_window(window, n_windows, beta, regime_scale, base_spectrum, seed):
+    """discrimination_experiment as one public-API evaluation per window.
+
+    Returns the naive scores, the density scores from cvne (which decomposes
+    with eigh) and the density scores from cvne fed eigvalsh eigenvalues, each
+    shaped (2, n_windows).
+    """
+    base = np.asarray(base_spectrum, dtype=float)
+    spectra = (base, base * np.asarray(regime_scale, dtype=float))
+    naive, vne_eigh, vne_eigvalsh = (np.empty((2, n_windows)) for _ in range(3))
+    for regime in (0, 1):
+        for w in range(n_windows):
+            rng = np.random.default_rng([seed, regime, w])
+            samples = rng.standard_normal((window, base.size)) * np.sqrt(spectra[regime])
+            cov = sample_covariance(DataMatrix(values=samples))
+            naive[regime, w] = naive_entropy(cov)
+            vne_eigh[regime, w] = cvne(cov, beta).entropy_bits
+            spectrum = SpectralDecomposition(np.linalg.eigvalsh(cov.matrix), np.eye(base.size))
+            vne_eigvalsh[regime, w] = cvne(spectrum, beta).entropy_bits
+    return naive, vne_eigh, vne_eigvalsh
+
+
+class TestBatchedDiscrimination:
+    @pytest.mark.parametrize("seed", [0, 5])
+    @pytest.mark.parametrize(
+        "base, scale",
+        [
+            ((1.0, 0.0), (1.5, 1.0)),
+            ((2.0, 0.5), (1.1, 0.9)),
+            ((1.0, 1.0, 0.0), (1.3, 1.2, 1.1)),
+            ((0.5, 1.0, 3.0), (1.0, 1.0, 1.0)),
+            ((1.0, 0.0, 0.0, 2.0), (2.0, 1.0, 1.0, 1.0)),
+            ((0.3, 0.7, 1.1, 1.9, 4.0), (1.2, 1.2, 1.2, 1.2, 1.2)),
+            ((1.0, 1.0, 0.0, 0.0, 0.0), (1.3, 1.2, 1.1, 1.0, 1.0)),
+        ],
+    )
+    def test_matches_window_by_window_public_api(self, base, scale, seed):
+        window, n_windows, beta = 12, 30, 1.5
+        result = discrimination_experiment(window, n_windows, beta, scale, base, seed)
+        naive, vne_eigh, vne_eigvalsh = window_by_window(window, n_windows, beta, scale, base, seed)
+        got_naive = np.array([[w.s_naive_bits for w in result.windows if w.regime == r] for r in (0, 1)])
+        got_vne = np.array([[w.s_vne_bits for w in result.windows if w.regime == r] for r in (0, 1)])
+        assert [(w.regime, w.window_index) for w in result.windows] == [
+            (r, i) for r in (0, 1) for i in range(n_windows)
+        ]
+        np.testing.assert_array_equal(got_naive, naive)
+        # Bit for bit against cvne on the same eigvalsh spectrum.  cvne on the
+        # matrix decomposes with eigh, whose eigenvalues can differ from
+        # eigvalsh's in the last bits, so that comparison gets rtol 1e-12.
+        np.testing.assert_array_equal(got_vne, vne_eigvalsh)
+        np.testing.assert_allclose(got_vne, vne_eigh, rtol=1e-12)
+        assert result.auc_naive == threshold_auc(naive[0], naive[1])
+        assert result.auc_vne == threshold_auc(vne_eigvalsh[0], vne_eigvalsh[1])
+
+    @pytest.mark.filterwarnings("ignore:invalid value encountered in sqrt:RuntimeWarning")
+    @pytest.mark.parametrize(
+        "base, scale, beta, error",
+        [
+            ((0.0, 0.0, 0.0), (1.0, 1.0, 1.0), 2.0, DegenerateCovarianceError),
+            ((-1.0, 1.0, 0.0), (1.0, 1.0, 1.0), 2.0, ValueError),
+            ((1.0, 1.0, 0.0), (1.3, 1.2, 1.1), 1e6, BetaRangeError),
+            # Regime 1 cannot be drawn, but regime 0's first window fails the guard first.
+            ((1.0, 1.0, 0.0), (-1.0, 1.0, 1.0), 1e6, BetaRangeError),
+            ((1.0, 1.0, 0.0), (0.0, 0.0, 0.0), 2.0, DegenerateCovarianceError),
+            # Only some windows exceed the guard; the first of them is named.
+            ((1.0, 1.0, 0.0), (1.3, 1.2, 1.1), 480.0, BetaRangeError),
+        ],
+    )
+    def test_raises_what_the_first_failing_window_raises(self, base, scale, beta, error):
+        with pytest.raises(error) as batched:
+            discrimination_experiment(12, 30, beta, scale, base, 0)
+        with pytest.raises(error) as one_by_one:
+            window_by_window(12, 30, beta, scale, base, 0)
+        assert type(batched.value) is type(one_by_one.value)
+        assert str(batched.value) == str(one_by_one.value)
+
+    @pytest.mark.filterwarnings("ignore:invalid value encountered in sqrt:RuntimeWarning")
+    def test_negative_base_spectrum_is_non_finite_data(self):
+        with pytest.raises(ValueError, match="data matrix contains non-finite entries"):
+            discrimination_experiment(n_windows=5, base_spectrum=(-1.0, 1.0, 0.0))
+
+    def test_one_decomposition_per_window(self, monkeypatch):
+        shapes = count_linalg_calls(monkeypatch, "eigvalsh")
+        monkeypatch.setattr(np.linalg, "eigh", None)
+        discrimination_experiment(window=20, n_windows=40, seed=1)
+        assert shapes == [(2, 40, 3, 3)]

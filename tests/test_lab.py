@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from covdensity import density
+from conftest import count_linalg_calls
+from covdensity import density, entropy, filtering, spectral
 from covdensity.covariance import gen_gaussian_data, sample_covariance, shift_regularize
-from covdensity.errors import ConfigError
+from covdensity.errors import BetaRangeError, ConfigError
 from covdensity.lab import (
     ExperimentConfig,
     TrialRecord,
@@ -135,6 +136,21 @@ class TestLipschitz:
         assert len(records) >= 1900
         max_ratio = max(r.metrics["ratio"] for r in records)
         assert max_ratio <= 1.0 + 1e-9
+
+    def test_matches_public_partition_function_path(self):
+        cfg = ExperimentConfig(experiment="lipschitz", trials=300, seed=4)
+        for r in run_lipschitz(cfg):
+            lam1, lam2, beta = r.metrics["lambda1"], r.metrics["lambda2"], r.metrics["beta"]
+            t = int(r.params["trial"])
+            rng = np.random.default_rng([cfg.seed, t])
+            rng.uniform(size=2)
+            order = int(rng.integers(1, cfg.max_filter_order + 1))
+            spec = filtering.FilterSpec(coeffs=rng.standard_normal(order + 1), beta=beta)
+            z = density.partition_function(np.diag([lam1, lam2]), beta)
+            diff = abs(filtering.frequency_response(spec, lam2, z) - filtering.frequency_response(spec, lam1, z))
+            # run_lipschitz uses ln Z directly; this path round-trips it through Z,
+            # so only roundoff may differ.
+            assert r.metrics["response_diff"] == pytest.approx(diff, rel=1e-12, abs=1e-300)
 
 
 class TestSurrogate:
@@ -280,15 +296,7 @@ class TestDecomposeOnce:
 
     @pytest.fixture
     def eigh_calls(self, monkeypatch):
-        calls = []
-        original = np.linalg.eigh
-
-        def counting(m, *args, **kwargs):
-            calls.append(np.shape(m))
-            return original(m, *args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, "eigh", counting)
-        return calls
+        return count_linalg_calls(monkeypatch, "eigh")
 
     def test_stability_decomposes_once_per_matrix(self, eigh_calls):
         cfg = ExperimentConfig(
@@ -303,6 +311,54 @@ class TestDecomposeOnce:
         cfg = ExperimentConfig(experiment="entropy_curve", dim=5, trials=2, seed=1, betas=(0.0, 1.0, 4.0))
         run_entropy_curve(cfg)
         assert len(eigh_calls) == cfg.trials * len(cfg.families)
+
+    def test_entropy_curve_guard_names_the_first_failing_beta(self):
+        cfg = ExperimentConfig(experiment="entropy_curve", dim=5, trials=1, seed=1, betas=(1.0, 1e4, 1e5))
+        data = gen_gaussian_data(cfg.dim, cfg.n_samples, cfg.families[0], seed=[cfg.seed, 0, 0])
+        with pytest.raises(BetaRangeError) as expected:
+            entropy.cvne(shift_regularize(sample_covariance(data)), 1e4)
+        with pytest.raises(BetaRangeError) as got:
+            run_entropy_curve(cfg)
+        assert str(got.value) == str(expected.value)
+
+    def test_entropy_curve_matches_cvne_bit_for_bit(self):
+        cfg = ExperimentConfig(experiment="entropy_curve", dim=6, trials=2, seed=3, betas=(0.0, 0.5, 3.0, 12.0))
+        records = iter(run_entropy_curve(cfg))
+        for t in range(cfg.trials):
+            for fam_idx, family in enumerate(cfg.families):
+                data = gen_gaussian_data(cfg.dim, cfg.n_samples, family, seed=[cfg.seed, t, fam_idx])
+                decomp = spectral.eigh(shift_regularize(sample_covariance(data)).matrix)
+                for beta in cfg.betas:
+                    report = entropy.cvne(decomp, beta)
+                    r = next(records)
+                    assert r.params == {"trial": t, "family": family, "beta": beta}
+                    assert r.metrics == {"entropy_nats": report.entropy_nats, "entropy_bits": report.entropy_bits}
+
+    @pytest.fixture
+    def eigvalsh_calls(self, monkeypatch):
+        return count_linalg_calls(monkeypatch, "eigvalsh")
+
+    def test_stability_norms_from_one_stacked_eigvalsh_per_noise_level(self, eigvalsh_calls):
+        cfg = ExperimentConfig(
+            experiment="stability", dim=5, trials=2, seed=1,
+            betas=(-1.0, 0.0, 2.0), noise_levels=(0.1, 0.2, 0.3),
+        )
+        run_stability(cfg)
+        # Per trial: the sample covariance's PSD check, the shifted matrix's PSD
+        # check, then per noise level one stack of dC, the trace-normalized delta
+        # and each beta's delta.
+        per_trial = [(5, 5), (5, 5)] + [(2 + len(cfg.betas), 5, 5)] * len(cfg.noise_levels)
+        assert eigvalsh_calls == per_trial * cfg.trials
+
+    def test_entropy_curve_reuses_the_validated_spectrum(self, eigvalsh_calls):
+        cfg = ExperimentConfig(experiment="entropy_curve", dim=5, trials=2, seed=1, betas=(0.0, 1.0, 4.0))
+        run_entropy_curve(cfg)
+        # The sample covariance's and the shifted matrix's PSD checks; the shift reuses the first.
+        assert len(eigvalsh_calls) == cfg.trials * len(cfg.families) * 2
+
+    def test_lipschitz_decomposes_nothing(self, eigvalsh_calls, eigh_calls):
+        run_lipschitz(ExperimentConfig(experiment="lipschitz", trials=50, seed=2))
+        assert eigvalsh_calls == [] and eigh_calls == []
 
     def test_regression_decomposes_once_per_covariance(self, eigh_calls):
         cfg = ExperimentConfig(

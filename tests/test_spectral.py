@@ -142,6 +142,32 @@ def test_spectral_matrix_rebuilds(rng):
     np.testing.assert_allclose(spectral_matrix(d, d.eigenvalues), m, atol=1e-10)
 
 
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(1, 22).flatmap(
+        lambda m: st.tuples(
+            arrays(np.float64, (m, m), elements=st.floats(-10.0, 10.0)),
+            st.tuples(st.integers(1, 3), st.integers(1, 4)).flatmap(
+                lambda lead: arrays(np.float64, lead + (m,), elements=st.floats(-10.0, 10.0))
+            ),
+        )
+    )
+)
+def test_stacked_spectral_matrix_equals_row_by_row(case):
+    m, values = case
+    d = eigh((m + m.T) / 2.0)
+    stacked = spectral_matrix(d, values)
+    assert stacked.shape == values.shape[:-1] + (d.dim, d.dim)
+    for index in np.ndindex(values.shape[:-1]):
+        np.testing.assert_array_equal(stacked[index], spectral_matrix(d, values[index]))
+
+
+@pytest.mark.parametrize("values", [1.0, np.ones(4), np.ones((2, 4))])
+def test_spectral_matrix_rejects_wrong_value_count(values):
+    with pytest.raises(ShapeError):
+        spectral_matrix(eigh(np.eye(3)), values)
+
+
 def test_decomposition_is_immutable(rng):
     d = eigh(np.eye(3))
     assert isinstance(d, SpectralDecomposition)
