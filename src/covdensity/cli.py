@@ -387,13 +387,11 @@ def _ensure_output_dir(args) -> str:
 
 
 def _prepare_supervised(values: np.ndarray, horizon: int, task: str):
-    """Feature/target extraction: horizon > 0 forecasts full future rows."""
+    """Feature and target arrays, one target per feature row: horizon > 0 forecasts full future rows."""
     if horizon > 0:
         if values.shape[0] <= horizon:
             raise ConfigError(f"need more than {horizon} rows for horizon {horizon}")
-        features = values[:-horizon]
-        targets = values[horizon:]
-        return features, [targets[i] for i in range(targets.shape[0])], values.shape[1]
+        return values[:-horizon], values[horizon:], values.shape[1]
     if values.shape[1] < 2:
         raise ConfigError("need at least two columns (features + target)")
     features = values[:, :-1]
@@ -402,8 +400,8 @@ def _prepare_supervised(values: np.ndarray, horizon: int, task: str):
         labels = raw_targets.astype(int)
         if not np.all(np.abs(raw_targets - labels) < 1e-9) or labels.min() < 0:
             raise ConfigError("classification targets must be nonnegative integers")
-        return features, [int(v) for v in labels], int(labels.max()) + 1
-    return features, [np.array([v]) for v in raw_targets], 1
+        return features, labels, int(labels.max()) + 1
+    return features, raw_targets[:, None], 1
 
 
 def _cmd_train(args) -> int:
@@ -424,11 +422,8 @@ def _cmd_train(args) -> int:
     if train_idx.size < 1:
         raise ConfigError("not enough rows to split train/validation")
 
-    cov = trace_normalize(sample_covariance(DataMatrix(features[train_idx])))
-    xs = [features[i] for i in train_idx]
-    ys = [targets[i] for i in train_idx]
-    val_xs = [features[i] for i in val_idx]
-    val_ys = [targets[i] for i in val_idx]
+    xs, ys = features[train_idx], targets[train_idx]
+    cov = trace_normalize(sample_covariance(DataMatrix(xs)))
 
     loss = cfg["loss"] or ("cross_entropy" if cfg["task"] == "classification" else "mse")
     model = network.init_model(
@@ -455,7 +450,7 @@ def _cmd_train(args) -> int:
         loss=loss,
         dropout=cfg["dropout"],
     )
-    result = network.train(model, cov, (xs, ys), (val_xs, val_ys), train_cfg)
+    result = network.train(model, cov, (xs, ys), (features[val_idx], targets[val_idx]), train_cfg)
 
     out_dir = _ensure_output_dir(args)
     _write_manifest(out_dir, "train", {**cfg, "horizon": args.horizon, "input": args.input}, cfg["seed"])
@@ -494,28 +489,22 @@ def _cmd_predict(args) -> int:
     decomp = eigh(cov_matrix)
     out_dir = _ensure_output_dir(args)
     _write_manifest(out_dir, "predict", {"model": model_path, "input": args.input, "horizon": args.horizon}, args.seed or 0)
-    lines = []
-    records = []
-    for i, out in enumerate(network.forward_rows(model, decomp, data.values)):
-        params = {"row": i, "target_row": i + args.horizon} if args.horizon else {"row": i}
-        if model.task == "classification":
-            label = int(np.argmax(out))
-            lines.append(str(label))
-            records.append(
-                lab.TrialRecord(
-                    experiment="predict", seed=args.seed or 0,
-                    params=params, metrics={"label": float(label)},
-                )
-            )
-        else:
-            lines.append(",".join(f"{v:.10g}" for v in out))
-            records.append(
-                lab.TrialRecord(
-                    experiment="predict", seed=args.seed or 0,
-                    params=params,
-                    metrics={f"y{j}": float(v) for j, v in enumerate(out)},
-                )
-            )
+    outs = network.forward_rows(model, decomp, data.values)
+    if model.task == "classification":
+        labels = np.argmax(outs, axis=1).tolist()
+        lines = [str(label) for label in labels]
+        metrics = [{"label": float(label)} for label in labels]
+    else:
+        lines = [",".join(f"{v:.10g}" for v in out) for out in outs]
+        metrics = [{f"y{j}": float(v) for j, v in enumerate(out)} for out in outs]
+    records = [
+        lab.TrialRecord(
+            experiment="predict", seed=args.seed or 0,
+            params={"row": i, "target_row": i + args.horizon} if args.horizon else {"row": i},
+            metrics=row_metrics,
+        )
+        for i, row_metrics in enumerate(metrics)
+    ]
     lab.records_to_csv(records, os.path.join(out_dir, "results.csv"))
     _write_summary(out_dir, {"rows": len(lines), "task": model.task})
     print("\n".join(lines))

@@ -13,6 +13,7 @@ trials can run in parallel and reproduce exactly.
 from __future__ import annotations
 
 import csv
+import warnings
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -306,28 +307,53 @@ def read_csv_data(path, header: bool = False) -> DataMatrix:
     """Read a comma-separated data matrix (rows = observations).
 
     Raises:
-        ShapeError: ragged rows.
+        ShapeError: no data rows, or ragged rows.
     """
-    rows = _read_csv_rows(path, header)
-    return DataMatrix(values=np.array(rows, dtype=float))
+    return DataMatrix(values=_read_csv_array(path, header))
 
 
 def read_csv_covariance(path, header: bool = False) -> CovarianceMatrix:
     """Read a precomputed symmetric covariance matrix from CSV."""
-    rows = _read_csv_rows(path, header)
-    return CovarianceMatrix(matrix=np.array(rows, dtype=float))
+    return CovarianceMatrix(matrix=_read_csv_array(path, header))
 
 
-def _read_csv_rows(path, header: bool):
-    rows = []
+def _read_csv_array(path, header: bool) -> np.ndarray:
+    """Parse a numeric CSV into a float array.
+
+    NumPy's C parser reads the file.  Where it rejects the input or finds no
+    rows, the csv-module reader parses it again and decides, so every input
+    gets that reader's values and errors: blank lines skipped, quoted cells and
+    Python float syntax (``1_0``, Unicode digits) accepted, empty or ragged
+    input rejected with ShapeError.  The header is skipped as one csv-module
+    record either way.  A stream that cannot seek back goes to the csv-module
+    reader directly.
+    """
     with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        for i, row in enumerate(reader):
-            if header and i == 0:
-                continue
-            if not row:
-                continue
-            rows.append([float(cell) for cell in row])
+        if fh.seekable():
+            if header:
+                next(csv.reader(fh), None)
+            try:
+                with warnings.catch_warnings():
+                    warnings.filterwarnings(
+                        "ignore", message="loadtxt: input contained no data", category=UserWarning
+                    )
+                    values = np.loadtxt(fh, delimiter=",", comments=None, quotechar='"', ndmin=2)
+            except ValueError:
+                values = np.empty((0, 0))
+            if len(values):
+                return values
+            fh.seek(0)
+        return np.array(_csv_module_rows(fh, header, path), dtype=float)
+
+
+def _csv_module_rows(fh, header: bool, path) -> list[list[float]]:
+    rows = []
+    for i, row in enumerate(csv.reader(fh)):
+        if header and i == 0:
+            continue
+        if not row:
+            continue
+        rows.append([float(cell) for cell in row])
     if not rows:
         raise ShapeError(f"no data rows in {path}")
     width = len(rows[0])

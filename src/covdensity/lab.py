@@ -114,16 +114,17 @@ class TrialRecord:
 def records_to_csv(records, path) -> None:
     """One record per row; params/metrics become prefixed columns."""
     records = list(records)
-    p_keys = sorted({k for r in records for k in r.params})
-    m_keys = sorted({k for r in records for k in r.metrics})
+    p_keys = sorted(set().union(*(r.params for r in records)))
+    m_keys = sorted(set().union(*(r.metrics for r in records)))
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["experiment", "seed"] + [f"p:{k}" for k in p_keys] + [f"m:{k}" for k in m_keys])
-        for r in records:
-            row = [r.experiment, repr(r.seed)]
-            row += [_cell(r.params.get(k)) for k in p_keys]
-            row += [_cell(r.metrics.get(k)) for k in m_keys]
-            writer.writerow(row)
+        writer.writerows(
+            [r.experiment, repr(r.seed)]
+            + [_cell(r.params.get(k)) for k in p_keys]
+            + [_cell(r.metrics.get(k)) for k in m_keys]
+            for r in records
+        )
 
 
 def _cell(value):
@@ -170,10 +171,15 @@ def summarize(records) -> dict:
     summary = {}
     for key, rows in sorted(groups.items(), key=lambda kv: repr(kv[0])):
         label = ",".join(f"{k}={v}" for k, v in key) or "all"
-        metric_keys = sorted({m for r in rows for m in r.metrics})
-        summary[label] = {
-            m: float(np.mean([r.metrics[m] for r in rows if m in r.metrics])) for m in metric_keys
-        }
+        if len(rows) == 1:
+            # np.mean of one value is the value + 0.0, bit for bit (-0.0 becomes 0.0).
+            metrics = rows[0].metrics
+            summary[label] = {m: metrics[m] + 0.0 for m in sorted(metrics)}
+        else:
+            metric_keys = sorted({m for r in rows for m in r.metrics})
+            summary[label] = {
+                m: float(np.mean([r.metrics[m] for r in rows if m in r.metrics])) for m in metric_keys
+            }
         summary[label]["n_records"] = len(rows)
     return summary
 
@@ -492,7 +498,7 @@ def run_betafit_demo(cfg: ExperimentConfig) -> list[TrialRecord]:
         rng = np.random.default_rng([cfg.seed, t])
         data = gen_gaussian_data(cfg.dim, cfg.n_samples, "gaussian", seed=[cfg.seed, t, 2])
         cov = sample_covariance(data)
-        lam_true = np.linalg.eigvalsh(cov.matrix)
+        lam_true = cov._eigenvalues
         target = np.clip(lam_true, 0.0, None)
         target = target / target.sum()
         for eps in noise_levels:

@@ -1,14 +1,18 @@
+import csv
 import json
 import math
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import covdensity
+from covdensity import network
 from covdensity.cli import main
+from covdensity.spectral import eigh
 
 
 def run_cli(capsys, *argv):
@@ -158,17 +162,15 @@ class TestExperimentCommands:
         assert max_ratio <= 1.0 + 1e-9
 
     def test_determinism_byte_identical_results(self, capsys, tmp_path):
-        dirs = [str(tmp_path / f"run{i}") for i in range(2)]
+        dirs = [tmp_path / f"run{i}" for i in range(2)]
         for d in dirs:
             code, _, _ = run_cli(
                 capsys, "stability", "--dim", "6", "--trials", "5", "--seed", "42",
                 "--betas", "0.5,-0.5", "--noise-levels", "0.1",
-                "--output-dir", d,
+                "--output-dir", str(d),
             )
             assert code == 0
-        a = open(os.path.join(dirs[0], "results.csv"), "rb").read()
-        b = open(os.path.join(dirs[1], "results.csv"), "rb").read()
-        assert a == b
+        assert (dirs[0] / "results.csv").read_bytes() == (dirs[1] / "results.csv").read_bytes()
 
     def test_config_file_with_flag_override(self, capsys, tmp_path):
         cfg_path = tmp_path / "cfg.json"
@@ -275,7 +277,7 @@ class TestTrainPredict:
         )
         assert code == 2  # predict input still carries the label column
         features_path = tmp_path / "features.csv"
-        rows = [line.rsplit(",", 1)[0] for line in open(classification_csv).read().splitlines()]
+        rows = [line.rsplit(",", 1)[0] for line in Path(classification_csv).read_text().splitlines()]
         features_path.write_text("\n".join(rows) + "\n")
         code, out, _ = run_cli(
             capsys, "predict", "--input", str(features_path),
@@ -307,6 +309,34 @@ class TestTrainPredict:
         model = json.loads((out_dir / "model.json").read_text())
         assert model["task"] == "regression"
         assert len(model["covariance"]) == 3
+
+    def test_predict_regression_with_horizon(self, capsys, tmp_path, rng):
+        values = np.cumsum(rng.standard_normal((40, 3)), axis=0)
+        train_path, features_path = tmp_path / "series.csv", tmp_path / "features.csv"
+        train_path.write_text("".join(",".join(repr(v) for v in row) + "\n" for row in values.tolist()))
+        features_path.write_text("".join(",".join(repr(v) for v in row) + "\n" for row in values[:7].tolist()))
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"epochs": 2, "betas": [0.5, 2.0], "hidden_dim": 4, "seed": 1}))
+        code, _, _ = run_cli(
+            capsys, "train", "--input", str(train_path), "--config", str(cfg_path),
+            "--horizon", "1", "--output-dir", str(tmp_path / "model"),
+        )
+        assert code == 0
+        pred_dir = tmp_path / "preds"
+        code, out, _ = run_cli(
+            capsys, "predict", "--input", str(features_path), "--model", str(tmp_path / "model" / "model.json"),
+            "--horizon", "1", "--output-dir", str(pred_dir),
+        )
+        assert code == 0
+        model, cov = network.load_model(tmp_path / "model" / "model.json")
+        expected = network.forward_rows(model, eigh(cov), values[:7])
+        assert out.splitlines() == [",".join(f"{v:.10g}" for v in row) for row in expected]
+        with open(pred_dir / "results.csv", newline="") as fh:
+            header, *rows = list(csv.reader(fh))
+        assert header == ["experiment", "seed", "p:row", "p:target_row", "m:y0", "m:y1", "m:y2"]
+        assert [row[:4] for row in rows] == [["predict", "0", repr(float(i)), repr(float(i + 1))] for i in range(7)]
+        assert np.array([[float(v) for v in row[4:]] for row in rows]).tobytes() == expected.tobytes()
+        assert json.loads((pred_dir / "summary.json").read_text()) == {"rows": 7, "task": "regression"}
 
     def test_negative_epochs_rejected(self, capsys, tmp_path, classification_csv):
         cfg_path = tmp_path / "bad.json"

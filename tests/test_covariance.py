@@ -1,10 +1,13 @@
+import csv
 import itertools
+import os
 import warnings
 
 import numpy as np
 import pytest
 
 from conftest import count_linalg_calls
+from covdensity import covariance
 from covdensity.covariance import (
     CovarianceMatrix,
     DataMatrix,
@@ -251,6 +254,130 @@ class TestCsvIo:
         with pytest.raises(ShapeError, match="ragged"):
             read_csv_data(path)
 
+    def test_plain_input_skips_the_csv_module_parser(self, tmp_path, monkeypatch):
+        def fail(*args):
+            raise AssertionError("the csv-module reader ran on plain numeric input")
+
+        monkeypatch.setattr(covariance, "_csv_module_rows", fail)
+        path = tmp_path / "cov.csv"
+        path.write_bytes(b"x,y\r\n2.0,0.5\r\n\r\n0.5,1.0\r\n")
+        cov = read_csv_covariance(path, header=True)
+        np.testing.assert_array_equal(cov.matrix, [[2.0, 0.5], [0.5, 1.0]])
+
+
+def reference_csv_rows(path, header):
+    """The csv-module reader this package used before NumPy parsed CSV input."""
+    rows = []
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        for i, row in enumerate(reader):
+            if header and i == 0:
+                continue
+            if not row:
+                continue
+            rows.append([float(cell) for cell in row])
+    if not rows:
+        raise ShapeError(f"no data rows in {path}")
+    width = len(rows[0])
+    for i, row in enumerate(rows):
+        if len(row) != width:
+            raise ShapeError(f"ragged CSV: row {i} has {len(row)} cells, expected {width}")
+    return rows
+
+
+def reference_read(reader, path, header):
+    values = np.array(reference_csv_rows(path, header), dtype=float)
+    if reader is read_csv_data:
+        return DataMatrix(values=values)
+    return CovarianceMatrix(matrix=values)
+
+
+def read_outcome(read, path, header):
+    """A read's array as (dtype, shape, bytes), or the type and message of what it raised."""
+    try:
+        result = read(path, header=header)
+    except Exception as exc:  # the outcome under comparison is any exception
+        return ("raised", type(exc), str(exc))
+    values = result.values if isinstance(result, DataMatrix) else result.matrix
+    return ("read", values.dtype, values.shape, values.tobytes())
+
+
+def _table_csv(seed, n_rows, n_cols):
+    values = np.random.default_rng(seed).standard_normal((n_rows, n_cols)) * np.geomspace(1.0, 1e-3, n_cols)
+    return "".join(",".join(repr(v) for v in row) + "\n" for row in values.tolist()).encode()
+
+
+ODD_CSVS = {
+    "plain": b"2,0.5\n0.5,1\n",
+    "crlf": b"2,0.5\r\n0.5,1\r\n",
+    "lone_cr": b"2,0.5\r0.5,1\r",
+    "no_final_newline": b"2,0.5\n0.5,1",
+    "blank_lines": b"\n2,0.5\n\n\r\n0.5,1\n\n",
+    "whitespace_line": b"2,0.5\n   \n0.5,1\n",
+    "tab_line": b"2,0.5\n\t\n0.5,1\n",
+    "whitespace_after_last_row": b"2,0.5\n0.5,1\n  ",
+    "padded_cells": b" 2 ,\t0.5\n0.5 , 1\x0b\n",
+    "quoted_cells": b'"2","0.5"\n0.5,"1"\n',
+    "quoted_padded_cell": b'" 2 ",0.5\n0.5,1\n',
+    "quote_after_leading_space": b'2, "0.5"\n0.5,1\n',
+    "quote_inside_cell": b'2,0"5"\n0.5,1\n',
+    "text_after_closing_quote": b'"2"5,0.5\n0.5,1\n',
+    "quoted_newline": b'"2\n",0.5\n0.5,1\n',
+    "empty_quotes_line": b'2,0.5\n""\n0.5,1\n',
+    "unterminated_quote": b'"2,0.5\n0.5,1\n',
+    "underscore_digits": b"1_0,0.5\n0.5,1\n",
+    "unicode_digits": "٢,0.5\n0.5,١\n".encode(),
+    "nan": b"nan,0.5\n0.5,1\n",
+    "infinity": b"1e999,0\n0,1\n",
+    "signed_zero_and_subnormal": b"-0,5e-324\n5e-324,1\n",
+    "trailing_commas": b"2,0.5,\n0.5,1,\n",
+    "empty_cell": b"2,,0.5\n0.5,1\n",
+    "ragged": b"2,0.5,1\n0.5,1\n",
+    "ragged_then_unparsable": b"2,0.5\n0.5\nx,y\n",
+    "single_column": b"1\n2\n3\n",
+    "single_cell": b"4\n",
+    "empty": b"",
+    "only_blank_lines": b"\n\r\n\n",
+    "bom": b"\xef\xbb\xbf2,0.5\n0.5,1\n",
+    "comment_char": b"#2,0.5\n0.5,1\n",
+    "semicolons": b"2;0.5\n0.5;1\n",
+    "hex_and_fortran_exponent": b"0x2,0.5\n0.5,1d0\n",
+    "invalid_utf8": b"2,0.5\n0.5,\xff\n",
+    "indefinite": b"1,2\n2,1\n",
+    "asymmetric": b"1,5\n0,1\n",
+    "header_row": b"a,b\n2,0.5\n0.5,1\n",
+    "header_with_quoted_newline": b'"a\n",b\n2,0.5\n0.5,1\n',
+    "header_only": b"a,b\n",
+    "blank_line_before_header": b"\na,b\n2,0.5\n0.5,1\n",
+    "train_table": _table_csv(1, 120, 23),
+    "predict_table": _table_csv(2, 300, 22),
+}
+
+
+class TestCsvReaderMatchesReference:
+    @pytest.mark.parametrize("header", [False, True])
+    @pytest.mark.parametrize("reader", [read_csv_data, read_csv_covariance])
+    @pytest.mark.parametrize("name", sorted(ODD_CSVS))
+    def test_same_array_or_same_error(self, tmp_path, name, reader, header):
+        path = tmp_path / f"{name}.csv"
+        path.write_bytes(ODD_CSVS[name])
+        expected = read_outcome(lambda p, header: reference_read(reader, p, header), path, header)
+        assert read_outcome(reader, path, header) == expected
+
+    @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd to name a pipe")
+    @pytest.mark.parametrize("content", [ODD_CSVS["plain"], ODD_CSVS["ragged"], ODD_CSVS["underscore_digits"]])
+    def test_unseekable_stream(self, content):
+        def through_pipe(read):
+            r, w = os.pipe()
+            with os.fdopen(w, "wb") as fh:
+                fh.write(content)
+            try:
+                return read_outcome(read, f"/dev/fd/{r}", False)
+            finally:
+                os.close(r)
+
+        expected = through_pipe(lambda p, header: reference_read(read_csv_data, p, header))
+        assert through_pipe(read_csv_data) == expected
 
 class TestCovarianceMatrixInvariants:
     def test_rejects_indefinite(self):

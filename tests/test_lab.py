@@ -1,3 +1,6 @@
+import csv
+import json
+
 import numpy as np
 import pytest
 
@@ -10,6 +13,7 @@ from covdensity.lab import (
     TrialRecord,
     records_from_csv,
     records_to_csv,
+    run_betafit_demo,
     run_entropy_curve,
     run_experiment,
     run_lipschitz,
@@ -29,6 +33,58 @@ def metric_mean(records, metric, **param_filter):
     ]
     assert vals, f"no records matched {param_filter}"
     return float(np.mean(vals))
+
+
+def reference_records_to_csv(records, path):
+    """records_to_csv as it was before it collected keys with one set union and wrote with writerows."""
+    records = list(records)
+    p_keys = sorted({k for r in records for k in r.params})
+    m_keys = sorted({k for r in records for k in r.metrics})
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["experiment", "seed"] + [f"p:{k}" for k in p_keys] + [f"m:{k}" for k in m_keys])
+        for r in records:
+            row = [r.experiment, repr(r.seed)]
+            row += [reference_cell(r.params.get(k)) for k in p_keys]
+            row += [reference_cell(r.metrics.get(k)) for k in m_keys]
+            writer.writerow(row)
+
+
+def reference_cell(value):
+    if value is None:
+        return ""
+    if isinstance(value, float):
+        return repr(value)
+    return str(value)
+
+
+def reference_summarize(records):
+    """summarize as it was before one-record groups skipped np.mean."""
+    groups: dict = {}
+    for r in records:
+        key = tuple(sorted(r.params.items()))
+        groups.setdefault(key, []).append(r)
+    summary = {}
+    for key, rows in sorted(groups.items(), key=lambda kv: repr(kv[0])):
+        label = ",".join(f"{k}={v}" for k, v in key) or "all"
+        metric_keys = sorted({m for r in rows for m in r.metrics})
+        summary[label] = {
+            m: float(np.mean([r.metrics[m] for r in rows if m in r.metrics])) for m in metric_keys
+        }
+        summary[label]["n_records"] = len(rows)
+    return summary
+
+
+# Missing keys, -0.0, subnormals, string and bool params, and groups of one and of three records.
+ODD_RECORDS = [
+    TrialRecord(experiment="odd", seed=4, params={"trial": 0, "beta": -0.0}, metrics={"a": -0.0, "b": 5e-324}),
+    TrialRecord(experiment="odd", seed=4, params={"trial": 1, "method": "x,\"y\""}, metrics={"b": 2.2e-308}),
+    TrialRecord(experiment="odd", seed=4, params={"method": "density", "flag": True}, metrics={"a": 1e300, "c": -1.5}),
+    TrialRecord(experiment="odd", seed=4, params={"method": "density", "flag": True}, metrics={"a": 1e300}),
+    TrialRecord(experiment="odd", seed=4, params={"method": "density", "flag": True}, metrics={"c": 0.1, "a": 3e-320}),
+    TrialRecord(experiment="odd", seed=-2, params={}, metrics={"z": 1.0 / 3.0, "a": -7e-310}),
+    TrialRecord(experiment="odd", seed=-2, params={}, metrics={"z": 0.1 + 0.2}),
+]
 
 
 class TestRecords:
@@ -63,6 +119,17 @@ class TestRecords:
         assert summary["m=a"]["v"] == pytest.approx(2.0)
         assert summary["m=b"]["v"] == pytest.approx(10.0)
         assert summary["m=a"]["n_records"] == 2
+
+    @pytest.mark.parametrize("records", [ODD_RECORDS, ODD_RECORDS[:1], ODD_RECORDS[2:], []], ids=["all", "one", "tail", "none"])
+    def test_artifacts_match_reference_writers(self, tmp_path, records):
+        records_to_csv(records, tmp_path / "got.csv")
+        reference_records_to_csv(records, tmp_path / "want.csv")
+        assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+        got, want = summarize(records), reference_summarize(records)
+        assert json.dumps(got, indent=1) == json.dumps(want, indent=1)
+        assert [type(v) for g in got.values() for v in g.values()] == [
+            type(v) for g in want.values() for v in g.values()
+        ]
 
 
 class TestConfig:
@@ -359,6 +426,13 @@ class TestDecomposeOnce:
     def test_lipschitz_decomposes_nothing(self, eigvalsh_calls, eigh_calls):
         run_lipschitz(ExperimentConfig(experiment="lipschitz", trials=50, seed=2))
         assert eigvalsh_calls == [] and eigh_calls == []
+
+    def test_betafit_demo_reuses_the_validated_spectrum(self, eigvalsh_calls):
+        cfg = ExperimentConfig(experiment="betafit_demo", dim=5, trials=2, seed=1, noise_levels=(0.1, 0.3))
+        run_betafit_demo(cfg)
+        # Per trial: the sample covariance's PSD check, whose spectrum is the
+        # clean target, then one noisy spectrum per noise level.
+        assert eigvalsh_calls == [(5, 5)] * (1 + len(cfg.noise_levels)) * cfg.trials
 
     def test_regression_decomposes_once_per_covariance(self, eigh_calls):
         cfg = ExperimentConfig(
