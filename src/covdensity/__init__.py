@@ -6,12 +6,11 @@ a small trainable network, and a seeded experiment harness.
 
 __version__ = "0.1.0"
 
-from .betafit import BetaFitResult, fit_beta, moment_derivatives, moment_objective, reconstruct_density
+from .betafit import BetaFitResult, fit_beta, moment_derivatives, moment_objective
 from .covariance import (
     CovarianceMatrix,
     DataMatrix,
     Regularization,
-    gen_ar_process,
     gen_gaussian_data,
     gen_graph_stationary,
     sample_covariance,
@@ -30,7 +29,6 @@ from .entropy import (
     check_subadditivity,
     cvne,
     discrimination_experiment,
-    gibbs_entropy,
     naive_entropy,
 )
 from .filtering import (
@@ -38,11 +36,8 @@ from .filtering import (
     check_permutation_equivariance,
     filter_apply,
     frequency_response,
-    integral_lipschitz_theta,
-    inverse_vft,
     lipschitz_alpha,
-    vft,
 )
-from .spectral import SpectralDecomposition, apply_spectral_function, eigh, operator_norm
+from .spectral import SpectralDecomposition, eigh, operator_norm
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -19,8 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .covariance import as_matrix
-from .density import DensityOperator, density_operator, density_values
+from .density import density_values
 from .errors import InfeasibleTargetError
 
 _BRACKET_BUDGET = 60
@@ -182,8 +181,3 @@ def kl_to_density(spectrum, target_p, beta):
     nonzero = p > 0.0
     entropy_term = float(np.sum(p[nonzero] * np.log(p[nonzero])))
     return entropy_term + moment_objective(lam, p, beta)
-
-
-def reconstruct_density(c, beta_star: float) -> DensityOperator:
-    """Density operator of C at the fitted inverse temperature."""
-    return density_operator(as_matrix(c), beta_star)

@@ -12,6 +12,7 @@ Exit codes: 0 success, 1 usage error, 2 runtime or numeric error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import datetime
 import json
 import math
@@ -43,21 +44,6 @@ EXPERIMENT_SUBCOMMANDS = {
     "betafit-demo": "betafit_demo",
 }
 
-_EXPERIMENT_KEYS = {
-    "schema_version", "experiment", "dim", "n_samples", "sample_grid", "betas", "noise_levels",
-    "trials", "seed", "window", "n_windows", "regime_scale",
-    "base_spectrum", "edge_prob", "filter_coeffs", "families", "n_informative",
-    "n_train", "n_test", "ridge", "weight_scale", "max_filter_order",
-    "beta_range", "eigenvalue_range",
-}
-
-_TRAIN_KEYS = {
-    "schema_version", "learning_rate", "epochs", "batch_size", "hidden_dim", "num_layers",
-    "activation", "head_activation", "dropout", "betas", "betas_learnable",
-    "betas_init", "order", "loss", "seed", "task", "aggregation", "skip_k0",
-    "val_fraction",
-}
-
 _TRAIN_DEFAULTS = {
     "learning_rate": 1e-3,
     "epochs": 100,
@@ -78,6 +64,9 @@ _TRAIN_DEFAULTS = {
     "skip_k0": False,
     "val_fraction": 0.2,
 }
+
+_EXPERIMENT_KEYS = {f.name for f in dataclasses.fields(lab.ExperimentConfig)} | {"schema_version"}
+_TRAIN_KEYS = set(_TRAIN_DEFAULTS) | {"schema_version"}
 
 
 CONFIG_SCHEMA_VERSION = 1

@@ -24,7 +24,6 @@ from .errors import (
     DegenerateCovarianceError,
     GraphGenerationError,
     InsufficientDataError,
-    NonstationaryError,
     ShapeError,
 )
 
@@ -81,10 +80,7 @@ class CovarianceMatrix:
     _eigenvalues: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=float)
-        if not np.all(np.isfinite(m)):
-            raise ValueError("covariance matrix contains non-finite entries")
-        m = spectral.symmetrize(m)
+        m = spectral.symmetrize(self.matrix)
         eigenvalues = np.linalg.eigvalsh(m)
         tolerance = _check_psd(eigenvalues)
         min_eig = float(eigenvalues[0])
@@ -269,38 +265,6 @@ def gen_graph_stationary(
     w = rng.standard_normal((n_samples, dim))
     values = w @ g.T
     return DataMatrix(values=values), laplacian
-
-
-def gen_ar_process(
-    dim: int,
-    n_samples: int,
-    ar_coefficient: float,
-    seed: int = 0,
-    equicorrelation: float = 0.6,
-) -> DataMatrix:
-    """Cross-sectionally correlated AR(1) panel, stationary from the first row.
-
-    x_t = phi * x_{t-1} + eps_t with eps_t ~ N(0, Sigma_eps) where Sigma_eps is
-    the equicorrelation matrix (unit variances, constant off-diagonal).
-
-    Raises:
-        NonstationaryError: |phi| >= 1.
-    """
-    phi = float(ar_coefficient)
-    if abs(phi) >= 1.0:
-        raise NonstationaryError(f"|ar_coefficient| must be < 1, got {phi}")
-    if not -1.0 / max(dim - 1, 1) < equicorrelation < 1.0:
-        raise ValueError(f"equicorrelation {equicorrelation} outside the PSD range")
-    rng = np.random.default_rng(seed)
-    sigma_eps = np.full((dim, dim), equicorrelation) + (1.0 - equicorrelation) * np.eye(dim)
-    chol = np.linalg.cholesky(sigma_eps)
-    innovations = rng.standard_normal((n_samples, dim)) @ chol.T
-    values = np.empty((n_samples, dim))
-    # Stationary marginal variance is Sigma_eps / (1 - phi^2).
-    values[0] = innovations[0] / np.sqrt(1.0 - phi * phi)
-    for t in range(1, n_samples):
-        values[t] = phi * values[t - 1] + innovations[t]
-    return DataMatrix(values=values)
 
 
 def read_csv_data(path, header: bool = False) -> DataMatrix:

@@ -65,17 +65,6 @@ class DensityOperator:
         """Dense rho (rarely needed; most callers stay spectral)."""
         return spectral.spectral_matrix(self.basis, self.density_eigenvalues)
 
-    def apply(self, x, power: int = 1) -> np.ndarray:
-        """Compute rho^power @ x in the eigenbasis; x may be a vector or a matrix of columns."""
-        x = np.asarray(x, dtype=float)
-        if x.shape[0] != self.dim:
-            raise ShapeError(f"vector dim {x.shape[0]} != operator dim {self.dim}")
-        v = self.basis.eigenvectors
-        scale = self.density_eigenvalues**power
-        coeffs = v.T @ x
-        scaled = scale[:, None] * coeffs if x.ndim == 2 else scale * coeffs
-        return v @ scaled
-
 
 def _as_decomposition(c) -> spectral.SpectralDecomposition:
     """Return ``c`` if it is already a SpectralDecomposition, else eigendecompose it."""

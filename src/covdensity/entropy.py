@@ -78,11 +78,6 @@ def _gibbs_from_operator(rho) -> float:
     return rho.beta * energy + rho.log_partition
 
 
-def gibbs_entropy(c, beta: float) -> float:
-    """beta Tr[C rho] + ln Z, the Gibbs form of the entropy (nats)."""
-    return _gibbs_from_operator(density_operator(c, beta))
-
-
 def naive_entropy(c) -> float:
     """Trace-normalized spectral entropy in bits: -sum pi log2 pi, pi = lambda_i / tr C.
 
@@ -181,7 +176,7 @@ def _window_entropies(covariances: np.ndarray, beta: float) -> tuple[np.ndarray,
     """Naive and density entropies (bits) of stacked covariances, with every check of
     CovarianceMatrix, naive_entropy and cvne, from one ``eigvalsh`` of the stack."""
     if not np.all(np.isfinite(covariances)):
-        raise ValueError("covariance matrix contains non-finite entries")
+        raise ValueError("matrix contains non-finite entries")
     eigenvalues = np.linalg.eigvalsh(covariances)
     _check_psd(eigenvalues)
     naive = _naive_bits(eigenvalues)

@@ -29,10 +29,6 @@ class GraphGenerationError(RuntimeError):
     """Random graph generation failed (e.g. no connected graph within the retry budget)."""
 
 
-class NonstationaryError(ValueError):
-    """AR coefficient outside the stationarity region."""
-
-
 class TrainingError(RuntimeError):
     """Training produced a non-finite loss or gradients."""
 

@@ -17,14 +17,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import spectral
 from .covariance import as_matrix
 from .density import DensityOperator, density_operator
 from .errors import ShapeError
-
-# Relative eigenvalue gap below which a spectrum is treated as degenerate and
-# equivariance checks fall back to the dense polynomial path.
-_DEGENERATE_GAP_RTOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -106,35 +101,6 @@ def lipschitz_alpha(f: FilterSpec) -> float:
     return float(np.sum(np.abs(f.coeffs) * np.abs(f.beta * k)))
 
 
-def integral_lipschitz_theta(f: FilterSpec, spectrum) -> float:
-    """Smallest theta certifying the integral Lipschitz condition on this spectrum.
-
-    theta = alpha * sup over eigenvalue pairs of |l_i + l_j| / 2, where the sup
-    is taken over the finite operating spectrum (pairs may repeat an index), so
-    it equals alpha * max |lambda|.
-    """
-    s = np.asarray(spectrum, dtype=float)
-    if s.size == 0:
-        raise ShapeError("spectrum must be non-empty")
-    return lipschitz_alpha(f) * float(np.max(np.abs(s)))
-
-
-def vft(c_decomp: spectral.SpectralDecomposition, x) -> np.ndarray:
-    """Project a signal onto the covariance eigenbasis: x_tilde = U^T x."""
-    x = np.asarray(x, dtype=float)
-    if x.shape != (c_decomp.dim,):
-        raise ShapeError(f"signal length {x.shape} does not match dim {c_decomp.dim}")
-    return c_decomp.eigenvectors.T @ x
-
-
-def inverse_vft(c_decomp: spectral.SpectralDecomposition, x_tilde) -> np.ndarray:
-    """Invert the projection: x = U x_tilde."""
-    x_tilde = np.asarray(x_tilde, dtype=float)
-    if x_tilde.shape != (c_decomp.dim,):
-        raise ShapeError(f"signal length {x_tilde.shape} does not match dim {c_decomp.dim}")
-    return c_decomp.eigenvectors @ x_tilde
-
-
 def _as_permutation(permutation, dim: int) -> np.ndarray:
     p = np.asarray(permutation)
     if p.ndim == 2:
@@ -147,27 +113,19 @@ def _as_permutation(permutation, dim: int) -> np.ndarray:
             raise ValueError("matrix is not a permutation matrix")
         return perm
     perm = p.astype(int)
-    if perm.shape != (dim,) or not np.array_equal(np.sort(perm), np.arange(dim)):
+    # Comparing with p rejects entries that the integer cast truncated (0.9 -> 0).
+    if perm.shape != (dim,) or not np.array_equal(perm, p) or not np.array_equal(np.sort(perm), np.arange(dim)):
         raise ValueError(f"invalid permutation of {dim} indices")
     return perm
-
-
-def _dense_filter_matrix(f: FilterSpec, rho: DensityOperator) -> np.ndarray:
-    dense = rho.matrix()
-    out = np.zeros_like(dense)
-    power = np.eye(rho.dim) if f.k_start == 0 else dense.copy()
-    for k in range(f.k_start, f.order + 1):
-        out += f.coeffs[k] * power
-        power = power @ dense
-    return out
 
 
 def check_permutation_equivariance(f: FilterSpec, c, x, permutation) -> float:
     """Max-abs residual of H(rho(T^T C T)) T^T x - T^T H(rho(C)) x.
 
-    For spectra with (near-)repeated eigenvalues the check routes through the
-    dense polynomial of rho, since individual eigenvectors are not unique there
-    even though the filter itself is a well-defined matrix function.
+    Both sides go through :func:`filter_apply`, which forms the matrix function
+    V diag(p(rho)) V^T.  That matrix does not depend on the choice of basis, so
+    the check holds on spectra with (near-)repeated eigenvalues, where the
+    individual eigenvectors are not unique.
     """
     c = as_matrix(c)
     x = np.asarray(x, dtype=float)
@@ -179,14 +137,6 @@ def check_permutation_equivariance(f: FilterSpec, c, x, permutation) -> float:
     x_perm = x[perm]
     rho = density_operator(c, f.beta)
     rho_perm = density_operator(c_perm, f.beta)
-
-    gaps = np.diff(rho.source_spectrum)
-    scale = max(1.0, float(np.max(np.abs(rho.source_spectrum))))
-    degenerate = rho.dim > 1 and float(np.min(gaps)) < _DEGENERATE_GAP_RTOL * scale
-    if degenerate:
-        permuted_out = _dense_filter_matrix(f, rho_perm) @ x_perm
-        base_out = (_dense_filter_matrix(f, rho) @ x)[perm]
-    else:
-        permuted_out = filter_apply(f, rho_perm, x_perm)
-        base_out = filter_apply(f, rho, x)[perm]
+    permuted_out = filter_apply(f, rho_perm, x_perm)
+    base_out = filter_apply(f, rho, x)[perm]
     return float(np.max(np.abs(permuted_out - base_out)))

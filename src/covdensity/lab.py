@@ -2,8 +2,8 @@
 
 Each experiment is a pure function of its config: per-trial RNGs are derived
 from (seed, trial index, ...) so trials are independent, order-insensitive,
-and reproducible bit for bit.  Records serialize to CSV and back losslessly
-(floats round-trip through repr).
+and reproducible bit for bit.  Records serialize to CSV losslessly: float
+cells are written with repr, so ``float`` reads each one back exactly.
 
 Trend claims (monotonicity, dominance) are properties of trial MEANS, not of
 individual draws; the test suite asserts them over the configured trial
@@ -30,17 +30,6 @@ from .covariance import (
     trace_normalize,
 )
 from .errors import ConfigError
-
-EXPERIMENTS = (
-    "stability",
-    "lipschitz",
-    "surrogate",
-    "regression",
-    "entropy_curve",
-    "discrimination",
-    "betafit_demo",
-)
-
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -76,8 +65,8 @@ class ExperimentConfig:
     eigenvalue_range: tuple[float, float] = (0.0, 10.0)
 
     def __post_init__(self):
-        if self.experiment not in EXPERIMENTS:
-            raise ConfigError(f"unknown experiment {self.experiment!r}, expected one of {EXPERIMENTS}")
+        if self.experiment not in RUNNERS:
+            raise ConfigError(f"unknown experiment {self.experiment!r}, expected one of {tuple(RUNNERS)}")
         if self.dim < 1 or self.trials < 1:
             raise ConfigError("dim and trials must be positive")
         if self.n_samples < 2:
@@ -133,33 +122,6 @@ def _cell(value):
     if isinstance(value, float):
         return repr(value)
     return str(value)
-
-
-def records_from_csv(path) -> list[TrialRecord]:
-    out = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        for row in reader:
-            params, metrics = {}, {}
-            record_seed = 0
-            experiment = ""
-            for key, cell in zip(header, row):
-                if key == "experiment":
-                    experiment = cell
-                elif key == "seed":
-                    record_seed = int(cell)
-                elif cell == "":
-                    continue
-                elif key.startswith("p:"):
-                    try:
-                        params[key[2:]] = float(cell)
-                    except ValueError:
-                        params[key[2:]] = cell
-                elif key.startswith("m:"):
-                    metrics[key[2:]] = float(cell)
-            out.append(TrialRecord(experiment=experiment, seed=record_seed, params=params, metrics=metrics))
-    return out
 
 
 def summarize(records) -> dict:
@@ -437,8 +399,9 @@ def run_entropy_curve(cfg: ExperimentConfig) -> list[TrialRecord]:
         records = []
         for fam_idx, family in enumerate(cfg.families):
             data = gen_gaussian_data(cfg.dim, cfg.n_samples, family, seed=[cfg.seed, t, fam_idx])
-            decomp = spectral.eigh(shift_regularize(sample_covariance(data)).matrix)
-            rho, _ = density._guarded_values(decomp.eigenvalues, beta_grid)
+            # The shifted matrix's PSD check already holds its spectrum (eigvalsh order).
+            eigenvalues = shift_regularize(sample_covariance(data))._eigenvalues
+            rho, _ = density._guarded_values(eigenvalues, beta_grid)
             for beta, nats in zip(beta_grid, entropy._shannon_nats(rho)):
                 records.append(
                     TrialRecord(

@@ -16,8 +16,8 @@ eigen-directions, T time points -- and its output is (B, f_out, m, T).  The
 density eigenvalues rho and the filter responses depend only on the
 parameters, so each layer computes them once per call; the basis changes are
 the broadcast matmuls v.T @ x and v @ y; the head works on the flattened
-(B, C * m * T) features.  ``model_forward`` and ``layer_forward`` are B = 1
-views of this one kernel, and the backward pass reduces over B.
+(B, C * m * T) features.  Every forward pass, training or not, runs this one
+kernel, and the backward pass reduces over B.
 
 Block forward: forward-only calls over many rows (``forward_rows``, and
 through it ``evaluate_loss``, ``accuracy`` and CLI ``predict``) run the rows in
@@ -39,14 +39,12 @@ import copy
 import json
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
 from .covariance import CovarianceMatrix, as_matrix
-from .density import DensityOperator, _as_decomposition, density_values
+from .density import _as_decomposition, density_values
 from .errors import ShapeError, TrainingError
-from .filtering import FilterSpec, filter_apply
 
 AGGREGATIONS = ("concatenate", "sum", "mean")
 TASKS = ("regression", "classification")
@@ -227,31 +225,6 @@ def _tap_powers(rho: np.ndarray, order: int) -> np.ndarray:
     return powers
 
 
-def perceptron_forward(f: FilterSpec, rho: DensityOperator, activation: str, x) -> np.ndarray:
-    """Single perceptron: activation applied to the filtered signal."""
-    act, _ = ACTIVATIONS[activation]
-    return act(filter_apply(f, rho, x))
-
-
-def layer_forward(p: LayerParams, rhos: Sequence[DensityOperator], x_in) -> np.ndarray:
-    """Aggregated layer output for f_in input channels (each a dim vector).
-
-    ``rhos`` supplies one density operator per output scale, all over the same
-    covariance.  concatenate stacks the per-scale outputs; sum/mean fold them.
-    """
-    if len(rhos) != p.f_out:
-        raise ShapeError(f"need {p.f_out} density operators, got {len(rhos)}")
-    decomp = rhos[0].basis
-    x = np.asarray(x_in, dtype=float)
-    if x.ndim == 1:
-        x = x[None, :]
-    if x.shape != (p.f_in, decomp.dim):
-        raise ShapeError(f"expected input shape ({p.f_in}, {decomp.dim}), got {x.shape}")
-    rho = np.stack([r.density_eigenvalues for r in rhos])
-    out, _ = _layer_channels(p, decomp.eigenvectors, rho, x[None, :, :, None])
-    return _aggregate(p.aggregation, out).reshape(-1)
-
-
 def _aggregate(mode: str, channels: np.ndarray) -> np.ndarray:
     """Fold per-scale outputs (B, f_out, m, T): concatenate keeps them, sum/mean leave one channel."""
     if mode == "concatenate":
@@ -296,12 +269,6 @@ def _layer_channels(p: LayerParams, v: np.ndarray, rho: np.ndarray, x: np.ndarra
     y = v @ np.einsum("ogi,bgit->boit", response, x_hat)
     out = ACTIVATIONS[p.activation][0](y)
     return out, _LayerTape(x_hat, rho, powers, response, y)
-
-
-def model_forward(model: ModelParams, c, x) -> np.ndarray:
-    """Predict from a signal (dim,) or (dim, time): per-time filtering, flatten, head."""
-    out, _ = _forward(model, _as_decomposition(c), _as_signals([x]))
-    return out[0]
 
 
 def forward_rows(model: ModelParams, c, xs) -> np.ndarray:

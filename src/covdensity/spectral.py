@@ -9,7 +9,6 @@ on the same input give bit-identical output.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -38,15 +37,13 @@ class SpectralDecomposition:
     def dim(self) -> int:
         return self.eigenvalues.shape[0]
 
-    def reconstruct(self) -> np.ndarray:
-        """Return V diag(lambda) V^T."""
-        return spectral_matrix(self, self.eigenvalues)
-
 
 def _as_square_array(matrix) -> np.ndarray:
     m = np.asarray(matrix, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ShapeError(f"expected a square matrix, got shape {m.shape}")
+    if not np.all(np.isfinite(m)):
+        raise ValueError("matrix contains non-finite entries")
     return m
 
 
@@ -67,6 +64,7 @@ def eigh(matrix) -> SpectralDecomposition:
 
     Raises:
         ShapeError: if the input is not square.
+        ValueError: if an entry is NaN or infinite.
         SymmetryError: if asymmetry exceeds the relative tolerance.
     """
     m = symmetrize(matrix)
@@ -97,26 +95,6 @@ def spectral_matrix(decomp: SpectralDecomposition, values) -> np.ndarray:
         raise ShapeError(f"expected {decomp.dim} spectral values, got shape {values.shape}")
     v = decomp.eigenvectors
     return (v * values[..., None, :]) @ v.T
-
-
-def apply_spectral_function(
-    decomp: SpectralDecomposition, f: Callable[[np.ndarray], np.ndarray], x
-) -> np.ndarray:
-    """Apply the matrix function f(M) to a vector: V diag(f(lambda)) V^T x.
-
-    ``f`` maps eigenvalues to eigenvalues; it may be vectorized or scalar.
-    """
-    x = np.asarray(x, dtype=float)
-    if x.shape != (decomp.dim,):
-        raise ShapeError(f"vector length {x.shape} does not match dim {decomp.dim}")
-    try:
-        fl = np.asarray(f(decomp.eigenvalues), dtype=float)
-        if fl.shape != decomp.eigenvalues.shape:
-            raise TypeError("scalar map")
-    except (TypeError, ValueError):
-        fl = np.array([float(f(lam)) for lam in decomp.eigenvalues])
-    v = decomp.eigenvectors
-    return v @ (fl * (v.T @ x))
 
 
 def operator_norm(matrix) -> float:

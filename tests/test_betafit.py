@@ -9,8 +9,8 @@ from covdensity.betafit import (
     kl_to_density,
     moment_derivatives,
     moment_objective,
-    reconstruct_density,
 )
+from covdensity.density import density_operator
 from covdensity.errors import InfeasibleTargetError
 
 
@@ -151,11 +151,13 @@ class TestFitBeta:
 
 class TestReconstructDensity:
     def test_degenerate_spectrum_gives_uniform(self):
-        rho = reconstruct_density(2.0 * np.eye(4), 0.0)
+        result = fit_beta([2.0] * 4, [0.25] * 4)
+        rho = density_operator(2.0 * np.eye(4), result.beta_star)
         np.testing.assert_allclose(rho.density_eigenvalues, 0.25, atol=1e-14)
 
     def test_closed_form_match(self):
-        rho = reconstruct_density(np.diag([1.0, 2.0]), -math.log(2.0))
+        assert fit_beta([1.0, 2.0], [1 / 3, 2 / 3]).beta_star == pytest.approx(-math.log(2.0), abs=1e-9)
+        rho = density_operator(np.diag([1.0, 2.0]), -math.log(2.0))
         np.testing.assert_allclose(rho.density_eigenvalues, [1 / 3, 2 / 3], rtol=1e-12)
 
     def test_fitted_beta_minimizes_kl_on_grid(self, rng):

@@ -228,6 +228,41 @@ class TestExperimentCommands:
         assert code == 2
         assert "/dimension" in err
 
+    def test_every_experiment_config_field_is_a_config_key(self, capsys, tmp_path):
+        import dataclasses
+
+        from covdensity.lab import ExperimentConfig
+
+        defaults = ExperimentConfig(experiment="stability")
+        payload = {f.name: getattr(defaults, f.name) for f in dataclasses.fields(ExperimentConfig)}
+        payload.update(schema_version=1, dim=4, trials=1, betas=[0.5], noise_levels=[0.1])
+        cfg_path = tmp_path / "full.json"
+        cfg_path.write_text(json.dumps(payload))
+        code, _, err = run_cli(capsys, "stability", "--config", str(cfg_path), "--output-dir", str(tmp_path / "ok"))
+        assert code == 0, err
+        cfg_path.write_text(json.dumps({**payload, "unknown": 1}))
+        code, _, err = run_cli(capsys, "stability", "--config", str(cfg_path), "--output-dir", str(tmp_path / "bad"))
+        assert code == 2
+        assert "unknown experiment config key at /unknown" in err
+
+
+def test_config_key_sets():
+    from covdensity.cli import _EXPERIMENT_KEYS, _TRAIN_KEYS
+
+    assert _EXPERIMENT_KEYS == {
+        "schema_version", "experiment", "dim", "n_samples", "sample_grid", "betas", "noise_levels",
+        "trials", "seed", "window", "n_windows", "regime_scale",
+        "base_spectrum", "edge_prob", "filter_coeffs", "families", "n_informative",
+        "n_train", "n_test", "ridge", "weight_scale", "max_filter_order",
+        "beta_range", "eigenvalue_range",
+    }
+    assert _TRAIN_KEYS == {
+        "schema_version", "learning_rate", "epochs", "batch_size", "hidden_dim", "num_layers",
+        "activation", "head_activation", "dropout", "betas", "betas_learnable",
+        "betas_init", "order", "loss", "seed", "task", "aggregation", "skip_k0",
+        "val_fraction",
+    }
+
 
 @pytest.fixture
 def classification_csv(tmp_path, rng):
@@ -385,6 +420,23 @@ class TestPredictInput:
         assert code == 2
         assert out == ""
         assert "input has 4 columns, model expects 5" in err
+
+    def test_non_finite_model_covariance_is_runtime_error(self, capsys, tmp_path, rng):
+        from covdensity.network import init_model, model_to_dict
+
+        payload = model_to_dict(init_model(dim=3, n_outputs=2, betas=[1.0], task="classification"), np.eye(3))
+        payload["covariance"][1][1] = math.nan
+        model_path = tmp_path / "model.json"
+        model_path.write_text(json.dumps(payload))  # written as the token NaN, which json reads back
+        data_path = tmp_path / "rows.csv"
+        data_path.write_text("\n".join(",".join(repr(float(v)) for v in row) for row in rng.standard_normal((4, 3))))
+        code, out, err = run_cli(
+            capsys, "predict", "--input", str(data_path), "--model", str(model_path),
+            "--output-dir", str(tmp_path / "preds"),
+        )
+        assert code == 2
+        assert out == ""
+        assert "non-finite" in err
 
 
 def test_cli_import_does_not_load_scipy():

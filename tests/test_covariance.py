@@ -12,7 +12,6 @@ from covdensity.covariance import (
     CovarianceMatrix,
     DataMatrix,
     Regularization,
-    gen_ar_process,
     gen_gaussian_data,
     gen_graph_stationary,
     read_csv_covariance,
@@ -24,7 +23,6 @@ from covdensity.covariance import (
 from covdensity.errors import (
     DegenerateCovarianceError,
     InsufficientDataError,
-    NonstationaryError,
     ShapeError,
 )
 from covdensity.spectral import eigh
@@ -198,37 +196,6 @@ class TestGraphStationary:
     def test_bad_edge_prob(self):
         with pytest.raises(ValueError):
             gen_graph_stationary(4, 10, 0.0, [1.0], seed=0)
-
-
-class TestArProcess:
-    def test_iid_limit(self):
-        data = gen_ar_process(3, 20000, 0.0, seed=5, equicorrelation=0.0)
-        c = sample_covariance(data)
-        assert np.max(np.abs(c.matrix - np.eye(3))) <= 0.1
-
-    def test_lag_one_autocorrelation(self):
-        phi = 0.9
-        data = gen_ar_process(4, 50000, phi, seed=6)
-        x = data.values
-        for j in range(4):
-            col = x[:, j] - x[:, j].mean()
-            rho1 = float(np.dot(col[1:], col[:-1]) / np.dot(col, col))
-            assert abs(rho1 - phi) <= 0.05
-
-    def test_cross_sectional_correlation(self):
-        data = gen_ar_process(3, 50000, 0.5, seed=2, equicorrelation=0.6)
-        c = sample_covariance(data).matrix
-        corr = c[0, 1] / np.sqrt(c[0, 0] * c[1, 1])
-        assert abs(corr - 0.6) <= 0.05
-
-    def test_deterministic(self):
-        a = gen_ar_process(2, 100, 0.3, seed=8)
-        b = gen_ar_process(2, 100, 0.3, seed=8)
-        np.testing.assert_array_equal(a.values, b.values)
-
-    def test_nonstationary_rejected(self):
-        with pytest.raises(NonstationaryError):
-            gen_ar_process(2, 10, 1.0, seed=0)
 
 
 class TestCsvIo:

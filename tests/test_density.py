@@ -82,18 +82,6 @@ class TestDensityOperator:
         with pytest.raises(BetaRangeError, match="guard"):
             density_operator(np.diag([100.0, 0.0]), 8.0)
 
-    def test_apply_matches_dense(self, rng):
-        c = random_psd(rng, 5)
-        rho = density_operator(c, 1.3)
-        x = rng.standard_normal(5)
-        np.testing.assert_allclose(rho.apply(x), rho.matrix() @ x, rtol=1e-10, atol=1e-12)
-        np.testing.assert_allclose(rho.apply(x, power=2), rho.matrix() @ rho.matrix() @ x, rtol=1e-9, atol=1e-12)
-
-    def test_apply_dimension_mismatch(self, rng):
-        rho = density_operator(np.eye(3), 1.0)
-        with pytest.raises(ShapeError):
-            rho.apply(np.ones(4))
-
 
 class TestPartitionFunction:
     def test_beta_zero_counts_dimension(self, rng):

@@ -13,7 +13,6 @@ from covdensity.entropy import (
     check_subadditivity,
     cvne,
     discrimination_experiment,
-    gibbs_entropy,
     naive_entropy,
     threshold_auc,
 )
@@ -89,10 +88,10 @@ class TestCvne:
 class TestGibbsEntropy:
     def test_beta_zero(self, rng):
         c = random_psd(rng, 5)
-        assert gibbs_entropy(c, 0.0) == pytest.approx(math.log(5), rel=1e-12)
+        assert cvne(c, 0.0).gibbs_form_nats == pytest.approx(math.log(5), rel=1e-12)
 
     def test_anchor_value(self):
-        got = gibbs_entropy(np.diag([2.0, 0.0, 0.0]), 1.0)
+        got = cvne(np.diag([2.0, 0.0, 0.0]), 1.0).gibbs_form_nats
         z = 2.0 + math.exp(-2.0)
         want = 1.0 * (2.0 * math.exp(-2.0) / z) + math.log(z)
         assert got == pytest.approx(want, rel=1e-12)
@@ -102,13 +101,14 @@ class TestGibbsEntropy:
     def test_nonnegative_for_shift_regularized(self, rng):
         for _ in range(20):
             c = shift_regularize(random_psd(rng, 6))
-            assert gibbs_entropy(c, float(rng.uniform(0.1, 5.0))) >= 0.0
+            assert cvne(c, float(rng.uniform(0.1, 5.0))).gibbs_form_nats >= 0.0
 
     def test_agrees_with_cvne(self, rng):
         for _ in range(30):
             c = random_psd(rng, 6)
             beta = float(rng.uniform(-2, 6))
-            assert abs(gibbs_entropy(c, beta) - cvne(c, beta).entropy_nats) <= 1e-9
+            report = cvne(c, beta)
+            assert abs(report.gibbs_form_nats - report.entropy_nats) <= 1e-9
 
 
 class TestNaiveEntropy:
@@ -345,6 +345,11 @@ class TestBatchedDiscrimination:
             ((1.0, 1.0, 0.0), (0.0, 0.0, 0.0), 2.0, DegenerateCovarianceError),
             # Only some windows exceed the guard; the first of them is named.
             ((1.0, 1.0, 0.0), (1.3, 1.2, 1.1), 480.0, BetaRangeError),
+            # Finite draws whose covariance overflows to inf.
+            pytest.param(
+                (1e308, 1.0, 0.0), (1.0, 1.0, 1.0), 2.0, ValueError,
+                marks=pytest.mark.filterwarnings("ignore:overflow encountered in matmul:RuntimeWarning"),
+            ),
         ],
     )
     def test_raises_what_the_first_failing_window_raises(self, base, scale, beta, error):

@@ -12,12 +12,8 @@ from covdensity.filtering import (
     check_permutation_equivariance,
     filter_apply,
     frequency_response,
-    integral_lipschitz_theta,
-    inverse_vft,
     lipschitz_alpha,
-    vft,
 )
-from covdensity.spectral import eigh
 
 
 def dense_polynomial_apply(spec, rho_dense, x):
@@ -134,17 +130,6 @@ class TestLipschitzConstants:
         b = lipschitz_alpha(FilterSpec(coeffs=[9.0, 2.0], beta=1.0, skip_k0=True))
         assert a == b
 
-    def test_theta_zero_alpha(self):
-        assert integral_lipschitz_theta(FilterSpec(coeffs=[1.0], beta=1.0), [1.0, 2.0]) == 0.0
-
-    def test_theta_pair_supremum(self):
-        spec = FilterSpec(coeffs=[0.0, 1.0], beta=2.0)
-        assert integral_lipschitz_theta(spec, [1.0, 3.0]) == pytest.approx(6.0)
-
-    def test_theta_zero_spectrum(self):
-        spec = FilterSpec(coeffs=[0.0, 1.0], beta=2.0)
-        assert integral_lipschitz_theta(spec, [0.0, 0.0]) == 0.0
-
     def test_empirical_lipschitz_bound(self, rng):
         for _ in range(2000):
             lam1, lam2 = rng.uniform(0.0, 10.0, size=2)
@@ -155,34 +140,6 @@ class TestLipschitzConstants:
             z = partition_function(np.diag([lam1, lam2]), spec.beta)
             diff = abs(frequency_response(spec, lam2, z) - frequency_response(spec, lam1, z))
             assert diff <= lipschitz_alpha(spec) * abs(lam2 - lam1) + 1e-12
-
-
-class TestVft:
-    def test_identity_basis(self, rng):
-        d = eigh(np.eye(4))
-        x = rng.standard_normal(4)
-        np.testing.assert_allclose(vft(d, x), x, atol=1e-12)
-
-    def test_norm_preserved(self, rng):
-        c = random_psd(rng, 6)
-        d = eigh(c.matrix)
-        for _ in range(10):
-            x = rng.standard_normal(6)
-            assert np.linalg.norm(vft(d, x)) == pytest.approx(np.linalg.norm(x), rel=1e-12)
-
-    def test_basis_column_maps_to_unit_vector(self, rng):
-        c = random_psd(rng, 5)
-        d = eigh(c.matrix)
-        for i in range(5):
-            e = np.zeros(5)
-            e[i] = 1.0
-            np.testing.assert_allclose(vft(d, d.eigenvectors[:, i]), e, atol=1e-10)
-
-    def test_inverse_recovers(self, rng):
-        c = random_psd(rng, 5)
-        d = eigh(c.matrix)
-        x = rng.standard_normal(5)
-        np.testing.assert_allclose(inverse_vft(d, vft(d, x)), x, atol=1e-10)
 
 
 class TestPermutationEquivariance:
@@ -208,6 +165,29 @@ class TestPermutationEquivariance:
             residual = check_permutation_equivariance(spec, c, x, np.array(perm))
             assert residual <= 1e-9 * max(1.0, float(np.linalg.norm(x)))
 
+    @pytest.mark.parametrize("kind", ["rank_one", "repeated_block", "scaled_identity", "near_degenerate"])
+    def test_degenerate_spectra(self, rng, kind):
+        # Eigenvectors of a repeated eigenvalue are not unique, but V diag(p(rho)) V^T is.
+        worst = 0.0
+        for _ in range(50):
+            dim = int(rng.integers(2, 9))
+            q, _ = np.linalg.qr(rng.standard_normal((dim, dim)))
+            if kind == "rank_one":
+                spectrum = np.r_[np.zeros(dim - 1), rng.uniform(0.1, 10.0)]
+            elif kind == "repeated_block":
+                spectrum = rng.uniform(0.0, 10.0, 2)[rng.integers(0, 2, dim)]
+            elif kind == "scaled_identity":
+                spectrum = np.full(dim, 10.0 ** rng.uniform(-3.0, 2.0))
+            else:
+                spectrum = rng.uniform(0.0, 10.0, dim)
+                spectrum[1] = spectrum[0] + 1e-10
+            c = (q * spectrum) @ q.T
+            spec = FilterSpec(coeffs=rng.standard_normal(int(rng.integers(1, 5))), beta=float(rng.uniform(-2, 2)))
+            x = rng.standard_normal(dim)
+            residual = check_permutation_equivariance(spec, (c + c.T) / 2.0, x, rng.permutation(dim))
+            worst = max(worst, residual / max(1.0, float(np.linalg.norm(x))))
+        assert worst <= 1e-9
+
     def test_permutation_matrix_input(self, rng):
         c = random_psd(rng, 3)
         spec = FilterSpec(coeffs=[0.0, 1.0], beta=0.5)
@@ -221,6 +201,9 @@ class TestPermutationEquivariance:
         spec = FilterSpec(coeffs=[1.0], beta=1.0)
         with pytest.raises(ValueError):
             check_permutation_equivariance(spec, c, np.ones(3), np.array([0, 0, 2]))
+        # Truncating these floats would give the identity [0, 1, 2].
+        with pytest.raises(ValueError, match="invalid permutation"):
+            check_permutation_equivariance(spec, np.diag([1.0, 2.0, 3.0]), np.ones(3), [0.9, 1.2, 2.0])
 
 
 class TestFilterSpecValidation:

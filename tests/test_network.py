@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import random_psd
-from covdensity.density import density_operator
+from covdensity.density import _as_decomposition, density_operator, density_values
 from covdensity.filtering import FilterSpec, filter_apply
 from covdensity.network import (
     ACTIVATIONS,
@@ -17,13 +17,12 @@ from covdensity.network import (
     accuracy,
     evaluate_loss,
     forward_rows,
+    _aggregate,
+    _layer_channels,
     init_model,
-    layer_forward,
-    model_forward,
     model_from_dict,
     model_gradients,
     model_to_dict,
-    perceptron_forward,
     train,
 )
 from covdensity.errors import ShapeError, TrainingError
@@ -80,30 +79,13 @@ def small_model(rng, dim=4, n_out=2, betas=(0.5, -0.4, 2.0), **kwargs):
     )
 
 
-class TestPerceptron:
-    def test_identity_filter_identity_activation(self, rng):
-        c = random_psd(rng, 4)
-        rho = density_operator(c, 1.0)
-        x = rng.standard_normal(4)
-        spec = FilterSpec(coeffs=[1.0], beta=1.0)
-        np.testing.assert_allclose(perceptron_forward(spec, rho, "identity", x), x, atol=1e-12)
-
-    def test_zero_coefficients_through_tanh(self, rng):
-        c = random_psd(rng, 3)
-        rho = density_operator(c, 0.5)
-        spec = FilterSpec(coeffs=[0.0, 0.0], beta=0.5)
-        np.testing.assert_allclose(
-            perceptron_forward(spec, rho, "tanh", rng.standard_normal(3)), 0.0, atol=1e-15
-        )
-
-    def test_matches_dense_composition(self, rng):
-        c = random_psd(rng, 5)
-        rho = density_operator(c, 1.3)
-        spec = FilterSpec(coeffs=rng.standard_normal(3), beta=1.3)
-        x = rng.standard_normal(5)
-        dense = rho.matrix()
-        want = np.tanh(spec.coeffs[0] * x + spec.coeffs[1] * dense @ x + spec.coeffs[2] * dense @ dense @ x)
-        np.testing.assert_allclose(perceptron_forward(spec, rho, "tanh", x), want, rtol=1e-9, atol=1e-12)
+def layer_output(params, c, x_in):
+    """One layer's aggregated output for f_in input channels, each a dim vector, from the batched kernel."""
+    decomp = _as_decomposition(c)
+    rho = density_values(decomp.eigenvalues, params.betas)[0]
+    x = np.atleast_2d(np.asarray(x_in, dtype=float))
+    out, _ = _layer_channels(params, decomp.eigenvectors, rho, x[None, :, :, None])
+    return _aggregate(params.aggregation, out).reshape(-1)
 
 
 class TestLayerForward:
@@ -113,9 +95,17 @@ class TestLayerForward:
             coeffs=np.array([[[1.0]]]), betas=np.array([0.7]),
             aggregation="concatenate", activation="identity",
         )
-        rhos = [density_operator(c, 0.7)]
         x = rng.standard_normal(4)
-        np.testing.assert_allclose(layer_forward(layer, rhos, x), x, atol=1e-12)
+        np.testing.assert_allclose(layer_output(layer, c, x), x, atol=1e-12)
+
+    def test_single_scale_matches_dense_composition(self, rng):
+        c = random_psd(rng, 5)
+        layer = LayerParams(coeffs=rng.standard_normal((1, 1, 3)), betas=np.array([1.3]), activation="tanh")
+        x = rng.standard_normal(5)
+        dense = density_operator(c, 1.3).matrix()
+        h = layer.coeffs[0, 0]
+        want = np.tanh(h[0] * x + h[1] * dense @ x + h[2] * dense @ dense @ x)
+        np.testing.assert_allclose(layer_output(layer, c, x), want, rtol=1e-9, atol=1e-12)
 
     def test_sum_of_identical_scales_doubles(self, rng):
         c = random_psd(rng, 3)
@@ -127,11 +117,10 @@ class TestLayerForward:
             coeffs=np.repeat(coeffs, 2, axis=0), betas=np.array([1.1, 1.1]),
             aggregation="sum", activation="identity",
         )
-        rho = density_operator(c, 1.1)
         x = rng.standard_normal(3)
         np.testing.assert_allclose(
-            layer_forward(double, [rho, rho], x),
-            2.0 * layer_forward(single, [rho], x),
+            layer_output(double, c, x),
+            2.0 * layer_output(single, c, x),
             rtol=1e-12,
         )
 
@@ -145,7 +134,7 @@ class TestLayerForward:
         )
         rhos = [density_operator(c, b) for b in layer.betas]
         x_in = rng.standard_normal((2, 5))
-        got = layer_forward(layer, rhos, x_in)
+        got = layer_output(layer, c, x_in)
         want = layer_oracle(layer, rhos, x_in).reshape(-1)
         np.testing.assert_allclose(got, want, rtol=1e-9, atol=1e-12)
 
@@ -159,9 +148,9 @@ class TestLayerForward:
         )
         x = rng.standard_normal(5)
         perm = rng.permutation(5)
-        base = layer_forward(layer, [density_operator(c, b) for b in layer.betas], x)
+        base = layer_output(layer, c, x)
         c_perm = c.matrix[np.ix_(perm, perm)]
-        got = layer_forward(layer, [density_operator(c_perm, b) for b in layer.betas], x[perm])
+        got = layer_output(layer, c_perm, x[perm])
         np.testing.assert_allclose(got, base[perm], atol=1e-8)
 
 
@@ -175,7 +164,7 @@ class TestModelForward:
         head = HeadParams(w1=np.eye(3), b1=np.zeros(3), w2=np.eye(3), b2=np.zeros(3), activation="identity")
         model = ModelParams(layers=[layer], head=head, task="regression")
         x = rng.standard_normal(3)
-        np.testing.assert_allclose(model_forward(model, c, x), x, atol=1e-12)
+        np.testing.assert_allclose(forward_rows(model, c, [x])[0], x, atol=1e-12)
 
     def test_zero_head_weights_give_bias(self, rng):
         c = random_psd(rng, 3)
@@ -188,7 +177,7 @@ class TestModelForward:
             w1=np.zeros((4, 6)), b1=np.zeros(4), w2=np.zeros((2, 4)), b2=bias, activation="tanh"
         )
         model = ModelParams(layers=[layer], head=head, task="regression")
-        np.testing.assert_allclose(model_forward(model, c, rng.standard_normal(3)), bias, atol=1e-15)
+        np.testing.assert_allclose(forward_rows(model, c, [rng.standard_normal(3)])[0], bias, atol=1e-15)
 
     @pytest.mark.parametrize("aggregation", ["concatenate", "sum", "mean"])
     @pytest.mark.parametrize("time_points", [1, 3])
@@ -200,7 +189,7 @@ class TestModelForward:
             aggregation=aggregation, time_points=time_points, seed=7,
         )
         x = rng.standard_normal((dim, time_points))
-        got = model_forward(model, c, x)
+        got = forward_rows(model, c, [x])[0]
         want = model_oracle(model, c.matrix, x)
         np.testing.assert_allclose(got, want, rtol=1e-9, atol=1e-11)
 
@@ -212,7 +201,7 @@ class TestModelForward:
             num_layers=2, aggregation="concatenate", seed=3,
         )
         x = rng.standard_normal(dim)
-        got = model_forward(model, c, x)
+        got = forward_rows(model, c, [x])[0]
         want = model_oracle(model, c.matrix, x)
         np.testing.assert_allclose(got, want, rtol=1e-9, atol=1e-11)
 
@@ -223,7 +212,7 @@ class TestModelForward:
         model = init_model(dim=dim, n_outputs=3, betas=(0.3, 2.0), hidden_dim=6, time_points=time_points, seed=5)
         xs = rng.standard_normal((FORWARD_BLOCK + 3, dim, time_points))
         got = forward_rows(model, c, xs)
-        want = np.stack([model_forward(model, c, x) for x in xs])
+        want = np.stack([forward_rows(model, c, [x])[0] for x in xs])
         np.testing.assert_allclose(got, want, rtol=1e-12)
 
 
@@ -540,7 +529,7 @@ class TestCheckpoint:
         np.testing.assert_array_equal(cov_matrix, c.matrix)
         x = rng.standard_normal(4)
         np.testing.assert_array_equal(
-            model_forward(restored, cov_matrix, x), model_forward(model, c, x)
+            forward_rows(restored, cov_matrix, [x])[0], forward_rows(model, c, [x])[0]
         )
 
     def test_json_file_round_trip(self, rng, tmp_path):
@@ -553,7 +542,7 @@ class TestCheckpoint:
         restored, cov_matrix = load_model(path)
         x = rng.standard_normal(3)
         np.testing.assert_array_equal(
-            model_forward(restored, cov_matrix, x), model_forward(model, c, x)
+            forward_rows(restored, cov_matrix, [x])[0], forward_rows(model, c, [x])[0]
         )
 
     def test_version_check(self, rng):

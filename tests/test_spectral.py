@@ -4,12 +4,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from covdensity.density import density_operator
+from covdensity.entropy import cvne, naive_entropy
 from covdensity.errors import ShapeError, SymmetryError
 from covdensity.spectral import (
     _SIGN_EPS,
     SpectralDecomposition,
     _fix_signs,
-    apply_spectral_function,
     eigh,
     operator_norm,
     spectral_matrix,
@@ -60,7 +61,7 @@ class TestEigh:
     def test_symmetrizes_roundoff_asymmetry(self):
         m = np.array([[1.0, 0.5], [0.5 + 1e-13, 1.0]])
         d = eigh(m)
-        np.testing.assert_allclose(d.reconstruct(), (m + m.T) / 2.0, atol=1e-12)
+        np.testing.assert_allclose(spectral_matrix(d, d.eigenvalues), (m + m.T) / 2.0, atol=1e-12)
 
     def test_invariants_on_random_batch(self, rng):
         for _ in range(1000):
@@ -70,49 +71,8 @@ class TestEigh:
             v = d.eigenvectors
             assert np.max(np.abs(v.T @ v - np.eye(8))) <= 1e-10
             scale = max(1.0, operator_norm(m))
-            assert np.max(np.abs(d.reconstruct() - m)) <= 1e-8 * scale
+            assert np.max(np.abs(spectral_matrix(d, d.eigenvalues) - m)) <= 1e-8 * scale
             assert np.all(np.diff(d.eigenvalues) >= 0)
-
-
-class TestApplySpectralFunction:
-    def test_identity_function_is_matvec(self, rng):
-        for _ in range(20):
-            m = rng.standard_normal((5, 5))
-            m = (m + m.T) / 2.0
-            x = rng.standard_normal(5)
-            d = eigh(m)
-            got = apply_spectral_function(d, lambda lam: lam, x)
-            np.testing.assert_allclose(got, m @ x, rtol=1e-9, atol=1e-12)
-
-    def test_constant_one_returns_input(self, rng):
-        m = rng.standard_normal((4, 4))
-        d = eigh((m + m.T) / 2.0)
-        x = rng.standard_normal(4)
-        np.testing.assert_allclose(apply_spectral_function(d, np.ones_like, x), x, atol=1e-12)
-
-    def test_square_on_diagonal(self):
-        d = eigh(np.diag([1.0, 2.0]))
-        got = apply_spectral_function(d, lambda lam: lam**2, np.array([1.0, 1.0]))
-        np.testing.assert_allclose(got, [1.0, 4.0], atol=1e-12)
-
-    def test_scalar_function_accepted(self):
-        d = eigh(np.diag([1.0, 2.0]))
-        got = apply_spectral_function(d, lambda lam: float(lam) ** 2, np.array([1.0, 1.0]))
-        np.testing.assert_allclose(got, [1.0, 4.0], atol=1e-12)
-
-    def test_linearity(self, rng):
-        m = rng.standard_normal((4, 4))
-        d = eigh((m + m.T) / 2.0)
-        x, y = rng.standard_normal(4), rng.standard_normal(4)
-        f = np.exp
-        lhs = apply_spectral_function(d, f, 2.0 * x + y)
-        rhs = 2.0 * apply_spectral_function(d, f, x) + apply_spectral_function(d, f, y)
-        np.testing.assert_allclose(lhs, rhs, rtol=1e-12, atol=1e-12)
-
-    def test_dimension_mismatch(self):
-        d = eigh(np.eye(3))
-        with pytest.raises(ShapeError):
-            apply_spectral_function(d, np.exp, np.ones(4))
 
 
 class TestOperatorNorm:
@@ -133,6 +93,25 @@ class TestOperatorNorm:
     def test_rejects_non_square(self):
         with pytest.raises(ShapeError):
             operator_norm(np.ones((2, 4)))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize(
+    "entry_point",
+    [lambda m: density_operator(m, 1.0), lambda m: cvne(m, 1.0), naive_entropy, eigh, operator_norm],
+    ids=["density_operator", "cvne", "naive_entropy", "eigh", "operator_norm"],
+)
+@pytest.mark.parametrize("where", ["diagonal", "off_diagonal"])
+def test_non_finite_plain_array_is_rejected(entry_point, bad, where):
+    # A NaN on the diagonal used to give NaN densities and an entropy of 0.0;
+    # an inf off the diagonal warned in the symmetry check (inf - inf) first.
+    m = np.eye(3)
+    if where == "diagonal":
+        m[1, 1] = bad
+    else:
+        m[0, 2] = m[2, 0] = bad
+    with pytest.raises(ValueError, match="^matrix contains non-finite entries$"):
+        entry_point(m)
 
 
 def test_spectral_matrix_rebuilds(rng):
