@@ -39,8 +39,8 @@ class BetaFitResult:
 def _validate(spectrum, target_p):
     lam = np.asarray(spectrum, dtype=float)
     p = np.asarray(target_p, dtype=float)
-    if lam.ndim != 1 or lam.size == 0:
-        raise ValueError("spectrum must be a non-empty 1-D sequence")
+    if lam.ndim != 1 or lam.size == 0 or not np.all(np.isfinite(lam)):
+        raise ValueError("spectrum must be a non-empty, finite 1-D sequence")
     if p.shape != lam.shape:
         raise ValueError(f"target length {p.shape} does not match spectrum {lam.shape}")
     if np.any(p < 0):

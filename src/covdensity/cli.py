@@ -280,6 +280,7 @@ def _cmd_density(args) -> int:
     beta = args.beta if args.beta is not None else 1.0
     cov = _read_cov(args)
     rho = density.density_operator(cov, beta)
+    z = rho.partition_function  # raises on overflow before any file is written
     out_dir = _ensure_output_dir(args)
     _write_manifest(out_dir, "density", {"beta": beta, "input": args.input}, args.seed or 0)
     records = [
@@ -295,7 +296,7 @@ def _cmd_density(args) -> int:
         for i in range(rho.dim)
     ]
     lab.records_to_csv(records, os.path.join(out_dir, "results.csv"))
-    _write_summary(out_dir, {"partition_function": rho.partition_function, "beta": beta, "dim": rho.dim})
+    _write_summary(out_dir, {"partition_function": z, "beta": beta, "dim": rho.dim})
     print(",".join(f"{v:.10g}" for v in rho.density_eigenvalues))
     return 0
 

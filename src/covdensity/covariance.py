@@ -137,8 +137,11 @@ def sample_covariance(data: DataMatrix) -> CovarianceMatrix:
 
 def _covariance_array(x: np.ndarray) -> np.ndarray:
     """The symmetric centered sample covariance (divisor n) of an observations-by-variables array."""
-    centered = x - x.mean(axis=0, keepdims=True)
-    c = centered.T @ centered / x.shape[0]
+    with np.errstate(over="ignore", invalid="ignore"):
+        centered = x - x.mean(axis=0, keepdims=True)
+        c = centered.T @ centered / x.shape[0]
+    if not np.all(np.isfinite(c)):
+        raise ValueError("sample covariance overflows a double")
     return (c + c.T) / 2.0
 
 

@@ -13,8 +13,8 @@ the eigenbasis and cost O(m^2).  Every density map goes through one kernel,
 so a beta sweep needs a single eigendecomposition.  The kernel reduces over the
 last axis, so spectra stacked on leading axes (one per window, trial or noise
 level) are mapped by one call.  It subtracts the maximum exponent before
-exponentiating and returns ln Z rather than Z.  |beta| * ||C|| is capped at 700
-to stay inside double range.
+exponentiating and returns ln Z rather than Z, so any finite beta maps any C;
+a range error is raised only where a double really overflows.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from . import spectral
 from .covariance import as_matrix
 from .errors import BetaRangeError, ShapeError
 
-OVERFLOW_GUARD = 700.0
+_LOG_DBL_MAX = math.log(np.finfo(float).max)
 
 # Below this |beta * a| the (e^a - 1)/a factor is replaced by its series limit.
 _F_SERIES_EPS = 1e-8
@@ -39,9 +39,10 @@ class DensityOperator:
     """Spectral form of exp(-beta C) / Z.
 
     ``density_eigenvalues[i]`` is exp(-beta * lambda_i) / Z aligned with
-    ``basis`` (source eigenvalues ascending).  All density eigenvalues are
-    strictly positive and sum to one, even when C is singular.
-    ``log_partition`` is ln Z.
+    ``basis`` (source eigenvalues ascending).  They sum to one and are positive
+    even when C is singular, but one with |beta| |lambda_i - lambda_top| >~ 745,
+    lambda_top the eigenvalue of largest density, underflows to 0.0 (cvne counts
+    it as 0 ln 0).  ``log_partition`` is ln Z.
     """
 
     beta: float
@@ -51,7 +52,7 @@ class DensityOperator:
 
     @property
     def partition_function(self) -> float:
-        return math.exp(self.log_partition)
+        return _exp("Z", self.log_partition)
 
     @property
     def dim(self) -> int:
@@ -78,14 +79,11 @@ def _norm(eigenvalues: np.ndarray):
     return np.max(np.abs(eigenvalues), axis=-1, initial=0.0)
 
 
-def _check_guard(betas, eigenvalues: np.ndarray):
-    """Raise for the first spectrum and beta, in order, with |beta| * ||C|| past the guard."""
-    products = np.ravel(_norm(eigenvalues)[..., None] * np.abs(np.ravel(betas)))
-    over = np.flatnonzero(products > OVERFLOW_GUARD)
-    if over.size:
-        raise BetaRangeError(
-            f"|beta| * ||C|| = {products[over[0]]:.3e} exceeds the overflow guard {OVERFLOW_GUARD}"
-        )
+def _exp(name: str, exponent: float, exp=math.exp) -> float:
+    """``exp(exponent)`` of a log-domain quantity; BetaRangeError where that double overflows."""
+    if exponent > _LOG_DBL_MAX:
+        raise BetaRangeError(f"{name} = exp({exponent:.6g}) overflows a double")
+    return exp(exponent)
 
 
 def density_values(eigenvalues, betas) -> tuple[np.ndarray, np.ndarray]:
@@ -95,19 +93,24 @@ def density_values(eigenvalues, betas) -> tuple[np.ndarray, np.ndarray]:
     leading axes; each spectrum's rows are computed exactly as a 1-D call would.
     Each row's exponents are shifted by their maximum before exponentiating, so
     every entry is finite and ln Z stays finite even where Z itself would overflow.
+    Raises ValueError for a NaN or infinite beta, BetaRangeError where beta * lambda overflows.
     """
     lam = np.asarray(eigenvalues, dtype=float)
-    exponents = -(np.ravel(betas)[:, None] * lam[..., None, :])
-    shift = exponents.max(axis=-1)
+    betas = np.ravel(betas)
+    # An overflowed product that is not a row maximum only underflows its weight to 0.0.
+    with np.errstate(over="ignore", invalid="ignore"):
+        exponents = -(betas[:, None] * lam[..., None, :])
+        shift = exponents.max(axis=-1)
+    if not np.all(np.isfinite(shift)):
+        if not np.all(np.isfinite(betas)):
+            raise ValueError("beta must be finite")
+        # Name the first failing spectrum and beta, in order, as a one-by-one evaluation meets them.
+        k = np.flatnonzero(~np.isfinite(shift))[0]
+        beta, norm = betas[k % betas.size], np.ravel(_norm(lam))[k // betas.size]
+        raise BetaRangeError(f"beta * lambda overflows a double at beta = {beta:.6g}, ||C|| = {norm:.6g}")
     weights = np.exp(exponents - shift[..., None])
     total = weights.sum(axis=-1)
     return weights / total[..., None], shift + np.log(total)
-
-
-def _guarded_values(eigenvalues, betas) -> tuple[np.ndarray, np.ndarray]:
-    """density_values after the overflow guard has passed every spectrum and beta."""
-    _check_guard(betas, eigenvalues)
-    return density_values(eigenvalues, betas)
 
 
 def density_operator(c, beta: float) -> DensityOperator:
@@ -117,10 +120,10 @@ def density_operator(c, beta: float) -> DensityOperator:
     SpectralDecomposition (which is used as is, without decomposing again).
 
     Raises:
-        BetaRangeError: |beta| * ||C|| exceeds the overflow guard.
+        ValueError, BetaRangeError: as :func:`density_values`.
     """
     decomp = _as_decomposition(c)
-    rho, log_z = _guarded_values(decomp.eigenvalues, (beta,))
+    rho, log_z = density_values(decomp.eigenvalues, (beta,))
     rho.flags.writeable = False
     return DensityOperator(
         beta=float(beta),
@@ -131,12 +134,12 @@ def density_operator(c, beta: float) -> DensityOperator:
 
 
 def _log_partition(eigenvalues: np.ndarray, beta: float) -> float:
-    return float(_guarded_values(eigenvalues, (beta,))[1][0])
+    return float(density_values(eigenvalues, (beta,))[1][0])
 
 
 def partition_function(c, beta: float) -> float:
-    """Z = sum_i exp(-beta * lambda_i)."""
-    return math.exp(_log_partition(np.linalg.eigvalsh(as_matrix(c)), beta))
+    """Z = sum_i exp(-beta * lambda_i); BetaRangeError where Z overflows a double."""
+    return _exp("Z", _log_partition(np.linalg.eigvalsh(as_matrix(c)), beta))
 
 
 def f_factor(beta: float, norm_c: float, norm_c_plus_dc: float) -> float:
@@ -145,23 +148,24 @@ def f_factor(beta: float, norm_c: float, norm_c_plus_dc: float) -> float:
     Equals 1 for beta >= 0.  For beta < 0 it is
     exp(|beta| ||C||) * (exp(|beta| a) - 1) / (|beta| a) with
     a = ||C + dC|| - ||C||; the removable singularity at a -> 0 is filled with
-    the series limit.  Continuous at beta -> 0 with limit 1.
+    the series limit.  Continuous at beta -> 0 with limit 1.  Raises
+    BetaRangeError where exp(|beta| ||C||) or exp(|beta| a) overflows a double.
     """
     if norm_c < 0 or norm_c_plus_dc < 0:
         raise ValueError("norms must be nonnegative")
     if beta >= 0:
         return 1.0
-    amp = math.exp(abs(beta) * norm_c)
+    amp = _exp("exp(|beta| ||C||)", abs(beta) * norm_c)
     a = norm_c_plus_dc - norm_c
     arg = abs(beta) * a
     if abs(arg) < _F_SERIES_EPS:
         return amp
-    return amp * math.expm1(arg) / arg
+    return amp * _exp("exp(|beta| a)", arg, math.expm1) / arg
 
 
 def _error_bound(beta, dim, norm_c, norm_perturbed, norm_dc, log_z, log_z_perturbed) -> float:
     """The density error bound from operator norms and the two log partition functions."""
-    ratio = math.exp(log_z_perturbed - log_z)
+    ratio = _exp("Z'/Z", log_z_perturbed - log_z)
     factor = f_factor(beta, norm_c, norm_perturbed)
     tail = 1.0 + dim * math.exp(abs(beta) * norm_c if beta < 0 else 0.0)
     return float(abs(beta) * norm_dc * factor / ratio * tail)
@@ -192,4 +196,4 @@ def partition_ratio(c, dc, beta: float) -> float:
     """R = Z(C + dC) / Z(C), the measured partition-function ratio."""
     c = as_matrix(c)
     log_z_perturbed = _log_partition(np.linalg.eigvalsh(as_matrix(c + np.asarray(dc, dtype=float))), beta)
-    return math.exp(log_z_perturbed - _log_partition(np.linalg.eigvalsh(c), beta))
+    return _exp("Z'/Z", log_z_perturbed - _log_partition(np.linalg.eigvalsh(c), beta))

@@ -2,9 +2,11 @@
 
 The entropy of a covariance matrix at inverse temperature beta is the Shannon
 entropy of its density operator's eigenvalue distribution.  Because those
-eigenvalues are strictly positive even when C is singular, the entropy is
-finite for rank-deficient matrices where log-det formulas diverge, and unlike
-the trace-normalized surrogate it responds to global scale changes.
+eigenvalues are positive even when C is singular, the entropy is finite for
+rank-deficient matrices where log-det formulas diverge, and unlike the
+trace-normalized surrogate it responds to global scale changes.  (In doubles, a
+density eigenvalue with |beta| |lambda_i - lambda_top| >~ 745, lambda_top the
+eigenvalue of largest density, underflows to 0.0 and counts as 0 ln 0.)
 
 Internal unit is nats; bits are carried alongside for reporting.
 """
@@ -25,7 +27,7 @@ from .covariance import (
     as_matrix,
     shift_regularize,
 )
-from .density import _guarded_values, density_operator
+from .density import density_operator, density_values
 from .errors import DegenerateCovarianceError, ShapeError
 
 _RANK_RTOL = 1e-10
@@ -69,7 +71,7 @@ def _shannon_nats(values: np.ndarray):
     """-sum p ln p of each distribution on the last axis, floored at zero; 0 ln 0 counts as 0."""
     # An entry that underflowed to 0 contributes 0 ln 1 = 0 instead of 0 * -inf = NaN.
     terms = values * np.log(np.where(values > 0.0, values, 1.0))
-    # fmax(0, x) keeps 0.0 where x is -0.0 or NaN (a NaN beta), exactly as max(0.0, x) does.
+    # fmax(0, x) keeps 0.0 where x is -0.0, exactly as max(0.0, x) does.
     return np.fmax(0.0, -np.sum(terms, axis=-1))
 
 
@@ -173,14 +175,12 @@ class DiscriminationResult:
 
 
 def _window_entropies(covariances: np.ndarray, beta: float) -> tuple[np.ndarray, np.ndarray]:
-    """Naive and density entropies (bits) of stacked covariances, with every check of
-    CovarianceMatrix, naive_entropy and cvne, from one ``eigvalsh`` of the stack."""
-    if not np.all(np.isfinite(covariances)):
-        raise ValueError("matrix contains non-finite entries")
+    """Naive and density entropies (bits) of stacked finite sample covariances, with every
+    other check of CovarianceMatrix, naive_entropy and cvne, from one ``eigvalsh``."""
     eigenvalues = np.linalg.eigvalsh(covariances)
     _check_psd(eigenvalues)
     naive = _naive_bits(eigenvalues)
-    rho, _ = _guarded_values(eigenvalues, (beta,))
+    rho, _ = density_values(eigenvalues, (beta,))
     return naive, _shannon_nats(rho[..., 0, :]) / math.log(2.0)
 
 

@@ -18,7 +18,7 @@ class DegenerateCovarianceError(ValueError):
 
 
 class BetaRangeError(ValueError):
-    """|beta| * ||C|| exceeds the overflow guard for matrix exponentials."""
+    """beta * lambda, or a scalar formed from it such as Z or exp(|beta| ||C||), overflows a double."""
 
 
 class InfeasibleTargetError(ValueError):

@@ -112,6 +112,8 @@ def _as_permutation(permutation, dim: int) -> np.ndarray:
         if not np.array_equal(rebuilt, p):
             raise ValueError("matrix is not a permutation matrix")
         return perm
+    if not np.all(np.isfinite(p)):
+        raise ValueError(f"invalid permutation of {dim} indices")
     perm = p.astype(int)
     # Comparing with p rejects entries that the integer cast truncated (0.9 -> 0).
     if perm.shape != (dim,) or not np.array_equal(perm, p) or not np.array_equal(np.sort(perm), np.arange(dim)):

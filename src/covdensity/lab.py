@@ -169,7 +169,8 @@ def run_stability(cfg: ExperimentConfig) -> list[TrialRecord]:
     betas = cfg.betas or (-1.0, -0.1, 0.0, 0.1, 1.0, 5.0)
     noise_levels = cfg.noise_levels or (0.01, 0.05, 0.1, 0.2, 0.5)
 
-    def one_trial(t: int) -> list[TrialRecord]:
+    records = []
+    for t in range(cfg.trials):
         rng = np.random.default_rng([cfg.seed, t])
         data = gen_gaussian_data(cfg.dim, cfg.n_samples, "gaussian", seed=[cfg.seed, t, 1])
         cov = sample_covariance(data)
@@ -178,16 +179,15 @@ def run_stability(cfg: ExperimentConfig) -> list[TrialRecord]:
         # while keeping Z >= 1, which is what makes the error bound valid.
         reg = shift_regularize(cov)
         base = spectral.eigh(reg.matrix)
-        values_base, log_z_base = density._guarded_values(base.eigenvalues, betas)
+        values_base, log_z_base = density.density_values(base.eigenvalues, betas)
         rho_base = spectral.spectral_matrix(base, values_base)
         norm_base = density._norm(base.eigenvalues)
         tn_base = cov.matrix / np.trace(cov.matrix)
-        records = []
         for eps in noise_levels:
             dc = _symmetric_noise(rng, cfg.dim, eps)
             perturbed = cov.matrix + dc
             pert = spectral.eigh(reg.matrix + dc)
-            rho_pert, log_z_pert = density._guarded_values(pert.eigenvalues, betas)
+            rho_pert, log_z_pert = density.density_values(pert.eigenvalues, betas)
             norm_pert = density._norm(pert.eigenvalues)
             deltas = [dc, perturbed / np.trace(perturbed) - tn_base]
             deltas.extend(spectral.spectral_matrix(pert, rho_pert) - rho_base)
@@ -217,9 +217,7 @@ def run_stability(cfg: ExperimentConfig) -> list[TrialRecord]:
                         },
                     )
                 )
-        return records
-
-    return [record for t in range(cfg.trials) for record in one_trial(t)]
+    return records
 
 
 def run_lipschitz(cfg: ExperimentConfig) -> list[TrialRecord]:
@@ -232,7 +230,8 @@ def run_lipschitz(cfg: ExperimentConfig) -> list[TrialRecord]:
     """
     lo, hi = cfg.eigenvalue_range
 
-    def one_trial(t: int) -> list[TrialRecord]:
+    records = []
+    for t in range(cfg.trials):
         rng = np.random.default_rng([cfg.seed, t])
         lam1, lam2 = rng.uniform(lo, hi, size=2)
         order = int(rng.integers(1, cfg.max_filter_order + 1))
@@ -242,13 +241,13 @@ def run_lipschitz(cfg: ExperimentConfig) -> list[TrialRecord]:
         alpha = filtering.lipschitz_alpha(spec)
         gap = abs(lam2 - lam1)
         if gap < 1e-12 or alpha == 0.0:
-            return []
+            continue
         log_z = density._log_partition(np.sort([lam1, lam2]), beta)
         diff = abs(
             filtering._log_frequency_response(spec, lam2, log_z)
             - filtering._log_frequency_response(spec, lam1, log_z)
         )
-        return [
+        records.append(
             TrialRecord(
                 experiment="lipschitz",
                 seed=cfg.seed,
@@ -262,9 +261,8 @@ def run_lipschitz(cfg: ExperimentConfig) -> list[TrialRecord]:
                     "ratio": diff / (alpha * gap),
                 },
             )
-        ]
-
-    return [record for t in range(cfg.trials) for record in one_trial(t)]
+        )
+    return records
 
 
 def matched_alignment(sample_cov: CovarianceMatrix, laplacian: np.ndarray, coeffs) -> tuple[float, bool]:
@@ -294,8 +292,8 @@ def run_surrogate(cfg: ExperimentConfig) -> list[TrialRecord]:
     """Eigenvector convergence of the sample covariance to the graph Laplacian."""
     grid = cfg.sample_grid or (100, 2000, 20000)
 
-    def one_trial(t: int) -> list[TrialRecord]:
-        records = []
+    records = []
+    for t in range(cfg.trials):
         for n in grid:
             data, laplacian = gen_graph_stationary(
                 cfg.dim, n, cfg.edge_prob, cfg.filter_coeffs, seed=[cfg.seed, t, n]
@@ -312,9 +310,7 @@ def run_surrogate(cfg: ExperimentConfig) -> list[TrialRecord]:
                     metrics=metrics,
                 )
             )
-        return records
-
-    return [record for t in range(cfg.trials) for record in one_trial(t)]
+    return records
 
 
 def shifted_feature_transform(cov_tn, beta: float) -> np.ndarray:
@@ -355,8 +351,8 @@ def run_regression(cfg: ExperimentConfig) -> list[TrialRecord]:
     grid = cfg.sample_grid or (25, 50, 100, 250, 1000)
     pool_size = max(max(grid), cfg.dim + 1)
 
-    def one_trial(t: int) -> list[TrialRecord]:
-        records = []
+    records = []
+    for t in range(cfg.trials):
         for noise in noise_levels:
             rng = np.random.default_rng([cfg.seed, t, int(round(noise * 1000))])
             weights = np.zeros(cfg.dim)
@@ -386,22 +382,20 @@ def run_regression(cfg: ExperimentConfig) -> list[TrialRecord]:
                             metrics={"mae": mae, "baseline_mae": baseline},
                         )
                     )
-        return records
-
-    return [record for t in range(cfg.trials) for record in one_trial(t)]
+    return records
 
 
 def run_entropy_curve(cfg: ExperimentConfig) -> list[TrialRecord]:
     """Density entropy over a beta grid for Gaussian/Exponential/Gamma covariances."""
     beta_grid = cfg.betas or tuple(np.linspace(0.0, 15.0, 16))
 
-    def one_trial(t: int) -> list[TrialRecord]:
-        records = []
+    records = []
+    for t in range(cfg.trials):
         for fam_idx, family in enumerate(cfg.families):
             data = gen_gaussian_data(cfg.dim, cfg.n_samples, family, seed=[cfg.seed, t, fam_idx])
             # The shifted matrix's PSD check already holds its spectrum (eigvalsh order).
             eigenvalues = shift_regularize(sample_covariance(data))._eigenvalues
-            rho, _ = density._guarded_values(eigenvalues, beta_grid)
+            rho, _ = density.density_values(eigenvalues, beta_grid)
             for beta, nats in zip(beta_grid, entropy._shannon_nats(rho)):
                 records.append(
                     TrialRecord(
@@ -411,9 +405,7 @@ def run_entropy_curve(cfg: ExperimentConfig) -> list[TrialRecord]:
                         metrics={"entropy_nats": nats, "entropy_bits": nats / math.log(2.0)},
                     )
                 )
-        return records
-
-    return [record for t in range(cfg.trials) for record in one_trial(t)]
+    return records
 
 
 def run_discrimination(cfg: ExperimentConfig) -> list[TrialRecord]:
@@ -456,8 +448,8 @@ def run_betafit_demo(cfg: ExperimentConfig) -> list[TrialRecord]:
     """
     noise_levels = cfg.noise_levels or (0.1,)
 
-    def one_trial(t: int) -> list[TrialRecord]:
-        records = []
+    records = []
+    for t in range(cfg.trials):
         rng = np.random.default_rng([cfg.seed, t])
         data = gen_gaussian_data(cfg.dim, cfg.n_samples, "gaussian", seed=[cfg.seed, t, 2])
         cov = sample_covariance(data)
@@ -485,9 +477,7 @@ def run_betafit_demo(cfg: ExperimentConfig) -> list[TrialRecord]:
                     },
                 )
             )
-        return records
-
-    return [record for t in range(cfg.trials) for record in one_trial(t)]
+    return records
 
 
 RUNNERS = {

@@ -52,6 +52,11 @@ class TestMomentObjective:
         with pytest.raises(ValueError):
             moment_objective([1.0, 2.0], [1.0], 1.0)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_spectrum(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            fit_beta([bad, 1.0, 2.0], [0.2, 0.3, 0.5])
+
 
 class TestMomentDerivatives:
     def test_gradient_zero_when_target_is_density(self, rng):

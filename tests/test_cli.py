@@ -108,6 +108,21 @@ class TestEntropyCommand:
         assert code == 2
         assert "non-finite" in err and "RuntimeWarning" not in err
 
+    def test_non_finite_beta_is_runtime_error(self, capsys, tmp_path, rank_one_cov):
+        code, _, err = run_cli(
+            capsys, "entropy", "--input", rank_one_cov, "--input-is-covariance",
+            "--beta", "nan", "--output-dir", str(tmp_path / "out"),
+        )
+        assert code == 2
+        assert "error: beta must be finite" in err
+
+    def test_overflowing_sample_covariance_is_runtime_error(self, capsys, tmp_path):
+        path = tmp_path / "data.csv"
+        path.write_text("1e200,-1e200\n-1e200,1e200\n1e200,1e200\n")
+        code, _, err = run_cli(capsys, "entropy", "--input", str(path), "--output-dir", str(tmp_path / "out"))
+        assert code == 2
+        assert "error: sample covariance overflows a double" in err and "RuntimeWarning" not in err
+
 
 class TestFitBetaCommand:
     def test_closed_form_case(self, capsys, tmp_path):
@@ -137,6 +152,16 @@ class TestDensityCommand:
         values = [float(v) for v in out.strip().split(",")]
         z = 2.0 + math.exp(-2.0)
         np.testing.assert_allclose(sorted(values), sorted([1 / z, 1 / z, math.exp(-2.0) / z]), rtol=1e-6)
+
+    def test_overflowing_partition_function_writes_nothing(self, capsys, tmp_path, rank_one_cov):
+        out_dir = tmp_path / "out"
+        code, out, err = run_cli(
+            capsys, "density", "--input", rank_one_cov, "--input-is-covariance",
+            "--beta", "-800", "--output-dir", str(out_dir),
+        )
+        assert code == 2
+        assert "error: Z = exp(1600) overflows a double" in err
+        assert out == "" and not out_dir.exists()
 
 
 class TestExperimentCommands:
@@ -171,6 +196,14 @@ class TestExperimentCommands:
             )
             assert code == 0
         assert (dirs[0] / "results.csv").read_bytes() == (dirs[1] / "results.csv").read_bytes()
+
+    def test_overflowing_error_bound_is_runtime_error(self, capsys, tmp_path):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"dim": 4, "trials": 1, "betas": [-1000]}))
+        code, out, err = run_cli(capsys, "stability", "--config", str(cfg_path), "--output-dir", str(tmp_path / "out"))
+        assert code == 2
+        assert "error: exp(|beta| ||C||) = exp(" in err and "overflows a double" in err
+        assert out == ""
 
     def test_config_file_with_flag_override(self, capsys, tmp_path):
         cfg_path = tmp_path / "cfg.json"

@@ -16,6 +16,7 @@ from covdensity.density import (
     partition_function,
     partition_ratio,
 )
+from covdensity.entropy import cvne
 from covdensity.errors import BetaRangeError, ShapeError
 from covdensity.spectral import eigh, operator_norm
 
@@ -78,9 +79,51 @@ class TestDensityOperator:
             for beta in (0.1, 1.0, 7.0):
                 assert partition_function(c, beta) >= 1.0
 
-    def test_overflow_guard(self):
-        with pytest.raises(BetaRangeError, match="guard"):
-            density_operator(np.diag([100.0, 0.0]), 8.0)
+    def test_defined_past_the_old_cap(self):
+        # |beta| * ||C|| used to be capped at 700, which broke shift invariance.
+        np.testing.assert_array_equal(
+            density_operator(np.diag([0.0, 800.0]), 1.5).density_eigenvalues,
+            density_operator(np.diag([-400.0, 400.0]), 1.5).density_eigenvalues,
+        )
+        np.testing.assert_array_equal(
+            density_operator(np.diag([1000.0, 999.0]), 1.0).density_eigenvalues,
+            density_operator(np.diag([1.0, 0.0]), 1.0).density_eigenvalues,
+        )
+
+    @pytest.mark.parametrize("beta", [math.nan, math.inf, -math.inf])
+    def test_non_finite_beta_rejected(self, beta):
+        c = np.diag([2.0, 0.0, 0.0])
+        with pytest.raises(ValueError, match="beta must be finite"):
+            density_operator(c, beta)
+        with pytest.raises(ValueError, match="beta must be finite"):
+            cvne(c, beta)
+        with pytest.raises(ValueError, match="beta must be finite"):
+            density_values([0.0, 0.0, 2.0], [1.0, beta])
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        arrays(np.float64, st.integers(2, 6), elements=st.floats(0.0, 10.0)),
+        st.one_of(st.floats(-5.0, -0.05), st.floats(0.05, 5.0)),
+        st.floats(760.0, 1e5),
+        st.sampled_from([-1.0, 1.0]),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_shift_invariance_past_the_old_cap(self, spectrum, beta, reach, sign, seed):
+        dim = spectrum.size
+        q, _ = np.linalg.qr(np.random.default_rng(seed).standard_normal((dim, dim)))
+        c = (q * spectrum) @ q.T
+        shifted = c + sign * reach / abs(beta) * np.eye(dim)
+        norm = operator_norm(shifted)
+        assert abs(beta) * norm > 700.0
+        # Rounding C + sI, its eigenvalues and each beta * lambda moves an exponent
+        # by a small multiple of eps |beta| ||C + sI||; each rho_i and Z carry that
+        # as a relative error.
+        rtol = 8 * dim * np.finfo(float).eps * abs(beta) * norm
+        rho = density_operator(c, beta).density_eigenvalues
+        np.testing.assert_allclose(density_operator(shifted, beta).density_eigenvalues, rho, rtol=rtol, atol=0)
+        # -sum rho_i ln rho_i then moves by at most rtol * (1 + max |ln rho_i|).
+        atol = rtol * (1.0 + float(np.max(-np.log(rho))))
+        assert abs(cvne(shifted, beta).entropy_nats - cvne(c, beta).entropy_nats) <= atol
 
 
 class TestPartitionFunction:
@@ -254,6 +297,45 @@ class TestDecomposeOnce:
             np.testing.assert_array_equal(from_decomp.density_eigenvalues, from_matrix.density_eigenvalues)
             assert from_decomp.log_partition == from_matrix.log_partition
 
-    def test_guard_applies_to_decomposition_input(self):
-        with pytest.raises(BetaRangeError, match="guard"):
-            density_operator(eigh(np.diag([100.0, 0.0])), 8.0)
+    def test_decomposition_input_past_the_old_cap(self):
+        c = np.diag([1000.0, 999.0])
+        from_decomp = density_operator(eigh(c), 1.0)
+        from_matrix = density_operator(c, 1.0)
+        np.testing.assert_array_equal(from_decomp.density_eigenvalues, from_matrix.density_eigenvalues)
+        assert from_decomp.log_partition == from_matrix.log_partition
+
+
+class TestRangeErrors:
+    """BetaRangeError only where a double really overflows, with no RuntimeWarning first."""
+
+    def test_overflowing_exponent(self):
+        with pytest.raises(BetaRangeError, match="overflows a double"):
+            density_values([0.0, 10.0], [-1e308])
+
+    def test_first_failing_spectrum_and_beta_are_named(self):
+        stack = np.array([[0.0, 1.0], [0.0, 3.0], [0.0, 5.0]])
+        with pytest.raises(BetaRangeError, match=r"beta = -1e\+308, \|\|C\|\| = 3$"):
+            density_values(stack, [1.0, -1e308])
+
+    def test_partition_function_overflow(self):
+        c = np.diag([2.0, 0.0, 0.0])
+        rho = density_operator(c, -800.0)
+        np.testing.assert_array_equal(rho.density_eigenvalues, [0.0, 0.0, 1.0])
+        assert rho.log_partition == 1600.0
+        with pytest.raises(BetaRangeError, match="Z = exp"):
+            rho.partition_function
+        with pytest.raises(BetaRangeError, match="Z = exp"):
+            partition_function(c, -800.0)
+
+    def test_f_factor_overflow(self):
+        with pytest.raises(BetaRangeError, match=r"exp\(\|beta\| \|\|C\|\|\)"):
+            f_factor(-1.0, 800.0, 800.0)
+        with pytest.raises(BetaRangeError, match=r"exp\(\|beta\| a\)"):
+            f_factor(-1.0, 0.0, 800.0)
+
+    def test_partition_ratio_overflow(self):
+        c, dc = np.zeros((2, 2)), np.diag([800.0, 0.0])
+        with pytest.raises(BetaRangeError, match="Z'/Z"):
+            partition_ratio(c, dc, -1.0)
+        with pytest.raises(BetaRangeError, match="Z'/Z"):
+            density_error_bound(c, dc, -1.0)

@@ -339,17 +339,15 @@ class TestBatchedDiscrimination:
         [
             ((0.0, 0.0, 0.0), (1.0, 1.0, 1.0), 2.0, DegenerateCovarianceError),
             ((-1.0, 1.0, 0.0), (1.0, 1.0, 1.0), 2.0, ValueError),
-            ((1.0, 1.0, 0.0), (1.3, 1.2, 1.1), 1e6, BetaRangeError),
-            # Regime 1 cannot be drawn, but regime 0's first window fails the guard first.
-            ((1.0, 1.0, 0.0), (-1.0, 1.0, 1.0), 1e6, BetaRangeError),
+            # beta * lambda overflows a double where lambda_max > 1.06, as in the first window.
+            ((1.0, 1.0, 0.0), (1.3, 1.2, 1.1), -1.7e308, BetaRangeError),
+            # Regime 1 cannot be drawn, but regime 0's first window overflows first.
+            ((1.0, 1.0, 0.0), (-1.0, 1.0, 1.0), -1.7e308, BetaRangeError),
             ((1.0, 1.0, 0.0), (0.0, 0.0, 0.0), 2.0, DegenerateCovarianceError),
-            # Only some windows exceed the guard; the first of them is named.
-            ((1.0, 1.0, 0.0), (1.3, 1.2, 1.1), 480.0, BetaRangeError),
+            # Only windows with lambda_max > 1.8 overflow; the first of them is named.
+            ((1.0, 1.0, 0.0), (1.3, 1.2, 1.1), -1e308, BetaRangeError),
             # Finite draws whose covariance overflows to inf.
-            pytest.param(
-                (1e308, 1.0, 0.0), (1.0, 1.0, 1.0), 2.0, ValueError,
-                marks=pytest.mark.filterwarnings("ignore:overflow encountered in matmul:RuntimeWarning"),
-            ),
+            ((1e308, 1.0, 0.0), (1.0, 1.0, 1.0), 2.0, ValueError),
         ],
     )
     def test_raises_what_the_first_failing_window_raises(self, base, scale, beta, error):
@@ -359,6 +357,14 @@ class TestBatchedDiscrimination:
             window_by_window(12, 30, beta, scale, base, 0)
         assert type(batched.value) is type(one_by_one.value)
         assert str(batched.value) == str(one_by_one.value)
+
+    @pytest.mark.parametrize("beta", [480.0, 1e6, -800.0])
+    def test_betas_past_the_old_cap_match_window_by_window(self, beta):
+        # These betas once raised BetaRangeError; every window's density is well defined.
+        result = discrimination_experiment(12, 30, beta, (1.3, 1.2, 1.1), (1.0, 1.0, 0.0), 0)
+        _, _, vne_eigvalsh = window_by_window(12, 30, beta, (1.3, 1.2, 1.1), (1.0, 1.0, 0.0), 0)
+        got_vne = np.array([[w.s_vne_bits for w in result.windows if w.regime == r] for r in (0, 1)])
+        np.testing.assert_array_equal(got_vne, vne_eigvalsh)
 
     @pytest.mark.filterwarnings("ignore:invalid value encountered in sqrt:RuntimeWarning")
     def test_negative_base_spectrum_is_non_finite_data(self):

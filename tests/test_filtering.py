@@ -204,6 +204,9 @@ class TestPermutationEquivariance:
         # Truncating these floats would give the identity [0, 1, 2].
         with pytest.raises(ValueError, match="invalid permutation"):
             check_permutation_equivariance(spec, np.diag([1.0, 2.0, 3.0]), np.ones(3), [0.9, 1.2, 2.0])
+        # A NaN entry is rejected before the integer cast, which would warn on it.
+        with pytest.raises(ValueError, match="invalid permutation"):
+            check_permutation_equivariance(spec, np.diag([1.0, 2.0, 3.0]), np.ones(3), [np.nan, 1.0, 2.0])
 
 
 class TestFilterSpecValidation:

@@ -390,11 +390,12 @@ class TestDecomposeOnce:
         # (an eigvalsh, counted below); no eigh is needed on top of it.
         assert eigh_calls == []
 
-    def test_entropy_curve_guard_names_the_first_failing_beta(self):
-        cfg = ExperimentConfig(experiment="entropy_curve", dim=5, trials=1, seed=1, betas=(1.0, 1e4, 1e5))
+    def test_entropy_curve_range_error_names_the_first_failing_beta(self):
+        # The first family's lambda_max is 1.38, so both negative betas overflow beta * lambda.
+        cfg = ExperimentConfig(experiment="entropy_curve", dim=5, trials=1, seed=1, betas=(1e4, -1.5e308, -1.7e308))
         data = gen_gaussian_data(cfg.dim, cfg.n_samples, cfg.families[0], seed=[cfg.seed, 0, 0])
         with pytest.raises(BetaRangeError) as expected:
-            entropy.cvne(shift_regularize(sample_covariance(data)), 1e4)
+            entropy.cvne(shift_regularize(sample_covariance(data)), -1.5e308)
         with pytest.raises(BetaRangeError) as got:
             run_entropy_curve(cfg)
         assert str(got.value) == str(expected.value)
