@@ -43,6 +43,8 @@ def _validate(spectrum, target_p):
         raise ValueError("spectrum must be a non-empty, finite 1-D sequence")
     if p.shape != lam.shape:
         raise ValueError(f"target length {p.shape} does not match spectrum {lam.shape}")
+    if not np.all(np.isfinite(p)):
+        raise ValueError(f"target probabilities must be finite, got {float(p[~np.isfinite(p)][0])!r}")
     if np.any(p < 0):
         raise ValueError("target probabilities must be nonnegative")
     if abs(float(p.sum()) - 1.0) > 1e-10:

@@ -2,7 +2,7 @@
 
 Every subcommand resolves its configuration (JSON file plus flag overrides,
 flags winning), writes a run manifest, and emits machine-readable outputs
-under --output-dir: results.csv (one trial record per row), summary.json, and
+under --output-dir: results.csv (one run-table row per line), summary.json, and
 for training model.json.  stdout carries only the primary result; diagnostics
 go to stderr.
 
@@ -257,21 +257,17 @@ def _cmd_entropy(args) -> int:
     value = report.entropy_bits if args.unit == "bits" else report.entropy_nats
     out_dir = _ensure_output_dir(args)
     _write_manifest(out_dir, "entropy", {"beta": beta, "unit": args.unit, "input": args.input}, args.seed or 0)
-    record = lab.TrialRecord(
-        experiment="entropy",
-        seed=args.seed or 0,
-        params={"beta": beta},
-        metrics={
-            "entropy_nats": report.entropy_nats,
-            "entropy_bits": report.entropy_bits,
-            "gibbs_form_nats": report.gibbs_form_nats,
-            "naive_entropy_bits": naive_bits,
-            "source_dim": report.source_dim,
-            "source_rank_estimate": report.source_rank_estimate,
-        },
-    )
-    lab.records_to_csv([record], os.path.join(out_dir, "results.csv"))
-    _write_summary(out_dir, {"entropy": record.metrics, "unit": args.unit})
+    metrics = {
+        "entropy_nats": report.entropy_nats,
+        "entropy_bits": report.entropy_bits,
+        "gibbs_form_nats": report.gibbs_form_nats,
+        "naive_entropy_bits": naive_bits,
+        "source_dim": report.source_dim,
+        "source_rank_estimate": report.source_rank_estimate,
+    }
+    table = lab.RunTable("entropy", args.seed or 0, {"beta": [beta]}, {k: [v] for k, v in metrics.items()})
+    lab.records_to_csv(table, os.path.join(out_dir, "results.csv"))
+    _write_summary(out_dir, {"entropy": {k: c[0] for k, c in table.metrics.items()}, "unit": args.unit})
     print(f"{value:.10g}")
     return 0
 
@@ -283,19 +279,11 @@ def _cmd_density(args) -> int:
     z = rho.partition_function  # raises on overflow before any file is written
     out_dir = _ensure_output_dir(args)
     _write_manifest(out_dir, "density", {"beta": beta, "input": args.input}, args.seed or 0)
-    records = [
-        lab.TrialRecord(
-            experiment="density",
-            seed=args.seed or 0,
-            params={"index": i},
-            metrics={
-                "source_eigenvalue": rho.source_spectrum[i],
-                "density_eigenvalue": rho.density_eigenvalues[i],
-            },
-        )
-        for i in range(rho.dim)
-    ]
-    lab.records_to_csv(records, os.path.join(out_dir, "results.csv"))
+    table = lab.RunTable(
+        "density", args.seed or 0, {"index": range(rho.dim)},
+        {"source_eigenvalue": rho.source_spectrum, "density_eigenvalue": rho.density_eigenvalues},
+    )
+    lab.records_to_csv(table, os.path.join(out_dir, "results.csv"))
     _write_summary(out_dir, {"partition_function": z, "beta": beta, "dim": rho.dim})
     print(",".join(f"{v:.10g}" for v in rho.density_eigenvalues))
     return 0
@@ -320,21 +308,17 @@ def _cmd_fit_beta(args) -> int:
         {"spectrum": list(spectrum), "target": list(target), "tol": args.tol},
         args.seed or 0,
     )
-    record = lab.TrialRecord(
-        experiment="fit_beta",
-        seed=args.seed or 0,
-        params={},
-        metrics={
-            "beta_star": result.beta_star,
-            "objective_value": result.objective_value,
-            "gradient_at_solution": result.gradient_at_solution,
-            "curvature_at_solution": result.curvature_at_solution,
-            "iterations": result.iterations,
-            "degenerate": float(result.degenerate),
-        },
-    )
-    lab.records_to_csv([record], os.path.join(out_dir, "results.csv"))
-    _write_summary(out_dir, {"fit": record.metrics})
+    metrics = {
+        "beta_star": result.beta_star,
+        "objective_value": result.objective_value,
+        "gradient_at_solution": result.gradient_at_solution,
+        "curvature_at_solution": result.curvature_at_solution,
+        "iterations": result.iterations,
+        "degenerate": result.degenerate,
+    }
+    table = lab.RunTable("fit_beta", args.seed or 0, {}, {k: [v] for k, v in metrics.items()})
+    lab.records_to_csv(table, os.path.join(out_dir, "results.csv"))
+    _write_summary(out_dir, {"fit": {k: c[0] for k, c in table.metrics.items()}})
     print(f"{result.beta_star:.10g}")
     return 0
 
@@ -343,31 +327,30 @@ def _cmd_experiment(args, experiment: str) -> int:
     cfg = _resolve_experiment_config(args, experiment)
     out_dir = _ensure_output_dir(args)
     _write_manifest(out_dir, args.subcommand, cfg.__dict__, cfg.seed)
-    records = lab.run_experiment(cfg)
-    lab.records_to_csv(records, os.path.join(out_dir, "results.csv"))
-    headline = _experiment_headline(experiment, records)
-    _write_summary(out_dir, {"headline": headline, "groups": lab.summarize(records)})
+    table = lab.run_experiment(cfg)
+    lab.records_to_csv(table, os.path.join(out_dir, "results.csv"))
+    headline = _experiment_headline(experiment, table)
+    _write_summary(out_dir, {"headline": headline, "groups": lab.summarize(table)})
     print(headline)
     return 0
 
 
-def _experiment_headline(experiment: str, records) -> str:
-    if experiment == "discrimination":
-        aucs = [r for r in records if "auc_naive" in r.metrics]
-        if aucs:
-            return f"auc_naive={aucs[0].metrics['auc_naive']:.4f} auc_vne={aucs[0].metrics['auc_vne']:.4f}"
-    if experiment == "lipschitz":
-        ratios = [r.metrics["ratio"] for r in records if "ratio" in r.metrics]
-        if ratios:
-            return f"max_ratio={max(ratios):.6f} n={len(ratios)}"
+def _experiment_headline(experiment: str, table) -> str:
+    metrics = table.metrics
+    if experiment == "discrimination" and "auc_naive" in metrics:
+        i = next(i for i, v in enumerate(metrics["auc_naive"]) if v is not None)
+        return f"auc_naive={metrics['auc_naive'][i]:.4f} auc_vne={metrics['auc_vne'][i]:.4f}"
+    if experiment == "lipschitz" and "ratio" in metrics:
+        ratios = [v for v in metrics["ratio"] if v is not None]
+        return f"max_ratio={max(ratios):.6f} n={len(ratios)}"
     if experiment == "surrogate":
         by_n: dict = {}
-        for r in records:
-            if "alignment" in r.metrics:
-                by_n.setdefault(r.params["n_samples"], []).append(r.metrics["alignment"])
+        for n, alignment in zip(table.params.get("n_samples", ()), metrics.get("alignment", ())):
+            if alignment is not None:
+                by_n.setdefault(n, []).append(alignment)
         parts = [f"n={int(n)}:{float(np.mean(v)):.4f}" for n, v in sorted(by_n.items())]
         return "mean_alignment " + " ".join(parts)
-    return f"records={len(records)}"
+    return f"records={len(table)}"
 
 
 def _ensure_output_dir(args) -> str:
@@ -445,16 +428,8 @@ def _cmd_train(args) -> int:
     out_dir = _ensure_output_dir(args)
     _write_manifest(out_dir, "train", {**cfg, "horizon": args.horizon, "input": args.input}, cfg["seed"])
     network.save_model(os.path.join(out_dir, "model.json"), result.model, cov)
-    records = [
-        lab.TrialRecord(
-            experiment="train",
-            seed=cfg["seed"],
-            params={"epoch": i},
-            metrics={"train_loss": tr, "val_loss": va},
-        )
-        for i, (tr, va) in enumerate(zip(result.history["train_loss"], result.history["val_loss"]))
-    ]
-    lab.records_to_csv(records, os.path.join(out_dir, "results.csv"))
+    table = lab.RunTable("train", cfg["seed"], {"epoch": range(len(result.history["val_loss"]))}, result.history)
+    lab.records_to_csv(table, os.path.join(out_dir, "results.csv"))
     best_val = result.history["val_loss"][result.best_epoch] if result.history["val_loss"] else math.nan
     _write_summary(
         out_dir,
@@ -481,21 +456,15 @@ def _cmd_predict(args) -> int:
     _write_manifest(out_dir, "predict", {"model": model_path, "input": args.input, "horizon": args.horizon}, args.seed or 0)
     outs = network.forward_rows(model, decomp, data.values)
     if model.task == "classification":
-        labels = np.argmax(outs, axis=1).tolist()
-        lines = [str(label) for label in labels]
-        metrics = [{"label": float(label)} for label in labels]
+        labels = np.argmax(outs, axis=1)
+        lines = [str(label) for label in labels.tolist()]
+        metrics = {"label": labels}
     else:
         lines = [",".join(f"{v:.10g}" for v in out) for out in outs]
-        metrics = [{f"y{j}": float(v) for j, v in enumerate(out)} for out in outs]
-    records = [
-        lab.TrialRecord(
-            experiment="predict", seed=args.seed or 0,
-            params={"row": i, "target_row": i + args.horizon} if args.horizon else {"row": i},
-            metrics=row_metrics,
-        )
-        for i, row_metrics in enumerate(metrics)
-    ]
-    lab.records_to_csv(records, os.path.join(out_dir, "results.csv"))
+        metrics = {f"y{j}": outs[:, j] for j in range(outs.shape[1])}
+    rows = range(len(lines))
+    params = {"row": rows, "target_row": range(args.horizon, len(lines) + args.horizon)} if args.horizon else {"row": rows}
+    lab.records_to_csv(lab.RunTable("predict", args.seed or 0, params, metrics), os.path.join(out_dir, "results.csv"))
     _write_summary(out_dir, {"rows": len(lines), "task": model.task})
     print("\n".join(lines))
     return 0

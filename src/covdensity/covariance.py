@@ -80,18 +80,7 @@ class CovarianceMatrix:
     _eigenvalues: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        m = spectral.symmetrize(self.matrix)
-        eigenvalues = np.linalg.eigvalsh(m)
-        tolerance = _check_psd(eigenvalues)
-        min_eig = float(eigenvalues[0])
-        if self.regularization == Regularization.SHIFTED_MIN_EIG_ZERO:
-            if abs(min_eig) > tolerance:
-                raise ValueError(
-                    f"shift-regularized matrix has min eigenvalue {min_eig:.3e}, expected 0"
-                )
-        if self.regularization == Regularization.TRACE_NORMALIZED:
-            if abs(float(np.trace(m)) - 1.0) > 1e-10:
-                raise ValueError("trace-normalized matrix must have unit trace")
+        m, eigenvalues = _checked_spectra(spectral._as_square_array(self.matrix), self.regularization)
         m.flags.writeable = False
         eigenvalues.flags.writeable = False
         object.__setattr__(self, "matrix", m)
@@ -115,6 +104,25 @@ def _check_psd(eigenvalues: np.ndarray):
     return tolerance
 
 
+def _checked_spectra(matrices: np.ndarray, regularization=Regularization.RAW):
+    """Symmetrize a finite stack of matrices and check each as CovarianceMatrix checks one.
+
+    Returns the symmetrized stack and its ``eigvalsh`` spectra; a failure names the first failing matrix.
+    """
+    m = spectral._symmetrize(matrices)
+    eigenvalues = np.linalg.eigvalsh(m)
+    tolerance = _check_psd(eigenvalues)
+    if regularization == Regularization.SHIFTED_MIN_EIG_ZERO:
+        failing = np.flatnonzero(np.abs(eigenvalues[..., 0]) > tolerance)
+        if failing.size:
+            min_eig = float(np.ravel(eigenvalues[..., 0])[failing[0]])
+            raise ValueError(f"shift-regularized matrix has min eigenvalue {min_eig:.3e}, expected 0")
+    if regularization == Regularization.TRACE_NORMALIZED:
+        if np.any(np.abs(np.trace(m, axis1=-2, axis2=-1) - 1.0) > 1e-10):
+            raise ValueError("trace-normalized matrix must have unit trace")
+    return m, eigenvalues
+
+
 def as_matrix(c) -> np.ndarray:
     """Accept a CovarianceMatrix or a plain symmetric array; return the array."""
     if isinstance(c, CovarianceMatrix):
@@ -136,13 +144,16 @@ def sample_covariance(data: DataMatrix) -> CovarianceMatrix:
 
 
 def _covariance_array(x: np.ndarray) -> np.ndarray:
-    """The symmetric centered sample covariance (divisor n) of an observations-by-variables array."""
+    """The symmetric centered sample covariance (divisor n) of an observations-by-variables array.
+
+    Arrays stacked on leading axes give a stack of covariances, each bit for bit as a 2-D call.
+    """
     with np.errstate(over="ignore", invalid="ignore"):
-        centered = x - x.mean(axis=0, keepdims=True)
-        c = centered.T @ centered / x.shape[0]
+        centered = x - x.mean(axis=-2, keepdims=True)
+        c = np.swapaxes(centered, -1, -2) @ centered / x.shape[-2]
     if not np.all(np.isfinite(c)):
         raise ValueError("sample covariance overflows a double")
-    return (c + c.T) / 2.0
+    return (c + np.swapaxes(c, -1, -2)) / 2.0
 
 
 def shift_regularize(cov: CovarianceMatrix) -> CovarianceMatrix:

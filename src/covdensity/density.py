@@ -164,11 +164,14 @@ def f_factor(beta: float, norm_c: float, norm_c_plus_dc: float) -> float:
 
 
 def _error_bound(beta, dim, norm_c, norm_perturbed, norm_dc, log_z, log_z_perturbed) -> float:
-    """The density error bound from operator norms and the two log partition functions."""
+    """The density error bound from operator norms and the two log partition functions (BetaRangeError on overflow)."""
     ratio = _exp("Z'/Z", log_z_perturbed - log_z)
     factor = f_factor(beta, norm_c, norm_perturbed)
     tail = 1.0 + dim * math.exp(abs(beta) * norm_c if beta < 0 else 0.0)
-    return float(abs(beta) * norm_dc * factor / ratio * tail)
+    bound = abs(float(beta)) * float(norm_dc) * float(factor) / ratio * tail
+    if math.isinf(bound):
+        raise BetaRangeError(f"density error bound overflows a double at beta = {beta:.6g}, ||C|| = {norm_c:.6g}")
+    return bound
 
 
 def density_error_bound(c, dc, beta: float) -> float:

@@ -202,10 +202,11 @@ def discrimination_experiment(
     best-direction threshold sweep.  Near-pure scalings leave the naive score
     at chance while the density entropy tracks the absolute spectrum.
 
-    Each window has its own seeded stream.  One ``eigvalsh`` of the stacked
-    ``(2, n_windows, m, m)`` covariances gives both scores and every check, so the
-    density entropy reads ``eigvalsh`` eigenvalues where :func:`cvne` reads
-    ``eigh`` ones (they can differ in the last bits).  A failing window raises
+    Each window has its own seeded stream, drawn into one ``(2, n_windows, window, m)``
+    array.  One finiteness check, one stacked matmul for the covariances and one
+    ``eigvalsh`` of the stacked ``(2, n_windows, m, m)`` covariances give both scores and
+    every check, so the density entropy reads ``eigvalsh`` eigenvalues where :func:`cvne`
+    reads ``eigh`` ones (they can differ in the last bits).  A failing window raises
     what a window-by-window evaluation would raise first.
     """
     base = np.asarray(base_spectrum, dtype=float)
@@ -215,21 +216,20 @@ def discrimination_experiment(
     dim = base.size
     if window < dim + 1:
         raise ValueError(f"window {window} too small for dim {dim} (need >= dim + 1)")
-    spectra = (base, base * scale)
-    covariances = []
+    samples = np.empty((2, n_windows, window, dim))
+    for regime in (0, 1):
+        for w in range(n_windows):
+            np.random.default_rng([seed, regime, w]).standard_normal(out=samples[regime, w])
+    samples *= np.sqrt(np.stack([base, base * scale]))[:, None, None, :]
     try:
-        for regime in (0, 1):
-            sigma_sqrt = np.sqrt(spectra[regime])
-            for w in range(n_windows):
-                rng = np.random.default_rng([seed, regime, w])
-                data = DataMatrix(values=rng.standard_normal((window, dim)) * sigma_sqrt)
-                covariances.append(_covariance_array(data.values))
-        s_naive, s_vne = _window_entropies(np.reshape(covariances, (2, -1, dim, dim)), beta)
+        if not np.all(np.isfinite(samples)):
+            raise ValueError("data matrix contains non-finite entries")
+        s_naive, s_vne = _window_entropies(_covariance_array(samples), beta)
     except ValueError:
-        # Score the windows drawn so far one at a time, so the earliest failing
-        # window's own error is raised ahead of any later window's.
-        for cov in covariances:
-            _window_entropies(cov, beta)
+        # Score the windows one at a time, so the earliest failing window's own
+        # error is raised ahead of any later window's.
+        for values in samples.reshape(-1, window, dim):
+            _window_entropies(_covariance_array(DataMatrix(values=values).values), beta)
         raise
     return DiscriminationResult(
         auc_naive=threshold_auc(s_naive[0], s_naive[1]),

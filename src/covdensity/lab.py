@@ -1,9 +1,18 @@
-"""Seeded desk-scale experiments producing trial records.
+"""Seeded desk-scale experiments producing run tables.
 
 Each experiment is a pure function of its config: per-trial RNGs are derived
 from (seed, trial index, ...) so trials are independent, order-insensitive,
-and reproducible bit for bit.  Records serialize to CSV losslessly: float
+and reproducible bit for bit.  A run comes back as a :class:`RunTable`, one
+column per param and per metric, and is written from those columns: float
 cells are written with repr, so ``float`` reads each one back exactly.
+
+Stages with a stackable axis run once over it rather than once per item:
+within a trial, the stability perturbations and the regression covariances;
+across the whole run, every entropy-curve covariance (and, in
+:func:`entropy.discrimination_experiment`, every window).  Stacks whose items
+carry a full matrix per beta stay per trial, which bounds their memory.  When a
+stacked check fails, the items are re-run one at a time, so the first failing
+item raises its own error.
 
 Trend claims (monotonicity, dominance) are properties of trial MEANS, not of
 individual draws; the test suite asserts them over the configured trial
@@ -13,12 +22,13 @@ counts.
 from __future__ import annotations
 
 import csv
+import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import density, entropy, filtering, spectral
+from . import covariance, density, entropy, filtering, spectral
 from .betafit import fit_beta, kl_to_density
 from .covariance import (
     CovarianceMatrix,
@@ -29,7 +39,7 @@ from .covariance import (
     shift_regularize,
     trace_normalize,
 )
-from .errors import ConfigError
+from .errors import ConfigError, DegenerateCovarianceError, ShapeError
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -74,102 +84,141 @@ class ExperimentConfig:
         for name in ("betas", "noise_levels", "regime_scale", "base_spectrum",
                      "filter_coeffs", "families", "sample_grid"):
             object.__setattr__(self, name, tuple(getattr(self, name)))
+        for n in self.sample_grid:
+            if not (isinstance(n, (int, np.integer)) and n >= 2):
+                raise ConfigError(f"sample_grid entries must be integers >= 2, got {n!r}")
 
 
 def _canon(value):
-    if isinstance(value, (bool, np.bool_)):
+    if isinstance(value, (bool, int, float, np.bool_, np.integer, np.floating)):
         return float(value)
-    if isinstance(value, (int, float, np.integer, np.floating)):
-        return float(value)
-    return str(value)
+    return None if value is None else str(value)
+
+
+def _metric_column(values) -> list:
+    return [None if v is None else float(v) for v in (values.tolist() if isinstance(values, np.ndarray) else values)]
+
+
+def _first_non_finite(column: list):
+    """Index of the column's first non-finite cell, or None; a lacking cell (None) reads as NaN and is skipped."""
+    bad = np.flatnonzero(~np.isfinite(np.array(column, dtype=float))).tolist()
+    return next((i for i in bad if column[i] is not None), None)
 
 
 @dataclass(frozen=True)
-class TrialRecord:
+class RunTable:
+    """One run's rows held as columns: a list per param and a list per metric.
+
+    Every column has one cell per row, in row order; a row that lacks a param
+    or metric holds None there, and a column that no row has is dropped.  Param
+    cells become floats (numbers and bools) or strings and metric cells floats;
+    a metric cell that is not finite raises ValueError naming the first one, in
+    row order and then column order, as a row-by-row check meets them.
+    """
+
     experiment: str
     seed: int
     params: dict
     metrics: dict
 
     def __post_init__(self):
-        object.__setattr__(self, "params", {k: _canon(v) for k, v in self.params.items()})
-        metrics = {k: float(v) for k, v in self.metrics.items()}
-        for key, value in metrics.items():
-            if not math.isfinite(value):
-                raise ValueError(f"metric {key!r} is not finite: {value!r}")
-        object.__setattr__(self, "metrics", metrics)
+        params = {k: [_canon(v) for v in c] for k, c in self.params.items()}
+        metrics = {k: _metric_column(c) for k, c in self.metrics.items()}
+        if len({len(c) for c in (*params.values(), *metrics.values())}) > 1:
+            raise ShapeError("run table columns differ in length")
+        bad = [(row, key) for key, c in metrics.items() if (row := _first_non_finite(c)) is not None]
+        if bad:
+            row, key = min(bad, key=lambda cell: cell[0])
+            raise ValueError(f"metric {key!r} is not finite: {metrics[key][row]!r}")
+        object.__setattr__(self, "params", {k: c for k, c in params.items() if any(v is not None for v in c)})
+        object.__setattr__(self, "metrics", {k: c for k, c in metrics.items() if any(v is not None for v in c)})
+
+    def __len__(self) -> int:
+        return max(map(len, (*self.params.values(), *self.metrics.values())), default=0)
 
 
-def records_to_csv(records, path) -> None:
-    """One record per row; params/metrics become prefixed columns."""
-    records = list(records)
-    p_keys = sorted(set().union(*(r.params for r in records)))
-    m_keys = sorted(set().union(*(r.metrics for r in records)))
+def _columns(names, rows) -> dict:
+    """Columns named ``names`` of an iterable of row tuples (none when there are no rows)."""
+    return dict(zip(names, zip(*rows)))
+
+
+def records_to_csv(table: RunTable, path) -> None:
+    """One CSV row per table row; params/metrics become prefixed columns.  The csv module
+    writes a float cell with repr and a lacking (None) cell as empty."""
+    p_keys, m_keys = sorted(table.params), sorted(table.metrics)
+    n = len(table)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["experiment", "seed"] + [f"p:{k}" for k in p_keys] + [f"m:{k}" for k in m_keys])
-        writer.writerows(
-            [r.experiment, repr(r.seed)]
-            + [_cell(r.params.get(k)) for k in p_keys]
-            + [_cell(r.metrics.get(k)) for k in m_keys]
-            for r in records
-        )
+        writer.writerows(zip(
+            [table.experiment] * n, [repr(table.seed)] * n,
+            *(table.params[k] for k in p_keys), *(table.metrics[k] for k in m_keys),
+        ))
 
 
-def _cell(value):
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
-def summarize(records) -> dict:
-    """Group records by their param tuples and average each metric."""
+def summarize(table: RunTable) -> dict:
+    """Group rows by their param tuples and average each metric."""
+    names = sorted(table.params)
     groups: dict = {}
-    for r in records:
-        key = tuple(sorted(r.params.items()))
-        groups.setdefault(key, []).append(r)
+    for i, values in enumerate(zip(*(table.params[k] for k in names)) if names else [()] * len(table)):
+        groups.setdefault(tuple((k, v) for k, v in zip(names, values) if v is not None), []).append(i)
+    metrics = sorted(table.metrics.items())
     summary = {}
     for key, rows in sorted(groups.items(), key=lambda kv: repr(kv[0])):
         label = ",".join(f"{k}={v}" for k, v in key) or "all"
         if len(rows) == 1:
             # np.mean of one value is the value + 0.0, bit for bit (-0.0 becomes 0.0).
-            metrics = rows[0].metrics
-            summary[label] = {m: metrics[m] + 0.0 for m in sorted(metrics)}
+            summary[label] = {m: c[rows[0]] + 0.0 for m, c in metrics if c[rows[0]] is not None}
         else:
-            metric_keys = sorted({m for r in rows for m in r.metrics})
-            summary[label] = {
-                m: float(np.mean([r.metrics[m] for r in rows if m in r.metrics])) for m in metric_keys
-            }
+            cells = {m: [c[i] for i in rows if c[i] is not None] for m, c in metrics}
+            summary[label] = {m: float(np.mean(v)) for m, v in cells.items() if v}
         summary[label]["n_records"] = len(rows)
     return summary
 
 
-def _symmetric_noise(rng, dim: int, norm: float) -> np.ndarray:
-    e = rng.standard_normal((dim, dim))
-    e = (e + e.T) / 2.0
-    scale = spectral.operator_norm(e)
-    if scale == 0.0:
-        return np.zeros((dim, dim))
-    return norm * e / scale
+def _symmetric_noise(rng, dim: int, norms) -> np.ndarray:
+    """Symmetric perturbations with exact operator norms ``norms``, from one ``(len(norms), dim, dim)`` draw."""
+    e = rng.standard_normal((len(norms), dim, dim))
+    e = (e + np.swapaxes(e, -1, -2)) / 2.0
+    scale = np.linalg.norm(e, 2, axis=(-2, -1))
+    # An all-zero draw has norm 0 and stays zero.
+    return np.asarray(norms, dtype=float)[:, None, None] * e / np.where(scale == 0.0, 1.0, scale)[:, None, None]
 
 
-def run_stability(cfg: ExperimentConfig) -> list[TrialRecord]:
+def _stability_responses(cov, reg, dc, betas) -> tuple[np.ndarray, list, list]:
+    """Norms ``(K, 2 + n_beta)`` of dC, the trace-normalized and each beta's response to K perturbations,
+    then bounds and R ratios listed per perturbation (None first, for the trace-normalized row), from
+    one stacked ``eigh`` of ``reg`` and its perturbations, one ``density_values`` and one ``eigvalsh``."""
+    lam, v = spectral._eigh(np.concatenate([reg.matrix[None], reg.matrix + dc]))
+    rho, log_z = density.density_values(lam, betas)
+    rho = spectral._spectral_matrix(v[:, None], rho)
+    perturbed = cov.matrix + dc
+    tn_delta = perturbed / np.trace(perturbed, axis1=-2, axis2=-1)[:, None, None] - cov.matrix / np.trace(cov.matrix)
+    norms = density._norm(np.linalg.eigvalsh(np.concatenate([dc[:, None], tn_delta[:, None], rho[1:] - rho[0]], axis=1)))
+    norm_c, log_z = density._norm(lam).tolist(), log_z.tolist()
+    bounds, ratios = [], []
+    for k, norm_dc in enumerate(norms[:, 0].tolist(), 1):
+        bounds += [None] + [
+            density._error_bound(beta, reg.dim, norm_c[0], norm_c[k], norm_dc, log_z[0][i], log_z[k][i])
+            for i, beta in enumerate(betas)
+        ]
+        ratios += [None] + [math.exp(log_z[k][i] - log_z[0][i]) for i in range(len(betas))]
+    return norms, bounds, ratios
+
+
+def run_stability(cfg: ExperimentConfig) -> RunTable:
     """Perturbation response of density operators vs the trace-normalized baseline.
 
     Per (trial, noise level): one symmetric perturbation with exact operator
     norm equal to the noise level, applied to a Gaussian sample covariance;
     records the density response per beta (with the error bound and measured
-    partition ratio R) plus the trace-normalized covariance response.  The
-    regularized matrix is decomposed once per trial and its perturbation once
-    per noise level; every beta's density comes from those two spectra.  A noise
-    level's operator norms (dC and every response) come from one stacked ``eigvalsh``.
+    partition ratio R) plus the trace-normalized covariance response.  A trial's
+    perturbations come from one draw and are evaluated as one stack.
     """
     betas = cfg.betas or (-1.0, -0.1, 0.0, 0.1, 1.0, 5.0)
     noise_levels = cfg.noise_levels or (0.01, 0.05, 0.1, 0.2, 0.5)
 
-    records = []
+    norms, bounds, ratios = [], [], []
     for t in range(cfg.trials):
         rng = np.random.default_rng([cfg.seed, t])
         data = gen_gaussian_data(cfg.dim, cfg.n_samples, "gaussian", seed=[cfg.seed, t, 1])
@@ -178,49 +227,30 @@ def run_stability(cfg: ExperimentConfig) -> list[TrialRecord]:
         # on the shift-regularized matrix changes none of the measured responses
         # while keeping Z >= 1, which is what makes the error bound valid.
         reg = shift_regularize(cov)
-        base = spectral.eigh(reg.matrix)
-        values_base, log_z_base = density.density_values(base.eigenvalues, betas)
-        rho_base = spectral.spectral_matrix(base, values_base)
-        norm_base = density._norm(base.eigenvalues)
-        tn_base = cov.matrix / np.trace(cov.matrix)
-        for eps in noise_levels:
-            dc = _symmetric_noise(rng, cfg.dim, eps)
-            perturbed = cov.matrix + dc
-            pert = spectral.eigh(reg.matrix + dc)
-            rho_pert, log_z_pert = density.density_values(pert.eigenvalues, betas)
-            norm_pert = density._norm(pert.eigenvalues)
-            deltas = [dc, perturbed / np.trace(perturbed) - tn_base]
-            deltas.extend(spectral.spectral_matrix(pert, rho_pert) - rho_base)
-            norm_dc, norm_tn, *norm_rho = density._norm(np.linalg.eigvalsh(deltas))
-            records.append(
-                TrialRecord(
-                    experiment="stability",
-                    seed=cfg.seed,
-                    params={"trial": t, "noise": eps, "method": "trace_normalized"},
-                    metrics={"delta_c_norm": norm_dc, "delta_rho_norm": norm_tn},
-                )
-            )
-            for i, beta in enumerate(betas):
-                bound = density._error_bound(
-                    beta, cfg.dim, norm_base, norm_pert, norm_dc, log_z_base[i], log_z_pert[i]
-                )
-                records.append(
-                    TrialRecord(
-                        experiment="stability",
-                        seed=cfg.seed,
-                        params={"trial": t, "noise": eps, "method": "density", "beta": beta},
-                        metrics={
-                            "delta_c_norm": norm_dc,
-                            "delta_rho_norm": norm_rho[i],
-                            "bound_value": bound,
-                            "r_ratio": math.exp(log_z_pert[i] - log_z_base[i]),
-                        },
-                    )
-                )
-    return records
+        dc = _symmetric_noise(rng, cfg.dim, noise_levels)
+        try:
+            trial_norms, trial_bounds, trial_ratios = _stability_responses(cov, reg, dc, betas)
+        except ValueError:
+            for k in range(len(dc)):
+                _stability_responses(cov, reg, dc[k : k + 1], betas)
+            raise
+        norms.append(trial_norms)
+        bounds += trial_bounds
+        ratios += trial_ratios
+    norms = np.array(norms)
+    rows = [("trace_normalized", None)] + [("density", beta) for beta in betas]
+    params = _columns(("trial", "noise", "row"), itertools.product(range(cfg.trials), noise_levels, rows))
+    params["method"], params["beta"] = zip(*params.pop("row"))
+    metrics = {
+        "delta_c_norm": np.repeat(norms[..., 0], len(rows)),
+        "delta_rho_norm": norms[..., 1:].ravel(),
+        "bound_value": bounds,
+        "r_ratio": ratios,
+    }
+    return RunTable("stability", cfg.seed, params, metrics)
 
 
-def run_lipschitz(cfg: ExperimentConfig) -> list[TrialRecord]:
+def run_lipschitz(cfg: ExperimentConfig) -> RunTable:
     """Empirical check of |response difference| <= alpha |eigenvalue difference|.
 
     Each trial draws an eigenvalue pair and a random filter, evaluates both
@@ -230,7 +260,7 @@ def run_lipschitz(cfg: ExperimentConfig) -> list[TrialRecord]:
     """
     lo, hi = cfg.eigenvalue_range
 
-    records = []
+    trials, rows = [], []
     for t in range(cfg.trials):
         rng = np.random.default_rng([cfg.seed, t])
         lam1, lam2 = rng.uniform(lo, hi, size=2)
@@ -247,22 +277,10 @@ def run_lipschitz(cfg: ExperimentConfig) -> list[TrialRecord]:
             filtering._log_frequency_response(spec, lam2, log_z)
             - filtering._log_frequency_response(spec, lam1, log_z)
         )
-        records.append(
-            TrialRecord(
-                experiment="lipschitz",
-                seed=cfg.seed,
-                params={"trial": t},
-                metrics={
-                    "lambda1": lam1,
-                    "lambda2": lam2,
-                    "beta": beta,
-                    "alpha": alpha,
-                    "response_diff": diff,
-                    "ratio": diff / (alpha * gap),
-                },
-            )
-        )
-    return records
+        trials.append(t)
+        rows.append((lam1, lam2, beta, alpha, diff, diff / (alpha * gap)))
+    metrics = _columns(("lambda1", "lambda2", "beta", "alpha", "response_diff", "ratio"), rows)
+    return RunTable("lipschitz", cfg.seed, {"trial": trials}, metrics)
 
 
 def matched_alignment(sample_cov: CovarianceMatrix, laplacian: np.ndarray, coeffs) -> tuple[float, bool]:
@@ -288,128 +306,134 @@ def matched_alignment(sample_cov: CovarianceMatrix, laplacian: np.ndarray, coeff
     return alignment, degenerate
 
 
-def run_surrogate(cfg: ExperimentConfig) -> list[TrialRecord]:
+def run_surrogate(cfg: ExperimentConfig) -> RunTable:
     """Eigenvector convergence of the sample covariance to the graph Laplacian."""
     grid = cfg.sample_grid or (100, 2000, 20000)
 
-    records = []
+    rows = []
     for t in range(cfg.trials):
         for n in grid:
             data, laplacian = gen_graph_stationary(
                 cfg.dim, n, cfg.edge_prob, cfg.filter_coeffs, seed=[cfg.seed, t, n]
             )
             alignment, degenerate = matched_alignment(sample_covariance(data), laplacian, cfg.filter_coeffs)
-            metrics = {"degenerate": float(degenerate)}
-            if not degenerate:
-                metrics["alignment"] = alignment
-            records.append(
-                TrialRecord(
-                    experiment="surrogate",
-                    seed=cfg.seed,
-                    params={"trial": t, "n_samples": n},
-                    metrics=metrics,
-                )
-            )
-    return records
+            rows.append((float(degenerate), None if degenerate else alignment))
+    params = _columns(("trial", "n_samples"), itertools.product(range(cfg.trials), grid))
+    return RunTable("surrogate", cfg.seed, params, _columns(("degenerate", "alignment"), rows))
 
 
-def shifted_feature_transform(cov_tn, beta: float) -> np.ndarray:
-    """Feature map of the density regression: rho(C) - I/Z on a unit-trace C.
+def _trace_normalized_eigh(pools: np.ndarray, grid) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenpairs ``(lambda[k, g], V[k, g])`` of trace_normalize(sample_covariance(pools[k, :grid[g]])).
 
-    Applying it to a signal x gives rho x - x/Z, which removes the identity
-    component so only the covariance-dependent part of the density drives the
-    features.  ``cov_tn`` may be a CovarianceMatrix or its SpectralDecomposition.
+    One stacked ``eigh`` with every check of the per-matrix path (the raw covariance's
+    PSD check reads eigenvalues times trace); a failure reruns that path so the first
+    failing matrix raises its own error.
     """
-    decomp = density._as_decomposition(cov_tn)
-    rho, log_z = density.density_values(decomp.eigenvalues, (beta,))
-    return spectral.spectral_matrix(decomp, rho[0] - math.exp(-log_z[0]))
+    try:
+        covs = np.stack([covariance._covariance_array(pools[:, :n]) for n in grid], axis=1)
+        traces = np.trace(covs, axis1=-2, axis2=-1)
+        if not np.all(traces > 1e-14):
+            raise DegenerateCovarianceError("zero-trace covariance")
+        normalized = covs / traces[..., None, None]
+        eigenvalues, eigenvectors = spectral._eigh(normalized)
+        covariance._check_psd(eigenvalues * traces[..., None])
+        covariance._check_psd(eigenvalues)
+        if np.any(np.abs(np.trace(normalized, axis1=-2, axis2=-1) - 1.0) > 1e-10):
+            raise ValueError("trace-normalized matrix must have unit trace")
+    except ValueError:
+        for pool in pools:
+            for n in grid:
+                trace_normalize(sample_covariance(DataMatrix(pool[:n])))
+        raise
+    return eigenvalues, eigenvectors
 
 
-def _ridge_fit_mae(z_train, y_train, z_test, y_test, ridge: float) -> float:
-    n, d = z_train.shape
-    y_bar = float(np.mean(y_train))
-    gram = z_train.T @ z_train + ridge * n * np.eye(d)
-    coef = np.linalg.solve(gram, z_train.T @ (y_train - y_bar))
-    pred = z_test @ coef + y_bar
-    return float(np.mean(np.abs(pred - y_test)))
-
-
-def run_regression(cfg: ExperimentConfig) -> list[TrialRecord]:
+def run_regression(cfg: ExperimentConfig) -> RunTable:
     """Stability of density-shifted linear regression to covariance sample size.
 
-    Per trial: fixed train/test sets with sparse standard-normal-feature
-    ground truth and Gaussian label noise; the covariance is estimated from a
-    separate nested pool whose size sweeps ``sample_grid``.  Each method maps
-    features through its transform (density shift per beta, or the
-    trace-normalized covariance itself) and fits the same ridge readout; MAE is
-    measured against noisy test labels.  The ridge floor is what separates the
-    methods; an exact least-squares refit would be invariant to any invertible
-    feature map.
+    Per trial: fixed train/test sets with sparse standard-normal-feature ground
+    truth and Gaussian label noise; the covariance is estimated from a separate
+    nested pool whose size sweeps ``sample_grid``.  Each method maps features X
+    through its transform and fits the same ridge readout; MAE is measured
+    against noisy test labels.  The ridge floor is what separates the methods;
+    an exact least-squares refit would be invariant to any invertible feature map.
+
+    Every transform is V diag(f) V^T over the covariance's one eigenbasis V
+    (f = rho - 1/Z per beta, or lambda for the trace-normalized covariance), so
+    each fit is solved in that basis, (F A F + ridge n I) c = F V^T X^T (y - y_bar)
+    with A = V^T X^T X V, and predicts through V F c; V's column signs cancel.  Per
+    trial, one stacked ``eigh`` decomposes every covariance, one batched solve fits all.
     """
     betas = cfg.betas or (0.1, 1.0, 5.0, 15.0)
     noise_levels = cfg.noise_levels or (0.0, 5.0)
     grid = cfg.sample_grid or (25, 50, 100, 250, 1000)
     pool_size = max(max(grid), cfg.dim + 1)
+    methods = ["raw_covariance"] + [f"density_beta_{beta:g}" for beta in betas]
 
-    records = []
+    def draws(t: int, noise: float):
+        rng = np.random.default_rng([cfg.seed, t, int(round(noise * 1000))])
+        weights = np.zeros(cfg.dim)
+        support = rng.choice(cfg.dim, cfg.n_informative, replace=False)
+        weights[support] = rng.normal(0.0, cfg.weight_scale, cfg.n_informative)
+        x_train = rng.standard_normal((cfg.n_train, cfg.dim))
+        y_train = x_train @ weights + rng.normal(0.0, noise, cfg.n_train)
+        x_test = rng.standard_normal((cfg.n_test, cfg.dim))
+        y_test = x_test @ weights + rng.normal(0.0, noise, cfg.n_test)
+        return x_train, y_train, x_test, y_test, rng.standard_normal((pool_size, cfg.dim))
+
+    mae, baselines = [], []
     for t in range(cfg.trials):
-        for noise in noise_levels:
-            rng = np.random.default_rng([cfg.seed, t, int(round(noise * 1000))])
-            weights = np.zeros(cfg.dim)
-            support = rng.choice(cfg.dim, cfg.n_informative, replace=False)
-            weights[support] = rng.normal(0.0, cfg.weight_scale, cfg.n_informative)
-            x_train = rng.standard_normal((cfg.n_train, cfg.dim))
-            y_train = x_train @ weights + rng.normal(0.0, noise, cfg.n_train)
-            x_test = rng.standard_normal((cfg.n_test, cfg.dim))
-            y_test = x_test @ weights + rng.normal(0.0, noise, cfg.n_test)
-            pool = rng.standard_normal((pool_size, cfg.dim))
-            baseline = float(np.mean(np.abs(y_test - np.mean(y_train))))
-            for n_cov in grid:
-                cov_tn = trace_normalize(sample_covariance(DataMatrix(pool[:n_cov])))
-                decomp = spectral.eigh(cov_tn.matrix)
-                methods = {"raw_covariance": cov_tn.matrix}
-                for beta in betas:
-                    methods[f"density_beta_{beta:g}"] = shifted_feature_transform(decomp, beta)
-                for name, transform in methods.items():
-                    mae = _ridge_fit_mae(
-                        x_train @ transform, y_train, x_test @ transform, y_test, cfg.ridge
-                    )
-                    records.append(
-                        TrialRecord(
-                            experiment="regression",
-                            seed=cfg.seed,
-                            params={"trial": t, "noise": noise, "n_cov": n_cov, "method": name},
-                            metrics={"mae": mae, "baseline_mae": baseline},
-                        )
-                    )
-    return records
+        # Arrays stacked on a leading noise-level axis.
+        x_train, y_train, x_test, y_test, pools = map(np.array, zip(*(draws(t, e) for e in noise_levels)))
+        y_bar = np.mean(y_train, axis=-1)
+        baselines.append(np.mean(np.abs(y_test - y_bar[:, None]), axis=-1))
+        lam, v = _trace_normalized_eigh(pools, grid)
+        rho, log_z = density.density_values(lam, betas)
+        f = np.concatenate([lam[..., None, :], rho - np.exp(-log_z)[..., None]], axis=-2)
+        v_t = np.swapaxes(v, -1, -2)
+        a = v_t @ (np.swapaxes(x_train, -1, -2) @ x_train)[:, None] @ v
+        b = v_t @ (np.swapaxes(x_train, -1, -2) @ (y_train - y_bar[:, None])[..., None])[:, None]
+        system = f[..., :, None] * a[:, :, None] * f[..., None, :] + cfg.ridge * cfg.n_train * np.eye(cfg.dim)
+        w = v[:, :, None] @ (f[..., None] * np.linalg.solve(system, f[..., None] * b[:, :, None]))
+        pred = np.reshape(w, (len(noise_levels), -1, cfg.dim)) @ np.swapaxes(x_test, -1, -2)
+        mae.append(np.mean(np.abs(pred + y_bar[:, None, None] - y_test[:, None]), axis=-1))
+    params = _columns(
+        ("trial", "noise", "n_cov", "method"), itertools.product(range(cfg.trials), noise_levels, grid, methods)
+    )
+    metrics = {"mae": np.ravel(mae), "baseline_mae": np.repeat(baselines, len(grid) * len(methods))}
+    return RunTable("regression", cfg.seed, params, metrics)
 
 
-def run_entropy_curve(cfg: ExperimentConfig) -> list[TrialRecord]:
-    """Density entropy over a beta grid for Gaussian/Exponential/Gamma covariances."""
+def run_entropy_curve(cfg: ExperimentConfig) -> RunTable:
+    """Density entropy over a beta grid for Gaussian/Exponential/Gamma covariances.
+
+    Every (trial, family) sample covariance of the run is checked, shifted and
+    checked again as one stack; the shifted matrices' PSD check already holds
+    their spectra (eigvalsh order), which one ``density_values`` call maps.
+    """
     beta_grid = cfg.betas or tuple(np.linspace(0.0, 15.0, 16))
+    items = list(itertools.product(range(cfg.trials), enumerate(cfg.families)))
 
-    records = []
-    for t in range(cfg.trials):
-        for fam_idx, family in enumerate(cfg.families):
-            data = gen_gaussian_data(cfg.dim, cfg.n_samples, family, seed=[cfg.seed, t, fam_idx])
-            # The shifted matrix's PSD check already holds its spectrum (eigvalsh order).
-            eigenvalues = shift_regularize(sample_covariance(data))._eigenvalues
-            rho, _ = density.density_values(eigenvalues, beta_grid)
-            for beta, nats in zip(beta_grid, entropy._shannon_nats(rho)):
-                records.append(
-                    TrialRecord(
-                        experiment="entropy_curve",
-                        seed=cfg.seed,
-                        params={"trial": t, "family": family, "beta": beta},
-                        metrics={"entropy_nats": nats, "entropy_bits": nats / math.log(2.0)},
-                    )
-                )
-    return records
+    def data(t, f, family):
+        return gen_gaussian_data(cfg.dim, cfg.n_samples, family, seed=[cfg.seed, t, f])
+
+    try:
+        samples = np.array([data(t, f, family).values for t, (f, family) in items])
+        c, spectra = covariance._checked_spectra(covariance._covariance_array(samples))
+        shifted = c - spectra.min(axis=-1)[..., None, None] * np.eye(cfg.dim)
+        _, spectra = covariance._checked_spectra(shifted, covariance.Regularization.SHIFTED_MIN_EIG_ZERO)
+        rho, _ = density.density_values(spectra, beta_grid)
+    except ValueError:
+        for t, (f, family) in items:
+            density.density_values(shift_regularize(sample_covariance(data(t, f, family)))._eigenvalues, beta_grid)
+        raise
+    nats = entropy._shannon_nats(rho).ravel()
+    params = _columns(("trial", "family", "beta"), itertools.product(range(cfg.trials), cfg.families, beta_grid))
+    return RunTable("entropy_curve", cfg.seed, params, {"entropy_nats": nats, "entropy_bits": nats / math.log(2.0)})
 
 
-def run_discrimination(cfg: ExperimentConfig) -> list[TrialRecord]:
-    """Wrap the windowed entropy discrimination experiment as trial records."""
+def run_discrimination(cfg: ExperimentConfig) -> RunTable:
+    """Wrap the windowed entropy discrimination experiment as a run table."""
     result = entropy.discrimination_experiment(
         window=cfg.window,
         n_windows=cfg.n_windows,
@@ -418,27 +442,18 @@ def run_discrimination(cfg: ExperimentConfig) -> list[TrialRecord]:
         base_spectrum=cfg.base_spectrum,
         seed=cfg.seed,
     )
-    records = [
-        TrialRecord(
-            experiment="discrimination",
-            seed=cfg.seed,
-            params={"window_index": w.window_index, "regime": w.regime},
-            metrics={"s_naive_bits": w.s_naive_bits, "s_vne_bits": w.s_vne_bits},
-        )
-        for w in result.windows
-    ]
-    records.append(
-        TrialRecord(
-            experiment="discrimination",
-            seed=cfg.seed,
-            params={"summary": "auc"},
-            metrics={"auc_naive": result.auc_naive, "auc_vne": result.auc_vne},
-        )
+    # One row per window, then the AUC summary row.
+    windows = [(w.window_index, w.regime, None) for w in result.windows] + [(None, None, "auc")]
+    scores = [(w.s_naive_bits, w.s_vne_bits, None, None) for w in result.windows]
+    scores.append((None, None, result.auc_naive, result.auc_vne))
+    return RunTable(
+        "discrimination", cfg.seed,
+        _columns(("window_index", "regime", "summary"), windows),
+        _columns(("s_naive_bits", "s_vne_bits", "auc_naive", "auc_vne"), scores),
     )
-    return records
 
 
-def run_betafit_demo(cfg: ExperimentConfig) -> list[TrialRecord]:
+def run_betafit_demo(cfg: ExperimentConfig) -> RunTable:
     """Recover the inverse temperature matching a noisy spectrum to a clean one.
 
     Per trial: a Gaussian sample covariance is perturbed by symmetric noise;
@@ -448,7 +463,7 @@ def run_betafit_demo(cfg: ExperimentConfig) -> list[TrialRecord]:
     """
     noise_levels = cfg.noise_levels or (0.1,)
 
-    records = []
+    rows = []
     for t in range(cfg.trials):
         rng = np.random.default_rng([cfg.seed, t])
         data = gen_gaussian_data(cfg.dim, cfg.n_samples, "gaussian", seed=[cfg.seed, t, 2])
@@ -457,27 +472,16 @@ def run_betafit_demo(cfg: ExperimentConfig) -> list[TrialRecord]:
         target = np.clip(lam_true, 0.0, None)
         target = target / target.sum()
         for eps in noise_levels:
-            noisy = cov.matrix + _symmetric_noise(rng, cfg.dim, eps)
+            noisy = cov.matrix + _symmetric_noise(rng, cfg.dim, (eps,))[0]
             lam_noisy = np.linalg.eigvalsh(noisy)
             result = fit_beta(lam_noisy, target)
             kl_star = kl_to_density(lam_noisy, target, result.beta_star)
             others = rng.uniform(result.beta_star - 5.0, result.beta_star + 5.0, size=50)
             kl_others = float(np.min(kl_to_density(lam_noisy, target, others)))
-            records.append(
-                TrialRecord(
-                    experiment="betafit_demo",
-                    seed=cfg.seed,
-                    params={"trial": t, "noise": eps},
-                    metrics={
-                        "beta_star": result.beta_star,
-                        "kl_at_fit": kl_star,
-                        "kl_best_alternative": kl_others,
-                        "gradient": result.gradient_at_solution,
-                        "iterations": result.iterations,
-                    },
-                )
-            )
-    return records
+            rows.append((result.beta_star, kl_star, kl_others, result.gradient_at_solution, result.iterations))
+    params = _columns(("trial", "noise"), itertools.product(range(cfg.trials), noise_levels))
+    metrics = _columns(("beta_star", "kl_at_fit", "kl_best_alternative", "gradient", "iterations"), rows)
+    return RunTable("betafit_demo", cfg.seed, params, metrics)
 
 
 RUNNERS = {
@@ -491,5 +495,5 @@ RUNNERS = {
 }
 
 
-def run_experiment(cfg: ExperimentConfig) -> list[TrialRecord]:
+def run_experiment(cfg: ExperimentConfig) -> RunTable:
     return RUNNERS[cfg.experiment](cfg)

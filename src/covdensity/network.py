@@ -56,10 +56,6 @@ LOSSES = ("mse", "mae", "cross_entropy")
 FORWARD_BLOCK = 64
 
 
-def _tanh(x):
-    return np.tanh(x)
-
-
 def _dtanh(x):
     t = np.tanh(x)
     return 1.0 - t * t
@@ -90,7 +86,7 @@ def _didentity(x):
 
 
 ACTIVATIONS = {
-    "tanh": (_tanh, _dtanh),
+    "tanh": (np.tanh, _dtanh),
     "elu": (_elu, _delu),
     "relu": (_relu, _drelu),
     "identity": (_identity, _didentity),

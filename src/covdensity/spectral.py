@@ -49,14 +49,20 @@ def _as_square_array(matrix) -> np.ndarray:
 
 def symmetrize(matrix) -> np.ndarray:
     """Return (M + M^T)/2 after checking M is symmetric within tolerance."""
-    m = _as_square_array(matrix)
-    scale = max(1.0, float(np.max(np.abs(m))) if m.size else 1.0)
-    asym = float(np.max(np.abs(m - m.T))) if m.size else 0.0
-    if asym > SYMMETRY_RTOL * scale:
+    return _symmetrize(_as_square_array(matrix))
+
+
+def _symmetrize(m: np.ndarray) -> np.ndarray:
+    """symmetrize over the last two axes of a finite stack; the first failing matrix is named."""
+    m_t = np.swapaxes(m, -1, -2)
+    tolerance = SYMMETRY_RTOL * np.abs(m).max(axis=(-2, -1), initial=1.0)
+    asym = np.abs(m - m_t).max(axis=(-2, -1), initial=0.0)
+    if (asym > tolerance).any():
+        k = np.flatnonzero(asym > tolerance)[0]
         raise SymmetryError(
-            f"matrix asymmetry {asym:.3e} exceeds tolerance {SYMMETRY_RTOL * scale:.3e}"
+            f"matrix asymmetry {np.ravel(asym)[k]:.3e} exceeds tolerance {np.ravel(tolerance)[k]:.3e}"
         )
-    return (m + m.T) / 2.0
+    return (m + m_t) / 2.0
 
 
 def eigh(matrix) -> SpectralDecomposition:
@@ -67,12 +73,16 @@ def eigh(matrix) -> SpectralDecomposition:
         ValueError: if an entry is NaN or infinite.
         SymmetryError: if asymmetry exceeds the relative tolerance.
     """
-    m = symmetrize(matrix)
-    eigenvalues, eigenvectors = np.linalg.eigh(m)
-    eigenvectors = _fix_signs(eigenvectors)
+    eigenvalues, eigenvectors = _eigh(_as_square_array(matrix))
     eigenvalues.flags.writeable = False
     eigenvectors.flags.writeable = False
     return SpectralDecomposition(eigenvalues=eigenvalues, eigenvectors=eigenvectors)
+
+
+def _eigh(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """eigh over the last two axes of a finite stack: ascending eigenvalues, sign-fixed eigenvectors."""
+    eigenvalues, eigenvectors = np.linalg.eigh(_symmetrize(m))
+    return eigenvalues, _fix_signs(eigenvectors)
 
 
 def _fix_signs(vectors: np.ndarray) -> np.ndarray:
@@ -80,8 +90,8 @@ def _fix_signs(vectors: np.ndarray) -> np.ndarray:
     if vectors.size == 0:
         return vectors.copy()
     # argmax over booleans finds the first True, and row 0 when a column has none.
-    anchors = np.argmax(np.abs(vectors) > _SIGN_EPS, axis=0)
-    leading = vectors[anchors, np.arange(vectors.shape[1])]
+    anchors = (np.abs(vectors) > _SIGN_EPS).argmax(axis=-2, keepdims=True)
+    leading = np.take_along_axis(vectors, anchors, axis=-2)
     return vectors * np.where(leading < 0, -1.0, 1.0)
 
 
@@ -93,8 +103,12 @@ def spectral_matrix(decomp: SpectralDecomposition, values) -> np.ndarray:
     values = np.asarray(values, dtype=float)
     if values.ndim == 0 or values.shape[-1] != decomp.dim:
         raise ShapeError(f"expected {decomp.dim} spectral values, got shape {values.shape}")
-    v = decomp.eigenvectors
-    return (v * values[..., None, :]) @ v.T
+    return _spectral_matrix(decomp.eigenvectors, values)
+
+
+def _spectral_matrix(v: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """V diag(values) V^T for a stack of bases ``v`` (..., m, m) broadcast against ``values`` (..., m)."""
+    return (v * values[..., None, :]) @ np.swapaxes(v, -1, -2)
 
 
 def operator_norm(matrix) -> float:

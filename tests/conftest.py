@@ -1,3 +1,6 @@
+import math
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -16,9 +19,18 @@ def random_low_rank(rng, dim, rank) -> CovarianceMatrix:
     return CovarianceMatrix(matrix=factor @ factor.T)
 
 
+class LinalgCalls(list):
+    """Input shapes of the recorded calls, in call order."""
+
+    @property
+    def matrices(self) -> int:
+        """Matrices decomposed: each call's leading dims multiplied out, summed over calls."""
+        return sum(math.prod(shape[:-2]) for shape in self)
+
+
 def count_linalg_calls(monkeypatch, name):
     """Replace np.linalg.<name> with a wrapper that records each call's input shape."""
-    calls = []
+    calls = LinalgCalls()
     original = getattr(np.linalg, name)
 
     def counting(m, *args, **kwargs):
@@ -32,3 +44,11 @@ def count_linalg_calls(monkeypatch, name):
 @pytest.fixture
 def rng():
     return np.random.default_rng(1234)
+
+
+def table_rows(table):
+    """A run table's rows, each with ``params`` and ``metrics`` dicts that leave out the names it lacks."""
+    def cells(columns, i):
+        return {k: c[i] for k, c in columns.items() if c[i] is not None}
+
+    return [SimpleNamespace(params=cells(table.params, i), metrics=cells(table.metrics, i)) for i in range(len(table))]

@@ -11,6 +11,7 @@ import time
 
 import numpy as np
 
+from conftest import table_rows
 from covdensity import cli
 from covdensity.betafit import fit_beta, moment_derivatives
 from covdensity.covariance import (
@@ -118,7 +119,7 @@ def test_criterion_03_permutation_equivariance():
 def test_criterion_04_composite_lipschitz():
     budget = Budget(10.0)
     cfg = ExperimentConfig(experiment="lipschitz", trials=10000, seed=404)
-    records = run_lipschitz(cfg)
+    records = table_rows(run_lipschitz(cfg))
     assert len(records) >= 9900
     max_ratio = max(r.metrics["ratio"] for r in records)
     # ratio is |response diff| / (alpha |eigenvalue diff|); bound allows 1e-12 slack
@@ -240,7 +241,7 @@ def test_criterion_10_spectral_surrogate():
         experiment="surrogate", dim=8, trials=20, seed=1010,
         sample_grid=(100, 20000), filter_coeffs=(1.0, 0.5), edge_prob=0.5,
     )
-    records = run_surrogate(cfg)
+    records = table_rows(run_surrogate(cfg))
     small = [r.metrics["alignment"] for r in records if r.params["n_samples"] == 100 and "alignment" in r.metrics]
     large = [r.metrics["alignment"] for r in records if r.params["n_samples"] == 20000 and "alignment" in r.metrics]
     assert len(large) == 20 and len(small) == 20
@@ -290,7 +291,7 @@ def test_criterion_12_noise_robustness_trend():
         experiment="regression", trials=100, seed=1212,
         betas=(0.1, 1.0, 5.0), noise_levels=(5.0,),
     )
-    records = run_regression(cfg)
+    records = table_rows(run_regression(cfg))
 
     def mean_mae(method):
         vals = [r.metrics["mae"] for r in records if r.params["method"] == method]

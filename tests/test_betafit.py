@@ -57,6 +57,13 @@ class TestMomentObjective:
         with pytest.raises(ValueError, match="finite"):
             fit_beta([bad, 1.0, 2.0], [0.2, 0.3, 0.5])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_target(self, bad):
+        with pytest.raises(ValueError) as got:
+            fit_beta([0.0, 1.0, 2.0], [bad, 0.5, 0.5])
+        assert type(got.value) is ValueError
+        assert str(got.value) == f"target probabilities must be finite, got {bad!r}"
+
 
 class TestMomentDerivatives:
     def test_gradient_zero_when_target_is_density(self, rng):

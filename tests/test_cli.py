@@ -205,6 +205,38 @@ class TestExperimentCommands:
         assert "error: exp(|beta| ||C||) = exp(" in err and "overflows a double" in err
         assert out == ""
 
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_bound_product_is_a_range_error_without_warning(self, capsys, tmp_path):
+        # Every factor of the bound is finite at beta = -400; their product is not.
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"dim": 4, "trials": 1, "betas": [-400]}))
+        code, out, err = run_cli(capsys, "stability", "--config", str(cfg_path), "--output-dir", str(tmp_path / "out"))
+        assert code == 2 and out == ""
+        assert err == "error: density error bound overflows a double at beta = -400, ||C|| = 0.930767\n"
+        cfg_path.write_text(json.dumps({"dim": 4, "trials": 1, "betas": [-350]}))
+        code, out, err = run_cli(capsys, "stability", "--config", str(cfg_path), "--output-dir", str(tmp_path / "ok"))
+        assert (code, out, err) == (0, "records=10\n", "")
+
+    @pytest.mark.parametrize("subcommand", ["regression", "surrogate"])
+    @pytest.mark.parametrize("bad", ["-5", "0", "1"])
+    def test_sample_grid_below_two_rejected(self, capsys, tmp_path, subcommand, bad):
+        code, _, err = run_cli(
+            capsys, subcommand, "--trials", "1", f"--sample-grid=30,{bad}", "--output-dir", str(tmp_path)
+        )
+        assert code == 2
+        assert err == f"error: sample_grid entries must be integers >= 2, got {bad}\n"
+        assert not (tmp_path / "results.csv").exists()
+
+    @pytest.mark.parametrize("subcommand", ["regression", "surrogate"])
+    @pytest.mark.parametrize("bad", [2.5, True])
+    def test_sample_grid_non_integer_in_config_rejected(self, capsys, tmp_path, subcommand, bad):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"trials": 1, "sample_grid": [30, bad]}))
+        code, _, err = run_cli(capsys, subcommand, "--config", str(cfg_path), "--output-dir", str(tmp_path))
+        assert code == 2
+        assert err == f"error: sample_grid entries must be integers >= 2, got {bad!r}\n"
+        assert not (tmp_path / "results.csv").exists()
+
     def test_config_file_with_flag_override(self, capsys, tmp_path):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps({"dim": 6, "trials": 3, "seed": 1, "betas": [0.5]}))

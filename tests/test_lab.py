@@ -1,18 +1,27 @@
 import csv
+import itertools
 import json
+import math
 
 import numpy as np
 import pytest
 
-from conftest import count_linalg_calls
-from covdensity import density, entropy, filtering, spectral
-from covdensity.covariance import gen_gaussian_data, sample_covariance, shift_regularize
+from conftest import count_linalg_calls, table_rows
+from covdensity import covariance, density, entropy, filtering, spectral
+from covdensity.covariance import (
+    DataMatrix,
+    gen_gaussian_data,
+    sample_covariance,
+    shift_regularize,
+    trace_normalize,
+)
 from covdensity.errors import BetaRangeError, ConfigError
 from covdensity.lab import (
     ExperimentConfig,
-    TrialRecord,
+    RunTable,
     records_to_csv,
     run_betafit_demo,
+    run_discrimination,
     run_entropy_curve,
     run_experiment,
     run_lipschitz,
@@ -34,16 +43,27 @@ def metric_mean(records, metric, **param_filter):
     return float(np.mean(vals))
 
 
-def reference_records_to_csv(records, path):
-    """records_to_csv as it was before it collected keys with one set union and wrote with writerows."""
-    records = list(records)
+def table_of(experiment, seed, rows):
+    """A run table built from (params, metrics) dicts, one per row, with None where a row lacks a name."""
+    p_keys = list(dict.fromkeys(k for params, _ in rows for k in params))
+    m_keys = list(dict.fromkeys(k for _, metrics in rows for k in metrics))
+    return RunTable(
+        experiment, seed,
+        {k: [params.get(k) for params, _ in rows] for k in p_keys},
+        {k: [metrics.get(k) for _, metrics in rows] for k in m_keys},
+    )
+
+
+def reference_records_to_csv(table, path):
+    """records_to_csv as it was when it wrote one record per row, cell by cell."""
+    records = table_rows(table)
     p_keys = sorted({k for r in records for k in r.params})
     m_keys = sorted({k for r in records for k in r.metrics})
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["experiment", "seed"] + [f"p:{k}" for k in p_keys] + [f"m:{k}" for k in m_keys])
         for r in records:
-            row = [r.experiment, repr(r.seed)]
+            row = [table.experiment, repr(table.seed)]
             row += [reference_cell(r.params.get(k)) for k in p_keys]
             row += [reference_cell(r.metrics.get(k)) for k in m_keys]
             writer.writerow(row)
@@ -57,10 +77,10 @@ def reference_cell(value):
     return str(value)
 
 
-def reference_summarize(records):
-    """summarize as it was before one-record groups skipped np.mean."""
+def reference_summarize(table):
+    """summarize as it was when it grouped records and took np.mean of every group."""
     groups: dict = {}
-    for r in records:
+    for r in table_rows(table):
         key = tuple(sorted(r.params.items()))
         groups.setdefault(key, []).append(r)
     summary = {}
@@ -74,43 +94,58 @@ def reference_summarize(records):
     return summary
 
 
-# Missing keys, -0.0, subnormals, string and bool params, and groups of one and of three records.
-ODD_RECORDS = [
-    TrialRecord(experiment="odd", seed=4, params={"trial": 0, "beta": -0.0}, metrics={"a": -0.0, "b": 5e-324}),
-    TrialRecord(experiment="odd", seed=4, params={"trial": 1, "method": "x,\"y\""}, metrics={"b": 2.2e-308}),
-    TrialRecord(experiment="odd", seed=4, params={"method": "density", "flag": True}, metrics={"a": 1e300, "c": -1.5}),
-    TrialRecord(experiment="odd", seed=4, params={"method": "density", "flag": True}, metrics={"a": 1e300}),
-    TrialRecord(experiment="odd", seed=4, params={"method": "density", "flag": True}, metrics={"c": 0.1, "a": 3e-320}),
-    TrialRecord(experiment="odd", seed=-2, params={}, metrics={"z": 1.0 / 3.0, "a": -7e-310}),
-    TrialRecord(experiment="odd", seed=-2, params={}, metrics={"z": 0.1 + 0.2}),
+# Missing keys, -0.0, subnormals, string and bool params, and groups of one, two and three rows.
+ODD_ROWS = [
+    ({"trial": 0, "beta": -0.0}, {"a": -0.0, "b": 5e-324}),
+    ({"trial": 1, "method": "x,\"y\""}, {"b": 2.2e-308}),
+    ({"method": "density", "flag": True}, {"a": 1e300, "c": -1.5}),
+    ({"method": "density", "flag": True}, {"a": 1e300}),
+    ({"method": "density", "flag": True}, {"c": 0.1, "a": 3e-320}),
+    ({}, {"z": 1.0 / 3.0, "a": -7e-310}),
+    ({}, {"z": 0.1 + 0.2}),
 ]
 
 
-class TestRecords:
+class TestRunTable:
     def test_metrics_must_be_finite(self):
-        with pytest.raises(ValueError):
-            TrialRecord(experiment="x", seed=0, params={}, metrics={"a": np.inf})
+        with pytest.raises(ValueError, match="metric 'a' is not finite: inf"):
+            RunTable("x", 0, {}, {"a": [np.inf]})
+
+    def test_first_non_finite_cell_in_row_order_is_named(self):
+        metrics = {"a": [1.0, None, np.nan, 2.0], "b": [0.5, -np.inf, np.inf, 1.0], "c": [None, np.nan, 1.0, 1.0]}
+        with pytest.raises(ValueError) as got:
+            RunTable("x", 0, {"trial": [0, 1, 2, 3]}, metrics)
+        # Row 1 is the first with a non-finite cell; its first such metric in column order is b.
+        assert str(got.value) == "metric 'b' is not finite: -inf"
+        # A lacking (None) cell is not a non-finite one.
+        assert len(RunTable("x", 0, {}, {"a": [None, 1.0], "b": [2.0, None]})) == 2
+
+    def test_columns_must_share_one_length(self):
+        with pytest.raises(ValueError, match="differ in length"):
+            RunTable("x", 0, {"trial": [0, 1]}, {"a": [1.0]})
+
+    def test_cells_are_canonical_and_absent_columns_dropped(self):
+        table = RunTable(
+            "x", 0, {"n": np.array([2, 3]), "flag": [np.bool_(True), False], "name": ["a", None], "gone": [None, None]},
+            {"v": np.array([1, 2], dtype=np.int64), "w": [None, None]},
+        )
+        assert table.params == {"n": [2.0, 3.0], "flag": [1.0, 0.0], "name": ["a", None]}
+        assert table.metrics == {"v": [1.0, 2.0]}
+        assert all(type(v) is float for v in table.params["n"] + table.metrics["v"])
 
     def test_csv_round_trip_exact(self, tmp_path):
-        records = [
-            TrialRecord(
-                experiment="demo", seed=3,
-                params={"trial": 0, "method": "density", "beta": -0.1},
-                metrics={"value": 1.0 / 3.0, "other": 1e-17},
-            ),
-            TrialRecord(
-                experiment="demo", seed=3,
-                params={"trial": 1, "method": "trace_normalized"},
-                metrics={"value": 2.5},
-            ),
-        ]
+        table = table_of("demo", 3, [
+            ({"trial": 0, "method": "density", "beta": -0.1}, {"value": 1.0 / 3.0, "other": 1e-17}),
+            ({"trial": 1, "method": "trace_normalized"}, {"value": 2.5}),
+        ])
         path = tmp_path / "records.csv"
-        records_to_csv(records, path)
+        records_to_csv(table, path)
         with open(path, newline="") as fh:
             rows = list(csv.DictReader(fh))
+        records = table_rows(table)
         assert len(rows) == len(records)
         for row, record in zip(rows, records):
-            assert row["experiment"] == record.experiment and int(row["seed"]) == record.seed
+            assert row["experiment"] == "demo" and int(row["seed"]) == 3
             params = {k[2:]: v for k, v in row.items() if k.startswith("p:") and v != ""}
             assert params.keys() == record.params.keys()
             for key, value in record.params.items():
@@ -119,22 +154,23 @@ class TestRecords:
             assert metrics == record.metrics
 
     def test_summarize_groups_by_params(self):
-        records = [
-            TrialRecord(experiment="e", seed=0, params={"m": "a"}, metrics={"v": 1.0}),
-            TrialRecord(experiment="e", seed=0, params={"m": "a"}, metrics={"v": 3.0}),
-            TrialRecord(experiment="e", seed=0, params={"m": "b"}, metrics={"v": 10.0}),
-        ]
-        summary = summarize(records)
+        table = RunTable("e", 0, {"m": ["a", "a", "b"]}, {"v": [1.0, 3.0, 10.0]})
+        summary = summarize(table)
         assert summary["m=a"]["v"] == pytest.approx(2.0)
         assert summary["m=b"]["v"] == pytest.approx(10.0)
         assert summary["m=a"]["n_records"] == 2
 
-    @pytest.mark.parametrize("records", [ODD_RECORDS, ODD_RECORDS[:1], ODD_RECORDS[2:], []], ids=["all", "one", "tail", "none"])
-    def test_artifacts_match_reference_writers(self, tmp_path, records):
-        records_to_csv(records, tmp_path / "got.csv")
-        reference_records_to_csv(records, tmp_path / "want.csv")
+    @pytest.mark.parametrize(
+        "rows, seed",
+        [(ODD_ROWS, 4), (ODD_ROWS[:1], 4), (ODD_ROWS[2:], -2), ([], 0)],
+        ids=["all", "one", "tail", "none"],
+    )
+    def test_artifacts_match_reference_writers(self, tmp_path, rows, seed):
+        table = table_of("odd", seed, rows)
+        records_to_csv(table, tmp_path / "got.csv")
+        reference_records_to_csv(table, tmp_path / "want.csv")
         assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
-        got, want = summarize(records), reference_summarize(records)
+        got, want = summarize(table), reference_summarize(table)
         assert json.dumps(got, indent=1) == json.dumps(want, indent=1)
         assert [type(v) for g in got.values() for v in g.values()] == [
             type(v) for g in want.values() for v in g.values()
@@ -150,6 +186,14 @@ class TestConfig:
         with pytest.raises(ConfigError):
             ExperimentConfig(experiment="stability", trials=0)
 
+    @pytest.mark.parametrize("bad", [-5, 0, 1, 2.5, True])
+    def test_sample_grid_entries_are_integers_of_at_least_two(self, bad):
+        with pytest.raises(ConfigError, match=rf"sample_grid .* got {bad!r}$"):
+            ExperimentConfig(experiment="regression", sample_grid=(25, bad))
+
+    def test_numpy_integer_sample_grid_accepted(self):
+        assert ExperimentConfig(experiment="surrogate", sample_grid=np.array([2, 30])).sample_grid == (2, 30)
+
 
 @pytest.fixture(scope="module")
 def stability_records():
@@ -157,7 +201,7 @@ def stability_records():
         experiment="stability", dim=20, n_samples=40, trials=100, seed=7,
         betas=(-1.0, -0.1, 0.0, 0.1, 1.0, 5.0),
     )
-    return run_stability(cfg)
+    return table_rows(run_stability(cfg))
 
 
 class TestStability:
@@ -200,7 +244,7 @@ class TestStability:
         cfg = ExperimentConfig(
             experiment="stability", dim=6, trials=3, seed=1, betas=(1.0,), noise_levels=(0.0,)
         )
-        for r in run_stability(cfg):
+        for r in table_rows(run_stability(cfg)):
             assert r.metrics["delta_c_norm"] <= 1e-15
             assert r.metrics["delta_rho_norm"] <= 1e-12
 
@@ -208,14 +252,14 @@ class TestStability:
 class TestLipschitz:
     def test_ratio_never_exceeds_one(self):
         cfg = ExperimentConfig(experiment="lipschitz", trials=2000, seed=3)
-        records = run_lipschitz(cfg)
+        records = table_rows(run_lipschitz(cfg))
         assert len(records) >= 1900
         max_ratio = max(r.metrics["ratio"] for r in records)
         assert max_ratio <= 1.0 + 1e-9
 
     def test_matches_public_partition_function_path(self):
         cfg = ExperimentConfig(experiment="lipschitz", trials=300, seed=4)
-        for r in run_lipschitz(cfg):
+        for r in table_rows(run_lipschitz(cfg)):
             lam1, lam2, beta = r.metrics["lambda1"], r.metrics["lambda2"], r.metrics["beta"]
             t = int(r.params["trial"])
             rng = np.random.default_rng([cfg.seed, t])
@@ -234,7 +278,7 @@ class TestSurrogate:
         cfg = ExperimentConfig(
             experiment="surrogate", dim=8, trials=20, seed=0, sample_grid=(100, 20000)
         )
-        records = run_surrogate(cfg)
+        records = table_rows(run_surrogate(cfg))
         small = metric_mean(records, "alignment", n_samples=100)
         large = metric_mean(records, "alignment", n_samples=20000)
         assert large >= 0.9
@@ -244,7 +288,7 @@ class TestSurrogate:
         cfg = ExperimentConfig(
             experiment="surrogate", dim=8, trials=10, seed=2, sample_grid=(100000,)
         )
-        records = run_surrogate(cfg)
+        records = table_rows(run_surrogate(cfg))
         assert metric_mean(records, "alignment", n_samples=100000) >= 0.95
 
     def test_constant_filter_is_degenerate(self):
@@ -252,7 +296,7 @@ class TestSurrogate:
             experiment="surrogate", dim=6, trials=2, seed=1, sample_grid=(200,),
             filter_coeffs=(1.0,),
         )
-        records = run_surrogate(cfg)
+        records = table_rows(run_surrogate(cfg))
         assert all(r.metrics["degenerate"] == 1.0 for r in records)
         assert all("alignment" not in r.metrics for r in records)
 
@@ -260,7 +304,7 @@ class TestSurrogate:
 @pytest.fixture(scope="module")
 def regression_records():
     cfg = ExperimentConfig(experiment="regression", trials=40, seed=5)
-    return run_regression(cfg)
+    return table_rows(run_regression(cfg))
 
 
 class TestRegression:
@@ -284,7 +328,7 @@ class TestRegression:
             experiment="regression", trials=10, seed=2, n_informative=1, weight_scale=0.0,
             betas=(1.0,), noise_levels=(2.0,), sample_grid=(100,),
         )
-        records = run_regression(cfg)
+        records = table_rows(run_regression(cfg))
         mae = metric_mean(records, "mae", method="density_beta_1")
         baseline = metric_mean(records, "baseline_mae", method="density_beta_1")
         assert mae == pytest.approx(baseline, rel=0.05)
@@ -296,7 +340,7 @@ class TestEntropyCurve:
             experiment="entropy_curve", dim=6, n_samples=60, trials=5, seed=4,
             betas=tuple(np.linspace(0.0, 15.0, 11)),
         )
-        records = run_entropy_curve(cfg)
+        records = table_rows(run_entropy_curve(cfg))
         for family in ("gaussian", "exponential", "gamma"):
             for trial in range(5):
                 curve = [
@@ -351,13 +395,276 @@ def stability_oracle(cfg):
     return records
 
 
+def per_noise_level_stability(cfg):
+    """run_stability as it was, one noise level at a time: one eigh per matrix and one
+    stacked eigvalsh per noise level.  Yields (params, metrics) per row."""
+    for t in range(cfg.trials):
+        rng = np.random.default_rng([cfg.seed, t])
+        data = gen_gaussian_data(cfg.dim, cfg.n_samples, "gaussian", seed=[cfg.seed, t, 1])
+        cov = sample_covariance(data)
+        reg = shift_regularize(cov)
+        base = spectral.eigh(reg.matrix)
+        values_base, log_z_base = density.density_values(base.eigenvalues, cfg.betas)
+        rho_base = spectral.spectral_matrix(base, values_base)
+        norm_base = density._norm(base.eigenvalues)
+        tn_base = cov.matrix / np.trace(cov.matrix)
+        for eps in cfg.noise_levels:
+            e = rng.standard_normal((cfg.dim, cfg.dim))
+            e = (e + e.T) / 2.0
+            dc = eps * e / operator_norm(e)
+            perturbed = cov.matrix + dc
+            pert = spectral.eigh(reg.matrix + dc)
+            rho_pert, log_z_pert = density.density_values(pert.eigenvalues, cfg.betas)
+            norm_pert = density._norm(pert.eigenvalues)
+            deltas = [dc, perturbed / np.trace(perturbed) - tn_base]
+            deltas.extend(spectral.spectral_matrix(pert, rho_pert) - rho_base)
+            norm_dc, norm_tn, *norm_rho = density._norm(np.linalg.eigvalsh(deltas))
+            yield (
+                {"trial": t, "noise": eps, "method": "trace_normalized"},
+                {"delta_c_norm": norm_dc, "delta_rho_norm": norm_tn},
+            )
+            for i, beta in enumerate(cfg.betas):
+                bound = density._error_bound(
+                    beta, cfg.dim, norm_base, norm_pert, norm_dc, log_z_base[i], log_z_pert[i]
+                )
+                yield {"trial": t, "noise": eps, "method": "density", "beta": beta}, {
+                    "delta_c_norm": norm_dc,
+                    "delta_rho_norm": norm_rho[i],
+                    "bound_value": bound,
+                    "r_ratio": math.exp(log_z_pert[i] - log_z_base[i]),
+                }
+
+
+def per_item_entropy_curve(cfg):
+    """run_entropy_curve as it was, one (trial, family) covariance at a time."""
+    for t in range(cfg.trials):
+        for fam_idx, family in enumerate(cfg.families):
+            data = gen_gaussian_data(cfg.dim, cfg.n_samples, family, seed=[cfg.seed, t, fam_idx])
+            eigenvalues = shift_regularize(sample_covariance(data))._eigenvalues
+            rho, _ = density.density_values(eigenvalues, cfg.betas)
+            for beta, nats in zip(cfg.betas, entropy._shannon_nats(rho)):
+                metrics = {"entropy_nats": nats, "entropy_bits": nats / math.log(2.0)}
+                yield {"trial": t, "family": family, "beta": beta}, metrics
+
+
+def reference_regression_draws(cfg, t, noise):
+    """One noise level's train/test sets and covariance pool, drawn in the order run_regression draws them."""
+    grid = cfg.sample_grid or (25, 50, 100, 250, 1000)
+    rng = np.random.default_rng([cfg.seed, t, int(round(noise * 1000))])
+    weights = np.zeros(cfg.dim)
+    support = rng.choice(cfg.dim, cfg.n_informative, replace=False)
+    weights[support] = rng.normal(0.0, cfg.weight_scale, cfg.n_informative)
+    x_train = rng.standard_normal((cfg.n_train, cfg.dim))
+    y_train = x_train @ weights + rng.normal(0.0, noise, cfg.n_train)
+    x_test = rng.standard_normal((cfg.n_test, cfg.dim))
+    y_test = x_test @ weights + rng.normal(0.0, noise, cfg.n_test)
+    pool = rng.standard_normal((max(max(grid), cfg.dim + 1), cfg.dim))
+    return x_train, y_train, x_test, y_test, pool
+
+
+def reference_regression(cfg):
+    """run_regression as it was, one covariance at a time: each method's dense transform
+    multiplies both feature sets, and a dense ridge solve fits them.  Yields (params, mae, baseline)."""
+    betas = cfg.betas or (0.1, 1.0, 5.0, 15.0)
+    for t in range(cfg.trials):
+        for noise in cfg.noise_levels or (0.0, 5.0):
+            x_train, y_train, x_test, y_test, pool = reference_regression_draws(cfg, t, noise)
+            y_bar = float(np.mean(y_train))
+            baseline = float(np.mean(np.abs(y_test - y_bar)))
+            for n_cov in cfg.sample_grid or (25, 50, 100, 250, 1000):
+                cov_tn = trace_normalize(sample_covariance(DataMatrix(pool[:n_cov])))
+                decomp = spectral.eigh(cov_tn.matrix)
+                transforms = {"raw_covariance": cov_tn.matrix}
+                for beta in betas:
+                    rho, log_z = density.density_values(decomp.eigenvalues, (beta,))
+                    shifted = spectral.spectral_matrix(decomp, rho[0] - math.exp(-log_z[0]))
+                    transforms[f"density_beta_{beta:g}"] = shifted
+                for name, transform in transforms.items():
+                    z_train, z_test = x_train @ transform, x_test @ transform
+                    gram = z_train.T @ z_train + cfg.ridge * cfg.n_train * np.eye(cfg.dim)
+                    coef = np.linalg.solve(gram, z_train.T @ (y_train - y_bar))
+                    mae = float(np.mean(np.abs(z_test @ coef + y_bar - y_test)))
+                    yield {"trial": t, "noise": noise, "n_cov": n_cov, "method": name}, mae, baseline
+
+
+def assert_rows_equal(table, expected):
+    """The table's rows equal (params, metrics) pairs, metrics bit for bit and numeric params as floats."""
+    expected = list(expected)
+    got = table_rows(table)
+    assert [r.params for r in got] == [
+        {k: v if isinstance(v, str) else float(v) for k, v in p.items()} for p, _ in expected
+    ]
+    assert [{k: v.hex() for k, v in r.metrics.items()} for r in got] == [
+        {k: float(v).hex() for k, v in m.items()} for _, m in expected
+    ]
+
+
+class TestStackedStages:
+    """Each stacked stage against the per-item loop it replaced, kept here as the reference."""
+
+    @pytest.mark.parametrize(
+        "cfg",
+        [
+            ExperimentConfig(
+                experiment="stability", dim=7, trials=3, seed=5,
+                betas=(-1.0, -0.1, 0.0, 0.1, 1.0, 5.0), noise_levels=(0.01, 0.05, 0.2),
+            ),
+            ExperimentConfig(experiment="stability", dim=3, trials=2, seed=9, betas=(2.0,), noise_levels=(0.5,)),
+            # Fewer samples than dim: a singular covariance.
+            ExperimentConfig(
+                experiment="stability", dim=12, n_samples=8, trials=2, seed=0, betas=(-0.5, 3.0),
+                noise_levels=(0.01, 0.05, 0.1, 0.2, 0.5),
+            ),
+        ],
+    )
+    def test_stability_matches_per_noise_level_loop(self, cfg):
+        assert_rows_equal(run_stability(cfg), per_noise_level_stability(cfg))
+
+    @pytest.mark.parametrize(
+        "cfg",
+        [
+            ExperimentConfig(experiment="entropy_curve", dim=6, trials=3, seed=3, betas=(0.0, 0.5, 3.0, 12.0)),
+            ExperimentConfig(experiment="entropy_curve", dim=20, n_samples=10, trials=2, seed=8, betas=(-2.0, 1e3)),
+            ExperimentConfig(
+                experiment="entropy_curve", dim=4, trials=2, seed=1, betas=(1.0,), families=("gamma", "gaussian")
+            ),
+        ],
+    )
+    def test_entropy_curve_matches_per_item_loop(self, cfg):
+        assert_rows_equal(run_entropy_curve(cfg), per_item_entropy_curve(cfg))
+
+    def test_discrimination_table_lists_every_window_then_the_aucs(self):
+        cfg = ExperimentConfig(experiment="discrimination", n_windows=20, window=16, seed=5, betas=(1.5,))
+        result = entropy.discrimination_experiment(16, 20, 1.5, cfg.regime_scale, cfg.base_spectrum, 5)
+        expected = [
+            (
+                {"window_index": w.window_index, "regime": w.regime},
+                {"s_naive_bits": w.s_naive_bits, "s_vne_bits": w.s_vne_bits},
+            )
+            for w in result.windows
+        ]
+        expected.append(({"summary": "auc"}, {"auc_naive": result.auc_naive, "auc_vne": result.auc_vne}))
+        assert_rows_equal(run_discrimination(cfg), expected)
+
+    @pytest.mark.parametrize(
+        "cfg",
+        [
+            ExperimentConfig(
+                experiment="regression", dim=6, trials=3, seed=11, betas=(0.5, 3.0, 40.0),
+                noise_levels=(0.0, 1.5, 7.0), sample_grid=(8, 30, 120), n_test=60,
+            ),
+            # A grid point below dim gives a rank-deficient covariance; negative beta, other ridge.
+            ExperimentConfig(
+                experiment="regression", dim=12, trials=2, seed=4, betas=(-2.0, 0.25),
+                noise_levels=(2.5,), sample_grid=(5, 200), n_train=40, n_test=90, ridge=1e-3,
+                n_informative=3,
+            ),
+        ],
+    )
+    def test_regression_matches_per_covariance_reference(self, cfg):
+        records = table_rows(run_regression(cfg))
+        expected = list(reference_regression(cfg))
+        assert [r.params for r in records] == [
+            {k: v if isinstance(v, str) else float(v) for k, v in p.items()} for p, _, _ in expected
+        ]
+        assert [r.metrics["baseline_mae"] for r in records] == [baseline for _, _, baseline in expected]
+        # The shared-eigenbasis solve reorders the arithmetic of the dense per-method fits.
+        np.testing.assert_allclose(
+            [r.metrics["mae"] for r in records], [mae for _, mae, _ in expected], rtol=1e-12, atol=0.0
+        )
+
+
+def first_error(fn, *args):
+    with pytest.raises(ValueError) as info:
+        fn(*args)
+    return type(info.value), str(info.value)
+
+
+class TestStackedErrorOrder:
+    """A stacked check that fails raises what the per-item loop raises first."""
+
+    def test_stability_bound_of_an_earlier_noise_level_wins(self):
+        # beta * lambda overflows only for the largest perturbation, which the stack maps
+        # first, while the first noise level's error bound already overflows.
+        cfg = ExperimentConfig(
+            experiment="stability", dim=2, trials=1, seed=3, betas=(-1e308,), noise_levels=(1e-3, 5.0)
+        )
+        later = ExperimentConfig(**{**cfg.__dict__, "noise_levels": (5.0,)})
+        assert first_error(run_stability, later)[1].startswith("beta * lambda overflows a double")
+        got = first_error(run_stability, cfg)
+        assert got == first_error(lambda: list(per_noise_level_stability(cfg)))
+        assert got[0] is BetaRangeError and got[1].startswith("Z'/Z = exp(")
+
+    def test_stability_overflowing_bound_names_beta_and_norm(self):
+        cfg = ExperimentConfig(
+            experiment="stability", dim=4, trials=1, seed=0, betas=(1.0, -400.0), noise_levels=(0.01, 0.1)
+        )
+        got = first_error(run_stability, cfg)
+        assert got == first_error(lambda: list(per_noise_level_stability(cfg)))
+        assert got[0] is BetaRangeError and got[1].startswith("density error bound overflows a double at beta = -400,")
+
+    def test_entropy_curve_earlier_item_wins_over_a_later_failing_draw(self):
+        cfg = ExperimentConfig(
+            experiment="entropy_curve", dim=5, trials=2, seed=1, betas=(-1.7e308,), families=("gaussian", "bogus")
+        )
+        got = first_error(run_entropy_curve, cfg)
+        assert got == first_error(lambda: list(per_item_entropy_curve(cfg)))
+        assert got[0] is BetaRangeError
+
+    @pytest.mark.parametrize(
+        "betas, message",
+        [
+            ((1.0,), "matrix is not PSD"),
+            # The first item's beta * lambda overflows (its lambda_max is 1.38) ahead of the
+            # second item's failing PSD check, which the stack checks first.
+            ((-1.7e308,), "beta * lambda overflows a double"),
+        ],
+    )
+    def test_entropy_curve_first_failing_item_raises_its_own_error(self, monkeypatch, betas, message):
+        # The exponential family's covariances (all-positive data) are made non-PSD.
+        original = covariance._covariance_array
+
+        def broken(x):
+            c = original(x)
+            positive = np.all(x > 0, axis=(-2, -1))[..., None, None]
+            return np.where(positive, c - (1.0 + c[..., :1, :1]) * np.eye(c.shape[-1]), c)
+
+        monkeypatch.setattr(covariance, "_covariance_array", broken)
+        cfg = ExperimentConfig(
+            experiment="entropy_curve", dim=5, trials=2, seed=1, betas=betas, families=("gaussian", "exponential")
+        )
+        got = first_error(run_entropy_curve, cfg)
+        assert got == first_error(lambda: list(per_item_entropy_curve(cfg)))
+        assert got[1].startswith(message)
+
+    def test_regression_first_failing_covariance_raises_its_own_error(self, monkeypatch):
+        cfg = ExperimentConfig(
+            experiment="regression", dim=5, trials=2, seed=3, betas=(1.0,),
+            noise_levels=(0.0, 2.0), sample_grid=(20, 40, 80), n_test=30,
+        )
+        original = covariance._covariance_array
+
+        def broken(x):
+            c = original(x)
+            if x.shape[-2] == cfg.sample_grid[1]:
+                return c - (1.0 + c[..., :1, :1]) * np.eye(cfg.dim)  # not PSD; min eigenvalue depends on the data
+            if x.shape[-2] == cfg.sample_grid[2]:
+                return np.zeros_like(c)  # zero trace, which the stacked checks test before PSD
+            return c
+
+        monkeypatch.setattr(covariance, "_covariance_array", broken)
+        got = first_error(run_regression, cfg)
+        assert got == first_error(lambda: [list(p) for p, _, _ in reference_regression(cfg)])
+        assert got[1].startswith("matrix is not PSD")
+
+
 class TestDecomposeOnce:
     def test_stability_matches_public_api_oracle(self):
         cfg = ExperimentConfig(
             experiment="stability", dim=7, trials=3, seed=5,
             betas=(-1.0, -0.1, 0.0, 0.1, 1.0, 5.0), noise_levels=(0.01, 0.2),
         )
-        records = run_stability(cfg)
+        records = table_rows(run_stability(cfg))
         expected = stability_oracle(cfg)
         assert [r.params for r in records] == [
             {k: float(v) if not isinstance(v, str) else v for k, v in params.items()}
@@ -380,8 +687,9 @@ class TestDecomposeOnce:
             betas=(-1.0, 0.0, 2.0), noise_levels=(0.1, 0.2, 0.3),
         )
         run_stability(cfg)
-        # Per trial: the regularized matrix, then one perturbation per noise level.
-        assert len(eigh_calls) == cfg.trials * (1 + len(cfg.noise_levels))
+        # Per trial, one stack: the regularized matrix, then one perturbation per noise level.
+        assert eigh_calls == [(1 + len(cfg.noise_levels), 5, 5)] * cfg.trials
+        assert eigh_calls.matrices == cfg.trials * (1 + len(cfg.noise_levels))
 
     def test_entropy_curve_decomposes_once_per_family(self, eigh_calls):
         cfg = ExperimentConfig(experiment="entropy_curve", dim=5, trials=2, seed=1, betas=(0.0, 1.0, 4.0))
@@ -402,7 +710,7 @@ class TestDecomposeOnce:
 
     def test_entropy_curve_matches_cvne_bit_for_bit(self):
         cfg = ExperimentConfig(experiment="entropy_curve", dim=6, trials=2, seed=3, betas=(0.0, 0.5, 3.0, 12.0))
-        records = iter(run_entropy_curve(cfg))
+        records = iter(table_rows(run_entropy_curve(cfg)))
         for t in range(cfg.trials):
             for fam_idx, family in enumerate(cfg.families):
                 data = gen_gaussian_data(cfg.dim, cfg.n_samples, family, seed=[cfg.seed, t, fam_idx])
@@ -426,23 +734,27 @@ class TestDecomposeOnce:
     def eigvalsh_calls(self, monkeypatch):
         return count_linalg_calls(monkeypatch, "eigvalsh")
 
-    def test_stability_norms_from_one_stacked_eigvalsh_per_noise_level(self, eigvalsh_calls):
+    def test_stability_norms_from_one_stacked_eigvalsh_per_trial(self, eigvalsh_calls):
         cfg = ExperimentConfig(
             experiment="stability", dim=5, trials=2, seed=1,
             betas=(-1.0, 0.0, 2.0), noise_levels=(0.1, 0.2, 0.3),
         )
         run_stability(cfg)
         # Per trial: the sample covariance's PSD check, the shifted matrix's PSD
-        # check, then per noise level one stack of dC, the trace-normalized delta
-        # and each beta's delta.
-        per_trial = [(5, 5), (5, 5)] + [(2 + len(cfg.betas), 5, 5)] * len(cfg.noise_levels)
+        # check, then one stack holding, per noise level, dC, the trace-normalized
+        # delta and each beta's delta.
+        per_trial = [(5, 5), (5, 5), (len(cfg.noise_levels), 2 + len(cfg.betas), 5, 5)]
         assert eigvalsh_calls == per_trial * cfg.trials
+        assert eigvalsh_calls.matrices == cfg.trials * (2 + len(cfg.noise_levels) * (2 + len(cfg.betas)))
 
     def test_entropy_curve_reuses_the_validated_spectrum(self, eigvalsh_calls):
         cfg = ExperimentConfig(experiment="entropy_curve", dim=5, trials=2, seed=1, betas=(0.0, 1.0, 4.0))
         run_entropy_curve(cfg)
-        # The sample covariance's and the shifted matrix's PSD checks; the shift reuses the first.
-        assert len(eigvalsh_calls) == cfg.trials * len(cfg.families) * 2
+        # The sample covariances' and the shifted matrices' PSD checks, each one stack
+        # over the run; the shift reuses the first.
+        stack = (cfg.trials * len(cfg.families), 5, 5)
+        assert eigvalsh_calls == [stack, stack]
+        assert eigvalsh_calls.matrices == cfg.trials * len(cfg.families) * 2
 
     def test_lipschitz_decomposes_nothing(self, eigvalsh_calls, eigh_calls):
         run_lipschitz(ExperimentConfig(experiment="lipschitz", trials=50, seed=2))
@@ -457,8 +769,11 @@ class TestDecomposeOnce:
 
     def test_regression_decomposes_once_per_covariance(self, eigh_calls):
         cfg = ExperimentConfig(
-            experiment="regression", dim=5, trials=1, seed=1, betas=(0.1, 1.0, 5.0),
-            noise_levels=(0.0,), sample_grid=(25, 50), n_test=50,
+            experiment="regression", dim=5, trials=2, seed=1, betas=(0.1, 1.0, 5.0),
+            noise_levels=(0.0, 2.0), sample_grid=(25, 50, 75), n_test=50,
         )
         run_regression(cfg)
-        assert len(eigh_calls) == len(cfg.noise_levels) * len(cfg.sample_grid)
+        # One stacked eigh per trial, over its (noise level, grid point) covariances.
+        stack = (len(cfg.noise_levels), len(cfg.sample_grid), cfg.dim, cfg.dim)
+        assert eigh_calls == [stack] * cfg.trials
+        assert eigh_calls.matrices == cfg.trials * len(cfg.noise_levels) * len(cfg.sample_grid)
