@@ -1,10 +1,11 @@
 """Command-line entry point.
 
 Every subcommand resolves its configuration (JSON file plus flag overrides,
-flags winning), writes a run manifest, and emits machine-readable outputs
-under --output-dir: results.csv (one run-table row per line), summary.json, and
-for training model.json.  stdout carries only the primary result; diagnostics
-go to stderr.
+flags winning), computes, and returns its run; only then does ``_write_run``
+emit the run's machine-readable outputs under --output-dir: manifest.json,
+model.json (training only), results.csv (one run-table row per line) and
+summary.json.  A failing subcommand writes nothing.  stdout carries only the
+primary result; diagnostics go to stderr.
 
 Exit codes: 0 success, 1 usage error, 2 runtime or numeric error.
 """
@@ -17,6 +18,7 @@ import datetime
 import json
 import math
 import os
+import pathlib
 import sys
 
 import numpy as np
@@ -100,7 +102,8 @@ def _build_parser() -> _Parser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def common(p, with_beta=False):
+    def common(p, command, with_beta=False):
+        p.set_defaults(command=command)
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--output-dir", default=".")
         p.add_argument("--config", default=None)
@@ -108,20 +111,20 @@ def _build_parser() -> _Parser:
             p.add_argument("--beta", type=float, default=None)
 
     p = sub.add_parser("entropy", help="density entropy of a covariance matrix")
-    common(p, with_beta=True)
+    common(p, _cmd_entropy, with_beta=True)
     p.add_argument("--input", required=True)
     p.add_argument("--input-is-covariance", action="store_true")
     p.add_argument("--header", action="store_true")
     p.add_argument("--unit", choices=("nats", "bits"), default="bits")
 
     p = sub.add_parser("density", help="density operator eigenvalues")
-    common(p, with_beta=True)
+    common(p, _cmd_density, with_beta=True)
     p.add_argument("--input", required=True)
     p.add_argument("--input-is-covariance", action="store_true")
     p.add_argument("--header", action="store_true")
 
     p = sub.add_parser("fit-beta", help="fit the inverse temperature to a target spectrum")
-    common(p)
+    common(p, _cmd_fit_beta)
     p.add_argument("--spectrum", type=_float_list, default=None)
     p.add_argument("--target", type=_float_list, default=None)
     p.add_argument("--input", default=None)
@@ -129,9 +132,10 @@ def _build_parser() -> _Parser:
     p.add_argument("--header", action="store_true")
     p.add_argument("--tol", type=float, default=1e-10)
 
-    for name in EXPERIMENT_SUBCOMMANDS:
+    for name, experiment in EXPERIMENT_SUBCOMMANDS.items():
         p = sub.add_parser(name, help=f"run the {name} experiment")
-        common(p)
+        common(p, _cmd_experiment)
+        p.set_defaults(experiment=experiment)
         p.add_argument("--dim", type=int, default=None)
         p.add_argument("--n-samples", type=int, default=None)
         p.add_argument("--trials", type=int, default=None)
@@ -140,13 +144,13 @@ def _build_parser() -> _Parser:
         p.add_argument("--sample-grid", type=_int_list, default=None)
 
     p = sub.add_parser("train", help="train a model on CSV data")
-    common(p)
+    common(p, _cmd_train)
     p.add_argument("--input", required=True)
     p.add_argument("--header", action="store_true")
     p.add_argument("--horizon", type=int, default=0)
 
     p = sub.add_parser("predict", help="predict with a trained model")
-    common(p)
+    common(p, _cmd_predict)
     p.add_argument("--input", required=True)
     p.add_argument("--header", action="store_true")
     p.add_argument("--model", default=None)
@@ -157,8 +161,7 @@ def _build_parser() -> _Parser:
 
 def _load_json_config(path, allowed: set, kind: str) -> dict:
     try:
-        with open(path) as fh:
-            payload = json.load(fh)
+        payload = json.loads(pathlib.Path(path).read_text())
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: invalid JSON: {exc}") from exc
     if not isinstance(payload, dict):
@@ -174,12 +177,24 @@ def _load_json_config(path, allowed: set, kind: str) -> dict:
 def _validate_train_config(cfg: dict) -> dict:
     merged = dict(_TRAIN_DEFAULTS)
     merged.update(cfg)
+    # A key with a default takes its default's type; a float key also takes an int, and only a bool key a bool.
+    for key, default in _TRAIN_DEFAULTS.items():
+        value = merged[key]
+        kind = (int, float) if type(default) is float else type(default)
+        if default is not None and (not isinstance(value, kind) or isinstance(value, bool) != (kind is bool)):
+            raise ConfigError(f"/{key}: expected {type(default).__name__}, got {value!r}")
     if merged["epochs"] < 1:
         raise ConfigError("/epochs: must be >= 1")
     if merged["learning_rate"] < 0:
         raise ConfigError("/learning_rate: must be nonnegative")
     if merged["batch_size"] < 1:
         raise ConfigError("/batch_size: must be >= 1")
+    if merged["hidden_dim"] < 1:
+        raise ConfigError("/hidden_dim: must be >= 1")
+    if merged["order"] < 0:
+        raise ConfigError("/order: must be >= 0")
+    if merged["seed"] < 0:
+        raise ConfigError(f"/seed: must be >= 0, got {merged['seed']}")
     if not 0.0 <= merged["dropout"] < 1.0:
         raise ConfigError("/dropout: must be in [0, 1)")
     if merged["num_layers"] < 1:
@@ -188,6 +203,8 @@ def _validate_train_config(cfg: dict) -> dict:
         if merged["betas_init"] is None:
             raise ConfigError("/betas: required unless betas_init is given")
         merged["betas"] = list(merged["betas_init"])
+    if not merged["betas"]:
+        raise ConfigError("/betas: must be non-empty")
     if not 0.0 < merged["val_fraction"] < 1.0:
         raise ConfigError("/val_fraction: must be in (0, 1)")
     return merged
@@ -216,31 +233,37 @@ def _resolve_experiment_config(args, experiment: str) -> lab.ExperimentConfig:
         raise ConfigError(str(exc)) from exc
 
 
-def _write_manifest(output_dir, subcommand, config: dict, seed) -> None:
-    manifest = {
+@dataclasses.dataclass
+class _Run:
+    """What a subcommand computed: the manifest's config (its seed is the table's), the run table for
+    results.csv, the summary.json payload, the stdout text, and for training model.json's (model, cov)."""
+
+    config: dict
+    table: lab.RunTable
+    summary: dict
+    stdout: str
+    model: tuple | None = None
+
+
+def _write_run(output_dir, subcommand: str, run: _Run) -> None:
+    """Write a finished run's artifacts under ``output_dir``: manifest.json, model.json, results.csv, summary.json."""
+
+    def dump(name, payload):
+        with open(os.path.join(output_dir, name), "w") as fh:
+            json.dump(payload, fh, indent=1, sort_keys=True)
+
+    os.makedirs(output_dir, exist_ok=True)
+    dump("manifest.json", {
         "artifact_version": __version__,
         "subcommand": subcommand,
-        "seed": seed,
-        "config": config,
+        "seed": run.table.seed,
+        "config": run.config,
         "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
-    }
-    with open(os.path.join(output_dir, "manifest.json"), "w") as fh:
-        json.dump(manifest, fh, indent=1, sort_keys=True, default=_json_default)
-
-
-def _json_default(value):
-    if isinstance(value, (np.integer,)):
-        return int(value)
-    if isinstance(value, (np.floating,)):
-        return float(value)
-    if isinstance(value, (tuple, np.ndarray)):
-        return list(value)
-    raise TypeError(f"cannot serialize {type(value)!r}")
-
-
-def _write_summary(output_dir, payload: dict) -> None:
-    with open(os.path.join(output_dir, "summary.json"), "w") as fh:
-        json.dump(payload, fh, indent=1, sort_keys=True, default=_json_default)
+    })
+    if run.model is not None:
+        network.save_model(os.path.join(output_dir, "model.json"), *run.model)
+    lab.records_to_csv(run.table, os.path.join(output_dir, "results.csv"))
+    dump("summary.json", run.summary)
 
 
 def _read_cov(args) -> CovarianceMatrix:
@@ -249,47 +272,41 @@ def _read_cov(args) -> CovarianceMatrix:
     return sample_covariance(read_csv_data(args.input, header=args.header))
 
 
-def _cmd_entropy(args) -> int:
+def _cmd_entropy(args) -> _Run:
     beta = args.beta if args.beta is not None else 1.0
     cov = _read_cov(args)
     report = entropy.cvne(cov, beta)
-    naive_bits = entropy.naive_entropy(cov)
-    value = report.entropy_bits if args.unit == "bits" else report.entropy_nats
-    out_dir = _ensure_output_dir(args)
-    _write_manifest(out_dir, "entropy", {"beta": beta, "unit": args.unit, "input": args.input}, args.seed or 0)
     metrics = {
         "entropy_nats": report.entropy_nats,
         "entropy_bits": report.entropy_bits,
         "gibbs_form_nats": report.gibbs_form_nats,
-        "naive_entropy_bits": naive_bits,
+        "naive_entropy_bits": entropy.naive_entropy(cov),
         "source_dim": report.source_dim,
         "source_rank_estimate": report.source_rank_estimate,
     }
     table = lab.RunTable("entropy", args.seed or 0, {"beta": [beta]}, {k: [v] for k, v in metrics.items()})
-    lab.records_to_csv(table, os.path.join(out_dir, "results.csv"))
-    _write_summary(out_dir, {"entropy": {k: c[0] for k, c in table.metrics.items()}, "unit": args.unit})
-    print(f"{value:.10g}")
-    return 0
+    value = report.entropy_bits if args.unit == "bits" else report.entropy_nats
+    return _Run(
+        {"beta": beta, "unit": args.unit, "input": args.input}, table,
+        {"entropy": {k: c[0] for k, c in table.metrics.items()}, "unit": args.unit}, f"{value:.10g}",
+    )
 
 
-def _cmd_density(args) -> int:
+def _cmd_density(args) -> _Run:
     beta = args.beta if args.beta is not None else 1.0
-    cov = _read_cov(args)
-    rho = density.density_operator(cov, beta)
-    z = rho.partition_function  # raises on overflow before any file is written
-    out_dir = _ensure_output_dir(args)
-    _write_manifest(out_dir, "density", {"beta": beta, "input": args.input}, args.seed or 0)
+    rho = density.density_operator(_read_cov(args), beta)
+    z = rho.partition_function
     table = lab.RunTable(
         "density", args.seed or 0, {"index": range(rho.dim)},
         {"source_eigenvalue": rho.source_spectrum, "density_eigenvalue": rho.density_eigenvalues},
     )
-    lab.records_to_csv(table, os.path.join(out_dir, "results.csv"))
-    _write_summary(out_dir, {"partition_function": z, "beta": beta, "dim": rho.dim})
-    print(",".join(f"{v:.10g}" for v in rho.density_eigenvalues))
-    return 0
+    return _Run(
+        {"beta": beta, "input": args.input}, table, {"partition_function": z, "beta": beta, "dim": rho.dim},
+        ",".join(f"{v:.10g}" for v in rho.density_eigenvalues),
+    )
 
 
-def _cmd_fit_beta(args) -> int:
+def _cmd_fit_beta(args) -> _Run:
     if args.spectrum is not None:
         spectrum = np.asarray(args.spectrum, dtype=float)
     elif args.input is not None:
@@ -302,12 +319,6 @@ def _cmd_fit_beta(args) -> int:
         clipped = np.clip(spectrum, 0.0, None)
         target = clipped / clipped.sum()
     result = fit_beta(spectrum, target, tol=args.tol)
-    out_dir = _ensure_output_dir(args)
-    _write_manifest(
-        out_dir, "fit-beta",
-        {"spectrum": list(spectrum), "target": list(target), "tol": args.tol},
-        args.seed or 0,
-    )
     metrics = {
         "beta_star": result.beta_star,
         "objective_value": result.objective_value,
@@ -317,22 +328,17 @@ def _cmd_fit_beta(args) -> int:
         "degenerate": result.degenerate,
     }
     table = lab.RunTable("fit_beta", args.seed or 0, {}, {k: [v] for k, v in metrics.items()})
-    lab.records_to_csv(table, os.path.join(out_dir, "results.csv"))
-    _write_summary(out_dir, {"fit": {k: c[0] for k, c in table.metrics.items()}})
-    print(f"{result.beta_star:.10g}")
-    return 0
+    return _Run(
+        {"spectrum": spectrum.tolist(), "target": target.tolist(), "tol": args.tol}, table,
+        {"fit": {k: c[0] for k, c in table.metrics.items()}}, f"{result.beta_star:.10g}",
+    )
 
 
-def _cmd_experiment(args, experiment: str) -> int:
-    cfg = _resolve_experiment_config(args, experiment)
-    out_dir = _ensure_output_dir(args)
-    _write_manifest(out_dir, args.subcommand, cfg.__dict__, cfg.seed)
+def _cmd_experiment(args) -> _Run:
+    cfg = _resolve_experiment_config(args, args.experiment)
     table = lab.run_experiment(cfg)
-    lab.records_to_csv(table, os.path.join(out_dir, "results.csv"))
-    headline = _experiment_headline(experiment, table)
-    _write_summary(out_dir, {"headline": headline, "groups": lab.summarize(table)})
-    print(headline)
-    return 0
+    headline = _experiment_headline(args.experiment, table)
+    return _Run(cfg.__dict__, table, {"headline": headline, "groups": lab.summarize(table)}, headline)
 
 
 def _experiment_headline(experiment: str, table) -> str:
@@ -353,12 +359,6 @@ def _experiment_headline(experiment: str, table) -> str:
     return f"records={len(table)}"
 
 
-def _ensure_output_dir(args) -> str:
-    out_dir = args.output_dir
-    os.makedirs(out_dir, exist_ok=True)
-    return out_dir
-
-
 def _prepare_supervised(values: np.ndarray, horizon: int, task: str):
     """Feature and target arrays, one target per feature row: horizon > 0 forecasts full future rows."""
     if horizon > 0:
@@ -377,7 +377,7 @@ def _prepare_supervised(values: np.ndarray, horizon: int, task: str):
     return features, raw_targets[:, None], 1
 
 
-def _cmd_train(args) -> int:
+def _cmd_train(args) -> _Run:
     cfg_payload = {}
     if args.config:
         cfg_payload = _load_json_config(args.config, _TRAIN_KEYS, "train config")
@@ -425,36 +425,26 @@ def _cmd_train(args) -> int:
     )
     result = network.train(model, cov, (xs, ys), (features[val_idx], targets[val_idx]), train_cfg)
 
-    out_dir = _ensure_output_dir(args)
-    _write_manifest(out_dir, "train", {**cfg, "horizon": args.horizon, "input": args.input}, cfg["seed"])
-    network.save_model(os.path.join(out_dir, "model.json"), result.model, cov)
     table = lab.RunTable("train", cfg["seed"], {"epoch": range(len(result.history["val_loss"]))}, result.history)
-    lab.records_to_csv(table, os.path.join(out_dir, "results.csv"))
     best_val = result.history["val_loss"][result.best_epoch] if result.history["val_loss"] else math.nan
-    _write_summary(
-        out_dir,
-        {
-            "best_epoch": result.best_epoch,
-            "best_val_loss": best_val,
-            "epochs_run": len(result.history["val_loss"]),
-            "diverged": result.diverged,
-            "loss": loss,
-        },
-    )
-    print(f"{best_val:.10g}")
-    return 0
+    summary = {
+        "best_epoch": result.best_epoch,
+        "best_val_loss": best_val,
+        "epochs_run": len(result.history["val_loss"]),
+        "diverged": result.diverged,
+        "loss": loss,
+    }
+    config = {**cfg, "horizon": args.horizon, "input": args.input}
+    return _Run(config, table, summary, f"{best_val:.10g}", (result.model, cov))
 
 
-def _cmd_predict(args) -> int:
+def _cmd_predict(args) -> _Run:
     model_path = args.model or "model.json"
     model, cov_matrix = network.load_model(model_path)
     data = read_csv_data(args.input, header=args.header)
     if data.dim != cov_matrix.shape[0]:
         raise ShapeError(f"input has {data.dim} columns, model expects {cov_matrix.shape[0]}")
-    decomp = eigh(cov_matrix)
-    out_dir = _ensure_output_dir(args)
-    _write_manifest(out_dir, "predict", {"model": model_path, "input": args.input, "horizon": args.horizon}, args.seed or 0)
-    outs = network.forward_rows(model, decomp, data.values)
+    outs = network.forward_rows(model, eigh(cov_matrix), data.values)
     if model.task == "classification":
         labels = np.argmax(outs, axis=1)
         lines = [str(label) for label in labels.tolist()]
@@ -464,41 +454,26 @@ def _cmd_predict(args) -> int:
         metrics = {f"y{j}": outs[:, j] for j in range(outs.shape[1])}
     rows = range(len(lines))
     params = {"row": rows, "target_row": range(args.horizon, len(lines) + args.horizon)} if args.horizon else {"row": rows}
-    lab.records_to_csv(lab.RunTable("predict", args.seed or 0, params, metrics), os.path.join(out_dir, "results.csv"))
-    _write_summary(out_dir, {"rows": len(lines), "task": model.task})
-    print("\n".join(lines))
-    return 0
+    table = lab.RunTable("predict", args.seed or 0, params, metrics)
+    config = {"model": model_path, "input": args.input, "horizon": args.horizon}
+    return _Run(config, table, {"rows": len(lines), "task": model.task}, "\n".join(lines))
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-    except UsageError as exc:
-        print(str(exc), file=sys.stderr)
-        return 1
-    except SystemExit as exc:
+        args = _build_parser().parse_args(argv)
+        run = args.command(args)
+        _write_run(args.output_dir, args.subcommand, run)
+    except SystemExit as exc:  # --help and --version
         return int(exc.code or 0)
-    try:
-        if args.subcommand == "entropy":
-            return _cmd_entropy(args)
-        if args.subcommand == "density":
-            return _cmd_density(args)
-        if args.subcommand == "fit-beta":
-            return _cmd_fit_beta(args)
-        if args.subcommand in EXPERIMENT_SUBCOMMANDS:
-            return _cmd_experiment(args, EXPERIMENT_SUBCOMMANDS[args.subcommand])
-        if args.subcommand == "train":
-            return _cmd_train(args)
-        if args.subcommand == "predict":
-            return _cmd_predict(args)
-        raise UsageError(f"unknown subcommand {args.subcommand!r}")
     except UsageError as exc:
         print(str(exc), file=sys.stderr)
         return 1
     except Exception as exc:  # runtime/numeric errors map to exit code 2
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    print(run.stdout)
+    return 0
 
 
 if __name__ == "__main__":

@@ -151,6 +151,7 @@ def f_factor(beta: float, norm_c: float, norm_c_plus_dc: float) -> float:
     the series limit.  Continuous at beta -> 0 with limit 1.  Raises
     BetaRangeError where exp(|beta| ||C||) or exp(|beta| a) overflows a double.
     """
+    beta, norm_c, norm_c_plus_dc = float(beta), float(norm_c), float(norm_c_plus_dc)  # NumPy scalars warn on overflow
     if norm_c < 0 or norm_c_plus_dc < 0:
         raise ValueError("norms must be nonnegative")
     if beta >= 0:

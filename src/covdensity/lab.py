@@ -81,6 +81,8 @@ class ExperimentConfig:
             raise ConfigError("dim and trials must be positive")
         if self.n_samples < 2:
             raise ConfigError("n_samples must be >= 2")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed!r}")
         for name in ("betas", "noise_levels", "regime_scale", "base_spectrum",
                      "filter_coeffs", "families", "sample_grid"):
             object.__setattr__(self, name, tuple(getattr(self, name)))

@@ -38,7 +38,7 @@ from __future__ import annotations
 import copy
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -107,12 +107,14 @@ class LayerParams:
     def __post_init__(self):
         self.coeffs = np.array(self.coeffs, dtype=float)
         self.betas = np.array(self.betas, dtype=float)
-        if self.coeffs.ndim != 3:
-            raise ShapeError("coeffs must have shape (f_out, f_in, order + 1)")
+        if self.coeffs.ndim != 3 or not self.coeffs.size:
+            raise ShapeError(f"coeffs must have a non-empty shape (f_out, f_in, order + 1), got {self.coeffs.shape}")
         if self.betas.shape != (self.coeffs.shape[0],):
             raise ShapeError("need exactly one beta per output scale")
         if not np.all(np.isfinite(self.coeffs)) or not np.all(np.isfinite(self.betas)):
             raise ValueError("layer parameters must be finite")
+        if not isinstance(self.betas_learnable, bool) or not isinstance(self.skip_k0, bool):
+            raise TypeError(f"betas_learnable and skip_k0 must be bools, got {self.betas_learnable!r}, {self.skip_k0!r}")
         if self.aggregation not in AGGREGATIONS:
             raise ValueError(f"unknown aggregation {self.aggregation!r}")
         if self.activation not in ACTIVATIONS:
@@ -572,53 +574,32 @@ def init_model(
 CHECKPOINT_VERSION = 1
 
 
+def _fields_dict(params) -> dict:
+    """A parameter dataclass as a dict in field order, with arrays as nested lists."""
+    return {
+        f.name: value.tolist() if isinstance(value := getattr(params, f.name), np.ndarray) else value
+        for f in fields(params)
+    }
+
+
 def model_to_dict(model: ModelParams, cov: CovarianceMatrix | np.ndarray) -> dict:
     return {
         "version": CHECKPOINT_VERSION,
         "task": model.task,
         "covariance": np.asarray(as_matrix(cov)).tolist(),
-        "layers": [
-            {
-                "coeffs": layer.coeffs.tolist(),
-                "betas": layer.betas.tolist(),
-                "betas_learnable": layer.betas_learnable,
-                "aggregation": layer.aggregation,
-                "activation": layer.activation,
-                "skip_k0": layer.skip_k0,
-            }
-            for layer in model.layers
-        ],
-        "head": {
-            "w1": model.head.w1.tolist(),
-            "b1": model.head.b1.tolist(),
-            "w2": model.head.w2.tolist(),
-            "b2": model.head.b2.tolist(),
-            "activation": model.head.activation,
-        },
+        "layers": [_fields_dict(layer) for layer in model.layers],
+        "head": _fields_dict(model.head),
     }
 
 
 def model_from_dict(payload: dict) -> tuple[ModelParams, np.ndarray]:
     if payload.get("version") != CHECKPOINT_VERSION:
         raise ValueError(f"unsupported checkpoint version {payload.get('version')!r}")
-    layers = [
-        LayerParams(
-            coeffs=np.array(entry["coeffs"], dtype=float),
-            betas=np.array(entry["betas"], dtype=float),
-            betas_learnable=bool(entry["betas_learnable"]),
-            aggregation=entry["aggregation"],
-            activation=entry["activation"],
-            skip_k0=bool(entry.get("skip_k0", False)),
-        )
-        for entry in payload["layers"]
-    ]
-    head = HeadParams(
-        w1=np.array(payload["head"]["w1"], dtype=float),
-        b1=np.array(payload["head"]["b1"], dtype=float),
-        w2=np.array(payload["head"]["w2"], dtype=float),
-        b2=np.array(payload["head"]["b2"], dtype=float),
-        activation=payload["head"]["activation"],
-    )
+    missing = sorted({"task", "covariance", "layers", "head"} - payload.keys())
+    if missing:
+        raise ValueError(f"checkpoint lacks key {missing[0]!r}")
+    layers = [LayerParams(**entry) for entry in payload["layers"]]
+    head = HeadParams(**payload["head"])
     model = ModelParams(layers=layers, head=head, task=payload["task"])
     covariance = np.array(payload["covariance"], dtype=float)
     if covariance.ndim != 2 or covariance.shape[0] != covariance.shape[1] or not covariance.size:

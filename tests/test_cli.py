@@ -293,6 +293,14 @@ class TestExperimentCommands:
         assert code == 2
         assert "/dimension" in err
 
+    def test_negative_seed_rejected(self, capsys, tmp_path):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"seed": -2}))
+        for flags, value in ((["--seed", "-1"], -1), (["--config", str(cfg_path)], -2)):
+            code, out, err = run_cli(capsys, "stability", *flags, "--output-dir", str(tmp_path / "out"))
+            assert (code, out, err) == (2, "", f"error: seed must be >= 0, got {value}\n")
+        assert not (tmp_path / "out").exists()
+
     def test_every_experiment_config_field_is_a_config_key(self, capsys, tmp_path):
         import dataclasses
 
@@ -448,6 +456,44 @@ class TestTrainPredict:
         assert code == 2
         assert "/epochs" in err
 
+    @pytest.mark.parametrize(
+        "cfg,message",
+        [
+            ({"order": -1}, "/order: must be >= 0"),
+            ({"hidden_dim": 0}, "/hidden_dim: must be >= 1"),
+            ({"betas": []}, "/betas: must be non-empty"),
+            ({"betas": None, "betas_init": []}, "/betas: must be non-empty"),
+            ({"epochs": "5"}, "/epochs: expected int, got '5'"),
+            ({"epochs": True}, "/epochs: expected int, got True"),
+            ({"epochs": 5.0}, "/epochs: expected int, got 5.0"),
+            ({"dropout": False}, "/dropout: expected float, got False"),
+            ({"skip_k0": 1}, "/skip_k0: expected bool, got 1"),
+            ({"activation": None}, "/activation: expected str, got None"),
+            ({"seed": -1}, "/seed: must be >= 0, got -1"),
+        ],
+    )
+    def test_wrong_type_or_impossible_size_rejected(self, capsys, tmp_path, classification_csv, cfg, message):
+        cfg_path = tmp_path / "bad.json"
+        cfg_path.write_text(json.dumps({"epochs": 1, "betas": [1.0], **cfg}))
+        out_dir = tmp_path / "out"
+        code, out, err = run_cli(
+            capsys, "train", "--input", classification_csv, "--config", str(cfg_path), "--output-dir", str(out_dir)
+        )
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+        assert not out_dir.exists()
+
+    def test_negative_seed_flag_rejected(self, capsys, tmp_path, classification_csv):
+        code, out, err = run_cli(
+            capsys, "train", "--input", classification_csv, "--seed", "-1", "--output-dir", str(tmp_path / "out")
+        )
+        assert (code, out, err) == (2, "", "error: /seed: must be >= 0, got -1\n")
+
+    def test_float_keys_take_ints(self):
+        from covdensity.cli import _validate_train_config
+
+        cfg = _validate_train_config({"learning_rate": 1, "dropout": 0, "val_fraction": 0.5, "betas": [1]})
+        assert (cfg["learning_rate"], cfg["dropout"]) == (1, 0)
+
     def test_learnable_beta_config_without_betas(self, capsys, tmp_path, classification_csv):
         cfg_path = tmp_path / "learn.json"
         cfg_path.write_text(
@@ -502,6 +548,66 @@ class TestPredictInput:
         assert code == 2
         assert out == ""
         assert "non-finite" in err
+
+
+    @pytest.mark.parametrize(
+        "corrupt,message",
+        [
+            (lambda p: p.pop("head"), "checkpoint lacks key 'head'"),
+            (lambda p: p["layers"][0].pop("coeffs"), "missing 1 required positional argument: 'coeffs'"),
+            (lambda p: p["layers"][0].update(gain=2.0), "unexpected keyword argument 'gain'"),
+            (lambda p: p["layers"][0].update(betas_learnable="true"), "betas_learnable and skip_k0 must be bools"),
+            (lambda p: p["layers"][0].update(skip_k0=0), "betas_learnable and skip_k0 must be bools"),
+            (lambda p: p["layers"][0].update(coeffs=[[[]]]), "coeffs must have a non-empty shape"),
+        ],
+    )
+    def test_malformed_checkpoint_is_runtime_error(self, capsys, tmp_path, rng, corrupt, message):
+        from covdensity.network import init_model, model_to_dict
+
+        payload = model_to_dict(init_model(dim=3, n_outputs=2, betas=[1.0], task="classification"), np.eye(3))
+        data_path = tmp_path / "rows.csv"
+        data_path.write_text("\n".join(",".join(repr(float(v)) for v in row) for row in rng.standard_normal((4, 3))))
+        model_path, out_dir = tmp_path / "model.json", tmp_path / "preds"
+        argv = ["predict", "--input", str(data_path), "--model", str(model_path), "--output-dir"]
+        del payload["layers"][0]["skip_k0"]  # a checkpoint without skip_k0 loads with the default
+        model_path.write_text(json.dumps(payload))
+        code, out, _ = run_cli(capsys, *argv, str(tmp_path / "ok"))
+        assert code == 0 and len(out.splitlines()) == 4
+        corrupt(payload)
+        model_path.write_text(json.dumps(payload))
+        code, out, err = run_cli(capsys, *argv, str(out_dir))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and message in err
+        assert not out_dir.exists()
+
+
+def _failing_run(name, tmp_path, rng):
+    """argv of a subcommand that fails after reading its inputs, for the failure-path check."""
+    cov_path, cfg_path = tmp_path / "cov.csv", tmp_path / "cfg.json"
+    cov_path.write_text("2.0,0.0,0.0\n0.0,0.0,0.0\n0.0,0.0,0.0\n")
+    data_path = tmp_path / "rows.csv"
+    data_path.write_text("\n".join(",".join(repr(float(v)) for v in row) for row in rng.standard_normal((30, 4))))
+    if name == "density":
+        return ["density", "--input", str(cov_path), "--input-is-covariance", "--beta", "-800"]
+    if name == "stability":
+        cfg_path.write_text(json.dumps({"dim": 4, "trials": 1, "betas": [-1000]}))
+        return ["stability", "--config", str(cfg_path)]
+    if name == "regression":
+        return ["regression", "--trials", "1", "--sample-grid=30,1"]
+    if name == "train":
+        cfg_path.write_text(json.dumps({"hidden_dim": 0, "betas": [1.0]}))
+        return ["train", "--input", str(data_path), "--config", str(cfg_path)]
+    model_path = tmp_path / "model.json"
+    network.save_model(model_path, network.init_model(dim=5, n_outputs=1, betas=[1.0]), np.eye(5))
+    return ["predict", "--input", str(data_path), "--model", str(model_path)]
+
+
+@pytest.mark.parametrize("name", ["density", "stability", "regression", "train", "predict"])
+def test_failing_subcommand_writes_nothing(capsys, tmp_path, rng, name):
+    out_dir = tmp_path / "out" / "nested"
+    code, out, err = run_cli(capsys, *_failing_run(name, tmp_path, rng), "--output-dir", str(out_dir))
+    assert code == 2 and err.startswith("error: ")
+    assert out == "" and not (tmp_path / "out").exists()
 
 
 def test_cli_import_does_not_load_scipy():

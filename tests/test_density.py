@@ -333,6 +333,12 @@ class TestRangeErrors:
         with pytest.raises(BetaRangeError, match=r"exp\(\|beta\| a\)"):
             f_factor(-1.0, 0.0, 800.0)
 
+    def test_f_factor_numpy_scalars_raise_without_warning(self):
+        # The suite turns warnings into errors, so a scalar-multiply overflow warning would surface instead.
+        with pytest.raises(BetaRangeError, match=r"exp\(\|beta\| \|\|C\|\|\)"):
+            f_factor(-1e308, np.float64(10.0), np.float64(10.0))
+        assert f_factor(np.float64(-0.5), np.float64(2.0), np.float64(2.5)) == f_factor(-0.5, 2.0, 2.5)
+
     def test_partition_ratio_overflow(self):
         c, dc = np.zeros((2, 2)), np.diag([800.0, 0.0])
         with pytest.raises(BetaRangeError, match="Z'/Z"):

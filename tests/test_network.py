@@ -568,3 +568,34 @@ class TestCheckpoint:
         corrupt(payload)
         with pytest.raises(ShapeError):
             model_from_dict(payload)
+
+    @pytest.mark.parametrize(
+        "corrupt,error,match",
+        [
+            pytest.param(lambda p: p.pop("head"), ValueError, "checkpoint lacks key 'head'", id="no-head"),
+            pytest.param(lambda p: p["layers"][0].pop("betas"), TypeError, "'betas'", id="no-layer-betas"),
+            pytest.param(lambda p: p["layers"][0].update(scale=1.0), TypeError, "'scale'", id="unknown-layer-key"),
+            pytest.param(lambda p: p["layers"][0].update(betas_learnable=1), TypeError, "must be bools", id="int-learnable"),
+            pytest.param(lambda p: p["layers"][0].update(skip_k0="no"), TypeError, "must be bools", id="str-skip-k0"),
+            pytest.param(
+                lambda p: p["layers"][0].update(coeffs=[[[]]], betas=[1.0]), ShapeError, "non-empty", id="no-taps"
+            ),
+        ],
+    )
+    def test_malformed_entries_rejected_at_load(self, rng, corrupt, error, match):
+        payload = model_to_dict(small_model(rng, dim=5, n_out=2), random_psd(rng, 5))
+        corrupt(payload)
+        with pytest.raises(error, match=match):
+            model_from_dict(payload)
+
+    def test_fields_written_in_declaration_order_and_skip_k0_defaults(self, rng):
+        payload = model_to_dict(small_model(rng, dim=3), random_psd(rng, 3))
+        assert list(payload["layers"][0]) == ["coeffs", "betas", "betas_learnable", "aggregation", "activation", "skip_k0"]
+        assert list(payload["head"]) == ["w1", "b1", "w2", "b2", "activation"]
+        del payload["layers"][0]["skip_k0"]
+        model, _ = model_from_dict(payload)
+        assert model.layers[0].skip_k0 is False
+
+    def test_zero_tap_filter_bank_rejected(self):
+        with pytest.raises(ShapeError, match="non-empty"):
+            init_model(dim=3, n_outputs=1, betas=[1.0], order=-1)

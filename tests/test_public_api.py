@@ -75,3 +75,16 @@ def test_range_errors_are_raised_in_density_only():
     # Which doubles overflow, and how that is reported, is decided in one module.
     raising = sorted(path.name for path in SRC.glob("*.py") if "BetaRangeError" in raised_names(path))
     assert raising == ["density.py"]
+
+
+def test_only_write_run_writes_cli_artifacts():
+    # Subcommands compute and return their run; one writer emits it, so a failing subcommand writes nothing.
+    writers = {"open", "makedirs", "records_to_csv", "save_model"}
+    calls = set()
+    for top in ast.parse((SRC / "cli.py").read_text()).body:
+        for node in ast.walk(top):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "id", getattr(node.func, "attr", None))
+                if name in writers:
+                    calls.add((getattr(top, "name", None), name))
+    assert calls == {("_write_run", name) for name in writers}
