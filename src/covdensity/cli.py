@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import datetime
+import inspect
 import json
 import math
 import os
@@ -33,7 +34,7 @@ from .covariance import (
     sample_covariance,
     trace_normalize,
 )
-from .errors import ConfigError, ShapeError
+from .errors import ConfigError, ShapeError, _check_fields
 from .spectral import eigh
 
 EXPERIMENT_SUBCOMMANDS = {
@@ -46,32 +47,51 @@ EXPERIMENT_SUBCOMMANDS = {
     "betafit-demo": "betafit_demo",
 }
 
-_TRAIN_DEFAULTS = {
-    "learning_rate": 1e-3,
-    "epochs": 100,
-    "batch_size": 32,
-    "hidden_dim": 32,
-    "num_layers": 1,
-    "activation": "tanh",
-    "head_activation": "tanh",
-    "dropout": 0.0,
-    "betas": None,
-    "betas_learnable": False,
-    "betas_init": None,
-    "order": 2,
-    "loss": None,
-    "seed": 0,
-    "task": "regression",
-    "aggregation": "concatenate",
-    "skip_k0": False,
-    "val_fraction": 0.2,
-}
-
-_EXPERIMENT_KEYS = {f.name for f in dataclasses.fields(lab.ExperimentConfig)} | {"schema_version"}
-_TRAIN_KEYS = set(_TRAIN_DEFAULTS) | {"schema_version"}
-
-
 CONFIG_SCHEMA_VERSION = 1
+
+
+@dataclasses.dataclass
+class _TrainSettings:
+    """Every train config key with its default; its fields are the manifest's config for a training run.
+    ``betas`` defaults to ``betas_init``, and ``loss`` to the task's loss (cross-entropy or mse)."""
+
+    learning_rate: float = 1e-3
+    epochs: int = 100
+    batch_size: int = 32
+    hidden_dim: int = 32
+    num_layers: int = 1
+    activation: str = "tanh"
+    head_activation: str = "tanh"
+    dropout: float = 0.0
+    betas: tuple[float, ...] | None = None
+    betas_learnable: bool = False
+    betas_init: tuple[float, ...] | None = None
+    order: int = 2
+    loss: str | None = None
+    seed: int = 0
+    task: str = "regression"
+    aggregation: str = "concatenate"
+    skip_k0: bool = False
+    val_fraction: float = 0.2
+
+    def __post_init__(self):
+        _check_fields(self)
+        if self.hidden_dim < 1:
+            raise ConfigError("/hidden_dim: must be >= 1")
+        if self.order < 0:
+            raise ConfigError("/order: must be >= 0")
+        if self.seed < 0:
+            raise ConfigError(f"/seed: must be >= 0, got {self.seed}")
+        if self.num_layers < 1:
+            raise ConfigError("/num_layers: must be >= 1")
+        if self.betas is None:
+            if self.betas_init is None:
+                raise ConfigError("/betas: required unless betas_init is given")
+            self.betas = self.betas_init
+        if not self.betas:
+            raise ConfigError("/betas: must be non-empty")
+        if not 0.0 < self.val_fraction < 1.0:
+            raise ConfigError("/val_fraction: must be in (0, 1)")
 
 
 class UsageError(Exception):
@@ -159,78 +179,22 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _load_json_config(path, allowed: set, kind: str) -> dict:
+def _load_json_config(path, config_class, kind: str) -> dict:
+    """The JSON object at ``path``; its keys must be fields of ``config_class``, plus an optional schema_version."""
     try:
         payload = json.loads(pathlib.Path(path).read_text())
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: invalid JSON: {exc}") from exc
     if not isinstance(payload, dict):
         raise ConfigError(f"{path}: expected a JSON object at /")
+    allowed = {f.name for f in dataclasses.fields(config_class)} | {"schema_version"}
     for key in payload:
         if key not in allowed:
             raise ConfigError(f"{path}: unknown {kind} key at /{key}")
-    if payload.pop("schema_version", CONFIG_SCHEMA_VERSION) != CONFIG_SCHEMA_VERSION:
+    version = payload.pop("schema_version", CONFIG_SCHEMA_VERSION)
+    if type(version) is not int or version != CONFIG_SCHEMA_VERSION:
         raise ConfigError(f"{path}: unsupported schema_version at /schema_version")
     return payload
-
-
-def _validate_train_config(cfg: dict) -> dict:
-    merged = dict(_TRAIN_DEFAULTS)
-    merged.update(cfg)
-    # A key with a default takes its default's type; a float key also takes an int, and only a bool key a bool.
-    for key, default in _TRAIN_DEFAULTS.items():
-        value = merged[key]
-        kind = (int, float) if type(default) is float else type(default)
-        if default is not None and (not isinstance(value, kind) or isinstance(value, bool) != (kind is bool)):
-            raise ConfigError(f"/{key}: expected {type(default).__name__}, got {value!r}")
-    if merged["epochs"] < 1:
-        raise ConfigError("/epochs: must be >= 1")
-    if merged["learning_rate"] < 0:
-        raise ConfigError("/learning_rate: must be nonnegative")
-    if merged["batch_size"] < 1:
-        raise ConfigError("/batch_size: must be >= 1")
-    if merged["hidden_dim"] < 1:
-        raise ConfigError("/hidden_dim: must be >= 1")
-    if merged["order"] < 0:
-        raise ConfigError("/order: must be >= 0")
-    if merged["seed"] < 0:
-        raise ConfigError(f"/seed: must be >= 0, got {merged['seed']}")
-    if not 0.0 <= merged["dropout"] < 1.0:
-        raise ConfigError("/dropout: must be in [0, 1)")
-    if merged["num_layers"] < 1:
-        raise ConfigError("/num_layers: must be >= 1")
-    if merged["betas"] is None:
-        if merged["betas_init"] is None:
-            raise ConfigError("/betas: required unless betas_init is given")
-        merged["betas"] = list(merged["betas_init"])
-    if not merged["betas"]:
-        raise ConfigError("/betas: must be non-empty")
-    if not 0.0 < merged["val_fraction"] < 1.0:
-        raise ConfigError("/val_fraction: must be in (0, 1)")
-    return merged
-
-
-def _resolve_experiment_config(args, experiment: str) -> lab.ExperimentConfig:
-    payload = {}
-    if args.config:
-        payload = _load_json_config(args.config, _EXPERIMENT_KEYS, "experiment config")
-    payload["experiment"] = experiment
-    overrides = {
-        "seed": args.seed,
-        "dim": args.dim,
-        "n_samples": args.n_samples,
-        "trials": args.trials,
-        "betas": args.betas,
-        "noise_levels": args.noise_levels,
-        "sample_grid": args.sample_grid,
-    }
-    for key, value in overrides.items():
-        if value is not None:
-            payload[key] = value
-    try:
-        return lab.ExperimentConfig(**payload)
-    except TypeError as exc:
-        raise ConfigError(str(exc)) from exc
 
 
 @dataclasses.dataclass
@@ -335,7 +299,11 @@ def _cmd_fit_beta(args) -> _Run:
 
 
 def _cmd_experiment(args) -> _Run:
-    cfg = _resolve_experiment_config(args, args.experiment)
+    payload = _load_json_config(args.config, lab.ExperimentConfig, "experiment config") if args.config else {}
+    for field in dataclasses.fields(lab.ExperimentConfig):  # every flag given wins; its dest is the field name
+        if getattr(args, field.name, None) is not None:
+            payload[field.name] = getattr(args, field.name)
+    cfg = lab.ExperimentConfig(**payload)
     table = lab.run_experiment(cfg)
     headline = _experiment_headline(args.experiment, table)
     return _Run(cfg.__dict__, table, {"headline": headline, "groups": lab.summarize(table)}, headline)
@@ -359,6 +327,11 @@ def _experiment_headline(experiment: str, table) -> str:
     return f"records={len(table)}"
 
 
+def _check_horizon(horizon: int) -> None:
+    if horizon < 0:
+        raise ConfigError(f"--horizon must be >= 0, got {horizon}")
+
+
 def _prepare_supervised(values: np.ndarray, horizon: int, task: str):
     """Feature and target arrays, one target per feature row: horizon > 0 forecasts full future rows."""
     if horizon > 0:
@@ -378,12 +351,15 @@ def _prepare_supervised(values: np.ndarray, horizon: int, task: str):
 
 
 def _cmd_train(args) -> _Run:
-    cfg_payload = {}
-    if args.config:
-        cfg_payload = _load_json_config(args.config, _TRAIN_KEYS, "train config")
+    payload = _load_json_config(args.config, _TrainSettings, "train config") if args.config else {}
     if args.seed is not None:
-        cfg_payload["seed"] = args.seed
-    cfg = _validate_train_config(cfg_payload)
+        payload["seed"] = args.seed
+    cfg = dataclasses.asdict(_TrainSettings(**payload))
+    loss = cfg["loss"] or ("cross_entropy" if cfg["task"] == "classification" else "mse")
+    # Each setting goes to every callee that takes a parameter of its name.
+    optimizer_keys = {f.name for f in dataclasses.fields(network.TrainConfig)} - {"loss"}
+    train_cfg = network.TrainConfig(**{k: v for k, v in cfg.items() if k in optimizer_keys}, loss=loss)
+    _check_horizon(args.horizon)
     data = read_csv_data(args.input, header=args.header)
     features, targets, n_outputs = _prepare_supervised(data.values, args.horizon, cfg["task"])
 
@@ -398,31 +374,9 @@ def _cmd_train(args) -> _Run:
     xs, ys = features[train_idx], targets[train_idx]
     cov = trace_normalize(sample_covariance(DataMatrix(xs)))
 
-    loss = cfg["loss"] or ("cross_entropy" if cfg["task"] == "classification" else "mse")
-    model = network.init_model(
-        dim=features.shape[1],
-        n_outputs=n_outputs,
-        betas=cfg["betas"],
-        order=cfg["order"],
-        hidden_dim=cfg["hidden_dim"],
-        num_layers=cfg["num_layers"],
-        activation=cfg["activation"],
-        head_activation=cfg["head_activation"],
-        aggregation=cfg["aggregation"],
-        task=cfg["task"],
-        betas_learnable=cfg["betas_learnable"],
-        skip_k0=cfg["skip_k0"],
-        time_points=1,
-        seed=cfg["seed"],
-    )
-    train_cfg = network.TrainConfig(
-        learning_rate=cfg["learning_rate"],
-        epochs=cfg["epochs"],
-        batch_size=cfg["batch_size"],
-        seed=cfg["seed"],
-        loss=loss,
-        dropout=cfg["dropout"],
-    )
+    model_keys = inspect.signature(network.init_model).parameters
+    model_settings = {k: v for k, v in cfg.items() if k in model_keys}
+    model = network.init_model(dim=features.shape[1], n_outputs=n_outputs, **model_settings)
     result = network.train(model, cov, (xs, ys), (features[val_idx], targets[val_idx]), train_cfg)
 
     table = lab.RunTable("train", cfg["seed"], {"epoch": range(len(result.history["val_loss"]))}, result.history)
@@ -439,6 +393,7 @@ def _cmd_train(args) -> _Run:
 
 
 def _cmd_predict(args) -> _Run:
+    _check_horizon(args.horizon)
     model_path = args.model or "model.json"
     model, cov_matrix = network.load_model(model_path)
     data = read_csv_data(args.input, header=args.header)

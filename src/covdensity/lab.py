@@ -39,7 +39,7 @@ from .covariance import (
     shift_regularize,
     trace_normalize,
 )
-from .errors import ConfigError, DegenerateCovarianceError, ShapeError
+from .errors import ConfigError, DegenerateCovarianceError, ShapeError, _check_fields
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -75,6 +75,11 @@ class ExperimentConfig:
     eigenvalue_range: tuple[float, float] = (0.0, 10.0)
 
     def __post_init__(self):
+        # A sample_grid entry is named with its bound, whether its type or its size is wrong.
+        for n in self.sample_grid if isinstance(self.sample_grid, (tuple, list, np.ndarray)) else ():
+            if not (isinstance(n, (int, np.integer)) and n >= 2):
+                raise ConfigError(f"sample_grid entries must be integers >= 2, got {n!r}")
+        _check_fields(self)
         if self.experiment not in RUNNERS:
             raise ConfigError(f"unknown experiment {self.experiment!r}, expected one of {tuple(RUNNERS)}")
         if self.dim < 1 or self.trials < 1:
@@ -83,12 +88,6 @@ class ExperimentConfig:
             raise ConfigError("n_samples must be >= 2")
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed!r}")
-        for name in ("betas", "noise_levels", "regime_scale", "base_spectrum",
-                     "filter_coeffs", "families", "sample_grid"):
-            object.__setattr__(self, name, tuple(getattr(self, name)))
-        for n in self.sample_grid:
-            if not (isinstance(n, (int, np.integer)) and n >= 2):
-                raise ConfigError(f"sample_grid entries must be integers >= 2, got {n!r}")
 
 
 def _canon(value):

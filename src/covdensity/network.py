@@ -44,7 +44,7 @@ import numpy as np
 
 from .covariance import CovarianceMatrix, as_matrix
 from .density import _as_decomposition, density_values
-from .errors import ShapeError, TrainingError
+from .errors import ConfigError, ShapeError, TrainingError, _check_fields
 
 AGGREGATIONS = ("concatenate", "sum", "mean")
 TASKS = ("regression", "classification")
@@ -203,16 +203,17 @@ class TrainConfig:
     dropout: float = 0.0
 
     def __post_init__(self):
+        _check_fields(self)
         if self.learning_rate < 0:
-            raise ValueError("learning rate must be nonnegative")
+            raise ConfigError("/learning_rate: must be nonnegative")
         if self.epochs < 1:
-            raise ValueError("epochs must be >= 1")
+            raise ConfigError("/epochs: must be >= 1")
         if self.batch_size < 1:
-            raise ValueError("batch size must be >= 1")
+            raise ConfigError("/batch_size: must be >= 1")
         if self.loss not in LOSSES:
             raise ValueError(f"unknown loss {self.loss!r}")
         if not 0.0 <= self.dropout < 1.0:
-            raise ValueError("dropout must be in [0, 1)")
+            raise ConfigError("/dropout: must be in [0, 1)")
 
 
 def _tap_powers(rho: np.ndarray, order: int) -> np.ndarray:
@@ -592,14 +593,23 @@ def model_to_dict(model: ModelParams, cov: CovarianceMatrix | np.ndarray) -> dic
     }
 
 
+def _json_node(value, kind: type, path: str):
+    """``value``, if it is a ``kind`` (dict for a JSON object, or list); else a ValueError naming ``path``."""
+    if not isinstance(value, kind):
+        expected = "an object" if kind is dict else "a list"
+        raise ValueError(f"checkpoint {path}: expected {expected}, got {type(value).__name__}")
+    return value
+
+
 def model_from_dict(payload: dict) -> tuple[ModelParams, np.ndarray]:
-    if payload.get("version") != CHECKPOINT_VERSION:
+    if _json_node(payload, dict, "/").get("version") != CHECKPOINT_VERSION:
         raise ValueError(f"unsupported checkpoint version {payload.get('version')!r}")
     missing = sorted({"task", "covariance", "layers", "head"} - payload.keys())
     if missing:
         raise ValueError(f"checkpoint lacks key {missing[0]!r}")
-    layers = [LayerParams(**entry) for entry in payload["layers"]]
-    head = HeadParams(**payload["head"])
+    entries = _json_node(payload["layers"], list, "/layers")
+    layers = [LayerParams(**_json_node(entry, dict, f"/layers/{i}")) for i, entry in enumerate(entries)]
+    head = HeadParams(**_json_node(payload["head"], dict, "/head"))
     model = ModelParams(layers=layers, head=head, task=payload["task"])
     covariance = np.array(payload["covariance"], dtype=float)
     if covariance.ndim != 2 or covariance.shape[0] != covariance.shape[1] or not covariance.size:

@@ -2,6 +2,7 @@ import csv
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -319,22 +320,101 @@ class TestExperimentCommands:
         assert "unknown experiment config key at /unknown" in err
 
 
-def test_config_key_sets():
-    from covdensity.cli import _EXPERIMENT_KEYS, _TRAIN_KEYS
+def test_config_key_sets(tmp_path):
+    import dataclasses
 
-    assert _EXPERIMENT_KEYS == {
+    from covdensity.cli import _TrainSettings, _load_json_config
+    from covdensity.lab import ExperimentConfig
+
+    experiment_keys = {
         "schema_version", "experiment", "dim", "n_samples", "sample_grid", "betas", "noise_levels",
         "trials", "seed", "window", "n_windows", "regime_scale",
         "base_spectrum", "edge_prob", "filter_coeffs", "families", "n_informative",
         "n_train", "n_test", "ridge", "weight_scale", "max_filter_order",
         "beta_range", "eigenvalue_range",
     }
-    assert _TRAIN_KEYS == {
+    train_keys = {
         "schema_version", "learning_rate", "epochs", "batch_size", "hidden_dim", "num_layers",
         "activation", "head_activation", "dropout", "betas", "betas_learnable",
         "betas_init", "order", "loss", "seed", "task", "aggregation", "skip_k0",
         "val_fraction",
     }
+    path = tmp_path / "keys.json"
+    for config_class, keys in ((ExperimentConfig, experiment_keys), (_TrainSettings, train_keys)):
+        path.write_text(json.dumps(dict.fromkeys(keys, 1)))  # every key is accepted ...
+        assert set(_load_json_config(path, config_class, "config")) == keys - {"schema_version"}
+        # ... and no other, since the loader accepts exactly the fields.
+        assert {f.name for f in dataclasses.fields(config_class)} == keys - {"schema_version"}
+
+
+def _config_fields():
+    import dataclasses
+
+    from covdensity.cli import _TrainSettings
+    from covdensity.lab import ExperimentConfig
+
+    return [
+        pytest.param(subcommand, f, id=f"{subcommand}-{f.name}")
+        for subcommand, config_class in (("stability", ExperimentConfig), ("train", _TrainSettings))
+        for f in dataclasses.fields(config_class)
+    ]
+
+
+# Values of a wrong type for each annotation in use, whether or not the field also takes None.
+_WRONG_VALUES = {
+    "int": [2.5, True, "5", {}],
+    "float": [True, "1.0", {}],
+    "bool": [1, "true", None, {}],
+    "str": [1, ["a"], {}],
+    "tuple": ["abc", [True], 1.5, {}],
+}
+
+
+@pytest.mark.parametrize("subcommand,field", _config_fields())
+def test_wrong_typed_config_value_exits_2_naming_its_key(capsys, tmp_path, gaussian_data_csv, subcommand, field):
+    from covdensity.errors import ConfigError
+    from covdensity.lab import ExperimentConfig
+
+    kind = field.type.split("[")[0].split(" |")[0]
+    for value in _WRONG_VALUES[kind]:
+        if field.name == "experiment":  # the subcommand sets it, whatever the file holds
+            with pytest.raises(ConfigError, match=re.escape(f"/experiment: expected str, got {value!r}")):
+                ExperimentConfig(experiment=value)
+            continue
+        cfg_path, out_dir = tmp_path / "cfg.json", tmp_path / "out"
+        cfg_path.write_text(json.dumps({field.name: value}))
+        argv = [subcommand, "--config", str(cfg_path), "--output-dir", str(out_dir)]
+        code, out, err = run_cli(capsys, *argv, *(["--input", gaussian_data_csv] if subcommand == "train" else []))
+        assert (code, out) == (2, ""), (value, err)
+        assert err.startswith(f"error: /{field.name}: expected ") or (
+            err == f"error: sample_grid entries must be integers >= 2, got {value[0]!r}\n"
+        ), err
+        assert not out_dir.exists()
+
+
+@pytest.mark.parametrize(
+    "subcommand,cfg,message",
+    [
+        ("stability", {"dim": "5"}, "/dim: expected int, got '5'"),
+        ("stability", {"trials": 2.5}, "/trials: expected int, got 2.5"),
+        ("stability", {"betas": "abc"}, "/betas: expected tuple[float, ...], got 'abc'"),
+        ("entropy-curve", {"families": "gaussian"}, "/families: expected tuple[str, ...], got 'gaussian'"),
+        ("lipschitz", {"beta_range": [1]}, "/beta_range: expected tuple[float, float], got [1]"),
+        ("lipschitz", {"max_filter_order": 2.5}, "/max_filter_order: expected int, got 2.5"),
+        ("stability", {"edge_prob": "x"}, "/edge_prob: expected float, got 'x'"),
+        ("train", {"betas": [True]}, "/betas: expected tuple[float, ...] | None, got [True]"),
+        ("stability", {"schema_version": True}, "unsupported schema_version at /schema_version"),
+        ("train", {"schema_version": True}, "unsupported schema_version at /schema_version"),
+    ],
+)
+def test_config_probes_exit_2_naming_the_key(capsys, tmp_path, gaussian_data_csv, subcommand, cfg, message):
+    cfg_path, out_dir = tmp_path / "cfg.json", tmp_path / "out"
+    cfg_path.write_text(json.dumps(cfg))
+    argv = [subcommand, "--config", str(cfg_path), "--output-dir", str(out_dir)]
+    code, out, err = run_cli(capsys, *argv, *(["--input", gaussian_data_csv] if subcommand == "train" else []))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.endswith(f"{message}\n")
+    assert not out_dir.exists()
 
 
 @pytest.fixture
@@ -470,6 +550,10 @@ class TestTrainPredict:
             ({"skip_k0": 1}, "/skip_k0: expected bool, got 1"),
             ({"activation": None}, "/activation: expected str, got None"),
             ({"seed": -1}, "/seed: must be >= 0, got -1"),
+            ({"epochs": 0}, "/epochs: must be >= 1"),
+            ({"learning_rate": -1}, "/learning_rate: must be nonnegative"),
+            ({"batch_size": 0}, "/batch_size: must be >= 1"),
+            ({"dropout": 1}, "/dropout: must be in [0, 1)"),
         ],
     )
     def test_wrong_type_or_impossible_size_rejected(self, capsys, tmp_path, classification_csv, cfg, message):
@@ -488,11 +572,39 @@ class TestTrainPredict:
         )
         assert (code, out, err) == (2, "", "error: /seed: must be >= 0, got -1\n")
 
-    def test_float_keys_take_ints(self):
-        from covdensity.cli import _validate_train_config
+    def test_config_is_checked_before_the_input_is_read(self, capsys, tmp_path):
+        cfg_path = tmp_path / "bad.json"
+        cfg_path.write_text(json.dumps({"epochs": 0, "betas": [1.0]}))
+        code, out, err = run_cli(
+            capsys, "train", "--input", str(tmp_path / "missing.csv"), "--config", str(cfg_path),
+            "--output-dir", str(tmp_path / "out"),
+        )
+        assert (code, out, err) == (2, "", "error: /epochs: must be >= 1\n")
 
-        cfg = _validate_train_config({"learning_rate": 1, "dropout": 0, "val_fraction": 0.5, "betas": [1]})
-        assert (cfg["learning_rate"], cfg["dropout"]) == (1, 0)
+    def test_negative_horizon_rejected(self, capsys, tmp_path, classification_csv):
+        model_path, cfg_path = tmp_path / "model.json", tmp_path / "cfg.json"
+        network.save_model(model_path, network.init_model(dim=5, n_outputs=1, betas=[1.0]), np.eye(5))
+        cfg_path.write_text(json.dumps({"epochs": 1, "betas": [1.0]}))
+        for argv, horizon in (
+            (["train", "--input", classification_csv, "--config", str(cfg_path)], -2),
+            (["predict", "--input", classification_csv, "--model", str(model_path)], -3),
+        ):
+            code, out, err = run_cli(capsys, *argv, "--horizon", str(horizon), "--output-dir", str(tmp_path / "out"))
+            assert (code, out, err) == (2, "", f"error: --horizon must be >= 0, got {horizon}\n")
+            assert not (tmp_path / "out").exists()
+
+    def test_float_keys_take_ints(self, capsys, tmp_path, classification_csv):
+        cfg = {"learning_rate": 0, "dropout": 0, "val_fraction": 0.5, "betas": [1], "epochs": 1, "hidden_dim": 2}
+        cfg_path, out_dir = tmp_path / "cfg.json", tmp_path / "out"
+        cfg_path.write_text(json.dumps(cfg))
+        code, _, err = run_cli(
+            capsys, "train", "--input", classification_csv, "--config", str(cfg_path), "--output-dir", str(out_dir)
+        )
+        assert code == 0, err
+        manifest = json.loads((out_dir / "manifest.json").read_text())["config"]
+        assert {key: manifest[key] for key in cfg} == cfg
+        assert [type(manifest[key]) for key in ("learning_rate", "dropout")] == [int, int]
+        assert type(manifest["betas"][0]) is int
 
     def test_learnable_beta_config_without_betas(self, capsys, tmp_path, classification_csv):
         cfg_path = tmp_path / "learn.json"
@@ -581,6 +693,27 @@ class TestPredictInput:
         assert not out_dir.exists()
 
 
+@pytest.mark.parametrize(
+    "corrupt,message",
+    [
+        (lambda p: [1], "checkpoint /: expected an object, got list"),
+        (lambda p: {**p, "layers": p["layers"][0]}, "checkpoint /layers: expected a list, got dict"),
+        (lambda p: {**p, "layers": [[1]]}, "checkpoint /layers/0: expected an object, got list"),
+        (lambda p: {**p, "head": [1]}, "checkpoint /head: expected an object, got list"),
+    ],
+)
+def test_checkpoint_of_the_wrong_json_kind_names_its_path(capsys, tmp_path, rng, corrupt, message):
+    payload = network.model_to_dict(network.init_model(dim=3, n_outputs=2, betas=[1.0]), np.eye(3))
+    data_path, model_path, out_dir = tmp_path / "rows.csv", tmp_path / "model.json", tmp_path / "preds"
+    data_path.write_text("\n".join(",".join(repr(float(v)) for v in row) for row in rng.standard_normal((4, 3))))
+    model_path.write_text(json.dumps(corrupt(payload)))
+    code, out, err = run_cli(
+        capsys, "predict", "--input", str(data_path), "--model", str(model_path), "--output-dir", str(out_dir)
+    )
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+    assert not out_dir.exists()
+
+
 def _failing_run(name, tmp_path, rng):
     """argv of a subcommand that fails after reading its inputs, for the failure-path check."""
     cov_path, cfg_path = tmp_path / "cov.csv", tmp_path / "cfg.json"
@@ -628,9 +761,18 @@ def test_console_script_version():
 class TestConfigRecipes:
     """The documented training recipes must validate as-is."""
 
-    def test_eeg_style_recipe_accepted(self, tmp_path):
-        from covdensity.cli import _load_json_config, _validate_train_config, _TRAIN_KEYS
+    @staticmethod
+    def _validate(path):
+        from covdensity.cli import _load_json_config, _TrainSettings
 
+        cfg = _TrainSettings(**_load_json_config(path, _TrainSettings, "train config"))
+        # The ranges of the optimizer's keys are checked where training takes them.
+        network.TrainConfig(
+            learning_rate=cfg.learning_rate, epochs=cfg.epochs, batch_size=cfg.batch_size, dropout=cfg.dropout
+        )
+        return cfg
+
+    def test_eeg_style_recipe_accepted(self, tmp_path):
         path = tmp_path / "eeg.json"
         path.write_text(
             json.dumps(
@@ -646,14 +788,12 @@ class TestConfigRecipes:
                 }
             )
         )
-        cfg = _validate_train_config(_load_json_config(path, _TRAIN_KEYS, "train config"))
-        assert cfg["betas"] == [0.1, 5.0, 15.1]
-        assert cfg["dropout"] == 0.7
-        assert cfg["hidden_dim"] == 128
+        cfg = self._validate(path)
+        assert cfg.betas == (0.1, 5.0, 15.1)
+        assert cfg.dropout == 0.7
+        assert cfg.hidden_dim == 128
 
     def test_financial_learnable_recipe_accepted(self, tmp_path):
-        from covdensity.cli import _load_json_config, _validate_train_config, _TRAIN_KEYS
-
         path = tmp_path / "fin.json"
         path.write_text(
             json.dumps(
@@ -670,7 +810,7 @@ class TestConfigRecipes:
                 }
             )
         )
-        cfg = _validate_train_config(_load_json_config(path, _TRAIN_KEYS, "train config"))
-        assert cfg["betas"] == [0.0, 0.0, 0.0, 0.0]
-        assert cfg["betas_learnable"] is True
-        assert cfg["activation"] == "elu"
+        cfg = self._validate(path)
+        assert cfg.betas == (0.0, 0.0, 0.0, 0.0)
+        assert cfg.betas_learnable is True
+        assert cfg.activation == "elu"

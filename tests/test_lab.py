@@ -194,6 +194,12 @@ class TestConfig:
     def test_numpy_integer_sample_grid_accepted(self):
         assert ExperimentConfig(experiment="surrogate", sample_grid=np.array([2, 30])).sample_grid == (2, 30)
 
+    def test_numpy_float_betas_accepted(self):
+        cfg = ExperimentConfig(
+            experiment="entropy_curve", betas=np.linspace(0.0, 1.0, 3), noise_levels=[np.float32(0.5)]
+        )
+        assert (cfg.betas, cfg.noise_levels) == ((0.0, 0.5, 1.0), (0.5,))
+
 
 @pytest.fixture(scope="module")
 def stability_records():
