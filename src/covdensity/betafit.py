@@ -52,12 +52,11 @@ def _validate(spectrum, target_p):
     return lam, p
 
 
-def _softmax_stats(lam: np.ndarray, beta: float):
-    """Mean and variance of the spectrum under q_beta = softmax(-beta lambda)."""
-    q = density_values(lam, (beta,))[0][0]
-    mean = float(np.dot(q, lam))
-    var = float(np.dot(q, (lam - mean) ** 2))
-    return mean, var
+def _moments(lam: np.ndarray, target_mean: float, beta: float) -> tuple[float, float, float]:
+    """(f, f', f'') at beta, all read from one softmax q_beta; ``target_mean`` is <p, lambda>."""
+    q, log_z = density_values(lam, (beta,))
+    mean = float(np.dot(q[0], lam))
+    return beta * target_mean + float(log_z[0]), target_mean - mean, float(np.dot(q[0], (lam - mean) ** 2))
 
 
 def moment_objective(spectrum, target_p, beta):
@@ -71,8 +70,7 @@ def moment_objective(spectrum, target_p, beta):
 def moment_derivatives(spectrum, target_p, beta: float) -> tuple[float, float]:
     """(f', f''): gradient <p, lambda> - E_q[lambda] and curvature Var_q[lambda]."""
     lam, p = _validate(spectrum, target_p)
-    mean, var = _softmax_stats(lam, beta)
-    return float(np.dot(p, lam) - mean), var
+    return _moments(lam, float(np.dot(p, lam)), beta)[1:]
 
 
 def fit_beta(
@@ -87,91 +85,61 @@ def fit_beta(
 
     The bracket is grown outward from ``initial_bracket`` until it straddles
     the sign change of f'; strict convexity makes the root unique, so any
-    starting bracket converges to the same answer.
+    starting bracket converges to the same answer.  Each visited beta is
+    evaluated once, and the result reports the last evaluation.
 
     A constant spectrum makes f flat, so the canonical beta = 0 is returned
     with ``degenerate=True``.  A target mean outside the open interval
     (min lambda, max lambda) cannot be matched by any finite beta.
 
     Raises:
+        ValueError: ``tol`` is negative or not finite.
         InfeasibleTargetError: target mean at or beyond the spectral hull.
     """
     lam, p = _validate(spectrum, target_p)
+    if not (math.isfinite(tol) and tol >= 0.0):
+        raise ValueError(f"tol must be finite and >= 0, got {tol!r}")
+    target_mean = float(np.dot(p, lam))
     spread = float(lam.max() - lam.min())
     if spread <= _DEGENERATE_RTOL * max(1.0, float(np.max(np.abs(lam)))):
-        value = moment_objective(lam, p, 0.0)
-        return BetaFitResult(
-            beta_star=0.0,
-            objective_value=value,
-            gradient_at_solution=0.0,
-            curvature_at_solution=0.0,
-            iterations=0,
-            degenerate=True,
-        )
+        return BetaFitResult(0.0, _moments(lam, target_mean, 0.0)[0], 0.0, 0.0, iterations=0, degenerate=True)
 
-    target_mean = float(np.dot(p, lam))
     if target_mean <= float(lam.min()) or target_mean >= float(lam.max()):
         raise InfeasibleTargetError(
             f"target mean {target_mean!r} lies outside the open spectral hull "
             f"({float(lam.min())!r}, {float(lam.max())!r})"
         )
 
-    def grad(beta):
-        mean, _ = _softmax_stats(lam, beta)
-        return target_mean - mean
-
     # f' is increasing (its derivative is a variance), so bracket a sign change:
-    # push the ends outward with geometrically growing steps until f'(lo) < 0 < f'(hi).
-    lo, hi = float(initial_bracket[0]), float(initial_bracket[1])
-    if not lo < hi:
+    # push each end outward with geometrically growing steps until f'(lo) < 0 < f'(hi).
+    ends = [float(initial_bracket[0]), float(initial_bracket[1])]
+    if not ends[0] < ends[1]:
         raise ValueError(f"invalid initial bracket {initial_bracket!r}")
     iterations = 0
-    step = max(hi - lo, 1.0)
-    for _ in range(_BRACKET_BUDGET):
-        if grad(lo) < 0.0:
-            break
-        lo -= step
-        step *= bracket_growth
-        iterations += 1
-    else:
-        raise InfeasibleTargetError("no sign change found while expanding the lower bracket")
-    step = max(hi - lo, 1.0)
-    for _ in range(_BRACKET_BUDGET):
-        if grad(hi) > 0.0:
-            break
-        hi += step
-        step *= bracket_growth
-        iterations += 1
-    else:
-        raise InfeasibleTargetError("no sign change found while expanding the upper bracket")
+    for side, sign, name in ((0, -1.0, "lower"), (1, 1.0, "upper")):
+        step = max(ends[1] - ends[0], 1.0)
+        for _ in range(_BRACKET_BUDGET):
+            if sign * _moments(lam, target_mean, ends[side])[1] > 0.0:
+                break
+            ends[side] += sign * step
+            step *= bracket_growth
+            iterations += 1
+        else:
+            raise InfeasibleTargetError(f"no sign change found while expanding the {name} bracket")
+    lo, hi = ends
 
     beta = 0.5 * (lo + hi)
-    g = grad(beta)
+    f, g, curvature = _moments(lam, target_mean, beta)
     for _ in range(max_iter):
         iterations += 1
         if abs(g) <= tol:
             break
-        if g > 0.0:
-            hi = beta
-        else:
-            lo = beta
-        _, curvature = _softmax_stats(lam, beta)
-        step_ok = curvature > 0.0 and math.isfinite(curvature)
-        candidate = beta - g / curvature if step_ok else None
-        if candidate is None or not lo < candidate < hi:
-            candidate = 0.5 * (lo + hi)
-        beta = candidate
-        g = grad(beta)
+        lo, hi = (lo, beta) if g > 0.0 else (beta, hi)
+        newton = beta - g / curvature if curvature > 0.0 and math.isfinite(curvature) else math.nan
+        beta = newton if lo < newton < hi else 0.5 * (lo + hi)  # bisect where the Newton step leaves the bracket
+        f, g, curvature = _moments(lam, target_mean, beta)
 
-    mean, curvature = _softmax_stats(lam, beta)
-    return BetaFitResult(
-        beta_star=float(beta),
-        objective_value=moment_objective(lam, p, beta),
-        gradient_at_solution=float(target_mean - mean),
-        curvature_at_solution=curvature,
-        iterations=iterations,
-        degenerate=False,
-    )
+    return BetaFitResult(float(beta), f, g, curvature, iterations=iterations, degenerate=False)
 
 
 def kl_to_density(spectrum, target_p, beta):
@@ -179,7 +147,7 @@ def kl_to_density(spectrum, target_p, beta):
 
     ``beta`` may be a scalar or a 1-D array of betas, which are scored in one pass.
     """
-    lam, p = _validate(spectrum, target_p)
-    nonzero = p > 0.0
-    entropy_term = float(np.sum(p[nonzero] * np.log(p[nonzero])))
-    return entropy_term + moment_objective(lam, p, beta)
+    objective = moment_objective(spectrum, target_p, beta)  # validates the inputs
+    p = np.asarray(target_p, dtype=float)
+    nonzero = p[p > 0.0]
+    return float(np.sum(nonzero * np.log(nonzero))) + objective

@@ -281,17 +281,12 @@ def _cmd_fit_beta(args) -> _Run:
         target = np.asarray(args.target, dtype=float)
     else:
         clipped = np.clip(spectrum, 0.0, None)
+        if not clipped.sum() > 0.0:
+            raise ConfigError("fit-beta without --target needs a positive eigenvalue: its default target is the "
+                              "spectrum clipped at 0 and normalized")
         target = clipped / clipped.sum()
     result = fit_beta(spectrum, target, tol=args.tol)
-    metrics = {
-        "beta_star": result.beta_star,
-        "objective_value": result.objective_value,
-        "gradient_at_solution": result.gradient_at_solution,
-        "curvature_at_solution": result.curvature_at_solution,
-        "iterations": result.iterations,
-        "degenerate": result.degenerate,
-    }
-    table = lab.RunTable("fit_beta", args.seed or 0, {}, {k: [v] for k, v in metrics.items()})
+    table = lab.RunTable("fit_beta", args.seed or 0, {}, {k: [v] for k, v in dataclasses.asdict(result).items()})
     return _Run(
         {"spectrum": spectrum.tolist(), "target": target.tolist(), "tol": args.tol}, table,
         {"fit": {k: c[0] for k, c in table.metrics.items()}}, f"{result.beta_star:.10g}",
@@ -360,6 +355,8 @@ def _cmd_train(args) -> _Run:
     optimizer_keys = {f.name for f in dataclasses.fields(network.TrainConfig)} - {"loss"}
     train_cfg = network.TrainConfig(**{k: v for k, v in cfg.items() if k in optimizer_keys}, loss=loss)
     _check_horizon(args.horizon)
+    if args.horizon > 0 and cfg["task"] == "classification":
+        raise ConfigError(f"--horizon {args.horizon} forecasts full future rows, which task 'classification' cannot fit")
     data = read_csv_data(args.input, header=args.header)
     features, targets, n_outputs = _prepare_supervised(data.values, args.horizon, cfg["task"])
 

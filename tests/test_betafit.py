@@ -2,15 +2,18 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from conftest import random_psd
+from covdensity import betafit
 from covdensity.betafit import (
     fit_beta,
     kl_to_density,
     moment_derivatives,
     moment_objective,
 )
-from covdensity.density import density_operator
+from covdensity.density import density_operator, density_values
 from covdensity.errors import InfeasibleTargetError
 
 
@@ -153,12 +156,97 @@ class TestFitBeta:
             got = fit_beta(spectrum, target, initial_bracket=(lo, hi)).beta_star
             assert abs(got - reference) <= 1e-8
 
+    @pytest.mark.parametrize("tol", [-1.0, -1e-300, math.nan, math.inf, -math.inf])
+    def test_rejects_negative_or_non_finite_tol(self, tol):
+        with pytest.raises(ValueError) as got:
+            fit_beta([1.0, 2.0, 3.0], [0.2, 0.3, 0.5], tol=tol)
+        assert str(got.value) == f"tol must be finite and >= 0, got {tol!r}"
+
+    def test_zero_tol_is_accepted(self):
+        result = fit_beta([1.0, 2.0, 3.0], [0.2, 0.3, 0.5], tol=0.0)
+        assert abs(result.gradient_at_solution) <= 1e-12
+
+    def test_one_softmax_per_visited_beta(self, monkeypatch, rng):
+        calls = []
+
+        def counting(lam, betas):
+            calls.append(betas)
+            return density_values(lam, betas)
+
+        monkeypatch.setattr(betafit, "density_values", counting)
+        for _ in range(50):
+            spectrum, target = random_instance(rng)
+            lo = float(rng.uniform(-30.0, 30.0))
+            calls.clear()
+            result = fit_beta(spectrum, target, initial_bracket=(lo, lo + float(rng.uniform(0.01, 20.0))))
+            assert abs(result.gradient_at_solution) <= 1e-10
+            # each bracket end checked, the midpoint and each Newton or bisection step
+            assert len(calls) == result.iterations + 2
+        calls.clear()
+        assert fit_beta([2.0, 2.0, 2.0], [0.2, 0.3, 0.5]).degenerate
+        assert len(calls) == 1
+
     def test_asymmetric_brackets_far_from_root(self, rng):
         spectrum, target = random_instance(rng, 4)
         reference = fit_beta(spectrum, target).beta_star
         for bracket in ((50.0, 60.0), (-60.0, -50.0)):
             got = fit_beta(spectrum, target, initial_bracket=bracket).beta_star
             assert abs(got - reference) <= 1e-8
+
+
+@st.composite
+def feasible_fits(draw):
+    """A spectrum of 2-12 eigenvalues at scale 1e-3..1e3, a Dirichlet target inside its hull, and two brackets."""
+    dim = draw(st.integers(2, 12))
+    scale = 10.0 ** draw(st.floats(-3.0, 3.0))
+    unit = draw(st.lists(st.floats(0.0, 1.0), min_size=dim - 2, max_size=dim - 2))
+    spectrum = scale * (draw(st.floats(-2.0, 2.0)) + np.array([0.0, 1.0, *unit]))
+    target = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).dirichlet(np.ones(dim))
+    assume(spectrum.min() < float(np.dot(target, spectrum)) < spectrum.max())
+    # Each bracket lies anywhere in [-50, 80] or is placed around the root: straddling it, on either side, or far off.
+    brackets = st.tuples(st.booleans(), st.floats(-50.0, 50.0), st.floats(1e-3, 30.0))
+    return spectrum, target, draw(st.lists(brackets, min_size=2, max_size=2))
+
+
+def agreement_bound(result, spectrum, tol):
+    """How far ``result.beta_star`` can lie from the exact root of f'.
+
+    The solver stops where the computed gradient satisfies |g~| <= tol.  The exact
+    gradient there is at most tol + r, where r bounds the gradient's roundoff:
+    the exponent -beta lambda_i carries |beta| max|lambda| eps of error into each
+    q_i, the softmax a few eps more, and each of the two dot products at most
+    m eps max|lambda|, so r = (|beta| max|lambda| + 4 m + 8) eps max|lambda|.
+    f' is increasing with slope f'' = Var_q[lambda], and
+    |d ln f''/d beta| = |E_q[(lambda - mu)^3]| / Var_q[lambda] <= s, the spread of
+    the spectrum.  So at a distance d from the root,
+    |f'| >= c (1 - exp(-s d)) / s with c = f''(beta~), which gives
+    d <= -log1p(-x) / s with x = s (tol + r) / c, whenever x < 1.  The computed
+    curvature carries a relative roundoff of the same order as q's, far below the
+    1e-9 it is lowered by.
+    """
+    lam_max = float(np.max(np.abs(spectrum)))
+    m, s = spectrum.size, float(np.ptp(spectrum))
+    r = (abs(result.beta_star) * lam_max + 4 * m + 8) * np.finfo(float).eps * lam_max
+    x = s * (tol + r) / (result.curvature_at_solution * (1.0 - 1e-9))
+    assert x < 1.0
+    return -math.log1p(-x) / s
+
+
+@settings(max_examples=150, deadline=None)
+@given(feasible_fits())
+def test_every_bracket_finds_the_same_root(instance):
+    spectrum, target, brackets = instance
+    tol = 1e-10
+    reference = fit_beta(spectrum, target, tol=tol)
+    assert abs(reference.gradient_at_solution) <= tol
+    for near_root, lo, width in brackets:
+        lo += reference.beta_star if near_root else 0.0
+        got = fit_beta(spectrum, target, tol=tol, initial_bracket=(lo, lo + width))
+        assert abs(got.gradient_at_solution) <= tol
+        # the reported derivatives are those at the reported beta
+        assert moment_derivatives(spectrum, target, got.beta_star) == (got.gradient_at_solution, got.curvature_at_solution)
+        bound = agreement_bound(reference, spectrum, tol) + agreement_bound(got, spectrum, tol)
+        assert abs(got.beta_star - reference.beta_star) <= bound
 
 
 class TestReconstructDensity:

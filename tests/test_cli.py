@@ -1,10 +1,12 @@
 import csv
+import dataclasses
 import json
 import math
 import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -142,6 +144,47 @@ class TestFitBetaCommand:
         assert code == 2
         assert "hull" in err or "bracket" in err
 
+    @pytest.mark.parametrize("covariance", [True, False])
+    def test_input_with_the_default_target(self, capsys, tmp_path, gaussian_data_csv, covariance):
+        if covariance:
+            path = tmp_path / "cov.csv"
+            path.write_text("2.0,0.5,0.0\n0.5,1.0,0.0\n0.0,0.0,0.0\n")
+            argv, cov = [str(path), "--input-is-covariance"], np.loadtxt(path, delimiter=",")
+        else:
+            argv, cov = [gaussian_data_csv], np.cov(np.loadtxt(gaussian_data_csv, delimiter=","), rowvar=False, bias=True)
+        out_dir = tmp_path / "out"
+        code, out, err = run_cli(capsys, "fit-beta", "--input", *argv, "--output-dir", str(out_dir))
+        assert (code, err) == (0, "")
+        spectrum = eigh(cov).eigenvalues
+        clipped = np.clip(spectrum, 0.0, None)
+        config = json.loads((out_dir / "manifest.json").read_text())["config"]
+        np.testing.assert_allclose(config["spectrum"], spectrum, rtol=1e-12, atol=1e-15)
+        np.testing.assert_allclose(config["target"], clipped / clipped.sum(), rtol=1e-12, atol=1e-15)
+        fit = covdensity.fit_beta(config["spectrum"], config["target"])
+        assert out == f"{fit.beta_star:.10g}\n"
+        assert json.loads((out_dir / "summary.json").read_text())["fit"] == dataclasses.asdict(fit)
+
+    @pytest.mark.parametrize("spectrum", [["--spectrum", "0,0,0"], ["--spectrum=-2,-1"], None])
+    def test_default_target_needs_a_positive_eigenvalue(self, capsys, tmp_path, spectrum):
+        if spectrum is None:
+            path = tmp_path / "zero.csv"
+            path.write_text("0,0\n0,0\n")
+            spectrum = ["--input", str(path), "--input-is-covariance"]
+        out_dir = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(capsys, "fit-beta", *spectrum, "--output-dir", str(out_dir))
+        message = "fit-beta without --target needs a positive eigenvalue: its default target is the spectrum clipped at 0 and normalized"
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("tol", ["-1", "nan", "inf"])
+    def test_negative_or_non_finite_tol_rejected(self, capsys, tmp_path, tol):
+        out_dir = tmp_path / "out"
+        code, out, err = run_cli(capsys, "fit-beta", "--spectrum", "1,2,3", f"--tol={tol}", "--output-dir", str(out_dir))
+        assert (code, out, err) == (2, "", f"error: tol must be finite and >= 0, got {float(tol)!r}\n")
+        assert not out_dir.exists()
+
 
 class TestDensityCommand:
     def test_prints_density_eigenvalues(self, capsys, tmp_path, rank_one_cov):
@@ -237,6 +280,14 @@ class TestExperimentCommands:
         assert code == 2
         assert err == f"error: sample_grid entries must be integers >= 2, got {bad!r}\n"
         assert not (tmp_path / "results.csv").exists()
+
+    def test_lipschitz_with_every_trial_skipped(self, capsys, tmp_path):
+        cfg_path, out_dir = tmp_path / "cfg.json", tmp_path / "out"
+        cfg_path.write_text(json.dumps({"beta_range": [0, 0]}))  # beta = 0 gives zero-alpha filters only
+        code, out, _ = run_cli(capsys, "lipschitz", "--config", str(cfg_path), "--output-dir", str(out_dir))
+        assert (code, out) == (0, "records=0\n")
+        assert json.loads((out_dir / "summary.json").read_text()) == {"groups": {}, "headline": "records=0"}
+        assert (out_dir / "results.csv").read_text() == "experiment,seed\n"
 
     def test_config_file_with_flag_override(self, capsys, tmp_path):
         cfg_path = tmp_path / "cfg.json"
@@ -592,6 +643,19 @@ class TestTrainPredict:
             code, out, err = run_cli(capsys, *argv, "--horizon", str(horizon), "--output-dir", str(tmp_path / "out"))
             assert (code, out, err) == (2, "", f"error: --horizon must be >= 0, got {horizon}\n")
             assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("horizon", [1, 2])
+    def test_classification_with_horizon_rejected(self, capsys, tmp_path, classification_csv, horizon):
+        cfg_path, out_dir = tmp_path / "cfg.json", tmp_path / "out"
+        cfg_path.write_text(json.dumps({"task": "classification", "epochs": 1, "betas": [1.0]}))
+        for data in (classification_csv, str(tmp_path / "missing.csv")):  # rejected before the CSV is read
+            code, out, err = run_cli(
+                capsys, "train", "--input", data, "--config", str(cfg_path), "--horizon", str(horizon),
+                "--output-dir", str(out_dir),
+            )
+            message = f"--horizon {horizon} forecasts full future rows, which task 'classification' cannot fit"
+            assert (code, out, err) == (2, "", f"error: {message}\n")
+            assert not out_dir.exists()
 
     def test_float_keys_take_ints(self, capsys, tmp_path, classification_csv):
         cfg = {"learning_rate": 0, "dropout": 0, "val_fraction": 0.5, "betas": [1], "epochs": 1, "hidden_dim": 2}

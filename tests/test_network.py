@@ -18,6 +18,7 @@ from covdensity.network import (
     evaluate_loss,
     forward_rows,
     _aggregate,
+    _forward,
     _layer_channels,
     init_model,
     model_from_dict,
@@ -247,6 +248,12 @@ def finite_difference_gradients(model, cov, xs, ys, loss, step=1e-5):
     return grads
 
 
+def min_pre_activation(model, cov, xs):
+    """Smallest |pre-activation| of any layer or head unit over the batch ``xs``."""
+    _, tape = _forward(model, _as_decomposition(cov), np.asarray(xs, dtype=float)[:, :, None], keep_tape=True)
+    return min(float(np.min(np.abs(a))) for a in [tape.z1, *(layer.pre_activation for layer in tape.layers)])
+
+
 def relative_error(a, b):
     denom = max(float(np.linalg.norm(a)), float(np.linalg.norm(b)), 1e-8)
     return float(np.linalg.norm(a - b)) / denom
@@ -290,16 +297,19 @@ class TestGradients:
         assert grads.layer_betas[0][0] == pytest.approx(want, rel=1e-10)
         assert loss_value == pytest.approx((o - target[0]) ** 2, rel=1e-12)
 
+    @pytest.mark.parametrize("activation", ["tanh", "elu", "relu", "identity"])
     @pytest.mark.parametrize("loss", ["mse", "mae", "cross_entropy"])
-    def test_matches_finite_differences(self, rng, loss):
+    def test_matches_finite_differences(self, rng, loss, activation):
         for trial in range(4):
             dim = int(rng.integers(3, 6))
             c = random_psd(rng, dim)
             model = small_model(
                 rng, dim=dim, n_out=3, betas=(0.4, -0.8), betas_learnable=True,
-                activation="tanh", head_activation="tanh",
+                activation=activation, head_activation=activation,
             )
             xs = [rng.standard_normal(dim) for _ in range(3)]
+            while activation in ("elu", "relu") and min_pre_activation(model, c, xs) < 1e-3:  # off the kink at 0
+                xs = [rng.standard_normal(dim) for _ in range(3)]
             if loss == "cross_entropy":
                 ys = [int(rng.integers(0, 3)) for _ in range(3)]
             else:
