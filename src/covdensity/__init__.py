@@ -28,7 +28,6 @@ from .entropy import (
     EntropyReport,
     check_subadditivity,
     cvne,
-    discrimination_experiment,
     naive_entropy,
 )
 from .filtering import (

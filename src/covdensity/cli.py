@@ -281,10 +281,15 @@ def _cmd_fit_beta(args) -> _Run:
         target = np.asarray(args.target, dtype=float)
     else:
         clipped = np.clip(spectrum, 0.0, None)
-        if not clipped.sum() > 0.0:
+        with np.errstate(over="ignore", invalid="ignore"):
+            total = clipped.sum()
+            target = clipped / total
+        finite = np.isfinite(spectrum).all()  # else fit_beta names the spectrum
+        if finite and not total > 0.0:
             raise ConfigError("fit-beta without --target needs a positive eigenvalue: its default target is the "
                               "spectrum clipped at 0 and normalized")
-        target = clipped / clipped.sum()
+        if finite and np.isinf(total):
+            raise ConfigError("fit-beta without --target: its default target's sum overflows a double; give --target")
     result = fit_beta(spectrum, target, tol=args.tol)
     table = lab.RunTable("fit_beta", args.seed or 0, {}, {k: [v] for k, v in dataclasses.asdict(result).items()})
     return _Run(
@@ -295,6 +300,8 @@ def _cmd_fit_beta(args) -> _Run:
 
 def _cmd_experiment(args) -> _Run:
     payload = _load_json_config(args.config, lab.ExperimentConfig, "experiment config") if args.config else {}
+    if payload.get("experiment", args.experiment) != args.experiment:
+        raise ConfigError(f"/experiment: got {payload['experiment']!r}, but {args.subcommand} runs {args.experiment!r}")
     for field in dataclasses.fields(lab.ExperimentConfig):  # every flag given wins; its dest is the field name
         if getattr(args, field.name, None) is not None:
             payload[field.name] = getattr(args, field.name)
@@ -307,8 +314,8 @@ def _cmd_experiment(args) -> _Run:
 def _experiment_headline(experiment: str, table) -> str:
     metrics = table.metrics
     if experiment == "discrimination" and "auc_naive" in metrics:
-        i = next(i for i, v in enumerate(metrics["auc_naive"]) if v is not None)
-        return f"auc_naive={metrics['auc_naive'][i]:.4f} auc_vne={metrics['auc_vne'][i]:.4f}"
+        # run_discrimination ends its table with the AUC row.
+        return f"auc_naive={metrics['auc_naive'][-1]:.4f} auc_vne={metrics['auc_vne'][-1]:.4f}"
     if experiment == "lipschitz" and "ratio" in metrics:
         ratios = [v for v in metrics["ratio"] if v is not None]
         return f"max_ratio={max(ratios):.6f} n={len(ratios)}"

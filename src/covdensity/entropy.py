@@ -21,9 +21,7 @@ import numpy as np
 
 from .covariance import (
     CovarianceMatrix,
-    DataMatrix,
     _check_psd,
-    _covariance_array,
     as_matrix,
     shift_regularize,
 )
@@ -160,20 +158,6 @@ def threshold_auc(scores_a, scores_b) -> float:
     return max(auc, 1.0 - auc)
 
 
-class WindowScore(NamedTuple):
-    window_index: int
-    regime: int
-    s_naive_bits: float
-    s_vne_bits: float
-
-
-@dataclass(frozen=True)
-class DiscriminationResult:
-    auc_naive: float
-    auc_vne: float
-    windows: tuple[WindowScore, ...]
-
-
 def _window_entropies(covariances: np.ndarray, beta: float) -> tuple[np.ndarray, np.ndarray]:
     """Naive and density entropies (bits) of stacked finite sample covariances, with every
     other check of CovarianceMatrix, naive_entropy and cvne, from one ``eigvalsh``."""
@@ -183,60 +167,3 @@ def _window_entropies(covariances: np.ndarray, beta: float) -> tuple[np.ndarray,
     rho, _ = density_values(eigenvalues, (beta,))
     return naive, _shannon_nats(rho[..., 0, :]) / math.log(2.0)
 
-
-def discrimination_experiment(
-    window: int = 128,
-    n_windows: int = 500,
-    beta: float = 2.0,
-    regime_scale=(1.3, 1.2, 1.1),
-    base_spectrum=(1.0, 1.0, 0.0),
-    seed: int = 0,
-) -> DiscriminationResult:
-    """Two-regime entropy discrimination on windowed sample covariances.
-
-    Regime 0 draws Gaussian windows with the base diagonal spectrum (singular
-    by default, where log-det entropies diverge outright); regime 1 multiplies
-    those eigenvalues elementwise by ``regime_scale`` (a near-global scaling).
-    Each window's sample covariance is scored by the trace-normalized entropy
-    and by the density entropy at ``beta``; both scores are classified by a
-    best-direction threshold sweep.  Near-pure scalings leave the naive score
-    at chance while the density entropy tracks the absolute spectrum.
-
-    Each window has its own seeded stream, drawn into one ``(2, n_windows, window, m)``
-    array.  One finiteness check, one stacked matmul for the covariances and one
-    ``eigvalsh`` of the stacked ``(2, n_windows, m, m)`` covariances give both scores and
-    every check, so the density entropy reads ``eigvalsh`` eigenvalues where :func:`cvne`
-    reads ``eigh`` ones (they can differ in the last bits).  A failing window raises
-    what a window-by-window evaluation would raise first.
-    """
-    base = np.asarray(base_spectrum, dtype=float)
-    scale = np.asarray(regime_scale, dtype=float)
-    if scale.shape != base.shape:
-        raise ShapeError("regime_scale must match the base spectrum length")
-    dim = base.size
-    if window < dim + 1:
-        raise ValueError(f"window {window} too small for dim {dim} (need >= dim + 1)")
-    samples = np.empty((2, n_windows, window, dim))
-    for regime in (0, 1):
-        for w in range(n_windows):
-            np.random.default_rng([seed, regime, w]).standard_normal(out=samples[regime, w])
-    samples *= np.sqrt(np.stack([base, base * scale]))[:, None, None, :]
-    try:
-        if not np.all(np.isfinite(samples)):
-            raise ValueError("data matrix contains non-finite entries")
-        s_naive, s_vne = _window_entropies(_covariance_array(samples), beta)
-    except ValueError:
-        # Score the windows one at a time, so the earliest failing window's own
-        # error is raised ahead of any later window's.
-        for values in samples.reshape(-1, window, dim):
-            _window_entropies(_covariance_array(DataMatrix(values=values).values), beta)
-        raise
-    return DiscriminationResult(
-        auc_naive=threshold_auc(s_naive[0], s_naive[1]),
-        auc_vne=threshold_auc(s_vne[0], s_vne[1]),
-        windows=tuple(
-            WindowScore(w, regime, float(s_naive[regime, w]), float(s_vne[regime, w]))
-            for regime in (0, 1)
-            for w in range(s_naive.shape[1])
-        ),
-    )

@@ -8,11 +8,10 @@ cells are written with repr, so ``float`` reads each one back exactly.
 
 Stages with a stackable axis run once over it rather than once per item:
 within a trial, the stability perturbations and the regression covariances;
-across the whole run, every entropy-curve covariance (and, in
-:func:`entropy.discrimination_experiment`, every window).  Stacks whose items
-carry a full matrix per beta stay per trial, which bounds their memory.  When a
-stacked check fails, the items are re-run one at a time, so the first failing
-item raises its own error.
+across the whole run, every entropy-curve covariance and every discrimination
+window.  Stacks whose items carry a full matrix per beta stay per trial, which
+bounds their memory.  When a stacked check fails, the items are re-run one at a
+time, so the first failing item raises its own error.
 
 Trend claims (monotonicity, dominance) are properties of trial MEANS, not of
 individual draws; the test suite asserts them over the configured trial
@@ -259,6 +258,8 @@ def run_lipschitz(cfg: ExperimentConfig) -> RunTable:
     records the ratio against the Lipschitz constant; near-identical pairs and
     zero-alpha filters are skipped (0/0).
     """
+    if cfg.max_filter_order < 1:
+        raise ConfigError(f"/max_filter_order: must be >= 1, got {cfg.max_filter_order}")
     lo, hi = cfg.eigenvalue_range
 
     trials, rows = [], []
@@ -365,6 +366,11 @@ def run_regression(cfg: ExperimentConfig) -> RunTable:
     with A = V^T X^T X V, and predicts through V F c; V's column signs cancel.  Per
     trial, one stacked ``eigh`` decomposes every covariance, one batched solve fits all.
     """
+    if not 0 <= cfg.n_informative <= cfg.dim:
+        raise ConfigError(f"/n_informative: must be in [0, dim = {cfg.dim}], got {cfg.n_informative}")
+    for key in ("n_train", "n_test"):
+        if getattr(cfg, key) < 1:
+            raise ConfigError(f"/{key}: must be >= 1, got {getattr(cfg, key)}")
     betas = cfg.betas or (0.1, 1.0, 5.0, 15.0)
     noise_levels = cfg.noise_levels or (0.0, 5.0)
     grid = cfg.sample_grid or (25, 50, 100, 250, 1000)
@@ -412,6 +418,8 @@ def run_entropy_curve(cfg: ExperimentConfig) -> RunTable:
     checked again as one stack; the shifted matrices' PSD check already holds
     their spectra (eigvalsh order), which one ``density_values`` call maps.
     """
+    if not cfg.families:
+        raise ConfigError("/families: must be non-empty, got []")
     beta_grid = cfg.betas or tuple(np.linspace(0.0, 15.0, 16))
     items = list(itertools.product(range(cfg.trials), enumerate(cfg.families)))
 
@@ -434,24 +442,53 @@ def run_entropy_curve(cfg: ExperimentConfig) -> RunTable:
 
 
 def run_discrimination(cfg: ExperimentConfig) -> RunTable:
-    """Wrap the windowed entropy discrimination experiment as a run table."""
-    result = entropy.discrimination_experiment(
-        window=cfg.window,
-        n_windows=cfg.n_windows,
-        beta=cfg.betas[0] if cfg.betas else 2.0,
-        regime_scale=cfg.regime_scale,
-        base_spectrum=cfg.base_spectrum,
-        seed=cfg.seed,
-    )
-    # One row per window, then the AUC summary row.
-    windows = [(w.window_index, w.regime, None) for w in result.windows] + [(None, None, "auc")]
-    scores = [(w.s_naive_bits, w.s_vne_bits, None, None) for w in result.windows]
-    scores.append((None, None, result.auc_naive, result.auc_vne))
-    return RunTable(
-        "discrimination", cfg.seed,
-        _columns(("window_index", "regime", "summary"), windows),
-        _columns(("s_naive_bits", "s_vne_bits", "auc_naive", "auc_vne"), scores),
-    )
+    """Two-regime entropy discrimination on windowed sample covariances.
+
+    Regime 0 draws Gaussian windows with the base diagonal spectrum (singular by default,
+    where log-det entropies diverge); regime 1 scales it elementwise by ``regime_scale``.
+    Each window's sample covariance is scored by the trace-normalized entropy and by the
+    density entropy at ``betas[0]`` (default 2.0), and each score's two regimes are
+    separated by a best-direction threshold sweep (AUC): near-global scalings leave the
+    naive score at chance while the density entropy tracks the absolute spectrum.
+
+    Each window has its own seeded stream; one ``eigvalsh`` of the stacked covariances gives
+    both scores and every check, so the density entropy reads ``eigvalsh`` eigenvalues where
+    :func:`entropy.cvne` reads ``eigh`` ones (they can differ in the last bits).
+    """
+    beta = cfg.betas[0] if cfg.betas else 2.0
+    base = np.asarray(cfg.base_spectrum, dtype=float)
+    scale = np.asarray(cfg.regime_scale, dtype=float)
+    if scale.shape != base.shape:
+        raise ShapeError("regime_scale must match the base spectrum length")
+    n, window, dim = cfg.n_windows, cfg.window, base.size
+    if window < dim + 1:
+        raise ValueError(f"window {window} too small for dim {dim} (need >= dim + 1)")
+    if n < 1:
+        raise ConfigError(f"/n_windows: must be >= 1, got {n}")
+    samples = np.empty((2, n, window, dim))
+    for regime, w in itertools.product((0, 1), range(n)):
+        np.random.default_rng([cfg.seed, regime, w]).standard_normal(out=samples[regime, w])
+    # A negative spectrum entry draws NaN, which the finiteness check names.
+    with np.errstate(invalid="ignore"):
+        samples *= np.sqrt(np.stack([base, base * scale]))[:, None, None, :]
+    try:
+        if not np.all(np.isfinite(samples)):
+            raise ValueError("data matrix contains non-finite entries")
+        s_naive, s_vne = entropy._window_entropies(covariance._covariance_array(samples), beta)
+    except ValueError:
+        for values in samples.reshape(-1, window, dim):
+            entropy._window_entropies(covariance._covariance_array(DataMatrix(values=values).values), beta)
+        raise
+    # Rows: every regime-0 window, every regime-1 window, then the AUC row.
+    pad = [None] * (2 * n)
+    params = {"regime": [0] * n + [1] * n + [None], "window_index": [*range(n)] * 2 + [None], "summary": pad + ["auc"]}
+    metrics = {
+        "s_naive_bits": [*s_naive.ravel().tolist(), None],
+        "s_vne_bits": [*s_vne.ravel().tolist(), None],
+        "auc_naive": pad + [entropy.threshold_auc(*s_naive)],
+        "auc_vne": pad + [entropy.threshold_auc(*s_vne)],
+    }
+    return RunTable("discrimination", cfg.seed, params, metrics)
 
 
 def run_betafit_demo(cfg: ExperimentConfig) -> RunTable:

@@ -11,7 +11,7 @@ import time
 
 import numpy as np
 
-from conftest import table_rows
+from conftest import discrimination_scores, table_rows
 from covdensity import cli
 from covdensity.betafit import fit_beta, moment_derivatives
 from covdensity.covariance import (
@@ -29,7 +29,6 @@ from covdensity.density import (
 from covdensity.entropy import (
     check_subadditivity,
     cvne,
-    discrimination_experiment,
     naive_entropy,
 )
 from covdensity.filtering import FilterSpec, check_permutation_equivariance
@@ -200,7 +199,7 @@ def test_criterion_07_scale_blindness_vs_sensitivity():
 
 def test_criterion_08_discrimination_auc():
     budget = Budget(120.0)
-    result = discrimination_experiment(
+    result = discrimination_scores(
         window=128, n_windows=500, beta=2.0, regime_scale=(1.3, 1.2, 1.1), seed=808
     )
     assert 0.45 <= result.auc_naive <= 0.60

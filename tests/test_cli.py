@@ -178,6 +178,22 @@ class TestFitBetaCommand:
         assert (code, out, err) == (2, "", f"error: {message}\n")
         assert not out_dir.exists()
 
+    @pytest.mark.filterwarnings("error")
+    def test_default_target_sum_overflow_is_rejected(self, capsys, tmp_path):
+        out_dir = tmp_path / "out"
+        code, out, err = run_cli(capsys, "fit-beta", "--spectrum", "1e308,1e308,1", "--output-dir", str(out_dir))
+        message = "fit-beta without --target: its default target's sum overflows a double; give --target"
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+        assert not out_dir.exists()
+        # A sum just below the largest double is a finite default target; the fit then finds it infeasible.
+        code, out, err = run_cli(capsys, "fit-beta", "--spectrum", "8e307,8e307,1", "--output-dir", str(out_dir))
+        assert (code, out) == (2, "") and err.startswith("error: target mean 8e+307 lies outside the open spectral hull")
+        # A NaN or infinite entry is the spectrum's fault, named by the solver, and draws no warning.
+        for spectrum in ("inf,1", "nan,1"):
+            code, out, err = run_cli(capsys, "fit-beta", "--spectrum", spectrum, "--output-dir", str(out_dir))
+            assert (code, out, err) == (2, "", "error: spectrum must be a non-empty, finite 1-D sequence\n")
+            assert not out_dir.exists()
+
     @pytest.mark.parametrize("tol", ["-1", "nan", "inf"])
     def test_negative_or_non_finite_tol_rejected(self, capsys, tmp_path, tol):
         out_dir = tmp_path / "out"
@@ -321,6 +337,43 @@ class TestExperimentCommands:
         summary = json.loads((out_dir / "summary.json").read_text())
         assert "headline" in summary and "groups" in summary
 
+    def test_config_experiment_must_match_the_subcommand(self, capsys, tmp_path):
+        cfg_path, out_dir = tmp_path / "cfg.json", tmp_path / "out"
+        cfg_path.write_text(json.dumps({"experiment": "regression"}))
+        code, out, err = run_cli(capsys, "stability", "--config", str(cfg_path), "--output-dir", str(out_dir))
+        assert (code, out, err) == (2, "", "error: /experiment: got 'regression', but stability runs 'stability'\n")
+        assert not out_dir.exists()
+        cfg_path.write_text(json.dumps({"experiment": "entropy_curve", "dim": 3, "trials": 1, "betas": [1.0]}))
+        code, out, err = run_cli(capsys, "entropy-curve", "--config", str(cfg_path), "--output-dir", str(out_dir))
+        assert (code, err) == (0, "")
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "subcommand,cfg,message",
+        [
+            ("lipschitz", {"max_filter_order": 0}, "/max_filter_order: must be >= 1, got 0"),
+            ("regression", {"n_informative": 50}, "/n_informative: must be in [0, dim = 20], got 50"),
+            ("regression", {"n_train": 0}, "/n_train: must be >= 1, got 0"),
+            ("regression", {"n_test": 0}, "/n_test: must be >= 1, got 0"),
+            ("discriminate", {"n_windows": 0}, "/n_windows: must be >= 1, got 0"),
+            ("entropy-curve", {"families": []}, "/families: must be non-empty, got []"),
+        ],
+    )
+    def test_count_key_out_of_range_is_named(self, capsys, tmp_path, subcommand, cfg, message):
+        cfg_path, out_dir = tmp_path / "cfg.json", tmp_path / "out"
+        cfg_path.write_text(json.dumps(cfg))
+        code, out, err = run_cli(capsys, subcommand, "--config", str(cfg_path), "--output-dir", str(out_dir))
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("cfg", [{"base_spectrum": [-1, 1, 0]}, {"regime_scale": [1, -1, 1]}])
+    def test_negative_spectrum_entry_prints_only_the_error(self, capsys, tmp_path, cfg):
+        cfg_path, out_dir = tmp_path / "cfg.json", tmp_path / "out"
+        cfg_path.write_text(json.dumps({**cfg, "n_windows": 5}))
+        code, out, err = run_cli(capsys, "discriminate", "--config", str(cfg_path), "--output-dir", str(out_dir))
+        assert (code, out, err) == (2, "", "error: data matrix contains non-finite entries\n")
+        assert not out_dir.exists()
+
     def test_config_schema_version_checked(self, capsys, tmp_path):
         cfg_path = tmp_path / "versioned.json"
         cfg_path.write_text(json.dumps({"schema_version": 1, "dim": 5, "trials": 2, "betas": [0.5]}))
@@ -428,7 +481,7 @@ def test_wrong_typed_config_value_exits_2_naming_its_key(capsys, tmp_path, gauss
 
     kind = field.type.split("[")[0].split(" |")[0]
     for value in _WRONG_VALUES[kind]:
-        if field.name == "experiment":  # the subcommand sets it, whatever the file holds
+        if field.name == "experiment":  # the CLI rejects any value but the subcommand's before the type check
             with pytest.raises(ConfigError, match=re.escape(f"/experiment: expected str, got {value!r}")):
                 ExperimentConfig(experiment=value)
             continue

@@ -6,18 +6,23 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from conftest import count_linalg_calls, random_low_rank, random_psd
-from covdensity.covariance import CovarianceMatrix, DataMatrix, sample_covariance, shift_regularize
+from conftest import (
+    count_linalg_calls,
+    discrimination_scores,
+    random_low_rank,
+    random_psd,
+    table_rows,
+    window_by_window,
+)
+from covdensity.covariance import CovarianceMatrix, shift_regularize
 from covdensity.entropy import (
     _naive_bits,
     check_subadditivity,
     cvne,
-    discrimination_experiment,
     naive_entropy,
     threshold_auc,
 )
 from covdensity.errors import BetaRangeError, DegenerateCovarianceError, ShapeError
-from covdensity.spectral import SpectralDecomposition
 
 
 def scalar_entropy_nats(eigenvalues, beta):
@@ -254,51 +259,29 @@ class TestThresholdAuc:
 
 class TestDiscriminationExperiment:
     def test_identical_regimes_are_chance(self):
-        result = discrimination_experiment(n_windows=500, regime_scale=(1.0, 1.0, 1.0), seed=3)
+        result = discrimination_scores(n_windows=500, regime_scale=(1.0, 1.0, 1.0), seed=3)
         assert 0.45 <= result.auc_naive <= 0.55
         assert 0.45 <= result.auc_vne <= 0.55
 
     def test_near_global_scaling_separates_density_entropy(self):
-        result = discrimination_experiment(n_windows=200, seed=3)
+        result = discrimination_scores(n_windows=200, seed=3)
         assert 0.45 <= result.auc_naive <= 0.60
         assert result.auc_vne >= 0.90
 
     def test_pure_global_scaling(self):
-        result = discrimination_experiment(n_windows=200, regime_scale=(5.0, 5.0, 5.0), seed=3)
+        result = discrimination_scores(n_windows=200, regime_scale=(5.0, 5.0, 5.0), seed=3)
         assert 0.45 <= result.auc_naive <= 0.55
         assert result.auc_vne >= 0.95
 
     def test_window_records_complete(self):
-        result = discrimination_experiment(n_windows=25, seed=0)
-        assert len(result.windows) == 50
-        regimes = {w.regime for w in result.windows}
+        windows = [r for r in table_rows(discrimination_scores(n_windows=25, seed=0).table) if "regime" in r.params]
+        assert len(windows) == 50
+        regimes = {w.params["regime"] for w in windows}
         assert regimes == {0, 1}
 
     def test_window_too_small(self):
         with pytest.raises(ValueError):
-            discrimination_experiment(window=3)
-
-
-def window_by_window(window, n_windows, beta, regime_scale, base_spectrum, seed):
-    """discrimination_experiment as one public-API evaluation per window.
-
-    Returns the naive scores, the density scores from cvne (which decomposes
-    with eigh) and the density scores from cvne fed eigvalsh eigenvalues, each
-    shaped (2, n_windows).
-    """
-    base = np.asarray(base_spectrum, dtype=float)
-    spectra = (base, base * np.asarray(regime_scale, dtype=float))
-    naive, vne_eigh, vne_eigvalsh = (np.empty((2, n_windows)) for _ in range(3))
-    for regime in (0, 1):
-        for w in range(n_windows):
-            rng = np.random.default_rng([seed, regime, w])
-            samples = rng.standard_normal((window, base.size)) * np.sqrt(spectra[regime])
-            cov = sample_covariance(DataMatrix(values=samples))
-            naive[regime, w] = naive_entropy(cov)
-            vne_eigh[regime, w] = cvne(cov, beta).entropy_bits
-            spectrum = SpectralDecomposition(np.linalg.eigvalsh(cov.matrix), np.eye(base.size))
-            vne_eigvalsh[regime, w] = cvne(spectrum, beta).entropy_bits
-    return naive, vne_eigh, vne_eigvalsh
+            discrimination_scores(window=3)
 
 
 class TestBatchedDiscrimination:
@@ -317,11 +300,13 @@ class TestBatchedDiscrimination:
     )
     def test_matches_window_by_window_public_api(self, base, scale, seed):
         window, n_windows, beta = 12, 30, 1.5
-        result = discrimination_experiment(window, n_windows, beta, scale, base, seed)
+        result = discrimination_scores(
+            beta, window=window, n_windows=n_windows, regime_scale=scale, base_spectrum=base, seed=seed
+        )
         naive, vne_eigh, vne_eigvalsh = window_by_window(window, n_windows, beta, scale, base, seed)
-        got_naive = np.array([[w.s_naive_bits for w in result.windows if w.regime == r] for r in (0, 1)])
-        got_vne = np.array([[w.s_vne_bits for w in result.windows if w.regime == r] for r in (0, 1)])
-        assert [(w.regime, w.window_index) for w in result.windows] == [
+        got_naive, got_vne = result.naive, result.vne
+        windows = [r.params for r in table_rows(result.table) if "regime" in r.params]
+        assert [(w["regime"], w["window_index"]) for w in windows] == [
             (r, i) for r in (0, 1) for i in range(n_windows)
         ]
         np.testing.assert_array_equal(got_naive, naive)
@@ -333,7 +318,6 @@ class TestBatchedDiscrimination:
         assert result.auc_naive == threshold_auc(naive[0], naive[1])
         assert result.auc_vne == threshold_auc(vne_eigvalsh[0], vne_eigvalsh[1])
 
-    @pytest.mark.filterwarnings("ignore:invalid value encountered in sqrt:RuntimeWarning")
     @pytest.mark.parametrize(
         "base, scale, beta, error",
         [
@@ -352,7 +336,7 @@ class TestBatchedDiscrimination:
     )
     def test_raises_what_the_first_failing_window_raises(self, base, scale, beta, error):
         with pytest.raises(error) as batched:
-            discrimination_experiment(12, 30, beta, scale, base, 0)
+            discrimination_scores(beta, window=12, n_windows=30, regime_scale=scale, base_spectrum=base, seed=0)
         with pytest.raises(error) as one_by_one:
             window_by_window(12, 30, beta, scale, base, 0)
         assert type(batched.value) is type(one_by_one.value)
@@ -361,18 +345,19 @@ class TestBatchedDiscrimination:
     @pytest.mark.parametrize("beta", [480.0, 1e6, -800.0])
     def test_betas_past_the_old_cap_match_window_by_window(self, beta):
         # These betas once raised BetaRangeError; every window's density is well defined.
-        result = discrimination_experiment(12, 30, beta, (1.3, 1.2, 1.1), (1.0, 1.0, 0.0), 0)
+        result = discrimination_scores(
+            beta, window=12, n_windows=30, regime_scale=(1.3, 1.2, 1.1), base_spectrum=(1.0, 1.0, 0.0), seed=0
+        )
         _, _, vne_eigvalsh = window_by_window(12, 30, beta, (1.3, 1.2, 1.1), (1.0, 1.0, 0.0), 0)
-        got_vne = np.array([[w.s_vne_bits for w in result.windows if w.regime == r] for r in (0, 1)])
+        got_vne = result.vne
         np.testing.assert_array_equal(got_vne, vne_eigvalsh)
 
-    @pytest.mark.filterwarnings("ignore:invalid value encountered in sqrt:RuntimeWarning")
     def test_negative_base_spectrum_is_non_finite_data(self):
         with pytest.raises(ValueError, match="data matrix contains non-finite entries"):
-            discrimination_experiment(n_windows=5, base_spectrum=(-1.0, 1.0, 0.0))
+            discrimination_scores(n_windows=5, base_spectrum=(-1.0, 1.0, 0.0))
 
     def test_one_decomposition_per_window(self, monkeypatch):
         shapes = count_linalg_calls(monkeypatch, "eigvalsh")
         monkeypatch.setattr(np.linalg, "eigh", None)
-        discrimination_experiment(window=20, n_windows=40, seed=1)
+        discrimination_scores(window=20, n_windows=40, seed=1)
         assert shapes == [(2, 40, 3, 3)]

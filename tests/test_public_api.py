@@ -29,7 +29,6 @@ def test_exports_are_pinned():
         "density",
         "density_error_bound",
         "density_operator",
-        "discrimination_experiment",
         "eigh",
         "entropy",
         "errors",
