@@ -126,7 +126,6 @@ def _build_parser() -> _Parser:
         p.set_defaults(command=command)
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--output-dir", default=".")
-        p.add_argument("--config", default=None)
         if with_beta:
             p.add_argument("--beta", type=float, default=None)
 
@@ -156,6 +155,7 @@ def _build_parser() -> _Parser:
         p = sub.add_parser(name, help=f"run the {name} experiment")
         common(p, _cmd_experiment)
         p.set_defaults(experiment=experiment)
+        p.add_argument("--config", default=None)
         p.add_argument("--dim", type=int, default=None)
         p.add_argument("--n-samples", type=int, default=None)
         p.add_argument("--trials", type=int, default=None)
@@ -165,6 +165,7 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("train", help="train a model on CSV data")
     common(p, _cmd_train)
+    p.add_argument("--config", default=None)
     p.add_argument("--input", required=True)
     p.add_argument("--header", action="store_true")
     p.add_argument("--horizon", type=int, default=0)

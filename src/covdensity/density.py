@@ -1,10 +1,10 @@
 """Density operators over covariance matrices.
 
 The map C -> exp(-beta C) / Tr(exp(-beta C)) turns any symmetric matrix into a
-unit-trace, strictly positive-definite operator that shares C's eigenvectors.
-Positive beta compresses high-variance directions (their density eigenvalues
-shrink); negative beta reverses the roles; beta = 0 gives the uniform density
-I/m regardless of C.
+unit-trace operator that shares C's eigenvectors, positive-definite in exact
+arithmetic (DensityOperator says where a double rounds a weight to 0).  Positive
+beta compresses high-variance directions (their density eigenvalues shrink);
+negative beta reverses the roles; beta = 0 gives the uniform density I/m.
 
 Operators are stored spectrally (basis plus eigenvalue vector) rather than as
 dense matrix exponentials, so powers and matrix-vector products are exact in
@@ -40,9 +40,10 @@ class DensityOperator:
 
     ``density_eigenvalues[i]`` is exp(-beta * lambda_i) / Z aligned with
     ``basis`` (source eigenvalues ascending).  They sum to one and are positive
-    even when C is singular, but one with |beta| |lambda_i - lambda_top| >~ 745,
-    lambda_top the eigenvalue of largest density, underflows to 0.0 (cvne counts
-    it as 0 ln 0).  ``log_partition`` is ln Z.
+    in exact arithmetic, even when C is singular.  In doubles the i-th stays
+    positive while |beta| |lambda_i - lambda_top| + ln m < 745.13 (lambda_top the
+    eigenvalue of largest density) and may round to 0.0 past that, which cvne
+    counts as 0 ln 0.  ``log_partition`` is ln Z.
     """
 
     beta: float

@@ -2,11 +2,11 @@
 
 The entropy of a covariance matrix at inverse temperature beta is the Shannon
 entropy of its density operator's eigenvalue distribution.  Because those
-eigenvalues are positive even when C is singular, the entropy is finite for
-rank-deficient matrices where log-det formulas diverge, and unlike the
-trace-normalized surrogate it responds to global scale changes.  (In doubles, a
-density eigenvalue with |beta| |lambda_i - lambda_top| >~ 745, lambda_top the
-eigenvalue of largest density, underflows to 0.0 and counts as 0 ln 0.)
+eigenvalues are positive (in exact arithmetic) even when C is singular, the
+entropy is finite for rank-deficient matrices where log-det formulas diverge,
+and unlike the trace-normalized surrogate it responds to global scale changes.
+A density eigenvalue that a double rounds to 0.0, once |beta| |lambda_i -
+lambda_top| + ln m passes about 745.13, counts as 0 ln 0 (see DensityOperator).
 
 Internal unit is nats; bits are carried alongside for reporting.
 """

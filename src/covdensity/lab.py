@@ -111,7 +111,7 @@ class RunTable:
 
     Every column has one cell per row, in row order; a row that lacks a param
     or metric holds None there, and a column that no row has is dropped.  Param
-    cells become floats (numbers and bools) or strings and metric cells floats;
+    cells become floats (numbers and bools) or non-empty strings and metric cells floats;
     a metric cell that is not finite raises ValueError naming the first one, in
     row order and then column order, as a row-by-row check meets them.
     """
@@ -124,6 +124,8 @@ class RunTable:
     def __post_init__(self):
         params = {k: [_canon(v) for v in c] for k, c in self.params.items()}
         metrics = {k: _metric_column(c) for k, c in self.metrics.items()}
+        if any(v == "" for c in params.values() for v in c):
+            raise ValueError("a param cell is the empty string, which results.csv cannot tell from a lacking cell")
         if len({len(c) for c in (*params.values(), *metrics.values())}) > 1:
             raise ShapeError("run table columns differ in length")
         bad = [(row, key) for key, c in metrics.items() if (row := _first_non_finite(c)) is not None]

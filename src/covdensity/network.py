@@ -29,6 +29,10 @@ Dropout stream: ``model_gradients`` draws its dropout mask as one
 as B consecutive ``rng.random(hidden)`` draws, one per sample in batch order,
 so seeded training does not depend on how samples are grouped into passes.
 
+Parameter order: ``model_gradients`` returns one gradient per ``_trainable_params``
+entry, in that order (per layer its coeffs, then its betas if learnable; then the
+head's w1, b1, w2, b2); ``train`` hands it straight to Adam, fixed at (0.9, 0.999, 1e-8).
+
 All gradients are analytic (no autodiff dependency) and are validated against
 central finite differences in the test suite.
 """
@@ -197,8 +201,6 @@ class TrainConfig:
     epochs: int = 100
     batch_size: int = 32
     seed: int = 0
-    adam_betas: tuple[float, float] = (0.9, 0.999)
-    adam_eps: float = 1e-8
     loss: str = "mse"
     dropout: float = 0.0
 
@@ -230,9 +232,7 @@ def _aggregate(mode: str, channels: np.ndarray) -> np.ndarray:
         return channels
     if mode == "sum":
         return channels.sum(axis=1, keepdims=True)
-    if mode == "mean":
-        return channels.mean(axis=1, keepdims=True)
-    raise ValueError(f"unknown aggregation {mode!r}")
+    return channels.mean(axis=1, keepdims=True)
 
 
 def _unaggregate(p: LayerParams, d_folded: np.ndarray) -> np.ndarray:
@@ -327,16 +327,6 @@ def _forward(model: ModelParams, decomp, x: np.ndarray, mask=None, keep_tape=Fal
     return out, (_Tape(layer_tapes, flat, z1, h1, mask, signal.shape) if keep_tape else None)
 
 
-@dataclass
-class ModelGradients:
-    layer_coeffs: list[np.ndarray]
-    layer_betas: list[np.ndarray]
-    head_w1: np.ndarray
-    head_b1: np.ndarray
-    head_w2: np.ndarray
-    head_b2: np.ndarray
-
-
 def _loss_and_grad(out: np.ndarray, targets, loss: str):
     """Per-row losses (B,) and their gradients (B, n_outputs) with respect to ``out``."""
     if loss == "cross_entropy":
@@ -355,50 +345,41 @@ def _loss_and_grad(out: np.ndarray, targets, loss: str):
     return np.mean(np.abs(diff), axis=1), np.sign(diff) / diff.shape[1]
 
 
-def _backward(model: ModelParams, decomp, tape: _Tape, d_out: np.ndarray) -> ModelGradients:
-    """Gradients of sum_b <d_out[b], out[b]>, reduced over the batch axis."""
+def _backward(model: ModelParams, decomp, tape: _Tape, d_out: np.ndarray) -> list[np.ndarray]:
+    """Gradients of sum_b <d_out[b], out[b]>, reduced over the batch axis, in ``_trainable_params`` order."""
     head = model.head
     d_h1 = d_out @ head.w2
     if tape.mask is not None:
         d_h1 = d_h1 * tape.mask
     d_z1 = d_h1 * ACTIVATIONS[head.activation][1](tape.z1)
     d_signal = (d_z1 @ head.w1).reshape(tape.final_shape)
+    grads = [d_z1.T @ tape.flat, d_z1.sum(axis=0), d_out.T @ tape.h1, d_out.sum(axis=0)]
 
     v, lam = decomp.eigenvectors, decomp.eigenvalues
-    n_layers = len(model.layers)
-    coeff_grads, beta_grads = [None] * n_layers, [None] * n_layers
-    for idx in range(n_layers - 1, -1, -1):
-        layer = model.layers[idx]
-        ltape = tape.layers[idx]
+    for idx in range(len(model.layers) - 1, -1, -1):
+        layer, ltape = model.layers[idx], tape.layers[idx]
         d_y = _unaggregate(layer, d_signal) * ACTIVATIONS[layer.activation][1](ltape.pre_activation)
         d_y_hat = v.T @ d_y
         d_resp = np.einsum("boit,bgit->ogi", d_y_hat, ltape.x_hat)
         # Coefficient taps: d h_k = sum_i d_resp_i rho_i^k.
         k0 = layer.k_start
-        coeff_grads[idx] = np.zeros_like(layer.coeffs)
-        coeff_grads[idx][:, :, k0:] = np.einsum("ogi,oki->ogk", d_resp, ltape.powers[:, k0:])
-        beta_grads[idx] = np.zeros_like(layer.betas)
+        d_coeffs = np.zeros_like(layer.coeffs)
+        d_coeffs[:, :, k0:] = np.einsum("ogi,oki->ogk", d_resp, ltape.powers[:, k0:])
+        layer_grads = [d_coeffs]
         if layer.betas_learnable:
             rho = ltape.rho
             taps = np.arange(1, layer.order + 1)
             d_response = np.einsum("ogk,oki->ogi", layer.coeffs[:, :, 1:] * taps, ltape.powers[:, :-1])
             d_rho_d_beta = rho * ((rho @ lam)[:, None] - lam[None, :])
-            beta_grads[idx] = np.einsum("ogi,ogi,oi->o", d_resp, d_response, d_rho_d_beta)
+            layer_grads.append(np.einsum("ogi,ogi,oi->o", d_resp, d_response, d_rho_d_beta))
+        grads = layer_grads + grads  # layers run last to first
         if idx:
             d_signal = v @ np.einsum("ogi,boit->bgit", ltape.response, d_y_hat)
-
-    return ModelGradients(
-        layer_coeffs=coeff_grads,
-        layer_betas=beta_grads,
-        head_w1=d_z1.T @ tape.flat,
-        head_b1=d_z1.sum(axis=0),
-        head_w2=d_out.T @ tape.h1,
-        head_b2=d_out.sum(axis=0),
-    )
+    return grads
 
 
 def model_gradients(model: ModelParams, c, batch_x, batch_y, loss: str, rng=None, dropout: float = 0.0):
-    """Mean batch loss and analytic gradients for coeffs, betas, and head weights.
+    """Mean batch loss and its analytic gradients, one array per ``_trainable_params`` entry, in that order.
 
     The whole batch runs as one pass.  With ``dropout > 0`` each hidden unit of
     each sample is kept with probability ``1 - dropout`` (and scaled by its
@@ -440,29 +421,32 @@ class TrainResult:
     diverged: bool = False
 
 
+_ADAM_BETAS, _ADAM_EPS = (0.9, 0.999), 1e-8  # moment decay rates and denominator floor (Kingma & Ba)
+
+
 class _Adam:
-    def __init__(self, params: list[np.ndarray], lr, betas, eps):
+    def __init__(self, params: list[np.ndarray], lr):
         self.params = params
         self.lr = lr
-        self.b1, self.b2 = betas
-        self.eps = eps
         self.m = [np.zeros_like(p) for p in params]
         self.v = [np.zeros_like(p) for p in params]
         self.t = 0
 
     def step(self, grads: list[np.ndarray]):
         self.t += 1
+        b1, b2 = _ADAM_BETAS
         for p, g, m, v in zip(self.params, grads, self.m, self.v):
-            m *= self.b1
-            m += (1 - self.b1) * g
-            v *= self.b2
-            v += (1 - self.b2) * g * g
-            m_hat = m / (1 - self.b1**self.t)
-            v_hat = v / (1 - self.b2**self.t)
-            p -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+            m *= b1
+            m += (1 - b1) * g
+            v *= b2
+            v += (1 - b2) * g * g
+            m_hat = m / (1 - b1**self.t)
+            v_hat = v / (1 - b2**self.t)
+            p -= self.lr * m_hat / (np.sqrt(v_hat) + _ADAM_EPS)
 
 
-def _trainable_params(model: ModelParams):
+def _trainable_params(model: ModelParams) -> list[np.ndarray]:
+    """The trained arrays, in the order ``model_gradients`` returns their gradients."""
     params = []
     for layer in model.layers:
         params.append(layer.coeffs)
@@ -470,16 +454,6 @@ def _trainable_params(model: ModelParams):
             params.append(layer.betas)
     params.extend([model.head.w1, model.head.b1, model.head.w2, model.head.b2])
     return params
-
-
-def _gradient_list(model: ModelParams, grads: ModelGradients):
-    out = []
-    for i, layer in enumerate(model.layers):
-        out.append(grads.layer_coeffs[i])
-        if layer.betas_learnable:
-            out.append(grads.layer_betas[i])
-    out.extend([grads.head_w1, grads.head_b1, grads.head_w2, grads.head_b2])
-    return out
 
 
 def train(model: ModelParams, c, train_data, val_data, cfg: TrainConfig) -> TrainResult:
@@ -492,12 +466,10 @@ def train(model: ModelParams, c, train_data, val_data, cfg: TrainConfig) -> Trai
     """
     decomp = _as_decomposition(c)
     xs, ys = _as_signals(train_data[0]), np.asarray(train_data[1])
-    val_xs, val_ys = val_data
     rng = np.random.default_rng(cfg.seed)
-    optimizer = _Adam(_trainable_params(model), cfg.learning_rate, cfg.adam_betas, cfg.adam_eps)
+    optimizer = _Adam(_trainable_params(model), cfg.learning_rate)
     history = {"train_loss": [], "val_loss": []}
-    best_val = math.inf
-    best_epoch = 0
+    best_val, best_epoch = math.inf, 0
     best_model = copy.deepcopy(model)
     diverged = False
     n = len(xs)
@@ -507,12 +479,12 @@ def train(model: ModelParams, c, train_data, val_data, cfg: TrainConfig) -> Trai
             for start in range(0, n, cfg.batch_size):
                 idx = order[start : start + cfg.batch_size]
                 _, grads = model_gradients(model, decomp, xs[idx], ys[idx], cfg.loss, rng, cfg.dropout)
-                optimizer.step(_gradient_list(model, grads))
+                optimizer.step(grads)
         except TrainingError:
             diverged = True
             break
         train_loss = evaluate_loss(model, decomp, xs, ys, cfg.loss)
-        val_loss = evaluate_loss(model, decomp, val_xs, val_ys, cfg.loss)
+        val_loss = evaluate_loss(model, decomp, *val_data, cfg.loss)
         if not (math.isfinite(train_loss) and math.isfinite(val_loss)):
             diverged = True
             break
@@ -560,8 +532,7 @@ def init_model(
             )
         )
         f_in = layers[-1].out_channels()
-    final_dim = f_out * dim if aggregation == "concatenate" else dim
-    flat_dim = final_dim * time_points
+    flat_dim = f_in * dim * time_points  # the last layer's channels, per eigen-direction and time point
     head = HeadParams(
         w1=rng.normal(0.0, 1.0 / math.sqrt(flat_dim), size=(hidden_dim, flat_dim)),
         b1=np.zeros(hidden_dim),

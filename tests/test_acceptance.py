@@ -255,7 +255,7 @@ def test_criterion_10_spectral_surrogate():
 
 def test_criterion_11_gradient_checks():
     budget = Budget(60.0)
-    from test_network import finite_difference_gradients, relative_error
+    from test_network import finite_difference_gradients, gradient_arrays, relative_error
 
     rng = np.random.default_rng(1111)
     worst = 0.0
@@ -269,15 +269,16 @@ def test_criterion_11_gradient_checks():
         xs = [rng.standard_normal(dim) for _ in range(3)]
         ys = [rng.standard_normal(2) for _ in range(3)]
         _, grads = model_gradients(model, cov, xs, ys, "mse")
+        grads = gradient_arrays(model, grads)
         fd = finite_difference_gradients(model, cov, xs, ys, "mse")
         worst = max(
             worst,
-            relative_error(grads.layer_coeffs[0], fd["coeffs_0"]),
-            relative_error(grads.layer_betas[0], fd["betas_0"]),
-            relative_error(grads.head_w1, fd["head_w1"]),
-            relative_error(grads.head_b1, fd["head_b1"]),
-            relative_error(grads.head_w2, fd["head_w2"]),
-            relative_error(grads.head_b2, fd["head_b2"]),
+            relative_error(grads["coeffs_0"], fd["coeffs_0"]),
+            relative_error(grads["betas_0"], fd["betas_0"]),
+            relative_error(grads["head_w1"], fd["head_w1"]),
+            relative_error(grads["head_b1"], fd["head_b1"]),
+            relative_error(grads["head_w2"], fd["head_w2"]),
+            relative_error(grads["head_b2"], fd["head_b2"]),
         )
     assert worst <= 1e-5
     elapsed = budget.check()

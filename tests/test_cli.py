@@ -744,6 +744,20 @@ class TestTrainPredict:
         model = json.loads((tmp_path / "learned" / "model.json").read_text())
         assert len(model["layers"][0]["betas"]) == 4
 
+    def test_every_train_config_field_is_a_train_config_key(self, capsys, tmp_path, classification_csv):
+        # A TrainConfig knob that no train config key sets could never be changed from the CLI.
+        defaults = network.TrainConfig()
+        payload = {f.name: getattr(defaults, f.name) for f in dataclasses.fields(network.TrainConfig)}
+        payload.update(epochs=1, betas=[0.5], hidden_dim=2)
+        cfg_path, out_dir = tmp_path / "full.json", tmp_path / "out"
+        cfg_path.write_text(json.dumps(payload))
+        code, _, err = run_cli(
+            capsys, "train", "--input", classification_csv, "--config", str(cfg_path), "--output-dir", str(out_dir)
+        )
+        assert code == 0, err
+        manifest = json.loads((out_dir / "manifest.json").read_text())["config"]
+        assert {key: manifest[key] for key in payload} == payload
+
 
 class TestPredictInput:
     def test_column_count_mismatch_names_both_counts(self, capsys, tmp_path, rng):
@@ -858,6 +872,17 @@ def test_failing_subcommand_writes_nothing(capsys, tmp_path, rng, name):
     code, out, err = run_cli(capsys, *_failing_run(name, tmp_path, rng), "--output-dir", str(out_dir))
     assert code == 2 and err.startswith("error: ")
     assert out == "" and not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("subcommand", ["entropy", "density", "fit-beta", "predict"])
+def test_config_flag_is_rejected_where_no_config_is_read(capsys, tmp_path, rank_one_cov, subcommand):
+    cfg_path, out_dir = tmp_path / "cfg.json", tmp_path / "out"
+    cfg_path.write_text(json.dumps({"beta": 3}))
+    inputs = ["--spectrum", "1,2"] if subcommand == "fit-beta" else ["--input", rank_one_cov]
+    code, out, err = run_cli(capsys, subcommand, *inputs, "--config", str(cfg_path), "--output-dir", str(out_dir))
+    assert (code, out) == (1, "")
+    assert err.startswith(f"unrecognized arguments: --config {cfg_path}\n"), err
+    assert not out_dir.exists()
 
 
 def test_cli_import_does_not_load_scipy():

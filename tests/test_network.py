@@ -217,12 +217,8 @@ class TestModelForward:
         np.testing.assert_allclose(got, want, rtol=1e-12)
 
 
-def finite_difference_gradients(model, cov, xs, ys, loss, step=1e-5):
-    """Central differences on every trainable array, one entry at a time."""
-    def batch_loss():
-        return evaluate_loss(model, cov, xs, ys, loss) * 1.0
-
-    grads = {}
+def named_parameters(model):
+    """Every trainable array by name, in training order: coeffs_i, then betas_i when learnable; then head_*."""
     arrays = {}
     for li, layer in enumerate(model.layers):
         arrays[f"coeffs_{li}"] = layer.coeffs
@@ -232,7 +228,25 @@ def finite_difference_gradients(model, cov, xs, ys, loss, step=1e-5):
         head_w1=model.head.w1, head_b1=model.head.b1,
         head_w2=model.head.w2, head_b2=model.head.b2,
     )
-    for name, arr in arrays.items():
+    return arrays
+
+
+def gradient_arrays(model, grads):
+    """The gradient list ``model_gradients`` returns, keyed by ``named_parameters`` names in order."""
+    arrays = named_parameters(model)
+    assert len(grads) == len(arrays)
+    for (name, arr), grad in zip(arrays.items(), grads):
+        assert grad.shape == arr.shape, name
+    return dict(zip(arrays, grads))
+
+
+def finite_difference_gradients(model, cov, xs, ys, loss, step=1e-5):
+    """Central differences on every trainable array, one entry at a time."""
+    def batch_loss():
+        return evaluate_loss(model, cov, xs, ys, loss) * 1.0
+
+    grads = {}
+    for name, arr in named_parameters(model).items():
         grad = np.zeros_like(arr)
         flat = arr.reshape(-1)
         gflat = grad.reshape(-1)
@@ -249,8 +263,9 @@ def finite_difference_gradients(model, cov, xs, ys, loss, step=1e-5):
 
 
 def min_pre_activation(model, cov, xs):
-    """Smallest |pre-activation| of any layer or head unit over the batch ``xs``."""
-    _, tape = _forward(model, _as_decomposition(cov), np.asarray(xs, dtype=float)[:, :, None], keep_tape=True)
+    """Smallest |pre-activation| of any layer or head unit over the batch ``xs``, (n, dim) or (n, dim, time)."""
+    x = np.asarray(xs, dtype=float)
+    _, tape = _forward(model, _as_decomposition(cov), x[:, :, None] if x.ndim == 2 else x, keep_tape=True)
     return min(float(np.min(np.abs(a))) for a in [tape.z1, *(layer.pre_activation for layer in tape.layers)])
 
 
@@ -266,8 +281,9 @@ class TestGradients:
         xs = [np.zeros(3)] * 4
         ys = [np.zeros(2)] * 4
         _, grads = model_gradients(model, c, xs, ys, "mse")
-        np.testing.assert_allclose(grads.layer_coeffs[0], 0.0, atol=1e-15)
-        np.testing.assert_allclose(grads.layer_betas[0], 0.0, atol=1e-15)
+        grads = gradient_arrays(model, grads)
+        np.testing.assert_allclose(grads["coeffs_0"], 0.0, atol=1e-15)
+        np.testing.assert_allclose(grads["betas_0"], 0.0, atol=1e-15)
 
     def test_beta_gradient_matches_symbolic_two_eigenvalue_case(self):
         # One scale, filter h = (0, 1), identity everything: output o = sum(rho x).
@@ -294,7 +310,7 @@ class TestGradients:
         o = r1 * x[0] + r2 * x[1]
         do_dbeta = r1 * (mean_lam - a) * x[0] + r2 * (mean_lam - b) * x[1]
         want = 2.0 * (o - target[0]) * do_dbeta
-        assert grads.layer_betas[0][0] == pytest.approx(want, rel=1e-10)
+        assert gradient_arrays(model, grads)["betas_0"][0] == pytest.approx(want, rel=1e-10)
         assert loss_value == pytest.approx((o - target[0]) ** 2, rel=1e-12)
 
     @pytest.mark.parametrize("activation", ["tanh", "elu", "relu", "identity"])
@@ -318,13 +334,14 @@ class TestGradients:
                 # keep |residual| away from 0 where mae is non-smooth
                 ys = [y + np.sign(y) * 0.5 for y in ys]
             _, grads = model_gradients(model, c, xs, ys, loss)
+            grads = gradient_arrays(model, grads)
             fd = finite_difference_gradients(model, c, xs, ys, loss)
-            assert relative_error(grads.layer_coeffs[0], fd["coeffs_0"]) <= 1e-5
-            assert relative_error(grads.layer_betas[0], fd["betas_0"]) <= 1e-5
-            assert relative_error(grads.head_w1, fd["head_w1"]) <= 1e-5
-            assert relative_error(grads.head_b1, fd["head_b1"]) <= 1e-5
-            assert relative_error(grads.head_w2, fd["head_w2"]) <= 1e-5
-            assert relative_error(grads.head_b2, fd["head_b2"]) <= 1e-5
+            assert relative_error(grads["coeffs_0"], fd["coeffs_0"]) <= 1e-5
+            assert relative_error(grads["betas_0"], fd["betas_0"]) <= 1e-5
+            assert relative_error(grads["head_w1"], fd["head_w1"]) <= 1e-5
+            assert relative_error(grads["head_b1"], fd["head_b1"]) <= 1e-5
+            assert relative_error(grads["head_w2"], fd["head_w2"]) <= 1e-5
+            assert relative_error(grads["head_b2"], fd["head_b2"]) <= 1e-5
 
     @pytest.mark.parametrize("aggregation", ["concatenate", "sum", "mean"])
     def test_two_layer_gradients_match_finite_differences(self, rng, aggregation):
@@ -338,11 +355,12 @@ class TestGradients:
         xs = [rng.standard_normal(dim) for _ in range(2)]
         ys = [rng.standard_normal(2) for _ in range(2)]
         _, grads = model_gradients(model, c, xs, ys, "mse")
+        grads = gradient_arrays(model, grads)
         fd = finite_difference_gradients(model, c, xs, ys, "mse")
         for li in range(2):
-            assert relative_error(grads.layer_coeffs[li], fd[f"coeffs_{li}"]) <= 1e-5
-            assert relative_error(grads.layer_betas[li], fd[f"betas_{li}"]) <= 1e-5
-        assert relative_error(grads.head_w1, fd["head_w1"]) <= 1e-5
+            assert relative_error(grads[f"coeffs_{li}"], fd[f"coeffs_{li}"]) <= 1e-5
+            assert relative_error(grads[f"betas_{li}"], fd[f"betas_{li}"]) <= 1e-5
+        assert relative_error(grads["head_w1"], fd["head_w1"]) <= 1e-5
 
     def test_non_finite_loss_raises(self, rng):
         c = random_psd(rng, 3)
@@ -351,31 +369,21 @@ class TestGradients:
             model_gradients(model, c, [np.zeros(3)], [np.array([np.nan, 0.0])], "mse")
 
 
-def gradient_arrays(grads):
-    """Every gradient array of a ModelGradients, by name."""
-    arrays = {f"coeffs_{i}": g for i, g in enumerate(grads.layer_coeffs)}
-    arrays.update({f"betas_{i}": g for i, g in enumerate(grads.layer_betas)})
-    arrays.update(
-        head_w1=grads.head_w1, head_b1=grads.head_b1, head_w2=grads.head_w2, head_b2=grads.head_b2
-    )
-    return arrays
-
-
 def per_sample_oracle(model, c, xs, ys, loss, rng=None, dropout=0.0):
     """Mean loss and mean gradients over a loop of B = 1 model_gradients calls."""
     losses, per_sample = [], []
     for x, y in zip(xs, ys):
         value, grads = model_gradients(model, c, [x], [y], loss, rng=rng, dropout=dropout)
         losses.append(value)
-        per_sample.append(gradient_arrays(grads))
+        per_sample.append(gradient_arrays(model, grads))
     mean_grads = {name: np.mean([g[name] for g in per_sample], axis=0) for name in per_sample[0]}
     return float(np.mean(losses)), mean_grads
 
 
-def assert_gradients_match(grads, oracle):
+def assert_gradients_match(model, grads, oracle):
     """Equal to rtol 1e-12; entries that cancel to near zero are held to 1e-12 of their array's scale,
     since the batch and the loop add the same per-sample terms in a different order."""
-    got = gradient_arrays(grads)
+    got = gradient_arrays(model, grads)
     assert sorted(got) == sorted(oracle)
     for name, want in oracle.items():
         scale = float(np.max(np.abs(want), initial=0.0))
@@ -405,7 +413,7 @@ class TestBatchedEngine:
         value, grads = model_gradients(model, c, xs, ys, loss)
         want_value, want_grads = per_sample_oracle(model, c, xs, ys, loss)
         assert value == pytest.approx(want_value, rel=1e-12)
-        assert_gradients_match(grads, want_grads)
+        assert_gradients_match(model, grads, want_grads)
 
     def test_dropout_mask_is_the_sequential_per_sample_stream(self, rng):
         dim, hidden, batch, dropout = 4, 6, 9, 0.4
@@ -418,7 +426,7 @@ class TestBatchedEngine:
         value, grads = model_gradients(model, c, xs, ys, "mse", rng=batched_rng, dropout=dropout)
         want_value, want_grads = per_sample_oracle(model, c, xs, ys, "mse", rng=loop_rng, dropout=dropout)
         assert value == pytest.approx(want_value, rel=1e-12)
-        assert_gradients_match(grads, want_grads)
+        assert_gradients_match(model, grads, want_grads)
 
         # B sequential rng.random(hidden) draws, one per sample, give the same loss.
         masks = [(draw_rng.random(hidden) >= dropout) / (1.0 - dropout) for _ in range(batch)]

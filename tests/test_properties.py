@@ -1,21 +1,39 @@
-"""Invariants of the density map and its entropy, through public functions, on generated PSD matrices.
+"""Invariants of public functions on generated inputs.
 
-Each matrix is Q diag(lambda) Q^T with a random orthogonal Q: dimension m in 1..8, a random rank
-(so zero and low-rank matrices occur), at most three distinct nonzero eigenvalue levels (so
-eigenvalues repeat; one level is 1), scaled by 10^k for k in -8..8.  beta is 0 or +-b / scale
-with b in [1e-3, 1e3], so |beta| ||C|| runs from 1e-3 to 1e3: from nearly uniform densities to
-ones whose smallest eigenvalues underflow; b in [650, 745] puts the smallest density eigenvalues
-just above the underflow edge.
+The density map and its entropy run on generated PSD matrices.  Each matrix is Q diag(lambda) Q^T
+with a random orthogonal Q: dimension m in 1..8, a random rank (so zero and low-rank matrices
+occur), at most three distinct nonzero eigenvalue levels (so eigenvalues repeat; one level is 1),
+scaled by 10^k for k in -8..8.  beta is 0 or +-b / scale with b in [1e-3, 1e3], so |beta| ||C||
+runs from 1e-3 to 1e3: from nearly uniform densities to ones whose smallest eigenvalues
+underflow; b in [650, 745] puts the smallest density eigenvalues just above the underflow edge.
+
+The network's batched gradients are checked against central differences of its loss on random
+shapes, and run tables against what results.csv reads back on random columns.
 """
 
+import csv
 import math
+import struct
 
 import numpy as np
-from hypothesis import given, settings
+import pytest
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from conftest import random_psd
 from covdensity.density import density_operator
 from covdensity.entropy import cvne
+from covdensity.lab import RunTable, records_to_csv
+from covdensity.network import (
+    ACTIVATIONS,
+    AGGREGATIONS,
+    LOSSES,
+    evaluate_loss,
+    forward_rows,
+    init_model,
+    model_gradients,
+)
+from test_network import finite_difference_gradients, gradient_arrays, min_pre_activation
 
 EPS = np.finfo(float).eps
 
@@ -72,3 +90,137 @@ def test_gibbs_form_equals_shannon_form(case):
     # most (2 m + 8) eps (1 + |beta| ||C|| + |ln Z|).
     tol = (2 * m + 8) * EPS * (1.0 + abs(beta) * norm + log_z)
     assert abs(report.gibbs_form_nats - report.entropy_nats) <= tol
+
+
+# Central-difference step, and the margin by which every ReLU/ELU pre-activation must clear its
+# kink: a step of 2 h moves a pre-activation by 2 h |d pre / d theta|, about 2e-4 at most here, so
+# no difference crosses the kink (test_network.py's finite-difference test uses the same pair).
+STEP = 1e-5
+KINK_MARGIN = 1e-3
+
+
+@st.composite
+def network_case(draw):
+    """A model, a covariance, a batch with its targets, and a loss."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    dim, time_points, loss = draw(st.integers(2, 5)), draw(st.integers(1, 2)), draw(st.sampled_from(LOSSES))
+    activation, head_activation = (draw(st.sampled_from(list(ACTIVATIONS))) for _ in range(2))
+    model = init_model(
+        dim=dim,
+        n_outputs=draw(st.integers(2 if loss == "cross_entropy" else 1, 3)),
+        betas=draw(st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=3)),
+        order=draw(st.integers(0, 3)),
+        hidden_dim=draw(st.integers(1, 4)),
+        num_layers=draw(st.integers(1, 2)),
+        activation=activation,
+        head_activation=head_activation,
+        aggregation=draw(st.sampled_from(AGGREGATIONS)),
+        betas_learnable=draw(st.booleans()),
+        skip_k0=draw(st.booleans()),
+        time_points=time_points,
+        seed=draw(st.integers(0, 2**31 - 1)),
+    )
+    c = random_psd(rng, dim)
+    batch = draw(st.integers(1, 3))
+    xs = rng.standard_normal((batch, dim, time_points))
+    if {activation, head_activation} & {"elu", "relu"}:
+        # Redraw the inputs until every pre-activation is off the kink.  One that is 0 whatever the
+        # input (after a skip_k0 layer of order 0, which outputs zeros) never is: reject that model.
+        for _ in range(100):
+            if min_pre_activation(model, c, xs) >= KINK_MARGIN:
+                break
+            xs = rng.standard_normal((batch, dim, time_points))
+        assume(min_pre_activation(model, c, xs) >= KINK_MARGIN)
+    if loss == "cross_entropy":
+        ys = rng.integers(0, model.head.n_outputs, batch).tolist()
+    else:  # each residual 0.5 to 1.5 away from the kink of |r| at 0
+        out = forward_rows(model, c, xs)
+        ys = out + rng.choice([-1.0, 1.0], out.shape) * rng.uniform(0.5, 1.5, out.shape)
+    return model, c, xs, ys, loss
+
+
+@settings(max_examples=40, deadline=None)
+@given(network_case())
+def test_batched_gradients_equal_central_differences(case):
+    model, c, xs, ys, loss = case
+    value, grads = model_gradients(model, c, xs, ys, loss)
+    loss_value = evaluate_loss(model, c, xs, ys, loss)
+    assert value == loss_value  # one block of rows through the same forward arithmetic
+    got = gradient_arrays(model, grads)
+    d_h = finite_difference_gradients(model, c, xs, ys, loss, step=STEP)
+    d_2h = finite_difference_gradients(model, c, xs, ys, loss, step=2 * STEP)
+    assert list(got) == list(d_h)
+    # Truncation: D(h) = (L(t + h) - L(t - h)) / 2h = g + h^2 L'''/6 + O(h^4), so
+    # D(2h) - D(h) = h^2 L'''/2 + O(h^4), three times the leading error of D(h), which covers the
+    # higher-order part.  Rounding: a loss value off by at most delta moves D(h) by delta / h and
+    # D(2h) - D(h) by 1.5 delta / h.  The loss's longest path sums fewer than 80 products
+    # (eigenbasis changes over <= 5 directions, <= 4 taps and <= 3 scales per layer, <= 30 head
+    # features, <= 4 hidden units, <= 3 outputs), each rounding by eps relative to its terms'
+    # magnitudes, which init_model's small weights and unit-normal inputs keep within 4 (1 + |L|):
+    # delta <= 80 * 4 eps (1 + |L|) < 2^10 eps (1 + |L|).  The analytic gradient is off by about
+    # delta itself, h times less than delta / h.  Per entry: |g - D(h)| <= |D(2h) - D(h)| + 2 delta / h.
+    rounding = 2 * 2**10 * EPS * (1.0 + abs(loss_value)) / STEP
+    for name, g in got.items():
+        bound = np.abs(d_2h[name] - d_h[name]) + rounding
+        assert np.all(np.abs(g - d_h[name]) <= bound), (name, g, d_h[name], bound)
+
+
+_MAX = float(np.finfo(float).max)
+_TINY = float(np.finfo(float).tiny)  # smallest normal double; below it are the subnormals
+
+# Cells that stress the text round trip: zeros of both signs, subnormals, values near the largest
+# double, any finite double, integers beyond 2^53, bools and strings.
+_FLOATS = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, _TINY, -_TINY, _MAX, -_MAX]),
+    st.floats(-_TINY, _TINY),
+    st.floats(1e308, _MAX),
+    st.floats(-_MAX, -1e308),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+_PARAM_CELLS = st.one_of(st.none(), _FLOATS, st.integers(-(2**60), 2**60), st.booleans(), st.text())
+
+
+@st.composite
+def run_columns(draw):
+    n = draw(st.integers(1, 6))
+    keys = st.lists(st.text("ab_:", min_size=1, max_size=3), unique=True, max_size=4)
+    params = {k: draw(st.lists(_PARAM_CELLS, min_size=n, max_size=n)) for k in draw(keys)}
+    metrics = {k: draw(st.lists(st.one_of(st.none(), _FLOATS), min_size=n, max_size=n)) for k in draw(keys)}
+    return n, params, metrics
+
+
+def _bits(value) -> bytes:
+    return struct.pack("<d", float(value))
+
+
+@settings(max_examples=200, deadline=None)
+@given(run_columns())
+def test_run_table_cells_read_back_from_results_csv_bit_for_bit(tmp_path_factory, columns):
+    n, params, metrics = columns
+    if any(v == "" for c in params.values() for v in c):  # its cell would read back as a lacking one
+        with pytest.raises(ValueError, match="empty string"):
+            RunTable("x", 3, params, metrics)
+        return
+    path = tmp_path_factory.getbasetemp() / "round_trip.csv"
+    records_to_csv(RunTable("x", 3, params, metrics), path)
+    with open(path, newline="") as fh:
+        header, *rows = csv.reader(fh)
+    # A column is written when some cell of it is not None: the params, then the metrics, each by name.
+    written = {
+        f"{prefix}:{k}": cells[k]
+        for prefix, cells in (("p", params), ("m", metrics))
+        for k in sorted(cells)
+        if any(v is not None for v in cells[k])
+    }
+    assert header == ["experiment", "seed", *written]
+    assert len(rows) == (n if written else 0)
+    for i, row in enumerate(rows):
+        assert row[:2] == ["x", "3"]
+        for name, text in zip(header[2:], row[2:]):
+            want = written[name][i]
+            if want is None:
+                assert text == ""
+            elif isinstance(want, str):
+                assert text == want
+            else:  # a number or bool, held as the nearest double
+                assert text != "" and _bits(float(text)) == _bits(want), (name, text, want)
