@@ -10,7 +10,6 @@ from .betafit import BetaFitResult, fit_beta, moment_derivatives, moment_objecti
 from .covariance import (
     CovarianceMatrix,
     DataMatrix,
-    Regularization,
     gen_gaussian_data,
     gen_graph_stationary,
     sample_covariance,

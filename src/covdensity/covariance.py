@@ -4,7 +4,7 @@ The estimator divides by ``n`` (not ``n - 1``); downstream formulas assume that
 convention.  Two regularizations are provided: subtracting the minimum
 eigenvalue (so min lambda = 0, which leaves density operators and their
 entropies unchanged) and trace normalization (used as the plain-covariance
-baseline in experiments).
+baseline in experiments); each returns a plain, re-checked :class:`CovarianceMatrix`.
 
 All generators take an explicit seed and never touch global RNG state, so
 trials can run in parallel and reproduce exactly.
@@ -14,8 +14,7 @@ from __future__ import annotations
 
 import csv
 import warnings
-from dataclasses import dataclass, field
-from enum import Enum
+from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
@@ -31,12 +30,6 @@ from .errors import (
 PSD_RTOL = 1e-8
 
 _CONNECTED_RETRY_BUDGET = 100
-
-
-class Regularization(str, Enum):
-    RAW = "raw"
-    SHIFTED_MIN_EIG_ZERO = "shifted_min_eig_zero"
-    TRACE_NORMALIZED = "trace_normalized"
 
 
 @dataclass(frozen=True)
@@ -67,20 +60,17 @@ class DataMatrix:
 
 @dataclass(frozen=True)
 class CovarianceMatrix:
-    """Symmetric PSD matrix with its regularization provenance.
-
-    ``min_eig_shift`` records the uniform shift applied by
-    :func:`shift_regularize` (0 for anything else).
-    """
+    """A finite, symmetric (within tolerance, then symmetrized) and PSD matrix."""
 
     matrix: np.ndarray
-    regularization: Regularization = Regularization.RAW
-    min_eig_shift: float = 0.0
+    # The norm of a larger matrix this one was computed from, whose roundoff it carries; the PSD
+    # tolerance scales with it (shift_regularize passes its input's).
+    _scale: InitVar[float] = 0.0
     # The spectrum the PSD check computed, kept so shift_regularize need not recompute it.
     _eigenvalues: np.ndarray = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self):
-        m, eigenvalues = _checked_spectra(spectral._as_square_array(self.matrix), self.regularization)
+    def __post_init__(self, _scale):
+        m, eigenvalues = _checked_spectra(spectral._as_square_array(self.matrix), _scale)
         m.flags.writeable = False
         eigenvalues.flags.writeable = False
         object.__setattr__(self, "matrix", m)
@@ -91,35 +81,25 @@ class CovarianceMatrix:
         return self.matrix.shape[0]
 
 
-def _check_psd(eigenvalues: np.ndarray):
-    """Raise unless each ascending spectrum (last axis) has min eigenvalue >= -tolerance.
-
-    The tolerance, PSD_RTOL * max(1, ||C||) per spectrum, is returned.
-    """
-    tolerance = PSD_RTOL * np.maximum(1.0, np.max(np.abs(eigenvalues), axis=-1))
+def _check_psd(eigenvalues: np.ndarray, scale=0.0):
+    """Raise unless each ascending spectrum (last axis) has min eigenvalue >= -PSD_RTOL * max(1, ||C||, scale);
+    the first failing spectrum is named.  ``scale`` (one, or one per spectrum) is the norm of a larger
+    matrix that C was computed from, whose roundoff C carries."""
+    tolerance = PSD_RTOL * np.maximum(1.0, np.maximum(np.max(np.abs(eigenvalues), axis=-1), scale))
     failing = np.flatnonzero(eigenvalues[..., 0] < -tolerance)
     if failing.size:
         min_eig = float(np.ravel(eigenvalues[..., 0])[failing[0]])
         raise ValueError(f"matrix is not PSD within tolerance: min eigenvalue {min_eig:.3e}")
-    return tolerance
 
 
-def _checked_spectra(matrices: np.ndarray, regularization=Regularization.RAW):
-    """Symmetrize a finite stack of matrices and check each as CovarianceMatrix checks one.
+def _checked_spectra(matrices: np.ndarray, scale=0.0):
+    """Symmetrize a finite stack of matrices and check each as CovarianceMatrix checks one (``scale`` as in _check_psd).
 
     Returns the symmetrized stack and its ``eigvalsh`` spectra; a failure names the first failing matrix.
     """
     m = spectral._symmetrize(matrices)
     eigenvalues = np.linalg.eigvalsh(m)
-    tolerance = _check_psd(eigenvalues)
-    if regularization == Regularization.SHIFTED_MIN_EIG_ZERO:
-        failing = np.flatnonzero(np.abs(eigenvalues[..., 0]) > tolerance)
-        if failing.size:
-            min_eig = float(np.ravel(eigenvalues[..., 0])[failing[0]])
-            raise ValueError(f"shift-regularized matrix has min eigenvalue {min_eig:.3e}, expected 0")
-    if regularization == Regularization.TRACE_NORMALIZED:
-        if np.any(np.abs(np.trace(m, axis1=-2, axis2=-1) - 1.0) > 1e-10):
-            raise ValueError("trace-normalized matrix must have unit trace")
+    _check_psd(eigenvalues, scale)
     return m, eigenvalues
 
 
@@ -161,16 +141,14 @@ def shift_regularize(cov: CovarianceMatrix) -> CovarianceMatrix:
 
     The shift leaves the density operator and its entropy unchanged while
     guaranteeing a partition function >= 1 for beta > 0.  The minimum is read
-    from the spectrum ``cov``'s PSD check computed.
+    from the spectrum ``cov``'s PSD check computed.  The result is checked at
+    ``cov``'s scale: C - shift I rounds at ||C||, which can exceed PSD_RTOL of its
+    own norm (a rotated 1e8 I shifts to a matrix of norm ~1e-7 whose smallest
+    computed eigenvalue can be -2e-8).
     """
-    m = cov.matrix
     shift = float(np.min(cov._eigenvalues))
-    out = m - shift * np.eye(cov.dim)
-    return CovarianceMatrix(
-        matrix=out,
-        regularization=Regularization.SHIFTED_MIN_EIG_ZERO,
-        min_eig_shift=shift,
-    )
+    norm = float(np.max(np.abs(cov._eigenvalues)))
+    return CovarianceMatrix(matrix=cov.matrix - shift * np.eye(cov.dim), _scale=norm)
 
 
 def trace_normalize(cov: CovarianceMatrix) -> CovarianceMatrix:
@@ -182,9 +160,7 @@ def trace_normalize(cov: CovarianceMatrix) -> CovarianceMatrix:
     tr = float(np.trace(cov.matrix))
     if tr <= 1e-14:
         raise DegenerateCovarianceError(f"trace {tr:.3e} too small to normalize")
-    return CovarianceMatrix(
-        matrix=cov.matrix / tr, regularization=Regularization.TRACE_NORMALIZED
-    )
+    return CovarianceMatrix(matrix=cov.matrix / tr)
 
 
 _FAMILIES = ("gaussian", "exponential", "gamma")

@@ -121,7 +121,8 @@ def check_subadditivity(covariances, beta: float, tol: float = 1e-9) -> Subaddit
     Each input is shifted so its minimum eigenvalue is zero before evaluation
     (the shift leaves each entropy unchanged but keeps every partition function
     at least 1); the sum is shifted the same way.  Returns the two sides, the
-    verdict lhs <= rhs + tol, and the shifts that were applied.
+    verdict lhs <= rhs + tol, and each input's shift: its minimum eigenvalue, as
+    read from the spectrum its PSD check computed.
     """
     mats = [as_matrix(c) for c in covariances]
     if len(mats) < 2:
@@ -130,8 +131,9 @@ def check_subadditivity(covariances, beta: float, tol: float = 1e-9) -> Subaddit
     for m in mats:
         if m.shape != (dim, dim):
             raise ShapeError("all matrices must share the same dimension")
-    regularized = [shift_regularize(CovarianceMatrix(matrix=m)) for m in mats]
-    shifts = tuple(r.min_eig_shift for r in regularized)
+    covs = [CovarianceMatrix(matrix=m) for m in mats]
+    shifts = tuple(float(np.min(c._eigenvalues)) for c in covs)
+    regularized = [shift_regularize(c) for c in covs]
     total = np.sum([r.matrix for r in regularized], axis=0)
     total_reg = shift_regularize(CovarianceMatrix(matrix=total))
     lhs = cvne(total_reg, beta).entropy_nats

@@ -10,8 +10,8 @@ Stages with a stackable axis run once over it rather than once per item:
 within a trial, the stability perturbations and the regression covariances;
 across the whole run, every entropy-curve covariance and every discrimination
 window.  Stacks whose items carry a full matrix per beta stay per trial, which
-bounds their memory.  When a stacked check fails, the items are re-run one at a
-time, so the first failing item raises its own error.
+bounds their memory.  A stacked stage runs each check over the whole stack, and
+the first check that fails raises for its first failing item.
 
 Trend claims (monotonicity, dominance) are properties of trial MEANS, not of
 individual draws; the test suite asserts them over the configured trial
@@ -31,12 +31,10 @@ from . import covariance, density, entropy, filtering, spectral
 from .betafit import fit_beta, kl_to_density
 from .covariance import (
     CovarianceMatrix,
-    DataMatrix,
     gen_gaussian_data,
     gen_graph_stationary,
     sample_covariance,
     shift_regularize,
-    trace_normalize,
 )
 from .errors import ConfigError, DegenerateCovarianceError, ShapeError, _check_fields
 
@@ -87,6 +85,8 @@ class ExperimentConfig:
             raise ConfigError("n_samples must be >= 2")
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed!r}")
+        if not all(e >= 0 for e in self.noise_levels):
+            raise ConfigError(f"/noise_levels: entries must be >= 0, got {list(self.noise_levels)}")
 
 
 def _canon(value):
@@ -230,12 +230,7 @@ def run_stability(cfg: ExperimentConfig) -> RunTable:
         # while keeping Z >= 1, which is what makes the error bound valid.
         reg = shift_regularize(cov)
         dc = _symmetric_noise(rng, cfg.dim, noise_levels)
-        try:
-            trial_norms, trial_bounds, trial_ratios = _stability_responses(cov, reg, dc, betas)
-        except ValueError:
-            for k in range(len(dc)):
-                _stability_responses(cov, reg, dc[k : k + 1], betas)
-            raise
+        trial_norms, trial_bounds, trial_ratios = _stability_responses(cov, reg, dc, betas)
         norms.append(trial_norms)
         bounds += trial_bounds
         ratios += trial_ratios
@@ -262,6 +257,10 @@ def run_lipschitz(cfg: ExperimentConfig) -> RunTable:
     """
     if cfg.max_filter_order < 1:
         raise ConfigError(f"/max_filter_order: must be >= 1, got {cfg.max_filter_order}")
+    for key in ("beta_range", "eigenvalue_range"):
+        low, high = getattr(cfg, key)
+        if not low <= high:
+            raise ConfigError(f"/{key}: must be [low, high] with low <= high, got {[low, high]}")
     lo, hi = cfg.eigenvalue_range
 
     trials, rows = [], []
@@ -329,26 +328,16 @@ def run_surrogate(cfg: ExperimentConfig) -> RunTable:
 def _trace_normalized_eigh(pools: np.ndarray, grid) -> tuple[np.ndarray, np.ndarray]:
     """Eigenpairs ``(lambda[k, g], V[k, g])`` of trace_normalize(sample_covariance(pools[k, :grid[g]])).
 
-    One stacked ``eigh`` with every check of the per-matrix path (the raw covariance's
-    PSD check reads eigenvalues times trace); a failure reruns that path so the first
-    failing matrix raises its own error.
+    One stacked ``eigh`` with the per-matrix path's checks, each over the whole stack: the
+    trace, then PSD for the raw covariance (eigenvalues times trace) and the normalized one.
     """
-    try:
-        covs = np.stack([covariance._covariance_array(pools[:, :n]) for n in grid], axis=1)
-        traces = np.trace(covs, axis1=-2, axis2=-1)
-        if not np.all(traces > 1e-14):
-            raise DegenerateCovarianceError("zero-trace covariance")
-        normalized = covs / traces[..., None, None]
-        eigenvalues, eigenvectors = spectral._eigh(normalized)
-        covariance._check_psd(eigenvalues * traces[..., None])
-        covariance._check_psd(eigenvalues)
-        if np.any(np.abs(np.trace(normalized, axis1=-2, axis2=-1) - 1.0) > 1e-10):
-            raise ValueError("trace-normalized matrix must have unit trace")
-    except ValueError:
-        for pool in pools:
-            for n in grid:
-                trace_normalize(sample_covariance(DataMatrix(pool[:n])))
-        raise
+    covs = np.stack([covariance._covariance_array(pools[:, :n]) for n in grid], axis=1)
+    traces = np.trace(covs, axis1=-2, axis2=-1)
+    if not np.all(traces > 1e-14):
+        raise DegenerateCovarianceError(f"trace {traces[~(traces > 1e-14)][0]:.3e} too small to normalize")
+    eigenvalues, eigenvectors = spectral._eigh(covs / traces[..., None, None])
+    covariance._check_psd(eigenvalues * traces[..., None])
+    covariance._check_psd(eigenvalues)
     return eigenvalues, eigenvectors
 
 
@@ -373,6 +362,9 @@ def run_regression(cfg: ExperimentConfig) -> RunTable:
     for key in ("n_train", "n_test"):
         if getattr(cfg, key) < 1:
             raise ConfigError(f"/{key}: must be >= 1, got {getattr(cfg, key)}")
+    for key in ("weight_scale", "ridge"):
+        if not getattr(cfg, key) >= 0:
+            raise ConfigError(f"/{key}: must be >= 0, got {getattr(cfg, key)}")
     betas = cfg.betas or (0.1, 1.0, 5.0, 15.0)
     noise_levels = cfg.noise_levels or (0.0, 5.0)
     grid = cfg.sample_grid or (25, 50, 100, 250, 1000)
@@ -425,19 +417,13 @@ def run_entropy_curve(cfg: ExperimentConfig) -> RunTable:
     beta_grid = cfg.betas or tuple(np.linspace(0.0, 15.0, 16))
     items = list(itertools.product(range(cfg.trials), enumerate(cfg.families)))
 
-    def data(t, f, family):
-        return gen_gaussian_data(cfg.dim, cfg.n_samples, family, seed=[cfg.seed, t, f])
-
-    try:
-        samples = np.array([data(t, f, family).values for t, (f, family) in items])
-        c, spectra = covariance._checked_spectra(covariance._covariance_array(samples))
-        shifted = c - spectra.min(axis=-1)[..., None, None] * np.eye(cfg.dim)
-        _, spectra = covariance._checked_spectra(shifted, covariance.Regularization.SHIFTED_MIN_EIG_ZERO)
-        rho, _ = density.density_values(spectra, beta_grid)
-    except ValueError:
-        for t, (f, family) in items:
-            density.density_values(shift_regularize(sample_covariance(data(t, f, family)))._eigenvalues, beta_grid)
-        raise
+    samples = np.array(
+        [gen_gaussian_data(cfg.dim, cfg.n_samples, family, seed=[cfg.seed, t, f]).values for t, (f, family) in items]
+    )
+    c, spectra = covariance._checked_spectra(covariance._covariance_array(samples))
+    shifted = c - spectra.min(axis=-1)[..., None, None] * np.eye(cfg.dim)
+    _, spectra = covariance._checked_spectra(shifted, np.max(np.abs(spectra), axis=-1))
+    rho, _ = density.density_values(spectra, beta_grid)
     nats = entropy._shannon_nats(rho).ravel()
     params = _columns(("trial", "family", "beta"), itertools.product(range(cfg.trials), cfg.families, beta_grid))
     return RunTable("entropy_curve", cfg.seed, params, {"entropy_nats": nats, "entropy_bits": nats / math.log(2.0)})
@@ -473,14 +459,9 @@ def run_discrimination(cfg: ExperimentConfig) -> RunTable:
     # A negative spectrum entry draws NaN, which the finiteness check names.
     with np.errstate(invalid="ignore"):
         samples *= np.sqrt(np.stack([base, base * scale]))[:, None, None, :]
-    try:
-        if not np.all(np.isfinite(samples)):
-            raise ValueError("data matrix contains non-finite entries")
-        s_naive, s_vne = entropy._window_entropies(covariance._covariance_array(samples), beta)
-    except ValueError:
-        for values in samples.reshape(-1, window, dim):
-            entropy._window_entropies(covariance._covariance_array(DataMatrix(values=values).values), beta)
-        raise
+    if not np.all(np.isfinite(samples)):
+        raise ValueError("data matrix contains non-finite entries")
+    s_naive, s_vne = entropy._window_entropies(covariance._covariance_array(samples), beta)
     # Rows: every regime-0 window, every regime-1 window, then the AUC row.
     pad = [None] * (2 * n)
     params = {"regime": [0] * n + [1] * n + [None], "window_index": [*range(n)] * 2 + [None], "summary": pad + ["auc"]}

@@ -20,7 +20,7 @@ the broadcast matmuls v.T @ x and v @ y; the head works on the flattened
 kernel, and the backward pass reduces over B.
 
 Block forward: forward-only calls over many rows (``forward_rows``, and
-through it ``evaluate_loss``, ``accuracy`` and CLI ``predict``) run the rows in
+through it ``evaluate_loss`` and CLI ``predict``) run the rows in
 blocks of ``FORWARD_BLOCK`` and keep no backward tape, so peak memory does not
 grow with the row count.  ``model_gradients`` runs its batch as one block.
 
@@ -408,11 +408,6 @@ def evaluate_loss(model: ModelParams, c, xs, ys, loss: str) -> float:
     return float(losses.sum()) / len(losses)
 
 
-def accuracy(model: ModelParams, c, xs, ys) -> float:
-    labels = np.argmax(forward_rows(model, c, xs), axis=1)
-    return float(np.mean(labels == np.asarray(ys).reshape(-1).astype(int)))
-
-
 @dataclass
 class TrainResult:
     model: ModelParams
@@ -585,6 +580,10 @@ def model_from_dict(payload: dict) -> tuple[ModelParams, np.ndarray]:
     covariance = np.array(payload["covariance"], dtype=float)
     if covariance.ndim != 2 or covariance.shape[0] != covariance.shape[1] or not covariance.size:
         raise ShapeError(f"checkpoint covariance must be a non-empty square matrix, got shape {covariance.shape}")
+    try:
+        CovarianceMatrix(matrix=covariance)
+    except ValueError as exc:
+        raise ValueError(f"checkpoint /covariance: {exc}") from exc
     channels, dim = layers[-1].out_channels(), covariance.shape[0]
     if head.w1.shape[1] % (channels * dim):
         raise ShapeError(

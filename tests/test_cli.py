@@ -366,6 +366,30 @@ class TestExperimentCommands:
         assert (code, out, err) == (2, "", f"error: {message}\n")
         assert not out_dir.exists()
 
+    @pytest.mark.parametrize(
+        "subcommand,flags,cfg,message",
+        [
+            ("regression", ["--noise-levels", "-1"], {}, "/noise_levels: entries must be >= 0, got [-1.0]"),
+            ("stability", ["--noise-levels", "-0.1"], {}, "/noise_levels: entries must be >= 0, got [-0.1]"),
+            ("betafit-demo", ["--noise-levels", "-0.1"], {}, "/noise_levels: entries must be >= 0, got [-0.1]"),
+            ("lipschitz", [], {"beta_range": [3, -3]}, "/beta_range: must be [low, high] with low <= high, got [3, -3]"),
+            (
+                "lipschitz", [], {"eigenvalue_range": [10, 0]},
+                "/eigenvalue_range: must be [low, high] with low <= high, got [10, 0]",
+            ),
+            ("regression", [], {"weight_scale": -1}, "/weight_scale: must be >= 0, got -1"),
+            ("regression", [], {"ridge": -1}, "/ridge: must be >= 0, got -1"),
+        ],
+    )
+    def test_out_of_range_experiment_value_is_named(self, capsys, tmp_path, subcommand, flags, cfg, message):
+        cfg_path, out_dir = tmp_path / "cfg.json", tmp_path / "out"
+        cfg_path.write_text(json.dumps({"trials": 1, **cfg}))
+        code, out, err = run_cli(
+            capsys, subcommand, *flags, "--config", str(cfg_path), "--output-dir", str(out_dir)
+        )
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+        assert not out_dir.exists()
+
     @pytest.mark.parametrize("cfg", [{"base_spectrum": [-1, 1, 0]}, {"regime_scale": [1, -1, 1]}])
     def test_negative_spectrum_entry_prints_only_the_error(self, capsys, tmp_path, cfg):
         cfg_path, out_dir = tmp_path / "cfg.json", tmp_path / "out"
@@ -792,6 +816,21 @@ class TestPredictInput:
         assert out == ""
         assert "non-finite" in err
 
+
+    def test_non_psd_model_covariance_is_named(self, capsys, tmp_path, rng):
+        payload = network.model_to_dict(
+            network.init_model(dim=3, n_outputs=2, betas=[1.0], task="classification"), np.eye(3)
+        )
+        payload["covariance"] = np.diag([1.0, -5.0, 0.5]).tolist()
+        model_path, data_path, out_dir = tmp_path / "model.json", tmp_path / "rows.csv", tmp_path / "preds"
+        model_path.write_text(json.dumps(payload))
+        data_path.write_text("\n".join(",".join(repr(float(v)) for v in row) for row in rng.standard_normal((4, 3))))
+        code, out, err = run_cli(
+            capsys, "predict", "--input", str(data_path), "--model", str(model_path), "--output-dir", str(out_dir)
+        )
+        message = "checkpoint /covariance: matrix is not PSD within tolerance: min eigenvalue -5.000e+00"
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+        assert not out_dir.exists()
 
     @pytest.mark.parametrize(
         "corrupt,message",

@@ -11,7 +11,6 @@ from covdensity import covariance
 from covdensity.covariance import (
     CovarianceMatrix,
     DataMatrix,
-    Regularization,
     gen_gaussian_data,
     gen_graph_stationary,
     read_csv_covariance,
@@ -66,18 +65,14 @@ class TestShiftRegularize:
     def test_already_zero_min_eig(self):
         c = shift_regularize(CovarianceMatrix(matrix=np.diag([2.0, 0.0, 0.0])))
         np.testing.assert_allclose(c.matrix, np.diag([2.0, 0.0, 0.0]), atol=1e-12)
-        assert c.min_eig_shift == pytest.approx(0.0, abs=1e-12)
 
     def test_diagonal_shift(self):
         c = shift_regularize(CovarianceMatrix(matrix=np.diag([3.0, 1.0])))
         np.testing.assert_allclose(c.matrix, np.diag([2.0, 0.0]), atol=1e-12)
-        assert c.min_eig_shift == pytest.approx(1.0)
-        assert c.regularization == Regularization.SHIFTED_MIN_EIG_ZERO
 
     def test_identity_becomes_zero(self):
         c = shift_regularize(CovarianceMatrix(matrix=np.eye(4)))
         np.testing.assert_allclose(c.matrix, 0.0, atol=1e-12)
-        assert c.min_eig_shift == pytest.approx(1.0)
 
     def test_preserves_eigenvectors_and_shifts_spectrum(self, rng):
         from conftest import random_psd
@@ -88,7 +83,7 @@ class TestShiftRegularize:
             before, after = eigh(c.matrix), eigh(reg.matrix)
             np.testing.assert_allclose(np.abs(before.eigenvectors), np.abs(after.eigenvectors), atol=1e-9)
             np.testing.assert_allclose(
-                after.eigenvalues, before.eigenvalues - reg.min_eig_shift, atol=1e-9
+                after.eigenvalues, before.eigenvalues - before.eigenvalues[0], atol=1e-9
             )
 
 
@@ -99,8 +94,17 @@ class TestShiftRegularize:
         reg = shift_regularize(cov)
         # One decomposition: the shifted matrix's own validation.
         assert calls == [(6, 6)]
-        assert reg.min_eig_shift == expected_shift
         np.testing.assert_array_equal(reg.matrix, cov.matrix - expected_shift * np.eye(6))
+
+    def test_large_norm_with_a_tiny_spread(self):
+        # C - s I rounds at ||C|| = 1e8.  Its own norm is ~1e-7, whose tolerance is PSD_RTOL, and
+        # its smallest computed eigenvalue falls below -PSD_RTOL for seeds 7, 10, 16, 24 and 27.
+        for seed in range(30):
+            q, _ = np.linalg.qr(np.random.default_rng(seed).standard_normal((8, 8)))
+            cov = CovarianceMatrix(matrix=(q * 1e8) @ q.T)
+            reg = shift_regularize(cov)
+            np.testing.assert_array_equal(reg.matrix, cov.matrix - np.min(cov._eigenvalues) * np.eye(8))
+            assert abs(reg._eigenvalues[0]) <= covariance.PSD_RTOL * 1e8
 
     def test_cached_spectrum_is_hidden_and_read_only(self):
         c = CovarianceMatrix(matrix=np.diag([3.0, 1.0]))
@@ -113,7 +117,6 @@ class TestTraceNormalize:
     def test_identity(self):
         c = trace_normalize(CovarianceMatrix(matrix=np.eye(2)))
         np.testing.assert_allclose(c.matrix, 0.5 * np.eye(2), atol=1e-15)
-        assert c.regularization == Regularization.TRACE_NORMALIZED
 
     def test_rank_one(self):
         c = trace_normalize(CovarianceMatrix(matrix=np.diag([2.0, 0.0, 0.0])))
@@ -350,14 +353,6 @@ class TestCovarianceMatrixInvariants:
     def test_rejects_indefinite(self):
         with pytest.raises(ValueError, match="not PSD"):
             CovarianceMatrix(matrix=np.diag([1.0, -0.5]))
-
-    def test_rejects_wrong_shift_label(self):
-        with pytest.raises(ValueError):
-            CovarianceMatrix(matrix=np.diag([3.0, 1.0]), regularization=Regularization.SHIFTED_MIN_EIG_ZERO)
-
-    def test_rejects_wrong_trace_label(self):
-        with pytest.raises(ValueError):
-            CovarianceMatrix(matrix=np.diag([3.0, 1.0]), regularization=Regularization.TRACE_NORMALIZED)
 
     def test_data_matrix_rejects_non_finite(self):
         with pytest.raises(ValueError):

@@ -325,8 +325,8 @@ class TestBatchedDiscrimination:
             ((-1.0, 1.0, 0.0), (1.0, 1.0, 1.0), 2.0, ValueError),
             # beta * lambda overflows a double where lambda_max > 1.06, as in the first window.
             ((1.0, 1.0, 0.0), (1.3, 1.2, 1.1), -1.7e308, BetaRangeError),
-            # Regime 1 cannot be drawn, but regime 0's first window overflows first.
-            ((1.0, 1.0, 0.0), (-1.0, 1.0, 1.0), -1.7e308, BetaRangeError),
+            # Regime 1 cannot be drawn.
+            ((1.0, 1.0, 0.0), (-1.0, 1.0, 1.0), 2.0, ValueError),
             ((1.0, 1.0, 0.0), (0.0, 0.0, 0.0), 2.0, DegenerateCovarianceError),
             # Only windows with lambda_max > 1.8 overflow; the first of them is named.
             ((1.0, 1.0, 0.0), (1.3, 1.2, 1.1), -1e308, BetaRangeError),
@@ -341,6 +341,16 @@ class TestBatchedDiscrimination:
             window_by_window(12, 30, beta, scale, base, 0)
         assert type(batched.value) is type(one_by_one.value)
         assert str(batched.value) == str(one_by_one.value)
+
+    def test_non_finite_draw_is_named_before_any_window_overflows(self):
+        # Regime 0's first window overflows beta * lambda, which the window-by-window loop
+        # meets first; the stack checks every draw before it forms any covariance.
+        base, scale, beta = (1.0, 1.0, 0.0), (-1.0, 1.0, 1.0), -1.7e308
+        with pytest.raises(BetaRangeError):
+            window_by_window(12, 30, beta, scale, base, 0)
+        with pytest.raises(ValueError) as batched:
+            discrimination_scores(beta, window=12, n_windows=30, regime_scale=scale, base_spectrum=base, seed=0)
+        assert (type(batched.value), str(batched.value)) == (ValueError, "data matrix contains non-finite entries")
 
     @pytest.mark.parametrize("beta", [480.0, 1e6, -800.0])
     def test_betas_past_the_old_cap_match_window_by_window(self, beta):

@@ -15,7 +15,7 @@ from covdensity.covariance import (
     shift_regularize,
     trace_normalize,
 )
-from covdensity.errors import BetaRangeError, ConfigError
+from covdensity.errors import BetaRangeError, ConfigError, DegenerateCovarianceError
 from covdensity.lab import (
     ExperimentConfig,
     RunTable,
@@ -585,20 +585,35 @@ def first_error(fn, *args):
     return type(info.value), str(info.value)
 
 
-class TestStackedErrorOrder:
-    """A stacked check that fails raises what the per-item loop raises first."""
+def break_exponential_covariances(monkeypatch):
+    """Make the exponential family's covariances (all-positive data) non-PSD."""
+    original = covariance._covariance_array
 
-    def test_stability_bound_of_an_earlier_noise_level_wins(self):
-        # beta * lambda overflows only for the largest perturbation, which the stack maps
-        # first, while the first noise level's error bound already overflows.
+    def broken(x):
+        c = original(x)
+        positive = np.all(x > 0, axis=(-2, -1))[..., None, None]
+        return np.where(positive, c - (1.0 + c[..., :1, :1]) * np.eye(c.shape[-1]), c)
+
+    monkeypatch.setattr(covariance, "_covariance_array", broken)
+
+
+class TestStackedErrorOrder:
+    """A stacked stage runs each check over the whole stack, and the first check that fails
+    raises for its first failing item.  Where one check fails, that is what the per-item loop
+    raises first; where items fail different checks, the earlier check wins."""
+
+    def test_stability_maps_every_density_before_any_bound(self):
+        # The first noise level's error bound overflows, and beta * lambda overflows only for
+        # the largest perturbation.  The per-noise-level loop meets the bound first; the stack
+        # maps every density before it forms any bound.
         cfg = ExperimentConfig(
             experiment="stability", dim=2, trials=1, seed=3, betas=(-1e308,), noise_levels=(1e-3, 5.0)
         )
-        later = ExperimentConfig(**{**cfg.__dict__, "noise_levels": (5.0,)})
-        assert first_error(run_stability, later)[1].startswith("beta * lambda overflows a double")
+        earlier = ExperimentConfig(**{**cfg.__dict__, "noise_levels": (1e-3,)})
+        assert first_error(run_stability, earlier)[1].startswith("Z'/Z = exp(")
+        assert first_error(lambda: list(per_noise_level_stability(cfg)))[1].startswith("Z'/Z = exp(")
         got = first_error(run_stability, cfg)
-        assert got == first_error(lambda: list(per_noise_level_stability(cfg)))
-        assert got[0] is BetaRangeError and got[1].startswith("Z'/Z = exp(")
+        assert got[0] is BetaRangeError and got[1].startswith("beta * lambda overflows a double at beta = -1e+308,")
 
     def test_stability_overflowing_bound_names_beta_and_norm(self):
         cfg = ExperimentConfig(
@@ -608,33 +623,17 @@ class TestStackedErrorOrder:
         assert got == first_error(lambda: list(per_noise_level_stability(cfg)))
         assert got[0] is BetaRangeError and got[1].startswith("density error bound overflows a double at beta = -400,")
 
-    def test_entropy_curve_earlier_item_wins_over_a_later_failing_draw(self):
+    def test_entropy_curve_draws_every_item_before_any_check(self):
+        # The first item's beta * lambda overflows; the second item cannot be drawn.
         cfg = ExperimentConfig(
             experiment="entropy_curve", dim=5, trials=2, seed=1, betas=(-1.7e308,), families=("gaussian", "bogus")
         )
-        got = first_error(run_entropy_curve, cfg)
-        assert got == first_error(lambda: list(per_item_entropy_curve(cfg)))
-        assert got[0] is BetaRangeError
+        assert first_error(lambda: list(per_item_entropy_curve(cfg)))[0] is BetaRangeError
+        assert first_error(run_entropy_curve, cfg) == first_error(gen_gaussian_data, cfg.dim, cfg.n_samples, "bogus")
 
-    @pytest.mark.parametrize(
-        "betas, message",
-        [
-            ((1.0,), "matrix is not PSD"),
-            # The first item's beta * lambda overflows (its lambda_max is 1.38) ahead of the
-            # second item's failing PSD check, which the stack checks first.
-            ((-1.7e308,), "beta * lambda overflows a double"),
-        ],
-    )
+    @pytest.mark.parametrize("betas, message", [((1.0,), "matrix is not PSD")])
     def test_entropy_curve_first_failing_item_raises_its_own_error(self, monkeypatch, betas, message):
-        # The exponential family's covariances (all-positive data) are made non-PSD.
-        original = covariance._covariance_array
-
-        def broken(x):
-            c = original(x)
-            positive = np.all(x > 0, axis=(-2, -1))[..., None, None]
-            return np.where(positive, c - (1.0 + c[..., :1, :1]) * np.eye(c.shape[-1]), c)
-
-        monkeypatch.setattr(covariance, "_covariance_array", broken)
+        break_exponential_covariances(monkeypatch)
         cfg = ExperimentConfig(
             experiment="entropy_curve", dim=5, trials=2, seed=1, betas=betas, families=("gaussian", "exponential")
         )
@@ -642,25 +641,46 @@ class TestStackedErrorOrder:
         assert got == first_error(lambda: list(per_item_entropy_curve(cfg)))
         assert got[1].startswith(message)
 
-    def test_regression_first_failing_covariance_raises_its_own_error(self, monkeypatch):
+    def test_entropy_curve_psd_check_runs_before_the_density_map(self, monkeypatch):
+        # The first item's beta * lambda overflows (its lambda_max is 1.38); the second item
+        # is not PSD.  The per-item loop meets the overflow first.
+        break_exponential_covariances(monkeypatch)
+        cfg = ExperimentConfig(
+            experiment="entropy_curve", dim=5, trials=2, seed=1, betas=(-1.7e308,), families=("gaussian", "exponential")
+        )
+        assert first_error(lambda: list(per_item_entropy_curve(cfg)))[1].startswith("beta * lambda overflows a double")
+        got = first_error(run_entropy_curve, cfg)
+        assert got == first_error(run_entropy_curve, ExperimentConfig(**{**cfg.__dict__, "betas": (1.0,)}))
+        assert got[0] is ValueError and got[1].startswith("matrix is not PSD")
+
+    @pytest.mark.parametrize("not_psd_n, zero_trace_n", [(40, None), (None, 80), (40, 80)])
+    def test_regression_trace_check_runs_before_the_psd_check(self, monkeypatch, not_psd_n, zero_trace_n):
+        # Alone, each fault raises what the per-covariance reference raises first.  Together,
+        # the stack's zero-trace check runs first and wins over the earlier non-PSD covariance.
         cfg = ExperimentConfig(
             experiment="regression", dim=5, trials=2, seed=3, betas=(1.0,),
             noise_levels=(0.0, 2.0), sample_grid=(20, 40, 80), n_test=30,
         )
         original = covariance._covariance_array
+        corner = np.zeros((cfg.dim, cfg.dim))
+        corner[0, 0] = 1.0
 
         def broken(x):
             c = original(x)
-            if x.shape[-2] == cfg.sample_grid[1]:
-                return c - (1.0 + c[..., :1, :1]) * np.eye(cfg.dim)  # not PSD; min eigenvalue depends on the data
-            if x.shape[-2] == cfg.sample_grid[2]:
-                return np.zeros_like(c)  # zero trace, which the stacked checks test before PSD
+            if x.shape[-2] == not_psd_n:
+                return c - (1.0 + c[..., :1, :1]) * corner  # C_00 = -1 with a positive trace; not PSD
+            if x.shape[-2] == zero_trace_n:
+                return np.zeros_like(c)
             return c
 
         monkeypatch.setattr(covariance, "_covariance_array", broken)
         got = first_error(run_regression, cfg)
-        assert got == first_error(lambda: [list(p) for p, _, _ in reference_regression(cfg)])
-        assert got[1].startswith("matrix is not PSD")
+        expected = first_error(lambda: [list(p) for p, _, _ in reference_regression(cfg)])
+        if not_psd_n and zero_trace_n:
+            assert expected[1].startswith("matrix is not PSD")
+            assert got == (DegenerateCovarianceError, "trace 0.000e+00 too small to normalize")
+        else:
+            assert got == expected
 
 
 class TestDecomposeOnce:

@@ -7,6 +7,9 @@ scaled by 10^k for k in -8..8.  beta is 0 or +-b / scale with b in [1e-3, 1e3], 
 runs from 1e-3 to 1e3: from nearly uniform densities to ones whose smallest eigenvalues
 underflow; b in [650, 745] puts the smallest density eigenvalues just above the underflow edge.
 
+The same matrices check what shift_regularize and trace_normalize promise: a zero smallest
+eigenvalue and a unit trace.
+
 The network's batched gradients are checked against central differences of its loss on random
 shapes, and run tables against what results.csv reads back on random columns.
 """
@@ -21,6 +24,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import random_psd
+from covdensity.covariance import PSD_RTOL, CovarianceMatrix, shift_regularize, trace_normalize
 from covdensity.density import density_operator
 from covdensity.entropy import cvne
 from covdensity.lab import RunTable, records_to_csv
@@ -90,6 +94,28 @@ def test_gibbs_form_equals_shannon_form(case):
     # most (2 m + 8) eps (1 + |beta| ||C|| + |ln Z|).
     tol = (2 * m + 8) * EPS * (1.0 + abs(beta) * norm + log_z)
     assert abs(report.gibbs_form_nats - report.entropy_nats) <= tol
+
+
+@settings(max_examples=200, deadline=None)
+@given(psd_and_beta())
+def test_shift_gives_a_zero_smallest_eigenvalue_and_trace_normalize_a_unit_trace(case):
+    cov = CovarianceMatrix(matrix=case[0])
+    norm = float(np.max(np.abs(cov._eigenvalues)))
+    # The shift s is eigvalsh's smallest eigenvalue of C, within p(m) eps ||C|| of the exact one
+    # (eigvalsh is backward stable, p(m) a small multiple of m); forming C - s I rounds each
+    # diagonal entry by at most eps (||C|| + |s|) <= 2 eps ||C||, and eigvalsh of the result errs by
+    # p(m) eps ||C - s I|| <= p(m) eps ||C||.  The smallest computed eigenvalue is therefore a few
+    # m eps ||C|| (about 1e-14 ||C|| for m <= 8) from 0, far inside the PSD tolerance.  The bound
+    # scales with the input's norm, not the shifted matrix's: a rotated 1e8 I shifts to a matrix of
+    # norm ~1e-7 whose smallest computed eigenvalue can be -2e-8.
+    smallest = float(np.min(shift_regularize(cov)._eigenvalues))
+    assert abs(smallest) <= PSD_RTOL * max(1.0, norm)
+    # tr C sums m diagonal entries (relative error (m - 1) eps, the entries being >= 0 up to
+    # roundoff), each quotient C_ii / tr rounds by eps / 2 and their sum adds (m - 1) eps more, and
+    # symmetrizing leaves the diagonal exact: |tr - 1| <= 2 m eps, about 4e-15 for m <= 8.
+    trace = float(np.trace(cov.matrix))
+    if trace > 1e-14:
+        assert abs(np.trace(trace_normalize(cov).matrix) - 1.0) <= 1e-10
 
 
 # Central-difference step, and the margin by which every ReLU/ELU pre-activation must clear its

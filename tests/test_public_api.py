@@ -19,7 +19,6 @@ def test_exports_are_pinned():
         "DensityOperator",
         "EntropyReport",
         "FilterSpec",
-        "Regularization",
         "SpectralDecomposition",
         "betafit",
         "check_permutation_equivariance",
