@@ -198,19 +198,10 @@ def _erdos_renyi_laplacian(dim: int, edge_prob: float, rng: np.random.Generator)
 
 
 def _is_connected(adjacency: np.ndarray) -> bool:
-    dim = adjacency.shape[0]
-    if dim <= 1:
-        return True
-    seen = np.zeros(dim, dtype=bool)
-    stack = [0]
-    seen[0] = True
-    while stack:
-        node = stack.pop()
-        for nbr in np.nonzero(adjacency[node] > 0)[0]:
-            if not seen[nbr]:
-                seen[nbr] = True
-                stack.append(int(nbr))
-    return bool(seen.all())
+    reached = np.arange(len(adjacency)) == 0
+    for _ in range(len(adjacency)):
+        reached = adjacency @ reached + reached > 0
+    return bool(reached.all())
 
 
 def gen_graph_stationary(
@@ -230,31 +221,35 @@ def gen_graph_stationary(
     Raises:
         GraphGenerationError: no connected graph within the retry budget.
     """
+    rng = np.random.default_rng(seed)
+    laplacian, g = _graph_filter(dim, edge_prob, filter_coeffs, rng)
+    return DataMatrix(values=rng.standard_normal((n_samples, dim)) @ g.T), laplacian
+
+
+def _graph_filter(dim: int, edge_prob: float, filter_coeffs, rng: np.random.Generator):
+    """The connected Laplacian L that gen_graph_stationary draws from ``rng``, and the filter g(L)."""
     if not 0.0 < edge_prob <= 1.0:
         raise ValueError(f"edge_prob must be in (0, 1], got {edge_prob}")
     coeffs = np.asarray(filter_coeffs, dtype=float)
     if coeffs.ndim != 1 or coeffs.size == 0:
         raise ValueError("filter_coeffs must be a non-empty 1-D sequence")
-    rng = np.random.default_rng(seed)
-    laplacian = None
     for _ in range(_CONNECTED_RETRY_BUDGET):
-        candidate, adjacency = _erdos_renyi_laplacian(dim, edge_prob, rng)
+        laplacian, adjacency = _erdos_renyi_laplacian(dim, edge_prob, rng)
         if _is_connected(adjacency):
-            laplacian = candidate
             break
-    if laplacian is None:
+    else:
         raise GraphGenerationError(
-            f"no connected graph in {_CONNECTED_RETRY_BUDGET} attempts "
-            f"(dim={dim}, edge_prob={edge_prob})"
+            f"no connected graph in {_CONNECTED_RETRY_BUDGET} attempts (dim={dim}, edge_prob={edge_prob})"
         )
     g = np.zeros_like(laplacian)
     power = np.eye(dim)
-    for a_k in coeffs:
-        g += a_k * power
-        power = power @ laplacian
-    w = rng.standard_normal((n_samples, dim))
-    values = w @ g.T
-    return DataMatrix(values=values), laplacian
+    with np.errstate(over="ignore", invalid="ignore"):
+        for a_k in coeffs:
+            g += a_k * power
+            power = power @ laplacian
+    if not np.all(np.isfinite(g)):
+        raise ValueError(f"filter_coeffs: the filter g(L) overflows a double, got {coeffs.tolist()}")
+    return laplacian, g
 
 
 def read_csv_data(path, header: bool = False) -> DataMatrix:

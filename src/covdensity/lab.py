@@ -6,12 +6,12 @@ and reproducible bit for bit.  A run comes back as a :class:`RunTable`, one
 column per param and per metric, and is written from those columns: float
 cells are written with repr, so ``float`` reads each one back exactly.
 
-Stages with a stackable axis run once over it rather than once per item:
-within a trial, the stability perturbations and the regression covariances;
-across the whole run, every entropy-curve covariance and every discrimination
-window.  Stacks whose items carry a full matrix per beta stay per trial, which
-bounds their memory.  A stacked stage runs each check over the whole stack, and
-the first check that fails raises for its first failing item.
+Stages with a stackable axis run once over it rather than once per item: within a trial,
+the stability perturbations, the regression covariances and the surrogate Laplacians and
+covariances; across the whole run, every entropy-curve covariance and every discrimination
+window.  Stacks whose items carry a full matrix per beta or per sample size stay per trial,
+which bounds their memory.  A stacked stage runs each check over the whole stack, and the
+first check that fails raises for its first failing item.
 
 Trend claims (monotonicity, dominance) are properties of trial MEANS, not of
 individual draws; the test suite asserts them over the configured trial
@@ -30,9 +30,7 @@ import numpy as np
 from . import covariance, density, entropy, filtering, spectral
 from .betafit import fit_beta, kl_to_density
 from .covariance import (
-    CovarianceMatrix,
     gen_gaussian_data,
-    gen_graph_stationary,
     sample_covariance,
     shift_regularize,
 )
@@ -87,6 +85,8 @@ class ExperimentConfig:
             raise ConfigError(f"seed must be >= 0, got {self.seed!r}")
         if not all(e >= 0 for e in self.noise_levels):
             raise ConfigError(f"/noise_levels: entries must be >= 0, got {list(self.noise_levels)}")
+        if not all(map(math.isfinite, self.noise_levels)):
+            raise ConfigError(f"/noise_levels: entries must be finite, got {list(self.noise_levels)}")
 
 
 def _canon(value):
@@ -261,6 +261,8 @@ def run_lipschitz(cfg: ExperimentConfig) -> RunTable:
         low, high = getattr(cfg, key)
         if not low <= high:
             raise ConfigError(f"/{key}: must be [low, high] with low <= high, got {[low, high]}")
+        if not math.isfinite(high - low):
+            raise ConfigError(f"/{key}: high - low must be finite, got {[low, high]}")
     lo, hi = cfg.eigenvalue_range
 
     trials, rows = [], []
@@ -286,41 +288,51 @@ def run_lipschitz(cfg: ExperimentConfig) -> RunTable:
     return RunTable("lipschitz", cfg.seed, {"trial": trials}, metrics)
 
 
-def matched_alignment(sample_cov: CovarianceMatrix, laplacian: np.ndarray, coeffs) -> tuple[float, bool]:
-    """Mean |<u_i, v_i>| between covariance and Laplacian eigenvectors.
+def matched_alignment(laplacian_eigenvalues, laplacian_eigenvectors, covariance_eigenvectors, coeffs):
+    """Mean |<u_i, v_i>| between matched covariance and Laplacian eigenvectors, and a degenerate flag, per item.
 
-    Pairs are matched through the population map: the Laplacian eigenpair with
-    the j-th smallest g(lambda)^2 corresponds to the j-th smallest sample
-    covariance eigenvalue (this reverses the order automatically when g is
-    decreasing).  Returns (alignment, degenerate); degenerate flags population
-    eigenvalue ties, where the matching is ill-defined.
+    Eigenpairs ascend, as ``spectral._eigh`` gives them.  The Laplacian eigenpair with the j-th smallest
+    g(lambda)^2 is matched to the j-th smallest covariance eigenvalue (reversing the order when g is
+    decreasing); degenerate flags population eigenvalue ties, where the matching is ill-defined.
     """
-    dl = spectral.eigh(laplacian)
-    dc = spectral.eigh(sample_cov.matrix)
-    g = filtering.polynomial_response(filtering.FilterSpec(coeffs=coeffs, beta=0.0), dl.eigenvalues)
-    scores = g**2
-    order = np.argsort(scores, kind="stable")
-    sorted_scores = scores[order]
-    scale = max(1.0, float(np.max(np.abs(scores))))
-    degenerate = bool(np.any(np.diff(sorted_scores) < 1e-9 * scale))
-    u = dl.eigenvectors[:, order]
-    v = dc.eigenvectors
-    alignment = float(np.mean(np.abs(np.sum(u * v, axis=0))))
-    return alignment, degenerate
+    spec = filtering.FilterSpec(coeffs=coeffs, beta=0.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        scores = filtering.polynomial_response(spec, laplacian_eigenvalues) ** 2
+    if not np.all(np.isfinite(scores)):
+        raise ValueError(f"filter_coeffs: the population covariance g(L)^2 overflows a double, got {list(coeffs)}")
+    order = np.argsort(scores, axis=-1, kind="stable")
+    scale = np.maximum(1.0, np.max(np.abs(scores), axis=-1, keepdims=True))
+    degenerate = np.any(np.diff(np.take_along_axis(scores, order, axis=-1), axis=-1) < 1e-9 * scale, axis=-1)
+    u = np.take_along_axis(laplacian_eigenvectors, order[..., None, :], axis=-1)
+    return np.mean(np.abs(np.sum(u * covariance_eigenvectors, axis=-2)), axis=-1), degenerate
 
 
 def run_surrogate(cfg: ExperimentConfig) -> RunTable:
-    """Eigenvector convergence of the sample covariance to the graph Laplacian."""
+    """Eigenvector convergence of the sample covariance to the graph Laplacian.
+
+    Each (trial, n) draws its graph and white noise w as gen_graph_stationary does; its sample covariance is
+    formed as g(L) S_w g(L)^T, never the data.  Per trial, one stacked ``eigh`` decomposes them all.
+    """
     grid = cfg.sample_grid or (100, 2000, 20000)
 
     rows = []
     for t in range(cfg.trials):
-        for n in grid:
-            data, laplacian = gen_graph_stationary(
-                cfg.dim, n, cfg.edge_prob, cfg.filter_coeffs, seed=[cfg.seed, t, n]
-            )
-            alignment, degenerate = matched_alignment(sample_covariance(data), laplacian, cfg.filter_coeffs)
-            rows.append((float(degenerate), None if degenerate else alignment))
+        laplacians, g, s_w = (np.empty((len(grid), cfg.dim, cfg.dim)) for _ in range(3))
+        for i, n in enumerate(grid):
+            rng = np.random.default_rng([cfg.seed, t, n])
+            laplacians[i], g[i] = covariance._graph_filter(cfg.dim, cfg.edge_prob, cfg.filter_coeffs, rng)
+            w = rng.standard_normal((n, cfg.dim))
+            w -= w.mean(axis=0)
+            s_w[i] = w.T @ w / n
+        with np.errstate(over="ignore", invalid="ignore"):
+            covs = g @ s_w @ np.swapaxes(g, -1, -2)
+            covs = (covs + np.swapaxes(covs, -1, -2)) / 2.0
+        if not np.all(np.isfinite(covs)):
+            raise ValueError("sample covariance overflows a double")
+        lam, v = spectral._eigh(np.stack([laplacians, covs]))
+        covariance._check_psd(lam[1])
+        alignment, degenerate = matched_alignment(lam[0], v[0], v[1], cfg.filter_coeffs)
+        rows += [(float(d), None if d else a) for a, d in zip(alignment.tolist(), degenerate.tolist())]
     params = _columns(("trial", "n_samples"), itertools.product(range(cfg.trials), grid))
     return RunTable("surrogate", cfg.seed, params, _columns(("degenerate", "alignment"), rows))
 

@@ -379,15 +379,39 @@ class TestExperimentCommands:
             ),
             ("regression", [], {"weight_scale": -1}, "/weight_scale: must be >= 0, got -1"),
             ("regression", [], {"ridge": -1}, "/ridge: must be >= 0, got -1"),
+            ("stability", ["--noise-levels", "inf"], {}, "/noise_levels: entries must be finite, got [inf]"),
+            ("regression", ["--noise-levels", "0,inf"], {}, "/noise_levels: entries must be finite, got [0.0, inf]"),
+            (
+                "lipschitz", [], {"beta_range": [-1e308, 1e308]},
+                "/beta_range: high - low must be finite, got [-1e+308, 1e+308]",
+            ),
+            (
+                "lipschitz", [], {"eigenvalue_range": [-1e308, 1e308]},
+                "/eigenvalue_range: high - low must be finite, got [-1e+308, 1e+308]",
+            ),
+            # g(L) itself overflows, then g(L) S_w g(L)^T, then g(lambda)^2 alone.
+            (
+                "surrogate", ["--dim", "5"], {"filter_coeffs": [1.0, 1e308]},
+                "filter_coeffs: the filter g(L) overflows a double, got [1.0, 1e+308]",
+            ),
+            ("surrogate", ["--dim", "5"], {"filter_coeffs": [1e200, 1.0]}, "sample covariance overflows a double"),
+            # Two samples give a rank-one S_w small along g's top eigenvector, so the covariance stays finite.
+            (
+                "surrogate", ["--dim", "5", "--seed", "6", "--sample-grid", "2"], {"filter_coeffs": [1.5e154, 1.0]},
+                "filter_coeffs: the population covariance g(L)^2 overflows a double, got [1.5e+154, 1.0]",
+            ),
         ],
     )
     def test_out_of_range_experiment_value_is_named(self, capsys, tmp_path, subcommand, flags, cfg, message):
         cfg_path, out_dir = tmp_path / "cfg.json", tmp_path / "out"
         cfg_path.write_text(json.dumps({"trials": 1, **cfg}))
-        code, out, err = run_cli(
-            capsys, subcommand, *flags, "--config", str(cfg_path), "--output-dir", str(out_dir)
-        )
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run_cli(
+                capsys, subcommand, *flags, "--config", str(cfg_path), "--output-dir", str(out_dir)
+            )
         assert (code, out, err) == (2, "", f"error: {message}\n")
+        assert [str(w.message) for w in caught] == []
         assert not out_dir.exists()
 
     @pytest.mark.parametrize("cfg", [{"base_spectrum": [-1, 1, 0]}, {"regime_scale": [1, -1, 1]}])

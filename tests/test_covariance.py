@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from conftest import count_linalg_calls
-from covdensity import covariance
+from covdensity import covariance, spectral
 from covdensity.covariance import (
     CovarianceMatrix,
     DataMatrix,
@@ -186,15 +186,34 @@ class TestGraphStationary:
         from covdensity.lab import matched_alignment
 
         data, lap = gen_graph_stationary(8, 20000, 0.5, [1.0, 0.5], seed=7)
-        alignment, degenerate = matched_alignment(sample_covariance(data), lap, [1.0, 0.5])
-        assert not degenerate
-        assert alignment >= 0.9
+        lam, v = spectral._eigh(np.stack([lap, sample_covariance(data).matrix]))
+        alignment, degenerate = matched_alignment(lam[:1], v[:1], v[1:], [1.0, 0.5])
+        assert not degenerate[0]
+        assert alignment[0] >= 0.9
 
     def test_deterministic(self):
         a, la = gen_graph_stationary(6, 100, 0.5, [1.0, 0.2], seed=11)
         b, lb = gen_graph_stationary(6, 100, 0.5, [1.0, 0.2], seed=11)
         np.testing.assert_array_equal(a.values, b.values)
         np.testing.assert_array_equal(la, lb)
+
+    def test_connectivity_matches_breadth_first_search(self, rng):
+        def bfs_connected(adjacency):
+            seen, stack = {0}, [0]
+            while stack:
+                for nbr in np.flatnonzero(adjacency[stack.pop()]):
+                    if nbr not in seen:
+                        seen.add(nbr)
+                        stack.append(nbr)
+            return len(seen) == len(adjacency)
+
+        graphs = [
+            covariance._erdos_renyi_laplacian(dim, p, rng)[1]
+            for dim in (1, 2, 3, 8, 20) for p in (0.05, 0.2, 0.5) for _ in range(30)
+        ]
+        got = [covariance._is_connected(a) for a in graphs]
+        assert got == [bfs_connected(a) for a in graphs]
+        assert 0 < sum(got) < len(got)
 
     def test_bad_edge_prob(self):
         with pytest.raises(ValueError):

@@ -11,6 +11,7 @@ from covdensity import covariance, density, entropy, filtering, spectral
 from covdensity.covariance import (
     DataMatrix,
     gen_gaussian_data,
+    gen_graph_stationary,
     sample_covariance,
     shift_regularize,
     trace_normalize,
@@ -453,6 +454,31 @@ def per_item_entropy_curve(cfg):
                 yield {"trial": t, "family": family, "beta": beta}, metrics
 
 
+def per_item_surrogate(cfg):
+    """run_surrogate as it was, one (trial, n) at a time: the generated data, its checked sample covariance,
+    one eigh per matrix and the per-item matching.  Yields (params, degenerate, alignment, tolerance) per row.
+
+    The tolerance bounds how far the alignment may move when the covariance is formed as g(L) S_w g(L)^T
+    instead.  Both ways round the same exact matrix with sums of at most n (the Gram products) and d (each
+    product with g) terms, so entrywise |dC| <= (n + 2d) eps ||g||^2 ||S_w|| and, with ||g||^2 ||S_w|| <=
+    kappa(g)^2 ||C||, ||dC|| <= d (n + 2d) eps kappa(g)^2 ||C||.  By Davis-Kahan each eigenvector then moves
+    by at most 2 ||dC|| / gap, with gap the smallest eigengap of C, and so does the mean |<u_i, v_i>|.
+    """
+    eps = np.finfo(float).eps
+    spec = filtering.FilterSpec(coeffs=cfg.filter_coeffs, beta=0.0)
+    for t in range(cfg.trials):
+        for n in cfg.sample_grid:
+            data, laplacian = gen_graph_stationary(cfg.dim, n, cfg.edge_prob, cfg.filter_coeffs, seed=[cfg.seed, t, n])
+            dl, dc = spectral.eigh(laplacian), spectral.eigh(sample_covariance(data).matrix)
+            scores = filtering.polynomial_response(spec, dl.eigenvalues) ** 2
+            order = np.argsort(scores, kind="stable")
+            degenerate = bool(np.any(np.diff(scores[order]) < 1e-9 * max(1.0, float(np.max(np.abs(scores))))))
+            alignment = float(np.mean(np.abs(np.sum(dl.eigenvectors[:, order] * dc.eigenvectors, axis=0))))
+            lam = dc.eigenvalues
+            norm_dc = cfg.dim * (n + 2 * cfg.dim) * eps * (scores.max() / scores.min()) * lam[-1]
+            yield {"trial": t, "n_samples": n}, degenerate, alignment, 2 * norm_dc / np.diff(lam).min()
+
+
 def reference_regression_draws(cfg, t, noise):
     """One noise level's train/test sets and covariance pool, drawn in the order run_regression draws them."""
     grid = cfg.sample_grid or (25, 50, 100, 250, 1000)
@@ -538,6 +564,29 @@ class TestStackedStages:
     )
     def test_entropy_curve_matches_per_item_loop(self, cfg):
         assert_rows_equal(run_entropy_curve(cfg), per_item_entropy_curve(cfg))
+
+    @pytest.mark.parametrize(
+        "cfg",
+        [
+            ExperimentConfig(experiment="surrogate", dim=8, trials=5, seed=0, sample_grid=(100, 2000)),
+            # A decreasing filter reverses the matching order; edge_prob 0.8 gives ties (degenerate rows).
+            ExperimentConfig(
+                experiment="surrogate", dim=6, trials=4, seed=3, sample_grid=(50, 300),
+                filter_coeffs=(2.0, -0.1), edge_prob=0.8,
+            ),
+            ExperimentConfig(experiment="surrogate", dim=5, trials=2, seed=1, sample_grid=(40,), filter_coeffs=(1.0,)),
+        ],
+    )
+    def test_surrogate_matches_per_item_loop(self, cfg):
+        rows = table_rows(run_surrogate(cfg))
+        expected = list(per_item_surrogate(cfg))
+        assert [r.params for r in rows] == [{k: float(v) for k, v in p.items()} for p, *_ in expected]
+        assert [r.metrics["degenerate"] for r in rows] == [float(d) for _, d, _, _ in expected]
+        for r, (_, degenerate, alignment, tolerance) in zip(rows, expected):
+            if degenerate:
+                assert "alignment" not in r.metrics
+            else:
+                assert abs(r.metrics["alignment"] - alignment) <= tolerance
 
     def test_discrimination_table_lists_every_window_then_the_aucs(self):
         cfg = ExperimentConfig(experiment="discrimination", n_windows=20, window=16, seed=5, betas=(1.5,))
@@ -780,6 +829,13 @@ class TestDecomposeOnce:
         stack = (cfg.trials * len(cfg.families), 5, 5)
         assert eigvalsh_calls == [stack, stack]
         assert eigvalsh_calls.matrices == cfg.trials * len(cfg.families) * 2
+
+    def test_surrogate_decomposes_each_trial_in_one_stack(self, eigvalsh_calls, eigh_calls):
+        cfg = ExperimentConfig(experiment="surrogate", dim=5, trials=3, seed=1, sample_grid=(20, 50, 200))
+        run_surrogate(cfg)
+        # Per trial: its Laplacians, then its sample covariances; their PSD check reads the eigh spectra.
+        assert eigh_calls == [(2, len(cfg.sample_grid), 5, 5)] * cfg.trials
+        assert eigvalsh_calls == []
 
     def test_lipschitz_decomposes_nothing(self, eigvalsh_calls, eigh_calls):
         run_lipschitz(ExperimentConfig(experiment="lipschitz", trials=50, seed=2))
