@@ -56,7 +56,11 @@ def _moments(lam: np.ndarray, target_mean: float, beta: float) -> tuple[float, f
     """(f, f', f'') at beta, all read from one softmax q_beta; ``target_mean`` is <p, lambda>."""
     q, log_z = density_values(lam, (beta,))
     mean = float(np.dot(q[0], lam))
-    return beta * target_mean + float(log_z[0]), target_mean - mean, float(np.dot(q[0], (lam - mean) ** 2))
+    # Past a spread of sqrt(DBL_MAX) the squares overflow and 0 * inf gives NaN: fit_beta takes no
+    # Newton step from a curvature that is not finite, and a run table refuses it as a cell.
+    with np.errstate(over="ignore", invalid="ignore"):
+        curvature = float(np.dot(q[0], (lam - mean) ** 2))
+    return beta * target_mean + float(log_z[0]), target_mean - mean, curvature
 
 
 def moment_objective(spectrum, target_p, beta):
@@ -65,12 +69,6 @@ def moment_objective(spectrum, target_p, beta):
     log_z = density_values(lam, np.atleast_1d(beta))[1]
     values = beta * np.dot(p, lam) + log_z
     return float(values[0]) if np.ndim(beta) == 0 else values
-
-
-def moment_derivatives(spectrum, target_p, beta: float) -> tuple[float, float]:
-    """(f', f''): gradient <p, lambda> - E_q[lambda] and curvature Var_q[lambda]."""
-    lam, p = _validate(spectrum, target_p)
-    return _moments(lam, float(np.dot(p, lam)), beta)[1:]
 
 
 def fit_beta(
@@ -100,7 +98,7 @@ def fit_beta(
     if not (math.isfinite(tol) and tol >= 0.0):
         raise ValueError(f"tol must be finite and >= 0, got {tol!r}")
     target_mean = float(np.dot(p, lam))
-    spread = float(lam.max() - lam.min())
+    spread = float(lam.max()) - float(lam.min())  # a Python float: inf where the spread overflows, without a warning
     if spread <= _DEGENERATE_RTOL * max(1.0, float(np.max(np.abs(lam)))):
         return BetaFitResult(0.0, _moments(lam, target_mean, 0.0)[0], 0.0, 0.0, iterations=0, degenerate=True)
 

@@ -133,7 +133,7 @@ def _covariance_array(x: np.ndarray) -> np.ndarray:
         c = np.swapaxes(centered, -1, -2) @ centered / x.shape[-2]
     if not np.all(np.isfinite(c)):
         raise ValueError("sample covariance overflows a double")
-    return (c + np.swapaxes(c, -1, -2)) / 2.0
+    return c / 2.0 + np.swapaxes(c, -1, -2) / 2.0  # as spectral._symmetrize forms the mean
 
 
 def shift_regularize(cov: CovarianceMatrix) -> CovarianceMatrix:
@@ -204,30 +204,13 @@ def _is_connected(adjacency: np.ndarray) -> bool:
     return bool(reached.all())
 
 
-def gen_graph_stationary(
-    dim: int,
-    n_samples: int,
-    edge_prob: float,
-    filter_coeffs,
-    seed: int = 0,
-) -> tuple[DataMatrix, np.ndarray]:
-    """Graph-stationary signals: x = sum_k a_k L^k w with w ~ N(0, I).
-
-    Draws a connected Erdos-Renyi graph (up to 100 attempts), builds its
-    combinatorial Laplacian L = D - A, and filters white noise through the
-    polynomial g(L).  Returns the data and the Laplacian; the population
-    covariance g(L)^2 shares L's eigenvectors.
+def _graph_filter(dim: int, edge_prob: float, filter_coeffs, rng: np.random.Generator):
+    """A connected Erdos-Renyi graph's combinatorial Laplacian L = D - A drawn from ``rng`` (up to 100 attempts),
+    and the polynomial filter g(L) = sum_k a_k L^k that makes g(L) w graph-stationary for white noise w.
 
     Raises:
         GraphGenerationError: no connected graph within the retry budget.
     """
-    rng = np.random.default_rng(seed)
-    laplacian, g = _graph_filter(dim, edge_prob, filter_coeffs, rng)
-    return DataMatrix(values=rng.standard_normal((n_samples, dim)) @ g.T), laplacian
-
-
-def _graph_filter(dim: int, edge_prob: float, filter_coeffs, rng: np.random.Generator):
-    """The connected Laplacian L that gen_graph_stationary draws from ``rng``, and the filter g(L)."""
     if not 0.0 < edge_prob <= 1.0:
         raise ValueError(f"edge_prob must be in (0, 1], got {edge_prob}")
     coeffs = np.asarray(filter_coeffs, dtype=float)

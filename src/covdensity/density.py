@@ -26,7 +26,7 @@ import numpy as np
 
 from . import spectral
 from .covariance import as_matrix
-from .errors import BetaRangeError, ShapeError
+from .errors import BetaRangeError
 
 _LOG_DBL_MAX = math.log(np.finfo(float).max)
 
@@ -134,15 +134,6 @@ def density_operator(c, beta: float) -> DensityOperator:
     )
 
 
-def _log_partition(eigenvalues: np.ndarray, beta: float) -> float:
-    return float(density_values(eigenvalues, (beta,))[1][0])
-
-
-def partition_function(c, beta: float) -> float:
-    """Z = sum_i exp(-beta * lambda_i); BetaRangeError where Z overflows a double."""
-    return _exp("Z", _log_partition(np.linalg.eigvalsh(as_matrix(c)), beta))
-
-
 def f_factor(beta: float, norm_c: float, norm_c_plus_dc: float) -> float:
     """Perturbation amplification factor from the density error bound.
 
@@ -165,40 +156,14 @@ def f_factor(beta: float, norm_c: float, norm_c_plus_dc: float) -> float:
     return amp * _exp("exp(|beta| a)", arg, math.expm1) / arg
 
 
-def _error_bound(beta, dim, norm_c, norm_perturbed, norm_dc, log_z, log_z_perturbed) -> float:
-    """The density error bound from operator norms and the two log partition functions (BetaRangeError on overflow)."""
-    ratio = _exp("Z'/Z", log_z_perturbed - log_z)
+def _error_bound(beta, dim, norm_c, norm_perturbed, norm_dc, ratio) -> float:
+    """Upper bound on ||rho(C + dC) - rho(C)|| from operator norms and the measured partition ratio R = Z'/Z.
+
+    It is guaranteed only where Z >= 1 (as after shift_regularize).  BetaRangeError where it overflows a double.
+    """
     factor = f_factor(beta, norm_c, norm_perturbed)
     tail = 1.0 + dim * math.exp(abs(beta) * norm_c if beta < 0 else 0.0)
     bound = abs(float(beta)) * float(norm_dc) * float(factor) / ratio * tail
     if math.isinf(bound):
         raise BetaRangeError(f"density error bound overflows a double at beta = {beta:.6g}, ||C|| = {norm_c:.6g}")
     return bound
-
-
-def density_error_bound(c, dc, beta: float) -> float:
-    """Upper bound on ||rho(C + dC) - rho(C)|| in operator norm.
-
-    R = Z'/Z is measured from the two partition functions rather than assumed;
-    the bound is only guaranteed when Z >= 1 (e.g. after shift regularization),
-    which callers that need the guarantee should arrange.
-    """
-    c = as_matrix(c)
-    dc = np.asarray(dc, dtype=float)
-    if dc.shape != c.shape:
-        raise ShapeError(f"perturbation shape {dc.shape} != matrix shape {c.shape}")
-    lam = np.linalg.eigvalsh(c)
-    log_z = _log_partition(lam, beta)
-    lam_perturbed = np.linalg.eigvalsh(as_matrix(c + dc))
-    log_z_perturbed = _log_partition(lam_perturbed, beta)
-    return _error_bound(
-        beta, c.shape[0], _norm(lam), _norm(lam_perturbed), spectral.operator_norm(dc),
-        log_z, log_z_perturbed,
-    )
-
-
-def partition_ratio(c, dc, beta: float) -> float:
-    """R = Z(C + dC) / Z(C), the measured partition-function ratio."""
-    c = as_matrix(c)
-    log_z_perturbed = _log_partition(np.linalg.eigvalsh(as_matrix(c + np.asarray(dc, dtype=float))), beta)
-    return _exp("Z'/Z", log_z_perturbed - _log_partition(np.linalg.eigvalsh(c), beta))

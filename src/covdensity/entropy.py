@@ -15,18 +15,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
-from .covariance import (
-    CovarianceMatrix,
-    _check_psd,
-    as_matrix,
-    shift_regularize,
-)
+from .covariance import _check_psd, as_matrix
 from .density import density_operator, density_values
-from .errors import DegenerateCovarianceError, ShapeError
+from .errors import DegenerateCovarianceError
 
 _RANK_RTOL = 1e-10
 
@@ -106,39 +100,6 @@ def _naive_bits(eigenvalues: np.ndarray):
         tail = p[rows, k:]
         bits[rows] = -np.sum(tail * np.log2(tail), axis=-1)
     return bits.reshape(total.shape)
-
-
-class SubadditivityCheck(NamedTuple):
-    lhs_nats: float
-    rhs_nats: float
-    holds: bool
-    shifts: tuple[float, ...]
-
-
-def check_subadditivity(covariances, beta: float, tol: float = 1e-9) -> SubadditivityCheck:
-    """Compare S(sum C_j) against sum S(C_j) after shift regularization.
-
-    Each input is shifted so its minimum eigenvalue is zero before evaluation
-    (the shift leaves each entropy unchanged but keeps every partition function
-    at least 1); the sum is shifted the same way.  Returns the two sides, the
-    verdict lhs <= rhs + tol, and each input's shift: its minimum eigenvalue, as
-    read from the spectrum its PSD check computed.
-    """
-    mats = [as_matrix(c) for c in covariances]
-    if len(mats) < 2:
-        raise ShapeError("need at least two matrices")
-    dim = mats[0].shape[0]
-    for m in mats:
-        if m.shape != (dim, dim):
-            raise ShapeError("all matrices must share the same dimension")
-    covs = [CovarianceMatrix(matrix=m) for m in mats]
-    shifts = tuple(float(np.min(c._eigenvalues)) for c in covs)
-    regularized = [shift_regularize(c) for c in covs]
-    total = np.sum([r.matrix for r in regularized], axis=0)
-    total_reg = shift_regularize(CovarianceMatrix(matrix=total))
-    lhs = cvne(total_reg, beta).entropy_nats
-    rhs = float(sum(cvne(r, beta).entropy_nats for r in regularized))
-    return SubadditivityCheck(lhs_nats=lhs, rhs_nats=rhs, holds=lhs <= rhs + tol, shifts=shifts)
 
 
 def threshold_auc(scores_a, scores_b) -> float:

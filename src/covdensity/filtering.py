@@ -7,7 +7,7 @@ by at most alpha = sum_k |h_k| |beta k| per unit eigenvalue change; that
 constant is what lets beta trade discriminability against stability.
 
 Note the response depends on the partition function Z of the whole operating
-spectrum, not on lambda alone, so diagnostics here always carry an explicit Z.
+spectrum, not on lambda alone, so :func:`frequency_response` takes that spectrum's ln Z.
 """
 
 from __future__ import annotations
@@ -17,8 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .covariance import as_matrix
-from .density import DensityOperator, density_operator
+from .density import DensityOperator
 from .errors import ShapeError
 
 
@@ -76,19 +75,12 @@ def filter_apply(f: FilterSpec, rho: DensityOperator, x) -> np.ndarray:
     return v @ (response * (v.T @ x))
 
 
-def frequency_response(f: FilterSpec, lam: float, z: float) -> float:
-    """Scalar response at eigenvalue lam given partition function Z.
+def frequency_response(f: FilterSpec, lam: float, log_z: float) -> float:
+    """Scalar response at eigenvalue lam given ln Z of the operating spectrum.
 
     Computed as sum_k h_k exp(-beta lam k - k ln Z), which stays in range even
     when Z^k would overflow.
     """
-    if z <= 0:
-        raise ValueError(f"partition function must be positive, got {z}")
-    return _log_frequency_response(f, lam, math.log(z))
-
-
-def _log_frequency_response(f: FilterSpec, lam: float, log_z: float) -> float:
-    """frequency_response given ln Z instead of Z."""
     total = 0.0
     for k in range(f.k_start, f.order + 1):
         total += f.coeffs[k] * math.exp(-f.beta * lam * k - k * log_z)
@@ -99,46 +91,3 @@ def lipschitz_alpha(f: FilterSpec) -> float:
     """alpha = sum_k |h_k| |beta k|, the response's Lipschitz constant in lambda."""
     k = np.arange(f.coeffs.size)
     return float(np.sum(np.abs(f.coeffs) * np.abs(f.beta * k)))
-
-
-def _as_permutation(permutation, dim: int) -> np.ndarray:
-    p = np.asarray(permutation)
-    if p.ndim == 2:
-        if p.shape != (dim, dim):
-            raise ShapeError(f"permutation matrix shape {p.shape} != ({dim}, {dim})")
-        perm = np.argmax(p, axis=0)
-        rebuilt = np.zeros((dim, dim))
-        rebuilt[perm, np.arange(dim)] = 1.0
-        if not np.array_equal(rebuilt, p):
-            raise ValueError("matrix is not a permutation matrix")
-        return perm
-    if not np.all(np.isfinite(p)):
-        raise ValueError(f"invalid permutation of {dim} indices")
-    perm = p.astype(int)
-    # Comparing with p rejects entries that the integer cast truncated (0.9 -> 0).
-    if perm.shape != (dim,) or not np.array_equal(perm, p) or not np.array_equal(np.sort(perm), np.arange(dim)):
-        raise ValueError(f"invalid permutation of {dim} indices")
-    return perm
-
-
-def check_permutation_equivariance(f: FilterSpec, c, x, permutation) -> float:
-    """Max-abs residual of H(rho(T^T C T)) T^T x - T^T H(rho(C)) x.
-
-    Both sides go through :func:`filter_apply`, which forms the matrix function
-    V diag(p(rho)) V^T.  That matrix does not depend on the choice of basis, so
-    the check holds on spectra with (near-)repeated eigenvalues, where the
-    individual eigenvectors are not unique.
-    """
-    c = as_matrix(c)
-    x = np.asarray(x, dtype=float)
-    dim = c.shape[0]
-    if x.shape != (dim,):
-        raise ShapeError(f"signal length {x.shape} does not match dim {dim}")
-    perm = _as_permutation(permutation, dim)
-    c_perm = c[np.ix_(perm, perm)]
-    x_perm = x[perm]
-    rho = density_operator(c, f.beta)
-    rho_perm = density_operator(c_perm, f.beta)
-    permuted_out = filter_apply(f, rho_perm, x_perm)
-    base_out = filter_apply(f, rho, x)[perm]
-    return float(np.max(np.abs(permuted_out - base_out)))

@@ -200,11 +200,11 @@ def _stability_responses(cov, reg, dc, betas) -> tuple[np.ndarray, list, list]:
     norm_c, log_z = density._norm(lam).tolist(), log_z.tolist()
     bounds, ratios = [], []
     for k, norm_dc in enumerate(norms[:, 0].tolist(), 1):
-        bounds += [None] + [
-            density._error_bound(beta, reg.dim, norm_c[0], norm_c[k], norm_dc, log_z[0][i], log_z[k][i])
-            for i, beta in enumerate(betas)
-        ]
-        ratios += [None] + [math.exp(log_z[k][i] - log_z[0][i]) for i in range(len(betas))]
+        bounds.append(None)
+        ratios.append(None)
+        for i, beta in enumerate(betas):
+            ratios.append(density._exp("Z'/Z", log_z[k][i] - log_z[0][i]))
+            bounds.append(density._error_bound(beta, reg.dim, norm_c[0], norm_c[k], norm_dc, ratios[-1]))
     return norms, bounds, ratios
 
 
@@ -277,11 +277,8 @@ def run_lipschitz(cfg: ExperimentConfig) -> RunTable:
         gap = abs(lam2 - lam1)
         if gap < 1e-12 or alpha == 0.0:
             continue
-        log_z = density._log_partition(np.sort([lam1, lam2]), beta)
-        diff = abs(
-            filtering._log_frequency_response(spec, lam2, log_z)
-            - filtering._log_frequency_response(spec, lam1, log_z)
-        )
+        log_z = float(density.density_values(np.sort([lam1, lam2]), (beta,))[1][0])
+        diff = abs(filtering.frequency_response(spec, lam2, log_z) - filtering.frequency_response(spec, lam1, log_z))
         trials.append(t)
         rows.append((lam1, lam2, beta, alpha, diff, diff / (alpha * gap)))
     metrics = _columns(("lambda1", "lambda2", "beta", "alpha", "response_diff", "ratio"), rows)
@@ -310,8 +307,8 @@ def matched_alignment(laplacian_eigenvalues, laplacian_eigenvectors, covariance_
 def run_surrogate(cfg: ExperimentConfig) -> RunTable:
     """Eigenvector convergence of the sample covariance to the graph Laplacian.
 
-    Each (trial, n) draws its graph and white noise w as gen_graph_stationary does; its sample covariance is
-    formed as g(L) S_w g(L)^T, never the data.  Per trial, one stacked ``eigh`` decomposes them all.
+    Each (trial, n) draws its graph, then white noise w; the data would be x = g(L) w, but its sample covariance
+    is formed as g(L) S_w g(L)^T, never the data.  Per trial, one stacked ``eigh`` decomposes them all.
     """
     grid = cfg.sample_grid or (100, 2000, 20000)
 

@@ -62,7 +62,9 @@ def _symmetrize(m: np.ndarray) -> np.ndarray:
         raise SymmetryError(
             f"matrix asymmetry {np.ravel(asym)[k]:.3e} exceeds tolerance {np.ravel(tolerance)[k]:.3e}"
         )
-    return (m + m_t) / 2.0
+    # Halving first keeps the mean of two entries near the largest double finite; it equals
+    # (m + m_t) / 2 bit for bit wherever no halved entry is subnormal.
+    return m / 2.0 + m_t / 2.0
 
 
 def eigh(matrix) -> SpectralDecomposition:
@@ -109,11 +111,3 @@ def spectral_matrix(decomp: SpectralDecomposition, values) -> np.ndarray:
 def _spectral_matrix(v: np.ndarray, values: np.ndarray) -> np.ndarray:
     """V diag(values) V^T for a stack of bases ``v`` (..., m, m) broadcast against ``values`` (..., m)."""
     return (v * values[..., None, :]) @ np.swapaxes(v, -1, -2)
-
-
-def operator_norm(matrix) -> float:
-    """Largest singular value; equals max |eigenvalue| for symmetric input."""
-    m = _as_square_array(matrix)
-    if m.size == 0:
-        return 0.0
-    return float(np.linalg.norm(m, 2))

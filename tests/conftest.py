@@ -4,9 +4,12 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from covdensity.covariance import CovarianceMatrix, DataMatrix, sample_covariance
+from covdensity import betafit, covariance
+from covdensity.covariance import CovarianceMatrix, DataMatrix, as_matrix, sample_covariance, shift_regularize
+from covdensity.density import density_operator
 from covdensity.entropy import cvne, naive_entropy
-from covdensity.lab import ExperimentConfig, run_discrimination
+from covdensity.filtering import filter_apply
+from covdensity.lab import ExperimentConfig, _stability_responses, run_discrimination
 from covdensity.spectral import SpectralDecomposition
 
 
@@ -91,3 +94,48 @@ def window_by_window(window, n_windows, beta, regime_scale, base_spectrum, seed)
             spectrum = SpectralDecomposition(np.linalg.eigvalsh(cov.matrix), np.eye(base.size))
             vne_eigvalsh[regime, w] = cvne(spectrum, beta).entropy_bits
     return naive, vne_eigh, vne_eigvalsh
+
+
+def gen_graph_stationary(dim, n_samples, edge_prob, filter_coeffs, seed=0):
+    """Graph-stationary data x = g(L) w, w ~ N(0, I), and the Laplacian L, drawn as run_surrogate draws them."""
+    rng = np.random.default_rng(seed)
+    laplacian, g = covariance._graph_filter(dim, edge_prob, filter_coeffs, rng)
+    return DataMatrix(values=rng.standard_normal((n_samples, dim)) @ g.T), laplacian
+
+
+def bound_and_ratio(cov, dc, beta):
+    """The density error bound and the partition ratio R = Z'/Z that run_stability records
+    for the CovarianceMatrix ``cov`` perturbed by ``dc`` at ``beta``."""
+    _, bounds, ratios = _stability_responses(cov, cov, np.asarray(dc, dtype=float)[None], (beta,))
+    return bounds[1], ratios[1]
+
+
+def permutation_residual(spec, c, x, perm):
+    """Max-abs residual of H(rho(P C P^T)) P x - P H(rho(C)) x for the index permutation ``perm``.
+
+    Both sides go through filter_apply, which forms V diag(p(rho)) V^T.  That matrix does not
+    depend on the choice of basis, so it holds on (near-)repeated eigenvalues too.
+    """
+    c, x = as_matrix(c), np.asarray(x, dtype=float)
+    permuted = filter_apply(spec, density_operator(c[np.ix_(perm, perm)], spec.beta), x[perm])
+    return float(np.max(np.abs(permuted - filter_apply(spec, density_operator(c, spec.beta), x)[perm])))
+
+
+def subadditivity(covariances, beta):
+    """Both sides of S(sum C_j) <= sum S(C_j) in nats, and each C_j's shift (its smallest eigenvalue).
+
+    Each C_j is shifted to a zero smallest eigenvalue (which leaves its entropy unchanged but keeps
+    every partition function at least 1), and so is the sum of the shifted matrices.
+    """
+    covs = [CovarianceMatrix(matrix=as_matrix(c)) for c in covariances]
+    regularized = [shift_regularize(c) for c in covs]
+    total = shift_regularize(CovarianceMatrix(matrix=np.sum([r.matrix for r in regularized], axis=0)))
+    rhs = float(sum(cvne(r, beta).entropy_nats for r in regularized))
+    return cvne(total, beta).entropy_nats, rhs, tuple(float(np.min(c._eigenvalues)) for c in covs)
+
+
+def moment_derivatives(spectrum, target_p, beta):
+    """(f', f''): the moment objective's gradient <p, lambda> - E_q[lambda] and curvature Var_q[lambda],
+    as fit_beta evaluates them."""
+    lam, p = betafit._validate(spectrum, target_p)
+    return betafit._moments(lam, float(np.dot(p, lam)), beta)[1:]

@@ -5,14 +5,9 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import random_psd
+from conftest import moment_derivatives, random_psd
 from covdensity import betafit
-from covdensity.betafit import (
-    fit_beta,
-    kl_to_density,
-    moment_derivatives,
-    moment_objective,
-)
+from covdensity.betafit import fit_beta, kl_to_density, moment_objective
 from covdensity.density import density_operator, density_values
 from covdensity.errors import InfeasibleTargetError
 

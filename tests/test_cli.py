@@ -414,6 +414,38 @@ class TestExperimentCommands:
         assert [str(w.message) for w in caught] == []
         assert not out_dir.exists()
 
+    def test_betafit_demo_past_the_variance_range_writes_finite_cells_without_warnings(self, capsys, tmp_path):
+        # Noise of norm 1e300 spreads the spectrum past sqrt(DBL_MAX), where (lambda - mean)^2 overflows.
+        out_dir = tmp_path / "out"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run_cli(
+                capsys, "betafit-demo", "--dim", "5", "--trials", "2", "--noise-levels", "1e300",
+                "--output-dir", str(out_dir),
+            )
+        assert (code, out, err) == (0, "records=2\n", "")
+        assert [str(w.message) for w in caught] == []
+        with open(out_dir / "results.csv", newline="") as fh:
+            header, *rows = csv.reader(fh)
+        cells = [float(cell) for row in rows for name, cell in zip(header, row) if name.startswith("m:")]
+        assert len(rows) == 2 and all(map(math.isfinite, cells))
+
+    @pytest.mark.parametrize(
+        "spectrum,message",
+        [
+            ("-1e308,0,1e308", "target mean 1e+308 lies outside the open spectral hull (-1e+308, 1e+308)"),
+            ("0,1e300,2e300", "metric 'curvature_at_solution' is not finite: nan"),
+        ],
+    )
+    def test_fit_beta_past_the_spread_range_prints_only_the_error(self, capsys, tmp_path, spectrum, message):
+        out_dir = tmp_path / "out"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run_cli(capsys, "fit-beta", f"--spectrum={spectrum}", "--output-dir", str(out_dir))
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+        assert [str(w.message) for w in caught] == []
+        assert not out_dir.exists()
+
     @pytest.mark.parametrize("cfg", [{"base_spectrum": [-1, 1, 0]}, {"regime_scale": [1, -1, 1]}])
     def test_negative_spectrum_entry_prints_only_the_error(self, capsys, tmp_path, cfg):
         cfg_path, out_dir = tmp_path / "cfg.json", tmp_path / "out"

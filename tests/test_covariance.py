@@ -6,13 +6,12 @@ import warnings
 import numpy as np
 import pytest
 
-from conftest import count_linalg_calls
+from conftest import count_linalg_calls, gen_graph_stationary
 from covdensity import covariance, spectral
 from covdensity.covariance import (
     CovarianceMatrix,
     DataMatrix,
     gen_gaussian_data,
-    gen_graph_stationary,
     read_csv_covariance,
     read_csv_data,
     sample_covariance,
@@ -59,6 +58,15 @@ class TestSampleCovariance:
             values = rng.standard_normal((6, 8))
             c = sample_covariance(DataMatrix(values=values))
             assert np.min(np.linalg.eigvalsh(c.matrix)) >= -1e-10
+
+
+def test_entries_near_the_largest_double_are_symmetrized_without_overflow():
+    # (m + m^T) / 2 would overflow to inf here; halving first keeps the mean finite.
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        covs = [CovarianceMatrix(matrix=m) for m in (np.array([[1.5e308]]), np.diag([1.5e308, 1e308]))]
+    assert [str(w.message) for w in caught] == []
+    assert [c.matrix.tolist() for c in covs] == [[[1.5e308]], [[1.5e308, 0.0], [0.0, 1e308]]]
 
 
 class TestShiftRegularize:

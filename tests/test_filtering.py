@@ -4,16 +4,10 @@ import math
 import numpy as np
 import pytest
 
-from conftest import random_low_rank, random_psd
-from covdensity.density import density_operator, partition_function
+from conftest import permutation_residual, random_low_rank, random_psd
+from covdensity.density import density_operator
 from covdensity.errors import ShapeError
-from covdensity.filtering import (
-    FilterSpec,
-    check_permutation_equivariance,
-    filter_apply,
-    frequency_response,
-    lipschitz_alpha,
-)
+from covdensity.filtering import FilterSpec, filter_apply, frequency_response, lipschitz_alpha
 
 
 def dense_polynomial_apply(spec, rho_dense, x):
@@ -81,20 +75,19 @@ class TestFilterApply:
 class TestFrequencyResponse:
     def test_unit_density_eigenvalue(self):
         beta, lam = 1.0, 0.7
-        z = math.exp(-beta * lam)
         spec = FilterSpec(coeffs=[0.0, 1.0], beta=beta)
-        assert frequency_response(spec, lam, z) == pytest.approx(1.0, rel=1e-12)
+        assert frequency_response(spec, lam, -beta * lam) == pytest.approx(1.0, rel=1e-12)
 
     def test_beta_zero_uniform(self):
         spec = FilterSpec(coeffs=[0.4, 2.0], beta=0.0)
         m = 6
         for lam in (0.0, 1.0, 17.5):
-            assert frequency_response(spec, lam, float(m)) == pytest.approx(0.4 + 2.0 / m, rel=1e-12)
+            assert frequency_response(spec, lam, math.log(m)) == pytest.approx(0.4 + 2.0 / m, rel=1e-12)
 
     def test_matches_density_eigenvalue_anchor(self):
-        z = partition_function(np.diag([2.0, 0.0, 0.0]), 1.0)
+        log_z = density_operator(np.diag([2.0, 0.0, 0.0]), 1.0).log_partition
         spec = FilterSpec(coeffs=[0.0, 1.0], beta=1.0)
-        got = frequency_response(spec, 2.0, z)
+        got = frequency_response(spec, 2.0, log_z)
         assert got == pytest.approx(math.exp(-2.0) / (2.0 + math.exp(-2.0)), rel=1e-12)
 
     def test_consistent_with_filter_apply(self, rng):
@@ -104,15 +97,19 @@ class TestFrequencyResponse:
         spec = FilterSpec(coeffs=rng.standard_normal(4), beta=beta)
         x = rng.standard_normal(5)
         responses = np.array(
-            [frequency_response(spec, lam, rho.partition_function) for lam in rho.source_spectrum]
+            [frequency_response(spec, lam, rho.log_partition) for lam in rho.source_spectrum]
         )
         v = rho.basis.eigenvectors
         want = v @ (responses * (v.T @ x))
         np.testing.assert_allclose(filter_apply(spec, rho, x), want, rtol=1e-9, atol=1e-12)
 
-    def test_requires_positive_z(self):
-        with pytest.raises(ValueError):
-            frequency_response(FilterSpec(coeffs=[1.0], beta=1.0), 0.0, 0.0)
+    def test_defined_where_z_overflows(self):
+        # Z = e^800 + 1 is past the largest double; the log-domain response is the top density eigenvalue, 1.
+        rho = density_operator(np.diag([800.0, 0.0]), -1.0)
+        assert rho.log_partition == pytest.approx(800.0, rel=1e-15)
+        spec = FilterSpec(coeffs=[0.0, 1.0], beta=-1.0)
+        assert frequency_response(spec, 800.0, rho.log_partition) == pytest.approx(1.0, rel=1e-12)
+        assert frequency_response(spec, 0.0, rho.log_partition) == 0.0
 
 
 class TestLipschitzConstants:
@@ -137,8 +134,8 @@ class TestLipschitzConstants:
                 continue
             order = int(rng.integers(1, 6))
             spec = FilterSpec(coeffs=rng.standard_normal(order + 1), beta=float(rng.uniform(-3, 3)))
-            z = partition_function(np.diag([lam1, lam2]), spec.beta)
-            diff = abs(frequency_response(spec, lam2, z) - frequency_response(spec, lam1, z))
+            log_z = density_operator(np.diag([lam1, lam2]), spec.beta).log_partition
+            diff = abs(frequency_response(spec, lam2, log_z) - frequency_response(spec, lam1, log_z))
             assert diff <= lipschitz_alpha(spec) * abs(lam2 - lam1) + 1e-12
 
 
@@ -147,14 +144,14 @@ class TestPermutationEquivariance:
         c = random_psd(rng, 4)
         spec = FilterSpec(coeffs=[0.5, 1.0, -0.3], beta=1.2)
         x = rng.standard_normal(4)
-        assert check_permutation_equivariance(spec, c, x, np.arange(4)) <= 1e-12
+        assert permutation_residual(spec, c, x, np.arange(4)) <= 1e-12
 
     def test_exhaustive_s3(self, rng):
         c = random_psd(rng, 3)
         spec = FilterSpec(coeffs=[0.2, 1.0, 0.7], beta=-0.8)
         x = rng.standard_normal(3)
         for perm in itertools.permutations(range(3)):
-            residual = check_permutation_equivariance(spec, c, x, np.array(perm))
+            residual = permutation_residual(spec, c, x, np.array(perm))
             assert residual <= 1e-9 * max(1.0, float(np.linalg.norm(x)))
 
     def test_rank_one_with_repeated_eigenvalues(self, rng):
@@ -162,7 +159,7 @@ class TestPermutationEquivariance:
         spec = FilterSpec(coeffs=[0.1, 2.0, 1.0], beta=1.0)
         x = rng.standard_normal(4)
         for perm in ([1, 0, 3, 2], [3, 2, 1, 0]):
-            residual = check_permutation_equivariance(spec, c, x, np.array(perm))
+            residual = permutation_residual(spec, c, x, np.array(perm))
             assert residual <= 1e-9 * max(1.0, float(np.linalg.norm(x)))
 
     @pytest.mark.parametrize("kind", ["rank_one", "repeated_block", "scaled_identity", "near_degenerate"])
@@ -184,29 +181,19 @@ class TestPermutationEquivariance:
             c = (q * spectrum) @ q.T
             spec = FilterSpec(coeffs=rng.standard_normal(int(rng.integers(1, 5))), beta=float(rng.uniform(-2, 2)))
             x = rng.standard_normal(dim)
-            residual = check_permutation_equivariance(spec, (c + c.T) / 2.0, x, rng.permutation(dim))
+            residual = permutation_residual(spec, (c + c.T) / 2.0, x, rng.permutation(dim))
             worst = max(worst, residual / max(1.0, float(np.linalg.norm(x))))
         assert worst <= 1e-9
 
     def test_permutation_matrix_input(self, rng):
-        c = random_psd(rng, 3)
+        # H(rho(T C T^T)) T x = T H(rho(C)) x for a permutation matrix T, in the paper's form.
+        c = random_psd(rng, 3).matrix
         spec = FilterSpec(coeffs=[0.0, 1.0], beta=0.5)
         x = rng.standard_normal(3)
         t = np.zeros((3, 3))
         t[[2, 0, 1], [0, 1, 2]] = 1.0
-        assert check_permutation_equivariance(spec, c, x, t) <= 1e-9
-
-    def test_invalid_permutation_rejected(self, rng):
-        c = random_psd(rng, 3)
-        spec = FilterSpec(coeffs=[1.0], beta=1.0)
-        with pytest.raises(ValueError):
-            check_permutation_equivariance(spec, c, np.ones(3), np.array([0, 0, 2]))
-        # Truncating these floats would give the identity [0, 1, 2].
-        with pytest.raises(ValueError, match="invalid permutation"):
-            check_permutation_equivariance(spec, np.diag([1.0, 2.0, 3.0]), np.ones(3), [0.9, 1.2, 2.0])
-        # A NaN entry is rejected before the integer cast, which would warn on it.
-        with pytest.raises(ValueError, match="invalid permutation"):
-            check_permutation_equivariance(spec, np.diag([1.0, 2.0, 3.0]), np.ones(3), [np.nan, 1.0, 2.0])
+        permuted = filter_apply(spec, density_operator(t @ c @ t.T, spec.beta), t @ x)
+        np.testing.assert_allclose(permuted, t @ filter_apply(spec, density_operator(c, spec.beta), x), atol=1e-9)
 
 
 class TestFilterSpecValidation:

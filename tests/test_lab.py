@@ -6,12 +6,11 @@ import math
 import numpy as np
 import pytest
 
-from conftest import count_linalg_calls, table_rows, window_by_window
+from conftest import count_linalg_calls, gen_graph_stationary, table_rows, window_by_window
 from covdensity import covariance, density, entropy, filtering, spectral
 from covdensity.covariance import (
     DataMatrix,
     gen_gaussian_data,
-    gen_graph_stationary,
     sample_covariance,
     shift_regularize,
     trace_normalize,
@@ -31,7 +30,6 @@ from covdensity.lab import (
     run_surrogate,
     summarize,
 )
-from covdensity.spectral import operator_norm
 
 
 def metric_mean(records, metric, **param_filter):
@@ -273,8 +271,8 @@ class TestLipschitz:
             rng.uniform(size=2)
             order = int(rng.integers(1, cfg.max_filter_order + 1))
             spec = filtering.FilterSpec(coeffs=rng.standard_normal(order + 1), beta=beta)
-            z = density.partition_function(np.diag([lam1, lam2]), beta)
-            diff = abs(filtering.frequency_response(spec, lam2, z) - filtering.frequency_response(spec, lam1, z))
+            log_z = math.log(density.density_operator(np.diag([lam1, lam2]), beta).partition_function)
+            diff = abs(filtering.frequency_response(spec, lam2, log_z) - filtering.frequency_response(spec, lam1, log_z))
             # run_lipschitz uses ln Z directly; this path round-trips it through Z,
             # so only roundoff may differ.
             assert r.metrics["response_diff"] == pytest.approx(diff, rel=1e-12, abs=1e-300)
@@ -380,23 +378,26 @@ def stability_oracle(cfg):
         for eps in cfg.noise_levels:
             e = rng.standard_normal((cfg.dim, cfg.dim))
             e = (e + e.T) / 2.0
-            dc = eps * e / operator_norm(e)
+            dc = eps * e / np.linalg.norm(e, 2)
             perturbed = cov.matrix + dc
             tn_delta = perturbed / np.trace(perturbed) - cov.matrix / np.trace(cov.matrix)
             records.append(
                 ({"trial": t, "noise": eps, "method": "trace_normalized"},
-                 {"delta_c_norm": operator_norm(dc), "delta_rho_norm": operator_norm(tn_delta)})
+                 {"delta_c_norm": np.linalg.norm(dc, 2), "delta_rho_norm": np.linalg.norm(tn_delta, 2)})
             )
             for beta in cfg.betas:
                 rho_base = density.density_operator(reg, beta)
                 rho_pert = density.density_operator(reg.matrix + dc, beta)
+                # The bound's formula on SVD norms and R read from the two operators' Z.
+                ratio = rho_pert.partition_function / rho_base.partition_function
+                norms = [np.linalg.norm(m, 2) for m in (reg.matrix, reg.matrix + dc, dc)]
                 records.append(
                     ({"trial": t, "noise": eps, "method": "density", "beta": beta},
                      {
-                         "delta_c_norm": operator_norm(dc),
-                         "delta_rho_norm": operator_norm(rho_pert.matrix() - rho_base.matrix()),
-                         "bound_value": density.density_error_bound(reg, dc, beta),
-                         "r_ratio": density.partition_ratio(reg, dc, beta),
+                         "delta_c_norm": norms[2],
+                         "delta_rho_norm": np.linalg.norm(rho_pert.matrix() - rho_base.matrix(), 2),
+                         "bound_value": density._error_bound(beta, cfg.dim, *norms, ratio),
+                         "r_ratio": ratio,
                      })
                 )
     return records
@@ -418,7 +419,7 @@ def per_noise_level_stability(cfg):
         for eps in cfg.noise_levels:
             e = rng.standard_normal((cfg.dim, cfg.dim))
             e = (e + e.T) / 2.0
-            dc = eps * e / operator_norm(e)
+            dc = eps * e / np.linalg.norm(e, 2)
             perturbed = cov.matrix + dc
             pert = spectral.eigh(reg.matrix + dc)
             rho_pert, log_z_pert = density.density_values(pert.eigenvalues, cfg.betas)
@@ -431,14 +432,13 @@ def per_noise_level_stability(cfg):
                 {"delta_c_norm": norm_dc, "delta_rho_norm": norm_tn},
             )
             for i, beta in enumerate(cfg.betas):
-                bound = density._error_bound(
-                    beta, cfg.dim, norm_base, norm_pert, norm_dc, log_z_base[i], log_z_pert[i]
-                )
+                ratio = density._exp("Z'/Z", log_z_pert[i] - log_z_base[i])
+                bound = density._error_bound(beta, cfg.dim, norm_base, norm_pert, norm_dc, ratio)
                 yield {"trial": t, "noise": eps, "method": "density", "beta": beta}, {
                     "delta_c_norm": norm_dc,
                     "delta_rho_norm": norm_rho[i],
                     "bound_value": bound,
-                    "r_ratio": math.exp(log_z_pert[i] - log_z_base[i]),
+                    "r_ratio": ratio,
                 }
 
 

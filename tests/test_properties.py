@@ -8,7 +8,7 @@ runs from 1e-3 to 1e3: from nearly uniform densities to ones whose smallest eige
 underflow; b in [650, 745] puts the smallest density eigenvalues just above the underflow edge.
 
 The same matrices check what shift_regularize and trace_normalize promise: a zero smallest
-eigenvalue and a unit trace.
+eigenvalue and a unit trace, and permutation equivariance of a filter and of a network layer.
 
 The network's batched gradients are checked against central differences of its loss on random
 shapes, and run tables against what results.csv reads back on random columns.
@@ -25,13 +25,16 @@ from hypothesis import strategies as st
 
 from conftest import random_psd
 from covdensity.covariance import PSD_RTOL, CovarianceMatrix, shift_regularize, trace_normalize
-from covdensity.density import density_operator
+from covdensity.density import _as_decomposition, density_operator, density_values
 from covdensity.entropy import cvne
+from covdensity.filtering import FilterSpec, filter_apply
 from covdensity.lab import RunTable, records_to_csv
 from covdensity.network import (
     ACTIVATIONS,
     AGGREGATIONS,
     LOSSES,
+    LayerParams,
+    _layer_channels,
     evaluate_loss,
     forward_rows,
     init_model,
@@ -116,6 +119,76 @@ def test_shift_gives_a_zero_smallest_eigenvalue_and_trace_normalize_a_unit_trace
     trace = float(np.trace(cov.matrix))
     if trace > 1e-14:
         assert abs(np.trace(trace_normalize(cov).matrix) - 1.0) <= 1e-10
+
+
+def permutation_tolerance(m, norm_c, beta, coeffs):
+    """Bound on |H(rho(P C P^T)) P x - P H(rho(C)) x| per unit ||x|| for the taps ``coeffs`` (last axis).
+
+    Each side forms H = V diag(p(rho)) V^T from a backward-stable eigh: its eigenpairs are exact for
+    C + E with ||E||_F <= 2 m eps ||C||, and P H(C) P^T = H(P C P^T) exactly.  The density map moves by
+    ||d rho||_F <= 2 |beta| ||E||_F: the divided differences of exp(-beta lambda) / Z are at most |beta|
+    (every rho_i <= 1) and d ln Z = -beta sum rho_i d lambda_i.  On [0, 1] the polynomial p moves by at
+    most sum_k k |h_k| per unit of rho.  Forming p(rho), the products with V^T and V and the columns'
+    departure from orthonormality add a few m eps sum_k |h_k|.  With 4x headroom on each side and
+    both sides summed: 16 m eps (sum_k |h_k| + 2 |beta| ||C|| sum_k k |h_k|).
+    """
+    h = np.abs(coeffs)
+    return 16 * m * EPS * (h.sum(axis=-1) + 2 * abs(beta) * norm_c * (h * np.arange(h.shape[-1])).sum(axis=-1))
+
+
+@st.composite
+def permuted_case(draw):
+    """A psd_and_beta case, a permutation of its indices, and a seeded generator for taps and signals."""
+    c, beta = draw(psd_and_beta())
+    perm = np.array(draw(st.permutations(range(len(c)))))
+    return c, beta, perm, np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(permuted_case(), st.integers(0, 4), st.booleans())
+def test_filter_of_a_permuted_covariance_is_the_permuted_filter(case, order, skip_k0):
+    c, beta, perm, rng = case
+    spec = FilterSpec(coeffs=rng.standard_normal(order + 1), beta=beta, skip_k0=skip_k0)
+    x = rng.standard_normal(len(c))
+    got = filter_apply(spec, density_operator(c[np.ix_(perm, perm)], beta), x[perm])
+    want = filter_apply(spec, density_operator(c, beta), x)[perm]
+    norm_c = float(np.max(np.abs(np.linalg.eigvalsh(c))))
+    bound = permutation_tolerance(len(c), norm_c, beta, spec.coeffs) * np.linalg.norm(x)
+    assert np.max(np.abs(got - want)) <= bound
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    permuted_case(),
+    st.integers(1, 3),
+    st.integers(1, 2),
+    st.integers(0, 3),
+    st.sampled_from(list(ACTIVATIONS)),
+    st.booleans(),
+)
+def test_layer_of_a_permuted_covariance_and_features_is_the_permuted_layer(case, f_out, f_in, order, activation, skip_k0):
+    c, beta, perm, rng = case
+    layer = LayerParams(
+        coeffs=rng.standard_normal((f_out, f_in, order + 1)),
+        betas=beta * rng.uniform(-1.0, 1.0, f_out),
+        activation=activation,
+        skip_k0=skip_k0,
+    )
+    x = rng.standard_normal((2, f_in, len(c), 2))  # (batch, channel, node, time)
+
+    def channels(matrix, signal):
+        decomp = _as_decomposition(matrix)  # as forward_rows decomposes a plain array
+        return _layer_channels(layer, decomp.eigenvectors, density_values(decomp.eigenvalues, layer.betas)[0], signal)[0]
+
+    got = channels(c[np.ix_(perm, perm)], x[:, :, perm])
+    want = channels(c, x)[:, :, perm]
+    # Each output channel sums f_in filtered inputs; every activation is 1-Lipschitz.
+    norm_c = float(np.max(np.abs(np.linalg.eigvalsh(c))))
+    taps = layer.coeffs.copy()
+    taps[..., : layer.k_start] = 0.0
+    per_input = permutation_tolerance(len(c), norm_c, layer.betas[:, None], taps)  # (f_out, f_in)
+    bound = np.einsum("og,bgt->bot", per_input, np.linalg.norm(x, axis=2))
+    assert np.all(np.abs(got - want) <= bound[:, :, None, :])
 
 
 # Central-difference step, and the margin by which every ReLU/ELU pre-activation must clear its
