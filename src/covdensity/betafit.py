@@ -22,7 +22,9 @@ import numpy as np
 from .density import density_values
 from .errors import InfeasibleTargetError
 
-_BRACKET_BUDGET = 60
+_BRACKET_BUDGET = 60  # outward steps per bracket end
+_BRACKET_GROWTH = 2.0  # each outward step is this many times the last
+_MAX_ITER = 100  # safeguarded Newton steps after bracketing
 _DEGENERATE_RTOL = 1e-12
 
 
@@ -72,12 +74,7 @@ def moment_objective(spectrum, target_p, beta):
 
 
 def fit_beta(
-    spectrum,
-    target_p,
-    max_iter: int = 100,
-    tol: float = 1e-10,
-    bracket_growth: float = 2.0,
-    initial_bracket: tuple[float, float] = (-1.0, 1.0),
+    spectrum, target_p, tol: float = 1e-10, initial_bracket: tuple[float, float] = (-1.0, 1.0)
 ) -> BetaFitResult:
     """Solve f'(beta) = 0 by bracketed, safeguarded Newton iteration.
 
@@ -120,7 +117,7 @@ def fit_beta(
             if sign * _moments(lam, target_mean, ends[side])[1] > 0.0:
                 break
             ends[side] += sign * step
-            step *= bracket_growth
+            step *= _BRACKET_GROWTH
             iterations += 1
         else:
             raise InfeasibleTargetError(f"no sign change found while expanding the {name} bracket")
@@ -128,7 +125,7 @@ def fit_beta(
 
     beta = 0.5 * (lo + hi)
     f, g, curvature = _moments(lam, target_mean, beta)
-    for _ in range(max_iter):
+    for _ in range(_MAX_ITER):
         iterations += 1
         if abs(g) <= tol:
             break

@@ -15,9 +15,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import datetime
-import inspect
 import json
-import math
 import os
 import pathlib
 import sys
@@ -34,7 +32,7 @@ from .covariance import (
     sample_covariance,
     trace_normalize,
 )
-from .errors import ConfigError, ShapeError, _check_fields
+from .errors import ConfigError, ShapeError
 from .spectral import eigh
 
 EXPERIMENT_SUBCOMMANDS = {
@@ -48,50 +46,6 @@ EXPERIMENT_SUBCOMMANDS = {
 }
 
 CONFIG_SCHEMA_VERSION = 1
-
-
-@dataclasses.dataclass
-class _TrainSettings:
-    """Every train config key with its default; its fields are the manifest's config for a training run.
-    ``betas`` defaults to ``betas_init``, and ``loss`` to the task's loss (cross-entropy or mse)."""
-
-    learning_rate: float = 1e-3
-    epochs: int = 100
-    batch_size: int = 32
-    hidden_dim: int = 32
-    num_layers: int = 1
-    activation: str = "tanh"
-    head_activation: str = "tanh"
-    dropout: float = 0.0
-    betas: tuple[float, ...] | None = None
-    betas_learnable: bool = False
-    betas_init: tuple[float, ...] | None = None
-    order: int = 2
-    loss: str | None = None
-    seed: int = 0
-    task: str = "regression"
-    aggregation: str = "concatenate"
-    skip_k0: bool = False
-    val_fraction: float = 0.2
-
-    def __post_init__(self):
-        _check_fields(self)
-        if self.hidden_dim < 1:
-            raise ConfigError("/hidden_dim: must be >= 1")
-        if self.order < 0:
-            raise ConfigError("/order: must be >= 0")
-        if self.seed < 0:
-            raise ConfigError(f"/seed: must be >= 0, got {self.seed}")
-        if self.num_layers < 1:
-            raise ConfigError("/num_layers: must be >= 1")
-        if self.betas is None:
-            if self.betas_init is None:
-                raise ConfigError("/betas: required unless betas_init is given")
-            self.betas = self.betas_init
-        if not self.betas:
-            raise ConfigError("/betas: must be non-empty")
-        if not 0.0 < self.val_fraction < 1.0:
-            raise ConfigError("/val_fraction: must be in (0, 1)")
 
 
 class UsageError(Exception):
@@ -354,46 +308,39 @@ def _prepare_supervised(values: np.ndarray, horizon: int, task: str):
 
 
 def _cmd_train(args) -> _Run:
-    payload = _load_json_config(args.config, _TrainSettings, "train config") if args.config else {}
+    payload = _load_json_config(args.config, network.TrainConfig, "train config") if args.config else {}
     if args.seed is not None:
         payload["seed"] = args.seed
-    cfg = dataclasses.asdict(_TrainSettings(**payload))
-    loss = cfg["loss"] or ("cross_entropy" if cfg["task"] == "classification" else "mse")
-    # Each setting goes to every callee that takes a parameter of its name.
-    optimizer_keys = {f.name for f in dataclasses.fields(network.TrainConfig)} - {"loss"}
-    train_cfg = network.TrainConfig(**{k: v for k, v in cfg.items() if k in optimizer_keys}, loss=loss)
+    cfg = network.TrainConfig(**payload)
     _check_horizon(args.horizon)
-    if args.horizon > 0 and cfg["task"] == "classification":
+    if args.horizon > 0 and cfg.task == "classification":
         raise ConfigError(f"--horizon {args.horizon} forecasts full future rows, which task 'classification' cannot fit")
     data = read_csv_data(args.input, header=args.header)
-    features, targets, n_outputs = _prepare_supervised(data.values, args.horizon, cfg["task"])
+    features, targets, n_outputs = _prepare_supervised(data.values, args.horizon, cfg.task)
 
-    rng = np.random.default_rng(cfg["seed"])
+    rng = np.random.default_rng(cfg.seed)
     n = features.shape[0]
     order_idx = rng.permutation(n)
-    n_val = max(1, int(round(cfg["val_fraction"] * n)))
+    n_val = max(1, int(round(cfg.val_fraction * n)))
     val_idx, train_idx = order_idx[:n_val], order_idx[n_val:]
     if train_idx.size < 1:
         raise ConfigError("not enough rows to split train/validation")
 
     xs, ys = features[train_idx], targets[train_idx]
     cov = trace_normalize(sample_covariance(DataMatrix(xs)))
+    model = network.init_model(features.shape[1], n_outputs, cfg)
+    result = network.train(model, cov, (xs, ys), (features[val_idx], targets[val_idx]), cfg)
 
-    model_keys = inspect.signature(network.init_model).parameters
-    model_settings = {k: v for k, v in cfg.items() if k in model_keys}
-    model = network.init_model(dim=features.shape[1], n_outputs=n_outputs, **model_settings)
-    result = network.train(model, cov, (xs, ys), (features[val_idx], targets[val_idx]), train_cfg)
-
-    table = lab.RunTable("train", cfg["seed"], {"epoch": range(len(result.history["val_loss"]))}, result.history)
-    best_val = result.history["val_loss"][result.best_epoch] if result.history["val_loss"] else math.nan
+    table = lab.RunTable("train", cfg.seed, {"epoch": range(len(result.history["val_loss"]))}, result.history)
+    best_val = result.history["val_loss"][result.best_epoch]
     summary = {
         "best_epoch": result.best_epoch,
         "best_val_loss": best_val,
         "epochs_run": len(result.history["val_loss"]),
         "diverged": result.diverged,
-        "loss": loss,
+        "loss": cfg.task_loss,
     }
-    config = {**cfg, "horizon": args.horizon, "input": args.input}
+    config = {**dataclasses.asdict(cfg), "horizon": args.horizon, "input": args.input}
     return _Run(config, table, summary, f"{best_val:.10g}", (result.model, cov))
 
 

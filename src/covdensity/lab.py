@@ -184,7 +184,11 @@ def _symmetric_noise(rng, dim: int, norms) -> np.ndarray:
     e = (e + np.swapaxes(e, -1, -2)) / 2.0
     scale = np.linalg.norm(e, 2, axis=(-2, -1))
     # An all-zero draw has norm 0 and stays zero.
-    return np.asarray(norms, dtype=float)[:, None, None] * e / np.where(scale == 0.0, 1.0, scale)[:, None, None]
+    norms, scale = np.asarray(norms, dtype=float)[:, None, None], np.where(scale == 0.0, 1.0, scale)[:, None, None]
+    # Near the largest double norms * e can overflow where the entry is finite; only there use norms * (e / scale).
+    with np.errstate(over="ignore"):
+        noise = norms * e / scale
+    return np.where(np.isfinite(noise), noise, norms * (e / scale))
 
 
 def _stability_responses(cov, reg, dc, betas) -> tuple[np.ndarray, list, list]:

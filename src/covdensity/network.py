@@ -51,8 +51,7 @@ from .density import _as_decomposition, density_values
 from .errors import ConfigError, ShapeError, TrainingError, _check_fields
 
 AGGREGATIONS = ("concatenate", "sum", "mean")
-TASKS = ("regression", "classification")
-LOSSES = ("mse", "mae", "cross_entropy")
+TASK_LOSSES = {"regression": ("mse", "mae"), "classification": ("cross_entropy",)}  # the first is the default
 
 # Rows per forward-only pass: large enough to amortise per-call overhead, small
 # enough that the pass's temporaries (about 4.5 KB a row at dim 22, three
@@ -184,7 +183,7 @@ class ModelParams:
     task: str = "regression"
 
     def __post_init__(self):
-        if self.task not in TASKS:
+        if self.task not in TASK_LOSSES:
             raise ValueError(f"unknown task {self.task!r}")
         if not self.layers:
             raise ValueError("need at least one layer")
@@ -197,25 +196,65 @@ class ModelParams:
 
 @dataclass
 class TrainConfig:
+    """Every train config key with its default.  ``init_model`` reads the architecture keys, ``train`` the
+    optimizer keys, and the CLI ``val_fraction``.  ``betas`` defaults to ``betas_init``, and a ``loss`` of
+    None to the task's own loss (``task_loss``).  Each check names its key: ``ConfigError("/<key>: ...")``."""
+
     learning_rate: float = 1e-3
     epochs: int = 100
     batch_size: int = 32
-    seed: int = 0
-    loss: str = "mse"
+    hidden_dim: int = 32
+    num_layers: int = 1
+    activation: str = "tanh"
+    head_activation: str = "tanh"
     dropout: float = 0.0
+    betas: tuple[float, ...] | None = None
+    betas_learnable: bool = False
+    betas_init: tuple[float, ...] | None = None
+    order: int = 2
+    loss: str | None = None
+    seed: int = 0
+    task: str = "regression"
+    aggregation: str = "concatenate"
+    skip_k0: bool = False
+    val_fraction: float = 0.2
 
     def __post_init__(self):
-        _check_fields(self)
-        if self.learning_rate < 0:
-            raise ConfigError("/learning_rate: must be nonnegative")
-        if self.epochs < 1:
-            raise ConfigError("/epochs: must be >= 1")
-        if self.batch_size < 1:
-            raise ConfigError("/batch_size: must be >= 1")
-        if self.loss not in LOSSES:
-            raise ValueError(f"unknown loss {self.loss!r}")
-        if not 0.0 <= self.dropout < 1.0:
-            raise ConfigError("/dropout: must be in [0, 1)")
+        _check_fields(self)  # so every rule below compares values of the declared types
+        if self.betas is None:
+            self.betas = self.betas_init
+        for key, ok, rule in (
+            ("hidden_dim", self.hidden_dim >= 1, "must be >= 1"),
+            ("order", self.order >= 0, "must be >= 0"),
+            ("seed", self.seed >= 0, f"must be >= 0, got {self.seed}"),
+            ("num_layers", self.num_layers >= 1, "must be >= 1"),
+            ("betas", self.betas is not None, "required unless betas_init is given"),
+            ("betas", bool(self.betas), "must be non-empty"),
+            ("val_fraction", 0.0 < self.val_fraction < 1.0, "must be in (0, 1)"),
+            ("learning_rate", not self.learning_rate < 0, "must be nonnegative"),
+            ("epochs", self.epochs >= 1, "must be >= 1"),
+            ("batch_size", self.batch_size >= 1, "must be >= 1"),
+            ("dropout", 0.0 <= self.dropout < 1.0, "must be in [0, 1)"),
+            ("learning_rate", math.isfinite(self.learning_rate), f"must be finite, got {self.learning_rate!r}"),
+        ):
+            if not ok:
+                raise ConfigError(f"/{key}: {rule}")
+        for key in ("betas_init", "betas"):  # betas may be betas_init's
+            if not all(map(math.isfinite, getattr(self, key) or ())):
+                raise ConfigError(f"/{key}: entries must be finite, got {list(getattr(self, key))}")
+        for key, allowed in (
+            ("activation", ACTIVATIONS), ("head_activation", ACTIVATIONS), ("aggregation", AGGREGATIONS),
+            ("task", TASK_LOSSES), ("loss", TASK_LOSSES.get(self.task)),  # an unknown task stops the loop first
+        ):
+            value = getattr(self, key)
+            if value is not None and value not in allowed:  # only loss may be None
+                task = f" for task {self.task!r}" if key == "loss" else ""
+                raise ConfigError(f"/{key}: expected {' or '.join(map(repr, allowed))}{task}, got {value!r}")
+
+    @property
+    def task_loss(self) -> str:
+        """``loss``, or the task's default where it is None: mse for regression, cross_entropy for classification."""
+        return self.loss or TASK_LOSSES[self.task][0]
 
 
 def _tap_powers(rho: np.ndarray, order: int) -> np.ndarray:
@@ -395,9 +434,10 @@ def model_gradients(model: ModelParams, c, batch_x, batch_y, loss: str, rng=None
         if rng is None:
             raise ValueError("dropout needs an rng")
         mask = (rng.random((len(x), model.head.w1.shape[0])) >= dropout) / (1.0 - dropout)
-    out, tape = _forward(model, decomp, x, mask, keep_tape=True)
-    losses, d_out = _loss_and_grad(out, batch_y, loss)
-    mean_loss = float(losses.sum()) / len(x)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow leaves a non-finite loss, checked next
+        out, tape = _forward(model, decomp, x, mask, keep_tape=True)
+        losses, d_out = _loss_and_grad(out, batch_y, loss)
+        mean_loss = float(losses.sum()) / len(x)
     if not math.isfinite(mean_loss):
         raise TrainingError(f"non-finite batch loss {mean_loss!r}")
     return mean_loss, _backward(model, decomp, tape, d_out / len(x))
@@ -452,15 +492,19 @@ def _trainable_params(model: ModelParams) -> list[np.ndarray]:
 
 
 def train(model: ModelParams, c, train_data, val_data, cfg: TrainConfig) -> TrainResult:
-    """Adam training with validation-based model selection.
+    """Adam training with validation-based model selection, reading the optimizer keys of ``cfg``.
 
     ``train_data`` and ``val_data`` are (xs, ys) pairs.  The returned model is
     a copy of the parameters at the epoch with the lowest validation loss
     (ties broken by the earliest epoch).  If the loss goes non-finite, training
     aborts and the last finite state is kept, with ``diverged=True``.
+
+    Raises:
+        TrainingError: the loss goes non-finite before the first epoch has a finite validation loss.
     """
     decomp = _as_decomposition(c)
     xs, ys = _as_signals(train_data[0]), np.asarray(train_data[1])
+    loss = cfg.task_loss
     rng = np.random.default_rng(cfg.seed)
     optimizer = _Adam(_trainable_params(model), cfg.learning_rate)
     history = {"train_loss": [], "val_loss": []}
@@ -473,14 +517,17 @@ def train(model: ModelParams, c, train_data, val_data, cfg: TrainConfig) -> Trai
         try:
             for start in range(0, n, cfg.batch_size):
                 idx = order[start : start + cfg.batch_size]
-                _, grads = model_gradients(model, decomp, xs[idx], ys[idx], cfg.loss, rng, cfg.dropout)
+                _, grads = model_gradients(model, decomp, xs[idx], ys[idx], loss, rng, cfg.dropout)
                 optimizer.step(grads)
-        except TrainingError:
-            diverged = True
-            break
-        train_loss = evaluate_loss(model, decomp, xs, ys, cfg.loss)
-        val_loss = evaluate_loss(model, decomp, *val_data, cfg.loss)
-        if not (math.isfinite(train_loss) and math.isfinite(val_loss)):
+            with np.errstate(over="ignore", invalid="ignore"):  # an overflow leaves a non-finite loss, checked next
+                train_loss = evaluate_loss(model, decomp, xs, ys, loss)
+                val_loss = evaluate_loss(model, decomp, *val_data, loss)
+            if not (math.isfinite(train_loss) and math.isfinite(val_loss)):
+                raise TrainingError(f"non-finite loss: train {train_loss!r}, validation {val_loss!r}")
+        except TrainingError as exc:
+            if not history["val_loss"]:
+                stage = f"train epoch 1 of {cfg.epochs}"
+                raise TrainingError(f"{stage} diverged before any finite validation loss: {exc}") from exc
             diverged = True
             break
         history["train_loss"].append(train_loss)
@@ -492,50 +539,25 @@ def train(model: ModelParams, c, train_data, val_data, cfg: TrainConfig) -> Trai
     return TrainResult(model=best_model, history=history, best_epoch=best_epoch, diverged=diverged)
 
 
-def init_model(
-    dim: int,
-    n_outputs: int,
-    betas,
-    order: int = 2,
-    hidden_dim: int = 16,
-    num_layers: int = 1,
-    activation: str = "tanh",
-    head_activation: str = "tanh",
-    aggregation: str = "concatenate",
-    task: str = "regression",
-    betas_learnable: bool = False,
-    skip_k0: bool = False,
-    time_points: int = 1,
-    seed: int = 0,
-) -> ModelParams:
-    """Build a model with small random weights sized for (dim, time_points) inputs."""
-    rng = np.random.default_rng(seed)
-    betas = np.asarray(betas, dtype=float)
-    f_out = betas.size
-    layers = []
-    f_in = 1
-    for _ in range(num_layers):
-        coeffs = rng.normal(0.0, 0.3, size=(f_out, f_in, order + 1))
-        layers.append(
-            LayerParams(
-                coeffs=coeffs,
-                betas=betas.copy(),
-                betas_learnable=betas_learnable,
-                aggregation=aggregation,
-                activation=activation,
-                skip_k0=skip_k0,
-            )
-        )
+def init_model(dim: int, n_outputs: int, cfg: TrainConfig, time_points: int = 1) -> ModelParams:
+    """Build a model with small random weights sized for (dim, time_points) inputs, from the architecture
+    keys of ``cfg`` (betas, order, hidden_dim, num_layers, activations, aggregation, task, betas_learnable,
+    skip_k0) and its seed."""
+    rng = np.random.default_rng(cfg.seed)
+    layers, f_in = [], 1
+    for _ in range(cfg.num_layers):
+        coeffs = rng.normal(0.0, 0.3, size=(len(cfg.betas), f_in, cfg.order + 1))
+        layers.append(LayerParams(coeffs, cfg.betas, cfg.betas_learnable, cfg.aggregation, cfg.activation, cfg.skip_k0))
         f_in = layers[-1].out_channels()
     flat_dim = f_in * dim * time_points  # the last layer's channels, per eigen-direction and time point
     head = HeadParams(
-        w1=rng.normal(0.0, 1.0 / math.sqrt(flat_dim), size=(hidden_dim, flat_dim)),
-        b1=np.zeros(hidden_dim),
-        w2=rng.normal(0.0, 1.0 / math.sqrt(hidden_dim), size=(n_outputs, hidden_dim)),
+        w1=rng.normal(0.0, 1.0 / math.sqrt(flat_dim), size=(cfg.hidden_dim, flat_dim)),
+        b1=np.zeros(cfg.hidden_dim),
+        w2=rng.normal(0.0, 1.0 / math.sqrt(cfg.hidden_dim), size=(n_outputs, cfg.hidden_dim)),
         b2=np.zeros(n_outputs),
-        activation=head_activation,
+        activation=cfg.head_activation,
     )
-    return ModelParams(layers=layers, head=head, task=task)
+    return ModelParams(layers=layers, head=head, task=cfg.task)
 
 
 CHECKPOINT_VERSION = 1

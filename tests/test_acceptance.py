@@ -259,10 +259,11 @@ def test_criterion_11_gradient_checks():
     for _ in range(10):
         dim = int(rng.integers(3, 6))
         cov = wishart(rng, dim, n_factor=5)
-        model = init_model(
-            dim=dim, n_outputs=2, betas=tuple(rng.uniform(-1, 3, 2)), order=2,
-            hidden_dim=4, betas_learnable=True, seed=int(rng.integers(0, 2**31)),
+        cfg = TrainConfig(
+            betas=tuple(rng.uniform(-1, 3, 2)), order=2, hidden_dim=4, betas_learnable=True,
+            seed=int(rng.integers(0, 2**31)),
         )
+        model = init_model(dim, 2, cfg)
         xs = [rng.standard_normal(dim) for _ in range(3)]
         ys = [rng.standard_normal(2) for _ in range(3)]
         _, grads = model_gradients(model, cov, xs, ys, "mse")
@@ -323,16 +324,16 @@ def test_criterion_13_learnable_beta_parity():
 
     cov = trace_normalize(sample_covariance(DataMatrix(values=np.stack(xs))))
     train_set, val_set = (xs[:150], ys[:150]), (xs[150:], ys[150:])
-    cfg = TrainConfig(learning_rate=0.02, epochs=60, batch_size=32, seed=4, loss="cross_entropy")
+    cfg = TrainConfig(betas=(0.0,), learning_rate=0.02, epochs=60, batch_size=32, seed=4, task="classification")
 
     fixed = []
     for beta in (0.1, 5.0, 15.0):
-        model = init_model(dim=4, n_outputs=2, betas=(beta,), order=2, hidden_dim=8,
-                           task="classification", seed=11)
+        model = init_model(4, 2, TrainConfig(betas=(beta,), order=2, hidden_dim=8, task="classification", seed=11))
         trained = train(model, cov, train_set, val_set, cfg).model
         fixed.append(np.mean(np.argmax(forward_rows(trained, cov, val_set[0]), axis=1) == val_set[1]))
-    learned_model = init_model(dim=4, n_outputs=2, betas=(0.0, 0.0, 0.0), order=2, hidden_dim=8,
-                               task="classification", betas_learnable=True, seed=11)
+    learned_model = init_model(
+        4, 2, TrainConfig(betas=(0.0, 0.0, 0.0), hidden_dim=8, task="classification", betas_learnable=True, seed=11)
+    )
     trained = train(learned_model, cov, train_set, val_set, cfg).model
     learned = np.mean(np.argmax(forward_rows(trained, cov, val_set[0]), axis=1) == val_set[1])
     assert learned >= max(fixed) - 0.03

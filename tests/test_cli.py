@@ -431,6 +431,28 @@ class TestExperimentCommands:
         assert len(rows) == 2 and all(map(math.isfinite, cells))
 
     @pytest.mark.parametrize(
+        "subcommand,message",
+        [
+            ("betafit-demo", "beta * lambda overflows a double at beta = 4.9721, ||C|| = 1e+308"),
+            ("stability", "beta * lambda overflows a double at beta = 5, ||C|| = 1e+308"),
+        ],
+    )
+    def test_noise_near_the_largest_double_is_a_range_error_without_warning(
+        self, capsys, tmp_path, subcommand, message
+    ):
+        # norms * e overflows for a noise norm of 1e308 although every entry of the perturbation is finite.
+        out_dir = tmp_path / "out"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run_cli(
+                capsys, subcommand, "--dim", "5", "--trials", "2", "--noise-levels", "1e308",
+                "--output-dir", str(out_dir),
+            )
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+        assert [str(w.message) for w in caught] == []
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize(
         "spectrum,message",
         [
             ("-1e308,0,1e308", "target mean 1e+308 lies outside the open spectral hull (-1e+308, 1e+308)"),
@@ -507,7 +529,7 @@ class TestExperimentCommands:
 def test_config_key_sets(tmp_path):
     import dataclasses
 
-    from covdensity.cli import _TrainSettings, _load_json_config
+    from covdensity.cli import _load_json_config
     from covdensity.lab import ExperimentConfig
 
     experiment_keys = {
@@ -524,7 +546,7 @@ def test_config_key_sets(tmp_path):
         "val_fraction",
     }
     path = tmp_path / "keys.json"
-    for config_class, keys in ((ExperimentConfig, experiment_keys), (_TrainSettings, train_keys)):
+    for config_class, keys in ((ExperimentConfig, experiment_keys), (network.TrainConfig, train_keys)):
         path.write_text(json.dumps(dict.fromkeys(keys, 1)))  # every key is accepted ...
         assert set(_load_json_config(path, config_class, "config")) == keys - {"schema_version"}
         # ... and no other, since the loader accepts exactly the fields.
@@ -534,12 +556,11 @@ def test_config_key_sets(tmp_path):
 def _config_fields():
     import dataclasses
 
-    from covdensity.cli import _TrainSettings
     from covdensity.lab import ExperimentConfig
 
     return [
         pytest.param(subcommand, f, id=f"{subcommand}-{f.name}")
-        for subcommand, config_class in (("stability", ExperimentConfig), ("train", _TrainSettings))
+        for subcommand, config_class in (("stability", ExperimentConfig), ("train", network.TrainConfig))
         for f in dataclasses.fields(config_class)
     ]
 
@@ -599,6 +620,9 @@ def test_config_probes_exit_2_naming_the_key(capsys, tmp_path, gaussian_data_csv
     assert (code, out) == (2, "")
     assert err.startswith("error: ") and err.endswith(f"{message}\n")
     assert not out_dir.exists()
+
+
+ACTIVATION_NAMES = "'tanh' or 'elu' or 'relu' or 'identity'"
 
 
 @pytest.fixture
@@ -756,18 +780,38 @@ class TestTrainPredict:
         )
         assert (code, out, err) == (2, "", "error: /seed: must be >= 0, got -1\n")
 
-    def test_config_is_checked_before_the_input_is_read(self, capsys, tmp_path):
-        cfg_path = tmp_path / "bad.json"
-        cfg_path.write_text(json.dumps({"epochs": 0, "betas": [1.0]}))
+    @pytest.mark.parametrize(
+        "cfg,message",
+        [
+            ({"epochs": 0}, "/epochs: must be >= 1"),
+            ({"activation": "foo"}, f"/activation: expected {ACTIVATION_NAMES}, got 'foo'"),
+            ({"head_activation": "foo"}, f"/head_activation: expected {ACTIVATION_NAMES}, got 'foo'"),
+            ({"aggregation": "max"}, "/aggregation: expected 'concatenate' or 'sum' or 'mean', got 'max'"),
+            ({"task": "regresion"}, "/task: expected 'regression' or 'classification', got 'regresion'"),
+            ({"loss": "hinge"}, "/loss: expected 'mse' or 'mae' for task 'regression', got 'hinge'"),
+            (
+                {"loss": "mse", "task": "classification"},
+                "/loss: expected 'cross_entropy' for task 'classification', got 'mse'",
+            ),
+            ({"learning_rate": math.nan}, "/learning_rate: must be finite, got nan"),
+            ({"learning_rate": math.inf}, "/learning_rate: must be finite, got inf"),
+            ({"betas": [math.nan]}, "/betas: entries must be finite, got [nan]"),
+            ({"betas": None, "betas_init": [0.0, math.nan]}, "/betas_init: entries must be finite, got [0.0, nan]"),
+        ],
+    )
+    def test_config_is_checked_before_the_input_is_read(self, capsys, tmp_path, cfg, message):
+        cfg_path, out_dir = tmp_path / "bad.json", tmp_path / "out"
+        cfg_path.write_text(json.dumps({"betas": [1.0], **cfg}))  # NaN and Infinity, as Python's json reads them
         code, out, err = run_cli(
             capsys, "train", "--input", str(tmp_path / "missing.csv"), "--config", str(cfg_path),
-            "--output-dir", str(tmp_path / "out"),
+            "--output-dir", str(out_dir),
         )
-        assert (code, out, err) == (2, "", "error: /epochs: must be >= 1\n")
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+        assert not out_dir.exists()
 
     def test_negative_horizon_rejected(self, capsys, tmp_path, classification_csv):
         model_path, cfg_path = tmp_path / "model.json", tmp_path / "cfg.json"
-        network.save_model(model_path, network.init_model(dim=5, n_outputs=1, betas=[1.0]), np.eye(5))
+        network.save_model(model_path, network.init_model(5, 1, network.TrainConfig(betas=(1.0,))), np.eye(5))
         cfg_path.write_text(json.dumps({"epochs": 1, "betas": [1.0]}))
         for argv, horizon in (
             (["train", "--input", classification_csv, "--config", str(cfg_path)], -2),
@@ -824,10 +868,22 @@ class TestTrainPredict:
         model = json.loads((tmp_path / "learned" / "model.json").read_text())
         assert len(model["layers"][0]["betas"]) == 4
 
+    def test_divergence_in_the_first_epoch_exits_2_naming_the_stage(self, capsys, tmp_path, classification_csv):
+        cfg_path, out_dir = tmp_path / "cfg.json", tmp_path / "out"
+        cfg_path.write_text(json.dumps({"learning_rate": 1e200, "betas": [1.0], "epochs": 2}))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run_cli(
+                capsys, "train", "--input", classification_csv, "--config", str(cfg_path), "--output-dir", str(out_dir)
+            )
+        message = "train epoch 1 of 2 diverged before any finite validation loss: non-finite batch loss inf"
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+        assert [str(w.message) for w in caught] == []
+        assert not out_dir.exists()
+
     def test_every_train_config_field_is_a_train_config_key(self, capsys, tmp_path, classification_csv):
-        # A TrainConfig knob that no train config key sets could never be changed from the CLI.
-        defaults = network.TrainConfig()
-        payload = {f.name: getattr(defaults, f.name) for f in dataclasses.fields(network.TrainConfig)}
+        # Every TrainConfig field is a train config key, and the manifest records it as given.
+        payload = {f.name: f.default for f in dataclasses.fields(network.TrainConfig)}
         payload.update(epochs=1, betas=[0.5], hidden_dim=2)
         cfg_path, out_dir = tmp_path / "full.json", tmp_path / "out"
         cfg_path.write_text(json.dumps(payload))
@@ -844,7 +900,7 @@ class TestPredictInput:
         from covdensity.network import init_model, save_model
 
         model_path = tmp_path / "model.json"
-        save_model(model_path, init_model(dim=5, n_outputs=2, betas=[1.0], task="classification"), np.eye(5))
+        save_model(model_path, init_model(5, 2, network.TrainConfig(betas=(1.0,), task="classification")), np.eye(5))
         data_path = tmp_path / "rows.csv"
         data_path.write_text("\n".join(",".join(repr(float(v)) for v in row) for row in rng.standard_normal((6, 4))))
         code, out, err = run_cli(
@@ -858,7 +914,7 @@ class TestPredictInput:
     def test_non_finite_model_covariance_is_runtime_error(self, capsys, tmp_path, rng):
         from covdensity.network import init_model, model_to_dict
 
-        payload = model_to_dict(init_model(dim=3, n_outputs=2, betas=[1.0], task="classification"), np.eye(3))
+        payload = model_to_dict(init_model(3, 2, network.TrainConfig(betas=(1.0,), task="classification")), np.eye(3))
         payload["covariance"][1][1] = math.nan
         model_path = tmp_path / "model.json"
         model_path.write_text(json.dumps(payload))  # written as the token NaN, which json reads back
@@ -875,7 +931,7 @@ class TestPredictInput:
 
     def test_non_psd_model_covariance_is_named(self, capsys, tmp_path, rng):
         payload = network.model_to_dict(
-            network.init_model(dim=3, n_outputs=2, betas=[1.0], task="classification"), np.eye(3)
+            network.init_model(3, 2, network.TrainConfig(betas=(1.0,), task="classification")), np.eye(3)
         )
         payload["covariance"] = np.diag([1.0, -5.0, 0.5]).tolist()
         model_path, data_path, out_dir = tmp_path / "model.json", tmp_path / "rows.csv", tmp_path / "preds"
@@ -902,7 +958,7 @@ class TestPredictInput:
     def test_malformed_checkpoint_is_runtime_error(self, capsys, tmp_path, rng, corrupt, message):
         from covdensity.network import init_model, model_to_dict
 
-        payload = model_to_dict(init_model(dim=3, n_outputs=2, betas=[1.0], task="classification"), np.eye(3))
+        payload = model_to_dict(init_model(3, 2, network.TrainConfig(betas=(1.0,), task="classification")), np.eye(3))
         data_path = tmp_path / "rows.csv"
         data_path.write_text("\n".join(",".join(repr(float(v)) for v in row) for row in rng.standard_normal((4, 3))))
         model_path, out_dir = tmp_path / "model.json", tmp_path / "preds"
@@ -929,7 +985,7 @@ class TestPredictInput:
     ],
 )
 def test_checkpoint_of_the_wrong_json_kind_names_its_path(capsys, tmp_path, rng, corrupt, message):
-    payload = network.model_to_dict(network.init_model(dim=3, n_outputs=2, betas=[1.0]), np.eye(3))
+    payload = network.model_to_dict(network.init_model(3, 2, network.TrainConfig(betas=(1.0,))), np.eye(3))
     data_path, model_path, out_dir = tmp_path / "rows.csv", tmp_path / "model.json", tmp_path / "preds"
     data_path.write_text("\n".join(",".join(repr(float(v)) for v in row) for row in rng.standard_normal((4, 3))))
     model_path.write_text(json.dumps(corrupt(payload)))
@@ -957,7 +1013,7 @@ def _failing_run(name, tmp_path, rng):
         cfg_path.write_text(json.dumps({"hidden_dim": 0, "betas": [1.0]}))
         return ["train", "--input", str(data_path), "--config", str(cfg_path)]
     model_path = tmp_path / "model.json"
-    network.save_model(model_path, network.init_model(dim=5, n_outputs=1, betas=[1.0]), np.eye(5))
+    network.save_model(model_path, network.init_model(5, 1, network.TrainConfig(betas=(1.0,))), np.eye(5))
     return ["predict", "--input", str(data_path), "--model", str(model_path)]
 
 
@@ -1000,14 +1056,9 @@ class TestConfigRecipes:
 
     @staticmethod
     def _validate(path):
-        from covdensity.cli import _load_json_config, _TrainSettings
+        from covdensity.cli import _load_json_config
 
-        cfg = _TrainSettings(**_load_json_config(path, _TrainSettings, "train config"))
-        # The ranges of the optimizer's keys are checked where training takes them.
-        network.TrainConfig(
-            learning_rate=cfg.learning_rate, epochs=cfg.epochs, batch_size=cfg.batch_size, dropout=cfg.dropout
-        )
-        return cfg
+        return network.TrainConfig(**_load_json_config(path, network.TrainConfig, "train config"))
 
     def test_eeg_style_recipe_accepted(self, tmp_path):
         path = tmp_path / "eeg.json"

@@ -1,5 +1,7 @@
 import copy
+import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -67,16 +69,9 @@ def model_oracle(model, cov_matrix, x, mask=None):
     return model.head.w2 @ hidden + model.head.b2
 
 
-def small_model(rng, dim=4, n_out=2, betas=(0.5, -0.4, 2.0), **kwargs):
-    return init_model(
-        dim=dim,
-        n_outputs=n_out,
-        betas=betas,
-        order=kwargs.pop("order", 2),
-        hidden_dim=kwargs.pop("hidden_dim", 5),
-        seed=int(rng.integers(0, 2**31)),
-        **kwargs,
-    )
+def small_model(rng, dim=4, n_out=2, betas=(0.5, -0.4, 2.0), time_points=1, **kwargs):
+    cfg = TrainConfig(betas=betas, hidden_dim=kwargs.pop("hidden_dim", 5), seed=int(rng.integers(0, 2**31)), **kwargs)
+    return init_model(dim, n_out, cfg, time_points)
 
 
 def layer_output(params, c, x_in):
@@ -184,10 +179,8 @@ class TestModelForward:
     def test_matches_duplicate_oracle(self, rng, aggregation, time_points):
         dim = 4
         c = random_psd(rng, dim)
-        model = init_model(
-            dim=dim, n_outputs=2, betas=(0.3, -0.7, 5.0), order=2, hidden_dim=6,
-            aggregation=aggregation, time_points=time_points, seed=7,
-        )
+        cfg = TrainConfig(betas=(0.3, -0.7, 5.0), order=2, hidden_dim=6, aggregation=aggregation, seed=7)
+        model = init_model(dim, 2, cfg, time_points)
         x = rng.standard_normal((dim, time_points))
         got = forward_rows(model, c, [x])[0]
         want = model_oracle(model, c.matrix, x)
@@ -196,10 +189,7 @@ class TestModelForward:
     def test_two_layer_stack(self, rng):
         dim = 3
         c = random_psd(rng, dim)
-        model = init_model(
-            dim=dim, n_outputs=1, betas=(0.5, 1.5), order=1, hidden_dim=4,
-            num_layers=2, aggregation="concatenate", seed=3,
-        )
+        model = init_model(dim, 1, TrainConfig(betas=(0.5, 1.5), order=1, hidden_dim=4, num_layers=2, seed=3))
         x = rng.standard_normal(dim)
         got = forward_rows(model, c, [x])[0]
         want = model_oracle(model, c.matrix, x)
@@ -209,7 +199,7 @@ class TestModelForward:
     def test_forward_rows_match_single_rows_across_blocks(self, rng, time_points):
         dim = 4
         c = random_psd(rng, dim)
-        model = init_model(dim=dim, n_outputs=3, betas=(0.3, 2.0), hidden_dim=6, time_points=time_points, seed=5)
+        model = init_model(dim, 3, TrainConfig(betas=(0.3, 2.0), hidden_dim=6, seed=5), time_points)
         xs = rng.standard_normal((FORWARD_BLOCK + 3, dim, time_points))
         got = forward_rows(model, c, xs)
         want = np.stack([forward_rows(model, c, [x])[0] for x in xs])
@@ -346,11 +336,11 @@ class TestGradients:
     def test_two_layer_gradients_match_finite_differences(self, rng, aggregation):
         dim = 4
         c = random_psd(rng, dim)
-        model = init_model(
-            dim=dim, n_outputs=2, betas=(0.4, -0.6), order=2, hidden_dim=4,
-            num_layers=2, aggregation=aggregation, betas_learnable=True,
-            activation="tanh", seed=17,
+        cfg = TrainConfig(
+            betas=(0.4, -0.6), order=2, hidden_dim=4, num_layers=2, aggregation=aggregation,
+            betas_learnable=True, activation="tanh", seed=17,
         )
+        model = init_model(dim, 2, cfg)
         xs = [rng.standard_normal(dim) for _ in range(2)]
         ys = [rng.standard_normal(2) for _ in range(2)]
         _, grads = model_gradients(model, c, xs, ys, "mse")
@@ -399,11 +389,11 @@ class TestBatchedEngine:
     def test_matches_per_sample_oracle(self, rng, batch, aggregation, num_layers, time_points, loss, learnable):
         dim, n_out = 4, 3
         c = random_psd(rng, dim)
-        model = init_model(
-            dim=dim, n_outputs=n_out, betas=(0.4, -0.8, 2.5), order=2, hidden_dim=5,
-            num_layers=num_layers, aggregation=aggregation, betas_learnable=learnable,
-            time_points=time_points, seed=int(rng.integers(0, 2**31)),
+        cfg = TrainConfig(
+            betas=(0.4, -0.8, 2.5), order=2, hidden_dim=5, num_layers=num_layers, aggregation=aggregation,
+            betas_learnable=learnable, seed=int(rng.integers(0, 2**31)),
         )
+        model = init_model(dim, n_out, cfg, time_points)
         xs = rng.standard_normal((batch, dim, time_points))
         if loss == "cross_entropy":
             ys = [int(v) for v in rng.integers(0, n_out, batch)]
@@ -417,7 +407,7 @@ class TestBatchedEngine:
     def test_dropout_mask_is_the_sequential_per_sample_stream(self, rng):
         dim, hidden, batch, dropout = 4, 6, 9, 0.4
         c = random_psd(rng, dim)
-        model = init_model(dim=dim, n_outputs=2, betas=(0.5, 3.0), hidden_dim=hidden, seed=8)
+        model = init_model(dim, 2, TrainConfig(betas=(0.5, 3.0), hidden_dim=hidden, seed=8))
         xs = rng.standard_normal((batch, dim))
         ys = rng.standard_normal((batch, 2))
         batched_rng, loop_rng, draw_rng = (np.random.default_rng(99) for _ in range(3))
@@ -453,7 +443,7 @@ class TestTrain:
         before = copy.deepcopy(model)
         xs = [rng.standard_normal(3) for _ in range(8)]
         ys = [rng.standard_normal(1) for _ in range(8)]
-        cfg = TrainConfig(learning_rate=0.0, epochs=3, batch_size=4, seed=0)
+        cfg = TrainConfig(betas=(1.0,), learning_rate=0.0, epochs=3, batch_size=4, seed=0)
         result = train(model, c, (xs, ys), (xs, ys), cfg)
         np.testing.assert_array_equal(result.model.layers[0].coeffs, before.layers[0].coeffs)
         np.testing.assert_array_equal(result.model.head.w1, before.head.w1)
@@ -461,12 +451,12 @@ class TestTrain:
     def test_separable_toy_classification(self, rng):
         xs, ys = toy_two_class_problem(rng)
         cov = random_psd_from_features(xs)
-        model = init_model(
-            dim=4, n_outputs=2, betas=(0.1, 5.0), order=2, hidden_dim=8,
-            task="classification", seed=11,
+        cfg = TrainConfig(
+            betas=(0.1, 5.0), order=2, hidden_dim=8, task="classification", seed=11,
+            learning_rate=0.02, epochs=60, batch_size=32,
         )
-        cfg = TrainConfig(learning_rate=0.02, epochs=60, batch_size=32, seed=1, loss="cross_entropy")
-        result = train(model, cov, (xs, ys), (xs, ys), cfg)
+        model = init_model(4, 2, cfg)
+        result = train(model, cov, (xs, ys), (xs, ys), dataclasses.replace(cfg, seed=1))
         assert np.mean(np.argmax(forward_rows(result.model, cov, xs), axis=1) == ys) >= 0.95
         assert len(result.history["train_loss"]) == 60
 
@@ -475,32 +465,56 @@ class TestTrain:
         cov = random_psd_from_features(xs)
         histories = []
         for _ in range(2):
-            model = init_model(
-                dim=4, n_outputs=2, betas=(0.5,), hidden_dim=4, task="classification", seed=5
+            cfg = TrainConfig(
+                betas=(0.5,), hidden_dim=4, task="classification", seed=5, learning_rate=0.01, epochs=5, batch_size=16
             )
-            cfg = TrainConfig(learning_rate=0.01, epochs=5, batch_size=16, seed=9, loss="cross_entropy")
-            histories.append(train(model, cov, (xs, ys), (xs, ys), cfg).history)
+            model = init_model(4, 2, cfg)
+            histories.append(train(model, cov, (xs, ys), (xs, ys), dataclasses.replace(cfg, seed=9)).history)
         assert histories[0] == histories[1]
 
     def test_best_model_selected_by_validation(self, rng):
         xs, ys = toy_two_class_problem(rng, n=80)
         cov = random_psd_from_features(xs)
-        model = init_model(dim=4, n_outputs=2, betas=(1.0,), hidden_dim=4, task="classification", seed=2)
-        cfg = TrainConfig(learning_rate=0.05, epochs=10, batch_size=16, seed=3, loss="cross_entropy")
-        result = train(model, cov, (xs[:60], ys[:60]), (xs[60:], ys[60:]), cfg)
+        cfg = TrainConfig(
+            betas=(1.0,), hidden_dim=4, task="classification", seed=2, learning_rate=0.05, epochs=10, batch_size=16
+        )
+        model = init_model(4, 2, cfg)
+        result = train(model, cov, (xs[:60], ys[:60]), (xs[60:], ys[60:]), dataclasses.replace(cfg, seed=3))
         val_losses = result.history["val_loss"]
         assert result.best_epoch == int(np.argmin(val_losses))
 
-    @pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
     def test_divergence_aborts_with_flag(self, rng):
+        # Validation rows 1e152 times the training rows: through identity activations the validation
+        # loss grows about 100-fold an epoch as the weights grow, and overflows in epoch 5.
+        xs = rng.standard_normal((40, 4))
+        ys = 1e3 * (xs @ rng.standard_normal(4))[:, None]
+        cov = random_psd_from_features(list(xs))
+        cfg = TrainConfig(
+            betas=(0.5,), hidden_dim=4, activation="identity", head_activation="identity",
+            learning_rate=0.1, epochs=30, batch_size=8, seed=0,
+        )
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            result = train(init_model(4, 1, cfg), cov, (xs, ys), (1e152 * xs[:8], np.zeros((8, 1))), cfg)
+        assert caught == []
+        assert result.diverged
+        assert 1 <= len(result.history["val_loss"]) < cfg.epochs
+        assert all(math.isfinite(v) for v in result.history["val_loss"])
+        assert np.all(np.isfinite(result.model.head.w1))
+
+    def test_divergence_before_the_first_epoch_ends_raises_naming_the_stage(self, rng):
         xs, ys = toy_two_class_problem(rng, n=20)
         cov = random_psd_from_features(xs)
-        model = init_model(dim=4, n_outputs=1, betas=(0.5,), hidden_dim=4, seed=2)
         ys_reg = [np.array([float(y)]) for y in ys]
-        cfg = TrainConfig(learning_rate=1e200, epochs=6, batch_size=8, seed=0, loss="mse")
-        result = train(model, cov, (xs, ys_reg), (xs, ys_reg), cfg)
-        assert result.diverged
-        assert np.all(np.isfinite(result.model.head.w1))
+        cfg = TrainConfig(betas=(0.5,), hidden_dim=4, seed=2, learning_rate=1e200, epochs=6, batch_size=8)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(TrainingError) as info:
+                train(init_model(4, 1, cfg), cov, (xs, ys_reg), (xs, ys_reg), dataclasses.replace(cfg, seed=0))
+        assert caught == []
+        assert str(info.value) == (
+            "train epoch 1 of 6 diverged before any finite validation loss: non-finite batch loss inf"
+        )
 
     def test_learned_beta_parity_with_fixed_grid(self, rng):
         xs, ys = toy_two_class_problem(rng)
@@ -508,20 +522,16 @@ class TestTrain:
         split = 150
         train_set = (xs[:split], ys[:split])
         val_set = (xs[split:], ys[split:])
-        cfg = TrainConfig(learning_rate=0.02, epochs=60, batch_size=32, seed=4, loss="cross_entropy")
+        cfg = TrainConfig(betas=(0.0,), learning_rate=0.02, epochs=60, batch_size=32, seed=4, task="classification")
 
         fixed_accuracies = []
         for beta in (0.1, 5.0, 15.0):
-            model = init_model(
-                dim=4, n_outputs=2, betas=(beta,), order=2, hidden_dim=8,
-                task="classification", seed=11,
-            )
+            model = init_model(4, 2, TrainConfig(betas=(beta,), order=2, hidden_dim=8, task="classification", seed=11))
             result = train(model, cov, train_set, val_set, cfg)
             fixed_accuracies.append(np.mean(np.argmax(forward_rows(result.model, cov, val_set[0]), axis=1) == val_set[1]))
 
         learned = init_model(
-            dim=4, n_outputs=2, betas=(0.0, 0.0, 0.0), order=2, hidden_dim=8,
-            task="classification", betas_learnable=True, seed=11,
+            4, 2, TrainConfig(betas=(0.0, 0.0, 0.0), hidden_dim=8, task="classification", betas_learnable=True, seed=11)
         )
         learned_result = train(learned, cov, train_set, val_set, cfg)
         learned_acc = np.mean(np.argmax(forward_rows(learned_result.model, cov, val_set[0]), axis=1) == val_set[1])
@@ -615,4 +625,4 @@ class TestCheckpoint:
 
     def test_zero_tap_filter_bank_rejected(self):
         with pytest.raises(ShapeError, match="non-empty"):
-            init_model(dim=3, n_outputs=1, betas=[1.0], order=-1)
+            LayerParams(coeffs=np.zeros((1, 1, 0)), betas=[1.0])

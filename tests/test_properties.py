@@ -32,8 +32,9 @@ from covdensity.lab import RunTable, records_to_csv
 from covdensity.network import (
     ACTIVATIONS,
     AGGREGATIONS,
-    LOSSES,
+    TASK_LOSSES,
     LayerParams,
+    TrainConfig,
     _layer_channels,
     evaluate_loss,
     forward_rows,
@@ -202,11 +203,11 @@ KINK_MARGIN = 1e-3
 def network_case(draw):
     """A model, a covariance, a batch with its targets, and a loss."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    dim, time_points, loss = draw(st.integers(2, 5)), draw(st.integers(1, 2)), draw(st.sampled_from(LOSSES))
+    losses = sum(TASK_LOSSES.values(), ())
+    dim, time_points, loss = draw(st.integers(2, 5)), draw(st.integers(1, 2)), draw(st.sampled_from(losses))
     activation, head_activation = (draw(st.sampled_from(list(ACTIVATIONS))) for _ in range(2))
-    model = init_model(
-        dim=dim,
-        n_outputs=draw(st.integers(2 if loss == "cross_entropy" else 1, 3)),
+    n_outputs = draw(st.integers(2 if loss == "cross_entropy" else 1, 3))
+    cfg = TrainConfig(
         betas=draw(st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=3)),
         order=draw(st.integers(0, 3)),
         hidden_dim=draw(st.integers(1, 4)),
@@ -216,9 +217,9 @@ def network_case(draw):
         aggregation=draw(st.sampled_from(AGGREGATIONS)),
         betas_learnable=draw(st.booleans()),
         skip_k0=draw(st.booleans()),
-        time_points=time_points,
         seed=draw(st.integers(0, 2**31 - 1)),
     )
+    model = init_model(dim, n_outputs, cfg, time_points)
     c = random_psd(rng, dim)
     batch = draw(st.integers(1, 3))
     xs = rng.standard_normal((batch, dim, time_points))
