@@ -17,7 +17,7 @@ from .covariance import (
 )
 from .density import DensityOperator, density_operator, f_factor
 from .entropy import EntropyReport, cvne, naive_entropy
-from .filtering import FilterSpec, filter_apply, frequency_response, lipschitz_alpha
+from .filtering import FilterSpec, filter_apply, lipschitz_alpha
 from .spectral import SpectralDecomposition, eigh
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -88,7 +88,7 @@ def fit_beta(
     (min lambda, max lambda) cannot be matched by any finite beta.
 
     Raises:
-        ValueError: ``tol`` is negative or not finite.
+        ValueError: ``tol`` is negative or not finite, or |f'| is still above it after the step budget.
         InfeasibleTargetError: target mean at or beyond the spectral hull.
     """
     lam, p = _validate(spectrum, target_p)
@@ -133,6 +133,10 @@ def fit_beta(
         newton = beta - g / curvature if curvature > 0.0 and math.isfinite(curvature) else math.nan
         beta = newton if lo < newton < hi else 0.5 * (lo + hi)  # bisect where the Newton step leaves the bracket
         f, g, curvature = _moments(lam, target_mean, beta)
+    if not abs(g) <= tol:
+        raise ValueError(
+            f"fit_beta did not converge: |f'(beta)| = {abs(g):.3g} > tol = {tol:.3g} after {_MAX_ITER} steps"
+        )
 
     return BetaFitResult(float(beta), f, g, curvature, iterations=iterations, degenerate=False)
 

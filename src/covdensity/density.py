@@ -63,10 +63,6 @@ class DensityOperator:
     def source_spectrum(self) -> np.ndarray:
         return self.basis.eigenvalues
 
-    def matrix(self) -> np.ndarray:
-        """Dense rho (rarely needed; most callers stay spectral)."""
-        return spectral.spectral_matrix(self.basis, self.density_eigenvalues)
-
 
 def _as_decomposition(c) -> spectral.SpectralDecomposition:
     """Return ``c`` if it is already a SpectralDecomposition, else eigendecompose it."""

@@ -1,13 +1,17 @@
 """Polynomial filters on density operators and their stability diagnostics.
 
 A filter with coefficients h_0..h_K applied to a density operator rho acts as
-sum_k h_k rho^k x, computed in the eigenbasis.  Its frequency response at a
-source eigenvalue lambda is sum_k h_k exp(-beta lambda k) / Z^k, which changes
-by at most alpha = sum_k |h_k| |beta k| per unit eigenvalue change; that
-constant is what lets beta trade discriminability against stability.
+sum_k h_k rho^k x, computed in the eigenbasis.  Its response at a source
+eigenvalue lambda is the polynomial at rho = exp(-beta lambda) / Z, which
+changes by at most alpha = sum_k |h_k| |beta k| per unit eigenvalue change;
+that constant is what lets beta trade discriminability against stability.
 
-Note the response depends on the partition function Z of the whole operating
-spectrum, not on lambda alone, so :func:`frequency_response` takes that spectrum's ln Z.
+The response depends on the partition function Z of the whole operating
+spectrum, not on lambda alone, so it is evaluated at density eigenvalues, which
+``density.density_values`` forms in the log domain.  Every evaluation of the
+polynomial reads one power ladder, :func:`_powers`: :func:`polynomial_response`
+(and through it :func:`filter_apply`, the ``lipschitz`` and ``surrogate``
+experiments) and the network's filter-bank layers, forward and backward.
 """
 
 from __future__ import annotations
@@ -54,15 +58,19 @@ class FilterSpec:
         return 1 if self.skip_k0 else 0
 
 
+def _powers(r: np.ndarray, order: int) -> np.ndarray:
+    """r**k for k = 0..order by repeated products, on a new second-to-last axis: (..., order + 1, m) for r (..., m)."""
+    powers = np.ones((*r.shape[:-1], order + 1, r.shape[-1]))
+    for k in range(1, order + 1):
+        powers[..., k, :] = powers[..., k - 1, :] * r
+    return powers
+
+
 def polynomial_response(f: FilterSpec, rho_values) -> np.ndarray:
-    """Evaluate sum_k h_k r^k elementwise over density eigenvalues r."""
+    """Evaluate sum_k h_k r^k elementwise over density eigenvalues r, summed in order of k."""
     r = np.asarray(rho_values, dtype=float)
-    out = np.zeros_like(r)
-    power = np.ones_like(r) if f.k_start == 0 else r.copy()
-    for k in range(f.k_start, f.order + 1):
-        out += f.coeffs[k] * power
-        power = power * r
-    return out
+    terms = f.coeffs[f.k_start :, None] * _powers(np.atleast_1d(r), f.order)[..., f.k_start :, :]
+    return terms.sum(axis=-2).reshape(r.shape)
 
 
 def filter_apply(f: FilterSpec, rho: DensityOperator, x) -> np.ndarray:
@@ -73,18 +81,6 @@ def filter_apply(f: FilterSpec, rho: DensityOperator, x) -> np.ndarray:
     response = polynomial_response(f, rho.density_eigenvalues)
     v = rho.basis.eigenvectors
     return v @ (response * (v.T @ x))
-
-
-def frequency_response(f: FilterSpec, lam: float, log_z: float) -> float:
-    """Scalar response at eigenvalue lam given ln Z of the operating spectrum.
-
-    Computed as sum_k h_k exp(-beta lam k - k ln Z), which stays in range even
-    when Z^k would overflow.
-    """
-    total = 0.0
-    for k in range(f.k_start, f.order + 1):
-        total += f.coeffs[k] * math.exp(-f.beta * lam * k - k * log_z)
-    return total
 
 
 def lipschitz_alpha(f: FilterSpec) -> float:

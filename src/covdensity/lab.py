@@ -255,7 +255,7 @@ def run_lipschitz(cfg: ExperimentConfig) -> RunTable:
     """Empirical check of |response difference| <= alpha |eigenvalue difference|.
 
     Each trial draws an eigenvalue pair and a random filter, evaluates both
-    responses with a shared partition function from the two-point spectrum, and
+    responses at the density eigenvalues of the two-point spectrum, and
     records the ratio against the Lipschitz constant; near-identical pairs and
     zero-alpha filters are skipped (0/0).
     """
@@ -281,8 +281,8 @@ def run_lipschitz(cfg: ExperimentConfig) -> RunTable:
         gap = abs(lam2 - lam1)
         if gap < 1e-12 or alpha == 0.0:
             continue
-        log_z = float(density.density_values(np.sort([lam1, lam2]), (beta,))[1][0])
-        diff = abs(filtering.frequency_response(spec, lam2, log_z) - filtering.frequency_response(spec, lam1, log_z))
+        r = filtering.polynomial_response(spec, density.density_values([lam1, lam2], (beta,))[0][0])
+        diff = abs(float(r[1] - r[0]))
         trials.append(t)
         rows.append((lam1, lam2, beta, alpha, diff, diff / (alpha * gap)))
     metrics = _columns(("lambda1", "lambda2", "beta", "alpha", "response_diff", "ratio"), rows)
@@ -313,6 +313,10 @@ def run_surrogate(cfg: ExperimentConfig) -> RunTable:
 
     Each (trial, n) draws its graph, then white noise w; the data would be x = g(L) w, but its sample covariance
     is formed as g(L) S_w g(L)^T, never the data.  Per trial, one stacked ``eigh`` decomposes them all.
+
+    A row is flagged degenerate, with no alignment, where the matching is ill-defined: at population eigenvalue
+    ties (see :func:`matched_alignment`), and at n <= dim, where the centred sample covariance has rank at most
+    n - 1 and rounding alone picks the eigenvectors of its null space.
     """
     grid = cfg.sample_grid or (100, 2000, 20000)
 
@@ -333,6 +337,7 @@ def run_surrogate(cfg: ExperimentConfig) -> RunTable:
         lam, v = spectral._eigh(np.stack([laplacians, covs]))
         covariance._check_psd(lam[1])
         alignment, degenerate = matched_alignment(lam[0], v[0], v[1], cfg.filter_coeffs)
+        degenerate |= np.array(grid) <= cfg.dim
         rows += [(float(d), None if d else a) for a, d in zip(alignment.tolist(), degenerate.tolist())]
     params = _columns(("trial", "n_samples"), itertools.product(range(cfg.trials), grid))
     return RunTable("surrogate", cfg.seed, params, _columns(("degenerate", "alignment"), rows))

@@ -14,9 +14,12 @@ Batch layout: every pass carries a batch axis.  A layer's input is an array
 of shape (B, f_in, m, T) -- B samples, f_in channels, m covariance
 eigen-directions, T time points -- and its output is (B, f_out, m, T).  The
 density eigenvalues rho and the filter responses depend only on the
-parameters, so each layer computes them once per call; the basis changes are
-the broadcast matmuls v.T @ x and v @ y; the head works on the flattened
-(B, C * m * T) features.  Every forward pass, training or not, runs this one
+parameters, so each layer computes them once per call.  The responses contract
+the taps with the power ladder rho^k of ``filtering._powers``, the one that
+``filtering.polynomial_response`` evaluates every other filter with, and the
+backward pass reads that ladder for the tap and beta gradients.  The basis
+changes are the broadcast matmuls v.T @ x and v @ y; the head works on the
+flattened (B, C * m * T) features.  Every forward pass, training or not, runs this one
 kernel, and the backward pass reduces over B.
 
 Block forward: forward-only calls over many rows (``forward_rows``, and
@@ -49,6 +52,7 @@ import numpy as np
 from .covariance import CovarianceMatrix, as_matrix
 from .density import _as_decomposition, density_values
 from .errors import ConfigError, ShapeError, TrainingError, _check_fields
+from .filtering import _powers
 
 AGGREGATIONS = ("concatenate", "sum", "mean")
 TASK_LOSSES = {"regression": ("mse", "mae"), "classification": ("cross_entropy",)}  # the first is the default
@@ -257,14 +261,6 @@ class TrainConfig:
         return self.loss or TASK_LOSSES[self.task][0]
 
 
-def _tap_powers(rho: np.ndarray, order: int) -> np.ndarray:
-    """rho**k for k = 0..order, shape (f_out, order + 1, m), by repeated products."""
-    powers = np.ones((rho.shape[0], order + 1, rho.shape[1]))
-    for k in range(1, order + 1):
-        powers[:, k] = powers[:, k - 1] * rho
-    return powers
-
-
 def _aggregate(mode: str, channels: np.ndarray) -> np.ndarray:
     """Fold per-scale outputs (B, f_out, m, T): concatenate keeps them, sum/mean leave one channel."""
     if mode == "concatenate":
@@ -300,7 +296,7 @@ def _layer_channels(p: LayerParams, v: np.ndarray, rho: np.ndarray, x: np.ndarra
     ``v`` is the covariance eigenbasis and ``rho`` the (f_out, m) density
     eigenvalues.  Returns the outputs and the layer's tape for backprop.
     """
-    powers = _tap_powers(rho, p.order)
+    powers = _powers(rho, p.order)
     k0 = p.k_start
     response = np.einsum("ogk,oki->ogi", p.coeffs[:, :, k0:], powers[:, k0:])
     x_hat = v.T @ x
@@ -474,7 +470,11 @@ class _Adam:
             m *= b1
             m += (1 - b1) * g
             v *= b2
-            v += (1 - b2) * g * g
+            with np.errstate(over="ignore"):  # an overflow leaves an inf, checked next
+                v += (1 - b2) * g * g
+            if not np.all(np.isfinite(v)):
+                largest = np.max(np.abs(g))
+                raise TrainingError(f"Adam's second moment overflows a double (largest |gradient| {largest:.3g})")
             m_hat = m / (1 - b1**self.t)
             v_hat = v / (1 - b2**self.t)
             p -= self.lr * m_hat / (np.sqrt(v_hat) + _ADAM_EPS)

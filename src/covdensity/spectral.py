@@ -97,17 +97,6 @@ def _fix_signs(vectors: np.ndarray) -> np.ndarray:
     return vectors * np.where(leading < 0, -1.0, 1.0)
 
 
-def spectral_matrix(decomp: SpectralDecomposition, values) -> np.ndarray:
-    """Assemble V diag(values) V^T for per-eigenvalue scalars on the last axis of ``values``.
-
-    Leading axes of ``values`` stack several value vectors and give a stack of matrices.
-    """
-    values = np.asarray(values, dtype=float)
-    if values.ndim == 0 or values.shape[-1] != decomp.dim:
-        raise ShapeError(f"expected {decomp.dim} spectral values, got shape {values.shape}")
-    return _spectral_matrix(decomp.eigenvectors, values)
-
-
 def _spectral_matrix(v: np.ndarray, values: np.ndarray) -> np.ndarray:
     """V diag(values) V^T for a stack of bases ``v`` (..., m, m) broadcast against ``values`` (..., m)."""
     return (v * values[..., None, :]) @ np.swapaxes(v, -1, -2)

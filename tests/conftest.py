@@ -4,13 +4,29 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from covdensity import betafit, covariance
+from covdensity import betafit, covariance, spectral
 from covdensity.covariance import CovarianceMatrix, DataMatrix, as_matrix, sample_covariance, shift_regularize
 from covdensity.density import density_operator
 from covdensity.entropy import cvne, naive_entropy
 from covdensity.filtering import filter_apply
 from covdensity.lab import ExperimentConfig, _stability_responses, run_discrimination
 from covdensity.spectral import SpectralDecomposition
+
+
+def spectral_matrix(decomp, values):
+    """V diag(values) V^T over ``decomp``'s basis for values on the last axis; stacked values give stacked matrices."""
+    return spectral._spectral_matrix(decomp.eigenvectors, np.asarray(values, dtype=float))
+
+
+def dense_rho(rho):
+    """The dense matrix of a DensityOperator, V diag(density eigenvalues) V^T."""
+    return spectral_matrix(rho.basis, rho.density_eigenvalues)
+
+
+def log_domain_response(spec, lam, log_z):
+    """Oracle: the filter's response at source eigenvalue ``lam`` given ln Z of the operating spectrum,
+    sum_k h_k exp(-beta lam k - k ln Z), which stays in range where Z^k would overflow."""
+    return sum(spec.coeffs[k] * math.exp(-spec.beta * lam * k - k * log_z) for k in range(spec.k_start, spec.order + 1))
 
 
 def random_psd(rng, dim, n_factor=5) -> CovarianceMatrix:

@@ -13,6 +13,7 @@ import numpy as np
 
 from conftest import (
     bound_and_ratio,
+    dense_rho,
     discrimination_scores,
     moment_derivatives,
     permutation_residual,
@@ -149,7 +150,7 @@ def test_criterion_05_density_error_bound():
             continue
         checked += 1
         actual = np.linalg.norm(
-            density_operator(cov.matrix + dc, beta).matrix() - density_operator(cov, beta).matrix(), 2
+            dense_rho(density_operator(cov.matrix + dc, beta)) - dense_rho(density_operator(cov, beta)), 2
         )
         dominated += bound >= actual
     assert checked > 0

@@ -414,26 +414,27 @@ class TestExperimentCommands:
         assert [str(w.message) for w in caught] == []
         assert not out_dir.exists()
 
-    def test_betafit_demo_past_the_variance_range_writes_finite_cells_without_warnings(self, capsys, tmp_path):
-        # Noise of norm 1e300 spreads the spectrum past sqrt(DBL_MAX), where (lambda - mean)^2 overflows.
+    @pytest.mark.parametrize("noise,gradient", [("1e100", "2.43e+83"), ("1e300", "5.74e+299")])
+    def test_betafit_demo_unconverged_fit_exits_2_without_warnings(self, capsys, tmp_path, noise, gradient):
+        # At such scales rounding keeps |f'(beta)| far above tol; at 1e300 the spectrum also spreads past
+        # sqrt(DBL_MAX), where (lambda - mean)^2 overflows.
         out_dir = tmp_path / "out"
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             code, out, err = run_cli(
-                capsys, "betafit-demo", "--dim", "5", "--trials", "2", "--noise-levels", "1e300",
+                capsys, "betafit-demo", "--dim", "5", "--trials", "2", "--noise-levels", noise,
                 "--output-dir", str(out_dir),
             )
-        assert (code, out, err) == (0, "records=2\n", "")
+        message = f"fit_beta did not converge: |f'(beta)| = {gradient} > tol = 1e-10 after 100 steps"
+        assert (code, out, err) == (2, "", f"error: {message}\n")
         assert [str(w.message) for w in caught] == []
-        with open(out_dir / "results.csv", newline="") as fh:
-            header, *rows = csv.reader(fh)
-        cells = [float(cell) for row in rows for name, cell in zip(header, row) if name.startswith("m:")]
-        assert len(rows) == 2 and all(map(math.isfinite, cells))
+        assert not out_dir.exists()
 
     @pytest.mark.parametrize(
         "subcommand,message",
         [
-            ("betafit-demo", "beta * lambda overflows a double at beta = 4.9721, ||C|| = 1e+308"),
+            # betafit-demo stops at its fit, before its alternative betas meet the range error.
+            ("betafit-demo", "fit_beta did not converge: |f'(beta)| = 5.74e+307 > tol = 1e-10 after 100 steps"),
             ("stability", "beta * lambda overflows a double at beta = 5, ||C|| = 1e+308"),
         ],
     )
@@ -456,7 +457,7 @@ class TestExperimentCommands:
         "spectrum,message",
         [
             ("-1e308,0,1e308", "target mean 1e+308 lies outside the open spectral hull (-1e+308, 1e+308)"),
-            ("0,1e300,2e300", "metric 'curvature_at_solution' is not finite: nan"),
+            ("0,1e300,2e300", "fit_beta did not converge: |f'(beta)| = 3.33e+299 > tol = 1e-10 after 100 steps"),
         ],
     )
     def test_fit_beta_past_the_spread_range_prints_only_the_error(self, capsys, tmp_path, spectrum, message):
@@ -878,6 +879,29 @@ class TestTrainPredict:
             )
         message = "train epoch 1 of 2 diverged before any finite validation loss: non-finite batch loss inf"
         assert (code, out, err) == (2, "", f"error: {message}\n")
+        assert [str(w.message) for w in caught] == []
+        assert not out_dir.exists()
+
+    def test_adam_second_moment_overflow_exits_2_naming_the_stage(self, capsys, tmp_path):
+        # At learning rate 1e40 the gradients pass 1.3e154 in the first epoch, where their squares overflow.
+        rng = np.random.default_rng(0)
+        x = rng.standard_normal((120, 5))
+        csv_path, cfg_path, out_dir = tmp_path / "train.csv", tmp_path / "cfg.json", tmp_path / "out"
+        rows = np.c_[x, x @ rng.standard_normal(5)].tolist()
+        csv_path.write_text("".join(",".join(map(repr, row)) + "\n" for row in rows))
+        cfg_path.write_text(json.dumps({
+            "epochs": 30, "betas": [0.5], "learning_rate": 1e40, "hidden_dim": 4,
+            "activation": "identity", "head_activation": "identity",
+        }))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run_cli(
+                capsys, "train", "--input", str(csv_path), "--config", str(cfg_path), "--output-dir", str(out_dir)
+            )
+        stage = "train epoch 1 of 30 diverged before any finite validation loss"
+        assert (code, out) == (2, "")
+        message = rf"{stage}: Adam's second moment overflows a double \(largest \|gradient\| \S+\)"
+        assert re.fullmatch(rf"error: {message}\n", err)
         assert [str(w.message) for w in caught] == []
         assert not out_dir.exists()
 

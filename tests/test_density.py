@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from conftest import bound_and_ratio, random_low_rank, random_psd
+from conftest import bound_and_ratio, dense_rho, random_low_rank, random_psd
 from covdensity.covariance import CovarianceMatrix, shift_regularize
 from covdensity.density import density_operator, density_values, f_factor
 from covdensity.entropy import cvne
@@ -165,7 +165,7 @@ class TestErrorBound:
         c = random_psd(rng, 4)
         dc = 0.1 * np.eye(4)
         assert bound_and_ratio(c, dc, 0.0)[0] == 0.0
-        delta = density_operator(c.matrix + dc, 0.0).matrix() - density_operator(c, 0.0).matrix()
+        delta = dense_rho(density_operator(c.matrix + dc, 0.0)) - dense_rho(density_operator(c, 0.0))
         assert np.linalg.norm(delta, 2) <= 1e-14
 
     def test_dominates_measured_error_for_positive_beta(self, rng):
@@ -181,7 +181,7 @@ class TestErrorBound:
                 continue
             checked += 1
             actual = np.linalg.norm(
-                density_operator(c.matrix + dc, beta).matrix() - density_operator(c, beta).matrix(), 2
+                dense_rho(density_operator(c.matrix + dc, beta)) - dense_rho(density_operator(c, beta)), 2
             )
             assert bound >= actual
         assert checked > 50

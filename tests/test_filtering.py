@@ -4,10 +4,10 @@ import math
 import numpy as np
 import pytest
 
-from conftest import permutation_residual, random_low_rank, random_psd
+from conftest import dense_rho, log_domain_response, permutation_residual, random_low_rank, random_psd
 from covdensity.density import density_operator
 from covdensity.errors import ShapeError
-from covdensity.filtering import FilterSpec, filter_apply, frequency_response, lipschitz_alpha
+from covdensity.filtering import FilterSpec, filter_apply, lipschitz_alpha, polynomial_response
 
 
 def dense_polynomial_apply(spec, rho_dense, x):
@@ -34,7 +34,7 @@ class TestFilterApply:
         rho = density_operator(c, 0.7)
         x = rng.standard_normal(4)
         spec = FilterSpec(coeffs=[0.0, 1.0], beta=0.7)
-        np.testing.assert_allclose(filter_apply(spec, rho, x), rho.matrix() @ x, rtol=1e-10, atol=1e-12)
+        np.testing.assert_allclose(filter_apply(spec, rho, x), dense_rho(rho) @ x, rtol=1e-10, atol=1e-12)
 
     def test_matches_dense_polynomial(self, rng):
         for _ in range(30):
@@ -46,7 +46,7 @@ class TestFilterApply:
             spec = FilterSpec(coeffs=rng.standard_normal(order + 1), beta=beta)
             x = rng.standard_normal(dim)
             got = filter_apply(spec, rho, x)
-            want = dense_polynomial_apply(spec, rho.matrix(), x)
+            want = dense_polynomial_apply(spec, dense_rho(rho), x)
             np.testing.assert_allclose(got, want, rtol=1e-9, atol=1e-11)
 
     def test_skip_k0_drops_identity_term(self, rng):
@@ -54,7 +54,7 @@ class TestFilterApply:
         rho = density_operator(c, 1.0)
         x = rng.standard_normal(3)
         spec = FilterSpec(coeffs=[5.0, 1.0], beta=1.0, skip_k0=True)
-        np.testing.assert_allclose(filter_apply(spec, rho, x), rho.matrix() @ x, rtol=1e-10, atol=1e-12)
+        np.testing.assert_allclose(filter_apply(spec, rho, x), dense_rho(rho) @ x, rtol=1e-10, atol=1e-12)
 
     def test_beta_zero_collapse_to_scalar_multiple(self, rng):
         dim = 5
@@ -72,44 +72,49 @@ class TestFilterApply:
             filter_apply(FilterSpec(coeffs=[1.0], beta=1.0), rho, np.ones(4))
 
 
-class TestFrequencyResponse:
-    def test_unit_density_eigenvalue(self):
-        beta, lam = 1.0, 0.7
-        spec = FilterSpec(coeffs=[0.0, 1.0], beta=beta)
-        assert frequency_response(spec, lam, -beta * lam) == pytest.approx(1.0, rel=1e-12)
+class TestResponseAtDensityEigenvalues:
+    # The response at a source eigenvalue lambda_i is the polynomial at rho_i = exp(-beta lambda_i) / Z.
+    def test_unit_density_eigenvalue(self, rng):
+        rho = density_operator(random_psd(rng, 4), 0.7)
+        spec = FilterSpec(coeffs=[0.0, 1.0], beta=0.7)
+        np.testing.assert_array_equal(polynomial_response(spec, rho.density_eigenvalues), rho.density_eigenvalues)
 
     def test_beta_zero_uniform(self):
         spec = FilterSpec(coeffs=[0.4, 2.0], beta=0.0)
         m = 6
-        for lam in (0.0, 1.0, 17.5):
-            assert frequency_response(spec, lam, math.log(m)) == pytest.approx(0.4 + 2.0 / m, rel=1e-12)
+        rho = density_operator(np.diag([0.0, 1.0, 17.5, 3.0, 3.0, 9.0]), 0.0)
+        np.testing.assert_allclose(polynomial_response(spec, rho.density_eigenvalues), 0.4 + 2.0 / m, rtol=1e-12)
 
     def test_matches_density_eigenvalue_anchor(self):
-        log_z = density_operator(np.diag([2.0, 0.0, 0.0]), 1.0).log_partition
+        rho = density_operator(np.diag([2.0, 0.0, 0.0]), 1.0)
         spec = FilterSpec(coeffs=[0.0, 1.0], beta=1.0)
-        got = frequency_response(spec, 2.0, log_z)
+        got = polynomial_response(spec, rho.density_eigenvalues)[-1]  # source eigenvalues ascend: lambda = 2 is last
         assert got == pytest.approx(math.exp(-2.0) / (2.0 + math.exp(-2.0)), rel=1e-12)
 
-    def test_consistent_with_filter_apply(self, rng):
-        c = random_psd(rng, 5)
-        beta = 1.1
-        rho = density_operator(c, beta)
-        spec = FilterSpec(coeffs=rng.standard_normal(4), beta=beta)
+    def test_consistent_with_log_domain_formula(self, rng):
+        rho = density_operator(random_psd(rng, 5), 1.1)
+        spec = FilterSpec(coeffs=rng.standard_normal(4), beta=1.1)
+        want = np.array([log_domain_response(spec, lam, rho.log_partition) for lam in rho.source_spectrum])
+        np.testing.assert_allclose(polynomial_response(spec, rho.density_eigenvalues), want, rtol=1e-9, atol=1e-12)
         x = rng.standard_normal(5)
-        responses = np.array(
-            [frequency_response(spec, lam, rho.log_partition) for lam in rho.source_spectrum]
-        )
         v = rho.basis.eigenvectors
-        want = v @ (responses * (v.T @ x))
-        np.testing.assert_allclose(filter_apply(spec, rho, x), want, rtol=1e-9, atol=1e-12)
+        np.testing.assert_allclose(filter_apply(spec, rho, x), v @ (want * (v.T @ x)), rtol=1e-9, atol=1e-12)
 
     def test_defined_where_z_overflows(self):
-        # Z = e^800 + 1 is past the largest double; the log-domain response is the top density eigenvalue, 1.
+        # Z = e^800 + 1 is past the largest double; the density eigenvalues are 0 and 1, and so is the response.
         rho = density_operator(np.diag([800.0, 0.0]), -1.0)
         assert rho.log_partition == pytest.approx(800.0, rel=1e-15)
         spec = FilterSpec(coeffs=[0.0, 1.0], beta=-1.0)
-        assert frequency_response(spec, 800.0, rho.log_partition) == pytest.approx(1.0, rel=1e-12)
-        assert frequency_response(spec, 0.0, rho.log_partition) == 0.0
+        np.testing.assert_array_equal(polynomial_response(spec, rho.density_eigenvalues), [0.0, 1.0])
+
+    @pytest.mark.parametrize("shape", [(), (3,), (2, 3), (2, 1, 4)])
+    def test_elementwise_over_any_shape(self, rng, shape):
+        spec = FilterSpec(coeffs=rng.standard_normal(4), beta=0.3, skip_k0=True)
+        r = rng.uniform(0.0, 1.0, shape)
+        got = polynomial_response(spec, r)
+        assert got.shape == shape
+        want = np.vectorize(lambda x: sum(spec.coeffs[k] * x**k for k in range(1, 4)))(r)
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-15)
 
 
 class TestLipschitzConstants:
@@ -134,8 +139,8 @@ class TestLipschitzConstants:
                 continue
             order = int(rng.integers(1, 6))
             spec = FilterSpec(coeffs=rng.standard_normal(order + 1), beta=float(rng.uniform(-3, 3)))
-            log_z = density_operator(np.diag([lam1, lam2]), spec.beta).log_partition
-            diff = abs(frequency_response(spec, lam2, log_z) - frequency_response(spec, lam1, log_z))
+            r = polynomial_response(spec, density_operator(np.diag([lam1, lam2]), spec.beta).density_eigenvalues)
+            diff = abs(r[1] - r[0])
             assert diff <= lipschitz_alpha(spec) * abs(lam2 - lam1) + 1e-12
 
 

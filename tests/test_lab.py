@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import count_linalg_calls, gen_graph_stationary, table_rows, window_by_window
+from conftest import count_linalg_calls, dense_rho, gen_graph_stationary, spectral_matrix, table_rows, window_by_window
 from covdensity import covariance, density, entropy, filtering, spectral
 from covdensity.covariance import (
     DataMatrix,
@@ -271,10 +271,12 @@ class TestLipschitz:
             rng.uniform(size=2)
             order = int(rng.integers(1, cfg.max_filter_order + 1))
             spec = filtering.FilterSpec(coeffs=rng.standard_normal(order + 1), beta=beta)
-            log_z = math.log(density.density_operator(np.diag([lam1, lam2]), beta).partition_function)
-            diff = abs(filtering.frequency_response(spec, lam2, log_z) - filtering.frequency_response(spec, lam1, log_z))
-            # run_lipschitz uses ln Z directly; this path round-trips it through Z,
-            # so only roundoff may differ.
+            response = filtering.polynomial_response(
+                spec, density.density_operator(np.diag([lam1, lam2]), beta).density_eigenvalues
+            )
+            diff = abs(response[1] - response[0])
+            # run_lipschitz maps the unsorted pair with density_values; this path eigendecomposes
+            # diag(lam1, lam2) first, so only roundoff may differ.
             assert r.metrics["response_diff"] == pytest.approx(diff, rel=1e-12, abs=1e-300)
 
 
@@ -304,6 +306,18 @@ class TestSurrogate:
         records = table_rows(run_surrogate(cfg))
         assert all(r.metrics["degenerate"] == 1.0 for r in records)
         assert all("alignment" not in r.metrics for r in records)
+
+    def test_rank_deficient_sample_covariance_is_degenerate(self):
+        # At n <= dim the centred sample covariance has rank at most n - 1 < dim, so rounding alone
+        # picks its null-space eigenvectors; those rows are flagged and carry no alignment.
+        cfg = ExperimentConfig(experiment="surrogate", dim=8, trials=4, seed=0, sample_grid=(5, 8, 9, 100))
+        rows = table_rows(run_surrogate(cfg))
+        assert [r.metrics for r in rows if r.params["n_samples"] <= 8] == [{"degenerate": 1.0}] * 8
+        full_rank = ExperimentConfig(experiment="surrogate", dim=8, trials=4, seed=0, sample_grid=(9, 100))
+        assert [r.metrics for r in rows if r.params["n_samples"] > 8] == [
+            r.metrics for r in table_rows(run_surrogate(full_rank))
+        ]
+        assert all("alignment" in r.metrics for r in rows if r.params["n_samples"] == 100)
 
 
 @pytest.fixture(scope="module")
@@ -395,7 +409,7 @@ def stability_oracle(cfg):
                     ({"trial": t, "noise": eps, "method": "density", "beta": beta},
                      {
                          "delta_c_norm": norms[2],
-                         "delta_rho_norm": np.linalg.norm(rho_pert.matrix() - rho_base.matrix(), 2),
+                         "delta_rho_norm": np.linalg.norm(dense_rho(rho_pert) - dense_rho(rho_base), 2),
                          "bound_value": density._error_bound(beta, cfg.dim, *norms, ratio),
                          "r_ratio": ratio,
                      })
@@ -413,7 +427,7 @@ def per_noise_level_stability(cfg):
         reg = shift_regularize(cov)
         base = spectral.eigh(reg.matrix)
         values_base, log_z_base = density.density_values(base.eigenvalues, cfg.betas)
-        rho_base = spectral.spectral_matrix(base, values_base)
+        rho_base = spectral_matrix(base, values_base)
         norm_base = density._norm(base.eigenvalues)
         tn_base = cov.matrix / np.trace(cov.matrix)
         for eps in cfg.noise_levels:
@@ -425,7 +439,7 @@ def per_noise_level_stability(cfg):
             rho_pert, log_z_pert = density.density_values(pert.eigenvalues, cfg.betas)
             norm_pert = density._norm(pert.eigenvalues)
             deltas = [dc, perturbed / np.trace(perturbed) - tn_base]
-            deltas.extend(spectral.spectral_matrix(pert, rho_pert) - rho_base)
+            deltas.extend(spectral_matrix(pert, rho_pert) - rho_base)
             norm_dc, norm_tn, *norm_rho = density._norm(np.linalg.eigvalsh(deltas))
             yield (
                 {"trial": t, "noise": eps, "method": "trace_normalized"},
@@ -472,7 +486,8 @@ def per_item_surrogate(cfg):
             dl, dc = spectral.eigh(laplacian), spectral.eigh(sample_covariance(data).matrix)
             scores = filtering.polynomial_response(spec, dl.eigenvalues) ** 2
             order = np.argsort(scores, kind="stable")
-            degenerate = bool(np.any(np.diff(scores[order]) < 1e-9 * max(1.0, float(np.max(np.abs(scores))))))
+            tie = np.any(np.diff(scores[order]) < 1e-9 * max(1.0, float(np.max(np.abs(scores)))))
+            degenerate = n <= cfg.dim or bool(tie)  # a rank-deficient sample covariance or a population tie
             alignment = float(np.mean(np.abs(np.sum(dl.eigenvectors[:, order] * dc.eigenvectors, axis=0))))
             lam = dc.eigenvalues
             norm_dc = cfg.dim * (n + 2 * cfg.dim) * eps * (scores.max() / scores.min()) * lam[-1]
@@ -509,7 +524,7 @@ def reference_regression(cfg):
                 transforms = {"raw_covariance": cov_tn.matrix}
                 for beta in betas:
                     rho, log_z = density.density_values(decomp.eigenvalues, (beta,))
-                    shifted = spectral.spectral_matrix(decomp, rho[0] - math.exp(-log_z[0]))
+                    shifted = spectral_matrix(decomp, rho[0] - math.exp(-log_z[0]))
                     transforms[f"density_beta_{beta:g}"] = shifted
                 for name, transform in transforms.items():
                     z_train, z_test = x_train @ transform, x_test @ transform
@@ -575,6 +590,8 @@ class TestStackedStages:
                 filter_coeffs=(2.0, -0.1), edge_prob=0.8,
             ),
             ExperimentConfig(experiment="surrogate", dim=5, trials=2, seed=1, sample_grid=(40,), filter_coeffs=(1.0,)),
+            # At n <= dim the sample covariance is singular (degenerate rows).
+            ExperimentConfig(experiment="surrogate", dim=8, trials=3, seed=2, sample_grid=(5, 100)),
         ],
     )
     def test_surrogate_matches_per_item_loop(self, cfg):

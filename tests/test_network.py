@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from conftest import random_psd
+from conftest import dense_rho, random_psd
 from covdensity.density import _as_decomposition, density_operator, density_values
 from covdensity.filtering import FilterSpec, filter_apply
 from covdensity.network import (
@@ -18,6 +18,7 @@ from covdensity.network import (
     TrainConfig,
     evaluate_loss,
     forward_rows,
+    _Adam,
     _aggregate,
     _forward,
     _layer_channels,
@@ -97,7 +98,7 @@ class TestLayerForward:
         c = random_psd(rng, 5)
         layer = LayerParams(coeffs=rng.standard_normal((1, 1, 3)), betas=np.array([1.3]), activation="tanh")
         x = rng.standard_normal(5)
-        dense = density_operator(c, 1.3).matrix()
+        dense = dense_rho(density_operator(c, 1.3))
         h = layer.coeffs[0, 0]
         want = np.tanh(h[0] * x + h[1] * dense @ x + h[2] * dense @ dense @ x)
         np.testing.assert_allclose(layer_output(layer, c, x), want, rtol=1e-9, atol=1e-12)
@@ -501,6 +502,16 @@ class TestTrain:
         assert 1 <= len(result.history["val_loss"]) < cfg.epochs
         assert all(math.isfinite(v) for v in result.history["val_loss"])
         assert np.all(np.isfinite(result.model.head.w1))
+
+    def test_adam_second_moment_overflow_raises_without_warning(self):
+        # A gradient entry above about 1.3e154 squares past the largest double.
+        optimizer = _Adam([np.zeros(2)], 1e-3)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            message = r"^Adam's second moment overflows a double \(largest \|gradient\| 1e\+200\)$"
+            with pytest.raises(TrainingError, match=message):
+                optimizer.step([np.array([1e200, 1.0])])
+        assert caught == []
 
     def test_divergence_before_the_first_epoch_ends_raises_naming_the_stage(self, rng):
         xs, ys = toy_two_class_problem(rng, n=20)

@@ -23,7 +23,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import random_psd
+from conftest import dense_rho, random_psd
 from covdensity.covariance import PSD_RTOL, CovarianceMatrix, shift_regularize, trace_normalize
 from covdensity.density import _as_decomposition, density_operator, density_values
 from covdensity.entropy import cvne
@@ -70,7 +70,7 @@ def test_density_matrix_has_unit_trace_and_is_positive_where_no_weight_underflow
     # within (m + 1) eps of 1, whatever beta ||C|| is (each rho_k <= 1); assembling the matrix
     # and summing its diagonal add m eps each, and eigh's columns are orthonormal to a small
     # multiple of m eps.  8 m eps covers the sum.
-    assert abs(np.trace(rho.matrix()) - 1.0) <= 8 * m * EPS
+    assert abs(np.trace(dense_rho(rho)) - 1.0) <= 8 * m * EPS
     values = rho.density_eigenvalues
     assert np.all(values >= 0.0)
     # rho_i = exp(-beta (lambda_i - lambda_top)) / T with 1 <= T <= m, so rho_i >= exp(-(|beta| spread

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from conftest import spectral_matrix
 from covdensity.covariance import CovarianceMatrix
 from covdensity.density import _norm, density_operator
 from covdensity.entropy import cvne, naive_entropy
@@ -13,7 +14,6 @@ from covdensity.spectral import (
     SpectralDecomposition,
     _fix_signs,
     eigh,
-    spectral_matrix,
 )
 
 
@@ -145,12 +145,6 @@ def test_stacked_spectral_matrix_equals_row_by_row(case):
     assert stacked.shape == values.shape[:-1] + (d.dim, d.dim)
     for index in np.ndindex(values.shape[:-1]):
         np.testing.assert_array_equal(stacked[index], spectral_matrix(d, values[index]))
-
-
-@pytest.mark.parametrize("values", [1.0, np.ones(4), np.ones((2, 4))])
-def test_spectral_matrix_rejects_wrong_value_count(values):
-    with pytest.raises(ShapeError):
-        spectral_matrix(eigh(np.eye(3)), values)
 
 
 def test_decomposition_is_immutable(rng):
