@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import datetime
+import functools
 import json
 import os
 import pathlib
@@ -71,6 +72,7 @@ def _int_list(text: str) -> tuple[int, ...]:
         raise UsageError(f"expected comma-separated integers, got {text!r}") from exc
 
 
+@functools.cache  # one parser per process: parse_args keeps no state between calls
 def _build_parser() -> _Parser:
     parser = _Parser(prog="covdensity", description=__doc__)
     parser.add_argument("--version", action="version", version=__version__)

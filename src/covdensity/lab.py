@@ -8,10 +8,11 @@ cells are written with repr, so ``float`` reads each one back exactly.
 
 Stages with a stackable axis run once over it rather than once per item: within a trial,
 the stability perturbations, the regression covariances and the surrogate Laplacians and
-covariances; across the whole run, every entropy-curve covariance and every discrimination
-window.  Stacks whose items carry a full matrix per beta or per sample size stay per trial,
-which bounds their memory.  A stacked stage runs each check over the whole stack, and the
-first check that fails raises for its first failing item.
+covariances; across the whole run, every entropy-curve and every discrimination covariance.
+Stacks whose items carry a full matrix per beta or per sample size stay per trial, and draws
+that grow with a sample size pass through one block of ``_DRAW_BLOCK`` doubles, which bounds
+their memory.  A stacked stage runs each check over the whole stack, and the first check that
+fails raises for its first failing item.
 
 Trend claims (monotonicity, dominance) are properties of trial MEANS, not of
 individual draws; the test suite asserts them over the configured trial
@@ -35,6 +36,8 @@ from .covariance import (
     shift_regularize,
 )
 from .errors import ConfigError, DegenerateCovarianceError, ShapeError, _check_fields
+
+_DRAW_BLOCK = 2**16  # doubles (512 KB): the most of a draw that grows with a sample size held at once
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -308,11 +311,28 @@ def matched_alignment(laplacian_eigenvalues, laplacian_eigenvectors, covariance_
     return np.mean(np.abs(np.sum(u * covariance_eigenvectors, axis=-2)), axis=-1), degenerate
 
 
+def _white_covariance(rng: np.random.Generator, n: int, dim: int) -> np.ndarray:
+    """Centred sample covariance (divisor n) of n standard normal rows of width ``dim`` drawn from ``rng`` in blocks,
+    which consume it as one ``(n, dim)`` draw does.  Chan et al.'s update folds in each block (k rows, mean mu_b,
+    centred Gram G_b): with delta = mu_b - mu, M2 += G_b + delta delta^T c k / (c + k) and mu += delta k / (c + k)."""
+    rows = max(1, _DRAW_BLOCK // dim)
+    block, mean, m2 = np.empty((min(rows, n), dim)), np.zeros(dim), np.zeros((dim, dim))
+    for count in range(0, n, rows):
+        w = rng.standard_normal(out=block[: n - count])
+        delta = w.mean(axis=0)
+        w -= delta
+        delta -= mean
+        m2 += w.T @ w + np.outer(delta, delta) * (count * len(w) / (count + len(w)))
+        mean += delta * (len(w) / (count + len(w)))
+    return m2 / n
+
+
 def run_surrogate(cfg: ExperimentConfig) -> RunTable:
     """Eigenvector convergence of the sample covariance to the graph Laplacian.
 
     Each (trial, n) draws its graph, then white noise w; the data would be x = g(L) w, but its sample covariance
-    is formed as g(L) S_w g(L)^T, never the data.  Per trial, one stacked ``eigh`` decomposes them all.
+    is formed as g(L) S_w g(L)^T, never the data, with S_w folded from w block by block.  Per trial, one stacked
+    ``eigh`` decomposes them all.
 
     A row is flagged degenerate, with no alignment, where the matching is ill-defined: at population eigenvalue
     ties (see :func:`matched_alignment`), and at n <= dim, where the centred sample covariance has rank at most
@@ -326,9 +346,7 @@ def run_surrogate(cfg: ExperimentConfig) -> RunTable:
         for i, n in enumerate(grid):
             rng = np.random.default_rng([cfg.seed, t, n])
             laplacians[i], g[i] = covariance._graph_filter(cfg.dim, cfg.edge_prob, cfg.filter_coeffs, rng)
-            w = rng.standard_normal((n, cfg.dim))
-            w -= w.mean(axis=0)
-            s_w[i] = w.T @ w / n
+            s_w[i] = _white_covariance(rng, n, cfg.dim)
         with np.errstate(over="ignore", invalid="ignore"):
             covs = g @ s_w @ np.swapaxes(g, -1, -2)
             covs = (covs + np.swapaxes(covs, -1, -2)) / 2.0
@@ -383,6 +401,8 @@ def run_regression(cfg: ExperimentConfig) -> RunTable:
     for key in ("weight_scale", "ridge"):
         if not getattr(cfg, key) >= 0:
             raise ConfigError(f"/{key}: must be >= 0, got {getattr(cfg, key)}")
+    if not math.isfinite(cfg.ridge * cfg.n_train):  # the ridge term of every fit's system
+        raise ConfigError(f"/ridge: ridge * n_train must be finite, got {cfg.ridge!r} * {cfg.n_train}")
     betas = cfg.betas or (0.1, 1.0, 5.0, 15.0)
     noise_levels = cfg.noise_levels or (0.0, 5.0)
     grid = cfg.sample_grid or (25, 50, 100, 250, 1000)
@@ -395,9 +415,12 @@ def run_regression(cfg: ExperimentConfig) -> RunTable:
         support = rng.choice(cfg.dim, cfg.n_informative, replace=False)
         weights[support] = rng.normal(0.0, cfg.weight_scale, cfg.n_informative)
         x_train = rng.standard_normal((cfg.n_train, cfg.dim))
-        y_train = x_train @ weights + rng.normal(0.0, noise, cfg.n_train)
-        x_test = rng.standard_normal((cfg.n_test, cfg.dim))
-        y_test = x_test @ weights + rng.normal(0.0, noise, cfg.n_test)
+        with np.errstate(over="ignore", invalid="ignore"):
+            y_train = x_train @ weights + rng.normal(0.0, noise, cfg.n_train)
+            x_test = rng.standard_normal((cfg.n_test, cfg.dim))
+            y_test = x_test @ weights + rng.normal(0.0, noise, cfg.n_test)
+        if not (np.all(np.isfinite(y_train)) and np.all(np.isfinite(y_test))):
+            raise ConfigError(f"/weight_scale: the labels overflow a double, got {cfg.weight_scale!r}")
         return x_train, y_train, x_test, y_test, rng.standard_normal((pool_size, cfg.dim))
 
     mae, baselines = [], []
@@ -408,6 +431,7 @@ def run_regression(cfg: ExperimentConfig) -> RunTable:
         baselines.append(np.mean(np.abs(y_test - y_bar[:, None]), axis=-1))
         lam, v = _trace_normalized_eigh(pools, grid)
         rho, log_z = density.density_values(lam, betas)
+        density._exp("/betas: 1/Z", float(np.max(-log_z)))  # a beta whose 1/Z overflows is a range error
         f = np.concatenate([lam[..., None, :], rho - np.exp(-log_z)[..., None]], axis=-2)
         v_t = np.swapaxes(v, -1, -2)
         a = v_t @ (np.swapaxes(x_train, -1, -2) @ x_train)[:, None] @ v
@@ -457,8 +481,9 @@ def run_discrimination(cfg: ExperimentConfig) -> RunTable:
     separated by a best-direction threshold sweep (AUC): near-global scalings leave the
     naive score at chance while the density entropy tracks the absolute spectrum.
 
-    Each window has its own seeded stream; one ``eigvalsh`` of the stacked covariances gives
-    both scores and every check, so the density entropy reads ``eigvalsh`` eigenvalues where
+    Each window has its own seeded stream; windows are drawn into covariances a chunk of at most
+    ``_DRAW_BLOCK`` doubles at a time.  One ``eigvalsh`` of the stacked covariances gives both
+    scores and every check, so the density entropy reads ``eigvalsh`` eigenvalues where
     :func:`entropy.cvne` reads ``eigh`` ones (they can differ in the last bits).
     """
     beta = cfg.betas[0] if cfg.betas else 2.0
@@ -471,15 +496,20 @@ def run_discrimination(cfg: ExperimentConfig) -> RunTable:
         raise ValueError(f"window {window} too small for dim {dim} (need >= dim + 1)")
     if n < 1:
         raise ConfigError(f"/n_windows: must be >= 1, got {n}")
-    samples = np.empty((2, n, window, dim))
-    for regime, w in itertools.product((0, 1), range(n)):
-        np.random.default_rng([cfg.seed, regime, w]).standard_normal(out=samples[regime, w])
-    # A negative spectrum entry draws NaN, which the finiteness check names.
-    with np.errstate(invalid="ignore"):
-        samples *= np.sqrt(np.stack([base, base * scale]))[:, None, None, :]
-    if not np.all(np.isfinite(samples)):
+    # A negative or overflowing spectrum entry gives a non-finite deviation; draws are finite exactly where it is.
+    with np.errstate(over="ignore", invalid="ignore"):
+        sd = np.sqrt(np.stack([base, base * scale]))
+    if not np.all(np.isfinite(sd)):
         raise ValueError("data matrix contains non-finite entries")
-    s_naive, s_vne = entropy._window_entropies(covariance._covariance_array(samples), beta)
+    chunk = max(1, _DRAW_BLOCK // (window * dim))
+    covs, block = np.empty((2, n, dim, dim)), np.empty((min(chunk, n), window, dim))
+    for regime, start in itertools.product((0, 1), range(0, n, chunk)):
+        samples = block[: n - start]
+        for w, out in enumerate(samples, start):
+            np.random.default_rng([cfg.seed, regime, w]).standard_normal(out=out)
+        samples *= sd[regime]
+        covs[regime, start : start + len(samples)] = covariance._covariance_array(samples)
+    s_naive, s_vne = entropy._window_entropies(covs, beta)
     # Rows: every regime-0 window, every regime-1 window, then the AUC row.
     pad = [None] * (2 * n)
     params = {"regime": [0] * n + [1] * n + [None], "window_index": [*range(n)] * 2 + [None], "summary": pad + ["auc"]}

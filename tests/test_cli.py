@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import covdensity
-from covdensity import network
+from covdensity import cli, network
 from covdensity.cli import main
 from covdensity.spectral import eigh
 
@@ -85,6 +85,30 @@ class TestEntropyCommand:
         assert code == 1
         assert "usage" in err.lower()
         assert out == ""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--help"],
+            ["--version"],
+            ["stability", "--help"],
+            ["entropy"],
+            ["stability", "--dim", "five"],
+            ["regression", "--betas", "1,x"],
+            ["bogus"],
+            ["fit-beta"],
+        ],
+    )
+    def test_cached_parser_prints_what_a_fresh_parser_prints(self, capsys, tmp_path, rank_one_cov, argv):
+        cli._build_parser.cache_clear()
+        fresh = run_cli(capsys, *argv)
+        # Calls that parse, fail to parse and print help in between leave the cached parser as it was built.
+        run_cli(capsys, "entropy", "--input", rank_one_cov, "--flux", "9")
+        run_cli(capsys, "surrogate", "--help")
+        assert run_cli(capsys, "entropy", "--input", rank_one_cov, "--beta", "2", "--output-dir", str(tmp_path))[0] == 0
+        assert cli._build_parser() is cli._build_parser()
+        assert run_cli(capsys, *argv) == fresh
+        assert fresh[0] in (0, 1) and fresh[1] + fresh[2]
 
     def test_unknown_flag_rejected(self, capsys, rank_one_cov):
         code, _, err = run_cli(capsys, "entropy", "--input", rank_one_cov, "--flux", "9")
@@ -400,6 +424,18 @@ class TestExperimentCommands:
                 "surrogate", ["--dim", "5", "--seed", "6", "--sample-grid", "2"], {"filter_coeffs": [1.5e154, 1.0]},
                 "filter_coeffs: the population covariance g(L)^2 overflows a double, got [1.5e+154, 1.0]",
             ),
+            # The regime-1 spectrum base * scale overflows a double.
+            (
+                "discriminate", [], {"regime_scale": [1e308, 1, 1], "base_spectrum": [10, 1, 0]},
+                "data matrix contains non-finite entries",
+            ),
+            ("regression", [], {"weight_scale": 1e308}, "/weight_scale: the labels overflow a double, got 1e+308"),
+            ("regression", [], {"ridge": 1e308}, "/ridge: ridge * n_train must be finite, got 1e+308 * 100"),
+            (
+                "regression", [], {"ridge": 1e307, "n_train": 50},
+                "/ridge: ridge * n_train must be finite, got 1e+307 * 50",
+            ),
+            ("regression", [], {"betas": [1e308]}, "/betas: 1/Z = exp(3.84965e+306) overflows a double"),
         ],
     )
     def test_out_of_range_experiment_value_is_named(self, capsys, tmp_path, subcommand, flags, cfg, message):

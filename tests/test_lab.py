@@ -2,12 +2,13 @@ import csv
 import itertools
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from conftest import count_linalg_calls, dense_rho, gen_graph_stationary, spectral_matrix, table_rows, window_by_window
-from covdensity import covariance, density, entropy, filtering, spectral
+from covdensity import covariance, density, entropy, filtering, lab, spectral
 from covdensity.covariance import (
     DataMatrix,
     gen_gaussian_data,
@@ -747,6 +748,115 @@ class TestStackedErrorOrder:
             assert got == (DegenerateCovarianceError, "trace 0.000e+00 too small to normalize")
         else:
             assert got == expected
+
+
+def one_shot_white_covariance(rng, n, dim):
+    """The white-noise covariance as run_surrogate formed it from one ``(n, dim)`` draw: centred once, one Gram."""
+    w = rng.standard_normal((n, dim))
+    w -= w.mean(axis=0)
+    return w.T @ w / n
+
+
+def all_at_once_discrimination(cfg):
+    """run_discrimination's scores as they were formed: every window drawn into one (2, n_windows, window, m)
+    array, scaled, checked for finiteness and reduced to covariances at once.  Returns (naive, vne), each
+    shaped (2, n_windows).  Its overflow and NaN warnings are silenced; only outputs and first errors count."""
+    base, scale = np.asarray(cfg.base_spectrum, dtype=float), np.asarray(cfg.regime_scale, dtype=float)
+    samples = np.empty((2, cfg.n_windows, cfg.window, base.size))
+    for regime, w in itertools.product((0, 1), range(cfg.n_windows)):
+        np.random.default_rng([cfg.seed, regime, w]).standard_normal(out=samples[regime, w])
+    with np.errstate(over="ignore", invalid="ignore"):
+        samples *= np.sqrt(np.stack([base, base * scale]))[:, None, None, :]
+    if not np.all(np.isfinite(samples)):
+        raise ValueError("data matrix contains non-finite entries")
+    return entropy._window_entropies(covariance._covariance_array(samples), cfg.betas[0] if cfg.betas else 2.0)
+
+
+def traced_peak_bytes(run, cfg):
+    """Peak traced allocation (bytes, above what was held before) of ``run(cfg)``, after one warm-up run."""
+    run(cfg)
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        held = tracemalloc.get_traced_memory()[0]
+        run(cfg)
+        return tracemalloc.get_traced_memory()[1] - held
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+
+
+class TestDrawBlocks:
+    """Draws that grow with a sample size pass through one block of at most lab._DRAW_BLOCK doubles."""
+
+    @pytest.mark.parametrize("dim", [1, 20])
+    @pytest.mark.parametrize("n", [2, 3, "rows - 1", "rows", "rows + 1", 20000])
+    def test_white_covariance_matches_the_one_shot_draw(self, dim, n):
+        """Both ways compute the centred Gram of the same draws.  Each entry is a sum of at most n + 4B + 4
+        rounded terms (B blocks: the Gram sums, the means, the block updates) whose absolute values sum, by
+        Cauchy-Schwarz, to at most 4 n sqrt(Q_ii Q_jj) with Q_ii = sum_r x_ri^2 / n (|x - mu| <= |x| + |mu| and
+        n mu^2 <= sum x^2).  So each lies within 4 gamma sqrt(Q_ii Q_jj) of the exact S_w, gamma = k eps / (1 - k eps)
+        with k = n + 4B + 4 (Higham, Accuracy and Stability, Lemma 3.1), and the two within twice that.  With one
+        block they are the same operations, bit for bit."""
+        rows = lab._DRAW_BLOCK // dim
+        n = {"rows - 1": rows - 1, "rows": rows, "rows + 1": rows + 1}.get(n, n)
+        blocked_rng, one_shot_rng = np.random.default_rng([7, dim, n]), np.random.default_rng([7, dim, n])
+        got = lab._white_covariance(blocked_rng, n, dim)
+        expected = one_shot_white_covariance(one_shot_rng, n, dim)
+        # Row blocks consume the generator as the one (n, dim) draw does.
+        assert blocked_rng.bit_generator.state == one_shot_rng.bit_generator.state
+        if n <= rows:
+            assert got.tobytes() == expected.tobytes()
+        x = np.random.default_rng([7, dim, n]).standard_normal((n, dim))
+        q = np.sqrt(np.mean(x * x, axis=0))
+        k = n + 4 * -(-n // rows) + 4
+        eps = np.finfo(float).eps
+        tolerance = 8 * (k * eps / (1 - k * eps)) * np.outer(q, q)
+        assert np.all(np.abs(got - expected) <= tolerance)
+
+    def test_working_set_is_bounded(self):
+        surrogate = {
+            n: traced_peak_bytes(run_surrogate, ExperimentConfig(experiment="surrogate", trials=1, sample_grid=(n,)))
+            for n in (20000, 200000)
+        }
+        discriminate = traced_peak_bytes(run_discrimination, ExperimentConfig(experiment="discrimination"))
+        assert max(*surrogate.values(), discriminate) < 1.5e6
+        # The whole (200000, 20) draw alone would be 32 MB; allow 64 KB (an eighth of a block) of unrelated noise.
+        assert surrogate[200000] <= surrogate[20000] + lab._DRAW_BLOCK
+
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            {},
+            {"n_windows": 1},
+            {"n_windows": 7},
+            {"window": 1000},
+            {"n_windows": 7, "base_spectrum": (1.0, -1.0, 0.0)},
+            {"n_windows": 7, "regime_scale": (1.0, 1.0, -2.0)},
+            # The regime-1 spectrum overflows a double (the CLI probe), and then a regime-0 covariance
+            # overflows while regime 1's spectrum is negative: the finiteness check still comes first.
+            {"n_windows": 7, "regime_scale": (1e308, 1.0, 1.0), "base_spectrum": (10.0, 1.0, 0.0)},
+            {"n_windows": 7, "base_spectrum": (1e308, 1.0, 0.0)},
+            {"n_windows": 7, "base_spectrum": (1e308, 1.0, 0.0), "regime_scale": (-1.0, 1.0, 1.0)},
+        ],
+    )
+    def test_discrimination_matches_the_all_at_once_draw(self, fields):
+        cfg = ExperimentConfig(experiment="discrimination", seed=3, **fields)
+        try:
+            naive, vne = all_at_once_discrimination(cfg)
+        except ValueError as exc:
+            assert first_error(run_discrimination, cfg) == (type(exc), str(exc))
+            return
+        expected = [
+            ({"window_index": w, "regime": regime}, {"s_naive_bits": naive[regime, w], "s_vne_bits": vne[regime, w]})
+            for regime in (0, 1)
+            for w in range(cfg.n_windows)
+        ]
+        expected.append(({"summary": "auc"}, {"auc_naive": entropy.threshold_auc(*naive),
+                                              "auc_vne": entropy.threshold_auc(*vne)}))
+        assert_rows_equal(run_discrimination(cfg), expected)
 
 
 class TestDecomposeOnce:
