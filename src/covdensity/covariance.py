@@ -107,7 +107,7 @@ def as_matrix(c) -> np.ndarray:
     """Accept a CovarianceMatrix or a plain symmetric array; return the array."""
     if isinstance(c, CovarianceMatrix):
         return c.matrix
-    return spectral.symmetrize(c)
+    return spectral._symmetrize(spectral._as_square_array(c))
 
 
 def sample_covariance(data: DataMatrix) -> CovarianceMatrix:
@@ -146,9 +146,13 @@ def shift_regularize(cov: CovarianceMatrix) -> CovarianceMatrix:
     own norm (a rotated 1e8 I shifts to a matrix of norm ~1e-7 whose smallest
     computed eigenvalue can be -2e-8).
     """
-    shift = float(np.min(cov._eigenvalues))
-    norm = float(np.max(np.abs(cov._eigenvalues)))
-    return CovarianceMatrix(matrix=cov.matrix - shift * np.eye(cov.dim), _scale=norm)
+    return CovarianceMatrix(*_shifted(cov.matrix, cov._eigenvalues))
+
+
+def _shifted(m: np.ndarray, eigenvalues: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """m - lambda_min I for each matrix of a stack with ascending ``eigenvalues`` (last axis), and each m's norm."""
+    shifted = m - eigenvalues.min(axis=-1)[..., None, None] * np.eye(m.shape[-1])
+    return shifted, np.max(np.abs(eigenvalues), axis=-1)
 
 
 def trace_normalize(cov: CovarianceMatrix) -> CovarianceMatrix:
@@ -157,10 +161,15 @@ def trace_normalize(cov: CovarianceMatrix) -> CovarianceMatrix:
     Raises:
         DegenerateCovarianceError: trace is (numerically) zero.
     """
-    tr = float(np.trace(cov.matrix))
-    if tr <= 1e-14:
-        raise DegenerateCovarianceError(f"trace {tr:.3e} too small to normalize")
-    return CovarianceMatrix(matrix=cov.matrix / tr)
+    return CovarianceMatrix(matrix=_trace_normalized(cov.matrix)[0])
+
+
+def _trace_normalized(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """m / tr(m) for each matrix of a stack, and the traces; DegenerateCovarianceError names the first tr <= 1e-14."""
+    traces = np.trace(m, axis1=-2, axis2=-1)
+    if not np.all(traces > 1e-14):
+        raise DegenerateCovarianceError(f"trace {traces[~(traces > 1e-14)][0]:.3e} too small to normalize")
+    return m / traces[..., None, None], traces
 
 
 _FAMILIES = ("gaussian", "exponential", "gamma")

@@ -35,7 +35,7 @@ from .covariance import (
     sample_covariance,
     shift_regularize,
 )
-from .errors import ConfigError, DegenerateCovarianceError, ShapeError, _check_fields
+from .errors import ConfigError, ShapeError, _check_fields
 
 _DRAW_BLOCK = 2**16  # doubles (512 KB): the most of a draw that grows with a sample size held at once
 
@@ -349,7 +349,6 @@ def run_surrogate(cfg: ExperimentConfig) -> RunTable:
             s_w[i] = _white_covariance(rng, n, cfg.dim)
         with np.errstate(over="ignore", invalid="ignore"):
             covs = g @ s_w @ np.swapaxes(g, -1, -2)
-            covs = (covs + np.swapaxes(covs, -1, -2)) / 2.0
         if not np.all(np.isfinite(covs)):
             raise ValueError("sample covariance overflows a double")
         lam, v = spectral._eigh(np.stack([laplacians, covs]))
@@ -359,22 +358,6 @@ def run_surrogate(cfg: ExperimentConfig) -> RunTable:
         rows += [(float(d), None if d else a) for a, d in zip(alignment.tolist(), degenerate.tolist())]
     params = _columns(("trial", "n_samples"), itertools.product(range(cfg.trials), grid))
     return RunTable("surrogate", cfg.seed, params, _columns(("degenerate", "alignment"), rows))
-
-
-def _trace_normalized_eigh(pools: np.ndarray, grid) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenpairs ``(lambda[k, g], V[k, g])`` of trace_normalize(sample_covariance(pools[k, :grid[g]])).
-
-    One stacked ``eigh`` with the per-matrix path's checks, each over the whole stack: the
-    trace, then PSD for the raw covariance (eigenvalues times trace) and the normalized one.
-    """
-    covs = np.stack([covariance._covariance_array(pools[:, :n]) for n in grid], axis=1)
-    traces = np.trace(covs, axis1=-2, axis2=-1)
-    if not np.all(traces > 1e-14):
-        raise DegenerateCovarianceError(f"trace {traces[~(traces > 1e-14)][0]:.3e} too small to normalize")
-    eigenvalues, eigenvectors = spectral._eigh(covs / traces[..., None, None])
-    covariance._check_psd(eigenvalues * traces[..., None])
-    covariance._check_psd(eigenvalues)
-    return eigenvalues, eigenvectors
 
 
 def run_regression(cfg: ExperimentConfig) -> RunTable:
@@ -408,6 +391,8 @@ def run_regression(cfg: ExperimentConfig) -> RunTable:
     grid = cfg.sample_grid or (25, 50, 100, 250, 1000)
     pool_size = max(max(grid), cfg.dim + 1)
     methods = ["raw_covariance"] + [f"density_beta_{beta:g}" for beta in betas]
+    if not all(math.isfinite(float(e) * 1000) for e in noise_levels):  # each level's seed is round(e * 1000)
+        raise ConfigError(f"/noise_levels: entries * 1000 must be finite to seed the draws, got {list(noise_levels)}")
 
     def draws(t: int, noise: float):
         rng = np.random.default_rng([cfg.seed, t, int(round(noise * 1000))])
@@ -415,31 +400,38 @@ def run_regression(cfg: ExperimentConfig) -> RunTable:
         support = rng.choice(cfg.dim, cfg.n_informative, replace=False)
         weights[support] = rng.normal(0.0, cfg.weight_scale, cfg.n_informative)
         x_train = rng.standard_normal((cfg.n_train, cfg.dim))
-        with np.errstate(over="ignore", invalid="ignore"):
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflowed label reaches both metrics, checked below
             y_train = x_train @ weights + rng.normal(0.0, noise, cfg.n_train)
             x_test = rng.standard_normal((cfg.n_test, cfg.dim))
             y_test = x_test @ weights + rng.normal(0.0, noise, cfg.n_test)
-        if not (np.all(np.isfinite(y_train)) and np.all(np.isfinite(y_test))):
-            raise ConfigError(f"/weight_scale: the labels overflow a double, got {cfg.weight_scale!r}")
         return x_train, y_train, x_test, y_test, rng.standard_normal((pool_size, cfg.dim))
 
     mae, baselines = [], []
     for t in range(cfg.trials):
         # Arrays stacked on a leading noise-level axis.
         x_train, y_train, x_test, y_test, pools = map(np.array, zip(*(draws(t, e) for e in noise_levels)))
-        y_bar = np.mean(y_train, axis=-1)
-        baselines.append(np.mean(np.abs(y_test - y_bar[:, None]), axis=-1))
-        lam, v = _trace_normalized_eigh(pools, grid)
+        covs = np.stack([covariance._covariance_array(pools[:, :n]) for n in grid], axis=1)
+        covs, traces = covariance._trace_normalized(covs)
+        lam, v = spectral._eigh(covs)
+        covariance._check_psd(lam * traces[..., None])
+        covariance._check_psd(lam)
         rho, log_z = density.density_values(lam, betas)
         density._exp("/betas: 1/Z", float(np.max(-log_z)))  # a beta whose 1/Z overflows is a range error
         f = np.concatenate([lam[..., None, :], rho - np.exp(-log_z)[..., None]], axis=-2)
         v_t = np.swapaxes(v, -1, -2)
         a = v_t @ (np.swapaxes(x_train, -1, -2) @ x_train)[:, None] @ v
-        b = v_t @ (np.swapaxes(x_train, -1, -2) @ (y_train - y_bar[:, None])[..., None])[:, None]
         system = f[..., :, None] * a[:, :, None] * f[..., None, :] + cfg.ridge * cfg.n_train * np.eye(cfg.dim)
-        w = v[:, :, None] @ (f[..., None] * np.linalg.solve(system, f[..., None] * b[:, :, None]))
-        pred = np.reshape(w, (len(noise_levels), -1, cfg.dim)) @ np.swapaxes(x_test, -1, -2)
-        mae.append(np.mean(np.abs(pred + y_bar[:, None, None] - y_test[:, None]), axis=-1))
+        # Finite labels can overflow in their sums and in the fit; the non-finite values reach both metrics
+        # (np.linalg.solve raises only for a singular system, and the system holds no label).
+        with np.errstate(over="ignore", invalid="ignore"):
+            y_bar = np.mean(y_train, axis=-1)
+            baselines.append(np.mean(np.abs(y_test - y_bar[:, None]), axis=-1))
+            b = v_t @ (np.swapaxes(x_train, -1, -2) @ (y_train - y_bar[:, None])[..., None])[:, None]
+            w = v[:, :, None] @ (f[..., None] * np.linalg.solve(system, f[..., None] * b[:, :, None]))
+            pred = np.reshape(w, (len(noise_levels), -1, cfg.dim)) @ np.swapaxes(x_test, -1, -2)
+            mae.append(np.mean(np.abs(pred + y_bar[:, None, None] - y_test[:, None]), axis=-1))
+        if not (np.all(np.isfinite(baselines[-1])) and np.all(np.isfinite(mae[-1]))):
+            raise ConfigError(f"/weight_scale: the labels overflow a double, got {cfg.weight_scale!r}")
     params = _columns(
         ("trial", "noise", "n_cov", "method"), itertools.product(range(cfg.trials), noise_levels, grid, methods)
     )
@@ -463,8 +455,7 @@ def run_entropy_curve(cfg: ExperimentConfig) -> RunTable:
         [gen_gaussian_data(cfg.dim, cfg.n_samples, family, seed=[cfg.seed, t, f]).values for t, (f, family) in items]
     )
     c, spectra = covariance._checked_spectra(covariance._covariance_array(samples))
-    shifted = c - spectra.min(axis=-1)[..., None, None] * np.eye(cfg.dim)
-    _, spectra = covariance._checked_spectra(shifted, np.max(np.abs(spectra), axis=-1))
+    _, spectra = covariance._checked_spectra(*covariance._shifted(c, spectra))
     rho, _ = density.density_values(spectra, beta_grid)
     nats = entropy._shannon_nats(rho).ravel()
     params = _columns(("trial", "family", "beta"), itertools.product(range(cfg.trials), cfg.families, beta_grid))

@@ -1,8 +1,9 @@
 """Dense symmetric-matrix spectral tools.
 
 Everything downstream (density operators, filters, entropies) is built on the
-eigendecomposition produced here.  Decompositions are deterministic: eigenvalues
-ascend and each eigenvector's first nonzero entry is positive, so repeated runs
+eigendecomposition produced here.  Eigenvalues ascend and eigenvectors are
+orthonormal; each eigenvector's sign is whatever LAPACK returns, which every
+quantity built on the basis (V f(lambda) V^T, |<u, v>|) cancels.  Repeat calls
 on the same input give bit-identical output.
 """
 
@@ -17,8 +18,6 @@ from .errors import ShapeError, SymmetryError
 # Asymmetry below this (relative) tolerance is treated as roundoff and symmetrized away.
 SYMMETRY_RTOL = 1e-10
 
-_SIGN_EPS = 1e-12
-
 
 @dataclass(frozen=True)
 class SpectralDecomposition:
@@ -27,7 +26,7 @@ class SpectralDecomposition:
     Attributes:
         eigenvalues: ascending, length ``dim``.
         eigenvectors: ``dim x dim``; column ``i`` is the unit eigenvector for
-            ``eigenvalues[i]``, sign-fixed so its first nonzero entry is positive.
+            ``eigenvalues[i]``, with the sign LAPACK returns.
     """
 
     eigenvalues: np.ndarray
@@ -47,13 +46,8 @@ def _as_square_array(matrix) -> np.ndarray:
     return m
 
 
-def symmetrize(matrix) -> np.ndarray:
-    """Return (M + M^T)/2 after checking M is symmetric within tolerance."""
-    return _symmetrize(_as_square_array(matrix))
-
-
 def _symmetrize(m: np.ndarray) -> np.ndarray:
-    """symmetrize over the last two axes of a finite stack; the first failing matrix is named."""
+    """(M + M^T)/2 over the last two axes of a finite stack; an asymmetry over tolerance names its first matrix."""
     m_t = np.swapaxes(m, -1, -2)
     tolerance = SYMMETRY_RTOL * np.abs(m).max(axis=(-2, -1), initial=1.0)
     asym = np.abs(m - m_t).max(axis=(-2, -1), initial=0.0)
@@ -68,7 +62,9 @@ def _symmetrize(m: np.ndarray) -> np.ndarray:
 
 
 def eigh(matrix) -> SpectralDecomposition:
-    """Eigendecompose a symmetric matrix with a reproducible sign convention.
+    """Eigendecompose a symmetric matrix: ascending eigenvalues, orthonormal eigenvectors with LAPACK's signs.
+
+    Repeat calls on the same input return bit-identical arrays.
 
     Raises:
         ShapeError: if the input is not square.
@@ -82,19 +78,8 @@ def eigh(matrix) -> SpectralDecomposition:
 
 
 def _eigh(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """eigh over the last two axes of a finite stack: ascending eigenvalues, sign-fixed eigenvectors."""
-    eigenvalues, eigenvectors = np.linalg.eigh(_symmetrize(m))
-    return eigenvalues, _fix_signs(eigenvectors)
-
-
-def _fix_signs(vectors: np.ndarray) -> np.ndarray:
-    """Flip each column so its first entry above _SIGN_EPS in magnitude (else its first) is positive."""
-    if vectors.size == 0:
-        return vectors.copy()
-    # argmax over booleans finds the first True, and row 0 when a column has none.
-    anchors = (np.abs(vectors) > _SIGN_EPS).argmax(axis=-2, keepdims=True)
-    leading = np.take_along_axis(vectors, anchors, axis=-2)
-    return vectors * np.where(leading < 0, -1.0, 1.0)
+    """eigh over the last two axes of a finite stack: ascending eigenvalues, LAPACK's eigenvectors."""
+    return np.linalg.eigh(_symmetrize(m))
 
 
 def _spectral_matrix(v: np.ndarray, values: np.ndarray) -> np.ndarray:

@@ -436,6 +436,17 @@ class TestExperimentCommands:
                 "/ridge: ridge * n_train must be finite, got 1e+307 * 50",
             ),
             ("regression", [], {"betas": [1e308]}, "/betas: 1/Z = exp(3.84965e+306) overflows a double"),
+            # A level's draws are seeded with round(noise * 1000), which overflows here.
+            (
+                "regression", ["--noise-levels", "1e306"], {},
+                "/noise_levels: entries * 1000 must be finite to seed the draws, got [1e+306]",
+            ),
+            # Finite labels whose mean overflows; then labels whose ridge-free fit overflows.
+            ("regression", [], {"weight_scale": 1e306}, "/weight_scale: the labels overflow a double, got 1e+306"),
+            (
+                "regression", [], {"weight_scale": 1e304, "ridge": 0},
+                "/weight_scale: the labels overflow a double, got 1e+304",
+            ),
         ],
     )
     def test_out_of_range_experiment_value_is_named(self, capsys, tmp_path, subcommand, flags, cfg, message):

@@ -5,16 +5,15 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from conftest import spectral_matrix
+from covdensity import spectral
 from covdensity.covariance import CovarianceMatrix
 from covdensity.density import _norm, density_operator
 from covdensity.entropy import cvne, naive_entropy
 from covdensity.errors import ShapeError, SymmetryError
-from covdensity.spectral import (
-    _SIGN_EPS,
-    SpectralDecomposition,
-    _fix_signs,
-    eigh,
-)
+from covdensity.filtering import FilterSpec, filter_apply
+from covdensity.lab import matched_alignment
+from covdensity.network import TrainConfig, forward_rows, init_model, model_gradients
+from covdensity.spectral import SpectralDecomposition, eigh
 
 
 class TestEigh:
@@ -30,18 +29,10 @@ class TestEigh:
     def test_two_by_two_hand_solved(self):
         d = eigh([[2.0, 1.0], [1.0, 2.0]])
         np.testing.assert_allclose(d.eigenvalues, [1.0, 3.0], atol=1e-12)
+        # Each eigenvector is fixed up to its sign, which is LAPACK's.
         s = 1.0 / np.sqrt(2.0)
-        np.testing.assert_allclose(d.eigenvectors[:, 0], [s, -s], atol=1e-12)
-        np.testing.assert_allclose(d.eigenvectors[:, 1], [s, s], atol=1e-12)
-
-    def test_sign_convention_first_nonzero_positive(self, rng):
-        for _ in range(50):
-            m = rng.standard_normal((6, 6))
-            d = eigh((m + m.T) / 2.0)
-            for j in range(6):
-                col = d.eigenvectors[:, j]
-                first = col[np.nonzero(np.abs(col) > 1e-12)[0][0]]
-                assert first > 0
+        assert abs(d.eigenvectors[:, 0] @ [s, -s]) == pytest.approx(1.0, abs=1e-12)
+        assert abs(d.eigenvectors[:, 1] @ [s, s]) == pytest.approx(1.0, abs=1e-12)
 
     def test_deterministic_repeat(self, rng):
         m = rng.standard_normal((8, 8))
@@ -154,41 +145,48 @@ def test_decomposition_is_immutable(rng):
         d.eigenvalues[0] = 5.0
 
 
-def loop_fix_signs(vectors):
-    """Column-by-column reference for the sign convention."""
-    out = np.array(vectors, copy=True)
-    for j in range(out.shape[1]):
-        col = out[:, j]
-        nonzero = np.nonzero(np.abs(col) > _SIGN_EPS)[0]
-        anchor = nonzero[0] if nonzero.size else 0
-        if col[anchor] < 0:
-            out[:, j] = -col
-    return out
-
-
-# Entries at, just below and just above the anchor threshold, signed zeros,
-# and ordinary values, so columns often lead with sub-threshold entries and
-# some have no entry above it at all.
-_entries = st.one_of(
-    st.sampled_from([0.0, -0.0, _SIGN_EPS, -_SIGN_EPS, 0.5 * _SIGN_EPS, -0.5 * _SIGN_EPS,
-                     2.0 * _SIGN_EPS, -2.0 * _SIGN_EPS]),
-    st.floats(-1.0, 1.0),
-)
-
-
-_matrices = st.tuples(st.integers(1, 6), st.integers(1, 6)).flatmap(
-    lambda shape: arrays(np.float64, shape, elements=_entries)
-)
-
-
-@settings(max_examples=300, deadline=None)
-@given(_matrices)
-def test_vectorized_sign_fix_equals_loop(vectors):
-    fixed = _fix_signs(vectors)
-    expected = loop_fix_signs(vectors)
-    np.testing.assert_array_equal(fixed, expected)
-    np.testing.assert_array_equal(np.signbit(fixed), np.signbit(expected))
-
-
-def test_sign_fix_of_empty_matrix():
+def test_empty_matrix_decomposes():
     assert eigh(np.zeros((0, 0))).eigenvectors.shape == (0, 0)
+
+
+def flip_columns(d, mask):
+    """``d`` with the eigenvectors whose bit is set in ``mask`` negated: an equally valid decomposition."""
+    signs = np.where((mask >> np.arange(d.dim)) & 1, -1.0, 1.0)
+    return SpectralDecomposition(d.eigenvalues, d.eigenvectors * signs)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 6), st.integers(0, 2**32 - 1), st.integers(0, 2**6 - 1), st.integers(0, 2**6 - 1))
+def test_eigenvector_signs_leave_every_consumer_bit_identical(m, seed, mask, other_mask):
+    # eigh returns LAPACK's signs, so every quantity built on a basis must cancel them exactly.
+    rng = np.random.default_rng(seed)
+    a, b = rng.standard_normal((2, m, m + 1))
+    d, c = eigh(a @ a.T), eigh(b @ b.T)
+    d_flip, c_flip = flip_columns(d, mask), flip_columns(c, other_mask)
+
+    spec = FilterSpec(coeffs=rng.standard_normal(3), beta=float(rng.uniform(-2.0, 2.0)))
+    x = rng.standard_normal(m)
+    np.testing.assert_array_equal(
+        filter_apply(spec, density_operator(d_flip, spec.beta), x), filter_apply(spec, density_operator(d, spec.beta), x)
+    )
+
+    values = rng.standard_normal((2, m))
+    np.testing.assert_array_equal(
+        spectral._spectral_matrix(d_flip.eigenvectors, values), spectral._spectral_matrix(d.eigenvectors, values)
+    )
+
+    coeffs = rng.standard_normal(2)
+    flipped = matched_alignment(d_flip.eigenvalues, d_flip.eigenvectors, c_flip.eigenvectors, coeffs)
+    for got, expected in zip(flipped, matched_alignment(d.eigenvalues, d.eigenvectors, c.eigenvectors, coeffs)):
+        np.testing.assert_array_equal(got, expected)
+
+    cfg = TrainConfig(betas=(0.5, -1.0), betas_learnable=True, hidden_dim=3, num_layers=2, seed=seed % 1000)
+    model = init_model(m, 2, cfg, time_points=2)
+    xs, ys = rng.standard_normal((5, m, 2)), rng.standard_normal((5, 2))
+    np.testing.assert_array_equal(forward_rows(model, d_flip, xs), forward_rows(model, d, xs))
+    loss_flip, grads_flip = model_gradients(model, d_flip, xs, ys, "mse", np.random.default_rng(seed), dropout=0.3)
+    loss, grads = model_gradients(model, d, xs, ys, "mse", np.random.default_rng(seed), dropout=0.3)
+    assert loss_flip == loss
+    assert len(grads_flip) == len(grads)
+    for got, expected in zip(grads_flip, grads):
+        np.testing.assert_array_equal(got, expected)
