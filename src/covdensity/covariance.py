@@ -130,10 +130,12 @@ def _covariance_array(x: np.ndarray) -> np.ndarray:
     """
     with np.errstate(over="ignore", invalid="ignore"):
         centered = x - x.mean(axis=-2, keepdims=True)
-        c = np.swapaxes(centered, -1, -2) @ centered / x.shape[-2]
+        c = np.swapaxes(centered, -1, -2) @ centered
+        c /= x.shape[-2]
     if not np.all(np.isfinite(c)):
         raise ValueError("sample covariance overflows a double")
-    return c / 2.0 + np.swapaxes(c, -1, -2) / 2.0  # as spectral._symmetrize forms the mean
+    c /= 2.0  # as spectral._symmetrize forms the mean, halving each entry first
+    return c + np.swapaxes(c, -1, -2)
 
 
 def shift_regularize(cov: CovarianceMatrix) -> CovarianceMatrix:

@@ -94,9 +94,11 @@ def density_values(eigenvalues, betas) -> tuple[np.ndarray, np.ndarray]:
     """
     lam = np.asarray(eigenvalues, dtype=float)
     betas = np.ravel(betas)
-    # An overflowed product that is not a row maximum only underflows its weight to 0.0.
+    # An overflowed product that is not a row maximum only underflows its weight to 0.0.  The one array of
+    # products is negated, shifted, exponentiated and normalized in place.
     with np.errstate(over="ignore", invalid="ignore"):
-        exponents = -(betas[:, None] * lam[..., None, :])
+        exponents = betas[:, None] * lam[..., None, :]
+        np.negative(exponents, out=exponents)
         shift = exponents.max(axis=-1)
     if not np.all(np.isfinite(shift)):
         if not np.all(np.isfinite(betas)):
@@ -105,9 +107,11 @@ def density_values(eigenvalues, betas) -> tuple[np.ndarray, np.ndarray]:
         k = np.flatnonzero(~np.isfinite(shift))[0]
         beta, norm = betas[k % betas.size], np.ravel(_norm(lam))[k // betas.size]
         raise BetaRangeError(f"beta * lambda overflows a double at beta = {beta:.6g}, ||C|| = {norm:.6g}")
-    weights = np.exp(exponents - shift[..., None])
+    exponents -= shift[..., None]
+    weights = np.exp(exponents, out=exponents)
     total = weights.sum(axis=-1)
-    return weights / total[..., None], shift + np.log(total)
+    weights /= total[..., None]
+    return weights, shift + np.log(total)
 
 
 def density_operator(c, beta: float) -> DensityOperator:
@@ -155,11 +159,13 @@ def f_factor(beta: float, norm_c: float, norm_c_plus_dc: float) -> float:
 def _error_bound(beta, dim, norm_c, norm_perturbed, norm_dc, ratio) -> float:
     """Upper bound on ||rho(C + dC) - rho(C)|| from operator norms and the measured partition ratio R = Z'/Z.
 
-    It is guaranteed only where Z >= 1 (as after shift_regularize).  BetaRangeError where it overflows a double.
+    Z >= 1 (as after shift_regularize) does not make it a bound.  For beta > 0 the factor 1 needs
+    ||exp(-beta (C + t dC))|| <= 1 along the path, which fails once C + dC is indefinite: every miss random probes
+    found had beta > 0 and an indefinite C + dC.  BetaRangeError where it overflows a double or R = Z'/Z is 0.0.
     """
     factor = f_factor(beta, norm_c, norm_perturbed)
     tail = 1.0 + dim * math.exp(abs(beta) * norm_c if beta < 0 else 0.0)
-    bound = abs(float(beta)) * float(norm_dc) * float(factor) / ratio * tail
+    bound = abs(float(beta)) * float(norm_dc) * float(factor) / ratio * tail if ratio else math.inf
     if math.isinf(bound):
         raise BetaRangeError(f"density error bound overflows a double at beta = {beta:.6g}, ||C|| = {norm_c:.6g}")
     return bound

@@ -11,8 +11,10 @@ the stability perturbations, the regression covariances and the surrogate Laplac
 covariances; across the whole run, every entropy-curve and every discrimination covariance.
 Stacks whose items carry a full matrix per beta or per sample size stay per trial, and draws
 that grow with a sample size pass through one block of ``_DRAW_BLOCK`` doubles, which bounds
-their memory.  A stacked stage runs each check over the whole stack, and the first check that
-fails raises for its first failing item.
+their memory.  A trial-by-trial loop runs each trial in a helper whose arrays are freed before the
+next trial draws, and the stacked kernels (density values, sample covariances, symmetrization)
+each work in one array in place.  A stacked stage runs each check over the whole stack, and the
+first check that fails raises for its first failing item.
 
 Trend claims (monotonicity, dominance) are properties of trial MEANS, not of
 individual draws; the test suite asserts them over the configured trial
@@ -227,17 +229,16 @@ def run_stability(cfg: ExperimentConfig) -> RunTable:
     betas = cfg.betas or (-1.0, -0.1, 0.0, 0.1, 1.0, 5.0)
     noise_levels = cfg.noise_levels or (0.01, 0.05, 0.1, 0.2, 0.5)
 
-    norms, bounds, ratios = [], [], []
-    for t in range(cfg.trials):
+    def trial(t: int):  # its arrays die when it returns, before the next trial draws
         rng = np.random.default_rng([cfg.seed, t])
-        data = gen_gaussian_data(cfg.dim, cfg.n_samples, "gaussian", seed=[cfg.seed, t, 1])
-        cov = sample_covariance(data)
-        # Density operators are invariant to uniform spectral shifts, so working
-        # on the shift-regularized matrix changes none of the measured responses
-        # while keeping Z >= 1, which is what makes the error bound valid.
-        reg = shift_regularize(cov)
-        dc = _symmetric_noise(rng, cfg.dim, noise_levels)
-        trial_norms, trial_bounds, trial_ratios = _stability_responses(cov, reg, dc, betas)
+        cov = sample_covariance(gen_gaussian_data(cfg.dim, cfg.n_samples, "gaussian", seed=[cfg.seed, t, 1]))
+        # Density operators are invariant to uniform spectral shifts, so working on the shift-regularized
+        # matrix changes none of the measured responses while keeping Z >= 1.  That alone does not make the
+        # error bound valid: it can miss for beta > 0 once C + dC is indefinite (see density._error_bound).
+        return _stability_responses(cov, shift_regularize(cov), _symmetric_noise(rng, cfg.dim, noise_levels), betas)
+
+    norms, bounds, ratios = [], [], []
+    for trial_norms, trial_bounds, trial_ratios in map(trial, range(cfg.trials)):
         norms.append(trial_norms)
         bounds += trial_bounds
         ratios += trial_ratios
@@ -406,8 +407,7 @@ def run_regression(cfg: ExperimentConfig) -> RunTable:
             y_test = x_test @ weights + rng.normal(0.0, noise, cfg.n_test)
         return x_train, y_train, x_test, y_test, rng.standard_normal((pool_size, cfg.dim))
 
-    mae, baselines = [], []
-    for t in range(cfg.trials):
+    def trial(t: int):  # its arrays die when it returns, before the next trial draws
         # Arrays stacked on a leading noise-level axis.
         x_train, y_train, x_test, y_test, pools = map(np.array, zip(*(draws(t, e) for e in noise_levels)))
         covs = np.stack([covariance._covariance_array(pools[:, :n]) for n in grid], axis=1)
@@ -425,13 +425,18 @@ def run_regression(cfg: ExperimentConfig) -> RunTable:
         # (np.linalg.solve raises only for a singular system, and the system holds no label).
         with np.errstate(over="ignore", invalid="ignore"):
             y_bar = np.mean(y_train, axis=-1)
-            baselines.append(np.mean(np.abs(y_test - y_bar[:, None]), axis=-1))
+            baseline = np.mean(np.abs(y_test - y_bar[:, None]), axis=-1)
             b = v_t @ (np.swapaxes(x_train, -1, -2) @ (y_train - y_bar[:, None])[..., None])[:, None]
             w = v[:, :, None] @ (f[..., None] * np.linalg.solve(system, f[..., None] * b[:, :, None]))
             pred = np.reshape(w, (len(noise_levels), -1, cfg.dim)) @ np.swapaxes(x_test, -1, -2)
-            mae.append(np.mean(np.abs(pred + y_bar[:, None, None] - y_test[:, None]), axis=-1))
-        if not (np.all(np.isfinite(baselines[-1])) and np.all(np.isfinite(mae[-1]))):
+            pred += y_bar[:, None, None]
+            pred -= y_test[:, None]
+            trial_mae = np.mean(np.abs(pred, out=pred), axis=-1)
+        if not (np.all(np.isfinite(baseline)) and np.all(np.isfinite(trial_mae))):
             raise ConfigError(f"/weight_scale: the labels overflow a double, got {cfg.weight_scale!r}")
+        return trial_mae, baseline
+
+    mae, baselines = zip(*map(trial, range(cfg.trials)))
     params = _columns(
         ("trial", "noise", "n_cov", "method"), itertools.product(range(cfg.trials), noise_levels, grid, methods)
     )
@@ -451,9 +456,9 @@ def run_entropy_curve(cfg: ExperimentConfig) -> RunTable:
     beta_grid = cfg.betas or tuple(np.linspace(0.0, 15.0, 16))
     items = list(itertools.product(range(cfg.trials), enumerate(cfg.families)))
 
-    samples = np.array(
-        [gen_gaussian_data(cfg.dim, cfg.n_samples, family, seed=[cfg.seed, t, f]).values for t, (f, family) in items]
-    )
+    samples = np.empty((len(items), cfg.n_samples, cfg.dim))
+    for out, (t, (f, family)) in zip(samples, items):
+        out[...] = gen_gaussian_data(cfg.dim, cfg.n_samples, family, seed=[cfg.seed, t, f]).values
     c, spectra = covariance._checked_spectra(covariance._covariance_array(samples))
     _, spectra = covariance._checked_spectra(*covariance._shifted(c, spectra))
     rho, _ = density.density_values(spectra, beta_grid)
@@ -523,22 +528,20 @@ def run_betafit_demo(cfg: ExperimentConfig) -> RunTable:
     """
     noise_levels = cfg.noise_levels or (0.1,)
 
-    rows = []
-    for t in range(cfg.trials):
+    def trial(t: int):  # its arrays die once it is exhausted, before the next trial draws
         rng = np.random.default_rng([cfg.seed, t])
-        data = gen_gaussian_data(cfg.dim, cfg.n_samples, "gaussian", seed=[cfg.seed, t, 2])
-        cov = sample_covariance(data)
-        lam_true = cov._eigenvalues
-        target = np.clip(lam_true, 0.0, None)
+        cov = sample_covariance(gen_gaussian_data(cfg.dim, cfg.n_samples, "gaussian", seed=[cfg.seed, t, 2]))
+        target = np.clip(cov._eigenvalues, 0.0, None)
         target = target / target.sum()
         for eps in noise_levels:
-            noisy = cov.matrix + _symmetric_noise(rng, cfg.dim, (eps,))[0]
-            lam_noisy = np.linalg.eigvalsh(noisy)
+            lam_noisy = np.linalg.eigvalsh(cov.matrix + _symmetric_noise(rng, cfg.dim, (eps,))[0])
             result = fit_beta(lam_noisy, target)
             kl_star = kl_to_density(lam_noisy, target, result.beta_star)
             others = rng.uniform(result.beta_star - 5.0, result.beta_star + 5.0, size=50)
             kl_others = float(np.min(kl_to_density(lam_noisy, target, others)))
-            rows.append((result.beta_star, kl_star, kl_others, result.gradient_at_solution, result.iterations))
+            yield result.beta_star, kl_star, kl_others, result.gradient_at_solution, result.iterations
+
+    rows = [row for t in range(cfg.trials) for row in trial(t)]
     params = _columns(("trial", "noise"), itertools.product(range(cfg.trials), noise_levels))
     metrics = _columns(("beta_star", "kl_at_fit", "kl_best_alternative", "gradient", "iterations"), rows)
     return RunTable("betafit_demo", cfg.seed, params, metrics)

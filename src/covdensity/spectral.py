@@ -49,8 +49,9 @@ def _as_square_array(matrix) -> np.ndarray:
 def _symmetrize(m: np.ndarray) -> np.ndarray:
     """(M + M^T)/2 over the last two axes of a finite stack; an asymmetry over tolerance names its first matrix."""
     m_t = np.swapaxes(m, -1, -2)
-    tolerance = SYMMETRY_RTOL * np.abs(m).max(axis=(-2, -1), initial=1.0)
-    asym = np.abs(m - m_t).max(axis=(-2, -1), initial=0.0)
+    work = np.abs(m)  # the one working array: |m|, then |m - m_t|, then m / 2
+    tolerance = SYMMETRY_RTOL * work.max(axis=(-2, -1), initial=1.0)
+    asym = np.abs(np.subtract(m, m_t, out=work), out=work).max(axis=(-2, -1), initial=0.0)
     if (asym > tolerance).any():
         k = np.flatnonzero(asym > tolerance)[0]
         raise SymmetryError(
@@ -58,7 +59,8 @@ def _symmetrize(m: np.ndarray) -> np.ndarray:
         )
     # Halving first keeps the mean of two entries near the largest double finite; it equals
     # (m + m_t) / 2 bit for bit wherever no halved entry is subnormal.
-    return m / 2.0 + m_t / 2.0
+    half = np.divide(m, 2.0, out=work)
+    return half + np.swapaxes(half, -1, -2)
 
 
 def eigh(matrix) -> SpectralDecomposition:

@@ -429,6 +429,11 @@ class TestExperimentCommands:
                 "discriminate", [], {"regime_scale": [1e308, 1, 1], "base_spectrum": [10, 1, 0]},
                 "data matrix contains non-finite entries",
             ),
+            # Z'/Z = exp(ln Z' - ln Z) underflows to 0.0, which the error bound divides by.
+            (
+                "stability", ["--betas", "1e300"], {},
+                "density error bound overflows a double at beta = 1e+300, ||C|| = 2.29051",
+            ),
             ("regression", [], {"weight_scale": 1e308}, "/weight_scale: the labels overflow a double, got 1e+308"),
             ("regression", [], {"ridge": 1e308}, "/ridge: ridge * n_train must be finite, got 1e+308 * 100"),
             (

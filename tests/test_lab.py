@@ -789,7 +789,8 @@ def traced_peak_bytes(run, cfg):
 
 
 class TestDrawBlocks:
-    """Draws that grow with a sample size pass through one block of at most lab._DRAW_BLOCK doubles."""
+    """Draws that grow with a sample size pass through one block of at most lab._DRAW_BLOCK doubles, and a
+    run's working set does not grow with its trial count."""
 
     @pytest.mark.parametrize("dim", [1, 20])
     @pytest.mark.parametrize("n", [2, 3, "rows - 1", "rows", "rows + 1", 20000])
@@ -822,9 +823,18 @@ class TestDrawBlocks:
             for n in (20000, 200000)
         }
         discriminate = traced_peak_bytes(run_discrimination, ExperimentConfig(experiment="discrimination"))
-        assert max(*surrogate.values(), discriminate) < 1.5e6
+        entropy_curve = traced_peak_bytes(run_entropy_curve, ExperimentConfig(experiment="entropy_curve", trials=20))
+        assert max(*surrogate.values(), discriminate, entropy_curve) < 1.5e6
         # The whole (200000, 20) draw alone would be 32 MB; allow 64 KB (an eighth of a block) of unrelated noise.
         assert surrogate[200000] <= surrogate[20000] + lab._DRAW_BLOCK
+        # A regression trial's arrays (its pools, system, predictions and basis: about 0.6 MB at the defaults)
+        # are freed before the next trial draws, so the peak grows with trials only by the kept metrics, 52
+        # floats a trial; allow the same 64 KB.  Bounding trials=20 by trials=1 also bounds it by trials=2.
+        regression = {
+            t: traced_peak_bytes(run_regression, ExperimentConfig(experiment="regression", trials=t))
+            for t in (1, 2, 20)
+        }
+        assert max(regression[2], regression[20]) <= regression[1] + lab._DRAW_BLOCK
 
     @pytest.mark.parametrize(
         "fields",

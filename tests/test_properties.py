@@ -11,22 +11,27 @@ The same matrices check what shift_regularize and trace_normalize promise: a zer
 eigenvalue and a unit trace, and permutation equivariance of a filter and of a network layer.
 
 The network's batched gradients are checked against central differences of its loss on random
-shapes, and run tables against what results.csv reads back on random columns.
+shapes, and run tables against what results.csv reads back on random columns.  The in-place
+stacked kernels are checked bit for bit against their out-of-place forms on single and stacked
+arrays with huge, subnormal and signed-zero entries.
 """
 
 import csv
 import math
 import struct
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import dense_rho, random_psd
+from covdensity import covariance, density, spectral
 from covdensity.covariance import PSD_RTOL, CovarianceMatrix, shift_regularize, trace_normalize
 from covdensity.density import _as_decomposition, density_operator, density_values
 from covdensity.entropy import cvne
+from covdensity.errors import BetaRangeError, SymmetryError
 from covdensity.filtering import FilterSpec, filter_apply
 from covdensity.lab import RunTable, records_to_csv
 from covdensity.network import (
@@ -324,3 +329,105 @@ def test_run_table_cells_read_back_from_results_csv_bit_for_bit(tmp_path_factory
                 assert text == want
             else:  # a number or bool, held as the nearest double
                 assert text != "" and _bits(float(text)) == _bits(want), (name, text, want)
+
+
+# The stacked kernels density_values, covariance._covariance_array and spectral._symmetrize work in place;
+# these oracles are their out-of-place forms as first written.  Each applies the same floating-point
+# operations to the same values, so results, first errors and warnings must agree bit for bit.
+
+
+def out_of_place_density_values(eigenvalues, betas):
+    lam = np.asarray(eigenvalues, dtype=float)
+    betas = np.ravel(betas)
+    with np.errstate(over="ignore", invalid="ignore"):
+        exponents = -(betas[:, None] * lam[..., None, :])
+        shift = exponents.max(axis=-1)
+    if not np.all(np.isfinite(shift)):
+        if not np.all(np.isfinite(betas)):
+            raise ValueError("beta must be finite")
+        k = np.flatnonzero(~np.isfinite(shift))[0]
+        beta, norm = betas[k % betas.size], np.ravel(density._norm(lam))[k // betas.size]
+        raise BetaRangeError(f"beta * lambda overflows a double at beta = {beta:.6g}, ||C|| = {norm:.6g}")
+    weights = np.exp(exponents - shift[..., None])
+    total = weights.sum(axis=-1)
+    return weights / total[..., None], shift + np.log(total)
+
+
+def out_of_place_covariance_array(x):
+    with np.errstate(over="ignore", invalid="ignore"):
+        centered = x - x.mean(axis=-2, keepdims=True)
+        c = np.swapaxes(centered, -1, -2) @ centered / x.shape[-2]
+    if not np.all(np.isfinite(c)):
+        raise ValueError("sample covariance overflows a double")
+    return c / 2.0 + np.swapaxes(c, -1, -2) / 2.0
+
+
+def out_of_place_symmetrize(m):
+    m_t = np.swapaxes(m, -1, -2)
+    tolerance = spectral.SYMMETRY_RTOL * np.abs(m).max(axis=(-2, -1), initial=1.0)
+    asym = np.abs(m - m_t).max(axis=(-2, -1), initial=0.0)
+    if (asym > tolerance).any():
+        k = np.flatnonzero(asym > tolerance)[0]
+        raise SymmetryError(f"matrix asymmetry {np.ravel(asym)[k]:.3e} exceeds tolerance {np.ravel(tolerance)[k]:.3e}")
+    return m / 2.0 + m_t / 2.0
+
+
+def outcome(kernel, *args):
+    """A call's arrays (dtype, shape and bytes) or its exception (type and message), with its warnings."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            result = kernel(*args)
+        except Exception as exc:  # the first error, whatever it is, is what is compared
+            got = (type(exc), str(exc))
+        else:
+            got = [(a.dtype, a.shape, a.tobytes()) for a in (result if isinstance(result, tuple) else (result,))]
+    return got, [(w.category, str(w.message)) for w in caught]
+
+
+# Ordinary values mixed with +-huge (products and sums overflow), subnormal and signed-zero entries; squares
+# of +-1.3e154 sum past the largest double, and the square of 1.1e-160 is an odd multiple of the least subnormal.
+_KERNEL_ENTRIES = st.one_of(
+    st.floats(-10.0, 10.0),
+    st.sampled_from([1.5e308, -1.5e308, 1e300, 1.3e154, -1.3e154, 8.99e307, 1.1e-160, 5e-324, -5e-324, -1e-310, -0.0]),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+_LEADING = st.sampled_from([(), (1,), (3,), (2, 2)])
+
+
+@st.composite
+def entry_arrays(draw, trailing):
+    """_KERNEL_ENTRIES on a leading stack shape (none for a single item) followed by ``trailing``."""
+    shape = draw(_LEADING) + trailing
+    size = math.prod(shape)
+    return np.array(draw(st.lists(_KERNEL_ENTRIES, min_size=size, max_size=size))).reshape(shape)
+
+
+_NON_FINITE = st.sampled_from([math.nan, math.inf, -math.inf])
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(1, 5).flatmap(lambda m: entry_arrays((m,))),
+    st.lists(st.one_of(st.floats(-2.0, 2.0), _KERNEL_ENTRIES, _NON_FINITE), max_size=4),
+)
+def test_density_values_in_place_matches_out_of_place(lam, betas):
+    assert outcome(density_values, lam, betas) == outcome(out_of_place_density_values, lam, betas)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.tuples(st.integers(1, 5), st.integers(1, 4)).flatmap(entry_arrays))
+@example(np.array([[1.3e154], [-1.3e154]]))  # the Gram overflows a double
+@example(np.array([[1.1e-160], [-1.1e-160]]))  # a covariance that halving first rounds: (c + c) / 2 would not
+def test_covariance_array_in_place_matches_out_of_place(x):
+    assert outcome(covariance._covariance_array, x) == outcome(out_of_place_covariance_array, x)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 4).flatmap(lambda d: entry_arrays((d, d))), st.booleans(), st.booleans())
+def test_symmetrize_in_place_matches_out_of_place(m, mirror, nudge):
+    if mirror:  # mirror the upper triangle, then perhaps move one entry an ulp toward 0
+        m = np.triu(m) + np.swapaxes(np.triu(m, 1), -1, -2)
+        if nudge and m.shape[-1] > 1:
+            m[..., 1, 0] = np.nextafter(m[..., 1, 0], 0.0)
+    assert outcome(spectral._symmetrize, m) == outcome(out_of_place_symmetrize, m)
