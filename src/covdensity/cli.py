@@ -107,17 +107,15 @@ def _build_parser() -> _Parser:
     p.add_argument("--header", action="store_true")
     p.add_argument("--tol", type=float, default=1e-10)
 
+    flags = dict(dim=int, n_samples=int, trials=int, betas=_float_list, noise_levels=_float_list, sample_grid=_int_list)
     for name, experiment in EXPERIMENT_SUBCOMMANDS.items():
         p = sub.add_parser(name, help=f"run the {name} experiment")
         common(p, _cmd_experiment)
         p.set_defaults(experiment=experiment)
         p.add_argument("--config", default=None)
-        p.add_argument("--dim", type=int, default=None)
-        p.add_argument("--n-samples", type=int, default=None)
-        p.add_argument("--trials", type=int, default=None)
-        p.add_argument("--betas", type=_float_list, default=None)
-        p.add_argument("--noise-levels", type=_float_list, default=None)
-        p.add_argument("--sample-grid", type=_int_list, default=None)
+        for field in dataclasses.fields(lab.RUNNERS[experiment][0]):  # a flag only for a key the experiment reads
+            if field.name in flags:
+                p.add_argument(f"--{field.name.replace('_', '-')}", type=flags[field.name], default=None)
 
     p = sub.add_parser("train", help="train a model on CSV data")
     common(p, _cmd_train)
@@ -136,15 +134,15 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _load_json_config(path, config_class, kind: str) -> dict:
-    """The JSON object at ``path``; its keys must be fields of ``config_class``, plus an optional schema_version."""
+def _load_json_config(path, config_class, kind: str, optional=()) -> dict:
+    """The JSON object at ``path``; its keys must be fields of ``config_class``, schema_version or ``optional``."""
     try:
         payload = json.loads(pathlib.Path(path).read_text())
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: invalid JSON: {exc}") from exc
     if not isinstance(payload, dict):
         raise ConfigError(f"{path}: expected a JSON object at /")
-    allowed = {f.name for f in dataclasses.fields(config_class)} | {"schema_version"}
+    allowed = {f.name for f in dataclasses.fields(config_class)} | {"schema_version", *optional}
     for key in payload:
         if key not in allowed:
             raise ConfigError(f"{path}: unknown {kind} key at /{key}")
@@ -256,13 +254,13 @@ def _cmd_fit_beta(args) -> _Run:
 
 
 def _cmd_experiment(args) -> _Run:
-    payload = _load_json_config(args.config, lab.ExperimentConfig, "experiment config") if args.config else {}
-    if payload.get("experiment", args.experiment) != args.experiment:
-        raise ConfigError(f"/experiment: got {payload['experiment']!r}, but {args.subcommand} runs {args.experiment!r}")
-    for field in dataclasses.fields(lab.ExperimentConfig):  # every flag given wins; its dest is the field name
-        if getattr(args, field.name, None) is not None:
-            payload[field.name] = getattr(args, field.name)
-    cfg = lab.ExperimentConfig(**payload)
+    config_class = lab.RUNNERS[args.experiment][0]
+    payload = _load_json_config(args.config, config_class, "experiment config", ("experiment",)) if args.config else {}
+    if (experiment := payload.pop("experiment", args.experiment)) != args.experiment:
+        raise ConfigError(f"/experiment: got {experiment!r}, but {args.subcommand} runs {args.experiment!r}")
+    flags = {f.name: getattr(args, f.name, None) for f in dataclasses.fields(config_class)}  # a flag's dest is its key
+    payload.update((key, value) for key, value in flags.items() if value is not None)  # every flag given wins
+    cfg = config_class(**payload)
     table = lab.run_experiment(cfg)
     headline = _experiment_headline(args.experiment, table)
     return _Run(cfg.__dict__, table, {"headline": headline, "groups": lab.summarize(table)}, headline)

@@ -222,11 +222,7 @@ def _graph_filter(dim: int, edge_prob: float, filter_coeffs, rng: np.random.Gene
     Raises:
         GraphGenerationError: no connected graph within the retry budget.
     """
-    if not 0.0 < edge_prob <= 1.0:
-        raise ValueError(f"edge_prob must be in (0, 1], got {edge_prob}")
     coeffs = np.asarray(filter_coeffs, dtype=float)
-    if coeffs.ndim != 1 or coeffs.size == 0:
-        raise ValueError("filter_coeffs must be a non-empty 1-D sequence")
     for _ in range(_CONNECTED_RETRY_BUDGET):
         laplacian, adjacency = _erdos_renyi_laplacian(dim, edge_prob, rng)
         if _is_connected(adjacency):

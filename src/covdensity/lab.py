@@ -41,57 +41,44 @@ from .errors import ConfigError, ShapeError, _check_fields
 
 _DRAW_BLOCK = 2**16  # doubles (512 KB): the most of a draw that grows with a sample size held at once
 
-@dataclass(frozen=True)
-class ExperimentConfig:
-    """Common knobs for the lab experiments; unused fields are ignored per run."""
+_KEY_RULES = (  # (key, test, rule): the bound of one key, checked in this order on every config that declares it
+    *((key, lambda v: v >= 1, "must be >= 1") for key in ("dim", "trials", "n_train", "n_test", "n_windows",
+                                                          "max_filter_order")),
+    ("n_samples", lambda v: v >= 2, "must be >= 2"),
+    *((key, lambda v: v >= 0, "must be >= 0") for key in ("seed", "weight_scale", "ridge")),
+    *((key, bool, "must be non-empty") for key in ("betas", "noise_levels", "sample_grid", "families", "base_spectrum",
+                                                  "filter_coeffs")),
+    ("noise_levels", lambda v: all(e >= 0 for e in v), "entries must be >= 0"),
+    ("noise_levels", lambda v: all(map(math.isfinite, v)), "entries must be finite"),
+    ("edge_prob", lambda v: 0 < v <= 1, "must be in (0, 1]"),
+    *((key, test, rule) for key in ("beta_range", "eigenvalue_range") for test, rule in (
+        (lambda v: v[0] <= v[1], "must be [low, high] with low <= high"),
+        (lambda v: math.isfinite(v[1] - v[0]), "high - low must be finite"))),
+)
 
-    experiment: str
-    dim: int = 20
-    n_samples: int = 40
-    sample_grid: tuple[int, ...] = ()
-    betas: tuple[float, ...] = ()
-    noise_levels: tuple[float, ...] = ()
-    trials: int = 100
-    seed: int = 0
-    # stability / discrimination extras
-    window: int = 128
-    n_windows: int = 500
-    regime_scale: tuple[float, ...] = (1.3, 1.2, 1.1)
-    base_spectrum: tuple[float, ...] = (1.0, 1.0, 0.0)
-    # surrogate extras
-    edge_prob: float = 0.5
-    filter_coeffs: tuple[float, ...] = (1.0, 0.5)
-    # entropy-curve extras
-    families: tuple[str, ...] = ("gaussian", "exponential", "gamma")
-    # regression extras
-    n_informative: int = 5
-    n_train: int = 100
-    n_test: int = 500
-    ridge: float = 2e-4
-    weight_scale: float = 0.7
-    # lipschitz extras
-    max_filter_order: int = 5
-    beta_range: tuple[float, float] = (-3.0, 3.0)
-    eigenvalue_range: tuple[float, float] = (0.0, 10.0)
+
+@dataclass(frozen=True)
+class _Config:
+    """An experiment's keys with their defaults: a runner's config declares every key it reads and no other.  Building
+    one checks their types, then ``_KEY_RULES``, then ``_rules``, each raising ``ConfigError("/<key>: ...")``."""
+
+    seed: int = 0  # every experiment draws from streams seeded with it
 
     def __post_init__(self):
-        # A sample_grid entry is named with its bound, whether its type or its size is wrong.
-        for n in self.sample_grid if isinstance(self.sample_grid, (tuple, list, np.ndarray)) else ():
+        grid = getattr(self, "sample_grid", ())
+        for n in grid if isinstance(grid, (tuple, list, np.ndarray)) else ():  # named with its bound, type or size
             if not (isinstance(n, (int, np.integer)) and n >= 2):
-                raise ConfigError(f"sample_grid entries must be integers >= 2, got {n!r}")
+                raise ConfigError(f"/sample_grid: entries must be integers >= 2, got {n!r}")
         _check_fields(self)
-        if self.experiment not in RUNNERS:
-            raise ConfigError(f"unknown experiment {self.experiment!r}, expected one of {tuple(RUNNERS)}")
-        if self.dim < 1 or self.trials < 1:
-            raise ConfigError("dim and trials must be positive")
-        if self.n_samples < 2:
-            raise ConfigError("n_samples must be >= 2")
-        if self.seed < 0:
-            raise ConfigError(f"seed must be >= 0, got {self.seed!r}")
-        if not all(e >= 0 for e in self.noise_levels):
-            raise ConfigError(f"/noise_levels: entries must be >= 0, got {list(self.noise_levels)}")
-        if not all(map(math.isfinite, self.noise_levels)):
-            raise ConfigError(f"/noise_levels: entries must be finite, got {list(self.noise_levels)}")
+        for key, test, rule in _KEY_RULES:
+            if key in self.__dict__ and not test(v := self.__dict__[key]):
+                raise ConfigError(f"/{key}: {rule}, got {list(v) if isinstance(v, tuple) else v!r}")
+        for key, ok, rule in self._rules():
+            if not ok:
+                raise ConfigError(f"/{key}: {rule}")
+
+    def _rules(self):  # the (key, ok, rule) checks that relate two keys, in order
+        return ()
 
 
 def _canon(value):
@@ -217,7 +204,16 @@ def _stability_responses(cov, reg, dc, betas) -> tuple[np.ndarray, list, list]:
     return norms, bounds, ratios
 
 
-def run_stability(cfg: ExperimentConfig) -> RunTable:
+@dataclass(frozen=True)
+class StabilityConfig(_Config):
+    dim: int = 20
+    n_samples: int = 40
+    betas: tuple[float, ...] = (-1.0, -0.1, 0.0, 0.1, 1.0, 5.0)
+    noise_levels: tuple[float, ...] = (0.01, 0.05, 0.1, 0.2, 0.5)
+    trials: int = 100
+
+
+def run_stability(cfg: StabilityConfig) -> RunTable:
     """Perturbation response of density operators vs the trace-normalized baseline.
 
     Per (trial, noise level): one symmetric perturbation with exact operator
@@ -226,16 +222,13 @@ def run_stability(cfg: ExperimentConfig) -> RunTable:
     partition ratio R) plus the trace-normalized covariance response.  A trial's
     perturbations come from one draw and are evaluated as one stack.
     """
-    betas = cfg.betas or (-1.0, -0.1, 0.0, 0.1, 1.0, 5.0)
-    noise_levels = cfg.noise_levels or (0.01, 0.05, 0.1, 0.2, 0.5)
-
     def trial(t: int):  # its arrays die when it returns, before the next trial draws
-        rng = np.random.default_rng([cfg.seed, t])
         cov = sample_covariance(gen_gaussian_data(cfg.dim, cfg.n_samples, "gaussian", seed=[cfg.seed, t, 1]))
+        noise = _symmetric_noise(np.random.default_rng([cfg.seed, t]), cfg.dim, cfg.noise_levels)
         # Density operators are invariant to uniform spectral shifts, so working on the shift-regularized
         # matrix changes none of the measured responses while keeping Z >= 1.  That alone does not make the
         # error bound valid: it can miss for beta > 0 once C + dC is indefinite (see density._error_bound).
-        return _stability_responses(cov, shift_regularize(cov), _symmetric_noise(rng, cfg.dim, noise_levels), betas)
+        return _stability_responses(cov, shift_regularize(cov), noise, cfg.betas)
 
     norms, bounds, ratios = [], [], []
     for trial_norms, trial_bounds, trial_ratios in map(trial, range(cfg.trials)):
@@ -243,8 +236,8 @@ def run_stability(cfg: ExperimentConfig) -> RunTable:
         bounds += trial_bounds
         ratios += trial_ratios
     norms = np.array(norms)
-    rows = [("trace_normalized", None)] + [("density", beta) for beta in betas]
-    params = _columns(("trial", "noise", "row"), itertools.product(range(cfg.trials), noise_levels, rows))
+    rows = [("trace_normalized", None)] + [("density", beta) for beta in cfg.betas]
+    params = _columns(("trial", "noise", "row"), itertools.product(range(cfg.trials), cfg.noise_levels, rows))
     params["method"], params["beta"] = zip(*params.pop("row"))
     metrics = {
         "delta_c_norm": np.repeat(norms[..., 0], len(rows)),
@@ -255,7 +248,15 @@ def run_stability(cfg: ExperimentConfig) -> RunTable:
     return RunTable("stability", cfg.seed, params, metrics)
 
 
-def run_lipschitz(cfg: ExperimentConfig) -> RunTable:
+@dataclass(frozen=True)
+class LipschitzConfig(_Config):
+    trials: int = 100
+    max_filter_order: int = 5
+    beta_range: tuple[float, float] = (-3.0, 3.0)
+    eigenvalue_range: tuple[float, float] = (0.0, 10.0)
+
+
+def run_lipschitz(cfg: LipschitzConfig) -> RunTable:
     """Empirical check of |response difference| <= alpha |eigenvalue difference|.
 
     Each trial draws an eigenvalue pair and a random filter, evaluates both
@@ -263,14 +264,6 @@ def run_lipschitz(cfg: ExperimentConfig) -> RunTable:
     records the ratio against the Lipschitz constant; near-identical pairs and
     zero-alpha filters are skipped (0/0).
     """
-    if cfg.max_filter_order < 1:
-        raise ConfigError(f"/max_filter_order: must be >= 1, got {cfg.max_filter_order}")
-    for key in ("beta_range", "eigenvalue_range"):
-        low, high = getattr(cfg, key)
-        if not low <= high:
-            raise ConfigError(f"/{key}: must be [low, high] with low <= high, got {[low, high]}")
-        if not math.isfinite(high - low):
-            raise ConfigError(f"/{key}: high - low must be finite, got {[low, high]}")
     lo, hi = cfg.eigenvalue_range
 
     trials, rows = [], []
@@ -328,7 +321,16 @@ def _white_covariance(rng: np.random.Generator, n: int, dim: int) -> np.ndarray:
     return m2 / n
 
 
-def run_surrogate(cfg: ExperimentConfig) -> RunTable:
+@dataclass(frozen=True)
+class SurrogateConfig(_Config):
+    dim: int = 20
+    sample_grid: tuple[int, ...] = (100, 2000, 20000)
+    trials: int = 100
+    edge_prob: float = 0.5
+    filter_coeffs: tuple[float, ...] = (1.0, 0.5)
+
+
+def run_surrogate(cfg: SurrogateConfig) -> RunTable:
     """Eigenvector convergence of the sample covariance to the graph Laplacian.
 
     Each (trial, n) draws its graph, then white noise w; the data would be x = g(L) w, but its sample covariance
@@ -339,12 +341,10 @@ def run_surrogate(cfg: ExperimentConfig) -> RunTable:
     ties (see :func:`matched_alignment`), and at n <= dim, where the centred sample covariance has rank at most
     n - 1 and rounding alone picks the eigenvectors of its null space.
     """
-    grid = cfg.sample_grid or (100, 2000, 20000)
-
     rows = []
     for t in range(cfg.trials):
-        laplacians, g, s_w = (np.empty((len(grid), cfg.dim, cfg.dim)) for _ in range(3))
-        for i, n in enumerate(grid):
+        laplacians, g, s_w = (np.empty((len(cfg.sample_grid), cfg.dim, cfg.dim)) for _ in range(3))
+        for i, n in enumerate(cfg.sample_grid):
             rng = np.random.default_rng([cfg.seed, t, n])
             laplacians[i], g[i] = covariance._graph_filter(cfg.dim, cfg.edge_prob, cfg.filter_coeffs, rng)
             s_w[i] = _white_covariance(rng, n, cfg.dim)
@@ -355,13 +355,35 @@ def run_surrogate(cfg: ExperimentConfig) -> RunTable:
         lam, v = spectral._eigh(np.stack([laplacians, covs]))
         covariance._check_psd(lam[1])
         alignment, degenerate = matched_alignment(lam[0], v[0], v[1], cfg.filter_coeffs)
-        degenerate |= np.array(grid) <= cfg.dim
+        degenerate |= np.array(cfg.sample_grid) <= cfg.dim
         rows += [(float(d), None if d else a) for a, d in zip(alignment.tolist(), degenerate.tolist())]
-    params = _columns(("trial", "n_samples"), itertools.product(range(cfg.trials), grid))
+    params = _columns(("trial", "n_samples"), itertools.product(range(cfg.trials), cfg.sample_grid))
     return RunTable("surrogate", cfg.seed, params, _columns(("degenerate", "alignment"), rows))
 
 
-def run_regression(cfg: ExperimentConfig) -> RunTable:
+@dataclass(frozen=True)
+class RegressionConfig(_Config):
+    dim: int = 20
+    sample_grid: tuple[int, ...] = (25, 50, 100, 250, 1000)
+    betas: tuple[float, ...] = (0.1, 1.0, 5.0, 15.0)
+    noise_levels: tuple[float, ...] = (0.0, 5.0)
+    trials: int = 100
+    n_informative: int = 5
+    n_train: int = 100
+    n_test: int = 500
+    ridge: float = 2e-4
+    weight_scale: float = 0.7
+
+    def _rules(self):
+        yield "n_informative", 0 <= self.n_informative <= self.dim, (
+            f"must be in [0, dim = {self.dim}], got {self.n_informative}")
+        yield "ridge", math.isfinite(self.ridge * self.n_train), (  # the ridge term of every fit's system
+            f"ridge * n_train must be finite, got {self.ridge!r} * {self.n_train}")
+        yield "noise_levels", all(math.isfinite(float(e) * 1000) for e in self.noise_levels), (  # each level's seed
+            f"entries * 1000 must be finite to seed the draws, got {list(self.noise_levels)}")
+
+
+def run_regression(cfg: RegressionConfig) -> RunTable:
     """Stability of density-shifted linear regression to covariance sample size.
 
     Per trial: fixed train/test sets with sparse standard-normal-feature ground
@@ -377,23 +399,9 @@ def run_regression(cfg: ExperimentConfig) -> RunTable:
     with A = V^T X^T X V, and predicts through V F c; V's column signs cancel.  Per
     trial, one stacked ``eigh`` decomposes every covariance, one batched solve fits all.
     """
-    if not 0 <= cfg.n_informative <= cfg.dim:
-        raise ConfigError(f"/n_informative: must be in [0, dim = {cfg.dim}], got {cfg.n_informative}")
-    for key in ("n_train", "n_test"):
-        if getattr(cfg, key) < 1:
-            raise ConfigError(f"/{key}: must be >= 1, got {getattr(cfg, key)}")
-    for key in ("weight_scale", "ridge"):
-        if not getattr(cfg, key) >= 0:
-            raise ConfigError(f"/{key}: must be >= 0, got {getattr(cfg, key)}")
-    if not math.isfinite(cfg.ridge * cfg.n_train):  # the ridge term of every fit's system
-        raise ConfigError(f"/ridge: ridge * n_train must be finite, got {cfg.ridge!r} * {cfg.n_train}")
-    betas = cfg.betas or (0.1, 1.0, 5.0, 15.0)
-    noise_levels = cfg.noise_levels or (0.0, 5.0)
-    grid = cfg.sample_grid or (25, 50, 100, 250, 1000)
+    betas, noise_levels, grid = cfg.betas, cfg.noise_levels, cfg.sample_grid
     pool_size = max(max(grid), cfg.dim + 1)
     methods = ["raw_covariance"] + [f"density_beta_{beta:g}" for beta in betas]
-    if not all(math.isfinite(float(e) * 1000) for e in noise_levels):  # each level's seed is round(e * 1000)
-        raise ConfigError(f"/noise_levels: entries * 1000 must be finite to seed the draws, got {list(noise_levels)}")
 
     def draws(t: int, noise: float):
         rng = np.random.default_rng([cfg.seed, t, int(round(noise * 1000))])
@@ -444,16 +452,22 @@ def run_regression(cfg: ExperimentConfig) -> RunTable:
     return RunTable("regression", cfg.seed, params, metrics)
 
 
-def run_entropy_curve(cfg: ExperimentConfig) -> RunTable:
+@dataclass(frozen=True)
+class EntropyCurveConfig(_Config):
+    dim: int = 20
+    n_samples: int = 40
+    betas: tuple[float, ...] = tuple(np.linspace(0.0, 15.0, 16).tolist())
+    trials: int = 100
+    families: tuple[str, ...] = ("gaussian", "exponential", "gamma")
+
+
+def run_entropy_curve(cfg: EntropyCurveConfig) -> RunTable:
     """Density entropy over a beta grid for Gaussian/Exponential/Gamma covariances.
 
     Every (trial, family) sample covariance of the run is checked, shifted and
     checked again as one stack; the shifted matrices' PSD check already holds
     their spectra (eigvalsh order), which one ``density_values`` call maps.
     """
-    if not cfg.families:
-        raise ConfigError("/families: must be non-empty, got []")
-    beta_grid = cfg.betas or tuple(np.linspace(0.0, 15.0, 16))
     items = list(itertools.product(range(cfg.trials), enumerate(cfg.families)))
 
     samples = np.empty((len(items), cfg.n_samples, cfg.dim))
@@ -461,19 +475,33 @@ def run_entropy_curve(cfg: ExperimentConfig) -> RunTable:
         out[...] = gen_gaussian_data(cfg.dim, cfg.n_samples, family, seed=[cfg.seed, t, f]).values
     c, spectra = covariance._checked_spectra(covariance._covariance_array(samples))
     _, spectra = covariance._checked_spectra(*covariance._shifted(c, spectra))
-    rho, _ = density.density_values(spectra, beta_grid)
+    rho, _ = density.density_values(spectra, cfg.betas)
     nats = entropy._shannon_nats(rho).ravel()
-    params = _columns(("trial", "family", "beta"), itertools.product(range(cfg.trials), cfg.families, beta_grid))
+    params = _columns(("trial", "family", "beta"), itertools.product(range(cfg.trials), cfg.families, cfg.betas))
     return RunTable("entropy_curve", cfg.seed, params, {"entropy_nats": nats, "entropy_bits": nats / math.log(2.0)})
 
 
-def run_discrimination(cfg: ExperimentConfig) -> RunTable:
+@dataclass(frozen=True)
+class DiscriminationConfig(_Config):
+    betas: tuple[float, ...] = (2.0,)
+    window: int = 128
+    n_windows: int = 500
+    regime_scale: tuple[float, ...] = (1.3, 1.2, 1.1)
+    base_spectrum: tuple[float, ...] = (1.0, 1.0, 0.0)
+
+    def _rules(self):
+        dim = len(self.base_spectrum)
+        yield "regime_scale", len(self.regime_scale) == dim, f"must match the base spectrum length {dim}"
+        yield "window", self.window >= dim + 1, f"too small for dim {dim} (need >= dim + 1), got {self.window}"
+
+
+def run_discrimination(cfg: DiscriminationConfig) -> RunTable:
     """Two-regime entropy discrimination on windowed sample covariances.
 
     Regime 0 draws Gaussian windows with the base diagonal spectrum (singular by default,
     where log-det entropies diverge); regime 1 scales it elementwise by ``regime_scale``.
     Each window's sample covariance is scored by the trace-normalized entropy and by the
-    density entropy at ``betas[0]`` (default 2.0), and each score's two regimes are
+    density entropy at ``betas[0]``, and each score's two regimes are
     separated by a best-direction threshold sweep (AUC): near-global scalings leave the
     naive score at chance while the density entropy tracks the absolute spectrum.
 
@@ -482,16 +510,8 @@ def run_discrimination(cfg: ExperimentConfig) -> RunTable:
     scores and every check, so the density entropy reads ``eigvalsh`` eigenvalues where
     :func:`entropy.cvne` reads ``eigh`` ones (they can differ in the last bits).
     """
-    beta = cfg.betas[0] if cfg.betas else 2.0
-    base = np.asarray(cfg.base_spectrum, dtype=float)
-    scale = np.asarray(cfg.regime_scale, dtype=float)
-    if scale.shape != base.shape:
-        raise ShapeError("regime_scale must match the base spectrum length")
+    base, scale = np.asarray(cfg.base_spectrum, dtype=float), np.asarray(cfg.regime_scale, dtype=float)
     n, window, dim = cfg.n_windows, cfg.window, base.size
-    if window < dim + 1:
-        raise ValueError(f"window {window} too small for dim {dim} (need >= dim + 1)")
-    if n < 1:
-        raise ConfigError(f"/n_windows: must be >= 1, got {n}")
     # A negative or overflowing spectrum entry gives a non-finite deviation; draws are finite exactly where it is.
     with np.errstate(over="ignore", invalid="ignore"):
         sd = np.sqrt(np.stack([base, base * scale]))
@@ -505,7 +525,7 @@ def run_discrimination(cfg: ExperimentConfig) -> RunTable:
             np.random.default_rng([cfg.seed, regime, w]).standard_normal(out=out)
         samples *= sd[regime]
         covs[regime, start : start + len(samples)] = covariance._covariance_array(samples)
-    s_naive, s_vne = entropy._window_entropies(covs, beta)
+    s_naive, s_vne = entropy._window_entropies(covs, cfg.betas[0])
     # Rows: every regime-0 window, every regime-1 window, then the AUC row.
     pad = [None] * (2 * n)
     params = {"regime": [0] * n + [1] * n + [None], "window_index": [*range(n)] * 2 + [None], "summary": pad + ["auc"]}
@@ -518,7 +538,15 @@ def run_discrimination(cfg: ExperimentConfig) -> RunTable:
     return RunTable("discrimination", cfg.seed, params, metrics)
 
 
-def run_betafit_demo(cfg: ExperimentConfig) -> RunTable:
+@dataclass(frozen=True)
+class BetafitDemoConfig(_Config):
+    dim: int = 20
+    n_samples: int = 40
+    noise_levels: tuple[float, ...] = (0.1,)
+    trials: int = 100
+
+
+def run_betafit_demo(cfg: BetafitDemoConfig) -> RunTable:
     """Recover the inverse temperature matching a noisy spectrum to a clean one.
 
     Per trial: a Gaussian sample covariance is perturbed by symmetric noise;
@@ -526,14 +554,12 @@ def run_betafit_demo(cfg: ExperimentConfig) -> RunTable:
     trace-normalized clean spectrum, and the KL at the fit is compared with a
     grid of alternative betas.
     """
-    noise_levels = cfg.noise_levels or (0.1,)
-
     def trial(t: int):  # its arrays die once it is exhausted, before the next trial draws
         rng = np.random.default_rng([cfg.seed, t])
         cov = sample_covariance(gen_gaussian_data(cfg.dim, cfg.n_samples, "gaussian", seed=[cfg.seed, t, 2]))
         target = np.clip(cov._eigenvalues, 0.0, None)
         target = target / target.sum()
-        for eps in noise_levels:
+        for eps in cfg.noise_levels:
             lam_noisy = np.linalg.eigvalsh(cov.matrix + _symmetric_noise(rng, cfg.dim, (eps,))[0])
             result = fit_beta(lam_noisy, target)
             kl_star = kl_to_density(lam_noisy, target, result.beta_star)
@@ -542,21 +568,21 @@ def run_betafit_demo(cfg: ExperimentConfig) -> RunTable:
             yield result.beta_star, kl_star, kl_others, result.gradient_at_solution, result.iterations
 
     rows = [row for t in range(cfg.trials) for row in trial(t)]
-    params = _columns(("trial", "noise"), itertools.product(range(cfg.trials), noise_levels))
+    params = _columns(("trial", "noise"), itertools.product(range(cfg.trials), cfg.noise_levels))
     metrics = _columns(("beta_star", "kl_at_fit", "kl_best_alternative", "gradient", "iterations"), rows)
     return RunTable("betafit_demo", cfg.seed, params, metrics)
 
 
-RUNNERS = {
-    "stability": run_stability,
-    "lipschitz": run_lipschitz,
-    "surrogate": run_surrogate,
-    "regression": run_regression,
-    "entropy_curve": run_entropy_curve,
-    "discrimination": run_discrimination,
-    "betafit_demo": run_betafit_demo,
+RUNNERS = {  # experiment name: (its config, its runner)
+    "stability": (StabilityConfig, run_stability),
+    "lipschitz": (LipschitzConfig, run_lipschitz),
+    "surrogate": (SurrogateConfig, run_surrogate),
+    "regression": (RegressionConfig, run_regression),
+    "entropy_curve": (EntropyCurveConfig, run_entropy_curve),
+    "discrimination": (DiscriminationConfig, run_discrimination),
+    "betafit_demo": (BetafitDemoConfig, run_betafit_demo),
 }
 
 
-def run_experiment(cfg: ExperimentConfig) -> RunTable:
-    return RUNNERS[cfg.experiment](cfg)
+def run_experiment(cfg) -> RunTable:  # runs the experiment that cfg configures
+    return next(runner for config_class, runner in RUNNERS.values() if type(cfg) is config_class)(cfg)

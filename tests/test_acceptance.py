@@ -31,7 +31,7 @@ from covdensity.covariance import (
 from covdensity.density import density_operator, f_factor
 from covdensity.entropy import cvne, naive_entropy
 from covdensity.filtering import FilterSpec
-from covdensity.lab import ExperimentConfig, run_lipschitz, run_regression, run_surrogate
+from covdensity.lab import LipschitzConfig, RegressionConfig, SurrogateConfig, run_lipschitz, run_regression, run_surrogate
 from covdensity.network import TrainConfig, forward_rows, init_model, model_gradients, train
 
 
@@ -115,7 +115,7 @@ def test_criterion_03_permutation_equivariance():
 
 def test_criterion_04_composite_lipschitz():
     budget = Budget(10.0)
-    cfg = ExperimentConfig(experiment="lipschitz", trials=10000, seed=404)
+    cfg = LipschitzConfig(trials=10000, seed=404)
     records = table_rows(run_lipschitz(cfg))
     assert len(records) >= 9900
     max_ratio = max(r.metrics["ratio"] for r in records)
@@ -234,8 +234,8 @@ def test_criterion_09_beta_fit():
 
 def test_criterion_10_spectral_surrogate():
     budget = Budget(120.0)
-    cfg = ExperimentConfig(
-        experiment="surrogate", dim=8, trials=20, seed=1010,
+    cfg = SurrogateConfig(
+        dim=8, trials=20, seed=1010,
         sample_grid=(100, 20000), filter_coeffs=(1.0, 0.5), edge_prob=0.5,
     )
     records = table_rows(run_surrogate(cfg))
@@ -286,8 +286,8 @@ def test_criterion_11_gradient_checks():
 
 def test_criterion_12_noise_robustness_trend():
     budget = Budget(300.0)
-    cfg = ExperimentConfig(
-        experiment="regression", trials=100, seed=1212,
+    cfg = RegressionConfig(
+        trials=100, seed=1212,
         betas=(0.1, 1.0, 5.0), noise_levels=(5.0,),
     )
     records = table_rows(run_regression(cfg))

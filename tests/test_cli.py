@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import covdensity
-from covdensity import cli, network
+from covdensity import cli, lab, network
 from covdensity.cli import main
 from covdensity.spectral import eigh
 
@@ -308,7 +308,7 @@ class TestExperimentCommands:
             capsys, subcommand, "--trials", "1", f"--sample-grid=30,{bad}", "--output-dir", str(tmp_path)
         )
         assert code == 2
-        assert err == f"error: sample_grid entries must be integers >= 2, got {bad}\n"
+        assert err == f"error: /sample_grid: entries must be integers >= 2, got {bad}\n"
         assert not (tmp_path / "results.csv").exists()
 
     @pytest.mark.parametrize("subcommand", ["regression", "surrogate"])
@@ -318,7 +318,7 @@ class TestExperimentCommands:
         cfg_path.write_text(json.dumps({"trials": 1, "sample_grid": [30, bad]}))
         code, _, err = run_cli(capsys, subcommand, "--config", str(cfg_path), "--output-dir", str(tmp_path))
         assert code == 2
-        assert err == f"error: sample_grid entries must be integers >= 2, got {bad!r}\n"
+        assert err == f"error: /sample_grid: entries must be integers >= 2, got {bad!r}\n"
         assert not (tmp_path / "results.csv").exists()
 
     def test_lipschitz_with_every_trial_skipped(self, capsys, tmp_path):
@@ -456,7 +456,7 @@ class TestExperimentCommands:
     )
     def test_out_of_range_experiment_value_is_named(self, capsys, tmp_path, subcommand, flags, cfg, message):
         cfg_path, out_dir = tmp_path / "cfg.json", tmp_path / "out"
-        cfg_path.write_text(json.dumps({"trials": 1, **cfg}))
+        cfg_path.write_text(json.dumps(cfg if subcommand == "discriminate" else {"trials": 1, **cfg}))  # no trials key
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             code, out, err = run_cli(
@@ -558,62 +558,132 @@ class TestExperimentCommands:
         cfg_path.write_text(json.dumps({"seed": -2}))
         for flags, value in ((["--seed", "-1"], -1), (["--config", str(cfg_path)], -2)):
             code, out, err = run_cli(capsys, "stability", *flags, "--output-dir", str(tmp_path / "out"))
-            assert (code, out, err) == (2, "", f"error: seed must be >= 0, got {value}\n")
+            assert (code, out, err) == (2, "", f"error: /seed: must be >= 0, got {value}\n")
         assert not (tmp_path / "out").exists()
 
-    def test_every_experiment_config_field_is_a_config_key(self, capsys, tmp_path):
-        import dataclasses
-
-        from covdensity.lab import ExperimentConfig
-
-        defaults = ExperimentConfig(experiment="stability")
-        payload = {f.name: getattr(defaults, f.name) for f in dataclasses.fields(ExperimentConfig)}
-        payload.update(schema_version=1, dim=4, trials=1, betas=[0.5], noise_levels=[0.1])
+    @pytest.mark.parametrize("subcommand,experiment", cli.EXPERIMENT_SUBCOMMANDS.items())
+    def test_every_experiment_config_field_is_a_config_key(self, capsys, tmp_path, subcommand, experiment):
+        config_class = lab.RUNNERS[experiment][0]
+        tiny = {"dim": 4, "trials": 1, "n_windows": 5, "sample_grid": [30], "n_test": 20, "n_informative": 2}
+        payload = {f.name: tiny.get(f.name, f.default) for f in dataclasses.fields(config_class)}
+        payload.update(schema_version=1, experiment=experiment)
         cfg_path = tmp_path / "full.json"
         cfg_path.write_text(json.dumps(payload))
-        code, _, err = run_cli(capsys, "stability", "--config", str(cfg_path), "--output-dir", str(tmp_path / "ok"))
+        code, _, err = run_cli(capsys, subcommand, "--config", str(cfg_path), "--output-dir", str(tmp_path / "ok"))
         assert code == 0, err
-        cfg_path.write_text(json.dumps({**payload, "unknown": 1}))
-        code, _, err = run_cli(capsys, "stability", "--config", str(cfg_path), "--output-dir", str(tmp_path / "bad"))
-        assert code == 2
-        assert "unknown experiment config key at /unknown" in err
+        manifest = json.loads((tmp_path / "ok" / "manifest.json").read_text())
+        del payload["schema_version"], payload["experiment"]
+        assert manifest["config"] == json.loads(json.dumps(payload))  # the declared keys, as they ran
+        unread = "window" if experiment != "discrimination" else "dim"
+        for key in ("unknown", unread):
+            cfg_path.write_text(json.dumps({**payload, key: 1}))
+            code, _, err = run_cli(capsys, subcommand, "--config", str(cfg_path), "--output-dir", str(tmp_path / "bad"))
+            assert (code, err) == (2, f"error: {cfg_path}: unknown experiment config key at /{key}\n")
+
+    def test_manifest_records_the_defaults_that_ran(self, capsys, tmp_path):
+        code, _, err = run_cli(capsys, "regression", "--trials", "1", "--output-dir", str(tmp_path))
+        assert (code, err) == (0, "")
+        assert json.loads((tmp_path / "manifest.json").read_text())["config"] == {
+            "betas": [0.1, 1.0, 5.0, 15.0], "dim": 20, "n_informative": 5, "n_test": 500, "n_train": 100,
+            "noise_levels": [0.0, 5.0], "ridge": 2e-4, "sample_grid": [25, 50, 100, 250, 1000], "seed": 0,
+            "trials": 1, "weight_scale": 0.7,
+        }
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["lipschitz", "--dim", "999999", "--betas", "5", "--noise-levels", "3", "--trials", "2"],
+            ["lipschitz", "--n-samples", "1"],
+            ["discriminate", "--trials", "7"],
+            ["surrogate", "--betas", "1"],
+            ["betafit-demo", "--sample-grid", "30"],
+        ],
+    )
+    def test_flag_of_an_unread_key_is_a_usage_error(self, capsys, tmp_path, argv):
+        code, out, err = run_cli(capsys, *argv, "--output-dir", str(tmp_path / "out"))
+        assert (code, out) == (1, "")
+        assert err.startswith(f"unrecognized arguments: {argv[1]} ")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "subcommand,key",
+        [
+            (subcommand, key)
+            for subcommand, experiment in cli.EXPERIMENT_SUBCOMMANDS.items()
+            for key in ("betas", "noise_levels", "sample_grid")
+            if key in {f.name for f in dataclasses.fields(lab.RUNNERS[experiment][0])}
+        ],
+    )
+    def test_empty_grid_is_rejected(self, capsys, tmp_path, subcommand, key):
+        cfg_path, out_dir = tmp_path / "cfg.json", tmp_path / "out"
+        cfg_path.write_text(json.dumps({key: []}))
+        for flags in ([f"--{key.replace('_', '-')}="], ["--config", str(cfg_path)]):
+            code, out, err = run_cli(capsys, subcommand, *flags, "--output-dir", str(out_dir))
+            assert (code, out, err) == (2, "", f"error: /{key}: must be non-empty, got []\n")
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize(
+        "subcommand,cfg,message",
+        [
+            ("surrogate", {"edge_prob": 0}, "/edge_prob: must be in (0, 1], got 0"),
+            ("surrogate", {"edge_prob": 1.5}, "/edge_prob: must be in (0, 1], got 1.5"),
+            ("discriminate", {"window": 3}, "/window: too small for dim 3 (need >= dim + 1), got 3"),
+            ("discriminate", {"regime_scale": [1.0, 2.0]}, "/regime_scale: must match the base spectrum length 3"),
+        ],
+    )
+    def test_declared_check_runs_before_any_draw(self, capsys, tmp_path, monkeypatch, subcommand, cfg, message):
+        def no_draw(*args, **kwargs):
+            raise AssertionError("drew before checking the config")
+
+        monkeypatch.setattr(np.random, "default_rng", no_draw)
+        cfg_path, out_dir = tmp_path / "cfg.json", tmp_path / "out"
+        cfg_path.write_text(json.dumps(cfg))
+        code, out, err = run_cli(capsys, subcommand, "--config", str(cfg_path), "--output-dir", str(out_dir))
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+        assert not out_dir.exists()
+
+
+_EXPERIMENT_KEYS = {
+    "stability": {"dim", "n_samples", "betas", "noise_levels", "trials", "seed"},
+    "lipschitz": {"trials", "seed", "max_filter_order", "beta_range", "eigenvalue_range"},
+    "surrogate": {"dim", "sample_grid", "trials", "seed", "edge_prob", "filter_coeffs"},
+    "regression": {
+        "dim", "sample_grid", "betas", "noise_levels", "trials", "seed", "n_informative", "n_train", "n_test",
+        "ridge", "weight_scale",
+    },
+    "entropy_curve": {"dim", "n_samples", "betas", "trials", "seed", "families"},
+    "discrimination": {"betas", "seed", "window", "n_windows", "regime_scale", "base_spectrum"},
+    "betafit_demo": {"dim", "n_samples", "noise_levels", "trials", "seed"},
+}
 
 
 def test_config_key_sets(tmp_path):
-    import dataclasses
-
     from covdensity.cli import _load_json_config
-    from covdensity.lab import ExperimentConfig
 
-    experiment_keys = {
-        "schema_version", "experiment", "dim", "n_samples", "sample_grid", "betas", "noise_levels",
-        "trials", "seed", "window", "n_windows", "regime_scale",
-        "base_spectrum", "edge_prob", "filter_coeffs", "families", "n_informative",
-        "n_train", "n_test", "ridge", "weight_scale", "max_filter_order",
-        "beta_range", "eigenvalue_range",
-    }
     train_keys = {
-        "schema_version", "learning_rate", "epochs", "batch_size", "hidden_dim", "num_layers",
+        "learning_rate", "epochs", "batch_size", "hidden_dim", "num_layers",
         "activation", "head_activation", "dropout", "betas", "betas_learnable",
         "betas_init", "order", "loss", "seed", "task", "aggregation", "skip_k0",
         "val_fraction",
     }
+    assert set(lab.RUNNERS) == set(_EXPERIMENT_KEYS)
+    assert sum(map(len, _EXPERIMENT_KEYS.values())) == 45
     path = tmp_path / "keys.json"
-    for config_class, keys in ((ExperimentConfig, experiment_keys), (network.TrainConfig, train_keys)):
-        path.write_text(json.dumps(dict.fromkeys(keys, 1)))  # every key is accepted ...
-        assert set(_load_json_config(path, config_class, "config")) == keys - {"schema_version"}
+    cases = [(lab.RUNNERS[name][0], keys) for name, keys in _EXPERIMENT_KEYS.items()] + [(network.TrainConfig, train_keys)]
+    for config_class, keys in cases:
+        path.write_text(json.dumps(dict.fromkeys(keys | {"schema_version"}, 1)))  # every key is accepted ...
+        assert set(_load_json_config(path, config_class, "config")) == keys
         # ... and no other, since the loader accepts exactly the fields.
-        assert {f.name for f in dataclasses.fields(config_class)} == keys - {"schema_version"}
+        assert {f.name for f in dataclasses.fields(config_class)} == keys
 
 
 def _config_fields():
-    import dataclasses
-
-    from covdensity.lab import ExperimentConfig
-
     return [
         pytest.param(subcommand, f, id=f"{subcommand}-{f.name}")
-        for subcommand, config_class in (("stability", ExperimentConfig), ("train", network.TrainConfig))
+        for subcommand, config_class in (
+            *((subcommand, lab.RUNNERS[experiment][0]) for subcommand, experiment in cli.EXPERIMENT_SUBCOMMANDS.items()),
+            ("train", network.TrainConfig),
+        )
         for f in dataclasses.fields(config_class)
     ]
 
@@ -630,22 +700,15 @@ _WRONG_VALUES = {
 
 @pytest.mark.parametrize("subcommand,field", _config_fields())
 def test_wrong_typed_config_value_exits_2_naming_its_key(capsys, tmp_path, gaussian_data_csv, subcommand, field):
-    from covdensity.errors import ConfigError
-    from covdensity.lab import ExperimentConfig
-
     kind = field.type.split("[")[0].split(" |")[0]
     for value in _WRONG_VALUES[kind]:
-        if field.name == "experiment":  # the CLI rejects any value but the subcommand's before the type check
-            with pytest.raises(ConfigError, match=re.escape(f"/experiment: expected str, got {value!r}")):
-                ExperimentConfig(experiment=value)
-            continue
         cfg_path, out_dir = tmp_path / "cfg.json", tmp_path / "out"
         cfg_path.write_text(json.dumps({field.name: value}))
         argv = [subcommand, "--config", str(cfg_path), "--output-dir", str(out_dir)]
         code, out, err = run_cli(capsys, *argv, *(["--input", gaussian_data_csv] if subcommand == "train" else []))
         assert (code, out) == (2, ""), (value, err)
         assert err.startswith(f"error: /{field.name}: expected ") or (
-            err == f"error: sample_grid entries must be integers >= 2, got {value[0]!r}\n"
+            err == f"error: /sample_grid: entries must be integers >= 2, got {value[0]!r}\n"
         ), err
         assert not out_dir.exists()
 
@@ -659,7 +722,7 @@ def test_wrong_typed_config_value_exits_2_naming_its_key(capsys, tmp_path, gauss
         ("entropy-curve", {"families": "gaussian"}, "/families: expected tuple[str, ...], got 'gaussian'"),
         ("lipschitz", {"beta_range": [1]}, "/beta_range: expected tuple[float, float], got [1]"),
         ("lipschitz", {"max_filter_order": 2.5}, "/max_filter_order: expected int, got 2.5"),
-        ("stability", {"edge_prob": "x"}, "/edge_prob: expected float, got 'x'"),
+        ("surrogate", {"edge_prob": "x"}, "/edge_prob: expected float, got 'x'"),
         ("train", {"betas": [True]}, "/betas: expected tuple[float, ...] | None, got [True]"),
         ("stability", {"schema_version": True}, "unsupported schema_version at /schema_version"),
         ("train", {"schema_version": True}, "unsupported schema_version at /schema_version"),

@@ -1,6 +1,7 @@
 import csv
 import itertools
 import os
+import re
 import warnings
 
 import numpy as np
@@ -19,10 +20,12 @@ from covdensity.covariance import (
     trace_normalize,
 )
 from covdensity.errors import (
+    ConfigError,
     DegenerateCovarianceError,
     InsufficientDataError,
     ShapeError,
 )
+from covdensity.lab import SurrogateConfig
 from covdensity.spectral import eigh
 
 
@@ -224,8 +227,10 @@ class TestGraphStationary:
         assert 0 < sum(got) < len(got)
 
     def test_bad_edge_prob(self):
-        with pytest.raises(ValueError):
-            gen_graph_stationary(4, 10, 0.0, [1.0], seed=0)
+        # The surrogate's config checks edge_prob before any graph is drawn.
+        for edge_prob in (0.0, -0.5, 1.5):
+            with pytest.raises(ConfigError, match=re.escape(f"/edge_prob: must be in (0, 1], got {edge_prob}")):
+                SurrogateConfig(edge_prob=edge_prob)
 
 
 class TestCsvIo:

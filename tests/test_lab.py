@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import itertools
 import json
 import math
@@ -18,8 +19,14 @@ from covdensity.covariance import (
 )
 from covdensity.errors import BetaRangeError, ConfigError, DegenerateCovarianceError
 from covdensity.lab import (
-    ExperimentConfig,
+    BetafitDemoConfig,
+    DiscriminationConfig,
+    EntropyCurveConfig,
+    LipschitzConfig,
+    RegressionConfig,
     RunTable,
+    StabilityConfig,
+    SurrogateConfig,
     records_to_csv,
     run_betafit_demo,
     run_discrimination,
@@ -178,33 +185,51 @@ class TestRunTable:
 
 
 class TestConfig:
-    def test_unknown_experiment_rejected(self):
-        with pytest.raises(ConfigError):
-            ExperimentConfig(experiment="nope")
+    def test_unread_key_rejected(self):
+        with pytest.raises(TypeError, match="window"):
+            StabilityConfig(window=64)
 
     def test_positive_counts_required(self):
         with pytest.raises(ConfigError):
-            ExperimentConfig(experiment="stability", trials=0)
+            StabilityConfig(trials=0)
 
     @pytest.mark.parametrize("bad", [-5, 0, 1, 2.5, True])
     def test_sample_grid_entries_are_integers_of_at_least_two(self, bad):
-        with pytest.raises(ConfigError, match=rf"sample_grid .* got {bad!r}$"):
-            ExperimentConfig(experiment="regression", sample_grid=(25, bad))
+        with pytest.raises(ConfigError, match=rf"^/sample_grid: .* got {bad!r}$"):
+            RegressionConfig(sample_grid=(25, bad))
 
     def test_numpy_integer_sample_grid_accepted(self):
-        assert ExperimentConfig(experiment="surrogate", sample_grid=np.array([2, 30])).sample_grid == (2, 30)
+        assert SurrogateConfig(sample_grid=np.array([2, 30])).sample_grid == (2, 30)
 
     def test_numpy_float_betas_accepted(self):
-        cfg = ExperimentConfig(
-            experiment="entropy_curve", betas=np.linspace(0.0, 1.0, 3), noise_levels=[np.float32(0.5)]
-        )
+        cfg = StabilityConfig(betas=np.linspace(0.0, 1.0, 3), noise_levels=[np.float32(0.5)])
         assert (cfg.betas, cfg.noise_levels) == ((0.0, 0.5, 1.0), (0.5,))
+
+    @pytest.mark.parametrize("experiment", lab.RUNNERS)
+    def test_runner_reads_exactly_its_declared_keys(self, experiment):
+        config_class, runner = lab.RUNNERS[experiment]
+        declared = {f.name for f in dataclasses.fields(config_class)}
+        tiny = {"dim": 4, "n_samples": 6, "trials": 2, "sample_grid": (8, 12), "n_windows": 3, "window": 8,
+                "n_informative": 2, "n_train": 10, "n_test": 10}
+        cfg = config_class(**{k: v for k, v in tiny.items() if k in declared})
+
+        class Recorder:  # reads through to cfg, noting each key; a key cfg lacks raises AttributeError
+            def __init__(self):
+                self.read = set()
+
+            def __getattr__(self, key):
+                self.read.add(key)
+                return getattr(cfg, key)
+
+        recorder = Recorder()
+        assert runner(recorder) == runner(cfg)
+        assert recorder.read == declared
 
 
 @pytest.fixture(scope="module")
 def stability_records():
-    cfg = ExperimentConfig(
-        experiment="stability", dim=20, n_samples=40, trials=100, seed=7,
+    cfg = StabilityConfig(
+        dim=20, n_samples=40, trials=100, seed=7,
         betas=(-1.0, -0.1, 0.0, 0.1, 1.0, 5.0),
     )
     return table_rows(run_stability(cfg))
@@ -247,8 +272,8 @@ class TestStability:
         assert all(r.metrics["bound_value"] >= r.metrics["delta_rho_norm"] for r in rows)
 
     def test_noise_zero_gives_zero_deltas(self):
-        cfg = ExperimentConfig(
-            experiment="stability", dim=6, trials=3, seed=1, betas=(1.0,), noise_levels=(0.0,)
+        cfg = StabilityConfig(
+            dim=6, trials=3, seed=1, betas=(1.0,), noise_levels=(0.0,)
         )
         for r in table_rows(run_stability(cfg)):
             assert r.metrics["delta_c_norm"] <= 1e-15
@@ -257,14 +282,14 @@ class TestStability:
 
 class TestLipschitz:
     def test_ratio_never_exceeds_one(self):
-        cfg = ExperimentConfig(experiment="lipschitz", trials=2000, seed=3)
+        cfg = LipschitzConfig(trials=2000, seed=3)
         records = table_rows(run_lipschitz(cfg))
         assert len(records) >= 1900
         max_ratio = max(r.metrics["ratio"] for r in records)
         assert max_ratio <= 1.0 + 1e-9
 
     def test_matches_public_partition_function_path(self):
-        cfg = ExperimentConfig(experiment="lipschitz", trials=300, seed=4)
+        cfg = LipschitzConfig(trials=300, seed=4)
         for r in table_rows(run_lipschitz(cfg)):
             lam1, lam2, beta = r.metrics["lambda1"], r.metrics["lambda2"], r.metrics["beta"]
             t = int(r.params["trial"])
@@ -283,8 +308,8 @@ class TestLipschitz:
 
 class TestSurrogate:
     def test_alignment_improves_with_samples(self):
-        cfg = ExperimentConfig(
-            experiment="surrogate", dim=8, trials=20, seed=0, sample_grid=(100, 20000)
+        cfg = SurrogateConfig(
+            dim=8, trials=20, seed=0, sample_grid=(100, 20000)
         )
         records = table_rows(run_surrogate(cfg))
         small = metric_mean(records, "alignment", n_samples=100)
@@ -293,15 +318,15 @@ class TestSurrogate:
         assert large > small
 
     def test_large_sample_proxy_alignment(self):
-        cfg = ExperimentConfig(
-            experiment="surrogate", dim=8, trials=10, seed=2, sample_grid=(100000,)
+        cfg = SurrogateConfig(
+            dim=8, trials=10, seed=2, sample_grid=(100000,)
         )
         records = table_rows(run_surrogate(cfg))
         assert metric_mean(records, "alignment", n_samples=100000) >= 0.95
 
     def test_constant_filter_is_degenerate(self):
-        cfg = ExperimentConfig(
-            experiment="surrogate", dim=6, trials=2, seed=1, sample_grid=(200,),
+        cfg = SurrogateConfig(
+            dim=6, trials=2, seed=1, sample_grid=(200,),
             filter_coeffs=(1.0,),
         )
         records = table_rows(run_surrogate(cfg))
@@ -311,10 +336,10 @@ class TestSurrogate:
     def test_rank_deficient_sample_covariance_is_degenerate(self):
         # At n <= dim the centred sample covariance has rank at most n - 1 < dim, so rounding alone
         # picks its null-space eigenvectors; those rows are flagged and carry no alignment.
-        cfg = ExperimentConfig(experiment="surrogate", dim=8, trials=4, seed=0, sample_grid=(5, 8, 9, 100))
+        cfg = SurrogateConfig(dim=8, trials=4, seed=0, sample_grid=(5, 8, 9, 100))
         rows = table_rows(run_surrogate(cfg))
         assert [r.metrics for r in rows if r.params["n_samples"] <= 8] == [{"degenerate": 1.0}] * 8
-        full_rank = ExperimentConfig(experiment="surrogate", dim=8, trials=4, seed=0, sample_grid=(9, 100))
+        full_rank = SurrogateConfig(dim=8, trials=4, seed=0, sample_grid=(9, 100))
         assert [r.metrics for r in rows if r.params["n_samples"] > 8] == [
             r.metrics for r in table_rows(run_surrogate(full_rank))
         ]
@@ -323,7 +348,7 @@ class TestSurrogate:
 
 @pytest.fixture(scope="module")
 def regression_records():
-    cfg = ExperimentConfig(experiment="regression", trials=40, seed=5)
+    cfg = RegressionConfig(trials=40, seed=5)
     return table_rows(run_regression(cfg))
 
 
@@ -344,8 +369,8 @@ class TestRegression:
             assert metric_mean(regression_records, "mae", noise=5.0, method=method) <= raw
 
     def test_zero_weight_ground_truth_matches_baseline(self):
-        cfg = ExperimentConfig(
-            experiment="regression", trials=10, seed=2, n_informative=1, weight_scale=0.0,
+        cfg = RegressionConfig(
+            trials=10, seed=2, n_informative=1, weight_scale=0.0,
             betas=(1.0,), noise_levels=(2.0,), sample_grid=(100,),
         )
         records = table_rows(run_regression(cfg))
@@ -356,8 +381,8 @@ class TestRegression:
 
 class TestEntropyCurve:
     def test_curves_monotone_and_bounded(self):
-        cfg = ExperimentConfig(
-            experiment="entropy_curve", dim=6, n_samples=60, trials=5, seed=4,
+        cfg = EntropyCurveConfig(
+            dim=6, n_samples=60, trials=5, seed=4,
             betas=tuple(np.linspace(0.0, 15.0, 11)),
         )
         records = table_rows(run_entropy_curve(cfg))
@@ -376,7 +401,7 @@ class TestEntropyCurve:
 
 class TestDeterminismAndThreads:
     def test_bitwise_reproducible(self):
-        cfg = ExperimentConfig(experiment="stability", dim=5, trials=4, seed=11, betas=(0.5,))
+        cfg = StabilityConfig(dim=5, trials=4, seed=11, betas=(0.5,))
         a = run_experiment(cfg)
         b = run_experiment(cfg)
         assert a == b
@@ -553,14 +578,14 @@ class TestStackedStages:
     @pytest.mark.parametrize(
         "cfg",
         [
-            ExperimentConfig(
-                experiment="stability", dim=7, trials=3, seed=5,
+            StabilityConfig(
+                dim=7, trials=3, seed=5,
                 betas=(-1.0, -0.1, 0.0, 0.1, 1.0, 5.0), noise_levels=(0.01, 0.05, 0.2),
             ),
-            ExperimentConfig(experiment="stability", dim=3, trials=2, seed=9, betas=(2.0,), noise_levels=(0.5,)),
+            StabilityConfig(dim=3, trials=2, seed=9, betas=(2.0,), noise_levels=(0.5,)),
             # Fewer samples than dim: a singular covariance.
-            ExperimentConfig(
-                experiment="stability", dim=12, n_samples=8, trials=2, seed=0, betas=(-0.5, 3.0),
+            StabilityConfig(
+                dim=12, n_samples=8, trials=2, seed=0, betas=(-0.5, 3.0),
                 noise_levels=(0.01, 0.05, 0.1, 0.2, 0.5),
             ),
         ],
@@ -571,10 +596,10 @@ class TestStackedStages:
     @pytest.mark.parametrize(
         "cfg",
         [
-            ExperimentConfig(experiment="entropy_curve", dim=6, trials=3, seed=3, betas=(0.0, 0.5, 3.0, 12.0)),
-            ExperimentConfig(experiment="entropy_curve", dim=20, n_samples=10, trials=2, seed=8, betas=(-2.0, 1e3)),
-            ExperimentConfig(
-                experiment="entropy_curve", dim=4, trials=2, seed=1, betas=(1.0,), families=("gamma", "gaussian")
+            EntropyCurveConfig(dim=6, trials=3, seed=3, betas=(0.0, 0.5, 3.0, 12.0)),
+            EntropyCurveConfig(dim=20, n_samples=10, trials=2, seed=8, betas=(-2.0, 1e3)),
+            EntropyCurveConfig(
+                dim=4, trials=2, seed=1, betas=(1.0,), families=("gamma", "gaussian")
             ),
         ],
     )
@@ -584,15 +609,15 @@ class TestStackedStages:
     @pytest.mark.parametrize(
         "cfg",
         [
-            ExperimentConfig(experiment="surrogate", dim=8, trials=5, seed=0, sample_grid=(100, 2000)),
+            SurrogateConfig(dim=8, trials=5, seed=0, sample_grid=(100, 2000)),
             # A decreasing filter reverses the matching order; edge_prob 0.8 gives ties (degenerate rows).
-            ExperimentConfig(
-                experiment="surrogate", dim=6, trials=4, seed=3, sample_grid=(50, 300),
+            SurrogateConfig(
+                dim=6, trials=4, seed=3, sample_grid=(50, 300),
                 filter_coeffs=(2.0, -0.1), edge_prob=0.8,
             ),
-            ExperimentConfig(experiment="surrogate", dim=5, trials=2, seed=1, sample_grid=(40,), filter_coeffs=(1.0,)),
+            SurrogateConfig(dim=5, trials=2, seed=1, sample_grid=(40,), filter_coeffs=(1.0,)),
             # At n <= dim the sample covariance is singular (degenerate rows).
-            ExperimentConfig(experiment="surrogate", dim=8, trials=3, seed=2, sample_grid=(5, 100)),
+            SurrogateConfig(dim=8, trials=3, seed=2, sample_grid=(5, 100)),
         ],
     )
     def test_surrogate_matches_per_item_loop(self, cfg):
@@ -607,7 +632,7 @@ class TestStackedStages:
                 assert abs(r.metrics["alignment"] - alignment) <= tolerance
 
     def test_discrimination_table_lists_every_window_then_the_aucs(self):
-        cfg = ExperimentConfig(experiment="discrimination", n_windows=20, window=16, seed=5, betas=(1.5,))
+        cfg = DiscriminationConfig(n_windows=20, window=16, seed=5, betas=(1.5,))
         naive, _, vne = window_by_window(16, 20, 1.5, cfg.regime_scale, cfg.base_spectrum, 5)
         expected = [
             ({"window_index": w, "regime": regime}, {"s_naive_bits": naive[regime, w], "s_vne_bits": vne[regime, w]})
@@ -621,13 +646,13 @@ class TestStackedStages:
     @pytest.mark.parametrize(
         "cfg",
         [
-            ExperimentConfig(
-                experiment="regression", dim=6, trials=3, seed=11, betas=(0.5, 3.0, 40.0),
+            RegressionConfig(
+                dim=6, trials=3, seed=11, betas=(0.5, 3.0, 40.0),
                 noise_levels=(0.0, 1.5, 7.0), sample_grid=(8, 30, 120), n_test=60,
             ),
             # A grid point below dim gives a rank-deficient covariance; negative beta, other ridge.
-            ExperimentConfig(
-                experiment="regression", dim=12, trials=2, seed=4, betas=(-2.0, 0.25),
+            RegressionConfig(
+                dim=12, trials=2, seed=4, betas=(-2.0, 0.25),
                 noise_levels=(2.5,), sample_grid=(5, 200), n_train=40, n_test=90, ridge=1e-3,
                 n_informative=3,
             ),
@@ -673,18 +698,18 @@ class TestStackedErrorOrder:
         # The first noise level's error bound overflows, and beta * lambda overflows only for
         # the largest perturbation.  The per-noise-level loop meets the bound first; the stack
         # maps every density before it forms any bound.
-        cfg = ExperimentConfig(
-            experiment="stability", dim=2, trials=1, seed=3, betas=(-1e308,), noise_levels=(1e-3, 5.0)
+        cfg = StabilityConfig(
+            dim=2, trials=1, seed=3, betas=(-1e308,), noise_levels=(1e-3, 5.0)
         )
-        earlier = ExperimentConfig(**{**cfg.__dict__, "noise_levels": (1e-3,)})
+        earlier = dataclasses.replace(cfg, noise_levels=(1e-3,))
         assert first_error(run_stability, earlier)[1].startswith("Z'/Z = exp(")
         assert first_error(lambda: list(per_noise_level_stability(cfg)))[1].startswith("Z'/Z = exp(")
         got = first_error(run_stability, cfg)
         assert got[0] is BetaRangeError and got[1].startswith("beta * lambda overflows a double at beta = -1e+308,")
 
     def test_stability_overflowing_bound_names_beta_and_norm(self):
-        cfg = ExperimentConfig(
-            experiment="stability", dim=4, trials=1, seed=0, betas=(1.0, -400.0), noise_levels=(0.01, 0.1)
+        cfg = StabilityConfig(
+            dim=4, trials=1, seed=0, betas=(1.0, -400.0), noise_levels=(0.01, 0.1)
         )
         got = first_error(run_stability, cfg)
         assert got == first_error(lambda: list(per_noise_level_stability(cfg)))
@@ -692,8 +717,8 @@ class TestStackedErrorOrder:
 
     def test_entropy_curve_draws_every_item_before_any_check(self):
         # The first item's beta * lambda overflows; the second item cannot be drawn.
-        cfg = ExperimentConfig(
-            experiment="entropy_curve", dim=5, trials=2, seed=1, betas=(-1.7e308,), families=("gaussian", "bogus")
+        cfg = EntropyCurveConfig(
+            dim=5, trials=2, seed=1, betas=(-1.7e308,), families=("gaussian", "bogus")
         )
         assert first_error(lambda: list(per_item_entropy_curve(cfg)))[0] is BetaRangeError
         assert first_error(run_entropy_curve, cfg) == first_error(gen_gaussian_data, cfg.dim, cfg.n_samples, "bogus")
@@ -701,8 +726,8 @@ class TestStackedErrorOrder:
     @pytest.mark.parametrize("betas, message", [((1.0,), "matrix is not PSD")])
     def test_entropy_curve_first_failing_item_raises_its_own_error(self, monkeypatch, betas, message):
         break_exponential_covariances(monkeypatch)
-        cfg = ExperimentConfig(
-            experiment="entropy_curve", dim=5, trials=2, seed=1, betas=betas, families=("gaussian", "exponential")
+        cfg = EntropyCurveConfig(
+            dim=5, trials=2, seed=1, betas=betas, families=("gaussian", "exponential")
         )
         got = first_error(run_entropy_curve, cfg)
         assert got == first_error(lambda: list(per_item_entropy_curve(cfg)))
@@ -712,20 +737,20 @@ class TestStackedErrorOrder:
         # The first item's beta * lambda overflows (its lambda_max is 1.38); the second item
         # is not PSD.  The per-item loop meets the overflow first.
         break_exponential_covariances(monkeypatch)
-        cfg = ExperimentConfig(
-            experiment="entropy_curve", dim=5, trials=2, seed=1, betas=(-1.7e308,), families=("gaussian", "exponential")
+        cfg = EntropyCurveConfig(
+            dim=5, trials=2, seed=1, betas=(-1.7e308,), families=("gaussian", "exponential")
         )
         assert first_error(lambda: list(per_item_entropy_curve(cfg)))[1].startswith("beta * lambda overflows a double")
         got = first_error(run_entropy_curve, cfg)
-        assert got == first_error(run_entropy_curve, ExperimentConfig(**{**cfg.__dict__, "betas": (1.0,)}))
+        assert got == first_error(run_entropy_curve, dataclasses.replace(cfg, betas=(1.0,)))
         assert got[0] is ValueError and got[1].startswith("matrix is not PSD")
 
     @pytest.mark.parametrize("not_psd_n, zero_trace_n", [(40, None), (None, 80), (40, 80)])
     def test_regression_trace_check_runs_before_the_psd_check(self, monkeypatch, not_psd_n, zero_trace_n):
         # Alone, each fault raises what the per-covariance reference raises first.  Together,
         # the stack's zero-trace check runs first and wins over the earlier non-PSD covariance.
-        cfg = ExperimentConfig(
-            experiment="regression", dim=5, trials=2, seed=3, betas=(1.0,),
+        cfg = RegressionConfig(
+            dim=5, trials=2, seed=3, betas=(1.0,),
             noise_levels=(0.0, 2.0), sample_grid=(20, 40, 80), n_test=30,
         )
         original = covariance._covariance_array
@@ -819,11 +844,11 @@ class TestDrawBlocks:
 
     def test_working_set_is_bounded(self):
         surrogate = {
-            n: traced_peak_bytes(run_surrogate, ExperimentConfig(experiment="surrogate", trials=1, sample_grid=(n,)))
+            n: traced_peak_bytes(run_surrogate, SurrogateConfig(trials=1, sample_grid=(n,)))
             for n in (20000, 200000)
         }
-        discriminate = traced_peak_bytes(run_discrimination, ExperimentConfig(experiment="discrimination"))
-        entropy_curve = traced_peak_bytes(run_entropy_curve, ExperimentConfig(experiment="entropy_curve", trials=20))
+        discriminate = traced_peak_bytes(run_discrimination, DiscriminationConfig())
+        entropy_curve = traced_peak_bytes(run_entropy_curve, EntropyCurveConfig(trials=20))
         assert max(*surrogate.values(), discriminate, entropy_curve) < 1.5e6
         # The whole (200000, 20) draw alone would be 32 MB; allow 64 KB (an eighth of a block) of unrelated noise.
         assert surrogate[200000] <= surrogate[20000] + lab._DRAW_BLOCK
@@ -831,7 +856,7 @@ class TestDrawBlocks:
         # are freed before the next trial draws, so the peak grows with trials only by the kept metrics, 52
         # floats a trial; allow the same 64 KB.  Bounding trials=20 by trials=1 also bounds it by trials=2.
         regression = {
-            t: traced_peak_bytes(run_regression, ExperimentConfig(experiment="regression", trials=t))
+            t: traced_peak_bytes(run_regression, RegressionConfig(trials=t))
             for t in (1, 2, 20)
         }
         assert max(regression[2], regression[20]) <= regression[1] + lab._DRAW_BLOCK
@@ -853,7 +878,7 @@ class TestDrawBlocks:
         ],
     )
     def test_discrimination_matches_the_all_at_once_draw(self, fields):
-        cfg = ExperimentConfig(experiment="discrimination", seed=3, **fields)
+        cfg = DiscriminationConfig(seed=3, **fields)
         try:
             naive, vne = all_at_once_discrimination(cfg)
         except ValueError as exc:
@@ -871,8 +896,8 @@ class TestDrawBlocks:
 
 class TestDecomposeOnce:
     def test_stability_matches_public_api_oracle(self):
-        cfg = ExperimentConfig(
-            experiment="stability", dim=7, trials=3, seed=5,
+        cfg = StabilityConfig(
+            dim=7, trials=3, seed=5,
             betas=(-1.0, -0.1, 0.0, 0.1, 1.0, 5.0), noise_levels=(0.01, 0.2),
         )
         records = table_rows(run_stability(cfg))
@@ -893,8 +918,8 @@ class TestDecomposeOnce:
         return count_linalg_calls(monkeypatch, "eigh")
 
     def test_stability_decomposes_once_per_matrix(self, eigh_calls):
-        cfg = ExperimentConfig(
-            experiment="stability", dim=5, trials=2, seed=1,
+        cfg = StabilityConfig(
+            dim=5, trials=2, seed=1,
             betas=(-1.0, 0.0, 2.0), noise_levels=(0.1, 0.2, 0.3),
         )
         run_stability(cfg)
@@ -903,7 +928,7 @@ class TestDecomposeOnce:
         assert eigh_calls.matrices == cfg.trials * (1 + len(cfg.noise_levels))
 
     def test_entropy_curve_decomposes_once_per_family(self, eigh_calls):
-        cfg = ExperimentConfig(experiment="entropy_curve", dim=5, trials=2, seed=1, betas=(0.0, 1.0, 4.0))
+        cfg = EntropyCurveConfig(dim=5, trials=2, seed=1, betas=(0.0, 1.0, 4.0))
         run_entropy_curve(cfg)
         # Each family's one decomposition is the shifted matrix's PSD check
         # (an eigvalsh, counted below); no eigh is needed on top of it.
@@ -911,7 +936,7 @@ class TestDecomposeOnce:
 
     def test_entropy_curve_range_error_names_the_first_failing_beta(self):
         # The first family's lambda_max is 1.38, so both negative betas overflow beta * lambda.
-        cfg = ExperimentConfig(experiment="entropy_curve", dim=5, trials=1, seed=1, betas=(1e4, -1.5e308, -1.7e308))
+        cfg = EntropyCurveConfig(dim=5, trials=1, seed=1, betas=(1e4, -1.5e308, -1.7e308))
         data = gen_gaussian_data(cfg.dim, cfg.n_samples, cfg.families[0], seed=[cfg.seed, 0, 0])
         with pytest.raises(BetaRangeError) as expected:
             entropy.cvne(shift_regularize(sample_covariance(data)), -1.5e308)
@@ -920,7 +945,7 @@ class TestDecomposeOnce:
         assert str(got.value) == str(expected.value)
 
     def test_entropy_curve_matches_cvne_bit_for_bit(self):
-        cfg = ExperimentConfig(experiment="entropy_curve", dim=6, trials=2, seed=3, betas=(0.0, 0.5, 3.0, 12.0))
+        cfg = EntropyCurveConfig(dim=6, trials=2, seed=3, betas=(0.0, 0.5, 3.0, 12.0))
         records = iter(table_rows(run_entropy_curve(cfg)))
         for t in range(cfg.trials):
             for fam_idx, family in enumerate(cfg.families):
@@ -946,8 +971,8 @@ class TestDecomposeOnce:
         return count_linalg_calls(monkeypatch, "eigvalsh")
 
     def test_stability_norms_from_one_stacked_eigvalsh_per_trial(self, eigvalsh_calls):
-        cfg = ExperimentConfig(
-            experiment="stability", dim=5, trials=2, seed=1,
+        cfg = StabilityConfig(
+            dim=5, trials=2, seed=1,
             betas=(-1.0, 0.0, 2.0), noise_levels=(0.1, 0.2, 0.3),
         )
         run_stability(cfg)
@@ -959,7 +984,7 @@ class TestDecomposeOnce:
         assert eigvalsh_calls.matrices == cfg.trials * (2 + len(cfg.noise_levels) * (2 + len(cfg.betas)))
 
     def test_entropy_curve_reuses_the_validated_spectrum(self, eigvalsh_calls):
-        cfg = ExperimentConfig(experiment="entropy_curve", dim=5, trials=2, seed=1, betas=(0.0, 1.0, 4.0))
+        cfg = EntropyCurveConfig(dim=5, trials=2, seed=1, betas=(0.0, 1.0, 4.0))
         run_entropy_curve(cfg)
         # The sample covariances' and the shifted matrices' PSD checks, each one stack
         # over the run; the shift reuses the first.
@@ -968,26 +993,26 @@ class TestDecomposeOnce:
         assert eigvalsh_calls.matrices == cfg.trials * len(cfg.families) * 2
 
     def test_surrogate_decomposes_each_trial_in_one_stack(self, eigvalsh_calls, eigh_calls):
-        cfg = ExperimentConfig(experiment="surrogate", dim=5, trials=3, seed=1, sample_grid=(20, 50, 200))
+        cfg = SurrogateConfig(dim=5, trials=3, seed=1, sample_grid=(20, 50, 200))
         run_surrogate(cfg)
         # Per trial: its Laplacians, then its sample covariances; their PSD check reads the eigh spectra.
         assert eigh_calls == [(2, len(cfg.sample_grid), 5, 5)] * cfg.trials
         assert eigvalsh_calls == []
 
     def test_lipschitz_decomposes_nothing(self, eigvalsh_calls, eigh_calls):
-        run_lipschitz(ExperimentConfig(experiment="lipschitz", trials=50, seed=2))
+        run_lipschitz(LipschitzConfig(trials=50, seed=2))
         assert eigvalsh_calls == [] and eigh_calls == []
 
     def test_betafit_demo_reuses_the_validated_spectrum(self, eigvalsh_calls):
-        cfg = ExperimentConfig(experiment="betafit_demo", dim=5, trials=2, seed=1, noise_levels=(0.1, 0.3))
+        cfg = BetafitDemoConfig(dim=5, trials=2, seed=1, noise_levels=(0.1, 0.3))
         run_betafit_demo(cfg)
         # Per trial: the sample covariance's PSD check, whose spectrum is the
         # clean target, then one noisy spectrum per noise level.
         assert eigvalsh_calls == [(5, 5)] * (1 + len(cfg.noise_levels)) * cfg.trials
 
     def test_regression_decomposes_once_per_covariance(self, eigh_calls):
-        cfg = ExperimentConfig(
-            experiment="regression", dim=5, trials=2, seed=1, betas=(0.1, 1.0, 5.0),
+        cfg = RegressionConfig(
+            dim=5, trials=2, seed=1, betas=(0.1, 1.0, 5.0),
             noise_levels=(0.0, 2.0), sample_grid=(25, 50, 75), n_test=50,
         )
         run_regression(cfg)
