@@ -80,10 +80,9 @@ def _build_parser() -> _Parser:
 
     def common(p, command, with_beta=False):
         p.set_defaults(command=command)
-        p.add_argument("--seed", type=int, default=None)
         p.add_argument("--output-dir", default=".")
         if with_beta:
-            p.add_argument("--beta", type=float, default=None)
+            p.add_argument("--beta", type=float, default=1.0)
 
     p = sub.add_parser("entropy", help="density entropy of a covariance matrix")
     common(p, _cmd_entropy, with_beta=True)
@@ -107,7 +106,8 @@ def _build_parser() -> _Parser:
     p.add_argument("--header", action="store_true")
     p.add_argument("--tol", type=float, default=1e-10)
 
-    flags = dict(dim=int, n_samples=int, trials=int, betas=_float_list, noise_levels=_float_list, sample_grid=_int_list)
+    flags = dict(seed=int, dim=int, n_samples=int, trials=int, beta=float, betas=_float_list, noise_levels=_float_list,
+                 sample_grid=_int_list)
     for name, experiment in EXPERIMENT_SUBCOMMANDS.items():
         p = sub.add_parser(name, help=f"run the {name} experiment")
         common(p, _cmd_experiment)
@@ -119,6 +119,7 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("train", help="train a model on CSV data")
     common(p, _cmd_train)
+    p.add_argument("--seed", type=int, default=None)
     p.add_argument("--config", default=None)
     p.add_argument("--input", required=True)
     p.add_argument("--header", action="store_true")
@@ -192,9 +193,8 @@ def _read_cov(args) -> CovarianceMatrix:
 
 
 def _cmd_entropy(args) -> _Run:
-    beta = args.beta if args.beta is not None else 1.0
     cov = _read_cov(args)
-    report = entropy.cvne(cov, beta)
+    report = entropy.cvne(cov, args.beta)
     metrics = {
         "entropy_nats": report.entropy_nats,
         "entropy_bits": report.entropy_bits,
@@ -203,24 +203,23 @@ def _cmd_entropy(args) -> _Run:
         "source_dim": report.source_dim,
         "source_rank_estimate": report.source_rank_estimate,
     }
-    table = lab.RunTable("entropy", args.seed or 0, {"beta": [beta]}, {k: [v] for k, v in metrics.items()})
+    table = lab.RunTable("entropy", 0, {"beta": [args.beta]}, {k: [v] for k, v in metrics.items()})
     value = report.entropy_bits if args.unit == "bits" else report.entropy_nats
     return _Run(
-        {"beta": beta, "unit": args.unit, "input": args.input}, table,
+        {"beta": args.beta, "unit": args.unit, "input": args.input}, table,
         {"entropy": {k: c[0] for k, c in table.metrics.items()}, "unit": args.unit}, f"{value:.10g}",
     )
 
 
 def _cmd_density(args) -> _Run:
-    beta = args.beta if args.beta is not None else 1.0
-    rho = density.density_operator(_read_cov(args), beta)
+    rho = density.density_operator(_read_cov(args), args.beta)
     z = rho.partition_function
     table = lab.RunTable(
-        "density", args.seed or 0, {"index": range(rho.dim)},
+        "density", 0, {"index": range(rho.dim)},
         {"source_eigenvalue": rho.source_spectrum, "density_eigenvalue": rho.density_eigenvalues},
     )
     return _Run(
-        {"beta": beta, "input": args.input}, table, {"partition_function": z, "beta": beta, "dim": rho.dim},
+        {"beta": args.beta, "input": args.input}, table, {"partition_function": z, "beta": args.beta, "dim": rho.dim},
         ",".join(f"{v:.10g}" for v in rho.density_eigenvalues),
     )
 
@@ -246,7 +245,7 @@ def _cmd_fit_beta(args) -> _Run:
         if finite and np.isinf(total):
             raise ConfigError("fit-beta without --target: its default target's sum overflows a double; give --target")
     result = fit_beta(spectrum, target, tol=args.tol)
-    table = lab.RunTable("fit_beta", args.seed or 0, {}, {k: [v] for k, v in dataclasses.asdict(result).items()})
+    table = lab.RunTable("fit_beta", 0, {}, {k: [v] for k, v in dataclasses.asdict(result).items()})
     return _Run(
         {"spectrum": spectrum.tolist(), "target": target.tolist(), "tol": args.tol}, table,
         {"fit": {k: c[0] for k, c in table.metrics.items()}}, f"{result.beta_star:.10g}",
@@ -254,14 +253,14 @@ def _cmd_fit_beta(args) -> _Run:
 
 
 def _cmd_experiment(args) -> _Run:
-    config_class = lab.RUNNERS[args.experiment][0]
+    config_class, runner = lab.RUNNERS[args.experiment]
     payload = _load_json_config(args.config, config_class, "experiment config", ("experiment",)) if args.config else {}
     if (experiment := payload.pop("experiment", args.experiment)) != args.experiment:
         raise ConfigError(f"/experiment: got {experiment!r}, but {args.subcommand} runs {args.experiment!r}")
     flags = {f.name: getattr(args, f.name, None) for f in dataclasses.fields(config_class)}  # a flag's dest is its key
     payload.update((key, value) for key, value in flags.items() if value is not None)  # every flag given wins
     cfg = config_class(**payload)
-    table = lab.run_experiment(cfg)
+    table = runner(cfg)
     headline = _experiment_headline(args.experiment, table)
     return _Run(cfg.__dict__, table, {"headline": headline, "groups": lab.summarize(table)}, headline)
 
@@ -361,7 +360,7 @@ def _cmd_predict(args) -> _Run:
         metrics = {f"y{j}": outs[:, j] for j in range(outs.shape[1])}
     rows = range(len(lines))
     params = {"row": rows, "target_row": range(args.horizon, len(lines) + args.horizon)} if args.horizon else {"row": rows}
-    table = lab.RunTable("predict", args.seed or 0, params, metrics)
+    table = lab.RunTable("predict", 0, params, metrics)
     config = {"model": model_path, "input": args.input, "horizon": args.horizon}
     return _Run(config, table, {"rows": len(lines), "task": model.task}, "\n".join(lines))
 

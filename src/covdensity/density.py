@@ -93,7 +93,7 @@ def density_values(eigenvalues, betas) -> tuple[np.ndarray, np.ndarray]:
     Raises ValueError for a NaN or infinite beta, BetaRangeError where beta * lambda overflows.
     """
     lam = np.asarray(eigenvalues, dtype=float)
-    betas = np.ravel(betas)
+    betas = np.asarray(betas, dtype=float).ravel()  # a JSON int past int64 would make an object array
     # An overflowed product that is not a row maximum only underflows its weight to 0.0.  The one array of
     # products is negated, shifted, exponentiated and normalized in place.
     with np.errstate(over="ignore", invalid="ignore"):

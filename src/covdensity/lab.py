@@ -37,48 +37,9 @@ from .covariance import (
     sample_covariance,
     shift_regularize,
 )
-from .errors import ConfigError, ShapeError, _check_fields
+from .errors import ConfigError, ShapeError, _Config
 
 _DRAW_BLOCK = 2**16  # doubles (512 KB): the most of a draw that grows with a sample size held at once
-
-_KEY_RULES = (  # (key, test, rule): the bound of one key, checked in this order on every config that declares it
-    *((key, lambda v: v >= 1, "must be >= 1") for key in ("dim", "trials", "n_train", "n_test", "n_windows",
-                                                          "max_filter_order")),
-    ("n_samples", lambda v: v >= 2, "must be >= 2"),
-    *((key, lambda v: v >= 0, "must be >= 0") for key in ("seed", "weight_scale", "ridge")),
-    *((key, bool, "must be non-empty") for key in ("betas", "noise_levels", "sample_grid", "families", "base_spectrum",
-                                                  "filter_coeffs")),
-    ("noise_levels", lambda v: all(e >= 0 for e in v), "entries must be >= 0"),
-    ("noise_levels", lambda v: all(map(math.isfinite, v)), "entries must be finite"),
-    ("edge_prob", lambda v: 0 < v <= 1, "must be in (0, 1]"),
-    *((key, test, rule) for key in ("beta_range", "eigenvalue_range") for test, rule in (
-        (lambda v: v[0] <= v[1], "must be [low, high] with low <= high"),
-        (lambda v: math.isfinite(v[1] - v[0]), "high - low must be finite"))),
-)
-
-
-@dataclass(frozen=True)
-class _Config:
-    """An experiment's keys with their defaults: a runner's config declares every key it reads and no other.  Building
-    one checks their types, then ``_KEY_RULES``, then ``_rules``, each raising ``ConfigError("/<key>: ...")``."""
-
-    seed: int = 0  # every experiment draws from streams seeded with it
-
-    def __post_init__(self):
-        grid = getattr(self, "sample_grid", ())
-        for n in grid if isinstance(grid, (tuple, list, np.ndarray)) else ():  # named with its bound, type or size
-            if not (isinstance(n, (int, np.integer)) and n >= 2):
-                raise ConfigError(f"/sample_grid: entries must be integers >= 2, got {n!r}")
-        _check_fields(self)
-        for key, test, rule in _KEY_RULES:
-            if key in self.__dict__ and not test(v := self.__dict__[key]):
-                raise ConfigError(f"/{key}: {rule}, got {list(v) if isinstance(v, tuple) else v!r}")
-        for key, ok, rule in self._rules():
-            if not ok:
-                raise ConfigError(f"/{key}: {rule}")
-
-    def _rules(self):  # the (key, ok, rule) checks that relate two keys, in order
-        return ()
 
 
 def _canon(value):
@@ -377,7 +338,7 @@ class RegressionConfig(_Config):
     def _rules(self):
         yield "n_informative", 0 <= self.n_informative <= self.dim, (
             f"must be in [0, dim = {self.dim}], got {self.n_informative}")
-        yield "ridge", math.isfinite(self.ridge * self.n_train), (  # the ridge term of every fit's system
+        yield "ridge", math.isfinite(float(self.ridge) * self.n_train), (  # the ridge term of every fit's system
             f"ridge * n_train must be finite, got {self.ridge!r} * {self.n_train}")
         yield "noise_levels", all(math.isfinite(float(e) * 1000) for e in self.noise_levels), (  # each level's seed
             f"entries * 1000 must be finite to seed the draws, got {list(self.noise_levels)}")
@@ -483,7 +444,7 @@ def run_entropy_curve(cfg: EntropyCurveConfig) -> RunTable:
 
 @dataclass(frozen=True)
 class DiscriminationConfig(_Config):
-    betas: tuple[float, ...] = (2.0,)
+    beta: float = 2.0
     window: int = 128
     n_windows: int = 500
     regime_scale: tuple[float, ...] = (1.3, 1.2, 1.1)
@@ -493,6 +454,8 @@ class DiscriminationConfig(_Config):
         dim = len(self.base_spectrum)
         yield "regime_scale", len(self.regime_scale) == dim, f"must match the base spectrum length {dim}"
         yield "window", self.window >= dim + 1, f"too small for dim {dim} (need >= dim + 1), got {self.window}"
+        yield "regime_scale", all(math.isfinite(float(b) * s) for b, s in zip(self.base_spectrum, self.regime_scale)), (
+            f"base_spectrum * regime_scale must be finite, got {list(self.base_spectrum)} * {list(self.regime_scale)}")
 
 
 def run_discrimination(cfg: DiscriminationConfig) -> RunTable:
@@ -501,7 +464,7 @@ def run_discrimination(cfg: DiscriminationConfig) -> RunTable:
     Regime 0 draws Gaussian windows with the base diagonal spectrum (singular by default,
     where log-det entropies diverge); regime 1 scales it elementwise by ``regime_scale``.
     Each window's sample covariance is scored by the trace-normalized entropy and by the
-    density entropy at ``betas[0]``, and each score's two regimes are
+    density entropy at ``beta``, and each score's two regimes are
     separated by a best-direction threshold sweep (AUC): near-global scalings leave the
     naive score at chance while the density entropy tracks the absolute spectrum.
 
@@ -510,13 +473,8 @@ def run_discrimination(cfg: DiscriminationConfig) -> RunTable:
     scores and every check, so the density entropy reads ``eigvalsh`` eigenvalues where
     :func:`entropy.cvne` reads ``eigh`` ones (they can differ in the last bits).
     """
-    base, scale = np.asarray(cfg.base_spectrum, dtype=float), np.asarray(cfg.regime_scale, dtype=float)
-    n, window, dim = cfg.n_windows, cfg.window, base.size
-    # A negative or overflowing spectrum entry gives a non-finite deviation; draws are finite exactly where it is.
-    with np.errstate(over="ignore", invalid="ignore"):
-        sd = np.sqrt(np.stack([base, base * scale]))
-    if not np.all(np.isfinite(sd)):
-        raise ValueError("data matrix contains non-finite entries")
+    sd = np.sqrt(np.array([cfg.base_spectrum, cfg.regime_scale], dtype=float).cumprod(axis=0))  # base, base * scale
+    n, window, dim = cfg.n_windows, cfg.window, sd.shape[1]
     chunk = max(1, _DRAW_BLOCK // (window * dim))
     covs, block = np.empty((2, n, dim, dim)), np.empty((min(chunk, n), window, dim))
     for regime, start in itertools.product((0, 1), range(0, n, chunk)):
@@ -525,7 +483,7 @@ def run_discrimination(cfg: DiscriminationConfig) -> RunTable:
             np.random.default_rng([cfg.seed, regime, w]).standard_normal(out=out)
         samples *= sd[regime]
         covs[regime, start : start + len(samples)] = covariance._covariance_array(samples)
-    s_naive, s_vne = entropy._window_entropies(covs, cfg.betas[0])
+    s_naive, s_vne = entropy._window_entropies(covs, cfg.beta)
     # Rows: every regime-0 window, every regime-1 window, then the AUC row.
     pad = [None] * (2 * n)
     params = {"regime": [0] * n + [1] * n + [None], "window_index": [*range(n)] * 2 + [None], "summary": pad + ["auc"]}
@@ -582,7 +540,3 @@ RUNNERS = {  # experiment name: (its config, its runner)
     "discrimination": (DiscriminationConfig, run_discrimination),
     "betafit_demo": (BetafitDemoConfig, run_betafit_demo),
 }
-
-
-def run_experiment(cfg) -> RunTable:  # runs the experiment that cfg configures
-    return next(runner for config_class, runner in RUNNERS.values() if type(cfg) is config_class)(cfg)

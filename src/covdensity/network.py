@@ -51,7 +51,7 @@ import numpy as np
 
 from .covariance import CovarianceMatrix, as_matrix
 from .density import _as_decomposition, density_values
-from .errors import ConfigError, ShapeError, TrainingError, _check_fields
+from .errors import ShapeError, TrainingError, _Config
 from .filtering import _powers
 
 AGGREGATIONS = ("concatenate", "sum", "mean")
@@ -198,11 +198,10 @@ class ModelParams:
             channels = layer.out_channels()
 
 
-@dataclass
-class TrainConfig:
-    """Every train config key with its default.  ``init_model`` reads the architecture keys, ``train`` the
-    optimizer keys, and the CLI ``val_fraction``.  ``betas`` defaults to ``betas_init``, and a ``loss`` of
-    None to the task's own loss (``task_loss``).  Each check names its key: ``ConfigError("/<key>: ...")``."""
+@dataclass(frozen=True)
+class TrainConfig(_Config):
+    """Every train config key with its default.  ``init_model`` reads the architecture keys, ``train`` the optimizer
+    keys, the CLI ``val_fraction``.  ``betas`` defaults to ``betas_init``, a ``loss`` of None to ``task_loss``."""
 
     learning_rate: float = 1e-3
     epochs: int = 100
@@ -217,43 +216,16 @@ class TrainConfig:
     betas_init: tuple[float, ...] | None = None
     order: int = 2
     loss: str | None = None
-    seed: int = 0
     task: str = "regression"
     aggregation: str = "concatenate"
     skip_k0: bool = False
     val_fraction: float = 0.2
 
-    def __post_init__(self):
-        _check_fields(self)  # so every rule below compares values of the declared types
-        if self.betas is None:
-            self.betas = self.betas_init
-        for key, ok, rule in (
-            ("hidden_dim", self.hidden_dim >= 1, "must be >= 1"),
-            ("order", self.order >= 0, "must be >= 0"),
-            ("seed", self.seed >= 0, f"must be >= 0, got {self.seed}"),
-            ("num_layers", self.num_layers >= 1, "must be >= 1"),
-            ("betas", self.betas is not None, "required unless betas_init is given"),
-            ("betas", bool(self.betas), "must be non-empty"),
-            ("val_fraction", 0.0 < self.val_fraction < 1.0, "must be in (0, 1)"),
-            ("learning_rate", not self.learning_rate < 0, "must be nonnegative"),
-            ("epochs", self.epochs >= 1, "must be >= 1"),
-            ("batch_size", self.batch_size >= 1, "must be >= 1"),
-            ("dropout", 0.0 <= self.dropout < 1.0, "must be in [0, 1)"),
-            ("learning_rate", math.isfinite(self.learning_rate), f"must be finite, got {self.learning_rate!r}"),
-        ):
-            if not ok:
-                raise ConfigError(f"/{key}: {rule}")
-        for key in ("betas_init", "betas"):  # betas may be betas_init's
-            if not all(map(math.isfinite, getattr(self, key) or ())):
-                raise ConfigError(f"/{key}: entries must be finite, got {list(getattr(self, key))}")
-        for key, allowed in (
-            ("activation", ACTIVATIONS), ("head_activation", ACTIVATIONS), ("aggregation", AGGREGATIONS),
-            ("task", TASK_LOSSES), ("loss", TASK_LOSSES.get(self.task)),  # an unknown task stops the loop first
-        ):
-            value = getattr(self, key)
-            if value is not None and value not in allowed:  # only loss may be None
-                task = f" for task {self.task!r}" if key == "loss" else ""
-                raise ConfigError(f"/{key}: expected {' or '.join(map(repr, allowed))}{task}, got {value!r}")
+    def _rules(self):  # names from this module's tables (only loss may be None); a bad task fails before loss reads it
+        for key, names in (("activation", ACTIVATIONS), ("head_activation", ACTIVATIONS),
+                           ("aggregation", AGGREGATIONS), ("task", TASK_LOSSES), ("loss", TASK_LOSSES.get(self.task))):
+            value, task = getattr(self, key), f" for task {self.task!r}" if key == "loss" else ""
+            yield key, value is None or value in names, f"expected {' or '.join(map(repr, names))}{task}, got {value!r}"
 
     @property
     def task_loss(self) -> str:

@@ -77,9 +77,9 @@ def table_rows(table):
 
 
 def discrimination_scores(beta=2.0, **fields):
-    """run_discrimination on DiscriminationConfig(betas=(beta,), **fields), read back
+    """run_discrimination on DiscriminationConfig(beta=beta, **fields), read back
     from its table: the table, the (2, n_windows) naive and density scores by regime, and the two AUCs."""
-    table = run_discrimination(DiscriminationConfig(betas=(beta,), **fields))
+    table = run_discrimination(DiscriminationConfig(beta=beta, **fields))
     rows = table_rows(table)
     naive, vne = (
         np.array([[r.metrics[name] for r in rows if r.params.get("regime") == regime] for regime in (0, 1)])

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import covdensity
-from covdensity import cli, lab, network
+from covdensity import cli, errors, lab, network
 from covdensity.cli import main
 from covdensity.spectral import eigh
 
@@ -427,7 +427,23 @@ class TestExperimentCommands:
             # The regime-1 spectrum base * scale overflows a double.
             (
                 "discriminate", [], {"regime_scale": [1e308, 1, 1], "base_spectrum": [10, 1, 0]},
-                "data matrix contains non-finite entries",
+                "/regime_scale: base_spectrum * regime_scale must be finite, got [10, 1, 0] * [1e+308, 1, 1]",
+            ),
+            ("discriminate", ["--beta", "inf"], {}, "/beta: must be finite, got inf"),
+            # The same bounds on JSON integers whose difference or product no double holds.
+            pytest.param(
+                "lipschitz", [], {"beta_range": [-10**308, 10**308]},
+                f"/beta_range: high - low must be finite, got [{-10**308}, {10**308}]", id="lipschitz-int-range",
+            ),
+            pytest.param(
+                "regression", [], {"ridge": 10**308}, f"/ridge: ridge * n_train must be finite, got {10**308} * 100",
+                id="regression-int-ridge",
+            ),
+            pytest.param(
+                "discriminate", [], {"regime_scale": [10**200, 1, 1], "base_spectrum": [10**200, 1, 0]},
+                "/regime_scale: base_spectrum * regime_scale must be finite, "
+                f"got [{10**200}, 1, 0] * [{10**200}, 1, 1]",
+                id="discriminate-int-spectra",
             ),
             # Z'/Z = exp(ln Z' - ln Z) underflows to 0.0, which the error bound divides by.
             (
@@ -521,12 +537,18 @@ class TestExperimentCommands:
         assert [str(w.message) for w in caught] == []
         assert not out_dir.exists()
 
-    @pytest.mark.parametrize("cfg", [{"base_spectrum": [-1, 1, 0]}, {"regime_scale": [1, -1, 1]}])
-    def test_negative_spectrum_entry_prints_only_the_error(self, capsys, tmp_path, cfg):
+    @pytest.mark.parametrize(
+        "cfg,message",
+        [
+            ({"base_spectrum": [-1, 1, 0]}, "/base_spectrum: entries must be >= 0, got [-1, 1, 0]"),
+            ({"regime_scale": [1, -1, 1]}, "/regime_scale: entries must be >= 0, got [1, -1, 1]"),
+        ],
+    )
+    def test_negative_spectrum_entry_prints_only_the_error(self, capsys, tmp_path, cfg, message):
         cfg_path, out_dir = tmp_path / "cfg.json", tmp_path / "out"
         cfg_path.write_text(json.dumps({**cfg, "n_windows": 5}))
         code, out, err = run_cli(capsys, "discriminate", "--config", str(cfg_path), "--output-dir", str(out_dir))
-        assert (code, out, err) == (2, "", "error: data matrix contains non-finite entries\n")
+        assert (code, out, err) == (2, "", f"error: {message}\n")
         assert not out_dir.exists()
 
     def test_config_schema_version_checked(self, capsys, tmp_path):
@@ -597,6 +619,7 @@ class TestExperimentCommands:
             ["discriminate", "--trials", "7"],
             ["surrogate", "--betas", "1"],
             ["betafit-demo", "--sample-grid", "30"],
+            ["discriminate", "--betas", "1,7,9"],
         ],
     )
     def test_flag_of_an_unread_key_is_a_usage_error(self, capsys, tmp_path, argv):
@@ -652,7 +675,7 @@ _EXPERIMENT_KEYS = {
         "ridge", "weight_scale",
     },
     "entropy_curve": {"dim", "n_samples", "betas", "trials", "seed", "families"},
-    "discrimination": {"betas", "seed", "window", "n_windows", "regime_scale", "base_spectrum"},
+    "discrimination": {"beta", "seed", "window", "n_windows", "regime_scale", "base_spectrum"},
     "betafit_demo": {"dim", "n_samples", "noise_levels", "trials", "seed"},
 }
 
@@ -675,6 +698,16 @@ def test_config_key_sets(tmp_path):
         assert set(_load_json_config(path, config_class, "config")) == keys
         # ... and no other, since the loader accepts exactly the fields.
         assert {f.name for f in dataclasses.fields(config_class)} == keys
+
+
+def test_every_checked_key_is_a_declared_key():
+    # A bound in the shared table must belong to some config the CLI builds, and a config's own rules to its own keys.
+    configs = [config_class for config_class, _ in lab.RUNNERS.values()] + [network.TrainConfig]
+    declared = [{f.name for f in dataclasses.fields(config_class)} for config_class in configs]
+    assert {key for key, _, _ in errors._KEY_RULES} <= set().union(*declared)
+    for config_class, keys in zip(configs, declared):
+        cfg = config_class(betas=(1.0,)) if config_class is network.TrainConfig else config_class()
+        assert {key for key, _, _ in cfg._rules()} <= keys, config_class.__name__
 
 
 def _config_fields():
@@ -724,6 +757,15 @@ def test_wrong_typed_config_value_exits_2_naming_its_key(capsys, tmp_path, gauss
         ("lipschitz", {"max_filter_order": 2.5}, "/max_filter_order: expected int, got 2.5"),
         ("surrogate", {"edge_prob": "x"}, "/edge_prob: expected float, got 'x'"),
         ("train", {"betas": [True]}, "/betas: expected tuple[float, ...] | None, got [True]"),
+        # An int past the largest double is no float.
+        pytest.param(
+            "lipschitz", {"beta_range": [0, 10**400]}, f"/beta_range: expected tuple[float, float], got [0, {10**400}]",
+            id="lipschitz-beta_range-int-past-the-doubles",
+        ),
+        pytest.param(
+            "stability", {"noise_levels": [10**400]}, f"/noise_levels: expected tuple[float, ...], got [{10**400}]",
+            id="stability-noise_levels-int-past-the-doubles",
+        ),
         ("stability", {"schema_version": True}, "unsupported schema_version at /schema_version"),
         ("train", {"schema_version": True}, "unsupported schema_version at /schema_version"),
     ],
@@ -736,6 +778,27 @@ def test_config_probes_exit_2_naming_the_key(capsys, tmp_path, gaussian_data_csv
     assert (code, out) == (2, "")
     assert err.startswith("error: ") and err.endswith(f"{message}\n")
     assert not out_dir.exists()
+
+
+@pytest.mark.parametrize(
+    "subcommand,key,cfg",
+    [
+        ("stability", "betas", {"dim": 5, "trials": 1}),
+        ("regression", "betas", {"trials": 1, "sample_grid": [30]}),
+        ("entropy-curve", "betas", {"dim": 4, "trials": 1}),
+        ("discriminate", "beta", {"n_windows": 5}),
+    ],
+)
+def test_integer_beta_past_int64_runs_as_its_double(capsys, tmp_path, subcommand, key, cfg):
+    # A JSON integer that a double holds but int64 does not gives what the double gives, not a NumPy type error.
+    runs = []
+    for value in (10**300, 1e300):
+        cfg_path, out_dir = tmp_path / "cfg.json", tmp_path / f"out{len(runs)}"
+        cfg_path.write_text(json.dumps({**cfg, key: [value] if key == "betas" else value}))
+        code, out, err = run_cli(capsys, subcommand, "--config", str(cfg_path), "--output-dir", str(out_dir))
+        results = (out_dir / "results.csv").read_text() if code == 0 else None
+        runs.append((code, out, err, results))
+    assert runs[0] == runs[1]
 
 
 ACTIVATION_NAMES = "'tanh' or 'elu' or 'relu' or 'identity'"
@@ -863,10 +926,10 @@ class TestTrainPredict:
     @pytest.mark.parametrize(
         "cfg,message",
         [
-            ({"order": -1}, "/order: must be >= 0"),
-            ({"hidden_dim": 0}, "/hidden_dim: must be >= 1"),
-            ({"betas": []}, "/betas: must be non-empty"),
-            ({"betas": None, "betas_init": []}, "/betas: must be non-empty"),
+            ({"order": -1}, "/order: must be >= 0, got -1"),
+            ({"hidden_dim": 0}, "/hidden_dim: must be >= 1, got 0"),
+            ({"betas": []}, "/betas: must be non-empty, got []"),
+            ({"betas": None, "betas_init": []}, "/betas: must be non-empty, got []"),
             ({"epochs": "5"}, "/epochs: expected int, got '5'"),
             ({"epochs": True}, "/epochs: expected int, got True"),
             ({"epochs": 5.0}, "/epochs: expected int, got 5.0"),
@@ -874,10 +937,10 @@ class TestTrainPredict:
             ({"skip_k0": 1}, "/skip_k0: expected bool, got 1"),
             ({"activation": None}, "/activation: expected str, got None"),
             ({"seed": -1}, "/seed: must be >= 0, got -1"),
-            ({"epochs": 0}, "/epochs: must be >= 1"),
-            ({"learning_rate": -1}, "/learning_rate: must be nonnegative"),
-            ({"batch_size": 0}, "/batch_size: must be >= 1"),
-            ({"dropout": 1}, "/dropout: must be in [0, 1)"),
+            ({"epochs": 0}, "/epochs: must be >= 1, got 0"),
+            ({"learning_rate": -1}, "/learning_rate: must be finite and >= 0, got -1"),
+            ({"batch_size": 0}, "/batch_size: must be >= 1, got 0"),
+            ({"dropout": 1}, "/dropout: must be in [0, 1), got 1"),
         ],
     )
     def test_wrong_type_or_impossible_size_rejected(self, capsys, tmp_path, classification_csv, cfg, message):
@@ -899,7 +962,7 @@ class TestTrainPredict:
     @pytest.mark.parametrize(
         "cfg,message",
         [
-            ({"epochs": 0}, "/epochs: must be >= 1"),
+            ({"epochs": 0}, "/epochs: must be >= 1, got 0"),
             ({"activation": "foo"}, f"/activation: expected {ACTIVATION_NAMES}, got 'foo'"),
             ({"head_activation": "foo"}, f"/head_activation: expected {ACTIVATION_NAMES}, got 'foo'"),
             ({"aggregation": "max"}, "/aggregation: expected 'concatenate' or 'sum' or 'mean', got 'max'"),
@@ -909,8 +972,8 @@ class TestTrainPredict:
                 {"loss": "mse", "task": "classification"},
                 "/loss: expected 'cross_entropy' for task 'classification', got 'mse'",
             ),
-            ({"learning_rate": math.nan}, "/learning_rate: must be finite, got nan"),
-            ({"learning_rate": math.inf}, "/learning_rate: must be finite, got inf"),
+            ({"learning_rate": math.nan}, "/learning_rate: must be finite and >= 0, got nan"),
+            ({"learning_rate": math.inf}, "/learning_rate: must be finite and >= 0, got inf"),
             ({"betas": [math.nan]}, "/betas: entries must be finite, got [nan]"),
             ({"betas": None, "betas_init": [0.0, math.nan]}, "/betas_init: entries must be finite, got [0.0, nan]"),
         ],
@@ -1172,6 +1235,16 @@ def test_config_flag_is_rejected_where_no_config_is_read(capsys, tmp_path, rank_
     code, out, err = run_cli(capsys, subcommand, *inputs, "--config", str(cfg_path), "--output-dir", str(out_dir))
     assert (code, out) == (1, "")
     assert err.startswith(f"unrecognized arguments: --config {cfg_path}\n"), err
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("subcommand", ["entropy", "density", "fit-beta", "predict"])
+def test_seed_flag_is_rejected_where_nothing_is_drawn(capsys, tmp_path, rank_one_cov, subcommand):
+    out_dir = tmp_path / "out"
+    inputs = ["--spectrum", "1,2"] if subcommand == "fit-beta" else ["--input", rank_one_cov]
+    code, out, err = run_cli(capsys, subcommand, *inputs, "--seed", "99", "--output-dir", str(out_dir))
+    assert (code, out) == (1, "")
+    assert err.startswith("unrecognized arguments: --seed 99\n"), err
     assert not out_dir.exists()
 
 

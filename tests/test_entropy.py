@@ -17,7 +17,7 @@ from conftest import (
 )
 from covdensity.covariance import CovarianceMatrix, shift_regularize
 from covdensity.entropy import _naive_bits, cvne, naive_entropy, threshold_auc
-from covdensity.errors import BetaRangeError, DegenerateCovarianceError
+from covdensity.errors import BetaRangeError, ConfigError, DegenerateCovarianceError
 
 
 def scalar_entropy_nats(eigenvalues, beta):
@@ -313,11 +313,8 @@ class TestBatchedDiscrimination:
         "base, scale, beta, error",
         [
             ((0.0, 0.0, 0.0), (1.0, 1.0, 1.0), 2.0, DegenerateCovarianceError),
-            ((-1.0, 1.0, 0.0), (1.0, 1.0, 1.0), 2.0, ValueError),
             # beta * lambda overflows a double where lambda_max > 1.06, as in the first window.
             ((1.0, 1.0, 0.0), (1.3, 1.2, 1.1), -1.7e308, BetaRangeError),
-            # Regime 1 cannot be drawn.
-            ((1.0, 1.0, 0.0), (-1.0, 1.0, 1.0), 2.0, ValueError),
             ((1.0, 1.0, 0.0), (0.0, 0.0, 0.0), 2.0, DegenerateCovarianceError),
             # Only windows with lambda_max > 1.8 overflow; the first of them is named.
             ((1.0, 1.0, 0.0), (1.3, 1.2, 1.1), -1e308, BetaRangeError),
@@ -334,14 +331,15 @@ class TestBatchedDiscrimination:
         assert str(batched.value) == str(one_by_one.value)
 
     def test_non_finite_draw_is_named_before_any_window_overflows(self):
-        # Regime 0's first window overflows beta * lambda, which the window-by-window loop
-        # meets first; the stack checks every draw before it forms any covariance.
+        # Regime 0's first window overflows beta * lambda, which the window-by-window loop meets first;
+        # the config names the scale entry that would draw non-finite regime-1 data before any draw.
         base, scale, beta = (1.0, 1.0, 0.0), (-1.0, 1.0, 1.0), -1.7e308
         with pytest.raises(BetaRangeError):
             window_by_window(12, 30, beta, scale, base, 0)
         with pytest.raises(ValueError) as batched:
             discrimination_scores(beta, window=12, n_windows=30, regime_scale=scale, base_spectrum=base, seed=0)
-        assert (type(batched.value), str(batched.value)) == (ValueError, "data matrix contains non-finite entries")
+        message = "/regime_scale: entries must be >= 0, got [-1.0, 1.0, 1.0]"
+        assert (type(batched.value), str(batched.value)) == (ConfigError, message)
 
     @pytest.mark.parametrize("beta", [480.0, 1e6, -800.0])
     def test_betas_past_the_old_cap_match_window_by_window(self, beta):
@@ -352,10 +350,6 @@ class TestBatchedDiscrimination:
         _, _, vne_eigvalsh = window_by_window(12, 30, beta, (1.3, 1.2, 1.1), (1.0, 1.0, 0.0), 0)
         got_vne = result.vne
         np.testing.assert_array_equal(got_vne, vne_eigvalsh)
-
-    def test_negative_base_spectrum_is_non_finite_data(self):
-        with pytest.raises(ValueError, match="data matrix contains non-finite entries"):
-            discrimination_scores(n_windows=5, base_spectrum=(-1.0, 1.0, 0.0))
 
     def test_one_decomposition_per_window(self, monkeypatch):
         shapes = count_linalg_calls(monkeypatch, "eigvalsh")

@@ -98,7 +98,10 @@ def raised_names(path) -> set[str]:
 
 
 def test_every_error_type_is_raised():
-    defined = {name for name, obj in vars(errors).items() if inspect.isclass(obj) and obj.__module__ == errors.__name__}
+    defined = {
+        name for name, obj in vars(errors).items()
+        if inspect.isclass(obj) and issubclass(obj, Exception) and obj.__module__ == errors.__name__
+    }
     assert defined, "no error types found"
     raised = set().union(*(raised_names(path) for path in SRC.glob("*.py")))
     assert sorted(defined - raised) == []
