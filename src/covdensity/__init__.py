@@ -12,7 +12,6 @@ from .covariance import (
     DataMatrix,
     gen_gaussian_data,
     sample_covariance,
-    shift_regularize,
     trace_normalize,
 )
 from .density import DensityOperator, density_operator, f_factor

@@ -23,7 +23,7 @@ import sys
 
 import numpy as np
 
-from . import __version__, density, entropy, lab, network
+from . import __version__, covariance, density, entropy, lab, network
 from .betafit import fit_beta
 from .covariance import (
     CovarianceMatrix,
@@ -212,15 +212,15 @@ def _cmd_entropy(args) -> _Run:
 
 
 def _cmd_density(args) -> _Run:
-    rho = density.density_operator(_read_cov(args), args.beta)
-    z = rho.partition_function
+    spectrum = covariance._spectrum(_read_cov(args))
+    rho, log_z = density.density_values(spectrum, (args.beta,))
+    z = density._exp("Z", float(log_z[0]))
     table = lab.RunTable(
-        "density", 0, {"index": range(rho.dim)},
-        {"source_eigenvalue": rho.source_spectrum, "density_eigenvalue": rho.density_eigenvalues},
+        "density", 0, {"index": range(spectrum.size)}, {"source_eigenvalue": spectrum, "density_eigenvalue": rho[0]}
     )
     return _Run(
-        {"beta": args.beta, "input": args.input}, table, {"partition_function": z, "beta": args.beta, "dim": rho.dim},
-        ",".join(f"{v:.10g}" for v in rho.density_eigenvalues),
+        {"beta": args.beta, "input": args.input}, table,
+        {"partition_function": z, "beta": args.beta, "dim": spectrum.size}, ",".join(f"{v:.10g}" for v in rho[0]),
     )
 
 
@@ -228,7 +228,7 @@ def _cmd_fit_beta(args) -> _Run:
     if args.spectrum is not None:
         spectrum = np.asarray(args.spectrum, dtype=float)
     elif args.input is not None:
-        spectrum = eigh(_read_cov(args).matrix).eigenvalues
+        spectrum = covariance._spectrum(_read_cov(args))
     else:
         raise UsageError("fit-beta requires --spectrum or --input")
     if args.target is not None:
@@ -299,10 +299,13 @@ def _prepare_supervised(values: np.ndarray, horizon: int, task: str):
     features = values[:, :-1]
     raw_targets = values[:, -1]
     if task == "classification":
-        labels = raw_targets.astype(int)
+        labels = np.trunc(raw_targets)  # checked as floats: a huge label must not reach the cast or size the head
         if not np.all(np.abs(raw_targets - labels) < 1e-9) or labels.min() < 0:
             raise ConfigError("classification targets must be nonnegative integers")
-        return features, labels, int(labels.max()) + 1
+        if labels.max() >= len(labels):
+            raise ConfigError(f"classification targets must be below the row count {len(labels)} (n rows hold at "
+                              f"most n classes), got {labels.max():g}")
+        return features, labels.astype(int), int(labels.max()) + 1
     return features, raw_targets[:, None], 1
 
 

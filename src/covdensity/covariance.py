@@ -1,10 +1,10 @@
-"""Sample covariance estimation, regularizations, and synthetic data generators.
+"""Sample covariance estimation, trace normalization, and synthetic data generators.
 
 The estimator divides by ``n`` (not ``n - 1``); downstream formulas assume that
-convention.  Two regularizations are provided: subtracting the minimum
-eigenvalue (so min lambda = 0, which leaves density operators and their
-entropies unchanged) and trace normalization (used as the plain-covariance
-baseline in experiments); each returns a plain, re-checked :class:`CovarianceMatrix`.
+convention.  Trace normalization (the plain-covariance baseline in experiments)
+returns a plain, re-checked :class:`CovarianceMatrix`.  A checked matrix keeps
+the spectrum its PSD check computed, which the entropies and the CLI read
+instead of decomposing the matrix again.
 
 All generators take an explicit seed and never touch global RNG state, so
 trials can run in parallel and reproduce exactly.
@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import csv
 import warnings
-from dataclasses import InitVar, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -63,14 +63,11 @@ class CovarianceMatrix:
     """A finite, symmetric (within tolerance, then symmetrized) and PSD matrix."""
 
     matrix: np.ndarray
-    # The norm of a larger matrix this one was computed from, whose roundoff it carries; the PSD
-    # tolerance scales with it (shift_regularize passes its input's).
-    _scale: InitVar[float] = 0.0
-    # The spectrum the PSD check computed, kept so shift_regularize need not recompute it.
+    # The spectrum the PSD check computed (eigvalsh's), kept so what reads only the spectrum need not decompose again.
     _eigenvalues: np.ndarray = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self, _scale):
-        m, eigenvalues = _checked_spectra(spectral._as_square_array(self.matrix), _scale)
+    def __post_init__(self):
+        m, eigenvalues = _checked_spectra(spectral._as_square_array(self.matrix))
         m.flags.writeable = False
         eigenvalues.flags.writeable = False
         object.__setattr__(self, "matrix", m)
@@ -92,14 +89,14 @@ def _check_psd(eigenvalues: np.ndarray, scale=0.0):
         raise ValueError(f"matrix is not PSD within tolerance: min eigenvalue {min_eig:.3e}")
 
 
-def _checked_spectra(matrices: np.ndarray, scale=0.0):
-    """Symmetrize a finite stack of matrices and check each as CovarianceMatrix checks one (``scale`` as in _check_psd).
+def _checked_spectra(matrices: np.ndarray):
+    """Symmetrize a finite stack of matrices and check each as CovarianceMatrix checks one.
 
     Returns the symmetrized stack and its ``eigvalsh`` spectra; a failure names the first failing matrix.
     """
     m = spectral._symmetrize(matrices)
     eigenvalues = np.linalg.eigvalsh(m)
-    _check_psd(eigenvalues, scale)
+    _check_psd(eigenvalues)
     return m, eigenvalues
 
 
@@ -108,6 +105,16 @@ def as_matrix(c) -> np.ndarray:
     if isinstance(c, CovarianceMatrix):
         return c.matrix
     return spectral._symmetrize(spectral._as_square_array(c))
+
+
+def _spectrum(c) -> np.ndarray:
+    """Ascending eigenvalues of ``c``: those a CovarianceMatrix's check or a SpectralDecomposition
+    holds, else ``eigvalsh``'s of a plain symmetric array."""
+    if isinstance(c, CovarianceMatrix):
+        return c._eigenvalues
+    if isinstance(c, spectral.SpectralDecomposition):
+        return c.eigenvalues
+    return np.linalg.eigvalsh(as_matrix(c))
 
 
 def sample_covariance(data: DataMatrix) -> CovarianceMatrix:
@@ -136,19 +143,6 @@ def _covariance_array(x: np.ndarray) -> np.ndarray:
         raise ValueError("sample covariance overflows a double")
     c /= 2.0  # as spectral._symmetrize forms the mean, halving each entry first
     return c + np.swapaxes(c, -1, -2)
-
-
-def shift_regularize(cov: CovarianceMatrix) -> CovarianceMatrix:
-    """Subtract (min eigenvalue) * I so the smallest eigenvalue is zero.
-
-    The shift leaves the density operator and its entropy unchanged while
-    guaranteeing a partition function >= 1 for beta > 0.  The minimum is read
-    from the spectrum ``cov``'s PSD check computed.  The result is checked at
-    ``cov``'s scale: C - shift I rounds at ||C||, which can exceed PSD_RTOL of its
-    own norm (a rotated 1e8 I shifts to a matrix of norm ~1e-7 whose smallest
-    computed eigenvalue can be -2e-8).
-    """
-    return CovarianceMatrix(*_shifted(cov.matrix, cov._eigenvalues))
 
 
 def _shifted(m: np.ndarray, eigenvalues: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -157,11 +157,11 @@ def f_factor(beta: float, norm_c: float, norm_c_plus_dc: float) -> float:
 
 
 def _error_bound(beta, dim, norm_c, norm_perturbed, norm_dc, ratio) -> float:
-    """Upper bound on ||rho(C + dC) - rho(C)|| from operator norms and the measured partition ratio R = Z'/Z.
+    """The paper's bound on ||rho(C + dC) - rho(C)|| from operator norms and the measured partition ratio R = Z'/Z.
 
-    Z >= 1 (as after shift_regularize) does not make it a bound.  For beta > 0 the factor 1 needs
-    ||exp(-beta (C + t dC))|| <= 1 along the path, which fails once C + dC is indefinite: every miss random probes
-    found had beta > 0 and an indefinite C + dC.  BetaRangeError where it overflows a double or R = Z'/Z is 0.0.
+    It does not hold for every perturbation.  For beta > 0 the factor 1 needs ||exp(-beta (C + t dC))|| <= 1
+    along the path, which fails once C + dC is indefinite: every miss random probes found had beta > 0 and an
+    indefinite C + dC.  BetaRangeError where it overflows a double or R = Z'/Z is 0.0.
     """
     factor = f_factor(beta, norm_c, norm_perturbed)
     tail = 1.0 + dim * math.exp(abs(beta) * norm_c if beta < 0 else 0.0)

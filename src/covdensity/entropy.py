@@ -18,8 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .covariance import _check_psd, as_matrix
-from .density import density_operator, density_values
+from .covariance import _check_psd, _spectrum
+from .density import density_operator, density_values  # noqa: F401 (perfbench's tracer test patches this binding)
 from .errors import DegenerateCovarianceError
 
 _RANK_RTOL = 1e-10
@@ -38,23 +38,23 @@ class EntropyReport:
 def cvne(c, beta: float) -> EntropyReport:
     """Entropy report for a PSD matrix at inverse temperature beta.
 
-    ``c`` may be a CovarianceMatrix, a plain array, or a SpectralDecomposition
-    (only its eigenvalues are read), so a beta sweep decomposes once.
-    entropy_nats is -sum_i rho_i ln rho_i; gibbs_form_nats evaluates the same
-    quantity as beta Tr[C rho] + ln Z (the two agree to roundoff and both are
-    reported as a cross-check).
+    ``c`` may be a CovarianceMatrix (its check's spectrum is read), a plain
+    array, or a SpectralDecomposition (only its eigenvalues are read), so a beta
+    sweep decomposes once.  entropy_nats is -sum_i rho_i ln rho_i;
+    gibbs_form_nats evaluates the same quantity as beta Tr[C rho] + ln Z (the
+    two agree to roundoff and both are reported as a cross-check).
     """
-    rho = density_operator(c, beta)
-    nats = float(_shannon_nats(rho.density_eigenvalues))
-    spectrum = rho.source_spectrum
+    spectrum = _spectrum(c)
+    rho, log_z = density_values(spectrum, (beta,))
+    nats = float(_shannon_nats(rho[0]))
     scale = float(np.max(np.abs(spectrum))) if spectrum.size else 0.0
     rank = int(np.sum(np.abs(spectrum) > _RANK_RTOL * max(1.0, scale)))
     return EntropyReport(
         beta=float(beta),
         entropy_nats=nats,
         entropy_bits=nats / math.log(2.0),
-        gibbs_form_nats=_gibbs_from_operator(rho),
-        source_dim=rho.dim,
+        gibbs_form_nats=float(beta) * float(np.sum(spectrum * rho[0])) + float(log_z[0]),
+        source_dim=spectrum.size,
         source_rank_estimate=rank,
     )
 
@@ -67,11 +67,6 @@ def _shannon_nats(values: np.ndarray):
     return np.fmax(0.0, -np.sum(terms, axis=-1))
 
 
-def _gibbs_from_operator(rho) -> float:
-    energy = float(np.sum(rho.source_spectrum * rho.density_eigenvalues))
-    return rho.beta * energy + rho.log_partition
-
-
 def naive_entropy(c) -> float:
     """Trace-normalized spectral entropy in bits: -sum pi log2 pi, pi = lambda_i / tr C.
 
@@ -81,7 +76,7 @@ def naive_entropy(c) -> float:
     Raises:
         DegenerateCovarianceError: trace is (numerically) zero.
     """
-    return float(_naive_bits(np.linalg.eigvalsh(as_matrix(c))))
+    return float(_naive_bits(_spectrum(c)))
 
 
 def _naive_bits(eigenvalues: np.ndarray):
@@ -123,7 +118,8 @@ def threshold_auc(scores_a, scores_b) -> float:
 
 def _window_entropies(covariances: np.ndarray, beta: float) -> tuple[np.ndarray, np.ndarray]:
     """Naive and density entropies (bits) of stacked finite sample covariances, with every
-    other check of CovarianceMatrix, naive_entropy and cvne, from one ``eigvalsh``."""
+    other check of CovarianceMatrix, from one ``eigvalsh``: each entry bit for bit what
+    naive_entropy and cvne give for that covariance's CovarianceMatrix."""
     eigenvalues = np.linalg.eigvalsh(covariances)
     _check_psd(eigenvalues)
     naive = _naive_bits(eigenvalues)

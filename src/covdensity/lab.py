@@ -32,11 +32,7 @@ import numpy as np
 
 from . import covariance, density, entropy, filtering, spectral
 from .betafit import fit_beta, kl_to_density
-from .covariance import (
-    gen_gaussian_data,
-    sample_covariance,
-    shift_regularize,
-)
+from .covariance import gen_gaussian_data, sample_covariance
 from .errors import ConfigError, ShapeError, _Config
 
 _DRAW_BLOCK = 2**16  # doubles (512 KB): the most of a draw that grows with a sample size held at once
@@ -144,11 +140,15 @@ def _symmetric_noise(rng, dim: int, norms) -> np.ndarray:
     return np.where(np.isfinite(noise), noise, norms * (e / scale))
 
 
-def _stability_responses(cov, reg, dc, betas) -> tuple[np.ndarray, list, list]:
+def _stability_responses(cov, dc, betas) -> tuple[np.ndarray, list, list]:
     """Norms ``(K, 2 + n_beta)`` of dC, the trace-normalized and each beta's response to K perturbations,
     then bounds and R ratios listed per perturbation (None first, for the trace-normalized row), from
-    one stacked ``eigh`` of ``reg`` and its perturbations, one ``density_values`` and one ``eigvalsh``."""
-    lam, v = spectral._eigh(np.concatenate([reg.matrix[None], reg.matrix + dc]))
+    one stacked ``eigh`` of C - lambda_min I and its perturbations, one ``density_values`` and one ``eigvalsh``.
+    The shift moves no response, only the norms the bound reads.  C - lambda_min I is checked at ||C||, whose
+    roundoff it carries: a rotated 1e8 I shifts to norm ~1e-7 with a computed min eigenvalue of -2e-8."""
+    shifted, scale = covariance._shifted(cov.matrix, cov._eigenvalues)
+    lam, v = spectral._eigh(np.concatenate([shifted[None], shifted + dc]))
+    covariance._check_psd(lam[0], scale)
     rho, log_z = density.density_values(lam, betas)
     rho = spectral._spectral_matrix(v[:, None], rho)
     perturbed = cov.matrix + dc
@@ -161,7 +161,7 @@ def _stability_responses(cov, reg, dc, betas) -> tuple[np.ndarray, list, list]:
         ratios.append(None)
         for i, beta in enumerate(betas):
             ratios.append(density._exp("Z'/Z", log_z[k][i] - log_z[0][i]))
-            bounds.append(density._error_bound(beta, reg.dim, norm_c[0], norm_c[k], norm_dc, ratios[-1]))
+            bounds.append(density._error_bound(beta, cov.dim, norm_c[0], norm_c[k], norm_dc, ratios[-1]))
     return norms, bounds, ratios
 
 
@@ -186,10 +186,8 @@ def run_stability(cfg: StabilityConfig) -> RunTable:
     def trial(t: int):  # its arrays die when it returns, before the next trial draws
         cov = sample_covariance(gen_gaussian_data(cfg.dim, cfg.n_samples, "gaussian", seed=[cfg.seed, t, 1]))
         noise = _symmetric_noise(np.random.default_rng([cfg.seed, t]), cfg.dim, cfg.noise_levels)
-        # Density operators are invariant to uniform spectral shifts, so working on the shift-regularized
-        # matrix changes none of the measured responses while keeping Z >= 1.  That alone does not make the
-        # error bound valid: it can miss for beta > 0 once C + dC is indefinite (see density._error_bound).
-        return _stability_responses(cov, shift_regularize(cov), noise, cfg.betas)
+        # The error bound can miss for beta > 0 once C + dC is indefinite (see density._error_bound).
+        return _stability_responses(cov, noise, cfg.betas)
 
     norms, bounds, ratios = [], [], []
     for trial_norms, trial_bounds, trial_ratios in map(trial, range(cfg.trials)):
@@ -236,13 +234,14 @@ def run_lipschitz(cfg: LipschitzConfig) -> RunTable:
         beta = float(rng.uniform(*cfg.beta_range))
         spec = filtering.FilterSpec(coeffs=coeffs, beta=beta)
         alpha = filtering.lipschitz_alpha(spec)
-        gap = abs(lam2 - lam1)
+        gap = float(abs(lam2 - lam1))
         if gap < 1e-12 or alpha == 0.0:
             continue
         r = filtering.polynomial_response(spec, density.density_values([lam1, lam2], (beta,))[0][0])
         diff = abs(float(r[1] - r[0]))
         trials.append(t)
-        rows.append((lam1, lam2, beta, alpha, diff, diff / (alpha * gap)))
+        bound = alpha * gap  # past the largest double, the ratio is formed in two steps
+        rows.append((lam1, lam2, beta, alpha, diff, diff / bound if math.isfinite(bound) else diff / alpha / gap))
     metrics = _columns(("lambda1", "lambda2", "beta", "alpha", "response_diff", "ratio"), rows)
     return RunTable("lipschitz", cfg.seed, {"trial": trials}, metrics)
 
@@ -425,17 +424,16 @@ class EntropyCurveConfig(_Config):
 def run_entropy_curve(cfg: EntropyCurveConfig) -> RunTable:
     """Density entropy over a beta grid for Gaussian/Exponential/Gamma covariances.
 
-    Every (trial, family) sample covariance of the run is checked, shifted and
-    checked again as one stack; the shifted matrices' PSD check already holds
-    their spectra (eigvalsh order), which one ``density_values`` call maps.
+    Every (trial, family) sample covariance of the run is checked as one stack,
+    whose PSD check already holds their spectra (eigvalsh order), which one
+    ``density_values`` call maps.
     """
     items = list(itertools.product(range(cfg.trials), enumerate(cfg.families)))
 
     samples = np.empty((len(items), cfg.n_samples, cfg.dim))
     for out, (t, (f, family)) in zip(samples, items):
         out[...] = gen_gaussian_data(cfg.dim, cfg.n_samples, family, seed=[cfg.seed, t, f]).values
-    c, spectra = covariance._checked_spectra(covariance._covariance_array(samples))
-    _, spectra = covariance._checked_spectra(*covariance._shifted(c, spectra))
+    _, spectra = covariance._checked_spectra(covariance._covariance_array(samples))
     rho, _ = density.density_values(spectra, cfg.betas)
     nats = entropy._shannon_nats(rho).ravel()
     params = _columns(("trial", "family", "beta"), itertools.product(range(cfg.trials), cfg.families, cfg.betas))
@@ -470,8 +468,7 @@ def run_discrimination(cfg: DiscriminationConfig) -> RunTable:
 
     Each window has its own seeded stream; windows are drawn into covariances a chunk of at most
     ``_DRAW_BLOCK`` doubles at a time.  One ``eigvalsh`` of the stacked covariances gives both
-    scores and every check, so the density entropy reads ``eigvalsh`` eigenvalues where
-    :func:`entropy.cvne` reads ``eigh`` ones (they can differ in the last bits).
+    scores and every check.
     """
     sd = np.sqrt(np.array([cfg.base_spectrum, cfg.regime_scale], dtype=float).cumprod(axis=0))  # base, base * scale
     n, window, dim = cfg.n_windows, cfg.window, sd.shape[1]

@@ -5,12 +5,11 @@ import numpy as np
 import pytest
 
 from covdensity import betafit, covariance, spectral
-from covdensity.covariance import CovarianceMatrix, DataMatrix, as_matrix, sample_covariance, shift_regularize
+from covdensity.covariance import CovarianceMatrix, DataMatrix, as_matrix, sample_covariance
 from covdensity.density import density_operator
 from covdensity.entropy import cvne, naive_entropy
 from covdensity.filtering import filter_apply
 from covdensity.lab import DiscriminationConfig, _stability_responses, run_discrimination
-from covdensity.spectral import SpectralDecomposition
 
 
 def spectral_matrix(decomp, values):
@@ -33,6 +32,16 @@ def random_psd(rng, dim, n_factor=5) -> CovarianceMatrix:
     """Wishart-style random PSD matrix with plenty of samples (full rank)."""
     data = rng.standard_normal((n_factor * dim, dim))
     return sample_covariance(DataMatrix(values=data))
+
+
+def min_shifted(c) -> CovarianceMatrix:
+    """C - lambda_min I as a checked CovarianceMatrix, lambda_min the smallest eigenvalue C's own check computed.
+
+    The shift leaves density operators and their entropies unchanged and makes every partition function
+    at beta > 0 at least 1.
+    """
+    c = c if isinstance(c, CovarianceMatrix) else CovarianceMatrix(matrix=c)
+    return CovarianceMatrix(matrix=c.matrix - np.min(c._eigenvalues) * np.eye(c.dim))
 
 
 def random_low_rank(rng, dim, rank) -> CovarianceMatrix:
@@ -92,13 +101,11 @@ def discrimination_scores(beta=2.0, **fields):
 def window_by_window(window, n_windows, beta, regime_scale, base_spectrum, seed):
     """The discrimination experiment as one public-API evaluation per window.
 
-    Returns the naive scores, the density scores from cvne (which decomposes
-    with eigh) and the density scores from cvne fed eigvalsh eigenvalues, each
-    shaped (2, n_windows).
+    Returns the naive scores and the density scores from cvne, each shaped (2, n_windows).
     """
     base = np.asarray(base_spectrum, dtype=float)
     spectra = (base, base * np.asarray(regime_scale, dtype=float))
-    naive, vne_eigh, vne_eigvalsh = (np.empty((2, n_windows)) for _ in range(3))
+    naive, vne = np.empty((2, n_windows)), np.empty((2, n_windows))
     for regime in (0, 1):
         for w in range(n_windows):
             rng = np.random.default_rng([seed, regime, w])
@@ -106,10 +113,8 @@ def window_by_window(window, n_windows, beta, regime_scale, base_spectrum, seed)
                 samples = rng.standard_normal((window, base.size)) * np.sqrt(spectra[regime])
             cov = sample_covariance(DataMatrix(values=samples))
             naive[regime, w] = naive_entropy(cov)
-            vne_eigh[regime, w] = cvne(cov, beta).entropy_bits
-            spectrum = SpectralDecomposition(np.linalg.eigvalsh(cov.matrix), np.eye(base.size))
-            vne_eigvalsh[regime, w] = cvne(spectrum, beta).entropy_bits
-    return naive, vne_eigh, vne_eigvalsh
+            vne[regime, w] = cvne(cov, beta).entropy_bits
+    return naive, vne
 
 
 def gen_graph_stationary(dim, n_samples, edge_prob, filter_coeffs, seed=0):
@@ -122,7 +127,7 @@ def gen_graph_stationary(dim, n_samples, edge_prob, filter_coeffs, seed=0):
 def bound_and_ratio(cov, dc, beta):
     """The density error bound and the partition ratio R = Z'/Z that run_stability records
     for the CovarianceMatrix ``cov`` perturbed by ``dc`` at ``beta``."""
-    _, bounds, ratios = _stability_responses(cov, cov, np.asarray(dc, dtype=float)[None], (beta,))
+    _, bounds, ratios = _stability_responses(cov, np.asarray(dc, dtype=float)[None], (beta,))
     return bounds[1], ratios[1]
 
 
@@ -144,8 +149,8 @@ def subadditivity(covariances, beta):
     every partition function at least 1), and so is the sum of the shifted matrices.
     """
     covs = [CovarianceMatrix(matrix=as_matrix(c)) for c in covariances]
-    regularized = [shift_regularize(c) for c in covs]
-    total = shift_regularize(CovarianceMatrix(matrix=np.sum([r.matrix for r in regularized], axis=0)))
+    regularized = [min_shifted(c) for c in covs]
+    total = min_shifted(np.sum([r.matrix for r in regularized], axis=0))
     rhs = float(sum(cvne(r, beta).entropy_nats for r in regularized))
     return cvne(total, beta).entropy_nats, rhs, tuple(float(np.min(c._eigenvalues)) for c in covs)
 

@@ -15,6 +15,7 @@ from conftest import (
     bound_and_ratio,
     dense_rho,
     discrimination_scores,
+    min_shifted,
     moment_derivatives,
     permutation_residual,
     subadditivity,
@@ -26,7 +27,6 @@ from covdensity.covariance import (
     CovarianceMatrix,
     DataMatrix,
     sample_covariance,
-    shift_regularize,
 )
 from covdensity.density import density_operator, f_factor
 from covdensity.entropy import cvne, naive_entropy
@@ -138,7 +138,7 @@ def test_criterion_05_density_error_bound():
     checked = 0
     r_below = 0
     for _ in range(1000):
-        cov = shift_regularize(wishart(rng, 8, n_factor=4))
+        cov = min_shifted(wishart(rng, 8, n_factor=4))
         e = rng.standard_normal((8, 8))
         e = (e + e.T) / 2.0
         dc = float(rng.uniform(0.02, 0.3)) * e / np.linalg.norm(e, 2)

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 import covdensity
+from conftest import count_linalg_calls
 from covdensity import cli, errors, lab, network
 from covdensity.cli import main
 from covdensity.spectral import eigh
@@ -328,6 +329,25 @@ class TestExperimentCommands:
         assert (code, out) == (0, "records=0\n")
         assert json.loads((out_dir / "summary.json").read_text()) == {"groups": {}, "headline": "records=0"}
         assert (out_dir / "results.csv").read_text() == "experiment,seed\n"
+
+    @pytest.mark.parametrize(
+        "cfg",
+        [
+            {"trials": 1, "seed": 6, "eigenvalue_range": [1e-310, 1e308]},  # a gap near 1e308 (seed 0's alpha is < 1)
+            {"trials": 1, "beta_range": [1e-310, 1e308]},  # an alpha near 1e308
+        ],
+    )
+    def test_lipschitz_ratio_past_the_largest_double(self, capsys, tmp_path, cfg):
+        cfg_path, out_dir = tmp_path / "cfg.json", tmp_path / "out"
+        cfg_path.write_text(json.dumps(cfg))
+        code, _, err = run_cli(capsys, "lipschitz", "--config", str(cfg_path), "--output-dir", str(out_dir))
+        assert (code, err) == (0, "")  # the suite turns an overflow warning into an error, which exits 2
+        with open(out_dir / "results.csv", newline="") as fh:
+            (row,) = csv.DictReader(fh)
+        alpha, diff = float(row["m:alpha"]), float(row["m:response_diff"])
+        gap = abs(float(row["m:lambda2"]) - float(row["m:lambda1"]))
+        assert math.isinf(alpha * gap)
+        assert float(row["m:ratio"]) == diff / alpha / gap > 0.0
 
     def test_config_file_with_flag_override(self, capsys, tmp_path):
         cfg_path = tmp_path / "cfg.json"
@@ -953,6 +973,23 @@ class TestTrainPredict:
         assert (code, out, err) == (2, "", f"error: {message}\n")
         assert not out_dir.exists()
 
+    @pytest.mark.parametrize(
+        "label, got",
+        [("1e300", "1e+300"), ("2.5e9", "2.5e+09"), ("80", "80")],  # a cast warning, a 596 GiB head, one class too many
+    )
+    def test_label_past_the_row_count_is_rejected_before_the_cast(self, capsys, tmp_path, classification_csv, label, got):
+        lines = Path(classification_csv).read_text().splitlines()
+        lines[5] = f"{lines[5].rsplit(',', 1)[0]},{label}"
+        data_path, cfg_path, out_dir = tmp_path / "labels.csv", tmp_path / "cfg.json", tmp_path / "out"
+        data_path.write_text("\n".join(lines) + "\n")
+        cfg_path.write_text(json.dumps({"epochs": 1, "betas": [1.0], "task": "classification"}))
+        code, out, err = run_cli(
+            capsys, "train", "--input", str(data_path), "--config", str(cfg_path), "--output-dir", str(out_dir)
+        )
+        message = f"classification targets must be below the row count 80 (n rows hold at most n classes), got {got}"
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+        assert not out_dir.exists()
+
     def test_negative_seed_flag_rejected(self, capsys, tmp_path, classification_csv):
         code, out, err = run_cli(
             capsys, "train", "--input", classification_csv, "--seed", "-1", "--output-dir", str(tmp_path / "out")
@@ -1246,6 +1283,21 @@ def test_seed_flag_is_rejected_where_nothing_is_drawn(capsys, tmp_path, rank_one
     assert (code, out) == (1, "")
     assert err.startswith("unrecognized arguments: --seed 99\n"), err
     assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("subcommand", ["entropy", "density", "fit-beta"])
+@pytest.mark.parametrize("is_covariance", [False, True])
+def test_input_subcommands_decompose_once(capsys, tmp_path, monkeypatch, gaussian_data_csv, subcommand, is_covariance):
+    eigvalsh_calls, eigh_calls = count_linalg_calls(monkeypatch, "eigvalsh"), count_linalg_calls(monkeypatch, "eigh")
+    flags = ["--input-is-covariance"] if is_covariance else []
+    path = gaussian_data_csv
+    if is_covariance:
+        path = tmp_path / "cov.csv"
+        path.write_text("2.0,0.5,0.0\n0.5,1.0,0.0\n0.0,0.0,0.0\n")
+    code, _, err = run_cli(capsys, subcommand, "--input", str(path), *flags, "--output-dir", str(tmp_path / "out"))
+    assert (code, err) == (0, "")
+    # The CovarianceMatrix check's eigvalsh; every later reader takes its spectrum.
+    assert (eigvalsh_calls, eigh_calls) == ([(3, 3)], [])
 
 
 def test_cli_import_does_not_load_scipy():

@@ -7,7 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
-from conftest import count_linalg_calls, gen_graph_stationary
+from conftest import gen_graph_stationary
 from covdensity import covariance, spectral
 from covdensity.covariance import (
     CovarianceMatrix,
@@ -16,7 +16,6 @@ from covdensity.covariance import (
     read_csv_covariance,
     read_csv_data,
     sample_covariance,
-    shift_regularize,
     trace_normalize,
 )
 from covdensity.errors import (
@@ -26,7 +25,6 @@ from covdensity.errors import (
     ShapeError,
 )
 from covdensity.lab import SurrogateConfig
-from covdensity.spectral import eigh
 
 
 class TestSampleCovariance:
@@ -72,56 +70,11 @@ def test_entries_near_the_largest_double_are_symmetrized_without_overflow():
     assert [c.matrix.tolist() for c in covs] == [[[1.5e308]], [[1.5e308, 0.0], [0.0, 1e308]]]
 
 
-class TestShiftRegularize:
-    def test_already_zero_min_eig(self):
-        c = shift_regularize(CovarianceMatrix(matrix=np.diag([2.0, 0.0, 0.0])))
-        np.testing.assert_allclose(c.matrix, np.diag([2.0, 0.0, 0.0]), atol=1e-12)
-
-    def test_diagonal_shift(self):
-        c = shift_regularize(CovarianceMatrix(matrix=np.diag([3.0, 1.0])))
-        np.testing.assert_allclose(c.matrix, np.diag([2.0, 0.0]), atol=1e-12)
-
-    def test_identity_becomes_zero(self):
-        c = shift_regularize(CovarianceMatrix(matrix=np.eye(4)))
-        np.testing.assert_allclose(c.matrix, 0.0, atol=1e-12)
-
-    def test_preserves_eigenvectors_and_shifts_spectrum(self, rng):
-        from conftest import random_psd
-
-        for _ in range(20):
-            c = random_psd(rng, 6)
-            reg = shift_regularize(c)
-            before, after = eigh(c.matrix), eigh(reg.matrix)
-            np.testing.assert_allclose(np.abs(before.eigenvectors), np.abs(after.eigenvectors), atol=1e-9)
-            np.testing.assert_allclose(
-                after.eigenvalues, before.eigenvalues - before.eigenvalues[0], atol=1e-9
-            )
-
-
-    def test_reuses_the_validated_spectrum(self, rng, monkeypatch):
-        cov = sample_covariance(DataMatrix(values=rng.standard_normal((30, 6))))
-        expected_shift = float(np.min(np.linalg.eigvalsh(cov.matrix)))
-        calls = count_linalg_calls(monkeypatch, "eigvalsh")
-        reg = shift_regularize(cov)
-        # One decomposition: the shifted matrix's own validation.
-        assert calls == [(6, 6)]
-        np.testing.assert_array_equal(reg.matrix, cov.matrix - expected_shift * np.eye(6))
-
-    def test_large_norm_with_a_tiny_spread(self):
-        # C - s I rounds at ||C|| = 1e8.  Its own norm is ~1e-7, whose tolerance is PSD_RTOL, and
-        # its smallest computed eigenvalue falls below -PSD_RTOL for seeds 7, 10, 16, 24 and 27.
-        for seed in range(30):
-            q, _ = np.linalg.qr(np.random.default_rng(seed).standard_normal((8, 8)))
-            cov = CovarianceMatrix(matrix=(q * 1e8) @ q.T)
-            reg = shift_regularize(cov)
-            np.testing.assert_array_equal(reg.matrix, cov.matrix - np.min(cov._eigenvalues) * np.eye(8))
-            assert abs(reg._eigenvalues[0]) <= covariance.PSD_RTOL * 1e8
-
-    def test_cached_spectrum_is_hidden_and_read_only(self):
-        c = CovarianceMatrix(matrix=np.diag([3.0, 1.0]))
-        assert "_eigenvalues" not in repr(c)
-        with pytest.raises(ValueError):
-            c._eigenvalues[0] = 0.0
+def test_cached_spectrum_is_hidden_and_read_only():
+    c = CovarianceMatrix(matrix=np.diag([3.0, 1.0]))
+    assert "_eigenvalues" not in repr(c)
+    with pytest.raises(ValueError):
+        c._eigenvalues[0] = 0.0
 
 
 class TestTraceNormalize:
@@ -152,10 +105,9 @@ def test_regularizers_commute_with_permutation(dim, rng):
     c = random_psd(rng, dim)
     for t in _permutation_matrices(dim):
         permuted = CovarianceMatrix(matrix=t.T @ c.matrix @ t)
-        for f in (shift_regularize, trace_normalize):
-            lhs = f(permuted).matrix
-            rhs = t.T @ f(c).matrix @ t
-            np.testing.assert_allclose(lhs, rhs, atol=1e-10)
+        lhs = trace_normalize(permuted).matrix
+        rhs = t.T @ trace_normalize(c).matrix @ t
+        np.testing.assert_allclose(lhs, rhs, atol=1e-10)
 
 
 class TestGaussianGenerator:

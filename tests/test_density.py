@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from conftest import bound_and_ratio, dense_rho, random_low_rank, random_psd
-from covdensity.covariance import CovarianceMatrix, shift_regularize
+from conftest import bound_and_ratio, dense_rho, min_shifted, random_low_rank, random_psd
+from covdensity.covariance import CovarianceMatrix
 from covdensity.density import density_operator, density_values, f_factor
 from covdensity.entropy import cvne
 from covdensity.errors import BetaRangeError
@@ -68,7 +68,7 @@ class TestDensityOperator:
 
     def test_shift_regularized_partition_at_least_one(self, rng):
         for _ in range(20):
-            c = shift_regularize(random_psd(rng, 5))
+            c = min_shifted(random_psd(rng, 5))
             for beta in (0.1, 1.0, 7.0):
                 assert density_operator(c, beta).partition_function >= 1.0
 
@@ -171,7 +171,7 @@ class TestErrorBound:
     def test_dominates_measured_error_for_positive_beta(self, rng):
         checked = 0
         for _ in range(200):
-            c = shift_regularize(random_psd(rng, 8))
+            c = min_shifted(random_psd(rng, 8))
             e = rng.standard_normal((8, 8))
             e = (e + e.T) / 2.0
             dc = 0.1 * e / np.linalg.norm(e, 2)

@@ -9,13 +9,14 @@ from hypothesis.extra.numpy import arrays
 from conftest import (
     count_linalg_calls,
     discrimination_scores,
+    min_shifted,
     random_low_rank,
     random_psd,
     subadditivity,
     table_rows,
     window_by_window,
 )
-from covdensity.covariance import CovarianceMatrix, shift_regularize
+from covdensity.covariance import CovarianceMatrix
 from covdensity.entropy import _naive_bits, cvne, naive_entropy, threshold_auc
 from covdensity.errors import BetaRangeError, ConfigError, DegenerateCovarianceError
 
@@ -79,7 +80,7 @@ class TestCvne:
 
     def test_nonincreasing_in_beta(self, rng):
         for _ in range(10):
-            c = shift_regularize(random_psd(rng, 5))
+            c = min_shifted(random_psd(rng, 5))
             grid = np.linspace(0.0, 15.0, 31)
             values = [cvne(c, b).entropy_nats for b in grid]
             assert all(values[i + 1] <= values[i] + 1e-9 for i in range(len(values) - 1))
@@ -100,7 +101,7 @@ class TestGibbsEntropy:
 
     def test_nonnegative_for_shift_regularized(self, rng):
         for _ in range(20):
-            c = shift_regularize(random_psd(rng, 6))
+            c = min_shifted(random_psd(rng, 6))
             assert cvne(c, float(rng.uniform(0.1, 5.0))).gibbs_form_nats >= 0.0
 
     def test_agrees_with_cvne(self, rng):
@@ -191,7 +192,7 @@ class TestSubadditivity:
     def test_zero_matrix_partner(self, rng):
         c = random_psd(rng, 4)
         lhs, rhs, _ = subadditivity([c, np.zeros((4, 4))], 1.0)
-        s_c = cvne(shift_regularize(c), 1.0).entropy_nats
+        s_c = cvne(min_shifted(c), 1.0).entropy_nats
         assert lhs == pytest.approx(s_c, rel=1e-9)
         assert rhs == pytest.approx(s_c + math.log(4), rel=1e-9)
         assert lhs <= rhs + 1e-9
@@ -294,20 +295,17 @@ class TestBatchedDiscrimination:
         result = discrimination_scores(
             beta, window=window, n_windows=n_windows, regime_scale=scale, base_spectrum=base, seed=seed
         )
-        naive, vne_eigh, vne_eigvalsh = window_by_window(window, n_windows, beta, scale, base, seed)
+        naive, vne = window_by_window(window, n_windows, beta, scale, base, seed)
         got_naive, got_vne = result.naive, result.vne
         windows = [r.params for r in table_rows(result.table) if "regime" in r.params]
         assert [(w["regime"], w["window_index"]) for w in windows] == [
             (r, i) for r in (0, 1) for i in range(n_windows)
         ]
         np.testing.assert_array_equal(got_naive, naive)
-        # Bit for bit against cvne on the same eigvalsh spectrum.  cvne on the
-        # matrix decomposes with eigh, whose eigenvalues can differ from
-        # eigvalsh's in the last bits, so that comparison gets rtol 1e-12.
-        np.testing.assert_array_equal(got_vne, vne_eigvalsh)
-        np.testing.assert_allclose(got_vne, vne_eigh, rtol=1e-12)
+        # Bit for bit: cvne reads the spectrum each window's CovarianceMatrix check computed.
+        np.testing.assert_array_equal(got_vne, vne)
         assert result.auc_naive == threshold_auc(naive[0], naive[1])
-        assert result.auc_vne == threshold_auc(vne_eigvalsh[0], vne_eigvalsh[1])
+        assert result.auc_vne == threshold_auc(vne[0], vne[1])
 
     @pytest.mark.parametrize(
         "base, scale, beta, error",
@@ -347,9 +345,8 @@ class TestBatchedDiscrimination:
         result = discrimination_scores(
             beta, window=12, n_windows=30, regime_scale=(1.3, 1.2, 1.1), base_spectrum=(1.0, 1.0, 0.0), seed=0
         )
-        _, _, vne_eigvalsh = window_by_window(12, 30, beta, (1.3, 1.2, 1.1), (1.0, 1.0, 0.0), 0)
-        got_vne = result.vne
-        np.testing.assert_array_equal(got_vne, vne_eigvalsh)
+        _, vne = window_by_window(12, 30, beta, (1.3, 1.2, 1.1), (1.0, 1.0, 0.0), 0)
+        np.testing.assert_array_equal(result.vne, vne)
 
     def test_one_decomposition_per_window(self, monkeypatch):
         shapes = count_linalg_calls(monkeypatch, "eigvalsh")

@@ -8,13 +8,20 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import count_linalg_calls, dense_rho, gen_graph_stationary, spectral_matrix, table_rows, window_by_window
+from conftest import (
+    count_linalg_calls,
+    dense_rho,
+    gen_graph_stationary,
+    min_shifted,
+    spectral_matrix,
+    table_rows,
+    window_by_window,
+)
 from covdensity import covariance, density, entropy, filtering, lab, spectral
 from covdensity.covariance import (
     DataMatrix,
     gen_gaussian_data,
     sample_covariance,
-    shift_regularize,
     trace_normalize,
 )
 from covdensity.errors import BetaRangeError, ConfigError, DegenerateCovarianceError
@@ -303,6 +310,32 @@ class TestStability:
             assert r.metrics["delta_c_norm"] <= 1e-15
             assert r.metrics["delta_rho_norm"] <= 1e-12
 
+    def test_large_norm_with_a_tiny_spread(self, monkeypatch):
+        # C - s I rounds at ||C|| = 1e8.  Its own norm is ~1e-7, whose tolerance is PSD_RTOL, and its
+        # smallest computed eigenvalue falls below -PSD_RTOL for seeds 7, 10, 16, 24 and 27; stability
+        # checks it at C's scale, so it accepts every one.
+        check, scales = covariance._check_psd, []
+
+        def recording_check(eigenvalues, scale=0.0):
+            scales.append(scale)
+            return check(eigenvalues, scale)
+
+        monkeypatch.setattr(covariance, "_check_psd", recording_check)
+        failing_alone = []
+        for seed in range(30):
+            q, _ = np.linalg.qr(np.random.default_rng(seed).standard_normal((8, 8)))
+            cov = covariance.CovarianceMatrix(matrix=(q * 1e8) @ q.T)
+            shifted = cov.matrix - np.min(cov._eigenvalues) * np.eye(8)
+            lab._stability_responses(cov, np.zeros((1, 8, 8)), (1.0,))
+            assert scales[-1] == np.max(np.abs(cov._eigenvalues))
+            lam = spectral._eigh(shifted)[0]
+            assert abs(lam[0]) <= covariance.PSD_RTOL * 1e8
+            try:
+                check(lam)
+            except ValueError:
+                failing_alone.append(seed)
+        assert failing_alone == [7, 10, 16, 24, 27]
+
 
 class TestLipschitz:
     def test_ratio_never_exceeds_one(self):
@@ -438,7 +471,7 @@ def stability_oracle(cfg):
         rng = np.random.default_rng([cfg.seed, t])
         data = gen_gaussian_data(cfg.dim, cfg.n_samples, "gaussian", seed=[cfg.seed, t, 1])
         cov = sample_covariance(data)
-        reg = shift_regularize(cov)
+        reg = min_shifted(cov)
         for eps in cfg.noise_levels:
             e = rng.standard_normal((cfg.dim, cfg.dim))
             e = (e + e.T) / 2.0
@@ -474,7 +507,7 @@ def per_noise_level_stability(cfg):
         rng = np.random.default_rng([cfg.seed, t])
         data = gen_gaussian_data(cfg.dim, cfg.n_samples, "gaussian", seed=[cfg.seed, t, 1])
         cov = sample_covariance(data)
-        reg = shift_regularize(cov)
+        reg = min_shifted(cov)
         base = spectral.eigh(reg.matrix)
         values_base, log_z_base = density.density_values(base.eigenvalues, cfg.betas)
         rho_base = spectral_matrix(base, values_base)
@@ -511,7 +544,7 @@ def per_item_entropy_curve(cfg):
     for t in range(cfg.trials):
         for fam_idx, family in enumerate(cfg.families):
             data = gen_gaussian_data(cfg.dim, cfg.n_samples, family, seed=[cfg.seed, t, fam_idx])
-            eigenvalues = shift_regularize(sample_covariance(data))._eigenvalues
+            eigenvalues = sample_covariance(data)._eigenvalues
             rho, _ = density.density_values(eigenvalues, cfg.betas)
             for beta, nats in zip(cfg.betas, entropy._shannon_nats(rho)):
                 metrics = {"entropy_nats": nats, "entropy_bits": nats / math.log(2.0)}
@@ -657,7 +690,7 @@ class TestStackedStages:
 
     def test_discrimination_table_lists_every_window_then_the_aucs(self):
         cfg = DiscriminationConfig(n_windows=20, window=16, seed=5, beta=1.5)
-        naive, _, vne = window_by_window(16, 20, 1.5, cfg.regime_scale, cfg.base_spectrum, 5)
+        naive, vne = window_by_window(16, 20, 1.5, cfg.regime_scale, cfg.base_spectrum, 5)
         expected = [
             ({"window_index": w, "regime": regime}, {"s_naive_bits": naive[regime, w], "s_vne_bits": vne[regime, w]})
             for regime in (0, 1)
@@ -941,15 +974,15 @@ class TestDecomposeOnce:
             betas=(-1.0, 0.0, 2.0), noise_levels=(0.1, 0.2, 0.3),
         )
         run_stability(cfg)
-        # Per trial, one stack: the regularized matrix, then one perturbation per noise level.
+        # Per trial, one stack: C - lambda_min I, then one perturbation per noise level.
         assert eigh_calls == [(1 + len(cfg.noise_levels), 5, 5)] * cfg.trials
         assert eigh_calls.matrices == cfg.trials * (1 + len(cfg.noise_levels))
 
     def test_entropy_curve_decomposes_once_per_family(self, eigh_calls):
         cfg = EntropyCurveConfig(dim=5, trials=2, seed=1, betas=(0.0, 1.0, 4.0))
         run_entropy_curve(cfg)
-        # Each family's one decomposition is the shifted matrix's PSD check
-        # (an eigvalsh, counted below); no eigh is needed on top of it.
+        # Each covariance's one decomposition is its PSD check (an eigvalsh,
+        # counted below); no eigh is needed on top of it.
         assert eigh_calls == []
 
     def test_entropy_curve_range_error_names_the_first_failing_beta(self):
@@ -957,7 +990,7 @@ class TestDecomposeOnce:
         cfg = EntropyCurveConfig(dim=5, trials=1, seed=1, betas=(1e4, -1.5e308, -1.7e308))
         data = gen_gaussian_data(cfg.dim, cfg.n_samples, cfg.families[0], seed=[cfg.seed, 0, 0])
         with pytest.raises(BetaRangeError) as expected:
-            entropy.cvne(shift_regularize(sample_covariance(data)), -1.5e308)
+            entropy.cvne(sample_covariance(data), -1.5e308)
         with pytest.raises(BetaRangeError) as got:
             run_entropy_curve(cfg)
         assert str(got.value) == str(expected.value)
@@ -968,21 +1001,13 @@ class TestDecomposeOnce:
         for t in range(cfg.trials):
             for fam_idx, family in enumerate(cfg.families):
                 data = gen_gaussian_data(cfg.dim, cfg.n_samples, family, seed=[cfg.seed, t, fam_idx])
-                reg = shift_regularize(sample_covariance(data))
-                # cvne reads only the eigenvalues of a decomposition: here the stored eigvalsh spectrum.
-                stored = spectral.SpectralDecomposition(reg._eigenvalues, np.eye(cfg.dim))
+                cov = sample_covariance(data)
                 for beta in cfg.betas:
-                    report = entropy.cvne(stored, beta)
+                    # cvne reads the spectrum the CovarianceMatrix check computed.
+                    report = entropy.cvne(cov, beta)
                     r = next(records)
                     assert r.params == {"trial": t, "family": family, "beta": beta}
                     assert r.metrics == {"entropy_nats": report.entropy_nats, "entropy_bits": report.entropy_bits}
-                    # cvne on the matrix reads eigh eigenvalues, which can differ in the last bits.
-                    on_matrix = entropy.cvne(reg, beta)
-                    np.testing.assert_allclose(
-                        [r.metrics["entropy_nats"], r.metrics["entropy_bits"]],
-                        [on_matrix.entropy_nats, on_matrix.entropy_bits],
-                        rtol=1e-12,
-                    )
 
     @pytest.fixture
     def eigvalsh_calls(self, monkeypatch):
@@ -994,21 +1019,20 @@ class TestDecomposeOnce:
             betas=(-1.0, 0.0, 2.0), noise_levels=(0.1, 0.2, 0.3),
         )
         run_stability(cfg)
-        # Per trial: the sample covariance's PSD check, the shifted matrix's PSD
-        # check, then one stack holding, per noise level, dC, the trace-normalized
-        # delta and each beta's delta.
-        per_trial = [(5, 5), (5, 5), (len(cfg.noise_levels), 2 + len(cfg.betas), 5, 5)]
+        # Per trial: the sample covariance's PSD check, then one stack holding, per
+        # noise level, dC, the trace-normalized delta and each beta's delta.  The
+        # shifted matrix is checked on the eigh spectra counted above.
+        per_trial = [(5, 5), (len(cfg.noise_levels), 2 + len(cfg.betas), 5, 5)]
         assert eigvalsh_calls == per_trial * cfg.trials
-        assert eigvalsh_calls.matrices == cfg.trials * (2 + len(cfg.noise_levels) * (2 + len(cfg.betas)))
+        assert eigvalsh_calls.matrices == cfg.trials * (1 + len(cfg.noise_levels) * (2 + len(cfg.betas)))
 
     def test_entropy_curve_reuses_the_validated_spectrum(self, eigvalsh_calls):
         cfg = EntropyCurveConfig(dim=5, trials=2, seed=1, betas=(0.0, 1.0, 4.0))
         run_entropy_curve(cfg)
-        # The sample covariances' and the shifted matrices' PSD checks, each one stack
-        # over the run; the shift reuses the first.
+        # The sample covariances' PSD check, one stack over the run, whose spectra the density map reads.
         stack = (cfg.trials * len(cfg.families), 5, 5)
-        assert eigvalsh_calls == [stack, stack]
-        assert eigvalsh_calls.matrices == cfg.trials * len(cfg.families) * 2
+        assert eigvalsh_calls == [stack]
+        assert eigvalsh_calls.matrices == cfg.trials * len(cfg.families)
 
     def test_surrogate_decomposes_each_trial_in_one_stack(self, eigvalsh_calls, eigh_calls):
         cfg = SurrogateConfig(dim=5, trials=3, seed=1, sample_grid=(20, 50, 200))

@@ -7,8 +7,9 @@ scaled by 10^k for k in -8..8.  beta is 0 or +-b / scale with b in [1e-3, 1e3], 
 runs from 1e-3 to 1e3: from nearly uniform densities to ones whose smallest eigenvalues
 underflow; b in [650, 745] puts the smallest density eigenvalues just above the underflow edge.
 
-The same matrices check what shift_regularize and trace_normalize promise: a zero smallest
-eigenvalue and a unit trace, and permutation equivariance of a filter and of a network layer.
+The same matrices check that the shift stability applies, C - lambda_min I, gives a zero smallest
+eigenvalue at C's scale and that trace_normalize gives a unit trace, and permutation equivariance
+of a filter and of a network layer.
 
 The network's batched gradients are checked against central differences of its loss on random
 shapes, and run tables against what results.csv reads back on random columns.  The in-place
@@ -28,12 +29,12 @@ from hypothesis import strategies as st
 
 from conftest import dense_rho, random_psd
 from covdensity import covariance, density, spectral
-from covdensity.covariance import PSD_RTOL, CovarianceMatrix, shift_regularize, trace_normalize
+from covdensity.covariance import PSD_RTOL, CovarianceMatrix, trace_normalize
 from covdensity.density import _as_decomposition, density_operator, density_values
 from covdensity.entropy import cvne
 from covdensity.errors import BetaRangeError, SymmetryError
 from covdensity.filtering import FilterSpec, filter_apply
-from covdensity.lab import RunTable, records_to_csv
+from covdensity.lab import RunTable, _stability_responses, records_to_csv
 from covdensity.network import (
     ACTIVATIONS,
     AGGREGATIONS,
@@ -112,12 +113,14 @@ def test_shift_gives_a_zero_smallest_eigenvalue_and_trace_normalize_a_unit_trace
     norm = float(np.max(np.abs(cov._eigenvalues)))
     # The shift s is eigvalsh's smallest eigenvalue of C, within p(m) eps ||C|| of the exact one
     # (eigvalsh is backward stable, p(m) a small multiple of m); forming C - s I rounds each
-    # diagonal entry by at most eps (||C|| + |s|) <= 2 eps ||C||, and eigvalsh of the result errs by
+    # diagonal entry by at most eps (||C|| + |s|) <= 2 eps ||C||, and eigh of the result errs by
     # p(m) eps ||C - s I|| <= p(m) eps ||C||.  The smallest computed eigenvalue is therefore a few
     # m eps ||C|| (about 1e-14 ||C|| for m <= 8) from 0, far inside the PSD tolerance.  The bound
     # scales with the input's norm, not the shifted matrix's: a rotated 1e8 I shifts to a matrix of
     # norm ~1e-7 whose smallest computed eigenvalue can be -2e-8.
-    smallest = float(np.min(shift_regularize(cov)._eigenvalues))
+    shifted, scale = covariance._shifted(cov.matrix, cov._eigenvalues)
+    assert scale == norm
+    smallest = float(spectral._eigh(shifted)[0][0])
     assert abs(smallest) <= PSD_RTOL * max(1.0, norm)
     # tr C sums m diagonal entries (relative error (m - 1) eps, the entries being >= 0 up to
     # roundoff), each quotient C_ii / tr rounds by eps / 2 and their sum adds (m - 1) eps more, and
@@ -125,6 +128,8 @@ def test_shift_gives_a_zero_smallest_eigenvalue_and_trace_normalize_a_unit_trace
     trace = float(np.trace(cov.matrix))
     if trace > 1e-14:
         assert abs(np.trace(trace_normalize(cov).matrix) - 1.0) <= 1e-10
+        # Stability shifts C this way and checks the shifted matrix at C's scale, so it accepts every C.
+        _stability_responses(cov, np.zeros((1, cov.dim, cov.dim)), (0.0,))
 
 
 def permutation_tolerance(m, norm_c, beta, coeffs):

@@ -38,7 +38,6 @@ def test_exports_are_pinned():
         "moment_objective",
         "naive_entropy",
         "sample_covariance",
-        "shift_regularize",
         "spectral",
         "trace_normalize",
     ]
