@@ -1,4 +1,4 @@
-"""Sample covariance estimation, trace normalization, and synthetic data generators.
+"""Sample covariance estimation, trace normalization, and synthetic data and graph generators.
 
 The estimator divides by ``n`` (not ``n - 1``); downstream formulas assume that
 convention.  Trace normalization (the plain-covariance baseline in experiments)
@@ -82,11 +82,11 @@ def _check_psd(eigenvalues: np.ndarray, scale=0.0):
     """Raise unless each ascending spectrum (last axis) has min eigenvalue >= -PSD_RTOL * max(1, ||C||, scale);
     the first failing spectrum is named.  ``scale`` (one, or one per spectrum) is the norm of a larger
     matrix that C was computed from, whose roundoff C carries."""
-    tolerance = PSD_RTOL * np.maximum(1.0, np.maximum(np.max(np.abs(eigenvalues), axis=-1), scale))
-    failing = np.flatnonzero(eigenvalues[..., 0] < -tolerance)
+    tolerance = PSD_RTOL * np.maximum(1.0, np.maximum(spectral._norm(eigenvalues), scale))
+    min_eig = np.min(eigenvalues, axis=-1, initial=0.0)  # an empty matrix is PSD
+    failing = np.flatnonzero(min_eig < -tolerance)
     if failing.size:
-        min_eig = float(np.ravel(eigenvalues[..., 0])[failing[0]])
-        raise ValueError(f"matrix is not PSD within tolerance: min eigenvalue {min_eig:.3e}")
+        raise ValueError(f"matrix is not PSD within tolerance: min eigenvalue {np.ravel(min_eig)[failing[0]]:.3e}")
 
 
 def _checked_spectra(matrices: np.ndarray):
@@ -148,7 +148,7 @@ def _covariance_array(x: np.ndarray) -> np.ndarray:
 def _shifted(m: np.ndarray, eigenvalues: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """m - lambda_min I for each matrix of a stack with ascending ``eigenvalues`` (last axis), and each m's norm."""
     shifted = m - eigenvalues.min(axis=-1)[..., None, None] * np.eye(m.shape[-1])
-    return shifted, np.max(np.abs(eigenvalues), axis=-1)
+    return shifted, spectral._norm(eigenvalues)
 
 
 def trace_normalize(cov: CovarianceMatrix) -> CovarianceMatrix:
@@ -209,31 +209,19 @@ def _is_connected(adjacency: np.ndarray) -> bool:
     return bool(reached.all())
 
 
-def _graph_filter(dim: int, edge_prob: float, filter_coeffs, rng: np.random.Generator):
-    """A connected Erdos-Renyi graph's combinatorial Laplacian L = D - A drawn from ``rng`` (up to 100 attempts),
-    and the polynomial filter g(L) = sum_k a_k L^k that makes g(L) w graph-stationary for white noise w.
+def _connected_laplacian(dim: int, edge_prob: float, rng: np.random.Generator) -> np.ndarray:
+    """The combinatorial Laplacian L = D - A of a connected Erdos-Renyi graph drawn from ``rng`` (up to 100 attempts).
 
     Raises:
         GraphGenerationError: no connected graph within the retry budget.
     """
-    coeffs = np.asarray(filter_coeffs, dtype=float)
     for _ in range(_CONNECTED_RETRY_BUDGET):
         laplacian, adjacency = _erdos_renyi_laplacian(dim, edge_prob, rng)
         if _is_connected(adjacency):
-            break
-    else:
-        raise GraphGenerationError(
-            f"no connected graph in {_CONNECTED_RETRY_BUDGET} attempts (dim={dim}, edge_prob={edge_prob})"
-        )
-    g = np.zeros_like(laplacian)
-    power = np.eye(dim)
-    with np.errstate(over="ignore", invalid="ignore"):
-        for a_k in coeffs:
-            g += a_k * power
-            power = power @ laplacian
-    if not np.all(np.isfinite(g)):
-        raise ValueError(f"filter_coeffs: the filter g(L) overflows a double, got {coeffs.tolist()}")
-    return laplacian, g
+            return laplacian
+    raise GraphGenerationError(
+        f"no connected graph in {_CONNECTED_RETRY_BUDGET} attempts (dim={dim}, edge_prob={edge_prob})"
+    )
 
 
 def read_csv_data(path, header: bool = False) -> DataMatrix:

@@ -71,11 +71,6 @@ def _as_decomposition(c) -> spectral.SpectralDecomposition:
     return spectral.eigh(as_matrix(c))
 
 
-def _norm(eigenvalues: np.ndarray):
-    """Operator norm of symmetric matrices from their eigenvalues (last axis)."""
-    return np.max(np.abs(eigenvalues), axis=-1, initial=0.0)
-
-
 def _exp(name: str, exponent: float, exp=math.exp) -> float:
     """``exp(exponent)`` of a log-domain quantity; BetaRangeError where that double overflows."""
     if exponent > _LOG_DBL_MAX:
@@ -105,7 +100,7 @@ def density_values(eigenvalues, betas) -> tuple[np.ndarray, np.ndarray]:
             raise ValueError("beta must be finite")
         # Name the first failing spectrum and beta, in order, as a one-by-one evaluation meets them.
         k = np.flatnonzero(~np.isfinite(shift))[0]
-        beta, norm = betas[k % betas.size], np.ravel(_norm(lam))[k // betas.size]
+        beta, norm = betas[k % betas.size], np.ravel(spectral._norm(lam))[k // betas.size]
         raise BetaRangeError(f"beta * lambda overflows a double at beta = {beta:.6g}, ||C|| = {norm:.6g}")
     exponents -= shift[..., None]
     weights = np.exp(exponents, out=exponents)

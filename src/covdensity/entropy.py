@@ -21,6 +21,7 @@ import numpy as np
 from .covariance import _check_psd, _spectrum
 from .density import density_operator, density_values  # noqa: F401 (perfbench's tracer test patches this binding)
 from .errors import DegenerateCovarianceError
+from .spectral import _norm
 
 _RANK_RTOL = 1e-10
 
@@ -47,8 +48,7 @@ def cvne(c, beta: float) -> EntropyReport:
     spectrum = _spectrum(c)
     rho, log_z = density_values(spectrum, (beta,))
     nats = float(_shannon_nats(rho[0]))
-    scale = float(np.max(np.abs(spectrum))) if spectrum.size else 0.0
-    rank = int(np.sum(np.abs(spectrum) > _RANK_RTOL * max(1.0, scale)))
+    rank = int(np.sum(np.abs(spectrum) > _RANK_RTOL * max(1.0, float(_norm(spectrum)))))
     return EntropyReport(
         beta=float(beta),
         entropy_nats=nats,

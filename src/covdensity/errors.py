@@ -92,7 +92,8 @@ _KEY_RULES = (  # (key, test, rule): the bound of one key, checked in this order
     *((key, lambda v: all(e >= 0 for e in v), "entries must be >= 0") for key in ("noise_levels", "base_spectrum",
                                                                                    "regime_scale")),
     *((key, lambda v: all(map(math.isfinite, v or ())), "entries must be finite") for key in (
-        "noise_levels", "base_spectrum", "regime_scale", "betas_init", "betas")),  # betas may be betas_init's
+        "noise_levels", "base_spectrum", "regime_scale", "filter_coeffs", "betas_init",
+        "betas")),  # betas may be betas_init's
     ("beta", math.isfinite, "must be finite"),
     ("edge_prob", lambda v: 0 < v <= 1, "must be in (0, 1]"),
     ("val_fraction", lambda v: 0 < v < 1, "must be in (0, 1)"),

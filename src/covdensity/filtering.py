@@ -10,8 +10,8 @@ The response depends on the partition function Z of the whole operating
 spectrum, not on lambda alone, so it is evaluated at density eigenvalues, which
 ``density.density_values`` forms in the log domain.  Every evaluation of the
 polynomial reads one power ladder, :func:`_powers`: :func:`polynomial_response`
-(and through it :func:`filter_apply`, the ``lipschitz`` and ``surrogate``
-experiments) and the network's filter-bank layers, forward and backward.
+(and through it :func:`filter_apply`, ``lipschitz`` and the ``surrogate`` filter g
+on Laplacian eigenvalues) and the network's filter-bank layers, forward and backward.
 """
 
 from __future__ import annotations

@@ -7,8 +7,8 @@ column per param and per metric, and is written from those columns: float
 cells are written with repr, so ``float`` reads each one back exactly.
 
 Stages with a stackable axis run once over it rather than once per item: within a trial,
-the stability perturbations, the regression covariances and the surrogate Laplacians and
-covariances; across the whole run, every entropy-curve and every discrimination covariance.
+the stability perturbations, the regression covariances, the surrogate Laplacians and then
+its covariances; across the whole run, every entropy-curve and every discrimination covariance.
 Stacks whose items carry a full matrix per beta or per sample size stay per trial, and draws
 that grow with a sample size pass through one block of ``_DRAW_BLOCK`` doubles, which bounds
 their memory.  A trial-by-trial loop runs each trial in a helper whose arrays are freed before the
@@ -33,7 +33,7 @@ import numpy as np
 from . import covariance, density, entropy, filtering, spectral
 from .betafit import fit_beta, kl_to_density
 from .covariance import gen_gaussian_data, sample_covariance
-from .errors import ConfigError, ShapeError, _Config
+from .errors import BetaRangeError, ConfigError, ShapeError, _Config
 
 _DRAW_BLOCK = 2**16  # doubles (512 KB): the most of a draw that grows with a sample size held at once
 
@@ -153,8 +153,8 @@ def _stability_responses(cov, dc, betas) -> tuple[np.ndarray, list, list]:
     rho = spectral._spectral_matrix(v[:, None], rho)
     perturbed = cov.matrix + dc
     tn_delta = perturbed / np.trace(perturbed, axis1=-2, axis2=-1)[:, None, None] - cov.matrix / np.trace(cov.matrix)
-    norms = density._norm(np.linalg.eigvalsh(np.concatenate([dc[:, None], tn_delta[:, None], rho[1:] - rho[0]], axis=1)))
-    norm_c, log_z = density._norm(lam).tolist(), log_z.tolist()
+    norms = spectral._norm(np.linalg.eigvalsh(np.concatenate([dc[:, None], tn_delta[:, None], rho[1:] - rho[0]], axis=1)))
+    norm_c, log_z = spectral._norm(lam).tolist(), log_z.tolist()
     bounds, ratios = [], []
     for k, norm_dc in enumerate(norms[:, 0].tolist(), 1):
         bounds.append(None)
@@ -223,21 +223,26 @@ def run_lipschitz(cfg: LipschitzConfig) -> RunTable:
     records the ratio against the Lipschitz constant; near-identical pairs and
     zero-alpha filters are skipped (0/0).
     """
-    lo, hi = cfg.eigenvalue_range
-
     trials, rows = [], []
     for t in range(cfg.trials):
         rng = np.random.default_rng([cfg.seed, t])
-        lam1, lam2 = rng.uniform(lo, hi, size=2)
+        lam1, lam2 = rng.uniform(*cfg.eigenvalue_range, size=2)
         order = int(rng.integers(1, cfg.max_filter_order + 1))
         coeffs = rng.standard_normal(order + 1)
         beta = float(rng.uniform(*cfg.beta_range))
         spec = filtering.FilterSpec(coeffs=coeffs, beta=beta)
-        alpha = filtering.lipschitz_alpha(spec)
+        with np.errstate(over="ignore"):
+            alpha = filtering.lipschitz_alpha(spec)
         gap = float(abs(lam2 - lam1))
         if gap < 1e-12 or alpha == 0.0:
             continue
-        r = filtering.polynomial_response(spec, density.density_values([lam1, lam2], (beta,))[0][0])
+        if math.isinf(alpha):
+            raise ConfigError(f"/beta_range: alpha = sum_k |h_k| |beta k| overflows a double at beta = {beta:.6g}")
+        try:
+            rho = density.density_values([lam1, lam2], (beta,))[0][0]
+        except BetaRangeError as exc:  # beta * lambda overflows: name the range of the larger factor
+            raise ConfigError(f"/{'eigenvalue' if max(abs(lam1), abs(lam2)) > abs(beta) else 'beta'}_range: {exc}")
+        r = filtering.polynomial_response(spec, rho)
         diff = abs(float(r[1] - r[0]))
         trials.append(t)
         bound = alpha * gap  # past the largest double, the ratio is formed in two steps
@@ -246,23 +251,21 @@ def run_lipschitz(cfg: LipschitzConfig) -> RunTable:
     return RunTable("lipschitz", cfg.seed, {"trial": trials}, metrics)
 
 
-def matched_alignment(laplacian_eigenvalues, laplacian_eigenvectors, covariance_eigenvectors, coeffs):
+def matched_alignment(g, w, coeffs):
     """Mean |<u_i, v_i>| between matched covariance and Laplacian eigenvectors, and a degenerate flag, per item.
 
-    Eigenpairs ascend, as ``spectral._eigh`` gives them.  The Laplacian eigenpair with the j-th smallest
-    g(lambda)^2 is matched to the j-th smallest covariance eigenvalue (reversing the order when g is
-    decreasing); degenerate flags population eigenvalue ties, where the matching is ill-defined.
+    ``g`` is g(lambda) at each Laplacian's ascending eigenvalues, ``w`` the covariance's ascending eigenvectors in
+    that Laplacian's eigenbasis (<u_i, v_j> = w[i, j]).  The j-th smallest g(lambda)^2 is matched to the j-th smallest
+    covariance eigenvalue (reversed when g decreases); degenerate flags population ties, where matching is ill-defined.
     """
-    spec = filtering.FilterSpec(coeffs=coeffs, beta=0.0)
-    with np.errstate(over="ignore", invalid="ignore"):
-        scores = filtering.polynomial_response(spec, laplacian_eigenvalues) ** 2
+    with np.errstate(over="ignore"):
+        scores = np.square(g)
     if not np.all(np.isfinite(scores)):
         raise ValueError(f"filter_coeffs: the population covariance g(L)^2 overflows a double, got {list(coeffs)}")
     order = np.argsort(scores, axis=-1, kind="stable")
     scale = np.maximum(1.0, np.max(np.abs(scores), axis=-1, keepdims=True))
     degenerate = np.any(np.diff(np.take_along_axis(scores, order, axis=-1), axis=-1) < 1e-9 * scale, axis=-1)
-    u = np.take_along_axis(laplacian_eigenvectors, order[..., None, :], axis=-1)
-    return np.mean(np.abs(np.sum(u * covariance_eigenvectors, axis=-2)), axis=-1), degenerate
+    return np.mean(np.abs(np.take_along_axis(w, order[..., None, :], axis=-2)[..., 0, :]), axis=-1), degenerate
 
 
 def _white_covariance(rng: np.random.Generator, n: int, dim: int) -> np.ndarray:
@@ -293,28 +296,34 @@ class SurrogateConfig(_Config):
 def run_surrogate(cfg: SurrogateConfig) -> RunTable:
     """Eigenvector convergence of the sample covariance to the graph Laplacian.
 
-    Each (trial, n) draws its graph, then white noise w; the data would be x = g(L) w, but its sample covariance
-    is formed as g(L) S_w g(L)^T, never the data, with S_w folded from w block by block.  Per trial, one stacked
-    ``eigh`` decomposes them all.
+    Each (trial, n) draws its graph, then white noise w, folded into S_w block by block; the data x = g(L) w is
+    never formed, nor is its covariance C = g(L) S_w g(L)^T = V C' V^T with C' = diag(g) V^T S_w V diag(g), since
+    g(L) shares L's eigenbasis V.  Per trial, one stacked ``eigh`` decomposes the Laplacians, g is evaluated once
+    on their spectra, and a second stacked ``eigh`` decomposes the C', whose eigenvectors are C's in the basis V.
 
     A row is flagged degenerate, with no alignment, where the matching is ill-defined: at population eigenvalue
     ties (see :func:`matched_alignment`), and at n <= dim, where the centred sample covariance has rank at most
     n - 1 and rounding alone picks the eigenvectors of its null space.
     """
+    spec = filtering.FilterSpec(coeffs=cfg.filter_coeffs, beta=0.0)
     rows = []
     for t in range(cfg.trials):
-        laplacians, g, s_w = (np.empty((len(cfg.sample_grid), cfg.dim, cfg.dim)) for _ in range(3))
+        laplacians, s_w = (np.empty((len(cfg.sample_grid), cfg.dim, cfg.dim)) for _ in range(2))
         for i, n in enumerate(cfg.sample_grid):
             rng = np.random.default_rng([cfg.seed, t, n])
-            laplacians[i], g[i] = covariance._graph_filter(cfg.dim, cfg.edge_prob, cfg.filter_coeffs, rng)
+            laplacians[i] = covariance._connected_laplacian(cfg.dim, cfg.edge_prob, rng)
             s_w[i] = _white_covariance(rng, n, cfg.dim)
+        lam, v = spectral._eigh(laplacians)
         with np.errstate(over="ignore", invalid="ignore"):
-            covs = g @ s_w @ np.swapaxes(g, -1, -2)
+            g = filtering.polynomial_response(spec, lam)
+            covs = (np.swapaxes(v, -1, -2) @ s_w @ v) * g[..., :, None] * g[..., None, :]  # g_i g_j alone can overflow
+        if not np.all(np.isfinite(g)):
+            raise ValueError(f"filter_coeffs: the filter g(L) overflows a double, got {spec.coeffs.tolist()}")
         if not np.all(np.isfinite(covs)):
             raise ValueError("sample covariance overflows a double")
-        lam, v = spectral._eigh(np.stack([laplacians, covs]))
-        covariance._check_psd(lam[1])
-        alignment, degenerate = matched_alignment(lam[0], v[0], v[1], cfg.filter_coeffs)
+        mu, w = spectral._eigh(covs)
+        covariance._check_psd(mu)
+        alignment, degenerate = matched_alignment(g, w, cfg.filter_coeffs)
         degenerate |= np.array(cfg.sample_grid) <= cfg.dim
         rows += [(float(d), None if d else a) for a, d in zip(alignment.tolist(), degenerate.tolist())]
     params = _columns(("trial", "n_samples"), itertools.product(range(cfg.trials), cfg.sample_grid))

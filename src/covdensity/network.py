@@ -174,6 +174,8 @@ class HeadParams:
             raise ShapeError(f"w2 has {self.w2.shape[1]} columns, but the hidden size is {hidden}")
         if self.b2.shape != (self.w2.shape[0],):
             raise ShapeError(f"b2 has shape {self.b2.shape}, but w2 has {self.w2.shape[0]} rows")
+        if not all(np.all(np.isfinite(a)) for a in (self.w1, self.b1, self.w2, self.b2)):
+            raise ValueError("head parameters must be finite")
 
     @property
     def n_outputs(self) -> int:

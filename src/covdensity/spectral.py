@@ -84,6 +84,11 @@ def _eigh(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.linalg.eigh(_symmetrize(m))
 
 
+def _norm(eigenvalues: np.ndarray):
+    """Operator norm of symmetric matrices from their eigenvalues (last axis); 0 for an empty spectrum."""
+    return np.max(np.abs(eigenvalues), axis=-1, initial=0.0)
+
+
 def _spectral_matrix(v: np.ndarray, values: np.ndarray) -> np.ndarray:
     """V diag(values) V^T for a stack of bases ``v`` (..., m, m) broadcast against ``values`` (..., m)."""
     return (v * values[..., None, :]) @ np.swapaxes(v, -1, -2)

@@ -118,9 +118,17 @@ def window_by_window(window, n_windows, beta, regime_scale, base_spectrum, seed)
 
 
 def gen_graph_stationary(dim, n_samples, edge_prob, filter_coeffs, seed=0):
-    """Graph-stationary data x = g(L) w, w ~ N(0, I), and the Laplacian L, drawn as run_surrogate draws them."""
+    """Graph-stationary data x = g(L) w, w ~ N(0, I), and the Laplacian L, drawn as run_surrogate draws them.
+
+    The filter is formed here as the matrix polynomial g(L) = sum_k a_k L^k, independently of the
+    library's evaluation of g on L's spectrum, so that the oracles built on this data check it.
+    """
     rng = np.random.default_rng(seed)
-    laplacian, g = covariance._graph_filter(dim, edge_prob, filter_coeffs, rng)
+    laplacian = covariance._connected_laplacian(dim, edge_prob, rng)
+    g, power = np.zeros_like(laplacian), np.eye(dim)
+    for a_k in filter_coeffs:
+        g += a_k * power
+        power = power @ laplacian
     return DataMatrix(values=rng.standard_normal((n_samples, dim)) @ g.T), laplacian
 
 

@@ -322,6 +322,13 @@ class TestExperimentCommands:
         assert err == f"error: /sample_grid: entries must be integers >= 2, got {bad!r}\n"
         assert not (tmp_path / "results.csv").exists()
 
+    def test_no_connected_graph_is_runtime_error(self, capsys, tmp_path):
+        cfg_path, out_dir = tmp_path / "cfg.json", tmp_path / "out"
+        cfg_path.write_text(json.dumps({"edge_prob": 1e-9, "trials": 1}))
+        code, out, err = run_cli(capsys, "surrogate", "--config", str(cfg_path), "--output-dir", str(out_dir))
+        assert (code, out, err) == (2, "", "error: no connected graph in 100 attempts (dim=20, edge_prob=1e-09)\n")
+        assert not out_dir.exists()
+
     def test_lipschitz_with_every_trial_skipped(self, capsys, tmp_path):
         cfg_path, out_dir = tmp_path / "cfg.json", tmp_path / "out"
         cfg_path.write_text(json.dumps({"beta_range": [0, 0]}))  # beta = 0 gives zero-alpha filters only
@@ -487,6 +494,23 @@ class TestExperimentCommands:
             (
                 "regression", [], {"weight_scale": 1e304, "ridge": 0},
                 "/weight_scale: the labels overflow a double, got 1e+304",
+            ),
+            # beta * lambda overflows, named by its larger factor; then alpha = sum_k |h_k| |beta k| overflows.
+            (
+                "lipschitz", ["--seed", "5"], {"eigenvalue_range": [1e-310, 1e308]},
+                "/eigenvalue_range: beta * lambda overflows a double at beta = -2.72835, ||C|| = 8.07941e+307",
+            ),
+            (
+                "lipschitz", [], {"max_filter_order": 1, "beta_range": [1e308, 1.7e308]},
+                "/beta_range: beta * lambda overflows a double at beta = 1.56929e+308, ||C|| = 6.36962",
+            ),
+            (
+                "lipschitz", [], {"trials": 3, "beta_range": [1e307, 1.7e308], "eigenvalue_range": [0, 1e-10]},
+                "/beta_range: alpha = sum_k |h_k| |beta k| overflows a double at beta = 1.07062e+308",
+            ),
+            (
+                "lipschitz", [], {"trials": 5, "beta_range": [1e308, 1.7e308]},
+                "/beta_range: alpha = sum_k |h_k| |beta k| overflows a double at beta = 1.42465e+308",
             ),
         ],
     )
@@ -672,6 +696,8 @@ class TestExperimentCommands:
             ("surrogate", {"edge_prob": 1.5}, "/edge_prob: must be in (0, 1], got 1.5"),
             ("discriminate", {"window": 3}, "/window: too small for dim 3 (need >= dim + 1), got 3"),
             ("discriminate", {"regime_scale": [1.0, 2.0]}, "/regime_scale: must match the base spectrum length 3"),
+            ("surrogate", {"filter_coeffs": [1.0, math.nan]}, "/filter_coeffs: entries must be finite, got [1.0, nan]"),
+            ("surrogate", {"filter_coeffs": [math.inf]}, "/filter_coeffs: entries must be finite, got [inf]"),
         ],
     )
     def test_declared_check_runs_before_any_draw(self, capsys, tmp_path, monkeypatch, subcommand, cfg, message):
@@ -1167,6 +1193,23 @@ class TestPredictInput:
         assert out == ""
         assert "non-finite" in err
 
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    @pytest.mark.parametrize("key", ["w1", "b1", "w2", "b2"])
+    def test_non_finite_head_weight_is_runtime_error(self, capsys, tmp_path, rng, key, value):
+        payload = network.model_to_dict(
+            network.init_model(3, 2, network.TrainConfig(betas=(1.0,), task="classification")), np.eye(3)
+        )
+        entries = payload["head"][key]
+        (entries[0] if key.startswith("w") else entries)[0] = value
+        model_path, data_path, out_dir = tmp_path / "model.json", tmp_path / "rows.csv", tmp_path / "preds"
+        model_path.write_text(json.dumps(payload))  # written as the token NaN or Infinity, which json reads back
+        data_path.write_text("\n".join(",".join(repr(float(v)) for v in row) for row in rng.standard_normal((4, 3))))
+        code, out, err = run_cli(
+            capsys, "predict", "--input", str(data_path), "--model", str(model_path), "--output-dir", str(out_dir)
+        )
+        assert (code, out, err) == (2, "", "error: head parameters must be finite\n")
+        assert not out_dir.exists()
 
     def test_non_psd_model_covariance_is_named(self, capsys, tmp_path, rng):
         payload = network.model_to_dict(

@@ -21,9 +21,11 @@ from covdensity.covariance import (
 from covdensity.errors import (
     ConfigError,
     DegenerateCovarianceError,
+    GraphGenerationError,
     InsufficientDataError,
     ShapeError,
 )
+from covdensity.filtering import FilterSpec, polynomial_response
 from covdensity.lab import SurrogateConfig
 
 
@@ -150,9 +152,17 @@ class TestGraphStationary:
 
         data, lap = gen_graph_stationary(8, 20000, 0.5, [1.0, 0.5], seed=7)
         lam, v = spectral._eigh(np.stack([lap, sample_covariance(data).matrix]))
-        alignment, degenerate = matched_alignment(lam[:1], v[:1], v[1:], [1.0, 0.5])
+        # g on L's spectrum, and the covariance eigenvectors in L's eigenbasis.
+        g = polynomial_response(FilterSpec(coeffs=[1.0, 0.5], beta=0.0), lam[:1])
+        alignment, degenerate = matched_alignment(g, v[:1].swapaxes(-1, -2) @ v[1:], [1.0, 0.5])
         assert not degenerate[0]
         assert alignment[0] >= 0.9
+
+    def test_no_connected_graph_within_the_retry_budget(self):
+        rng = np.random.default_rng(0)
+        message = "no connected graph in 100 attempts (dim=20, edge_prob=1e-09)"
+        with pytest.raises(GraphGenerationError, match=re.escape(message)):
+            covariance._connected_laplacian(20, 1e-9, rng)
 
     def test_deterministic(self):
         a, la = gen_graph_stationary(6, 100, 0.5, [1.0, 0.2], seed=11)
@@ -337,6 +347,10 @@ class TestCovarianceMatrixInvariants:
     def test_rejects_indefinite(self):
         with pytest.raises(ValueError, match="not PSD"):
             CovarianceMatrix(matrix=np.diag([1.0, -0.5]))
+
+    def test_empty_matrix_is_psd(self):
+        # As eigh decomposes it; its norm from the empty spectrum is 0.
+        assert CovarianceMatrix(matrix=np.zeros((0, 0))).dim == 0
 
     def test_data_matrix_rejects_non_finite(self):
         with pytest.raises(ValueError):

@@ -511,7 +511,7 @@ def per_noise_level_stability(cfg):
         base = spectral.eigh(reg.matrix)
         values_base, log_z_base = density.density_values(base.eigenvalues, cfg.betas)
         rho_base = spectral_matrix(base, values_base)
-        norm_base = density._norm(base.eigenvalues)
+        norm_base = spectral._norm(base.eigenvalues)
         tn_base = cov.matrix / np.trace(cov.matrix)
         for eps in cfg.noise_levels:
             e = rng.standard_normal((cfg.dim, cfg.dim))
@@ -520,10 +520,10 @@ def per_noise_level_stability(cfg):
             perturbed = cov.matrix + dc
             pert = spectral.eigh(reg.matrix + dc)
             rho_pert, log_z_pert = density.density_values(pert.eigenvalues, cfg.betas)
-            norm_pert = density._norm(pert.eigenvalues)
+            norm_pert = spectral._norm(pert.eigenvalues)
             deltas = [dc, perturbed / np.trace(perturbed) - tn_base]
             deltas.extend(spectral_matrix(pert, rho_pert) - rho_base)
-            norm_dc, norm_tn, *norm_rho = density._norm(np.linalg.eigvalsh(deltas))
+            norm_dc, norm_tn, *norm_rho = spectral._norm(np.linalg.eigvalsh(deltas))
             yield (
                 {"trial": t, "noise": eps, "method": "trace_normalized"},
                 {"delta_c_norm": norm_dc, "delta_rho_norm": norm_tn},
@@ -555,10 +555,11 @@ def per_item_surrogate(cfg):
     """run_surrogate as it was, one (trial, n) at a time: the generated data, its checked sample covariance,
     one eigh per matrix and the per-item matching.  Yields (params, degenerate, alignment, tolerance) per row.
 
-    The tolerance bounds how far the alignment may move when the covariance is formed as g(L) S_w g(L)^T
-    instead.  Both ways round the same exact matrix with sums of at most n (the Gram products) and d (each
-    product with g) terms, so entrywise |dC| <= (n + 2d) eps ||g||^2 ||S_w|| and, with ||g||^2 ||S_w|| <=
-    kappa(g)^2 ||C||, ||dC|| <= d (n + 2d) eps kappa(g)^2 ||C||.  By Davis-Kahan each eigenvector then moves
+    The tolerance bounds how far the alignment may move when the covariance is instead formed in L's
+    eigenbasis V, as diag(g) V^T S_w V diag(g) with g evaluated on L's computed spectrum.  Both ways round the
+    same exact matrix with sums of at most n (the Gram products) and d (each product with g(L) here, with V
+    there, whose backward error on L moves g alike) terms, so to first order entrywise |dC| <= (n + 2d) eps
+    ||g||^2 ||S_w|| and, with ||g||^2 ||S_w|| <= kappa(g)^2 ||C||, ||dC|| <= d (n + 2d) eps kappa(g)^2 ||C||.  By Davis-Kahan each eigenvector then moves
     by at most 2 ||dC|| / gap, with gap the smallest eigengap of C, and so does the mean |<u_i, v_i>|.
     """
     eps = np.finfo(float).eps
@@ -1034,11 +1035,12 @@ class TestDecomposeOnce:
         assert eigvalsh_calls == [stack]
         assert eigvalsh_calls.matrices == cfg.trials * len(cfg.families)
 
-    def test_surrogate_decomposes_each_trial_in_one_stack(self, eigvalsh_calls, eigh_calls):
+    def test_surrogate_decomposes_each_trial_in_two_stacks(self, eigvalsh_calls, eigh_calls):
         cfg = SurrogateConfig(dim=5, trials=3, seed=1, sample_grid=(20, 50, 200))
         run_surrogate(cfg)
-        # Per trial: its Laplacians, then its sample covariances; their PSD check reads the eigh spectra.
-        assert eigh_calls == [(2, len(cfg.sample_grid), 5, 5)] * cfg.trials
+        # Per trial: its Laplacians, then its sample covariances in their bases; the PSD check reads the eigh spectra.
+        assert eigh_calls == [(len(cfg.sample_grid), 5, 5)] * 2 * cfg.trials
+        assert eigh_calls.matrices == 2 * len(cfg.sample_grid) * cfg.trials
         assert eigvalsh_calls == []
 
     def test_lipschitz_decomposes_nothing(self, eigvalsh_calls, eigh_calls):

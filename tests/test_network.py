@@ -626,6 +626,15 @@ class TestCheckpoint:
         with pytest.raises(error, match=match):
             model_from_dict(payload)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("key", ["w1", "b1", "w2", "b2"])
+    def test_non_finite_head_rejected_at_load(self, rng, key, value):
+        payload = model_to_dict(small_model(rng, dim=5, n_out=2), random_psd(rng, 5))
+        entries = payload["head"][key]
+        (entries[0] if key.startswith("w") else entries)[-1] = value
+        with pytest.raises(ValueError, match="^head parameters must be finite$"):
+            model_from_dict(payload)
+
     def test_fields_written_in_declaration_order_and_skip_k0_defaults(self, rng):
         payload = model_to_dict(small_model(rng, dim=3), random_psd(rng, 3))
         assert list(payload["layers"][0]) == ["coeffs", "betas", "betas_learnable", "aggregation", "activation", "skip_k0"]

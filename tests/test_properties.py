@@ -351,7 +351,7 @@ def out_of_place_density_values(eigenvalues, betas):
         if not np.all(np.isfinite(betas)):
             raise ValueError("beta must be finite")
         k = np.flatnonzero(~np.isfinite(shift))[0]
-        beta, norm = betas[k % betas.size], np.ravel(density._norm(lam))[k // betas.size]
+        beta, norm = betas[k % betas.size], np.ravel(spectral._norm(lam))[k // betas.size]
         raise BetaRangeError(f"beta * lambda overflows a double at beta = {beta:.6g}, ||C|| = {norm:.6g}")
     weights = np.exp(exponents - shift[..., None])
     total = weights.sum(axis=-1)

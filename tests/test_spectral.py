@@ -7,13 +7,13 @@ from hypothesis.extra.numpy import arrays
 from conftest import spectral_matrix
 from covdensity import spectral
 from covdensity.covariance import CovarianceMatrix
-from covdensity.density import _norm, density_operator
+from covdensity.density import density_operator
 from covdensity.entropy import cvne, naive_entropy
 from covdensity.errors import ShapeError, SymmetryError
-from covdensity.filtering import FilterSpec, filter_apply
+from covdensity.filtering import FilterSpec, filter_apply, polynomial_response
 from covdensity.lab import matched_alignment
 from covdensity.network import TrainConfig, forward_rows, init_model, model_gradients
-from covdensity.spectral import SpectralDecomposition, eigh
+from covdensity.spectral import SpectralDecomposition, _norm, eigh
 
 
 class TestEigh:
@@ -175,9 +175,11 @@ def test_eigenvector_signs_leave_every_consumer_bit_identical(m, seed, mask, oth
         spectral._spectral_matrix(d_flip.eigenvectors, values), spectral._spectral_matrix(d.eigenvectors, values)
     )
 
+    # d plays the Laplacian, c the covariance, whose eigenvectors the matching reads in d's basis.
     coeffs = rng.standard_normal(2)
-    flipped = matched_alignment(d_flip.eigenvalues, d_flip.eigenvectors, c_flip.eigenvectors, coeffs)
-    for got, expected in zip(flipped, matched_alignment(d.eigenvalues, d.eigenvectors, c.eigenvectors, coeffs)):
+    g = polynomial_response(FilterSpec(coeffs=coeffs, beta=0.0), d.eigenvalues)
+    flipped = matched_alignment(g, d_flip.eigenvectors.T @ c_flip.eigenvectors, coeffs)
+    for got, expected in zip(flipped, matched_alignment(g, d.eigenvectors.T @ c.eigenvectors, coeffs)):
         np.testing.assert_array_equal(got, expected)
 
     cfg = TrainConfig(betas=(0.5, -1.0), betas_learnable=True, hidden_dim=3, num_layers=2, seed=seed % 1000)
