@@ -170,7 +170,7 @@ def _write_run(output_dir, subcommand: str, run: _Run) -> None:
 
     def dump(name, payload):
         with open(os.path.join(output_dir, name), "w") as fh:
-            json.dump(payload, fh, indent=1, sort_keys=True)
+            fh.write(json.dumps(payload, sort_keys=True))  # json.dumps without indent runs the C encoder
 
     os.makedirs(output_dir, exist_ok=True)
     dump("manifest.json", {
@@ -179,6 +179,8 @@ def _write_run(output_dir, subcommand: str, run: _Run) -> None:
         "seed": run.table.seed,
         "config": run.config,
         "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
+        "env": {"cpus_usable": lab._WORKERS, "python": sys.version.split()[0], "numpy": np.__version__,
+                **{key: value for key, value in os.environ.items() if key.endswith("_NUM_THREADS")}},
     })
     if run.model is not None:
         network.save_model(os.path.join(output_dir, "model.json"), *run.model)

@@ -108,9 +108,11 @@ _KEY_RULES = (  # (key, test, rule): the bound of one key, checked in this order
 @dataclass(frozen=True)
 class _Config:
     """A config's keys with their defaults: a runner's config declares every key it reads and no other.  Building one
-    checks their types, then ``_KEY_RULES``, then ``_rules``, each raising ``ConfigError("/<key>: ...")``."""
+    checks their types, then ``_KEY_RULES``, then that each ``_distinct`` key repeats no entry, then ``_rules``, each
+    raising ``ConfigError("/<key>: ...")``."""
 
     seed: int = 0  # every config seeds its draws with it
+    _distinct = ("betas", "noise_levels", "sample_grid", "families")  # grids whose entries each index rows
 
     def __post_init__(self):
         grid = getattr(self, "sample_grid", ())
@@ -123,6 +125,9 @@ class _Config:
         for key, test, rule in _KEY_RULES:
             if key in self.__dict__ and not test(v := self.__dict__[key]):
                 raise ConfigError(f"/{key}: {rule}, got {list(v) if isinstance(v, tuple) else v!r}")
+        for key in self._distinct:  # a repeated entry would merge its rows into one summary group
+            if key in self.__dict__ and len(set(v := self.__dict__[key])) < len(v):
+                raise ConfigError(f"/{key}: entries must be distinct, got {list(v)}")
         if failed := next((f"/{key}: {rule}" for key, ok, rule in self._rules() if not ok), None):
             raise ConfigError(failed)
 

@@ -10,11 +10,11 @@ Stages with a stackable axis run once over it rather than once per item: within 
 the stability perturbations, the regression covariances, the surrogate Laplacians and then
 its covariances; across the whole run, every entropy-curve and every discrimination covariance.
 Stacks whose items carry a full matrix per beta or per sample size stay per trial, and draws
-that grow with a sample size pass through one block of ``_DRAW_BLOCK`` doubles, which bounds
-their memory.  A trial-by-trial loop runs each trial in a helper whose arrays are freed before the
-next trial draws, and the stacked kernels (density values, sample covariances, symmetrization)
-each work in one array in place.  A stacked stage runs each check over the whole stack, and the
-first check that fails raises for its first failing item.
+that grow with a sample size pass through one block of ``_DRAW_BLOCK`` doubles per running trial, which bounds their
+memory.  The surrogate's trials, whose draws and LAPACK calls release the GIL, run ``_WORKERS`` at a time on threads.  A
+GIL-bound trial-by-trial loop runs each trial in a helper whose arrays are freed before the next trial draws, and the
+stacked kernels (density values, sample covariances, symmetrization) each work in one array in place.  A stacked stage
+runs each check over the whole stack, and the first check that fails raises for its first failing item.
 
 Trend claims (monotonicity, dominance) are properties of trial MEANS, not of
 individual draws; the test suite asserts them over the configured trial
@@ -23,9 +23,12 @@ counts.
 
 from __future__ import annotations
 
+import contextvars
 import csv
 import itertools
 import math
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,7 +38,33 @@ from .betafit import fit_beta, kl_to_density
 from .covariance import gen_gaussian_data, sample_covariance
 from .errors import BetaRangeError, ConfigError, ShapeError, _Config
 
-_DRAW_BLOCK = 2**16  # doubles (512 KB): the most of a draw that grows with a sample size held at once
+_DRAW_BLOCK = 2**16  # doubles (512 KB): the most of a draw that grows with a sample size one trial holds at once
+_WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1  # usable cores
+
+
+def _concurrent_trials(trial, trials: int, block_shape):
+    """``trial(t, block)`` for every t: trial 0 here, trials 1 to ``_WORKERS - 1`` on threads in copies of this context
+    (its ``np.errstate``), then each slot's next trial, with a block per slot.  The lowest failing t re-raises."""
+    results, errors, order = [None] * trials, {}, itertools.count(min(_WORKERS, trials))
+
+    def work(t, block):
+        while t < min(errors, default=trials):  # the int keys' min runs under the GIL in one step
+            try:
+                results[t] = trial(t, block)
+            except Exception as exc:
+                errors[t] = exc
+            t = next(order)
+
+    helpers = [threading.Thread(target=contextvars.copy_context().run, args=(work, t, np.empty(block_shape)))
+               for t in range(1, min(_WORKERS, trials))]
+    for helper in helpers:
+        helper.start()
+    work(0, np.empty(block_shape))
+    for helper in helpers:
+        helper.join()
+    if errors:
+        raise errors[min(errors)]
+    return results
 
 
 def _canon(value):
@@ -268,13 +297,12 @@ def matched_alignment(g, w, coeffs):
     return np.mean(np.abs(np.take_along_axis(w, order[..., None, :], axis=-2)[..., 0, :]), axis=-1), degenerate
 
 
-def _white_covariance(rng: np.random.Generator, n: int, dim: int) -> np.ndarray:
-    """Centred sample covariance (divisor n) of n standard normal rows of width ``dim`` drawn from ``rng`` in blocks,
-    which consume it as one ``(n, dim)`` draw does.  Chan et al.'s update folds in each block (k rows, mean mu_b,
+def _white_covariance(rng: np.random.Generator, n: int, block: np.ndarray) -> np.ndarray:
+    """Centred sample covariance (divisor n) of n standard normal rows drawn from ``rng`` into ``block``, a block at a
+    time, which consumes it as one ``(n, dim)`` draw does.  Chan et al.'s update folds in each block (k rows, mean mu_b,
     centred Gram G_b): with delta = mu_b - mu, M2 += G_b + delta delta^T c k / (c + k) and mu += delta k / (c + k)."""
-    rows = max(1, _DRAW_BLOCK // dim)
-    block, mean, m2 = np.empty((min(rows, n), dim)), np.zeros(dim), np.zeros((dim, dim))
-    for count in range(0, n, rows):
+    mean, m2 = np.zeros(block.shape[1]), np.zeros((block.shape[1],) * 2)
+    for count in range(0, n, len(block)):
         w = rng.standard_normal(out=block[: n - count])
         delta = w.mean(axis=0)
         w -= delta
@@ -305,14 +333,13 @@ def run_surrogate(cfg: SurrogateConfig) -> RunTable:
     ties (see :func:`matched_alignment`), and at n <= dim, where the centred sample covariance has rank at most
     n - 1 and rounding alone picks the eigenvectors of its null space.
     """
-    spec = filtering.FilterSpec(coeffs=cfg.filter_coeffs, beta=0.0)
-    rows = []
-    for t in range(cfg.trials):
+    def trial(t: int, block: np.ndarray) -> list:
+        spec = filtering.FilterSpec(coeffs=cfg.filter_coeffs, beta=0.0)
         laplacians, s_w = (np.empty((len(cfg.sample_grid), cfg.dim, cfg.dim)) for _ in range(2))
         for i, n in enumerate(cfg.sample_grid):
             rng = np.random.default_rng([cfg.seed, t, n])
             laplacians[i] = covariance._connected_laplacian(cfg.dim, cfg.edge_prob, rng)
-            s_w[i] = _white_covariance(rng, n, cfg.dim)
+            s_w[i] = _white_covariance(rng, n, block)
         lam, v = spectral._eigh(laplacians)
         with np.errstate(over="ignore", invalid="ignore"):
             g = filtering.polynomial_response(spec, lam)
@@ -325,7 +352,10 @@ def run_surrogate(cfg: SurrogateConfig) -> RunTable:
         covariance._check_psd(mu)
         alignment, degenerate = matched_alignment(g, w, cfg.filter_coeffs)
         degenerate |= np.array(cfg.sample_grid) <= cfg.dim
-        rows += [(float(d), None if d else a) for a, d in zip(alignment.tolist(), degenerate.tolist())]
+        return [(float(d), None if d else a) for a, d in zip(alignment.tolist(), degenerate.tolist())]
+
+    block_shape = (min(max(1, _DRAW_BLOCK // cfg.dim), max(cfg.sample_grid)), cfg.dim)
+    rows = [row for trial_rows in _concurrent_trials(trial, cfg.trials, block_shape) for row in trial_rows]
     params = _columns(("trial", "n_samples"), itertools.product(range(cfg.trials), cfg.sample_grid))
     return RunTable("surrogate", cfg.seed, params, _columns(("degenerate", "alignment"), rows))
 

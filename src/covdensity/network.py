@@ -222,6 +222,7 @@ class TrainConfig(_Config):
     aggregation: str = "concatenate"
     skip_k0: bool = False
     val_fraction: float = 0.2
+    _distinct = ()  # betas index filter scales, not rows: betas_init [0, 0, 0, 0] is a valid start
 
     def _rules(self):  # names from this module's tables (only loss may be None); a bad task fails before loss reads it
         for key, names in (("activation", ACTIVATIONS), ("head_activation", ACTIVATIONS),
@@ -591,7 +592,7 @@ def model_from_dict(payload: dict) -> tuple[ModelParams, np.ndarray]:
 
 def save_model(path, model: ModelParams, cov) -> None:
     with open(path, "w") as fh:
-        json.dump(model_to_dict(model, cov), fh, indent=1)
+        fh.write(json.dumps(model_to_dict(model, cov)))  # json.dumps without indent runs the C encoder
 
 
 def load_model(path) -> tuple[ModelParams, np.ndarray]:

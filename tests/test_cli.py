@@ -3,6 +3,7 @@ import dataclasses
 import json
 import math
 import os
+import platform
 import re
 import subprocess
 import sys
@@ -80,6 +81,29 @@ class TestEntropyCommand:
         manifest = json.loads((out_dir / "manifest.json").read_text())
         assert manifest["subcommand"] == "entropy"
         assert "timestamp" in manifest
+
+    def test_manifest_records_the_environment(self, capsys, tmp_path, rank_one_cov, monkeypatch):
+        monkeypatch.setenv("OMP_NUM_THREADS", "3")
+        code, _, _ = run_cli(
+            capsys, "entropy", "--input", rank_one_cov, "--input-is-covariance", "--output-dir", str(tmp_path)
+        )
+        assert code == 0
+        env = json.loads((tmp_path / "manifest.json").read_text())["env"]
+        threads = {key: value for key, value in os.environ.items() if key.endswith("_NUM_THREADS")}
+        assert threads["OMP_NUM_THREADS"] == "3"
+        assert env == {"cpus_usable": lab._WORKERS, "python": platform.python_version(), "numpy": np.__version__,
+                       **threads}
+        assert env["cpus_usable"] >= 1
+
+    def test_json_artifacts_are_compact_with_sorted_keys(self, capsys, tmp_path):
+        code, _, _ = run_cli(capsys, "stability", "--trials", "1", "--dim", "3", "--output-dir", str(tmp_path))
+        assert code == 0
+        for name in ("manifest.json", "summary.json"):
+            text = (tmp_path / name).read_text()
+            assert text == json.dumps(json.loads(text), sort_keys=True)
+        network.save_model(tmp_path / "model.json", network.init_model(3, 1, network.TrainConfig(betas=(1.0,))), np.eye(3))
+        text = (tmp_path / "model.json").read_text()
+        assert text == json.dumps(json.loads(text))
 
     def test_missing_flag_is_usage_error(self, capsys):
         code, out, err = run_cli(capsys, "entropy")
@@ -432,6 +456,17 @@ class TestExperimentCommands:
             ("regression", [], {"ridge": -1}, "/ridge: must be >= 0, got -1"),
             ("stability", ["--noise-levels", "inf"], {}, "/noise_levels: entries must be finite, got [inf]"),
             ("regression", ["--noise-levels", "0,inf"], {}, "/noise_levels: entries must be finite, got [0.0, inf]"),
+            # A repeated grid entry would merge its rows into one summary group.
+            ("stability", ["--betas", "1,1"], {}, "/betas: entries must be distinct, got [1.0, 1.0]"),
+            ("stability", ["--betas", "0,-0"], {}, "/betas: entries must be distinct, got [0.0, -0.0]"),
+            ("regression", ["--sample-grid", "50,50"], {}, "/sample_grid: entries must be distinct, got [50, 50]"),
+            ("entropy-curve", ["--betas", "2,2"], {}, "/betas: entries must be distinct, got [2.0, 2.0]"),
+            ("surrogate", ["--sample-grid", "100,100"], {}, "/sample_grid: entries must be distinct, got [100, 100]"),
+            ("betafit-demo", ["--noise-levels", "0.1,0.1"], {}, "/noise_levels: entries must be distinct, got [0.1, 0.1]"),
+            (
+                "entropy-curve", [], {"families": ["gamma", "gaussian", "gamma"]},
+                "/families: entries must be distinct, got ['gamma', 'gaussian', 'gamma']",
+            ),
             (
                 "lipschitz", [], {"beta_range": [-1e308, 1e308]},
                 "/beta_range: high - low must be finite, got [-1e+308, 1e+308]",
@@ -1050,6 +1085,11 @@ class TestTrainPredict:
         )
         assert (code, out, err) == (2, "", f"error: {message}\n")
         assert not out_dir.exists()
+
+    def test_train_betas_may_repeat(self):
+        # Train betas index filter scales, not rows: the experiments' distinct-entries rule does not apply.
+        assert network.TrainConfig(betas=(1.0, 1.0)).betas == (1.0, 1.0)
+        assert network.TrainConfig(betas_init=(0, 0, 0, 0)).betas == (0, 0, 0, 0)
 
     def test_negative_horizon_rejected(self, capsys, tmp_path, classification_csv):
         model_path, cfg_path = tmp_path / "model.json", tmp_path / "cfg.json"

@@ -3,6 +3,7 @@ import dataclasses
 import itertools
 import json
 import math
+import threading
 import tracemalloc
 
 import numpy as np
@@ -24,7 +25,7 @@ from covdensity.covariance import (
     sample_covariance,
     trace_normalize,
 )
-from covdensity.errors import BetaRangeError, ConfigError, DegenerateCovarianceError
+from covdensity.errors import BetaRangeError, ConfigError, DegenerateCovarianceError, GraphGenerationError
 from covdensity.lab import (
     BetafitDemoConfig,
     DiscriminationConfig,
@@ -456,12 +457,102 @@ class TestEntropyCurve:
                 assert all(-1e-12 <= v <= np.log(6) + 1e-10 for v in curve)
 
 
+def on_helper_threads(monkeypatch):
+    """Make run_surrogate run each trial t as trial t + 1 of a run whose trial 0 does nothing, so its first trial runs
+    on the first helper thread.  Returns a dict that maps each real trial to the thread it ran on."""
+    real, threads = lab._concurrent_trials, {}
+
+    def shifted(trial, trials, block_shape):
+        def run(t, block):
+            if t == 0:
+                return None
+            threads[t - 1] = threading.current_thread()
+            return trial(t - 1, block)
+
+        return real(run, trials + 1, block_shape)[1:]
+
+    monkeypatch.setattr(lab, "_concurrent_trials", shifted)
+    return threads
+
+
+def error_of(run, cfg):
+    try:
+        run(cfg)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return None
+
+
 class TestDeterminismAndThreads:
     def test_bitwise_reproducible(self):
         cfg = StabilityConfig(dim=5, trials=4, seed=11, betas=(0.5,))
         a = run_stability(cfg)
         b = run_stability(cfg)
         assert a == b
+
+    @pytest.mark.parametrize("trials", [1, 2, 5])
+    def test_surrogate_is_bitwise_the_same_on_any_worker_count(self, monkeypatch, trials):
+        # Grid sizes below, at and past one draw block (3,276 rows at dim 20), and a degenerate n <= dim.
+        cfg = SurrogateConfig(trials=trials, seed=4, sample_grid=(15, 300, 3276, 7000))
+        monkeypatch.setattr(lab, "_WORKERS", 1)
+        serial = repr(run_surrogate(cfg))
+        for workers in (2, 3):
+            monkeypatch.setattr(lab, "_WORKERS", workers)
+            assert repr(run_surrogate(cfg)) == serial
+
+    @pytest.mark.parametrize(
+        "fields,error",
+        [
+            ({"edge_prob": 1e-9}, (GraphGenerationError, "no connected graph in 100 attempts (dim=20, edge_prob=1e-09)")),
+            ({"dim": 5, "filter_coeffs": (1.0, 1e308)},
+             (ValueError, "filter_coeffs: the filter g(L) overflows a double, got [1.0, 1e+308]")),
+            ({"dim": 5, "filter_coeffs": (1e200, 1.0)}, (ValueError, "sample covariance overflows a double")),
+            ({"dim": 5, "seed": 6, "sample_grid": (2,), "filter_coeffs": (1.5e154, 1.0)},
+             (ValueError, "filter_coeffs: the population covariance g(L)^2 overflows a double, got [1.5e+154, 1.0]")),
+        ],
+    )
+    def test_surrogate_errors_raised_on_a_helper_thread_keep_their_text(self, monkeypatch, fields, error):
+        cfg = SurrogateConfig(trials=3, **fields)
+        monkeypatch.setattr(lab, "_WORKERS", 1)
+        assert error_of(run_surrogate, cfg) == error
+        monkeypatch.setattr(lab, "_WORKERS", 3)
+        threads = on_helper_threads(monkeypatch)
+        assert error_of(run_surrogate, cfg) == error
+        assert threading.main_thread() is not threads[0]  # the first trial fails on a helper thread
+
+    @pytest.mark.parametrize("workers,failing,first", [(1, (1, 3), 1), (3, (1, 2, 4), 1), (2, (6, 5), 5)])
+    def test_the_lowest_failing_trial_raises(self, monkeypatch, workers, failing, first):
+        # Trials below _WORKERS start at once, one on each thread; later ones go to whichever thread is free.
+        monkeypatch.setattr(lab, "_WORKERS", workers)
+        started = []
+
+        def trial(t, block):
+            started.append(t)
+            if t in failing:
+                raise ValueError(f"trial {t}")
+            return t, block.shape
+
+        with pytest.raises(ValueError, match=f"^trial {first}$"):
+            lab._concurrent_trials(trial, 7, (2, 3))
+        if workers == 1:
+            assert started == [0, 1]  # no trial starts above a failed one
+        assert lab._concurrent_trials(lambda t, block: (t, block.shape), 7, (2, 3)) == [(t, (2, 3)) for t in range(7)]
+
+    def test_helper_trials_see_the_callers_errstate(self, monkeypatch):
+        monkeypatch.setattr(lab, "_WORKERS", 3)
+
+        def trial(t, block):
+            return threading.current_thread(), np.geterr()["over"]
+
+        def overflow(t, block):  # trial 1 overflows, on a helper thread
+            return float(np.float64(1e300) * (1e10 if t == 1 else 1.0))
+
+        with np.errstate(over="raise"):
+            threads, modes = zip(*lab._concurrent_trials(trial, 3, (1, 1)))
+            with pytest.raises(FloatingPointError, match="overflow"):
+                lab._concurrent_trials(overflow, 3, (1, 1))
+        assert modes == ("raise",) * 3
+        assert len(set(threads)) == 3 and threads[0] is threading.main_thread()
 
 
 def stability_oracle(cfg):
@@ -887,7 +978,7 @@ class TestDrawBlocks:
         rows = lab._DRAW_BLOCK // dim
         n = {"rows - 1": rows - 1, "rows": rows, "rows + 1": rows + 1}.get(n, n)
         blocked_rng, one_shot_rng = np.random.default_rng([7, dim, n]), np.random.default_rng([7, dim, n])
-        got = lab._white_covariance(blocked_rng, n, dim)
+        got = lab._white_covariance(blocked_rng, n, np.empty((rows, dim)))
         expected = one_shot_white_covariance(one_shot_rng, n, dim)
         # Row blocks consume the generator as the one (n, dim) draw does.
         assert blocked_rng.bit_generator.state == one_shot_rng.bit_generator.state
