@@ -99,9 +99,10 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("fit-beta", help="fit the inverse temperature to a target spectrum")
     common(p, _cmd_fit_beta)
-    p.add_argument("--spectrum", type=_float_list, default=None)
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--spectrum", type=_float_list, default=None)
+    source.add_argument("--input", default=None)
     p.add_argument("--target", type=_float_list, default=None)
-    p.add_argument("--input", default=None)
     p.add_argument("--input-is-covariance", action="store_true")
     p.add_argument("--header", action="store_true")
     p.add_argument("--tol", type=float, default=1e-10)
@@ -172,6 +173,10 @@ def _write_run(output_dir, subcommand: str, run: _Run) -> None:
         with open(os.path.join(output_dir, name), "w") as fh:
             fh.write(json.dumps(payload, sort_keys=True))  # json.dumps without indent runs the C encoder
 
+    try:  # the BLAS NumPy was built against; a NumPy before 1.26 cannot report it as a dict
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):
+        blas = {}
     os.makedirs(output_dir, exist_ok=True)
     dump("manifest.json", {
         "artifact_version": __version__,
@@ -180,6 +185,7 @@ def _write_run(output_dir, subcommand: str, run: _Run) -> None:
         "config": run.config,
         "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
         "env": {"cpus_usable": lab._WORKERS, "python": sys.version.split()[0], "numpy": np.__version__,
+                "blas": {"name": blas.get("name"), "version": blas.get("version")},
                 **{key: value for key, value in os.environ.items() if key.endswith("_NUM_THREADS")}},
     })
     if run.model is not None:
@@ -229,10 +235,8 @@ def _cmd_density(args) -> _Run:
 def _cmd_fit_beta(args) -> _Run:
     if args.spectrum is not None:
         spectrum = np.asarray(args.spectrum, dtype=float)
-    elif args.input is not None:
-        spectrum = covariance._spectrum(_read_cov(args))
     else:
-        raise UsageError("fit-beta requires --spectrum or --input")
+        spectrum = covariance._spectrum(_read_cov(args))
     if args.target is not None:
         target = np.asarray(args.target, dtype=float)
     else:

@@ -400,7 +400,7 @@ def run_regression(cfg: RegressionConfig) -> RunTable:
     """
     betas, noise_levels, grid = cfg.betas, cfg.noise_levels, cfg.sample_grid
     pool_size = max(max(grid), cfg.dim + 1)
-    methods = ["raw_covariance"] + [f"density_beta_{beta:g}" for beta in betas]
+    methods = [("raw_covariance", None)] + [("density", beta) for beta in betas]
 
     def draws(t: int, noise: float):
         rng = np.random.default_rng([cfg.seed, t, int(round(noise * 1000))])
@@ -445,8 +445,9 @@ def run_regression(cfg: RegressionConfig) -> RunTable:
 
     mae, baselines = zip(*map(trial, range(cfg.trials)))
     params = _columns(
-        ("trial", "noise", "n_cov", "method"), itertools.product(range(cfg.trials), noise_levels, grid, methods)
+        ("trial", "noise", "n_cov", "row"), itertools.product(range(cfg.trials), noise_levels, grid, methods)
     )
+    params["method"], params["beta"] = zip(*params.pop("row"))
     metrics = {"mae": np.ravel(mae), "baseline_mae": np.repeat(baselines, len(grid) * len(methods))}
     return RunTable("regression", cfg.seed, params, metrics)
 

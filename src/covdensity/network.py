@@ -1,9 +1,8 @@
 """Trainable multi-scale density-filter network.
 
 Architecture: one or more filter-bank layers over a fixed covariance matrix
-(one inverse temperature per output scale, optionally learnable), applied
-independently to every time point of the input signal, followed by a flatten
-across channels and time and a single-hidden-layer fully connected head.
+(one inverse temperature per output scale, optionally learnable), followed by
+a flatten across channels and a single-hidden-layer fully connected head.
 
 The covariance is computed once from training data and held fixed, so every
 scale's density eigenvalues live on the same fixed spectrum; beta gradients
@@ -11,16 +10,16 @@ therefore flow through the eigenvalue map only, via
 d rho_i / d beta = rho_i (E_q[lambda] - lambda_i).
 
 Batch layout: every pass carries a batch axis.  A layer's input is an array
-of shape (B, f_in, m, T) -- B samples, f_in channels, m covariance
-eigen-directions, T time points -- and its output is (B, f_out, m, T).  The
-density eigenvalues rho and the filter responses depend only on the
-parameters, so each layer computes them once per call.  The responses contract
-the taps with the power ladder rho^k of ``filtering._powers``, the one that
-``filtering.polynomial_response`` evaluates every other filter with, and the
-backward pass reads that ladder for the tap and beta gradients.  The basis
-changes are the broadcast matmuls v.T @ x and v @ y; the head works on the
-flattened (B, C * m * T) features.  Every forward pass, training or not, runs this one
-kernel, and the backward pass reduces over B.
+of shape (B, f_in, m) -- B samples, f_in channels, m covariance eigen-directions
+-- and its output is (B, f_out, m).  The density eigenvalues rho and the filter
+responses depend only on the parameters, so each layer computes them once per
+call.  The responses contract the taps with the power ladder rho^k of
+``filtering._powers``, the one that ``filtering.polynomial_response`` evaluates
+every other filter with, and the backward pass reads that ladder for the tap and
+beta gradients.  The basis changes are the matmuls x_hat = x V and
+y = (...) V^T; the head works on the flattened (B, C * m) features.  Every
+forward pass, training or not, runs this one kernel, and the backward pass
+reduces over B.
 
 Block forward: forward-only calls over many rows (``forward_rows``, and
 through it ``evaluate_loss`` and CLI ``predict``) run the rows in
@@ -36,6 +35,8 @@ Parameter order: ``model_gradients`` returns one gradient per ``_trainable_param
 entry, in that order (per layer its coeffs, then its betas if learnable; then the
 head's w1, b1, w2, b2); ``train`` hands it straight to Adam, fixed at (0.9, 0.999, 1e-8).
 
+Checkpoints: one checker, ``_checked``, reads model.json and builds the parameter classes.
+
 All gradients are analytic (no autodiff dependency) and are validated against
 central finite differences in the test suite.
 """
@@ -45,13 +46,14 @@ from __future__ import annotations
 import copy
 import json
 import math
-from dataclasses import dataclass, fields
+import reprlib
+from dataclasses import MISSING, dataclass, fields
 
 import numpy as np
 
 from .covariance import CovarianceMatrix, as_matrix
 from .density import _as_decomposition, density_values
-from .errors import ShapeError, TrainingError, _Config
+from .errors import ShapeError, TrainingError, _Config, _matches
 from .filtering import _powers
 
 AGGREGATIONS = ("concatenate", "sum", "mean")
@@ -100,8 +102,13 @@ ACTIVATIONS = {
 }
 
 
+class _Checked:  # a parameter record: building one checks its fields with ``_checked`` and stores its arrays as floats
+    def __post_init__(self):
+        vars(self).update(_checked("", vars(self), type(self), {}))
+
+
 @dataclass
-class LayerParams:
+class LayerParams(_Checked):
     """One filter-bank layer: coeffs[scale, in_channel, tap] plus a beta per scale."""
 
     coeffs: np.ndarray
@@ -110,22 +117,6 @@ class LayerParams:
     aggregation: str = "concatenate"
     activation: str = "tanh"
     skip_k0: bool = False
-
-    def __post_init__(self):
-        self.coeffs = np.array(self.coeffs, dtype=float)
-        self.betas = np.array(self.betas, dtype=float)
-        if self.coeffs.ndim != 3 or not self.coeffs.size:
-            raise ShapeError(f"coeffs must have a non-empty shape (f_out, f_in, order + 1), got {self.coeffs.shape}")
-        if self.betas.shape != (self.coeffs.shape[0],):
-            raise ShapeError("need exactly one beta per output scale")
-        if not np.all(np.isfinite(self.coeffs)) or not np.all(np.isfinite(self.betas)):
-            raise ValueError("layer parameters must be finite")
-        if not isinstance(self.betas_learnable, bool) or not isinstance(self.skip_k0, bool):
-            raise TypeError(f"betas_learnable and skip_k0 must be bools, got {self.betas_learnable!r}, {self.skip_k0!r}")
-        if self.aggregation not in AGGREGATIONS:
-            raise ValueError(f"unknown aggregation {self.aggregation!r}")
-        if self.activation not in ACTIVATIONS:
-            raise ValueError(f"unknown activation {self.activation!r}")
 
     @property
     def f_out(self) -> int:
@@ -149,7 +140,7 @@ class LayerParams:
 
 
 @dataclass
-class HeadParams:
+class HeadParams(_Checked):
     """Single hidden layer: out = w2 @ act(w1 @ flat + b1) + b2."""
 
     w1: np.ndarray
@@ -157,25 +148,6 @@ class HeadParams:
     w2: np.ndarray
     b2: np.ndarray
     activation: str = "tanh"
-
-    def __post_init__(self):
-        self.w1 = np.array(self.w1, dtype=float)
-        self.b1 = np.array(self.b1, dtype=float)
-        self.w2 = np.array(self.w2, dtype=float)
-        self.b2 = np.array(self.b2, dtype=float)
-        if self.activation not in ACTIVATIONS:
-            raise ValueError(f"unknown activation {self.activation!r}")
-        if self.w1.ndim != 2 or self.w2.ndim != 2:
-            raise ShapeError(f"w1 and w2 must be matrices, got shapes {self.w1.shape} and {self.w2.shape}")
-        hidden = self.w1.shape[0]
-        if self.b1.shape != (hidden,):
-            raise ShapeError(f"b1 has shape {self.b1.shape}, but w1 has {hidden} rows")
-        if self.w2.shape[1] != hidden:
-            raise ShapeError(f"w2 has {self.w2.shape[1]} columns, but the hidden size is {hidden}")
-        if self.b2.shape != (self.w2.shape[0],):
-            raise ShapeError(f"b2 has shape {self.b2.shape}, but w2 has {self.w2.shape[0]} rows")
-        if not all(np.all(np.isfinite(a)) for a in (self.w1, self.b1, self.w2, self.b2)):
-            raise ValueError("head parameters must be finite")
 
     @property
     def n_outputs(self) -> int:
@@ -189,15 +161,9 @@ class ModelParams:
     task: str = "regression"
 
     def __post_init__(self):
-        if self.task not in TASK_LOSSES:
-            raise ValueError(f"unknown task {self.task!r}")
-        if not self.layers:
-            raise ValueError("need at least one layer")
-        channels = self.layers[0].f_in
-        for i, layer in enumerate(self.layers):
-            if layer.f_in != channels:
-                raise ShapeError(f"layer {i} expects {layer.f_in} channels, got {channels}")
-            channels = layer.out_channels()
+        _checked("", vars(self), ModelParams, {})
+        for i, layer in enumerate(self.layers[1:], 1):  # each layer reads the channels the one before it writes
+            _array(f"/layers/{i}/coeffs", layer.coeffs, _AXES["coeffs"], {"f_in": self.layers[i - 1].out_channels()})
 
 
 @dataclass(frozen=True)
@@ -237,7 +203,7 @@ class TrainConfig(_Config):
 
 
 def _aggregate(mode: str, channels: np.ndarray) -> np.ndarray:
-    """Fold per-scale outputs (B, f_out, m, T): concatenate keeps them, sum/mean leave one channel."""
+    """Fold per-scale outputs (B, f_out, m): concatenate keeps them, sum/mean leave one channel."""
     if mode == "concatenate":
         return channels
     if mode == "sum":
@@ -246,46 +212,40 @@ def _aggregate(mode: str, channels: np.ndarray) -> np.ndarray:
 
 
 def _unaggregate(p: LayerParams, d_folded: np.ndarray) -> np.ndarray:
-    """Gradient of the per-scale outputs (B, f_out, m, T) from that of the aggregated ones."""
+    """Gradient of the per-scale outputs (B, f_out, m) from that of the aggregated ones."""
     if p.aggregation == "concatenate":
         return d_folded
     if p.aggregation == "mean":
         d_folded = d_folded / p.f_out
-    return np.broadcast_to(d_folded, (d_folded.shape[0], p.f_out, *d_folded.shape[2:]))
+    return np.broadcast_to(d_folded, (d_folded.shape[0], p.f_out, d_folded.shape[2]))
 
 
 @dataclass
 class _LayerTape:
     """What the backward pass of one layer needs from its forward pass."""
 
-    x_hat: np.ndarray  # input in the eigenbasis, (B, f_in, m, T)
+    x_hat: np.ndarray  # input in the eigenbasis, (B, f_in, m)
     rho: np.ndarray  # density eigenvalues, (f_out, m)
     powers: np.ndarray  # rho**k, (f_out, order + 1, m)
     response: np.ndarray  # filter responses, (f_out, f_in, m)
-    pre_activation: np.ndarray  # (B, f_out, m, T)
+    pre_activation: np.ndarray  # (B, f_out, m)
 
 
 def _layer_channels(p: LayerParams, v: np.ndarray, rho: np.ndarray, x: np.ndarray):
-    """Activated per-scale outputs (B, f_out, m, T) for input channels x of shape (B, f_in, m, T).
-
-    ``v`` is the covariance eigenbasis and ``rho`` the (f_out, m) density
-    eigenvalues.  Returns the outputs and the layer's tape for backprop.
-    """
+    """Activated per-scale outputs (B, f_out, m) for input channels x of shape (B, f_in, m), and the layer's tape
+    for backprop.  ``v`` is the covariance eigenbasis and ``rho`` the (f_out, m) density eigenvalues."""
     powers = _powers(rho, p.order)
     k0 = p.k_start
     response = np.einsum("ogk,oki->ogi", p.coeffs[:, :, k0:], powers[:, k0:])
-    x_hat = v.T @ x
-    y = v @ np.einsum("ogi,bgit->boit", response, x_hat)
+    x_hat = x @ v
+    y = np.einsum("ogi,bgi->boi", response, x_hat) @ v.T
     out = ACTIVATIONS[p.activation][0](y)
     return out, _LayerTape(x_hat, rho, powers, response, y)
 
 
 def forward_rows(model: ModelParams, c, xs) -> np.ndarray:
-    """Outputs (n, n_outputs) for n signals, each (dim,) or (dim, time).
-
-    Rows run through the network in blocks of ``FORWARD_BLOCK``, so the pass's
-    temporaries do not grow with n.
-    """
+    """Outputs (n, n_outputs) for n signals of shape (dim,), run through the network in blocks of
+    ``FORWARD_BLOCK`` so that the pass's temporaries do not grow with n."""
     decomp = _as_decomposition(c)
     x = _as_signals(xs)
     blocks = [_forward(model, decomp, x[s : s + FORWARD_BLOCK])[0] for s in range(0, len(x), FORWARD_BLOCK)]
@@ -294,10 +254,8 @@ def forward_rows(model: ModelParams, c, xs) -> np.ndarray:
 
 def _as_signals(xs) -> np.ndarray:
     x = np.asarray(xs, dtype=float)
-    if x.ndim == 2:
-        x = x[:, :, None]
-    if x.ndim != 3 or not len(x):
-        raise ShapeError(f"signals must be (n, dim) or (n, dim, time) with n >= 1, got shape {x.shape}")
+    if x.ndim != 2 or not len(x):
+        raise ShapeError(f"signals must be (n, dim) with n >= 1, got shape {x.shape}")
     return x
 
 
@@ -308,11 +266,11 @@ class _Tape:
     z1: np.ndarray  # hidden pre-activation, (B, hidden)
     h1: np.ndarray  # hidden activation after dropout, (B, hidden)
     mask: np.ndarray | None  # dropout mask, (B, hidden)
-    final_shape: tuple  # last layer's aggregated output, (B, C, m, T)
+    final_shape: tuple  # last layer's aggregated output, (B, C, m)
 
 
 def _forward(model: ModelParams, decomp, x: np.ndarray, mask=None, keep_tape=False):
-    """Outputs (B, n_outputs) for signals x of shape (B, m, T), and the tape if ``keep_tape``."""
+    """Outputs (B, n_outputs) for signals x of shape (B, m), and the tape if ``keep_tape``."""
     v, lam = decomp.eigenvectors, decomp.eigenvalues
     signal = x[:, None]
     layer_tapes = []
@@ -325,10 +283,8 @@ def _forward(model: ModelParams, decomp, x: np.ndarray, mask=None, keep_tape=Fal
 
     head = model.head
     if head.w1.shape[1] != flat.shape[1]:
-        raise ShapeError(
-            f"head expects {head.w1.shape[1]} flattened features, got {flat.shape[1]} "
-            f"(check dim/time_points against the model)"
-        )
+        raise ShapeError(f"head expects {head.w1.shape[1]} flattened features, got {flat.shape[1]} "
+                         f"(check dim against the model)")
     z1 = flat @ head.w1.T + head.b1
     h1 = ACTIVATIONS[head.activation][0](z1)
     if mask is not None:
@@ -369,8 +325,8 @@ def _backward(model: ModelParams, decomp, tape: _Tape, d_out: np.ndarray) -> lis
     for idx in range(len(model.layers) - 1, -1, -1):
         layer, ltape = model.layers[idx], tape.layers[idx]
         d_y = _unaggregate(layer, d_signal) * ACTIVATIONS[layer.activation][1](ltape.pre_activation)
-        d_y_hat = v.T @ d_y
-        d_resp = np.einsum("boit,bgit->ogi", d_y_hat, ltape.x_hat)
+        d_y_hat = d_y @ v
+        d_resp = np.einsum("boi,bgi->ogi", d_y_hat, ltape.x_hat)
         # Coefficient taps: d h_k = sum_i d_resp_i rho_i^k.
         k0 = layer.k_start
         d_coeffs = np.zeros_like(layer.coeffs)
@@ -384,7 +340,7 @@ def _backward(model: ModelParams, decomp, tape: _Tape, d_out: np.ndarray) -> lis
             layer_grads.append(np.einsum("ogi,ogi,oi->o", d_resp, d_response, d_rho_d_beta))
         grads = layer_grads + grads  # layers run last to first
         if idx:
-            d_signal = v @ np.einsum("ogi,boit->bgit", ltape.response, d_y_hat)
+            d_signal = np.einsum("ogi,boi->bgi", ltape.response, d_y_hat) @ v.T
     return grads
 
 
@@ -514,17 +470,16 @@ def train(model: ModelParams, c, train_data, val_data, cfg: TrainConfig) -> Trai
     return TrainResult(model=best_model, history=history, best_epoch=best_epoch, diverged=diverged)
 
 
-def init_model(dim: int, n_outputs: int, cfg: TrainConfig, time_points: int = 1) -> ModelParams:
-    """Build a model with small random weights sized for (dim, time_points) inputs, from the architecture
-    keys of ``cfg`` (betas, order, hidden_dim, num_layers, activations, aggregation, task, betas_learnable,
-    skip_k0) and its seed."""
+def init_model(dim: int, n_outputs: int, cfg: TrainConfig) -> ModelParams:
+    """Build a model with small random weights sized for (dim,) inputs, from the architecture keys of ``cfg``
+    (betas, order, hidden_dim, num_layers, activations, aggregation, task, betas_learnable, skip_k0) and its seed."""
     rng = np.random.default_rng(cfg.seed)
     layers, f_in = [], 1
     for _ in range(cfg.num_layers):
         coeffs = rng.normal(0.0, 0.3, size=(len(cfg.betas), f_in, cfg.order + 1))
         layers.append(LayerParams(coeffs, cfg.betas, cfg.betas_learnable, cfg.aggregation, cfg.activation, cfg.skip_k0))
         f_in = layers[-1].out_channels()
-    flat_dim = f_in * dim * time_points  # the last layer's channels, per eigen-direction and time point
+    flat_dim = f_in * dim  # the last layer's channels, per eigen-direction
     head = HeadParams(
         w1=rng.normal(0.0, 1.0 / math.sqrt(flat_dim), size=(cfg.hidden_dim, flat_dim)),
         b1=np.zeros(cfg.hidden_dim),
@@ -556,38 +511,76 @@ def model_to_dict(model: ModelParams, cov: CovarianceMatrix | np.ndarray) -> dic
     }
 
 
-def _json_node(value, kind: type, path: str):
-    """``value``, if it is a ``kind`` (dict for a JSON object, or list); else a ValueError naming ``path``."""
-    if not isinstance(value, kind):
-        expected = "an object" if kind is dict else "a list"
-        raise ValueError(f"checkpoint {path}: expected {expected}, got {type(value).__name__}")
-    return value
+_AXES = {  # each array key's named axes: the first array to reach an axis sizes it, and every later one must match
+    "covariance": ("dim", "dim"), "coeffs": ("f_out", "f_in", "taps"), "betas": ("f_out",),
+    "w1": ("hidden", "features"), "b1": ("hidden",), "w2": ("n_out", "hidden"), "b2": ("n_out",),
+}
+_RULES = {  # (ok, rule) of each other key that has one
+    "version": (lambda v: _matches(int, v) and v == CHECKPOINT_VERSION, f"must be the integer {CHECKPOINT_VERSION}"),
+    "layers": (lambda v: isinstance(v, list) and bool(v), "must be a non-empty list"),
+    **{key: (lambda v: _matches(bool, v), "must be a bool") for key in ("betas_learnable", "skip_k0")},
+    **{key: (lambda v, names=names: isinstance(v, str) and v in names, f"must be {' or '.join(map(repr, names))}")
+       for key, names in (("task", TASK_LOSSES), ("aggregation", AGGREGATIONS), ("activation", ACTIVATIONS))},
+}
 
 
-def model_from_dict(payload: dict) -> tuple[ModelParams, np.ndarray]:
-    if _json_node(payload, dict, "/").get("version") != CHECKPOINT_VERSION:
-        raise ValueError(f"unsupported checkpoint version {payload.get('version')!r}")
-    missing = sorted({"task", "covariance", "layers", "head"} - payload.keys())
-    if missing:
-        raise ValueError(f"checkpoint lacks key {missing[0]!r}")
-    entries = _json_node(payload["layers"], list, "/layers")
-    layers = [LayerParams(**_json_node(entry, dict, f"/layers/{i}")) for i, entry in enumerate(entries)]
-    head = HeadParams(**_json_node(payload["head"], dict, "/head"))
-    model = ModelParams(layers=layers, head=head, task=payload["task"])
-    covariance = np.array(payload["covariance"], dtype=float)
-    if covariance.ndim != 2 or covariance.shape[0] != covariance.shape[1] or not covariance.size:
-        raise ShapeError(f"checkpoint covariance must be a non-empty square matrix, got shape {covariance.shape}")
-    try:
-        CovarianceMatrix(matrix=covariance)
-    except ValueError as exc:
-        raise ValueError(f"checkpoint /covariance: {exc}") from exc
-    channels, dim = layers[-1].out_channels(), covariance.shape[0]
-    if head.w1.shape[1] % (channels * dim):
-        raise ShapeError(
-            f"head w1 has {head.w1.shape[1]} columns, not a multiple of "
-            f"{channels} channels x covariance dim {dim}"
-        )
-    return model, covariance
+def _fault(path: str, rule: str, value, kind=ValueError) -> ValueError:
+    return kind(f"{path}: {rule}, got {reprlib.repr(value)}")
+
+
+def _array(path: str, value, axes: tuple, sizes: dict) -> np.ndarray:
+    """``value`` as a new float array with the named ``axes``; an axis not in ``sizes`` yet is sized into it."""
+    cells = np.array(value, dtype=object)  # a ragged list keeps its rows as cells
+    if bad := [c for c in cells.flat if type(c) is not float and not _matches(float, c)]:
+        raise _fault(path, "entries must be numbers a double holds", bad[0])
+    array, shape = cells.astype(float), f"[{', '.join(str(sizes.get(axis, axis)) for axis in axes)}]"
+    if array.ndim != len(axes) or not array.size or any(sizes.setdefault(a, n) != n for a, n in zip(axes, array.shape)):
+        raise _fault(path, f"must have non-empty shape {shape}", list(array.shape), ShapeError)
+    if not np.isfinite(array).all():
+        raise _fault(path, "entries must be finite", float(array[~np.isfinite(array)][0]))
+    return array
+
+
+def _checked(path: str, node, keys, sizes: dict) -> dict:
+    """The ``keys`` of the JSON object ``node`` at ``path`` (a parameter class's fields, a lacking one taking its
+    default, or a tuple of required keys), each checked once, in order: an array by ``_array`` (``sizes`` holds the
+    axes sized so far), the covariance as a CovarianceMatrix, and a key with a ``_RULES`` entry by it.  The first
+    fault raises ``<path>/<key>: <rule>, got <value>``."""
+    keys = {f.name: f.default for f in fields(keys)} if isinstance(keys, type) else dict.fromkeys(keys, MISSING)
+    if not isinstance(node, dict):
+        raise _fault(path, "must be an object", node)
+    if unknown := [key for key in node if key not in keys]:
+        raise _fault(f"{path}/{unknown[0]}", "unknown key", node[unknown[0]])
+    values = {**keys, **node}  # in the order of ``keys``
+    for key, value in values.items():
+        at = f"{path}/{key}"
+        if value is MISSING:
+            raise _fault(at, "missing key", list(node))
+        if key in _AXES:
+            values[key] = value = _array(at, value, _AXES[key], sizes)
+        if key == "covariance":
+            try:
+                CovarianceMatrix(matrix=value)  # symmetric and PSD
+            except ValueError as exc:
+                raise type(exc)(f"{at}: {exc}") from None
+        if key in _RULES and not _RULES[key][0](value):
+            raise _fault(at, _RULES[key][1], value)
+    return values
+
+
+def model_from_dict(payload) -> tuple[ModelParams, np.ndarray]:
+    """The model and covariance of a ``model_to_dict`` payload, read by ``_checked``: a fault raises
+    ``checkpoint /<path>: <rule>, got <value>``.  The head reads exactly the last layer's channels x dim features."""
+    if not isinstance(payload, dict):
+        raise _fault("checkpoint /", "must be an object", payload)
+    sizes, layers = {}, []
+    doc = _checked("checkpoint ", payload, ("version", "task", "covariance", "layers", "head"), sizes)
+    for i, entry in enumerate(doc["layers"]):  # the first layer's input channels are free, a later one's fixed
+        fixed = {"f_in": layers[-1].out_channels()} if layers else {}
+        layers.append(LayerParams(**_checked(f"checkpoint /layers/{i}", entry, LayerParams, fixed)))
+    features = {"features": layers[-1].out_channels() * sizes["dim"]}
+    head = HeadParams(**_checked("checkpoint /head", doc["head"], HeadParams, features))
+    return ModelParams(layers, head, doc["task"]), doc["covariance"]
 
 
 def save_model(path, model: ModelParams, cov) -> None:

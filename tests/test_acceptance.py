@@ -292,15 +292,15 @@ def test_criterion_12_noise_robustness_trend():
     )
     records = table_rows(run_regression(cfg))
 
-    def mean_mae(method):
-        vals = [r.metrics["mae"] for r in records if r.params["method"] == method]
+    def mean_mae(method, beta=None):
+        vals = [r.metrics["mae"] for r in records if (r.params["method"], r.params.get("beta")) == (method, beta)]
         assert len(vals) == 100 * 5  # trials x covariance sample grid
         return float(np.mean(vals))
 
     raw = mean_mae("raw_covariance")
     margins = {}
     for beta in (0.1, 1.0, 5.0):
-        mae = mean_mae(f"density_beta_{beta:g}")
+        mae = mean_mae("density", beta)
         margins[beta] = raw - mae
         assert mae <= raw
     elapsed = budget.check()

@@ -1,17 +1,25 @@
+import contextlib
+import copy
 import csv
 import dataclasses
+import functools
+import io
 import json
 import math
+import operator
 import os
 import platform
 import re
 import subprocess
 import sys
+import tempfile
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import covdensity
 from conftest import count_linalg_calls
@@ -91,9 +99,16 @@ class TestEntropyCommand:
         env = json.loads((tmp_path / "manifest.json").read_text())["env"]
         threads = {key: value for key, value in os.environ.items() if key.endswith("_NUM_THREADS")}
         assert threads["OMP_NUM_THREADS"] == "3"
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
         assert env == {"cpus_usable": lab._WORKERS, "python": platform.python_version(), "numpy": np.__version__,
-                       **threads}
+                       "blas": {"name": blas["name"], "version": blas["version"]}, **threads}
         assert env["cpus_usable"] >= 1
+
+    def test_manifest_blas_is_null_where_numpy_cannot_report_it(self, capsys, tmp_path, rank_one_cov, monkeypatch):
+        monkeypatch.setattr(np, "show_config", lambda: None)  # a NumPy before 1.26 takes no mode and prints
+        code, _, err = run_cli(capsys, "entropy", "--input", rank_one_cov, "--output-dir", str(tmp_path))
+        assert (code, err) == (0, "")
+        assert json.loads((tmp_path / "manifest.json").read_text())["env"]["blas"] == {"name": None, "version": None}
 
     def test_json_artifacts_are_compact_with_sorted_keys(self, capsys, tmp_path):
         code, _, _ = run_cli(capsys, "stability", "--trials", "1", "--dim", "3", "--output-dir", str(tmp_path))
@@ -134,6 +149,19 @@ class TestEntropyCommand:
         assert cli._build_parser() is cli._build_parser()
         assert run_cli(capsys, *argv) == fresh
         assert fresh[0] in (0, 1) and fresh[1] + fresh[2]
+
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["--spectrum", "1,2,3", "--input", "/nonexistent.csv"], "argument --input: not allowed with argument --spectrum"),
+            ([], "one of the arguments --spectrum --input is required"),
+        ],
+    )
+    def test_fit_beta_reads_exactly_one_spectrum_source(self, capsys, tmp_path, argv, message):
+        out_dir = tmp_path / "out"
+        code, out, err = run_cli(capsys, "fit-beta", *argv, "--output-dir", str(out_dir))
+        assert (code, out) == (1, "") and err.startswith(f"{message}\n"), err
+        assert not out_dir.exists()
 
     def test_unknown_flag_rejected(self, capsys, rank_one_cov):
         code, _, err = run_cli(capsys, "entropy", "--input", rank_one_cov, "--flux", "9")
@@ -1229,10 +1257,7 @@ class TestPredictInput:
             capsys, "predict", "--input", str(data_path), "--model", str(model_path),
             "--output-dir", str(tmp_path / "preds"),
         )
-        assert code == 2
-        assert out == ""
-        assert "non-finite" in err
-
+        assert (code, out, err) == (2, "", "error: checkpoint /covariance: entries must be finite, got nan\n")
 
     @pytest.mark.parametrize("value", [math.nan, math.inf])
     @pytest.mark.parametrize("key", ["w1", "b1", "w2", "b2"])
@@ -1248,7 +1273,7 @@ class TestPredictInput:
         code, out, err = run_cli(
             capsys, "predict", "--input", str(data_path), "--model", str(model_path), "--output-dir", str(out_dir)
         )
-        assert (code, out, err) == (2, "", "error: head parameters must be finite\n")
+        assert (code, out, err) == (2, "", f"error: checkpoint /head/{key}: entries must be finite, got {value!r}\n")
         assert not out_dir.exists()
 
     def test_non_psd_model_covariance_is_named(self, capsys, tmp_path, rng):
@@ -1269,12 +1294,14 @@ class TestPredictInput:
     @pytest.mark.parametrize(
         "corrupt,message",
         [
-            (lambda p: p.pop("head"), "checkpoint lacks key 'head'"),
-            (lambda p: p["layers"][0].pop("coeffs"), "missing 1 required positional argument: 'coeffs'"),
-            (lambda p: p["layers"][0].update(gain=2.0), "unexpected keyword argument 'gain'"),
-            (lambda p: p["layers"][0].update(betas_learnable="true"), "betas_learnable and skip_k0 must be bools"),
-            (lambda p: p["layers"][0].update(skip_k0=0), "betas_learnable and skip_k0 must be bools"),
-            (lambda p: p["layers"][0].update(coeffs=[[[]]]), "coeffs must have a non-empty shape"),
+            (lambda p: p.pop("head"), "checkpoint /head: missing key"),
+            (lambda p: p["layers"][0].pop("coeffs"), "checkpoint /layers/0/coeffs: missing key"),
+            (lambda p: p["layers"][0].update(gain=2.0), "checkpoint /layers/0/gain: unknown key, got 2.0"),
+            (lambda p: p["layers"][0].update(betas_learnable="true"),
+             "checkpoint /layers/0/betas_learnable: must be a bool, got 'true'"),
+            (lambda p: p["layers"][0].update(skip_k0=0), "checkpoint /layers/0/skip_k0: must be a bool, got 0"),
+            (lambda p: p["layers"][0].update(coeffs=[[[]]]),
+             "checkpoint /layers/0/coeffs: must have non-empty shape [f_out, f_in, taps], got [1, 1, 0]"),
         ],
     )
     def test_malformed_checkpoint_is_runtime_error(self, capsys, tmp_path, rng, corrupt, message):
@@ -1300,10 +1327,14 @@ class TestPredictInput:
 @pytest.mark.parametrize(
     "corrupt,message",
     [
-        (lambda p: [1], "checkpoint /: expected an object, got list"),
-        (lambda p: {**p, "layers": p["layers"][0]}, "checkpoint /layers: expected a list, got dict"),
-        (lambda p: {**p, "layers": [[1]]}, "checkpoint /layers/0: expected an object, got list"),
-        (lambda p: {**p, "head": [1]}, "checkpoint /head: expected an object, got list"),
+        (lambda p: [1], "checkpoint /: must be an object, got [1]"),
+        (
+            lambda p: {**p, "layers": p["layers"][0]},
+            "checkpoint /layers: must be a non-empty list, got {'activation': 'tanh', 'aggregation': 'concatenate', "
+            "'betas': [1.0], 'betas_learnable': False, ...}",
+        ),
+        (lambda p: {**p, "layers": [[1]]}, "checkpoint /layers/0: must be an object, got [1]"),
+        (lambda p: {**p, "head": [1]}, "checkpoint /head: must be an object, got [1]"),
     ],
 )
 def test_checkpoint_of_the_wrong_json_kind_names_its_path(capsys, tmp_path, rng, corrupt, message):
@@ -1449,3 +1480,133 @@ class TestConfigRecipes:
         assert cfg.betas == (0.0, 0.0, 0.0, 0.0)
         assert cfg.betas_learnable is True
         assert cfg.activation == "elu"
+
+
+@pytest.fixture(scope="module")
+def trained_checkpoint(tmp_path_factory):
+    """The model.json that ``train`` writes for a two-layer model on 3 features, and a CSV of rows to predict."""
+    root = tmp_path_factory.mktemp("trained")
+    rows = np.random.default_rng(8).standard_normal((16, 4))
+    train_csv, predict_csv, cfg = root / "train.csv", root / "predict.csv", root / "cfg.json"
+    train_csv.write_text("\n".join(",".join(repr(float(v)) for v in row) for row in rows))
+    predict_csv.write_text("\n".join(",".join(repr(float(v)) for v in row) for row in rows[:4, :3]))
+    cfg.write_text(json.dumps({"epochs": 1, "hidden_dim": 3, "num_layers": 2, "betas": [0.5, 2.0]}))
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["train", "--input", str(train_csv), "--config", str(cfg), "--output-dir", str(root / "model")]) == 0
+    return json.loads((root / "model" / "model.json").read_text()), predict_csv
+
+
+def predict_with(payload, predict_csv):
+    """Exit code, stdout, stderr and warnings of an in-process ``predict`` on ``payload`` written as model.json,
+    and whether it created its output directory."""
+    with tempfile.TemporaryDirectory() as root:
+        model_path, out_dir = os.path.join(root, "model.json"), os.path.join(root, "out")
+        with open(model_path, "w") as fh:
+            fh.write(json.dumps(payload))  # NaN and Infinity as the tokens json reads back
+        out, err = io.StringIO(), io.StringIO()
+        with warnings.catch_warnings(record=True) as caught, contextlib.redirect_stdout(out), \
+                contextlib.redirect_stderr(err):
+            warnings.simplefilter("always")
+            code = main(["predict", "--input", str(predict_csv), "--model", model_path, "--output-dir", out_dir])
+        return code, out.getvalue(), err.getvalue(), [str(w.message) for w in caught], os.path.exists(out_dir)
+
+
+def checkpoint_paths(payload):
+    """Every path the checkpoint checker reads, in document order."""
+    return ["/version", "/task", "/covariance", *(f"/layers/{i}/{key}" for i, layer in enumerate(payload["layers"])
+                                                 for key in layer), *(f"/head/{key}" for key in payload["head"])]
+
+
+def mutated(payload, path, replace):
+    """A copy of ``payload`` whose value at ``path`` is ``replace(value)`` (``replace(None)`` for a new key)."""
+    payload = copy.deepcopy(payload)
+    *parents, key = [int(part) if part.isdigit() else part for part in path.split("/")[1:]]
+    node = functools.reduce(operator.getitem, parents, payload)
+    node[key] = replace(node.get(key))
+    return payload
+
+
+def with_entry(value, index, entry):
+    """A copy of the nested list ``value`` whose ``index``-th entry (modulo its size, in row order) is ``entry``."""
+    value = copy.deepcopy(value)
+    *outer, last = np.unravel_index(index % np.size(value), np.shape(value))
+    functools.reduce(operator.getitem, outer, value)[last] = entry
+    return value
+
+
+_ENTRIES = {"NaN": math.nan, "inf": math.inf, "-inf": -math.inf, "bool": True, "string": "bogus", "null": None,
+            "int past the double range": 10**400}  # each replaces one entry of an array, or a whole other value
+_SHAPES = {"list": lambda v: [], "object": lambda v: {"bogus": 1.0}, "ragged list": lambda v: [[1.0], [1.0, 2.0]],
+           "wrong shape": lambda v: [v]}  # each replaces the whole value
+
+
+def test_trained_checkpoint_predicts(trained_checkpoint):
+    code, out, err, caught, wrote = predict_with(*trained_checkpoint)
+    assert (code, len(out.splitlines()), err, caught, wrote) == (0, 4, "", [], True)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_predict_names_the_path_of_any_mutated_checkpoint_value(trained_checkpoint, data):
+    # Whatever replaces the value at one checked path, predict exits 2 with one error line naming that path, with
+    # no warning and no traceback, and writes nothing.
+    payload, predict_csv = trained_checkpoint
+    path = data.draw(st.sampled_from(checkpoint_paths(payload)), label="path")
+    kind = data.draw(st.sampled_from([*_ENTRIES, *_SHAPES]), label="mutation")
+    assume(not (kind == "bool" and path.rsplit("/", 1)[1] in ("betas_learnable", "skip_k0")))  # a valid value there
+    if kind in _SHAPES:
+        replace = _SHAPES[kind]
+    else:
+        index = data.draw(st.integers(0, 10**6), label="entry")
+        replace = lambda v: with_entry(v, index, _ENTRIES[kind]) if isinstance(v, list) else _ENTRIES[kind]  # noqa: E731
+    code, out, err, caught, wrote = predict_with(mutated(payload, path, replace), predict_csv)
+    assert (code, out, caught, wrote) == (2, "", [], False)
+    assert err.startswith(f"error: checkpoint {path}: ") and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize(
+    "path,replace,message",
+    [
+        ("/version", lambda v: True, "must be the integer 1, got True"),
+        ("/version", lambda v: 1.0, "must be the integer 1, got 1.0"),
+        ("/bogus", lambda v: 1, "unknown key, got 1"),
+        ("/layers/0/coeffs", lambda v: [[[True] * len(v[0][0])] * len(v[0])] * len(v), "entries must be numbers a "
+         "double holds, got True"),
+        ("/layers/0/betas", lambda v: ["1", "2"], "entries must be numbers a double holds, got '1'"),
+        ("/layers/0/activation", lambda v: ["tanh"], "must be 'tanh' or 'elu' or 'relu' or 'identity', got ['tanh']"),
+        ("/task", lambda v: ["regression"], "must be 'regression' or 'classification', got ['regression']"),
+        ("/layers/1/bogus", lambda v: 1.0, "unknown key, got 1.0"),
+        ("/head/w1", lambda v: [row[:-1] if i else row for i, row in enumerate(v)],  # ragged: its rows are its cells
+         "entries must be numbers a double holds, got ["),
+        ("/layers/0/coeffs", lambda v: with_entry(v, 0, math.nan), "entries must be finite, got nan"),
+        ("/layers/1/coeffs", lambda v: [[*scale, scale[0]] for scale in v],  # reads 3 channels, layer 0 writes 2
+         "must have non-empty shape [f_out, 2, taps], got [2, 3, 3]"),
+        ("/head/w1", lambda v: [row + row for row in v], "must have non-empty shape [hidden, 6], got [3, 12]"),
+    ],
+)
+def test_checkpoint_probe_names_its_path(trained_checkpoint, path, replace, message):
+    payload, predict_csv = trained_checkpoint
+    code, out, err, caught, wrote = predict_with(mutated(payload, path, replace), predict_csv)
+    assert (code, out, caught, wrote) == (2, "", [], False)
+    assert err.startswith(f"error: checkpoint {path}: {message}") and err.count("\n") == 1, err
+
+
+def test_checkpoint_without_a_key_names_it(trained_checkpoint):
+    payload, predict_csv = trained_checkpoint
+    payload = copy.deepcopy(payload)
+    del payload["head"]["b2"]
+    code, out, err, caught, wrote = predict_with(payload, predict_csv)
+    assert (code, out, caught, wrote) == (2, "", [], False)
+    assert err == "error: checkpoint /head/b2: missing key, got ['w1', 'b1', 'w2', 'activation']\n"
+
+
+@pytest.mark.parametrize("kind", ["NaN", "inf", "wrong shape"])
+@pytest.mark.parametrize("path", ["/covariance", "/layers/0/coeffs", "/layers/0/betas", "/layers/1/coeffs",
+                                  "/layers/1/betas", "/head/w1", "/head/b1", "/head/w2", "/head/b2"])
+def test_every_array_field_names_a_bad_value(trained_checkpoint, path, kind):
+    payload, predict_csv = trained_checkpoint
+    replace = _SHAPES[kind] if kind in _SHAPES else lambda v: with_entry(v, 1, _ENTRIES[kind])
+    code, out, err, caught, wrote = predict_with(mutated(payload, path, replace), predict_csv)
+    assert (code, out, caught, wrote) == (2, "", [], False)
+    rule = "must have non-empty shape" if kind == "wrong shape" else "entries must be finite"
+    assert err.startswith(f"error: checkpoint {path}: {rule}") and err.count("\n") == 1, err

@@ -257,6 +257,19 @@ class TestConfig:
         assert runner(recorder) == runner(cfg)
         assert recorder.read == declared
 
+    @pytest.mark.parametrize("experiment", lab.RUNNERS)
+    def test_rows_are_keyed_by_their_params(self, experiment):
+        # summary.json groups rows by their params, so two rows of one run must never share them, the replicate
+        # (trial or window_index) included.  Betas 1 and 1.0000001 agree to 6 significant digits.
+        config_class, runner = lab.RUNNERS[experiment]
+        declared = {f.name for f in dataclasses.fields(config_class)}
+        tiny = {"dim": 4, "n_samples": 6, "trials": 2, "sample_grid": (8, 12), "n_windows": 3, "window": 8,
+                "n_informative": 2, "n_train": 10, "n_test": 10, "betas": (1.0, 1.0000001)}
+        table = runner(config_class(**{k: v for k, v in tiny.items() if k in declared}))
+        keys = [tuple(sorted(r.params.items())) for r in table_rows(table) if r.params.get("summary") != "auc"]
+        assert keys and len(set(keys)) == len(keys)
+        assert len(lab.summarize(table)) == len(table)
+
 
 @pytest.fixture(scope="module")
 def stability_records():
@@ -414,17 +427,18 @@ class TestRegression:
 
     def test_flat_curves_for_small_beta_without_noise(self, regression_records):
         grid = (25, 50, 100, 250, 1000)
-        for method in ("density_beta_0.1", "density_beta_1"):
+        for beta in (0.1, 1.0):
             curve = [
-                metric_mean(regression_records, "mae", noise=0.0, n_cov=float(n), method=method) for n in grid
+                metric_mean(regression_records, "mae", noise=0.0, n_cov=float(n), method="density", beta=beta)
+                for n in grid
             ]
             spread = (max(curve) - min(curve)) / float(np.mean(curve))
             assert spread <= 0.10
 
     def test_noise_robustness_of_moderate_betas(self, regression_records):
         raw = metric_mean(regression_records, "mae", noise=5.0, method="raw_covariance")
-        for method in ("density_beta_0.1", "density_beta_1", "density_beta_5"):
-            assert metric_mean(regression_records, "mae", noise=5.0, method=method) <= raw
+        for beta in (0.1, 1.0, 5.0):
+            assert metric_mean(regression_records, "mae", noise=5.0, method="density", beta=beta) <= raw
 
     def test_zero_weight_ground_truth_matches_baseline(self):
         cfg = RegressionConfig(
@@ -432,8 +446,8 @@ class TestRegression:
             betas=(1.0,), noise_levels=(2.0,), sample_grid=(100,),
         )
         records = table_rows(run_regression(cfg))
-        mae = metric_mean(records, "mae", method="density_beta_1")
-        baseline = metric_mean(records, "baseline_mae", method="density_beta_1")
+        mae = metric_mean(records, "mae", method="density", beta=1.0)
+        baseline = metric_mean(records, "baseline_mae", method="density", beta=1.0)
         assert mae == pytest.approx(baseline, rel=0.05)
 
 
@@ -696,17 +710,18 @@ def reference_regression(cfg):
             for n_cov in cfg.sample_grid or (25, 50, 100, 250, 1000):
                 cov_tn = trace_normalize(sample_covariance(DataMatrix(pool[:n_cov])))
                 decomp = spectral.eigh(cov_tn.matrix)
-                transforms = {"raw_covariance": cov_tn.matrix}
+                transforms = {("raw_covariance", None): cov_tn.matrix}
                 for beta in betas:
                     rho, log_z = density.density_values(decomp.eigenvalues, (beta,))
                     shifted = spectral_matrix(decomp, rho[0] - math.exp(-log_z[0]))
-                    transforms[f"density_beta_{beta:g}"] = shifted
-                for name, transform in transforms.items():
+                    transforms[("density", beta)] = shifted
+                for (name, beta), transform in transforms.items():
                     z_train, z_test = x_train @ transform, x_test @ transform
                     gram = z_train.T @ z_train + cfg.ridge * cfg.n_train * np.eye(cfg.dim)
                     coef = np.linalg.solve(gram, z_train.T @ (y_train - y_bar))
                     mae = float(np.mean(np.abs(z_test @ coef + y_bar - y_test)))
-                    yield {"trial": t, "noise": noise, "n_cov": n_cov, "method": name}, mae, baseline
+                    method = {"method": name} if beta is None else {"method": name, "beta": beta}
+                    yield {"trial": t, "noise": noise, "n_cov": n_cov, **method}, mae, baseline
 
 
 def assert_rows_equal(table, expected):

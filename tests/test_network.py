@@ -47,22 +47,16 @@ def layer_oracle(params, rhos, x_in):
 
 
 def model_oracle(model, cov_matrix, x, mask=None):
-    """Independently coded forward pass: per-time layers, flatten, head (hidden units times ``mask``)."""
-    if x.ndim == 1:
-        x = x[:, None]
-    per_time = []
-    for t in range(x.shape[1]):
-        channels = x[:, t][None, :]
-        for layer in model.layers:
-            rhos = [density_operator(cov_matrix, b) for b in layer.betas]
-            channels = layer_oracle(layer, rhos, channels)
-            if layer.aggregation == "sum":
-                channels = channels.sum(axis=0)[None, :]
-            elif layer.aggregation == "mean":
-                channels = channels.mean(axis=0)[None, :]
-        final = channels.reshape(-1)
-        per_time.append(final)
-    flat = np.stack(per_time, axis=1).reshape(-1)
+    """Independently coded forward pass of one signal x (dim,): layers, flatten, head (hidden units times ``mask``)."""
+    channels = np.asarray(x)[None, :]
+    for layer in model.layers:
+        rhos = [density_operator(cov_matrix, b) for b in layer.betas]
+        channels = layer_oracle(layer, rhos, channels)
+        if layer.aggregation == "sum":
+            channels = channels.sum(axis=0)[None, :]
+        elif layer.aggregation == "mean":
+            channels = channels.mean(axis=0)[None, :]
+    flat = channels.reshape(-1)
     act = ACTIVATIONS[model.head.activation][0]
     hidden = act(model.head.w1 @ flat + model.head.b1)
     if mask is not None:
@@ -70,9 +64,9 @@ def model_oracle(model, cov_matrix, x, mask=None):
     return model.head.w2 @ hidden + model.head.b2
 
 
-def small_model(rng, dim=4, n_out=2, betas=(0.5, -0.4, 2.0), time_points=1, **kwargs):
+def small_model(rng, dim=4, n_out=2, betas=(0.5, -0.4, 2.0), **kwargs):
     cfg = TrainConfig(betas=betas, hidden_dim=kwargs.pop("hidden_dim", 5), seed=int(rng.integers(0, 2**31)), **kwargs)
-    return init_model(dim, n_out, cfg, time_points)
+    return init_model(dim, n_out, cfg)
 
 
 def layer_output(params, c, x_in):
@@ -80,7 +74,7 @@ def layer_output(params, c, x_in):
     decomp = _as_decomposition(c)
     rho = density_values(decomp.eigenvalues, params.betas)[0]
     x = np.atleast_2d(np.asarray(x_in, dtype=float))
-    out, _ = _layer_channels(params, decomp.eigenvectors, rho, x[None, :, :, None])
+    out, _ = _layer_channels(params, decomp.eigenvectors, rho, x[None])
     return _aggregate(params.aggregation, out).reshape(-1)
 
 
@@ -176,13 +170,12 @@ class TestModelForward:
         np.testing.assert_allclose(forward_rows(model, c, [rng.standard_normal(3)])[0], bias, atol=1e-15)
 
     @pytest.mark.parametrize("aggregation", ["concatenate", "sum", "mean"])
-    @pytest.mark.parametrize("time_points", [1, 3])
-    def test_matches_duplicate_oracle(self, rng, aggregation, time_points):
+    def test_matches_duplicate_oracle(self, rng, aggregation):
         dim = 4
         c = random_psd(rng, dim)
         cfg = TrainConfig(betas=(0.3, -0.7, 5.0), order=2, hidden_dim=6, aggregation=aggregation, seed=7)
-        model = init_model(dim, 2, cfg, time_points)
-        x = rng.standard_normal((dim, time_points))
+        model = init_model(dim, 2, cfg)
+        x = rng.standard_normal(dim)
         got = forward_rows(model, c, [x])[0]
         want = model_oracle(model, c.matrix, x)
         np.testing.assert_allclose(got, want, rtol=1e-9, atol=1e-11)
@@ -196,12 +189,11 @@ class TestModelForward:
         want = model_oracle(model, c.matrix, x)
         np.testing.assert_allclose(got, want, rtol=1e-9, atol=1e-11)
 
-    @pytest.mark.parametrize("time_points", [1, 3])
-    def test_forward_rows_match_single_rows_across_blocks(self, rng, time_points):
+    def test_forward_rows_match_single_rows_across_blocks(self, rng):
         dim = 4
         c = random_psd(rng, dim)
-        model = init_model(dim, 3, TrainConfig(betas=(0.3, 2.0), hidden_dim=6, seed=5), time_points)
-        xs = rng.standard_normal((FORWARD_BLOCK + 3, dim, time_points))
+        model = init_model(dim, 3, TrainConfig(betas=(0.3, 2.0), hidden_dim=6, seed=5))
+        xs = rng.standard_normal((FORWARD_BLOCK + 3, dim))
         got = forward_rows(model, c, xs)
         want = np.stack([forward_rows(model, c, [x])[0] for x in xs])
         np.testing.assert_allclose(got, want, rtol=1e-12)
@@ -253,9 +245,8 @@ def finite_difference_gradients(model, cov, xs, ys, loss, step=1e-5):
 
 
 def min_pre_activation(model, cov, xs):
-    """Smallest |pre-activation| of any layer or head unit over the batch ``xs``, (n, dim) or (n, dim, time)."""
-    x = np.asarray(xs, dtype=float)
-    _, tape = _forward(model, _as_decomposition(cov), x[:, :, None] if x.ndim == 2 else x, keep_tape=True)
+    """Smallest |pre-activation| of any layer or head unit over the batch ``xs``, (n, dim)."""
+    _, tape = _forward(model, _as_decomposition(cov), np.asarray(xs, dtype=float), keep_tape=True)
     return min(float(np.min(np.abs(a))) for a in [tape.z1, *(layer.pre_activation for layer in tape.layers)])
 
 
@@ -384,18 +375,17 @@ class TestBatchedEngine:
     @pytest.mark.parametrize("batch", [1, 7, 64])
     @pytest.mark.parametrize("aggregation", ["concatenate", "sum", "mean"])
     @pytest.mark.parametrize("num_layers", [1, 2])
-    @pytest.mark.parametrize("time_points", [1, 3])
     @pytest.mark.parametrize("loss", ["mse", "mae", "cross_entropy"])
     @pytest.mark.parametrize("learnable", [True, False])
-    def test_matches_per_sample_oracle(self, rng, batch, aggregation, num_layers, time_points, loss, learnable):
+    def test_matches_per_sample_oracle(self, rng, batch, aggregation, num_layers, loss, learnable):
         dim, n_out = 4, 3
         c = random_psd(rng, dim)
         cfg = TrainConfig(
             betas=(0.4, -0.8, 2.5), order=2, hidden_dim=5, num_layers=num_layers, aggregation=aggregation,
             betas_learnable=learnable, seed=int(rng.integers(0, 2**31)),
         )
-        model = init_model(dim, n_out, cfg, time_points)
-        xs = rng.standard_normal((batch, dim, time_points))
+        model = init_model(dim, n_out, cfg)
+        xs = rng.standard_normal((batch, dim))
         if loss == "cross_entropy":
             ys = [int(v) for v in rng.integers(0, n_out, batch)]
         else:
@@ -608,23 +598,43 @@ class TestCheckpoint:
             model_from_dict(payload)
 
     @pytest.mark.parametrize(
-        "corrupt,error,match",
+        "corrupt,error,message",
         [
-            pytest.param(lambda p: p.pop("head"), ValueError, "checkpoint lacks key 'head'", id="no-head"),
-            pytest.param(lambda p: p["layers"][0].pop("betas"), TypeError, "'betas'", id="no-layer-betas"),
-            pytest.param(lambda p: p["layers"][0].update(scale=1.0), TypeError, "'scale'", id="unknown-layer-key"),
-            pytest.param(lambda p: p["layers"][0].update(betas_learnable=1), TypeError, "must be bools", id="int-learnable"),
-            pytest.param(lambda p: p["layers"][0].update(skip_k0="no"), TypeError, "must be bools", id="str-skip-k0"),
             pytest.param(
-                lambda p: p["layers"][0].update(coeffs=[[[]]], betas=[1.0]), ShapeError, "non-empty", id="no-taps"
+                lambda p: p.pop("head"), ValueError,
+                "checkpoint /head: missing key, got ['version', 'task', 'covariance', 'layers']", id="no-head",
+            ),
+            pytest.param(
+                lambda p: p["layers"][0].pop("betas"), ValueError,
+                "checkpoint /layers/0/betas: missing key, got ['coeffs', 'betas_learnable', 'aggregation', "
+                "'activation', 'skip_k0']",
+                id="no-layer-betas",
+            ),
+            pytest.param(
+                lambda p: p["layers"][0].update(scale=1.0), ValueError,
+                "checkpoint /layers/0/scale: unknown key, got 1.0", id="unknown-layer-key",
+            ),
+            pytest.param(
+                lambda p: p["layers"][0].update(betas_learnable=1), ValueError,
+                "checkpoint /layers/0/betas_learnable: must be a bool, got 1", id="int-learnable",
+            ),
+            pytest.param(
+                lambda p: p["layers"][0].update(skip_k0="no"), ValueError,
+                "checkpoint /layers/0/skip_k0: must be a bool, got 'no'", id="str-skip-k0",
+            ),
+            pytest.param(
+                lambda p: p["layers"][0].update(coeffs=[[[]]], betas=[1.0]), ShapeError,
+                "checkpoint /layers/0/coeffs: must have non-empty shape [f_out, f_in, taps], got [1, 1, 0]",
+                id="no-taps",
             ),
         ],
     )
-    def test_malformed_entries_rejected_at_load(self, rng, corrupt, error, match):
+    def test_malformed_entries_rejected_at_load(self, rng, corrupt, error, message):
         payload = model_to_dict(small_model(rng, dim=5, n_out=2), random_psd(rng, 5))
         corrupt(payload)
-        with pytest.raises(error, match=match):
+        with pytest.raises(error) as info:
             model_from_dict(payload)
+        assert type(info.value) is error and str(info.value) == message
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("key", ["w1", "b1", "w2", "b2"])
@@ -632,8 +642,9 @@ class TestCheckpoint:
         payload = model_to_dict(small_model(rng, dim=5, n_out=2), random_psd(rng, 5))
         entries = payload["head"][key]
         (entries[0] if key.startswith("w") else entries)[-1] = value
-        with pytest.raises(ValueError, match="^head parameters must be finite$"):
+        with pytest.raises(ValueError) as info:
             model_from_dict(payload)
+        assert str(info.value) == f"checkpoint /head/{key}: entries must be finite, got {value!r}"
 
     def test_fields_written_in_declaration_order_and_skip_k0_defaults(self, rng):
         payload = model_to_dict(small_model(rng, dim=3), random_psd(rng, 3))
@@ -642,6 +653,15 @@ class TestCheckpoint:
         del payload["layers"][0]["skip_k0"]
         model, _ = model_from_dict(payload)
         assert model.layers[0].skip_k0 is False
+
+    def test_direct_model_checks_that_each_layer_reads_the_channels_before_it(self, rng):
+        model = small_model(rng, dim=3, num_layers=2)  # layer 0 writes 3 channels
+        layer = dataclasses.replace(model.layers[1], coeffs=np.zeros((3, 2, 3)))
+        with pytest.raises(ShapeError) as info:
+            ModelParams(layers=[model.layers[0], layer], head=model.head)
+        assert str(info.value) == "/layers/1/coeffs: must have non-empty shape [f_out, 3, taps], got [3, 2, 3]"
+        with pytest.raises(ValueError, match=r"^/layers: must be a non-empty list, got \[\]$"):
+            ModelParams(layers=[], head=model.head)
 
     def test_zero_tap_filter_bank_rejected(self):
         with pytest.raises(ShapeError, match="non-empty"):

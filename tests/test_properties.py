@@ -185,7 +185,7 @@ def test_layer_of_a_permuted_covariance_and_features_is_the_permuted_layer(case,
         activation=activation,
         skip_k0=skip_k0,
     )
-    x = rng.standard_normal((2, f_in, len(c), 2))  # (batch, channel, node, time)
+    x = rng.standard_normal((2, f_in, len(c)))  # (batch, channel, node)
 
     def channels(matrix, signal):
         decomp = _as_decomposition(matrix)  # as forward_rows decomposes a plain array
@@ -198,8 +198,8 @@ def test_layer_of_a_permuted_covariance_and_features_is_the_permuted_layer(case,
     taps = layer.coeffs.copy()
     taps[..., : layer.k_start] = 0.0
     per_input = permutation_tolerance(len(c), norm_c, layer.betas[:, None], taps)  # (f_out, f_in)
-    bound = np.einsum("og,bgt->bot", per_input, np.linalg.norm(x, axis=2))
-    assert np.all(np.abs(got - want) <= bound[:, :, None, :])
+    bound = np.einsum("og,bg->bo", per_input, np.linalg.norm(x, axis=2))
+    assert np.all(np.abs(got - want) <= bound[:, :, None])
 
 
 # Central-difference step, and the margin by which every ReLU/ELU pre-activation must clear its
@@ -214,7 +214,7 @@ def network_case(draw):
     """A model, a covariance, a batch with its targets, and a loss."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     losses = sum(TASK_LOSSES.values(), ())
-    dim, time_points, loss = draw(st.integers(2, 5)), draw(st.integers(1, 2)), draw(st.sampled_from(losses))
+    dim, loss = draw(st.integers(2, 5)), draw(st.sampled_from(losses))
     activation, head_activation = (draw(st.sampled_from(list(ACTIVATIONS))) for _ in range(2))
     n_outputs = draw(st.integers(2 if loss == "cross_entropy" else 1, 3))
     cfg = TrainConfig(
@@ -229,17 +229,17 @@ def network_case(draw):
         skip_k0=draw(st.booleans()),
         seed=draw(st.integers(0, 2**31 - 1)),
     )
-    model = init_model(dim, n_outputs, cfg, time_points)
+    model = init_model(dim, n_outputs, cfg)
     c = random_psd(rng, dim)
     batch = draw(st.integers(1, 3))
-    xs = rng.standard_normal((batch, dim, time_points))
+    xs = rng.standard_normal((batch, dim))
     if {activation, head_activation} & {"elu", "relu"}:
         # Redraw the inputs until every pre-activation is off the kink.  One that is 0 whatever the
         # input (after a skip_k0 layer of order 0, which outputs zeros) never is: reject that model.
         for _ in range(100):
             if min_pre_activation(model, c, xs) >= KINK_MARGIN:
                 break
-            xs = rng.standard_normal((batch, dim, time_points))
+            xs = rng.standard_normal((batch, dim))
         assume(min_pre_activation(model, c, xs) >= KINK_MARGIN)
     if loss == "cross_entropy":
         ys = rng.integers(0, model.head.n_outputs, batch).tolist()

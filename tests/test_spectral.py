@@ -183,8 +183,8 @@ def test_eigenvector_signs_leave_every_consumer_bit_identical(m, seed, mask, oth
         np.testing.assert_array_equal(got, expected)
 
     cfg = TrainConfig(betas=(0.5, -1.0), betas_learnable=True, hidden_dim=3, num_layers=2, seed=seed % 1000)
-    model = init_model(m, 2, cfg, time_points=2)
-    xs, ys = rng.standard_normal((5, m, 2)), rng.standard_normal((5, 2))
+    model = init_model(m, 2, cfg)
+    xs, ys = rng.standard_normal((5, m)), rng.standard_normal((5, 2))
     np.testing.assert_array_equal(forward_rows(model, d_flip, xs), forward_rows(model, d, xs))
     loss_flip, grads_flip = model_gradients(model, d_flip, xs, ys, "mse", np.random.default_rng(seed), dropout=0.3)
     loss, grads = model_gradients(model, d, xs, ys, "mse", np.random.default_rng(seed), dropout=0.3)
