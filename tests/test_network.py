@@ -170,10 +170,13 @@ class TestModelForward:
         np.testing.assert_allclose(forward_rows(model, c, [rng.standard_normal(3)])[0], bias, atol=1e-15)
 
     @pytest.mark.parametrize("aggregation", ["concatenate", "sum", "mean"])
-    def test_matches_duplicate_oracle(self, rng, aggregation):
+    @pytest.mark.parametrize("skip_k0", [False, True])
+    def test_matches_duplicate_oracle(self, rng, aggregation, skip_k0):
         dim = 4
         c = random_psd(rng, dim)
-        cfg = TrainConfig(betas=(0.3, -0.7, 5.0), order=2, hidden_dim=6, aggregation=aggregation, seed=7)
+        cfg = TrainConfig(
+            betas=(0.3, -0.7, 5.0), order=2, hidden_dim=6, aggregation=aggregation, skip_k0=skip_k0, seed=7
+        )
         model = init_model(dim, 2, cfg)
         x = rng.standard_normal(dim)
         got = forward_rows(model, c, [x])[0]
@@ -189,10 +192,11 @@ class TestModelForward:
         want = model_oracle(model, c.matrix, x)
         np.testing.assert_allclose(got, want, rtol=1e-9, atol=1e-11)
 
-    def test_forward_rows_match_single_rows_across_blocks(self, rng):
+    @pytest.mark.parametrize("skip_k0", [False, True])
+    def test_forward_rows_match_single_rows_across_blocks(self, rng, skip_k0):
         dim = 4
         c = random_psd(rng, dim)
-        model = init_model(dim, 3, TrainConfig(betas=(0.3, 2.0), hidden_dim=6, seed=5))
+        model = init_model(dim, 3, TrainConfig(betas=(0.3, 2.0), hidden_dim=6, skip_k0=skip_k0, seed=5))
         xs = rng.standard_normal((FORWARD_BLOCK + 3, dim))
         got = forward_rows(model, c, xs)
         want = np.stack([forward_rows(model, c, [x])[0] for x in xs])
@@ -377,12 +381,13 @@ class TestBatchedEngine:
     @pytest.mark.parametrize("num_layers", [1, 2])
     @pytest.mark.parametrize("loss", ["mse", "mae", "cross_entropy"])
     @pytest.mark.parametrize("learnable", [True, False])
-    def test_matches_per_sample_oracle(self, rng, batch, aggregation, num_layers, loss, learnable):
+    @pytest.mark.parametrize("skip_k0", [False, True])
+    def test_matches_per_sample_oracle(self, rng, batch, aggregation, num_layers, loss, learnable, skip_k0):
         dim, n_out = 4, 3
         c = random_psd(rng, dim)
         cfg = TrainConfig(
             betas=(0.4, -0.8, 2.5), order=2, hidden_dim=5, num_layers=num_layers, aggregation=aggregation,
-            betas_learnable=learnable, seed=int(rng.integers(0, 2**31)),
+            betas_learnable=learnable, skip_k0=skip_k0, seed=int(rng.integers(0, 2**31)),
         )
         model = init_model(dim, n_out, cfg)
         xs = rng.standard_normal((batch, dim))
