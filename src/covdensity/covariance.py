@@ -78,11 +78,10 @@ class CovarianceMatrix:
         return self.matrix.shape[0]
 
 
-def _check_psd(eigenvalues: np.ndarray, scale=0.0):
-    """Raise unless each ascending spectrum (last axis) has min eigenvalue >= -PSD_RTOL * max(1, ||C||, scale);
-    the first failing spectrum is named.  ``scale`` (one, or one per spectrum) is the norm of a larger
-    matrix that C was computed from, whose roundoff C carries."""
-    tolerance = PSD_RTOL * np.maximum(1.0, np.maximum(spectral._norm(eigenvalues), scale))
+def _check_psd(eigenvalues: np.ndarray):
+    """Raise unless each ascending spectrum (last axis) has min eigenvalue >= -PSD_RTOL * max(1, ||C||), C's norm
+    read from that spectrum; the first failing spectrum is named."""
+    tolerance = PSD_RTOL * np.maximum(1.0, spectral._norm(eigenvalues))
     min_eig = np.min(eigenvalues, axis=-1, initial=0.0)  # an empty matrix is PSD
     failing = np.flatnonzero(min_eig < -tolerance)
     if failing.size:
@@ -143,12 +142,6 @@ def _covariance_array(x: np.ndarray) -> np.ndarray:
         raise ValueError("sample covariance overflows a double")
     c /= 2.0  # as spectral._symmetrize forms the mean, halving each entry first
     return c + np.swapaxes(c, -1, -2)
-
-
-def _shifted(m: np.ndarray, eigenvalues: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """m - lambda_min I for each matrix of a stack with ascending ``eigenvalues`` (last axis), and each m's norm."""
-    shifted = m - eigenvalues.min(axis=-1)[..., None, None] * np.eye(m.shape[-1])
-    return shifted, spectral._norm(eigenvalues)
 
 
 def trace_normalize(cov: CovarianceMatrix) -> CovarianceMatrix:

@@ -156,41 +156,43 @@ def summarize(table: RunTable) -> dict:
     return summary
 
 
-def _symmetric_noise(rng, dim: int, norms) -> np.ndarray:
-    """Symmetric perturbations with exact operator norms ``norms``, from one ``(len(norms), dim, dim)`` draw."""
+def _symmetric_noise(rng, dim: int, norms) -> tuple[np.ndarray, np.ndarray]:
+    """Symmetric perturbations scaled to operator norms ``norms``, from one ``(len(norms), dim, dim)`` draw, and the
+    norms they were built with.  Each draw's norm is its largest |eigenvalue| (``eigvalsh``); an all-zero draw stays
+    zero, with norm 0."""
     e = rng.standard_normal((len(norms), dim, dim))
     e = (e + np.swapaxes(e, -1, -2)) / 2.0
-    scale = np.linalg.norm(e, 2, axis=(-2, -1))
-    # An all-zero draw has norm 0 and stays zero.
-    norms, scale = np.asarray(norms, dtype=float)[:, None, None], np.where(scale == 0.0, 1.0, scale)[:, None, None]
+    scale = spectral._norm(np.linalg.eigvalsh(e))
+    norms = np.where(scale == 0.0, 0.0, norms)
+    factor, scale = norms[:, None, None], np.where(scale == 0.0, 1.0, scale)[:, None, None]
     # Near the largest double norms * e can overflow where the entry is finite; only there use norms * (e / scale).
     with np.errstate(over="ignore"):
-        noise = norms * e / scale
-    return np.where(np.isfinite(noise), noise, norms * (e / scale))
+        noise = factor * e / scale
+    return np.where(np.isfinite(noise), noise, factor * (e / scale)), norms
 
 
-def _stability_responses(cov, dc, betas) -> tuple[np.ndarray, list, list]:
-    """Norms ``(K, 2 + n_beta)`` of dC, the trace-normalized and each beta's response to K perturbations,
-    then bounds and R ratios listed per perturbation (None first, for the trace-normalized row), from
-    one stacked ``eigh`` of C - lambda_min I and its perturbations, one ``density_values`` and one ``eigvalsh``.
-    The shift moves no response, only the norms the bound reads.  C - lambda_min I is checked at ||C||, whose
-    roundoff it carries: a rotated 1e8 I shifts to norm ~1e-7 with a computed min eigenvalue of -2e-8."""
-    shifted, scale = covariance._shifted(cov.matrix, cov._eigenvalues)
-    lam, v = spectral._eigh(np.concatenate([shifted[None], shifted + dc]))
-    covariance._check_psd(lam[0], scale)
+def _stability_responses(c, dc, norms_dc, betas) -> tuple[np.ndarray, list, list]:
+    """Norms ``(K, 1 + n_beta)`` of the trace-normalized and each beta's response of C to K perturbations ``dc`` of
+    operator norms ``norms_dc``, then bounds and R ratios listed per perturbation (None first, for the trace-normalized
+    row), from one stacked ``eigh`` of C and C + dC, one ``density_values`` and one ``eigvalsh``.  C's spectrum is
+    checked as a CovarianceMatrix checks it, then every spectrum is shifted by lambda_min(C): rho_beta and Z'/Z do not
+    change under C -> C - s I, and the bound reads the norms of C - lambda_min I and C + dC - lambda_min I."""
+    perturbed = c + dc
+    lam, v = spectral._eigh(np.concatenate([c[None], perturbed]))
+    covariance._check_psd(lam[0])
+    lam -= lam[0, 0]
     rho, log_z = density.density_values(lam, betas)
     rho = spectral._spectral_matrix(v[:, None], rho)
-    perturbed = cov.matrix + dc
-    tn_delta = perturbed / np.trace(perturbed, axis1=-2, axis2=-1)[:, None, None] - cov.matrix / np.trace(cov.matrix)
-    norms = spectral._norm(np.linalg.eigvalsh(np.concatenate([dc[:, None], tn_delta[:, None], rho[1:] - rho[0]], axis=1)))
+    tn_delta = perturbed / np.trace(perturbed, axis1=-2, axis2=-1)[:, None, None] - c / np.trace(c)
+    norms = spectral._norm(np.linalg.eigvalsh(np.concatenate([tn_delta[:, None], rho[1:] - rho[0]], axis=1)))
     norm_c, log_z = spectral._norm(lam).tolist(), log_z.tolist()
     bounds, ratios = [], []
-    for k, norm_dc in enumerate(norms[:, 0].tolist(), 1):
+    for k, norm_dc in enumerate(norms_dc.tolist(), 1):
         bounds.append(None)
         ratios.append(None)
         for i, beta in enumerate(betas):
             ratios.append(density._exp("Z'/Z", log_z[k][i] - log_z[0][i]))
-            bounds.append(density._error_bound(beta, cov.dim, norm_c[0], norm_c[k], norm_dc, ratios[-1]))
+            bounds.append(density._error_bound(beta, c.shape[-1], norm_c[0], norm_c[k], norm_dc, ratios[-1]))
     return norms, bounds, ratios
 
 
@@ -206,32 +208,28 @@ class StabilityConfig(_Config):
 def run_stability(cfg: StabilityConfig) -> RunTable:
     """Perturbation response of density operators vs the trace-normalized baseline.
 
-    Per (trial, noise level): one symmetric perturbation with exact operator
+    Per (trial, noise level): one symmetric perturbation scaled to operator
     norm equal to the noise level, applied to a Gaussian sample covariance;
     records the density response per beta (with the error bound and measured
     partition ratio R) plus the trace-normalized covariance response.  A trial's
     perturbations come from one draw and are evaluated as one stack.
     """
     def trial(t: int):  # its arrays die when it returns, before the next trial draws
-        cov = sample_covariance(gen_gaussian_data(cfg.dim, cfg.n_samples, "gaussian", seed=[cfg.seed, t, 1]))
-        noise = _symmetric_noise(np.random.default_rng([cfg.seed, t]), cfg.dim, cfg.noise_levels)
+        data = gen_gaussian_data(cfg.dim, cfg.n_samples, "gaussian", seed=[cfg.seed, t, 1])
+        c = covariance._covariance_array(data.values)
+        noise, norms_dc = _symmetric_noise(np.random.default_rng([cfg.seed, t]), cfg.dim, cfg.noise_levels)
         # The error bound can miss for beta > 0 once C + dC is indefinite (see density._error_bound).
-        return _stability_responses(cov, noise, cfg.betas)
+        return norms_dc, *_stability_responses(c, noise, norms_dc, cfg.betas)
 
-    norms, bounds, ratios = [], [], []
-    for trial_norms, trial_bounds, trial_ratios in map(trial, range(cfg.trials)):
-        norms.append(trial_norms)
-        bounds += trial_bounds
-        ratios += trial_ratios
-    norms = np.array(norms)
+    norms_dc, norms, bounds, ratios = zip(*map(trial, range(cfg.trials)))
     rows = [("trace_normalized", None)] + [("density", beta) for beta in cfg.betas]
     params = _columns(("trial", "noise", "row"), itertools.product(range(cfg.trials), cfg.noise_levels, rows))
     params["method"], params["beta"] = zip(*params.pop("row"))
     metrics = {
-        "delta_c_norm": np.repeat(norms[..., 0], len(rows)),
-        "delta_rho_norm": norms[..., 1:].ravel(),
-        "bound_value": bounds,
-        "r_ratio": ratios,
+        "delta_c_norm": np.repeat(norms_dc, len(rows)),
+        "delta_rho_norm": np.ravel(norms),
+        "bound_value": itertools.chain(*bounds),
+        "r_ratio": itertools.chain(*ratios),
     }
     return RunTable("stability", cfg.seed, params, metrics)
 
@@ -555,7 +553,7 @@ def run_betafit_demo(cfg: BetafitDemoConfig) -> RunTable:
         target = np.clip(cov._eigenvalues, 0.0, None)
         target = target / target.sum()
         for eps in cfg.noise_levels:
-            lam_noisy = np.linalg.eigvalsh(cov.matrix + _symmetric_noise(rng, cfg.dim, (eps,))[0])
+            lam_noisy = np.linalg.eigvalsh(cov.matrix + _symmetric_noise(rng, cfg.dim, (eps,))[0][0])
             result = fit_beta(lam_noisy, target)
             kl_star = kl_to_density(lam_noisy, target, result.beta_star)
             others = rng.uniform(result.beta_star - 5.0, result.beta_star + 5.0, size=50)

@@ -162,8 +162,9 @@ class ModelParams:
 
     def __post_init__(self):
         _checked("", vars(self), ModelParams, {})
-        for i, layer in enumerate(self.layers[1:], 1):  # each layer reads the channels the one before it writes
-            _array(f"/layers/{i}/coeffs", layer.coeffs, _AXES["coeffs"], {"f_in": self.layers[i - 1].out_channels()})
+        for i, layer in enumerate(self.layers):  # layer 0 reads the one signal channel, a later one what it is fed
+            f_in = self.layers[i - 1].out_channels() if i else 1
+            _array(f"/layers/{i}/coeffs", layer.coeffs, _AXES["coeffs"], {"f_in": f_in})
 
 
 @dataclass(frozen=True)
@@ -530,10 +531,12 @@ def _fault(path: str, rule: str, value, kind=ValueError) -> ValueError:
 
 def _array(path: str, value, axes: tuple, sizes: dict) -> np.ndarray:
     """``value`` as a new float array with the named ``axes``; an axis not in ``sizes`` yet is sized into it."""
-    cells = np.array(value, dtype=object)  # a ragged list keeps its rows as cells
+    cells, shape = np.array(value, dtype=object), f"[{', '.join(str(sizes.get(axis, axis)) for axis in axes)}]"
     if bad := [c for c in cells.flat if type(c) is not float and not _matches(float, c)]:
+        if any(isinstance(c, (list, tuple, np.ndarray)) for c in bad):  # a ragged list keeps its rows as cells
+            raise _fault(path, f"must have non-empty shape {shape}, not ragged", value, ShapeError)
         raise _fault(path, "entries must be numbers a double holds", bad[0])
-    array, shape = cells.astype(float), f"[{', '.join(str(sizes.get(axis, axis)) for axis in axes)}]"
+    array = cells.astype(float)
     if array.ndim != len(axes) or not array.size or any(sizes.setdefault(a, n) != n for a, n in zip(axes, array.shape)):
         raise _fault(path, f"must have non-empty shape {shape}", list(array.shape), ShapeError)
     if not np.isfinite(array).all():
@@ -575,9 +578,9 @@ def model_from_dict(payload) -> tuple[ModelParams, np.ndarray]:
         raise _fault("checkpoint /", "must be an object", payload)
     sizes, layers = {}, []
     doc = _checked("checkpoint ", payload, ("version", "task", "covariance", "layers", "head"), sizes)
-    for i, entry in enumerate(doc["layers"]):  # the first layer's input channels are free, a later one's fixed
-        fixed = {"f_in": layers[-1].out_channels()} if layers else {}
-        layers.append(LayerParams(**_checked(f"checkpoint /layers/{i}", entry, LayerParams, fixed)))
+    for i, entry in enumerate(doc["layers"]):  # layer 0 reads the one signal channel, a later one what it is fed
+        f_in = {"f_in": layers[-1].out_channels() if layers else 1}
+        layers.append(LayerParams(**_checked(f"checkpoint /layers/{i}", entry, LayerParams, f_in)))
     features = {"features": layers[-1].out_channels() * sizes["dim"]}
     head = HeadParams(**_checked("checkpoint /head", doc["head"], HeadParams, features))
     return ModelParams(layers, head, doc["task"]), doc["covariance"]

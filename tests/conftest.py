@@ -134,8 +134,9 @@ def gen_graph_stationary(dim, n_samples, edge_prob, filter_coeffs, seed=0):
 
 def bound_and_ratio(cov, dc, beta):
     """The density error bound and the partition ratio R = Z'/Z that run_stability records
-    for the CovarianceMatrix ``cov`` perturbed by ``dc`` at ``beta``."""
-    _, bounds, ratios = _stability_responses(cov, np.asarray(dc, dtype=float)[None], (beta,))
+    for the CovarianceMatrix ``cov`` perturbed by ``dc`` at ``beta``; dC's norm is its largest |eigenvalue|."""
+    dc = np.asarray(dc, dtype=float)[None]
+    _, bounds, ratios = _stability_responses(cov.matrix, dc, spectral._norm(np.linalg.eigvalsh(dc)), (beta,))
     return bounds[1], ratios[1]
 
 

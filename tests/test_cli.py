@@ -1301,7 +1301,7 @@ class TestPredictInput:
              "checkpoint /layers/0/betas_learnable: must be a bool, got 'true'"),
             (lambda p: p["layers"][0].update(skip_k0=0), "checkpoint /layers/0/skip_k0: must be a bool, got 0"),
             (lambda p: p["layers"][0].update(coeffs=[[[]]]),
-             "checkpoint /layers/0/coeffs: must have non-empty shape [f_out, f_in, taps], got [1, 1, 0]"),
+             "checkpoint /layers/0/coeffs: must have non-empty shape [f_out, 1, taps], got [1, 1, 0]"),
         ],
     )
     def test_malformed_checkpoint_is_runtime_error(self, capsys, tmp_path, rng, corrupt, message):
@@ -1577,8 +1577,10 @@ def test_predict_names_the_path_of_any_mutated_checkpoint_value(trained_checkpoi
         ("/task", lambda v: ["regression"], "must be 'regression' or 'classification', got ['regression']"),
         ("/layers/1/bogus", lambda v: 1.0, "unknown key, got 1.0"),
         ("/head/w1", lambda v: [row[:-1] if i else row for i, row in enumerate(v)],  # ragged: its rows are its cells
-         "entries must be numbers a double holds, got ["),
+         "must have non-empty shape [hidden, 6], not ragged, got [["),
         ("/layers/0/coeffs", lambda v: with_entry(v, 0, math.nan), "entries must be finite, got nan"),
+        ("/layers/0/coeffs", lambda v: [[*scale, scale[0]] for scale in v],  # reads 2 channels, the signal is 1
+         "must have non-empty shape [f_out, 1, taps], got [2, 2, 3]"),
         ("/layers/1/coeffs", lambda v: [[*scale, scale[0]] for scale in v],  # reads 3 channels, layer 0 writes 2
          "must have non-empty shape [f_out, 2, taps], got [2, 3, 3]"),
         ("/head/w1", lambda v: [row + row for row in v], "must have non-empty shape [hidden, 6], got [3, 12]"),

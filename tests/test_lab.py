@@ -325,14 +325,15 @@ class TestStability:
             assert r.metrics["delta_rho_norm"] <= 1e-12
 
     def test_large_norm_with_a_tiny_spread(self, monkeypatch):
-        # C - s I rounds at ||C|| = 1e8.  Its own norm is ~1e-7, whose tolerance is PSD_RTOL, and its
-        # smallest computed eigenvalue falls below -PSD_RTOL for seeds 7, 10, 16, 24 and 27; stability
-        # checks it at C's scale, so it accepts every one.
-        check, scales = covariance._check_psd, []
+        # C - s I, a rotated 1e8 I shifted as a matrix, rounds at ||C|| = 1e8.  Its own norm is ~1e-7, whose
+        # tolerance is PSD_RTOL, and its smallest computed eigenvalue falls below -PSD_RTOL for seeds 7, 10,
+        # 16, 24 and 27.  Stability checks C itself, at its own norm, and shifts only its spectrum, so it
+        # accepts every one.
+        check, checked = covariance._check_psd, []
 
-        def recording_check(eigenvalues, scale=0.0):
-            scales.append(scale)
-            return check(eigenvalues, scale)
+        def recording_check(eigenvalues):
+            checked.append(np.array(eigenvalues))
+            return check(eigenvalues)
 
         monkeypatch.setattr(covariance, "_check_psd", recording_check)
         failing_alone = []
@@ -340,8 +341,8 @@ class TestStability:
             q, _ = np.linalg.qr(np.random.default_rng(seed).standard_normal((8, 8)))
             cov = covariance.CovarianceMatrix(matrix=(q * 1e8) @ q.T)
             shifted = cov.matrix - np.min(cov._eigenvalues) * np.eye(8)
-            lab._stability_responses(cov, np.zeros((1, 8, 8)), (1.0,))
-            assert scales[-1] == np.max(np.abs(cov._eigenvalues))
+            lab._stability_responses(cov.matrix, np.zeros((1, 8, 8)), np.zeros(1), (1.0,))
+            np.testing.assert_allclose(checked[-1], cov._eigenvalues, rtol=1e-12)  # C's spectrum, not C - s I's
             lam = spectral._eigh(shifted)[0]
             assert abs(lam[0]) <= covariance.PSD_RTOL * 1e8
             try:
@@ -606,29 +607,30 @@ def stability_oracle(cfg):
 
 
 def per_noise_level_stability(cfg):
-    """run_stability as it was, one noise level at a time: one eigh per matrix and one
-    stacked eigvalsh per noise level.  Yields (params, metrics) per row."""
+    """run_stability as a loop, one noise level at a time: one eigh per matrix, each spectrum shifted by
+    C's smallest eigenvalue, and one stacked eigvalsh per noise level.  Yields (params, metrics) per row."""
     for t in range(cfg.trials):
         rng = np.random.default_rng([cfg.seed, t])
         data = gen_gaussian_data(cfg.dim, cfg.n_samples, "gaussian", seed=[cfg.seed, t, 1])
         cov = sample_covariance(data)
-        reg = min_shifted(cov)
-        base = spectral.eigh(reg.matrix)
-        values_base, log_z_base = density.density_values(base.eigenvalues, cfg.betas)
+        base = spectral.eigh(cov.matrix)
+        lam_min = base.eigenvalues[0]
+        values_base, log_z_base = density.density_values(base.eigenvalues - lam_min, cfg.betas)
         rho_base = spectral_matrix(base, values_base)
-        norm_base = spectral._norm(base.eigenvalues)
+        norm_base = spectral._norm(base.eigenvalues - lam_min)
         tn_base = cov.matrix / np.trace(cov.matrix)
         for eps in cfg.noise_levels:
             e = rng.standard_normal((cfg.dim, cfg.dim))
             e = (e + e.T) / 2.0
-            dc = eps * e / np.linalg.norm(e, 2)
+            norm_dc = eps  # the norm dC is built with
+            dc = eps * e / spectral._norm(np.linalg.eigvalsh(e))
             perturbed = cov.matrix + dc
-            pert = spectral.eigh(reg.matrix + dc)
-            rho_pert, log_z_pert = density.density_values(pert.eigenvalues, cfg.betas)
-            norm_pert = spectral._norm(pert.eigenvalues)
-            deltas = [dc, perturbed / np.trace(perturbed) - tn_base]
+            pert = spectral.eigh(perturbed)
+            rho_pert, log_z_pert = density.density_values(pert.eigenvalues - lam_min, cfg.betas)
+            norm_pert = spectral._norm(pert.eigenvalues - lam_min)
+            deltas = [perturbed / np.trace(perturbed) - tn_base]
             deltas.extend(spectral_matrix(pert, rho_pert) - rho_base)
-            norm_dc, norm_tn, *norm_rho = spectral._norm(np.linalg.eigvalsh(deltas))
+            norm_tn, *norm_rho = spectral._norm(np.linalg.eigvalsh(deltas))
             yield (
                 {"trial": t, "noise": eps, "method": "trace_normalized"},
                 {"delta_c_norm": norm_dc, "delta_rho_norm": norm_tn},
@@ -1081,7 +1083,7 @@ class TestDecomposeOnce:
             betas=(-1.0, 0.0, 2.0), noise_levels=(0.1, 0.2, 0.3),
         )
         run_stability(cfg)
-        # Per trial, one stack: C - lambda_min I, then one perturbation per noise level.
+        # Per trial, one stack: C, then one perturbation per noise level.
         assert eigh_calls == [(1 + len(cfg.noise_levels), 5, 5)] * cfg.trials
         assert eigh_calls.matrices == cfg.trials * (1 + len(cfg.noise_levels))
 
@@ -1120,18 +1122,25 @@ class TestDecomposeOnce:
     def eigvalsh_calls(self, monkeypatch):
         return count_linalg_calls(monkeypatch, "eigvalsh")
 
-    def test_stability_norms_from_one_stacked_eigvalsh_per_trial(self, eigvalsh_calls):
+    def test_stability_norms_from_one_stacked_eigvalsh_per_trial(self, monkeypatch, eigvalsh_calls):
+        svd_calls, norm_calls = count_linalg_calls(monkeypatch, "svd"), count_linalg_calls(monkeypatch, "norm")
         cfg = StabilityConfig(
             dim=5, trials=2, seed=1,
             betas=(-1.0, 0.0, 2.0), noise_levels=(0.1, 0.2, 0.3),
         )
         run_stability(cfg)
-        # Per trial: the sample covariance's PSD check, then one stack holding, per
-        # noise level, dC, the trace-normalized delta and each beta's delta.  The
-        # shifted matrix is checked on the eigh spectra counted above.
-        per_trial = [(5, 5), (len(cfg.noise_levels), 2 + len(cfg.betas), 5, 5)]
+        # Per trial: the noise draws' norms, then one stack holding, per noise level, the
+        # trace-normalized delta and each beta's delta.  C is checked on the eigh spectra
+        # counted above, and dC's norm is the one it was built with.
+        per_trial = [(len(cfg.noise_levels), 5, 5), (len(cfg.noise_levels), 1 + len(cfg.betas), 5, 5)]
         assert eigvalsh_calls == per_trial * cfg.trials
-        assert eigvalsh_calls.matrices == cfg.trials * (1 + len(cfg.noise_levels) * (2 + len(cfg.betas)))
+        assert eigvalsh_calls.matrices == cfg.trials * len(cfg.noise_levels) * (2 + len(cfg.betas))
+        assert svd_calls == [] and norm_calls == []
+
+    def test_default_stability_trial_decomposes_46_matrices(self, eigh_calls, eigvalsh_calls):
+        run_stability(StabilityConfig(trials=1))
+        # eigvalsh of the 5 noise draws, eigh of C and its 5 perturbations, eigvalsh of 5 x (1 + 6) deltas.
+        assert (eigvalsh_calls.matrices, eigh_calls.matrices) == (5 + 35, 6)
 
     def test_entropy_curve_reuses_the_validated_spectrum(self, eigvalsh_calls):
         cfg = EntropyCurveConfig(dim=5, trials=2, seed=1, betas=(0.0, 1.0, 4.0))
@@ -1157,8 +1166,8 @@ class TestDecomposeOnce:
         cfg = BetafitDemoConfig(dim=5, trials=2, seed=1, noise_levels=(0.1, 0.3))
         run_betafit_demo(cfg)
         # Per trial: the sample covariance's PSD check, whose spectrum is the
-        # clean target, then one noisy spectrum per noise level.
-        assert eigvalsh_calls == [(5, 5)] * (1 + len(cfg.noise_levels)) * cfg.trials
+        # clean target, then per noise level the noise draw's norm and the noisy spectrum.
+        assert eigvalsh_calls == ([(5, 5)] + [(1, 5, 5), (5, 5)] * len(cfg.noise_levels)) * cfg.trials
 
     def test_regression_decomposes_once_per_covariance(self, eigh_calls):
         cfg = RegressionConfig(

@@ -629,7 +629,7 @@ class TestCheckpoint:
             ),
             pytest.param(
                 lambda p: p["layers"][0].update(coeffs=[[[]]], betas=[1.0]), ShapeError,
-                "checkpoint /layers/0/coeffs: must have non-empty shape [f_out, f_in, taps], got [1, 1, 0]",
+                "checkpoint /layers/0/coeffs: must have non-empty shape [f_out, 1, taps], got [1, 1, 0]",
                 id="no-taps",
             ),
         ],
@@ -665,6 +665,10 @@ class TestCheckpoint:
         with pytest.raises(ShapeError) as info:
             ModelParams(layers=[model.layers[0], layer], head=model.head)
         assert str(info.value) == "/layers/1/coeffs: must have non-empty shape [f_out, 3, taps], got [3, 2, 3]"
+        first = dataclasses.replace(model.layers[0], coeffs=np.zeros((3, 2, 3)))  # the signal has one channel
+        with pytest.raises(ShapeError) as info:
+            ModelParams(layers=[first, model.layers[1]], head=model.head)
+        assert str(info.value) == "/layers/0/coeffs: must have non-empty shape [f_out, 1, taps], got [3, 2, 3]"
         with pytest.raises(ValueError, match=r"^/layers: must be a non-empty list, got \[\]$"):
             ModelParams(layers=[], head=model.head)
 

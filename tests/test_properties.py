@@ -7,9 +7,10 @@ scaled by 10^k for k in -8..8.  beta is 0 or +-b / scale with b in [1e-3, 1e3], 
 runs from 1e-3 to 1e3: from nearly uniform densities to ones whose smallest eigenvalues
 underflow; b in [650, 745] puts the smallest density eigenvalues just above the underflow edge.
 
-The same matrices check that the shift stability applies, C - lambda_min I, gives a zero smallest
-eigenvalue at C's scale and that trace_normalize gives a unit trace, and permutation equivariance
-of a filter and of a network layer.
+The same matrices check that the matrix shift C - lambda_min I gives a zero smallest eigenvalue at
+C's scale and that trace_normalize gives a unit trace, and permutation equivariance of a filter and
+of a network layer.  Stability shifts spectra instead of matrices; its norms, bounds and ratios are
+checked against the matrix shift on generated C, perturbations and betas of either sign.
 
 The network's batched gradients are checked against central differences of its loss on random
 shapes, and run tables against what results.csv reads back on random columns.  The in-place
@@ -118,8 +119,7 @@ def test_shift_gives_a_zero_smallest_eigenvalue_and_trace_normalize_a_unit_trace
     # m eps ||C|| (about 1e-14 ||C|| for m <= 8) from 0, far inside the PSD tolerance.  The bound
     # scales with the input's norm, not the shifted matrix's: a rotated 1e8 I shifts to a matrix of
     # norm ~1e-7 whose smallest computed eigenvalue can be -2e-8.
-    shifted, scale = covariance._shifted(cov.matrix, cov._eigenvalues)
-    assert scale == norm
+    shifted = cov.matrix - np.min(cov._eigenvalues) * np.eye(cov.dim)
     smallest = float(spectral._eigh(shifted)[0][0])
     assert abs(smallest) <= PSD_RTOL * max(1.0, norm)
     # tr C sums m diagonal entries (relative error (m - 1) eps, the entries being >= 0 up to
@@ -128,8 +128,109 @@ def test_shift_gives_a_zero_smallest_eigenvalue_and_trace_normalize_a_unit_trace
     trace = float(np.trace(cov.matrix))
     if trace > 1e-14:
         assert abs(np.trace(trace_normalize(cov).matrix) - 1.0) <= 1e-10
-        # Stability shifts C this way and checks the shifted matrix at C's scale, so it accepts every C.
-        _stability_responses(cov, np.zeros((1, cov.dim, cov.dim)), (0.0,))
+        # Stability checks C itself and shifts only its spectrum, so it accepts every C.
+        _stability_responses(cov.matrix, np.zeros((1, cov.dim, cov.dim)), np.zeros(1), (0.0,))
+
+
+@st.composite
+def stability_case(draw):
+    """A PSD C = Q diag(d) Q^T, 1 to 3 symmetric perturbations and 1 to 3 betas.
+
+    m runs from 2 to 8 and C's scale is 10^k for k in [-3, 3].  d has any rank from 0 to m over at most three
+    levels, or is a rotated c I with a tiny spread, c (1 + t u_i) with t in 10^[-12, -4].  Each dC is 0 or a
+    symmetric Gaussian draw scaled to 10^j times C's scale, j in [-8, 1].  beta is 0 or +-b / scale with b in
+    [1e-3, 1e3], so |beta| ||C|| reaches the range where e^{|beta| ||C||} and Z'/Z overflow.  At rank 0, C has no
+    trace to normalize by.
+    """
+    m = draw(st.integers(2, 8))
+    scale = 10.0 ** draw(st.floats(-3.0, 3.0))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        rank = draw(st.integers(0, m))
+        levels = [1.0] + draw(st.lists(st.floats(0.01, 1.0), max_size=2))
+        spectrum = [draw(st.sampled_from(levels)) for _ in range(rank)] + [0.0] * (m - rank)
+    else:
+        spectrum = 1.0 + 10.0 ** draw(st.floats(-12.0, -4.0)) * rng.uniform(size=m)
+    q, _ = np.linalg.qr(rng.standard_normal((m, m)))
+    c = (q * (scale * np.asarray(spectrum))) @ q.T
+    dc = rng.standard_normal((draw(st.integers(1, 3)), m, m))
+    dc = dc + np.swapaxes(dc, -1, -2)
+    sizes = [draw(st.one_of(st.just(0.0), st.floats(-8.0, 1.0).map(lambda j: scale * 10.0**j))) for _ in dc]
+    dc *= (np.array(sizes) / spectral._norm(np.linalg.eigvalsh(dc)))[:, None, None]
+    betas = [draw(st.sampled_from([1.0, -1.0])) * draw(st.one_of(st.just(0.0), st.floats(1e-3, 1e3))) / scale
+             for _ in range(draw(st.integers(1, 3)))]
+    return (c + c.T) / 2.0, dc, betas
+
+
+def shifted_matrix_responses(c, dc, betas):
+    """Stability's responses computed by shifting the matrix, as stability computed them before it shifted
+    spectra: C - lambda_min I is formed from C's checked spectrum, decomposed with its perturbations and checked
+    at ||C||, and dC's norm is read from the stack of deltas."""
+    cov = CovarianceMatrix(matrix=c)
+    shifted = cov.matrix - np.min(cov._eigenvalues) * np.eye(cov.dim)
+    lam, v = spectral._eigh(np.concatenate([shifted[None], shifted + dc]))
+    if lam[0, 0] < -PSD_RTOL * max(1.0, float(spectral._norm(cov._eigenvalues))):
+        raise ValueError(f"matrix is not PSD within tolerance: min eigenvalue {lam[0, 0]:.3e}")
+    rho, log_z = density_values(lam, betas)
+    rho = spectral._spectral_matrix(v[:, None], rho)
+    perturbed = cov.matrix + dc
+    tn_delta = perturbed / np.trace(perturbed, axis1=-2, axis2=-1)[:, None, None] - cov.matrix / np.trace(cov.matrix)
+    norms = spectral._norm(np.linalg.eigvalsh(np.concatenate([dc[:, None], tn_delta[:, None], rho[1:] - rho[0]], 1)))
+    norm_c, log_z = spectral._norm(lam).tolist(), log_z.tolist()
+    bounds, ratios = [], []
+    for k, norm_dc in enumerate(norms[:, 0].tolist(), 1):
+        for i, beta in enumerate(betas):
+            ratios.append(density._exp("Z'/Z", log_z[k][i] - log_z[0][i]))
+            bounds.append(density._error_bound(beta, cov.dim, norm_c[0], norm_c[k], norm_dc, ratios[-1]))
+    return norms[:, 1:], bounds, ratios
+
+
+def first_error_or_result(f, *args):
+    """``f(*args)``, or the type of the exception it raises with every warning raised as an error."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            return f(*args)
+        except Exception as exc:  # the first error, whatever it is, is what is compared
+            return type(exc)
+
+
+@settings(max_examples=60, deadline=None)
+@given(stability_case())
+def test_shifting_spectra_gives_what_shifting_the_matrix_gives(case):
+    """Stability's norms, bounds and ratios from shifted spectra match the shifted-matrix computation.
+
+    Each side's shifted spectra of C and of C + dC are those of matrices within delta = 16 m eps (||C|| + ||dC||)
+    of the exact C - lambda_min I and C + dC - lambda_min I: eigh is backward stable (error p(m) eps ||A||, p(m)
+    taken as 4m, on matrices of norm at most 2 ||C|| + ||dC||), and forming C + dC, C - s I and its sum with dC
+    rounds each entry by eps times the same norms.  So the norms a and b the bound reads move by at most delta on
+    each side.  Both sides form rho = V diag(f) V^T of such a matrix, and ||d rho||_F <= 2 |beta| ||E||_F <=
+    2 |beta| sqrt(m) delta (see permutation_tolerance), plus m eps from forming each rho and from eigvalsh of
+    each delta: a response norm moves by at most 8 |beta| sqrt(m) delta + 12 m eps.  ln Z is |beta|-Lipschitz in
+    the matrix (d ln Z = -beta tr(rho dA)) and shift invariant, so ln R = ln Z' - ln Z moves by at most
+    4 |beta| delta, plus the rounding of each ln Z, eps (3 |beta| (2 ||C|| + ||dC||) + m + 2).  For beta < 0 the
+    bound also reads e^{|beta| a}, 1 + m e^{|beta| a} and phi(x) = expm1(x) / x at x = |beta| (b - a); ln phi is
+    1-Lipschitz and its series cut at |x| < _F_SERIES_EPS errs by at most _F_SERIES_EPS / 2, so ln bound moves by
+    8 |beta| delta + _F_SERIES_EPS / 2 more.  The ratio and the bound are held to one log-tolerance, the sum of
+    these.  Where the shifted-matrix computation raises, the spectral one raises the same type.
+    """
+    c, dc, betas = case
+    got = first_error_or_result(lambda: _stability_responses(c, dc, spectral._norm(np.linalg.eigvalsh(dc)), betas))
+    want = first_error_or_result(shifted_matrix_responses, c, dc, betas)
+    if isinstance(want, type):
+        assert got is want
+        return
+    assert not isinstance(got, type), got
+    m, norm_c = len(c), float(spectral._norm(np.linalg.eigvalsh(c)))
+    norm_dc = float(np.max(spectral._norm(np.linalg.eigvalsh(dc))))
+    delta = 16 * m * EPS * (norm_c + norm_dc)
+    b = np.abs([0.0, *betas])  # the trace-normalized response, then each beta's
+    assert np.all(np.abs(got[0] - want[0]) <= 8 * b * math.sqrt(m) * delta + 12 * m * EPS)
+    log_tol = np.array([12 * abs(beta) * delta + 8 * EPS * (3 * abs(beta) * (2 * norm_c + norm_dc) + m + 2)
+                        + (density._F_SERIES_EPS / 2 if beta < 0 else 0.0) for beta in betas] * len(dc))
+    for name, got_values, want_values in (("bound", got[1], want[1]), ("ratio", got[2], want[2])):
+        got_values = np.array([x for x in got_values if x is not None])
+        assert np.all(np.abs(got_values - np.array(want_values)) <= np.expm1(log_tol) * np.abs(want_values)), name
 
 
 def permutation_tolerance(m, norm_c, beta, coeffs):
