@@ -33,7 +33,7 @@ from .covariance import (
     sample_covariance,
     trace_normalize,
 )
-from .errors import ConfigError, ShapeError
+from .errors import ConfigError, ShapeError, _keys
 from .spectral import eigh
 
 EXPERIMENT_SUBCOMMANDS = {
@@ -136,18 +136,13 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _load_json_config(path, config_class, kind: str, optional=()) -> dict:
+def _load_json_config(path, config_class, optional=()) -> dict:
     """The JSON object at ``path``; its keys must be fields of ``config_class``, schema_version or ``optional``."""
     try:
         payload = json.loads(pathlib.Path(path).read_text())
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: invalid JSON: {exc}") from exc
-    if not isinstance(payload, dict):
-        raise ConfigError(f"{path}: expected a JSON object at /")
-    allowed = {f.name for f in dataclasses.fields(config_class)} | {"schema_version", *optional}
-    for key in payload:
-        if key not in allowed:
-            raise ConfigError(f"{path}: unknown {kind} key at /{key}")
+    _keys(f"{path}: /", payload, config_class, ("schema_version", *optional))
     version = payload.pop("schema_version", CONFIG_SCHEMA_VERSION)
     if type(version) is not int or version != CONFIG_SCHEMA_VERSION:
         raise ConfigError(f"{path}: unsupported schema_version at /schema_version")
@@ -260,7 +255,7 @@ def _cmd_fit_beta(args) -> _Run:
 
 def _cmd_experiment(args) -> _Run:
     config_class, runner = lab.RUNNERS[args.experiment]
-    payload = _load_json_config(args.config, config_class, "experiment config", ("experiment",)) if args.config else {}
+    payload = _load_json_config(args.config, config_class, ("experiment",)) if args.config else {}
     if (experiment := payload.pop("experiment", args.experiment)) != args.experiment:
         raise ConfigError(f"/experiment: got {experiment!r}, but {args.subcommand} runs {args.experiment!r}")
     flags = {f.name: getattr(args, f.name, None) for f in dataclasses.fields(config_class)}  # a flag's dest is its key
@@ -316,7 +311,7 @@ def _prepare_supervised(values: np.ndarray, horizon: int, task: str):
 
 
 def _cmd_train(args) -> _Run:
-    payload = _load_json_config(args.config, network.TrainConfig, "train config") if args.config else {}
+    payload = _load_json_config(args.config, network.TrainConfig) if args.config else {}
     if args.seed is not None:
         payload["seed"] = args.seed
     cfg = network.TrainConfig(**payload)

@@ -28,6 +28,7 @@ import csv
 import itertools
 import math
 import os
+import sys
 import threading
 from dataclasses import dataclass
 
@@ -374,6 +375,7 @@ class RegressionConfig(_Config):
     def _rules(self):
         yield "n_informative", 0 <= self.n_informative <= self.dim, (
             f"must be in [0, dim = {self.dim}], got {self.n_informative}")
+        yield "n_train", self.n_train <= sys.float_info.max, f"must be a count a double holds, got {self.n_train}"
         yield "ridge", math.isfinite(float(self.ridge) * self.n_train), (  # the ridge term of every fit's system
             f"ridge * n_train must be finite, got {self.ridge!r} * {self.n_train}")
         yield "noise_levels", all(math.isfinite(float(e) * 1000) for e in self.noise_levels), (  # each level's seed

@@ -35,7 +35,7 @@ Parameter order: ``model_gradients`` returns one gradient per ``_trainable_param
 entry, in that order (per layer its coeffs, then its betas if learnable; then the
 head's w1, b1, w2, b2); ``train`` hands it straight to Adam, fixed at (0.9, 0.999, 1e-8).
 
-Checkpoints: one checker, ``_checked``, reads model.json and builds the parameter classes.
+Checkpoints: ``model_from_dict`` builds each parameter record from its JSON object in model.json.
 
 All gradients are analytic (no autodiff dependency) and are validated against
 central finite differences in the test suite.
@@ -43,17 +43,18 @@ central finite differences in the test suite.
 
 from __future__ import annotations
 
+import contextlib
 import copy
 import json
 import math
 import reprlib
-from dataclasses import MISSING, dataclass, fields
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .covariance import CovarianceMatrix, as_matrix
 from .density import _as_decomposition, density_values
-from .errors import ShapeError, TrainingError, _Config, _matches
+from .errors import ConfigError, ShapeError, TrainingError, _array, _Checked, _Config, _keys, _matches
 from .filtering import _powers
 
 AGGREGATIONS = ("concatenate", "sum", "mean")
@@ -102,15 +103,16 @@ ACTIVATIONS = {
 }
 
 
-class _Checked:  # a parameter record: building one checks its fields with ``_checked`` and stores its arrays as floats
-    def __post_init__(self):
-        vars(self).update(_checked("", vars(self), type(self), {}))
+class _Record(_Checked):  # a checked record whose name keys read this module's tables
+    _names = {"activation": ACTIVATIONS, "head_activation": ACTIVATIONS, "aggregation": AGGREGATIONS,
+              "task": TASK_LOSSES}
 
 
 @dataclass
-class LayerParams(_Checked):
+class LayerParams(_Record):
     """One filter-bank layer: coeffs[scale, in_channel, tap] plus a beta per scale."""
 
+    _axes = {"coeffs": ("f_out", "f_in", "taps"), "betas": ("f_out",)}
     coeffs: np.ndarray
     betas: np.ndarray
     betas_learnable: bool = False
@@ -121,10 +123,6 @@ class LayerParams(_Checked):
     @property
     def f_out(self) -> int:
         return self.coeffs.shape[0]
-
-    @property
-    def f_in(self) -> int:
-        return self.coeffs.shape[1]
 
     @property
     def order(self) -> int:
@@ -140,35 +138,34 @@ class LayerParams(_Checked):
 
 
 @dataclass
-class HeadParams(_Checked):
+class HeadParams(_Record):
     """Single hidden layer: out = w2 @ act(w1 @ flat + b1) + b2."""
 
+    _axes = {"w1": ("hidden", "features"), "b1": ("hidden",), "w2": ("n_out", "hidden"), "b2": ("n_out",)}
     w1: np.ndarray
     b1: np.ndarray
     w2: np.ndarray
     b2: np.ndarray
     activation: str = "tanh"
 
-    @property
-    def n_outputs(self) -> int:
-        return self.w2.shape[0]
-
 
 @dataclass
-class ModelParams:
+class ModelParams(_Record):
     layers: list[LayerParams]
     head: HeadParams
     task: str = "regression"
 
     def __post_init__(self):
-        _checked("", vars(self), ModelParams, {})
+        super().__post_init__()
+        if not (isinstance(self.layers, list) and self.layers):
+            raise ConfigError(f"/layers: must be a non-empty list, got {reprlib.repr(self.layers)}")
         for i, layer in enumerate(self.layers):  # layer 0 reads the one signal channel, a later one what it is fed
             f_in = self.layers[i - 1].out_channels() if i else 1
-            _array(f"/layers/{i}/coeffs", layer.coeffs, _AXES["coeffs"], {"f_in": f_in})
+            _array(f"/layers/{i}/coeffs", layer.coeffs, LayerParams._axes["coeffs"], {"f_in": f_in})
 
 
 @dataclass(frozen=True)
-class TrainConfig(_Config):
+class TrainConfig(_Config, _Record):
     """Every train config key with its default.  ``init_model`` reads the architecture keys, ``train`` the optimizer
     keys, the CLI ``val_fraction``.  ``betas`` defaults to ``betas_init``, a ``loss`` of None to ``task_loss``."""
 
@@ -191,11 +188,10 @@ class TrainConfig(_Config):
     val_fraction: float = 0.2
     _distinct = ()  # betas index filter scales, not rows: betas_init [0, 0, 0, 0] is a valid start
 
-    def _rules(self):  # names from this module's tables (only loss may be None); a bad task fails before loss reads it
-        for key, names in (("activation", ACTIVATIONS), ("head_activation", ACTIVATIONS),
-                           ("aggregation", AGGREGATIONS), ("task", TASK_LOSSES), ("loss", TASK_LOSSES.get(self.task))):
-            value, task = getattr(self, key), f" for task {self.task!r}" if key == "loss" else ""
-            yield key, value is None or value in names, f"expected {' or '.join(map(repr, names))}{task}, got {value!r}"
+    def _rules(self):  # a loss of None takes the task's default; a bad task fails its name check before this
+        names = TASK_LOSSES[self.task]
+        yield "loss", self.loss is None or self.loss in names, (
+            f"expected {' or '.join(map(repr, names))} for task {self.task!r}, got {self.loss!r}")
 
     @property
     def task_loss(self) -> str:
@@ -512,78 +508,37 @@ def model_to_dict(model: ModelParams, cov: CovarianceMatrix | np.ndarray) -> dic
     }
 
 
-_AXES = {  # each array key's named axes: the first array to reach an axis sizes it, and every later one must match
-    "covariance": ("dim", "dim"), "coeffs": ("f_out", "f_in", "taps"), "betas": ("f_out",),
-    "w1": ("hidden", "features"), "b1": ("hidden",), "w2": ("n_out", "hidden"), "b2": ("n_out",),
-}
-_RULES = {  # (ok, rule) of each other key that has one
-    "version": (lambda v: _matches(int, v) and v == CHECKPOINT_VERSION, f"must be the integer {CHECKPOINT_VERSION}"),
-    "layers": (lambda v: isinstance(v, list) and bool(v), "must be a non-empty list"),
-    **{key: (lambda v: _matches(bool, v), "must be a bool") for key in ("betas_learnable", "skip_k0")},
-    **{key: (lambda v, names=names: isinstance(v, str) and v in names, f"must be {' or '.join(map(repr, names))}")
-       for key, names in (("task", TASK_LOSSES), ("aggregation", AGGREGATIONS), ("activation", ACTIVATIONS))},
-}
+@contextlib.contextmanager
+def _under(path: str):
+    """Prefix ``path`` to the message of a ValueError raised in the block."""
+    try:
+        yield
+    except ValueError as exc:
+        raise type(exc)(f"{path}{exc}") from None
 
 
-def _fault(path: str, rule: str, value, kind=ValueError) -> ValueError:
-    return kind(f"{path}: {rule}, got {reprlib.repr(value)}")
-
-
-def _array(path: str, value, axes: tuple, sizes: dict) -> np.ndarray:
-    """``value`` as a new float array with the named ``axes``; an axis not in ``sizes`` yet is sized into it."""
-    cells, shape = np.array(value, dtype=object), f"[{', '.join(str(sizes.get(axis, axis)) for axis in axes)}]"
-    if bad := [c for c in cells.flat if type(c) is not float and not _matches(float, c)]:
-        if any(isinstance(c, (list, tuple, np.ndarray)) for c in bad):  # a ragged list keeps its rows as cells
-            raise _fault(path, f"must have non-empty shape {shape}, not ragged", value, ShapeError)
-        raise _fault(path, "entries must be numbers a double holds", bad[0])
-    array = cells.astype(float)
-    if array.ndim != len(axes) or not array.size or any(sizes.setdefault(a, n) != n for a, n in zip(axes, array.shape)):
-        raise _fault(path, f"must have non-empty shape {shape}", list(array.shape), ShapeError)
-    if not np.isfinite(array).all():
-        raise _fault(path, "entries must be finite", float(array[~np.isfinite(array)][0]))
-    return array
-
-
-def _checked(path: str, node, keys, sizes: dict) -> dict:
-    """The ``keys`` of the JSON object ``node`` at ``path`` (a parameter class's fields, a lacking one taking its
-    default, or a tuple of required keys), each checked once, in order: an array by ``_array`` (``sizes`` holds the
-    axes sized so far), the covariance as a CovarianceMatrix, and a key with a ``_RULES`` entry by it.  The first
-    fault raises ``<path>/<key>: <rule>, got <value>``."""
-    keys = {f.name: f.default for f in fields(keys)} if isinstance(keys, type) else dict.fromkeys(keys, MISSING)
-    if not isinstance(node, dict):
-        raise _fault(path, "must be an object", node)
-    if unknown := [key for key in node if key not in keys]:
-        raise _fault(f"{path}/{unknown[0]}", "unknown key", node[unknown[0]])
-    values = {**keys, **node}  # in the order of ``keys``
-    for key, value in values.items():
-        at = f"{path}/{key}"
-        if value is MISSING:
-            raise _fault(at, "missing key", list(node))
-        if key in _AXES:
-            values[key] = value = _array(at, value, _AXES[key], sizes)
-        if key == "covariance":
-            try:
-                CovarianceMatrix(matrix=value)  # symmetric and PSD
-            except ValueError as exc:
-                raise type(exc)(f"{at}: {exc}") from None
-        if key in _RULES and not _RULES[key][0](value):
-            raise _fault(at, _RULES[key][1], value)
-    return values
+def _record(path: str, node, record):
+    """``record`` built from the JSON object ``node`` at ``path``."""
+    with _under(path):
+        return record(**_keys("", node, record))
 
 
 def model_from_dict(payload) -> tuple[ModelParams, np.ndarray]:
-    """The model and covariance of a ``model_to_dict`` payload, read by ``_checked``: a fault raises
-    ``checkpoint /<path>: <rule>, got <value>``.  The head reads exactly the last layer's channels x dim features."""
-    if not isinstance(payload, dict):
-        raise _fault("checkpoint /", "must be an object", payload)
-    sizes, layers = {}, []
-    doc = _checked("checkpoint ", payload, ("version", "task", "covariance", "layers", "head"), sizes)
-    for i, entry in enumerate(doc["layers"]):  # layer 0 reads the one signal channel, a later one what it is fed
-        f_in = {"f_in": layers[-1].out_channels() if layers else 1}
-        layers.append(LayerParams(**_checked(f"checkpoint /layers/{i}", entry, LayerParams, f_in)))
-    features = {"features": layers[-1].out_channels() * sizes["dim"]}
-    head = HeadParams(**_checked("checkpoint /head", doc["head"], HeadParams, features))
-    return ModelParams(layers, head, doc["task"]), doc["covariance"]
+    """The model and covariance of a ``model_to_dict`` payload: a fault raises ``checkpoint /<path>: <rule>, got
+    <value>``.  The head reads exactly the last layer's channels x dim features."""
+    with _under("checkpoint "):
+        doc = _keys("/", payload, ("version", "task", "covariance", "layers", "head"))
+        if not (_matches(int, version := doc["version"]) and version == CHECKPOINT_VERSION):
+            raise ConfigError(f"/version: must be the integer {CHECKPOINT_VERSION}, got {version!r}")
+        cov = _array("/covariance", doc["covariance"], ("dim", "dim"), {})
+        with _under("/covariance: "):
+            CovarianceMatrix(matrix=cov)  # symmetric and PSD
+        layers = doc["layers"]
+        if isinstance(layers, list):  # else ModelParams names it
+            layers = [_record(f"/layers/{i}", entry, LayerParams) for i, entry in enumerate(layers)]
+        model = ModelParams(layers, _record("/head", doc["head"], HeadParams), doc["task"])
+        _array("/head/w1", model.head.w1, HeadParams._axes["w1"], {"features": layers[-1].out_channels() * len(cov)})
+    return model, cov
 
 
 def save_model(path, model: ModelParams, cov) -> None:

@@ -707,7 +707,7 @@ class TestExperimentCommands:
         for key in ("unknown", unread):
             cfg_path.write_text(json.dumps({**payload, key: 1}))
             code, _, err = run_cli(capsys, subcommand, "--config", str(cfg_path), "--output-dir", str(tmp_path / "bad"))
-            assert (code, err) == (2, f"error: {cfg_path}: unknown experiment config key at /{key}\n")
+            assert (code, err) == (2, f"error: {cfg_path}: /{key}: unknown key, got 1\n")
 
     def test_manifest_records_the_defaults_that_ran(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "regression", "--trials", "1", "--output-dir", str(tmp_path))
@@ -804,7 +804,7 @@ def test_config_key_sets(tmp_path):
     cases = [(lab.RUNNERS[name][0], keys) for name, keys in _EXPERIMENT_KEYS.items()] + [(network.TrainConfig, train_keys)]
     for config_class, keys in cases:
         path.write_text(json.dumps(dict.fromkeys(keys | {"schema_version"}, 1)))  # every key is accepted ...
-        assert set(_load_json_config(path, config_class, "config")) == keys
+        assert set(_load_json_config(path, config_class)) == keys
         # ... and no other, since the loader accepts exactly the fields.
         assert {f.name for f in dataclasses.fields(config_class)} == keys
 
@@ -874,6 +874,10 @@ def test_wrong_typed_config_value_exits_2_naming_its_key(capsys, tmp_path, gauss
         pytest.param(
             "stability", {"noise_levels": [10**400]}, f"/noise_levels: expected tuple[float, ...], got [{10**400}]",
             id="stability-noise_levels-int-past-the-doubles",
+        ),
+        pytest.param(
+            "regression", {"n_train": 10**400}, f"/n_train: must be a count a double holds, got {10**400}",
+            id="regression-n_train-int-past-the-doubles",
         ),
         ("stability", {"schema_version": True}, "unsupported schema_version at /schema_version"),
         ("train", {"schema_version": True}, "unsupported schema_version at /schema_version"),
@@ -1298,10 +1302,10 @@ class TestPredictInput:
             (lambda p: p["layers"][0].pop("coeffs"), "checkpoint /layers/0/coeffs: missing key"),
             (lambda p: p["layers"][0].update(gain=2.0), "checkpoint /layers/0/gain: unknown key, got 2.0"),
             (lambda p: p["layers"][0].update(betas_learnable="true"),
-             "checkpoint /layers/0/betas_learnable: must be a bool, got 'true'"),
-            (lambda p: p["layers"][0].update(skip_k0=0), "checkpoint /layers/0/skip_k0: must be a bool, got 0"),
+             "checkpoint /layers/0/betas_learnable: expected bool, got 'true'"),
+            (lambda p: p["layers"][0].update(skip_k0=0), "checkpoint /layers/0/skip_k0: expected bool, got 0"),
             (lambda p: p["layers"][0].update(coeffs=[[[]]]),
-             "checkpoint /layers/0/coeffs: must have non-empty shape [f_out, 1, taps], got [1, 1, 0]"),
+             "checkpoint /layers/0/coeffs: must have non-empty shape [f_out, f_in, taps], got [1, 1, 0]"),
         ],
     )
     def test_malformed_checkpoint_is_runtime_error(self, capsys, tmp_path, rng, corrupt, message):
@@ -1436,7 +1440,7 @@ class TestConfigRecipes:
     def _validate(path):
         from covdensity.cli import _load_json_config
 
-        return network.TrainConfig(**_load_json_config(path, network.TrainConfig, "train config"))
+        return network.TrainConfig(**_load_json_config(path, network.TrainConfig))
 
     def test_eeg_style_recipe_accepted(self, tmp_path):
         path = tmp_path / "eeg.json"
@@ -1573,11 +1577,13 @@ def test_predict_names_the_path_of_any_mutated_checkpoint_value(trained_checkpoi
         ("/layers/0/coeffs", lambda v: [[[True] * len(v[0][0])] * len(v[0])] * len(v), "entries must be numbers a "
          "double holds, got True"),
         ("/layers/0/betas", lambda v: ["1", "2"], "entries must be numbers a double holds, got '1'"),
-        ("/layers/0/activation", lambda v: ["tanh"], "must be 'tanh' or 'elu' or 'relu' or 'identity', got ['tanh']"),
-        ("/task", lambda v: ["regression"], "must be 'regression' or 'classification', got ['regression']"),
+        ("/layers/0/activation", lambda v: ["tanh"], "expected str, got ['tanh']"),
+        ("/layers/0/activation", lambda v: "max", "expected 'tanh' or 'elu' or 'relu' or 'identity', got 'max'"),
+        ("/task", lambda v: ["regression"], "expected str, got ['regression']"),
+        ("/task", lambda v: "regresion", "expected 'regression' or 'classification', got 'regresion'"),
         ("/layers/1/bogus", lambda v: 1.0, "unknown key, got 1.0"),
         ("/head/w1", lambda v: [row[:-1] if i else row for i, row in enumerate(v)],  # ragged: its rows are its cells
-         "must have non-empty shape [hidden, 6], not ragged, got [["),
+         "must have non-empty shape [hidden, features], not ragged, got [["),
         ("/layers/0/coeffs", lambda v: with_entry(v, 0, math.nan), "entries must be finite, got nan"),
         ("/layers/0/coeffs", lambda v: [[*scale, scale[0]] for scale in v],  # reads 2 channels, the signal is 1
          "must have non-empty shape [f_out, 1, taps], got [2, 2, 3]"),

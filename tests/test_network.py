@@ -28,7 +28,7 @@ from covdensity.network import (
     model_to_dict,
     train,
 )
-from covdensity.errors import ShapeError, TrainingError
+from covdensity.errors import ConfigError, ShapeError, TrainingError
 
 
 def layer_oracle(params, rhos, x_in):
@@ -37,7 +37,7 @@ def layer_oracle(params, rhos, x_in):
     outs = []
     for mo in range(params.f_out):
         acc = np.zeros(x_in.shape[1])
-        for g in range(params.f_in):
+        for g in range(params.coeffs.shape[1]):
             spec = FilterSpec(
                 coeffs=params.coeffs[mo, g], beta=params.betas[mo], skip_k0=params.skip_k0
             )
@@ -606,30 +606,30 @@ class TestCheckpoint:
         "corrupt,error,message",
         [
             pytest.param(
-                lambda p: p.pop("head"), ValueError,
+                lambda p: p.pop("head"), ConfigError,
                 "checkpoint /head: missing key, got ['version', 'task', 'covariance', 'layers']", id="no-head",
             ),
             pytest.param(
-                lambda p: p["layers"][0].pop("betas"), ValueError,
+                lambda p: p["layers"][0].pop("betas"), ConfigError,
                 "checkpoint /layers/0/betas: missing key, got ['coeffs', 'betas_learnable', 'aggregation', "
                 "'activation', 'skip_k0']",
                 id="no-layer-betas",
             ),
             pytest.param(
-                lambda p: p["layers"][0].update(scale=1.0), ValueError,
+                lambda p: p["layers"][0].update(scale=1.0), ConfigError,
                 "checkpoint /layers/0/scale: unknown key, got 1.0", id="unknown-layer-key",
             ),
             pytest.param(
-                lambda p: p["layers"][0].update(betas_learnable=1), ValueError,
-                "checkpoint /layers/0/betas_learnable: must be a bool, got 1", id="int-learnable",
+                lambda p: p["layers"][0].update(betas_learnable=1), ConfigError,
+                "checkpoint /layers/0/betas_learnable: expected bool, got 1", id="int-learnable",
             ),
             pytest.param(
-                lambda p: p["layers"][0].update(skip_k0="no"), ValueError,
-                "checkpoint /layers/0/skip_k0: must be a bool, got 'no'", id="str-skip-k0",
+                lambda p: p["layers"][0].update(skip_k0="no"), ConfigError,
+                "checkpoint /layers/0/skip_k0: expected bool, got 'no'", id="str-skip-k0",
             ),
             pytest.param(
                 lambda p: p["layers"][0].update(coeffs=[[[]]], betas=[1.0]), ShapeError,
-                "checkpoint /layers/0/coeffs: must have non-empty shape [f_out, 1, taps], got [1, 1, 0]",
+                "checkpoint /layers/0/coeffs: must have non-empty shape [f_out, f_in, taps], got [1, 1, 0]",
                 id="no-taps",
             ),
         ],

@@ -15,10 +15,12 @@ checked against the matrix shift on generated C, perturbations and betas of eith
 The network's batched gradients are checked against central differences of its loss on random
 shapes, and run tables against what results.csv reads back on random columns.  The in-place
 stacked kernels are checked bit for bit against their out-of-place forms on single and stacked
-arrays with huge, subnormal and signed-zero entries.
+arrays with huge, subnormal and signed-zero entries.  Every config and parameter record either
+builds or names the one key that holds an adversarial value.
 """
 
 import csv
+import dataclasses
 import math
 import struct
 import warnings
@@ -29,7 +31,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import dense_rho, random_psd
-from covdensity import covariance, density, spectral
+from covdensity import covariance, density, lab, spectral
 from covdensity.covariance import PSD_RTOL, CovarianceMatrix, trace_normalize
 from covdensity.density import _as_decomposition, density_operator, density_values
 from covdensity.entropy import cvne
@@ -40,6 +42,7 @@ from covdensity.network import (
     ACTIVATIONS,
     AGGREGATIONS,
     TASK_LOSSES,
+    HeadParams,
     LayerParams,
     TrainConfig,
     _layer_channels,
@@ -343,7 +346,7 @@ def network_case(draw):
             xs = rng.standard_normal((batch, dim))
         assume(min_pre_activation(model, c, xs) >= KINK_MARGIN)
     if loss == "cross_entropy":
-        ys = rng.integers(0, model.head.n_outputs, batch).tolist()
+        ys = rng.integers(0, model.head.w2.shape[0], batch).tolist()
     else:  # each residual 0.5 to 1.5 away from the kink of |r| at 0
         out = forward_rows(model, c, xs)
         ys = out + rng.choice([-1.0, 1.0], out.shape) * rng.uniform(0.5, 1.5, out.shape)
@@ -537,3 +540,28 @@ def test_symmetrize_in_place_matches_out_of_place(m, mirror, nudge):
         if nudge and m.shape[-1] > 1:
             m[..., 1, 0] = np.nextafter(m[..., 1, 0], 0.0)
     assert outcome(spectral._symmetrize, m) == outcome(out_of_place_symmetrize, m)
+
+
+# Each record class with valid values for the keys it requires.
+_RECORDS = [
+    *((config_class, {}) for config_class, _ in lab.RUNNERS.values()),
+    (TrainConfig, {"betas": (1.0,)}),
+    (LayerParams, {"coeffs": np.zeros((2, 1, 3)), "betas": (0.5, 2.0)}),
+    (HeadParams, {"w1": np.zeros((3, 4)), "b1": np.zeros(3), "w2": np.zeros((2, 3)), "b2": np.zeros(2)}),
+]
+_ADVERSARIAL = st.one_of(
+    st.sampled_from([0, -0.0, -1, -2.5, 1e-310, 1e154, -1e154, 1e308, -1e308, math.inf, -math.inf, math.nan,
+                     10**400, -(10**400), True, False, None, "", [], [1.0, "x"], [0, None], [math.nan, True]]),
+    st.text(max_size=12),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from([(cls, base, f.name) for cls, base in _RECORDS for f in dataclasses.fields(cls)]), _ADVERSARIAL)
+@example((lab.RegressionConfig, {}, "n_train"), 10**400)  # ridge * n_train once raised a bare OverflowError
+def test_record_builds_or_names_the_key_of_its_one_adversarial_value(case, value):
+    record, base, key = case
+    try:
+        record(**{**base, key: value})
+    except ValueError as exc:
+        assert str(exc).startswith(f"/{key}: "), (record.__name__, key, value, str(exc))
