@@ -18,7 +18,6 @@ import datetime
 import functools
 import json
 import os
-import pathlib
 import sys
 
 import numpy as np
@@ -33,8 +32,7 @@ from .covariance import (
     sample_covariance,
     trace_normalize,
 )
-from .errors import ConfigError, ShapeError, _keys
-from .spectral import eigh
+from .errors import ConfigError, _keys, _read_json, _version
 
 EXPERIMENT_SUBCOMMANDS = {
     "stability": "stability",
@@ -138,27 +136,21 @@ def _build_parser() -> _Parser:
 
 def _load_json_config(path, config_class, optional=()) -> dict:
     """The JSON object at ``path``; its keys must be fields of ``config_class``, schema_version or ``optional``."""
-    try:
-        payload = json.loads(pathlib.Path(path).read_text())
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path}: invalid JSON: {exc}") from exc
-    _keys(f"{path}: /", payload, config_class, ("schema_version", *optional))
-    version = payload.pop("schema_version", CONFIG_SCHEMA_VERSION)
-    if type(version) is not int or version != CONFIG_SCHEMA_VERSION:
-        raise ConfigError(f"{path}: unsupported schema_version at /schema_version")
+    payload = _keys(f"{path}: /", _read_json(path), config_class, ("schema_version", *optional))
+    _version(f"{path}: /schema_version", payload.pop("schema_version", CONFIG_SCHEMA_VERSION), CONFIG_SCHEMA_VERSION)
     return payload
 
 
 @dataclasses.dataclass
 class _Run:
     """What a subcommand computed: the manifest's config (its seed is the table's), the run table for
-    results.csv, the summary.json payload, the stdout text, and for training model.json's (model, cov)."""
+    results.csv, the summary.json payload, the stdout text, and for training the model for model.json."""
 
     config: dict
     table: lab.RunTable
     summary: dict
     stdout: str
-    model: tuple | None = None
+    model: network.ModelParams | None = None
 
 
 def _write_run(output_dir, subcommand: str, run: _Run) -> None:
@@ -184,7 +176,7 @@ def _write_run(output_dir, subcommand: str, run: _Run) -> None:
                 **{key: value for key, value in os.environ.items() if key.endswith("_NUM_THREADS")}},
     })
     if run.model is not None:
-        network.save_model(os.path.join(output_dir, "model.json"), *run.model)
+        network.save_model(os.path.join(output_dir, "model.json"), run.model)
     lab.records_to_csv(run.table, os.path.join(output_dir, "results.csv"))
     dump("summary.json", run.summary)
 
@@ -331,8 +323,8 @@ def _cmd_train(args) -> _Run:
 
     xs, ys = features[train_idx], targets[train_idx]
     cov = trace_normalize(sample_covariance(DataMatrix(xs)))
-    model = network.init_model(features.shape[1], n_outputs, cfg)
-    result = network.train(model, cov, (xs, ys), (features[val_idx], targets[val_idx]), cfg)
+    model = network.init_model(cov, n_outputs, cfg)
+    result = network.train(model, (xs, ys), (features[val_idx], targets[val_idx]), cfg)
 
     table = lab.RunTable("train", cfg.seed, {"epoch": range(len(result.history["val_loss"]))}, result.history)
     best_val = result.history["val_loss"][result.best_epoch]
@@ -344,17 +336,15 @@ def _cmd_train(args) -> _Run:
         "loss": cfg.task_loss,
     }
     config = {**dataclasses.asdict(cfg), "horizon": args.horizon, "input": args.input}
-    return _Run(config, table, summary, f"{best_val:.10g}", (result.model, cov))
+    return _Run(config, table, summary, f"{best_val:.10g}", result.model)
 
 
 def _cmd_predict(args) -> _Run:
     _check_horizon(args.horizon)
     model_path = args.model or "model.json"
-    model, cov_matrix = network.load_model(model_path)
+    model = network.load_model(model_path)
     data = read_csv_data(args.input, header=args.header)
-    if data.dim != cov_matrix.shape[0]:
-        raise ShapeError(f"input has {data.dim} columns, model expects {cov_matrix.shape[0]}")
-    outs = network.forward_rows(model, eigh(cov_matrix), data.values)
+    outs = network.forward_rows(model, data.values)
     if model.task == "classification":
         labels = np.argmax(outs, axis=1)
         lines = [str(label) for label in labels.tolist()]

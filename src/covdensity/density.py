@@ -64,13 +64,6 @@ class DensityOperator:
         return self.basis.eigenvalues
 
 
-def _as_decomposition(c) -> spectral.SpectralDecomposition:
-    """Return ``c`` if it is already a SpectralDecomposition, else eigendecompose it."""
-    if isinstance(c, spectral.SpectralDecomposition):
-        return c
-    return spectral.eigh(as_matrix(c))
-
-
 def _exp(name: str, exponent: float, exp=math.exp) -> float:
     """``exp(exponent)`` of a log-domain quantity; BetaRangeError where that double overflows."""
     if exponent > _LOG_DBL_MAX:
@@ -118,7 +111,7 @@ def density_operator(c, beta: float) -> DensityOperator:
     Raises:
         ValueError, BetaRangeError: as :func:`density_values`.
     """
-    decomp = _as_decomposition(c)
+    decomp = c if isinstance(c, spectral.SpectralDecomposition) else spectral.eigh(as_matrix(c))
     rho, log_z = density_values(decomp.eigenvalues, (beta,))
     rho.flags.writeable = False
     return DensityOperator(

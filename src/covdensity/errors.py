@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import functools
+import json
 import math
 import numbers
 import reprlib
@@ -72,9 +73,11 @@ def _matches(hint, value) -> bool:
 
 
 def _array(path: str, value, axes: tuple, sizes: dict) -> np.ndarray:
-    """``value`` as a new float array with the named ``axes``; an axis not in ``sizes`` yet is sized into it."""
-    cells, shape = np.array(value, dtype=object), f"[{', '.join(str(sizes.get(axis, axis)) for axis in axes)}]"
-    if bad := [c for c in cells.flat if type(c) is not float and not _matches(float, c)]:
+    """``value`` as a new float array with the named ``axes``; an axis not in ``sizes`` yet is sized into it.  A float
+    array's cells are numbers already; any other value's (a JSON list's, a bool array's) are checked one by one."""
+    shape = f"[{', '.join(str(sizes.get(axis, axis)) for axis in axes)}]"
+    cells = value if isinstance(value, np.ndarray) and value.dtype.kind == "f" else np.array(value, dtype=object)
+    if cells.dtype.kind == "O" and (bad := [c for c in cells.flat if type(c) is not float and not _matches(float, c)]):
         if any(isinstance(c, (list, tuple, np.ndarray)) for c in bad):  # a ragged list keeps its rows as cells
             raise ShapeError(f"{path}: must have non-empty shape {shape}, not ragged, got {reprlib.repr(value)}")
         raise ConfigError(f"{path}: entries must be numbers a double holds, got {reprlib.repr(bad[0])}")
@@ -84,6 +87,21 @@ def _array(path: str, value, axes: tuple, sizes: dict) -> np.ndarray:
     if not np.isfinite(array).all():
         raise ConfigError(f"{path}: entries must be finite, got {reprlib.repr(float(array[~np.isfinite(array)][0]))}")
     return array
+
+
+def _version(path: str, value, version: int) -> None:
+    """Raise unless a document's version ``value``, at ``path``, is the integer ``version``."""
+    if not (_matches(int, value) and value == version):
+        raise ConfigError(f"{path}: must be the integer {version}, got {value!r}")
+
+
+def _read_json(path):
+    """The JSON document in the file at ``path``: one that does not parse raises ``<path>: invalid JSON: <fault>``."""
+    with open(path) as fh:
+        try:
+            return json.load(fh)
+        except ValueError as exc:  # a JSONDecodeError, or a UnicodeDecodeError for bytes that are not text
+            raise ConfigError(f"{path}: invalid JSON: {exc}") from exc
 
 
 def _keys(path: str, node, keys, optional=()) -> dict:

@@ -4,10 +4,11 @@ Architecture: one or more filter-bank layers over a fixed covariance matrix
 (one inverse temperature per output scale, optionally learnable), followed by
 a flatten across channels and a single-hidden-layer fully connected head.
 
-The covariance is computed once from training data and held fixed, so every
-scale's density eigenvalues live on the same fixed spectrum; beta gradients
-therefore flow through the eigenvalue map only, via
-d rho_i / d beta = rho_i (E_q[lambda] - lambda_i).
+The covariance, the graph shift operator, is part of the model: only ``init_model``
+takes it, and ``ModelParams`` decomposes it once, for every later call to read.
+It is computed from training data and held fixed, so every scale's density
+eigenvalues live on one fixed spectrum; beta gradients therefore flow through the
+eigenvalue map only, via d rho_i / d beta = rho_i (E_q[lambda] - lambda_i).
 
 Batch layout: every pass carries a batch axis.  A layer's input is an array
 of shape (B, f_in, m) -- B samples, f_in channels, m covariance eigen-directions
@@ -35,7 +36,7 @@ Parameter order: ``model_gradients`` returns one gradient per ``_trainable_param
 entry, in that order (per layer its coeffs, then its betas if learnable; then the
 head's w1, b1, w2, b2); ``train`` hands it straight to Adam, fixed at (0.9, 0.999, 1e-8).
 
-Checkpoints: ``model_from_dict`` builds each parameter record from its JSON object in model.json.
+Checkpoints: ``model_from_dict`` builds each record from model.json; ``ModelParams`` checks the rules across records.
 
 All gradients are analytic (no autodiff dependency) and are validated against
 central finite differences in the test suite.
@@ -52,10 +53,11 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .covariance import CovarianceMatrix, as_matrix
-from .density import _as_decomposition, density_values
-from .errors import ConfigError, ShapeError, TrainingError, _array, _Checked, _Config, _keys, _matches
+from .covariance import _check_psd, as_matrix
+from .density import density_values
+from .errors import ConfigError, ShapeError, TrainingError, _array, _Checked, _Config, _keys, _read_json, _version
 from .filtering import _powers
+from .spectral import eigh
 
 AGGREGATIONS = ("concatenate", "sum", "mean")
 TASK_LOSSES = {"regression": ("mse", "mae"), "classification": ("cross_entropy",)}  # the first is the default
@@ -101,6 +103,15 @@ ACTIVATIONS = {
     "relu": (_relu, _drelu),
     "identity": (_identity, _didentity),
 }
+
+
+@contextlib.contextmanager
+def _under(path: str):
+    """Prefix ``path`` to the message of a ValueError raised in the block."""
+    try:
+        yield
+    except ValueError as exc:
+        raise type(exc)(f"{path}{exc}") from None
 
 
 class _Record(_Checked):  # a checked record whose name keys read this module's tables
@@ -151,17 +162,27 @@ class HeadParams(_Record):
 
 @dataclass
 class ModelParams(_Record):
+    """Layers and head over a symmetric PSD ``covariance``, decomposed once into ``basis``, the SpectralDecomposition
+    every pass reads.  ``dataclasses.replace(model, covariance=...)`` checks and decomposes another covariance."""
+
+    _axes = {"covariance": ("dim", "dim")}
+    covariance: np.ndarray
     layers: list[LayerParams]
     head: HeadParams
     task: str = "regression"
 
     def __post_init__(self):
         super().__post_init__()
+        with _under("/covariance: "):
+            self.basis = eigh(self.covariance)
+            _check_psd(self.basis.eigenvalues)
         if not (isinstance(self.layers, list) and self.layers):
             raise ConfigError(f"/layers: must be a non-empty list, got {reprlib.repr(self.layers)}")
         for i, layer in enumerate(self.layers):  # layer 0 reads the one signal channel, a later one what it is fed
             f_in = self.layers[i - 1].out_channels() if i else 1
             _array(f"/layers/{i}/coeffs", layer.coeffs, LayerParams._axes["coeffs"], {"f_in": f_in})
+        features = self.layers[-1].out_channels() * self.basis.dim  # the last layer's channels x dim
+        _array("/head/w1", self.head.w1, HeadParams._axes["w1"], {"features": features})
 
 
 @dataclass(frozen=True)
@@ -240,19 +261,20 @@ def _layer_channels(p: LayerParams, v: np.ndarray, rho: np.ndarray, x: np.ndarra
     return out, _LayerTape(x_hat, rho, powers, response, y)
 
 
-def forward_rows(model: ModelParams, c, xs) -> np.ndarray:
+def forward_rows(model: ModelParams, xs) -> np.ndarray:
     """Outputs (n, n_outputs) for n signals of shape (dim,), run through the network in blocks of
     ``FORWARD_BLOCK`` so that the pass's temporaries do not grow with n."""
-    decomp = _as_decomposition(c)
-    x = _as_signals(xs)
-    blocks = [_forward(model, decomp, x[s : s + FORWARD_BLOCK])[0] for s in range(0, len(x), FORWARD_BLOCK)]
+    x = _as_signals(model, xs)
+    blocks = [_forward(model, x[s : s + FORWARD_BLOCK])[0] for s in range(0, len(x), FORWARD_BLOCK)]
     return np.concatenate(blocks)
 
 
-def _as_signals(xs) -> np.ndarray:
+def _as_signals(model: ModelParams, xs) -> np.ndarray:
     x = np.asarray(xs, dtype=float)
     if x.ndim != 2 or not len(x):
         raise ShapeError(f"signals must be (n, dim) with n >= 1, got shape {x.shape}")
+    if x.shape[1] != model.basis.dim:
+        raise ShapeError(f"input has {x.shape[1]} columns, model expects {model.basis.dim}")
     return x
 
 
@@ -266,9 +288,9 @@ class _Tape:
     final_shape: tuple  # last layer's aggregated output, (B, C, m)
 
 
-def _forward(model: ModelParams, decomp, x: np.ndarray, mask=None, keep_tape=False):
+def _forward(model: ModelParams, x: np.ndarray, mask=None, keep_tape=False):
     """Outputs (B, n_outputs) for signals x of shape (B, m), and the tape if ``keep_tape``."""
-    v, lam = decomp.eigenvectors, decomp.eigenvalues
+    v, lam = model.basis.eigenvectors, model.basis.eigenvalues
     signal = x[:, None]
     layer_tapes = []
     for layer in model.layers:
@@ -279,9 +301,6 @@ def _forward(model: ModelParams, decomp, x: np.ndarray, mask=None, keep_tape=Fal
     flat = signal.reshape(len(x), -1)
 
     head = model.head
-    if head.w1.shape[1] != flat.shape[1]:
-        raise ShapeError(f"head expects {head.w1.shape[1]} flattened features, got {flat.shape[1]} "
-                         f"(check dim against the model)")
     z1 = flat @ head.w1.T + head.b1
     h1 = ACTIVATIONS[head.activation][0](z1)
     if mask is not None:
@@ -308,7 +327,7 @@ def _loss_and_grad(out: np.ndarray, targets, loss: str):
     return np.mean(np.abs(diff), axis=1), np.sign(diff) / diff.shape[1]
 
 
-def _backward(model: ModelParams, decomp, tape: _Tape, d_out: np.ndarray) -> list[np.ndarray]:
+def _backward(model: ModelParams, tape: _Tape, d_out: np.ndarray) -> list[np.ndarray]:
     """Gradients of sum_b <d_out[b], out[b]>, reduced over the batch axis, in ``_trainable_params`` order."""
     head = model.head
     d_h1 = d_out @ head.w2
@@ -318,7 +337,7 @@ def _backward(model: ModelParams, decomp, tape: _Tape, d_out: np.ndarray) -> lis
     d_signal = (d_z1 @ head.w1).reshape(tape.final_shape)
     grads = [d_z1.T @ tape.flat, d_z1.sum(axis=0), d_out.T @ tape.h1, d_out.sum(axis=0)]
 
-    v, lam = decomp.eigenvectors, decomp.eigenvalues
+    v, lam = model.basis.eigenvectors, model.basis.eigenvalues
     for idx in range(len(model.layers) - 1, -1, -1):
         layer, ltape = model.layers[idx], tape.layers[idx]
         d_y = _unaggregate(layer, d_signal) * ACTIVATIONS[layer.activation][1](ltape.pre_activation)
@@ -341,7 +360,7 @@ def _backward(model: ModelParams, decomp, tape: _Tape, d_out: np.ndarray) -> lis
     return grads
 
 
-def model_gradients(model: ModelParams, c, batch_x, batch_y, loss: str, rng=None, dropout: float = 0.0):
+def model_gradients(model: ModelParams, batch_x, batch_y, loss: str, rng=None, dropout: float = 0.0):
     """Mean batch loss and its analytic gradients, one array per ``_trainable_params`` entry, in that order.
 
     The whole batch runs as one pass.  With ``dropout > 0`` each hidden unit of
@@ -351,24 +370,23 @@ def model_gradients(model: ModelParams, c, batch_x, batch_y, loss: str, rng=None
     Raises:
         TrainingError: the loss is non-finite.
     """
-    decomp = _as_decomposition(c)
-    x = _as_signals(batch_x)
+    x = _as_signals(model, batch_x)
     mask = None
     if dropout > 0.0:
         if rng is None:
             raise ValueError("dropout needs an rng")
         mask = (rng.random((len(x), model.head.w1.shape[0])) >= dropout) / (1.0 - dropout)
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow leaves a non-finite loss, checked next
-        out, tape = _forward(model, decomp, x, mask, keep_tape=True)
+        out, tape = _forward(model, x, mask, keep_tape=True)
         losses, d_out = _loss_and_grad(out, batch_y, loss)
         mean_loss = float(losses.sum()) / len(x)
     if not math.isfinite(mean_loss):
         raise TrainingError(f"non-finite batch loss {mean_loss!r}")
-    return mean_loss, _backward(model, decomp, tape, d_out / len(x))
+    return mean_loss, _backward(model, tape, d_out / len(x))
 
 
-def evaluate_loss(model: ModelParams, c, xs, ys, loss: str) -> float:
-    losses, _ = _loss_and_grad(forward_rows(model, c, xs), ys, loss)
+def evaluate_loss(model: ModelParams, xs, ys, loss: str) -> float:
+    losses, _ = _loss_and_grad(forward_rows(model, xs), ys, loss)
     return float(losses.sum()) / len(losses)
 
 
@@ -419,7 +437,7 @@ def _trainable_params(model: ModelParams) -> list[np.ndarray]:
     return params
 
 
-def train(model: ModelParams, c, train_data, val_data, cfg: TrainConfig) -> TrainResult:
+def train(model: ModelParams, train_data, val_data, cfg: TrainConfig) -> TrainResult:
     """Adam training with validation-based model selection, reading the optimizer keys of ``cfg``.
 
     ``train_data`` and ``val_data`` are (xs, ys) pairs.  The returned model is
@@ -430,8 +448,7 @@ def train(model: ModelParams, c, train_data, val_data, cfg: TrainConfig) -> Trai
     Raises:
         TrainingError: the loss goes non-finite before the first epoch has a finite validation loss.
     """
-    decomp = _as_decomposition(c)
-    xs, ys = _as_signals(train_data[0]), np.asarray(train_data[1])
+    xs, ys = _as_signals(model, train_data[0]), np.asarray(train_data[1])
     loss = cfg.task_loss
     rng = np.random.default_rng(cfg.seed)
     optimizer = _Adam(_trainable_params(model), cfg.learning_rate)
@@ -445,11 +462,11 @@ def train(model: ModelParams, c, train_data, val_data, cfg: TrainConfig) -> Trai
         try:
             for start in range(0, n, cfg.batch_size):
                 idx = order[start : start + cfg.batch_size]
-                _, grads = model_gradients(model, decomp, xs[idx], ys[idx], loss, rng, cfg.dropout)
+                _, grads = model_gradients(model, xs[idx], ys[idx], loss, rng, cfg.dropout)
                 optimizer.step(grads)
             with np.errstate(over="ignore", invalid="ignore"):  # an overflow leaves a non-finite loss, checked next
-                train_loss = evaluate_loss(model, decomp, xs, ys, loss)
-                val_loss = evaluate_loss(model, decomp, *val_data, loss)
+                train_loss = evaluate_loss(model, xs, ys, loss)
+                val_loss = evaluate_loss(model, *val_data, loss)
             if not (math.isfinite(train_loss) and math.isfinite(val_loss)):
                 raise TrainingError(f"non-finite loss: train {train_loss!r}, validation {val_loss!r}")
         except TrainingError as exc:
@@ -467,24 +484,22 @@ def train(model: ModelParams, c, train_data, val_data, cfg: TrainConfig) -> Trai
     return TrainResult(model=best_model, history=history, best_epoch=best_epoch, diverged=diverged)
 
 
-def init_model(dim: int, n_outputs: int, cfg: TrainConfig) -> ModelParams:
-    """Build a model with small random weights sized for (dim,) inputs, from the architecture keys of ``cfg``
-    (betas, order, hidden_dim, num_layers, activations, aggregation, task, betas_learnable, skip_k0) and its seed."""
+def init_model(cov, n_outputs: int, cfg: TrainConfig) -> ModelParams:
+    """Build a model over the covariance ``cov`` (a CovarianceMatrix or a symmetric array) with small random weights,
+    from the architecture keys of ``cfg`` (betas, order, hidden_dim, num_layers, activations, aggregation, task,
+    betas_learnable, skip_k0) and its seed."""
+    matrix = as_matrix(cov)
     rng = np.random.default_rng(cfg.seed)
     layers, f_in = [], 1
     for _ in range(cfg.num_layers):
         coeffs = rng.normal(0.0, 0.3, size=(len(cfg.betas), f_in, cfg.order + 1))
         layers.append(LayerParams(coeffs, cfg.betas, cfg.betas_learnable, cfg.aggregation, cfg.activation, cfg.skip_k0))
         f_in = layers[-1].out_channels()
-    flat_dim = f_in * dim  # the last layer's channels, per eigen-direction
-    head = HeadParams(
-        w1=rng.normal(0.0, 1.0 / math.sqrt(flat_dim), size=(cfg.hidden_dim, flat_dim)),
-        b1=np.zeros(cfg.hidden_dim),
-        w2=rng.normal(0.0, 1.0 / math.sqrt(cfg.hidden_dim), size=(n_outputs, cfg.hidden_dim)),
-        b2=np.zeros(n_outputs),
-        activation=cfg.head_activation,
-    )
-    return ModelParams(layers=layers, head=head, task=cfg.task)
+    flat_dim = f_in * len(matrix)  # the last layer's channels, per eigen-direction
+    w1 = rng.normal(0.0, 1.0 / math.sqrt(flat_dim), size=(cfg.hidden_dim, flat_dim))
+    w2 = rng.normal(0.0, 1.0 / math.sqrt(cfg.hidden_dim), size=(n_outputs, cfg.hidden_dim))
+    head = HeadParams(w1, np.zeros(cfg.hidden_dim), w2, np.zeros(n_outputs), cfg.head_activation)
+    return ModelParams(matrix, layers, head, cfg.task)
 
 
 CHECKPOINT_VERSION = 1
@@ -498,23 +513,14 @@ def _fields_dict(params) -> dict:
     }
 
 
-def model_to_dict(model: ModelParams, cov: CovarianceMatrix | np.ndarray) -> dict:
+def model_to_dict(model: ModelParams) -> dict:
     return {
         "version": CHECKPOINT_VERSION,
         "task": model.task,
-        "covariance": np.asarray(as_matrix(cov)).tolist(),
+        "covariance": model.covariance.tolist(),
         "layers": [_fields_dict(layer) for layer in model.layers],
         "head": _fields_dict(model.head),
     }
-
-
-@contextlib.contextmanager
-def _under(path: str):
-    """Prefix ``path`` to the message of a ValueError raised in the block."""
-    try:
-        yield
-    except ValueError as exc:
-        raise type(exc)(f"{path}{exc}") from None
 
 
 def _record(path: str, node, record):
@@ -523,29 +529,21 @@ def _record(path: str, node, record):
         return record(**_keys("", node, record))
 
 
-def model_from_dict(payload) -> tuple[ModelParams, np.ndarray]:
-    """The model and covariance of a ``model_to_dict`` payload: a fault raises ``checkpoint /<path>: <rule>, got
-    <value>``.  The head reads exactly the last layer's channels x dim features."""
+def model_from_dict(payload) -> ModelParams:
+    """The model of a ``model_to_dict`` payload: a fault raises ``checkpoint /<path>: <rule>, got <value>``."""
     with _under("checkpoint "):
         doc = _keys("/", payload, ("version", "task", "covariance", "layers", "head"))
-        if not (_matches(int, version := doc["version"]) and version == CHECKPOINT_VERSION):
-            raise ConfigError(f"/version: must be the integer {CHECKPOINT_VERSION}, got {version!r}")
-        cov = _array("/covariance", doc["covariance"], ("dim", "dim"), {})
-        with _under("/covariance: "):
-            CovarianceMatrix(matrix=cov)  # symmetric and PSD
+        _version("/version", doc["version"], CHECKPOINT_VERSION)
         layers = doc["layers"]
         if isinstance(layers, list):  # else ModelParams names it
             layers = [_record(f"/layers/{i}", entry, LayerParams) for i, entry in enumerate(layers)]
-        model = ModelParams(layers, _record("/head", doc["head"], HeadParams), doc["task"])
-        _array("/head/w1", model.head.w1, HeadParams._axes["w1"], {"features": layers[-1].out_channels() * len(cov)})
-    return model, cov
+        return ModelParams(doc["covariance"], layers, _record("/head", doc["head"], HeadParams), doc["task"])
 
 
-def save_model(path, model: ModelParams, cov) -> None:
+def save_model(path, model: ModelParams) -> None:
     with open(path, "w") as fh:
-        fh.write(json.dumps(model_to_dict(model, cov)))  # json.dumps without indent runs the C encoder
+        fh.write(json.dumps(model_to_dict(model)))  # json.dumps without indent runs the C encoder
 
 
-def load_model(path) -> tuple[ModelParams, np.ndarray]:
-    with open(path) as fh:
-        return model_from_dict(json.load(fh))
+def load_model(path) -> ModelParams:
+    return model_from_dict(_read_json(path))

@@ -264,12 +264,12 @@ def test_criterion_11_gradient_checks():
             betas=tuple(rng.uniform(-1, 3, 2)), order=2, hidden_dim=4, betas_learnable=True,
             seed=int(rng.integers(0, 2**31)),
         )
-        model = init_model(dim, 2, cfg)
+        model = init_model(cov, 2, cfg)
         xs = [rng.standard_normal(dim) for _ in range(3)]
         ys = [rng.standard_normal(2) for _ in range(3)]
-        _, grads = model_gradients(model, cov, xs, ys, "mse")
+        _, grads = model_gradients(model, xs, ys, "mse")
         grads = gradient_arrays(model, grads)
-        fd = finite_difference_gradients(model, cov, xs, ys, "mse")
+        fd = finite_difference_gradients(model, xs, ys, "mse")
         worst = max(
             worst,
             relative_error(grads["coeffs_0"], fd["coeffs_0"]),
@@ -329,14 +329,14 @@ def test_criterion_13_learnable_beta_parity():
 
     fixed = []
     for beta in (0.1, 5.0, 15.0):
-        model = init_model(4, 2, TrainConfig(betas=(beta,), order=2, hidden_dim=8, task="classification", seed=11))
-        trained = train(model, cov, train_set, val_set, cfg).model
-        fixed.append(np.mean(np.argmax(forward_rows(trained, cov, val_set[0]), axis=1) == val_set[1]))
+        model = init_model(cov, 2, TrainConfig(betas=(beta,), order=2, hidden_dim=8, task="classification", seed=11))
+        trained = train(model, train_set, val_set, cfg).model
+        fixed.append(np.mean(np.argmax(forward_rows(trained, val_set[0]), axis=1) == val_set[1]))
     learned_model = init_model(
-        4, 2, TrainConfig(betas=(0.0, 0.0, 0.0), hidden_dim=8, task="classification", betas_learnable=True, seed=11)
+        cov, 2, TrainConfig(betas=(0.0, 0.0, 0.0), hidden_dim=8, task="classification", betas_learnable=True, seed=11)
     )
-    trained = train(learned_model, cov, train_set, val_set, cfg).model
-    learned = np.mean(np.argmax(forward_rows(trained, cov, val_set[0]), axis=1) == val_set[1])
+    trained = train(learned_model, train_set, val_set, cfg).model
+    learned = np.mean(np.argmax(forward_rows(trained, val_set[0]), axis=1) == val_set[1])
     assert learned >= max(fixed) - 0.03
     elapsed = budget.check()
     report(13, f"learned-beta accuracy {learned:.3f} vs best fixed {max(fixed):.3f} in {elapsed:.1f}s")

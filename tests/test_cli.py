@@ -116,7 +116,7 @@ class TestEntropyCommand:
         for name in ("manifest.json", "summary.json"):
             text = (tmp_path / name).read_text()
             assert text == json.dumps(json.loads(text), sort_keys=True)
-        network.save_model(tmp_path / "model.json", network.init_model(3, 1, network.TrainConfig(betas=(1.0,))), np.eye(3))
+        network.save_model(tmp_path / "model.json", network.init_model(np.eye(3), 1, network.TrainConfig(betas=(1.0,))))
         text = (tmp_path / "model.json").read_text()
         assert text == json.dumps(json.loads(text))
 
@@ -672,6 +672,7 @@ class TestExperimentCommands:
         )
         assert code == 2
         assert "schema_version" in err
+        assert err == f"error: {cfg_path}: /schema_version: must be the integer 1, got 2\n"
 
     def test_unknown_config_key_rejected(self, capsys, tmp_path):
         cfg_path = tmp_path / "bad.json"
@@ -879,8 +880,8 @@ def test_wrong_typed_config_value_exits_2_naming_its_key(capsys, tmp_path, gauss
             "regression", {"n_train": 10**400}, f"/n_train: must be a count a double holds, got {10**400}",
             id="regression-n_train-int-past-the-doubles",
         ),
-        ("stability", {"schema_version": True}, "unsupported schema_version at /schema_version"),
-        ("train", {"schema_version": True}, "unsupported schema_version at /schema_version"),
+        ("stability", {"schema_version": True}, "/schema_version: must be the integer 1, got True"),
+        ("train", {"schema_version": True}, "/schema_version: must be the integer 1, got True"),
     ],
 )
 def test_config_probes_exit_2_naming_the_key(capsys, tmp_path, gaussian_data_csv, subcommand, cfg, message):
@@ -1016,8 +1017,8 @@ class TestTrainPredict:
             "--horizon", "1", "--output-dir", str(pred_dir),
         )
         assert code == 0
-        model, cov = network.load_model(tmp_path / "model" / "model.json")
-        expected = network.forward_rows(model, eigh(cov), values[:7])
+        model = network.load_model(tmp_path / "model" / "model.json")
+        expected = network.forward_rows(model, values[:7])
         assert out.splitlines() == [",".join(f"{v:.10g}" for v in row) for row in expected]
         with open(pred_dir / "results.csv", newline="") as fh:
             header, *rows = list(csv.reader(fh))
@@ -1125,7 +1126,7 @@ class TestTrainPredict:
 
     def test_negative_horizon_rejected(self, capsys, tmp_path, classification_csv):
         model_path, cfg_path = tmp_path / "model.json", tmp_path / "cfg.json"
-        network.save_model(model_path, network.init_model(5, 1, network.TrainConfig(betas=(1.0,))), np.eye(5))
+        network.save_model(model_path, network.init_model(np.eye(5), 1, network.TrainConfig(betas=(1.0,))))
         cfg_path.write_text(json.dumps({"epochs": 1, "betas": [1.0]}))
         for argv, horizon in (
             (["train", "--input", classification_csv, "--config", str(cfg_path)], -2),
@@ -1237,7 +1238,7 @@ class TestPredictInput:
         from covdensity.network import init_model, save_model
 
         model_path = tmp_path / "model.json"
-        save_model(model_path, init_model(5, 2, network.TrainConfig(betas=(1.0,), task="classification")), np.eye(5))
+        save_model(model_path, init_model(np.eye(5), 2, network.TrainConfig(betas=(1.0,), task="classification")))
         data_path = tmp_path / "rows.csv"
         data_path.write_text("\n".join(",".join(repr(float(v)) for v in row) for row in rng.standard_normal((6, 4))))
         code, out, err = run_cli(
@@ -1251,7 +1252,7 @@ class TestPredictInput:
     def test_non_finite_model_covariance_is_runtime_error(self, capsys, tmp_path, rng):
         from covdensity.network import init_model, model_to_dict
 
-        payload = model_to_dict(init_model(3, 2, network.TrainConfig(betas=(1.0,), task="classification")), np.eye(3))
+        payload = model_to_dict(init_model(np.eye(3), 2, network.TrainConfig(betas=(1.0,), task="classification")))
         payload["covariance"][1][1] = math.nan
         model_path = tmp_path / "model.json"
         model_path.write_text(json.dumps(payload))  # written as the token NaN, which json reads back
@@ -1267,7 +1268,7 @@ class TestPredictInput:
     @pytest.mark.parametrize("key", ["w1", "b1", "w2", "b2"])
     def test_non_finite_head_weight_is_runtime_error(self, capsys, tmp_path, rng, key, value):
         payload = network.model_to_dict(
-            network.init_model(3, 2, network.TrainConfig(betas=(1.0,), task="classification")), np.eye(3)
+            network.init_model(np.eye(3), 2, network.TrainConfig(betas=(1.0,), task="classification"))
         )
         entries = payload["head"][key]
         (entries[0] if key.startswith("w") else entries)[0] = value
@@ -1282,7 +1283,7 @@ class TestPredictInput:
 
     def test_non_psd_model_covariance_is_named(self, capsys, tmp_path, rng):
         payload = network.model_to_dict(
-            network.init_model(3, 2, network.TrainConfig(betas=(1.0,), task="classification")), np.eye(3)
+            network.init_model(np.eye(3), 2, network.TrainConfig(betas=(1.0,), task="classification"))
         )
         payload["covariance"] = np.diag([1.0, -5.0, 0.5]).tolist()
         model_path, data_path, out_dir = tmp_path / "model.json", tmp_path / "rows.csv", tmp_path / "preds"
@@ -1311,7 +1312,7 @@ class TestPredictInput:
     def test_malformed_checkpoint_is_runtime_error(self, capsys, tmp_path, rng, corrupt, message):
         from covdensity.network import init_model, model_to_dict
 
-        payload = model_to_dict(init_model(3, 2, network.TrainConfig(betas=(1.0,), task="classification")), np.eye(3))
+        payload = model_to_dict(init_model(np.eye(3), 2, network.TrainConfig(betas=(1.0,), task="classification")))
         data_path = tmp_path / "rows.csv"
         data_path.write_text("\n".join(",".join(repr(float(v)) for v in row) for row in rng.standard_normal((4, 3))))
         model_path, out_dir = tmp_path / "model.json", tmp_path / "preds"
@@ -1342,7 +1343,7 @@ class TestPredictInput:
     ],
 )
 def test_checkpoint_of_the_wrong_json_kind_names_its_path(capsys, tmp_path, rng, corrupt, message):
-    payload = network.model_to_dict(network.init_model(3, 2, network.TrainConfig(betas=(1.0,))), np.eye(3))
+    payload = network.model_to_dict(network.init_model(np.eye(3), 2, network.TrainConfig(betas=(1.0,))))
     data_path, model_path, out_dir = tmp_path / "rows.csv", tmp_path / "model.json", tmp_path / "preds"
     data_path.write_text("\n".join(",".join(repr(float(v)) for v in row) for row in rng.standard_normal((4, 3))))
     model_path.write_text(json.dumps(corrupt(payload)))
@@ -1370,7 +1371,7 @@ def _failing_run(name, tmp_path, rng):
         cfg_path.write_text(json.dumps({"hidden_dim": 0, "betas": [1.0]}))
         return ["train", "--input", str(data_path), "--config", str(cfg_path)]
     model_path = tmp_path / "model.json"
-    network.save_model(model_path, network.init_model(5, 1, network.TrainConfig(betas=(1.0,))), np.eye(5))
+    network.save_model(model_path, network.init_model(np.eye(5), 1, network.TrainConfig(betas=(1.0,))))
     return ["predict", "--input", str(data_path), "--model", str(model_path)]
 
 
@@ -1547,6 +1548,25 @@ _SHAPES = {"list": lambda v: [], "object": lambda v: {"bogus": 1.0}, "ragged lis
 def test_trained_checkpoint_predicts(trained_checkpoint):
     code, out, err, caught, wrote = predict_with(*trained_checkpoint)
     assert (code, len(out.splitlines()), err, caught, wrote) == (0, 4, "", [], True)
+
+
+def test_predict_decomposes_the_model_covariance_once(trained_checkpoint, monkeypatch):
+    eigvalsh_calls, eigh_calls = count_linalg_calls(monkeypatch, "eigvalsh"), count_linalg_calls(monkeypatch, "eigh")
+    code, _, err, _, _ = predict_with(*trained_checkpoint)
+    assert (code, err) == (0, "")
+    # The model's eigh of its covariance: the PSD check and every forward pass read that one decomposition.
+    assert (eigvalsh_calls.matrices, eigh_calls.matrices) == (0, 1)
+
+
+def test_predict_on_a_model_file_that_is_not_json_names_it(capsys, tmp_path, rng):
+    model_path, data_path, out_dir = tmp_path / "bad.json", tmp_path / "rows.csv", tmp_path / "preds"
+    model_path.write_text("not a checkpoint")
+    data_path.write_text("\n".join(",".join(repr(float(v)) for v in row) for row in rng.standard_normal((4, 3))))
+    code, out, err = run_cli(
+        capsys, "predict", "--input", str(data_path), "--model", str(model_path), "--output-dir", str(out_dir)
+    )
+    assert (code, out, err) == (2, "", f"error: {model_path}: invalid JSON: Expecting value: line 1 column 1 (char 0)\n")
+    assert not out_dir.exists()
 
 
 @settings(max_examples=150, deadline=None)

@@ -6,8 +6,9 @@ import warnings
 import numpy as np
 import pytest
 
-from conftest import dense_rho, random_psd
-from covdensity.density import _as_decomposition, density_operator, density_values
+from conftest import count_linalg_calls, dense_rho, random_psd
+from covdensity.covariance import as_matrix
+from covdensity.density import density_operator, density_values
 from covdensity.filtering import FilterSpec, filter_apply
 from covdensity.network import (
     ACTIVATIONS,
@@ -28,7 +29,8 @@ from covdensity.network import (
     model_to_dict,
     train,
 )
-from covdensity.errors import ConfigError, ShapeError, TrainingError
+from covdensity.errors import ConfigError, ShapeError, TrainingError, _array
+from covdensity.spectral import eigh
 
 
 def layer_oracle(params, rhos, x_in):
@@ -64,14 +66,14 @@ def model_oracle(model, cov_matrix, x, mask=None):
     return model.head.w2 @ hidden + model.head.b2
 
 
-def small_model(rng, dim=4, n_out=2, betas=(0.5, -0.4, 2.0), **kwargs):
+def small_model(rng, c, n_out=2, betas=(0.5, -0.4, 2.0), **kwargs):
     cfg = TrainConfig(betas=betas, hidden_dim=kwargs.pop("hidden_dim", 5), seed=int(rng.integers(0, 2**31)), **kwargs)
-    return init_model(dim, n_out, cfg)
+    return init_model(c, n_out, cfg)
 
 
 def layer_output(params, c, x_in):
     """One layer's aggregated output for f_in input channels, each a dim vector, from the batched kernel."""
-    decomp = _as_decomposition(c)
+    decomp = eigh(as_matrix(c))
     rho = density_values(decomp.eigenvalues, params.betas)[0]
     x = np.atleast_2d(np.asarray(x_in, dtype=float))
     out, _ = _layer_channels(params, decomp.eigenvectors, rho, x[None])
@@ -152,9 +154,9 @@ class TestModelForward:
             aggregation="concatenate", activation="identity",
         )
         head = HeadParams(w1=np.eye(3), b1=np.zeros(3), w2=np.eye(3), b2=np.zeros(3), activation="identity")
-        model = ModelParams(layers=[layer], head=head, task="regression")
+        model = ModelParams(c.matrix, layers=[layer], head=head, task="regression")
         x = rng.standard_normal(3)
-        np.testing.assert_allclose(forward_rows(model, c, [x])[0], x, atol=1e-12)
+        np.testing.assert_allclose(forward_rows(model, [x])[0], x, atol=1e-12)
 
     def test_zero_head_weights_give_bias(self, rng):
         c = random_psd(rng, 3)
@@ -166,8 +168,8 @@ class TestModelForward:
         head = HeadParams(
             w1=np.zeros((4, 6)), b1=np.zeros(4), w2=np.zeros((2, 4)), b2=bias, activation="tanh"
         )
-        model = ModelParams(layers=[layer], head=head, task="regression")
-        np.testing.assert_allclose(forward_rows(model, c, [rng.standard_normal(3)])[0], bias, atol=1e-15)
+        model = ModelParams(c.matrix, layers=[layer], head=head, task="regression")
+        np.testing.assert_allclose(forward_rows(model, [rng.standard_normal(3)])[0], bias, atol=1e-15)
 
     @pytest.mark.parametrize("aggregation", ["concatenate", "sum", "mean"])
     @pytest.mark.parametrize("skip_k0", [False, True])
@@ -177,18 +179,18 @@ class TestModelForward:
         cfg = TrainConfig(
             betas=(0.3, -0.7, 5.0), order=2, hidden_dim=6, aggregation=aggregation, skip_k0=skip_k0, seed=7
         )
-        model = init_model(dim, 2, cfg)
+        model = init_model(c, 2, cfg)
         x = rng.standard_normal(dim)
-        got = forward_rows(model, c, [x])[0]
+        got = forward_rows(model, [x])[0]
         want = model_oracle(model, c.matrix, x)
         np.testing.assert_allclose(got, want, rtol=1e-9, atol=1e-11)
 
     def test_two_layer_stack(self, rng):
         dim = 3
         c = random_psd(rng, dim)
-        model = init_model(dim, 1, TrainConfig(betas=(0.5, 1.5), order=1, hidden_dim=4, num_layers=2, seed=3))
+        model = init_model(c, 1, TrainConfig(betas=(0.5, 1.5), order=1, hidden_dim=4, num_layers=2, seed=3))
         x = rng.standard_normal(dim)
-        got = forward_rows(model, c, [x])[0]
+        got = forward_rows(model, [x])[0]
         want = model_oracle(model, c.matrix, x)
         np.testing.assert_allclose(got, want, rtol=1e-9, atol=1e-11)
 
@@ -196,11 +198,36 @@ class TestModelForward:
     def test_forward_rows_match_single_rows_across_blocks(self, rng, skip_k0):
         dim = 4
         c = random_psd(rng, dim)
-        model = init_model(dim, 3, TrainConfig(betas=(0.3, 2.0), hidden_dim=6, skip_k0=skip_k0, seed=5))
+        model = init_model(c, 3, TrainConfig(betas=(0.3, 2.0), hidden_dim=6, skip_k0=skip_k0, seed=5))
         xs = rng.standard_normal((FORWARD_BLOCK + 3, dim))
-        got = forward_rows(model, c, xs)
-        want = np.stack([forward_rows(model, c, [x])[0] for x in xs])
+        got = forward_rows(model, xs)
+        want = np.stack([forward_rows(model, [x])[0] for x in xs])
         np.testing.assert_allclose(got, want, rtol=1e-12)
+
+    def test_permuted_covariance_and_head_features_give_the_same_outputs(self, rng):
+        dim = 5
+        c = random_psd(rng, dim)
+        model = init_model(c, 2, TrainConfig(betas=(0.8, -0.6), hidden_dim=4, num_layers=2, seed=2))
+        perm = rng.permutation(dim)
+        w1 = model.head.w1.reshape(4, -1, dim)[:, :, perm].reshape(4, -1)  # each channel's features, permuted
+        permuted = dataclasses.replace(
+            model, covariance=c.matrix[np.ix_(perm, perm)], head=dataclasses.replace(model.head, w1=w1)
+        )
+        np.testing.assert_allclose(permuted.basis.eigenvalues, model.basis.eigenvalues, rtol=1e-12)  # decomposed anew
+        xs = rng.standard_normal((3, dim))
+        np.testing.assert_allclose(forward_rows(permuted, xs[:, perm]), forward_rows(model, xs), atol=1e-8)
+
+    def test_model_decomposes_its_covariance_once_and_checks_it(self, rng, monkeypatch):
+        c = random_psd(rng, 4)
+        eigvalsh_calls, eigh_calls = count_linalg_calls(monkeypatch, "eigvalsh"), count_linalg_calls(monkeypatch, "eigh")
+        model = init_model(c, 2, TrainConfig(betas=(0.5, 2.0), hidden_dim=3))
+        forward_rows(model, rng.standard_normal((FORWARD_BLOCK + 1, 4)))
+        model_gradients(model, rng.standard_normal((2, 4)), rng.standard_normal((2, 2)), "mse")
+        assert (eigvalsh_calls, eigh_calls) == ([], [(4, 4)])
+        with pytest.raises(ValueError, match=r"^/covariance: matrix is not PSD within tolerance: min eigenvalue -1"):
+            dataclasses.replace(model, covariance=np.diag([1.0, -1.0, 2.0, 3.0]))
+        with pytest.raises(ShapeError, match=r"^input has 3 columns, model expects 4$"):
+            forward_rows(model, np.zeros((2, 3)))
 
 
 def named_parameters(model):
@@ -226,10 +253,10 @@ def gradient_arrays(model, grads):
     return dict(zip(arrays, grads))
 
 
-def finite_difference_gradients(model, cov, xs, ys, loss, step=1e-5):
+def finite_difference_gradients(model, xs, ys, loss, step=1e-5):
     """Central differences on every trainable array, one entry at a time."""
     def batch_loss():
-        return evaluate_loss(model, cov, xs, ys, loss) * 1.0
+        return evaluate_loss(model, xs, ys, loss) * 1.0
 
     grads = {}
     for name, arr in named_parameters(model).items():
@@ -248,9 +275,9 @@ def finite_difference_gradients(model, cov, xs, ys, loss, step=1e-5):
     return grads
 
 
-def min_pre_activation(model, cov, xs):
+def min_pre_activation(model, xs):
     """Smallest |pre-activation| of any layer or head unit over the batch ``xs``, (n, dim)."""
-    _, tape = _forward(model, _as_decomposition(cov), np.asarray(xs, dtype=float), keep_tape=True)
+    _, tape = _forward(model, np.asarray(xs, dtype=float), keep_tape=True)
     return min(float(np.min(np.abs(a))) for a in [tape.z1, *(layer.pre_activation for layer in tape.layers)])
 
 
@@ -262,10 +289,10 @@ def relative_error(a, b):
 class TestGradients:
     def test_zero_input_zero_coeff_gradients(self, rng):
         c = random_psd(rng, 3)
-        model = small_model(rng, dim=3, betas_learnable=True)
+        model = small_model(rng, c, betas_learnable=True)
         xs = [np.zeros(3)] * 4
         ys = [np.zeros(2)] * 4
-        _, grads = model_gradients(model, c, xs, ys, "mse")
+        _, grads = model_gradients(model, xs, ys, "mse")
         grads = gradient_arrays(model, grads)
         np.testing.assert_allclose(grads["coeffs_0"], 0.0, atol=1e-15)
         np.testing.assert_allclose(grads["betas_0"], 0.0, atol=1e-15)
@@ -286,8 +313,8 @@ class TestGradients:
         head = HeadParams(
             w1=np.eye(2), b1=np.zeros(2), w2=np.ones((1, 2)), b2=np.zeros(1), activation="identity"
         )
-        model = ModelParams(layers=[layer], head=head, task="regression")
-        loss_value, grads = model_gradients(model, c, [x], [target], "mse")
+        model = ModelParams(c, layers=[layer], head=head, task="regression")
+        loss_value, grads = model_gradients(model, [x], [target], "mse")
 
         z = math.exp(-beta * a) + math.exp(-beta * b)
         r1, r2 = math.exp(-beta * a) / z, math.exp(-beta * b) / z
@@ -305,11 +332,11 @@ class TestGradients:
             dim = int(rng.integers(3, 6))
             c = random_psd(rng, dim)
             model = small_model(
-                rng, dim=dim, n_out=3, betas=(0.4, -0.8), betas_learnable=True,
+                rng, c, n_out=3, betas=(0.4, -0.8), betas_learnable=True,
                 activation=activation, head_activation=activation,
             )
             xs = [rng.standard_normal(dim) for _ in range(3)]
-            while activation in ("elu", "relu") and min_pre_activation(model, c, xs) < 1e-3:  # off the kink at 0
+            while activation in ("elu", "relu") and min_pre_activation(model, xs) < 1e-3:  # off the kink at 0
                 xs = [rng.standard_normal(dim) for _ in range(3)]
             if loss == "cross_entropy":
                 ys = [int(rng.integers(0, 3)) for _ in range(3)]
@@ -318,9 +345,9 @@ class TestGradients:
             if loss == "mae":
                 # keep |residual| away from 0 where mae is non-smooth
                 ys = [y + np.sign(y) * 0.5 for y in ys]
-            _, grads = model_gradients(model, c, xs, ys, loss)
+            _, grads = model_gradients(model, xs, ys, loss)
             grads = gradient_arrays(model, grads)
-            fd = finite_difference_gradients(model, c, xs, ys, loss)
+            fd = finite_difference_gradients(model, xs, ys, loss)
             assert relative_error(grads["coeffs_0"], fd["coeffs_0"]) <= 1e-5
             assert relative_error(grads["betas_0"], fd["betas_0"]) <= 1e-5
             assert relative_error(grads["head_w1"], fd["head_w1"]) <= 1e-5
@@ -336,12 +363,12 @@ class TestGradients:
             betas=(0.4, -0.6), order=2, hidden_dim=4, num_layers=2, aggregation=aggregation,
             betas_learnable=True, activation="tanh", seed=17,
         )
-        model = init_model(dim, 2, cfg)
+        model = init_model(c, 2, cfg)
         xs = [rng.standard_normal(dim) for _ in range(2)]
         ys = [rng.standard_normal(2) for _ in range(2)]
-        _, grads = model_gradients(model, c, xs, ys, "mse")
+        _, grads = model_gradients(model, xs, ys, "mse")
         grads = gradient_arrays(model, grads)
-        fd = finite_difference_gradients(model, c, xs, ys, "mse")
+        fd = finite_difference_gradients(model, xs, ys, "mse")
         for li in range(2):
             assert relative_error(grads[f"coeffs_{li}"], fd[f"coeffs_{li}"]) <= 1e-5
             assert relative_error(grads[f"betas_{li}"], fd[f"betas_{li}"]) <= 1e-5
@@ -349,16 +376,16 @@ class TestGradients:
 
     def test_non_finite_loss_raises(self, rng):
         c = random_psd(rng, 3)
-        model = small_model(rng, dim=3)
+        model = small_model(rng, c)
         with pytest.raises(TrainingError):
-            model_gradients(model, c, [np.zeros(3)], [np.array([np.nan, 0.0])], "mse")
+            model_gradients(model, [np.zeros(3)], [np.array([np.nan, 0.0])], "mse")
 
 
-def per_sample_oracle(model, c, xs, ys, loss, rng=None, dropout=0.0):
+def per_sample_oracle(model, xs, ys, loss, rng=None, dropout=0.0):
     """Mean loss and mean gradients over a loop of B = 1 model_gradients calls."""
     losses, per_sample = [], []
     for x, y in zip(xs, ys):
-        value, grads = model_gradients(model, c, [x], [y], loss, rng=rng, dropout=dropout)
+        value, grads = model_gradients(model, [x], [y], loss, rng=rng, dropout=dropout)
         losses.append(value)
         per_sample.append(gradient_arrays(model, grads))
     mean_grads = {name: np.mean([g[name] for g in per_sample], axis=0) for name in per_sample[0]}
@@ -389,27 +416,27 @@ class TestBatchedEngine:
             betas=(0.4, -0.8, 2.5), order=2, hidden_dim=5, num_layers=num_layers, aggregation=aggregation,
             betas_learnable=learnable, skip_k0=skip_k0, seed=int(rng.integers(0, 2**31)),
         )
-        model = init_model(dim, n_out, cfg)
+        model = init_model(c, n_out, cfg)
         xs = rng.standard_normal((batch, dim))
         if loss == "cross_entropy":
             ys = [int(v) for v in rng.integers(0, n_out, batch)]
         else:
             ys = rng.standard_normal((batch, n_out))
-        value, grads = model_gradients(model, c, xs, ys, loss)
-        want_value, want_grads = per_sample_oracle(model, c, xs, ys, loss)
+        value, grads = model_gradients(model, xs, ys, loss)
+        want_value, want_grads = per_sample_oracle(model, xs, ys, loss)
         assert value == pytest.approx(want_value, rel=1e-12)
         assert_gradients_match(model, grads, want_grads)
 
     def test_dropout_mask_is_the_sequential_per_sample_stream(self, rng):
         dim, hidden, batch, dropout = 4, 6, 9, 0.4
         c = random_psd(rng, dim)
-        model = init_model(dim, 2, TrainConfig(betas=(0.5, 3.0), hidden_dim=hidden, seed=8))
+        model = init_model(c, 2, TrainConfig(betas=(0.5, 3.0), hidden_dim=hidden, seed=8))
         xs = rng.standard_normal((batch, dim))
         ys = rng.standard_normal((batch, 2))
         batched_rng, loop_rng, draw_rng = (np.random.default_rng(99) for _ in range(3))
 
-        value, grads = model_gradients(model, c, xs, ys, "mse", rng=batched_rng, dropout=dropout)
-        want_value, want_grads = per_sample_oracle(model, c, xs, ys, "mse", rng=loop_rng, dropout=dropout)
+        value, grads = model_gradients(model, xs, ys, "mse", rng=batched_rng, dropout=dropout)
+        want_value, want_grads = per_sample_oracle(model, xs, ys, "mse", rng=loop_rng, dropout=dropout)
         assert value == pytest.approx(want_value, rel=1e-12)
         assert_gradients_match(model, grads, want_grads)
 
@@ -435,12 +462,12 @@ def toy_two_class_problem(rng, n=200, dim=4):
 class TestTrain:
     def test_zero_learning_rate_keeps_parameters(self, rng):
         c = random_psd(rng, 3)
-        model = small_model(rng, dim=3, n_out=1)
+        model = small_model(rng, c, n_out=1)
         before = copy.deepcopy(model)
         xs = [rng.standard_normal(3) for _ in range(8)]
         ys = [rng.standard_normal(1) for _ in range(8)]
         cfg = TrainConfig(betas=(1.0,), learning_rate=0.0, epochs=3, batch_size=4, seed=0)
-        result = train(model, c, (xs, ys), (xs, ys), cfg)
+        result = train(model, (xs, ys), (xs, ys), cfg)
         np.testing.assert_array_equal(result.model.layers[0].coeffs, before.layers[0].coeffs)
         np.testing.assert_array_equal(result.model.head.w1, before.head.w1)
 
@@ -451,9 +478,9 @@ class TestTrain:
             betas=(0.1, 5.0), order=2, hidden_dim=8, task="classification", seed=11,
             learning_rate=0.02, epochs=60, batch_size=32,
         )
-        model = init_model(4, 2, cfg)
-        result = train(model, cov, (xs, ys), (xs, ys), dataclasses.replace(cfg, seed=1))
-        assert np.mean(np.argmax(forward_rows(result.model, cov, xs), axis=1) == ys) >= 0.95
+        model = init_model(cov, 2, cfg)
+        result = train(model, (xs, ys), (xs, ys), dataclasses.replace(cfg, seed=1))
+        assert np.mean(np.argmax(forward_rows(result.model, xs), axis=1) == ys) >= 0.95
         assert len(result.history["train_loss"]) == 60
 
     def test_deterministic_history(self, rng):
@@ -464,8 +491,8 @@ class TestTrain:
             cfg = TrainConfig(
                 betas=(0.5,), hidden_dim=4, task="classification", seed=5, learning_rate=0.01, epochs=5, batch_size=16
             )
-            model = init_model(4, 2, cfg)
-            histories.append(train(model, cov, (xs, ys), (xs, ys), dataclasses.replace(cfg, seed=9)).history)
+            model = init_model(cov, 2, cfg)
+            histories.append(train(model, (xs, ys), (xs, ys), dataclasses.replace(cfg, seed=9)).history)
         assert histories[0] == histories[1]
 
     def test_best_model_selected_by_validation(self, rng):
@@ -474,8 +501,8 @@ class TestTrain:
         cfg = TrainConfig(
             betas=(1.0,), hidden_dim=4, task="classification", seed=2, learning_rate=0.05, epochs=10, batch_size=16
         )
-        model = init_model(4, 2, cfg)
-        result = train(model, cov, (xs[:60], ys[:60]), (xs[60:], ys[60:]), dataclasses.replace(cfg, seed=3))
+        model = init_model(cov, 2, cfg)
+        result = train(model, (xs[:60], ys[:60]), (xs[60:], ys[60:]), dataclasses.replace(cfg, seed=3))
         val_losses = result.history["val_loss"]
         assert result.best_epoch == int(np.argmin(val_losses))
 
@@ -491,7 +518,7 @@ class TestTrain:
         )
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            result = train(init_model(4, 1, cfg), cov, (xs, ys), (1e152 * xs[:8], np.zeros((8, 1))), cfg)
+            result = train(init_model(cov, 1, cfg), (xs, ys), (1e152 * xs[:8], np.zeros((8, 1))), cfg)
         assert caught == []
         assert result.diverged
         assert 1 <= len(result.history["val_loss"]) < cfg.epochs
@@ -516,7 +543,7 @@ class TestTrain:
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             with pytest.raises(TrainingError) as info:
-                train(init_model(4, 1, cfg), cov, (xs, ys_reg), (xs, ys_reg), dataclasses.replace(cfg, seed=0))
+                train(init_model(cov, 1, cfg), (xs, ys_reg), (xs, ys_reg), dataclasses.replace(cfg, seed=0))
         assert caught == []
         assert str(info.value) == (
             "train epoch 1 of 6 diverged before any finite validation loss: non-finite batch loss inf"
@@ -532,15 +559,15 @@ class TestTrain:
 
         fixed_accuracies = []
         for beta in (0.1, 5.0, 15.0):
-            model = init_model(4, 2, TrainConfig(betas=(beta,), order=2, hidden_dim=8, task="classification", seed=11))
-            result = train(model, cov, train_set, val_set, cfg)
-            fixed_accuracies.append(np.mean(np.argmax(forward_rows(result.model, cov, val_set[0]), axis=1) == val_set[1]))
+            model = init_model(cov, 2, TrainConfig(betas=(beta,), order=2, hidden_dim=8, task="classification", seed=11))
+            result = train(model, train_set, val_set, cfg)
+            fixed_accuracies.append(np.mean(np.argmax(forward_rows(result.model, val_set[0]), axis=1) == val_set[1]))
 
         learned = init_model(
-            4, 2, TrainConfig(betas=(0.0, 0.0, 0.0), hidden_dim=8, task="classification", betas_learnable=True, seed=11)
+            cov, 2, TrainConfig(betas=(0.0, 0.0, 0.0), hidden_dim=8, task="classification", betas_learnable=True, seed=11)
         )
-        learned_result = train(learned, cov, train_set, val_set, cfg)
-        learned_acc = np.mean(np.argmax(forward_rows(learned_result.model, cov, val_set[0]), axis=1) == val_set[1])
+        learned_result = train(learned, train_set, val_set, cfg)
+        learned_acc = np.mean(np.argmax(forward_rows(learned_result.model, val_set[0]), axis=1) == val_set[1])
         assert learned_acc >= max(fixed_accuracies) - 0.03
         assert not np.allclose(learned_result.model.layers[0].betas, 0.0)
 
@@ -554,33 +581,33 @@ def random_psd_from_features(xs):
 class TestCheckpoint:
     def test_round_trip_exact(self, rng, tmp_path):
         c = random_psd(rng, 4)
-        model = small_model(rng, dim=4, betas_learnable=True)
-        payload = model_to_dict(model, c)
-        restored, cov_matrix = model_from_dict(payload)
+        model = small_model(rng, c, betas_learnable=True)
+        payload = model_to_dict(model)
+        restored = model_from_dict(payload)
         np.testing.assert_array_equal(restored.layers[0].coeffs, model.layers[0].coeffs)
         np.testing.assert_array_equal(restored.head.w2, model.head.w2)
-        np.testing.assert_array_equal(cov_matrix, c.matrix)
+        np.testing.assert_array_equal(restored.covariance, c.matrix)
         x = rng.standard_normal(4)
         np.testing.assert_array_equal(
-            forward_rows(restored, cov_matrix, [x])[0], forward_rows(model, c, [x])[0]
+            forward_rows(restored, [x])[0], forward_rows(model, [x])[0]
         )
 
     def test_json_file_round_trip(self, rng, tmp_path):
         from covdensity.network import load_model, save_model
 
         c = random_psd(rng, 3)
-        model = small_model(rng, dim=3)
+        model = small_model(rng, c)
         path = tmp_path / "model.json"
-        save_model(path, model, c)
-        restored, cov_matrix = load_model(path)
+        save_model(path, model)
+        restored = load_model(path)
         x = rng.standard_normal(3)
         np.testing.assert_array_equal(
-            forward_rows(restored, cov_matrix, [x])[0], forward_rows(model, c, [x])[0]
+            forward_rows(restored, [x])[0], forward_rows(model, [x])[0]
         )
 
     def test_version_check(self, rng):
         c = random_psd(rng, 3)
-        payload = model_to_dict(small_model(rng, dim=3), c)
+        payload = model_to_dict(small_model(rng, c))
         payload["version"] = 99
         with pytest.raises(ValueError, match="version"):
             model_from_dict(payload)
@@ -596,7 +623,7 @@ class TestCheckpoint:
         ],
     )
     def test_inconsistent_shapes_rejected_at_load(self, rng, corrupt):
-        payload = model_to_dict(small_model(rng, dim=5, n_out=2), random_psd(rng, 5))
+        payload = model_to_dict(small_model(rng, random_psd(rng, 5), n_out=2))
         model_from_dict(copy.deepcopy(payload))
         corrupt(payload)
         with pytest.raises(ShapeError):
@@ -635,7 +662,7 @@ class TestCheckpoint:
         ],
     )
     def test_malformed_entries_rejected_at_load(self, rng, corrupt, error, message):
-        payload = model_to_dict(small_model(rng, dim=5, n_out=2), random_psd(rng, 5))
+        payload = model_to_dict(small_model(rng, random_psd(rng, 5), n_out=2))
         corrupt(payload)
         with pytest.raises(error) as info:
             model_from_dict(payload)
@@ -644,7 +671,7 @@ class TestCheckpoint:
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("key", ["w1", "b1", "w2", "b2"])
     def test_non_finite_head_rejected_at_load(self, rng, key, value):
-        payload = model_to_dict(small_model(rng, dim=5, n_out=2), random_psd(rng, 5))
+        payload = model_to_dict(small_model(rng, random_psd(rng, 5), n_out=2))
         entries = payload["head"][key]
         (entries[0] if key.startswith("w") else entries)[-1] = value
         with pytest.raises(ValueError) as info:
@@ -652,25 +679,45 @@ class TestCheckpoint:
         assert str(info.value) == f"checkpoint /head/{key}: entries must be finite, got {value!r}"
 
     def test_fields_written_in_declaration_order_and_skip_k0_defaults(self, rng):
-        payload = model_to_dict(small_model(rng, dim=3), random_psd(rng, 3))
+        payload = model_to_dict(small_model(rng, random_psd(rng, 3)))
         assert list(payload["layers"][0]) == ["coeffs", "betas", "betas_learnable", "aggregation", "activation", "skip_k0"]
         assert list(payload["head"]) == ["w1", "b1", "w2", "b2", "activation"]
         del payload["layers"][0]["skip_k0"]
-        model, _ = model_from_dict(payload)
+        model = model_from_dict(payload)
         assert model.layers[0].skip_k0 is False
 
     def test_direct_model_checks_that_each_layer_reads_the_channels_before_it(self, rng):
-        model = small_model(rng, dim=3, num_layers=2)  # layer 0 writes 3 channels
+        model = small_model(rng, random_psd(rng, 3), num_layers=2)  # layer 0 writes 3 channels
         layer = dataclasses.replace(model.layers[1], coeffs=np.zeros((3, 2, 3)))
         with pytest.raises(ShapeError) as info:
-            ModelParams(layers=[model.layers[0], layer], head=model.head)
+            dataclasses.replace(model, layers=[model.layers[0], layer])
         assert str(info.value) == "/layers/1/coeffs: must have non-empty shape [f_out, 3, taps], got [3, 2, 3]"
         first = dataclasses.replace(model.layers[0], coeffs=np.zeros((3, 2, 3)))  # the signal has one channel
         with pytest.raises(ShapeError) as info:
-            ModelParams(layers=[first, model.layers[1]], head=model.head)
+            dataclasses.replace(model, layers=[first, model.layers[1]])
         assert str(info.value) == "/layers/0/coeffs: must have non-empty shape [f_out, 1, taps], got [3, 2, 3]"
         with pytest.raises(ValueError, match=r"^/layers: must be a non-empty list, got \[\]$"):
-            ModelParams(layers=[], head=model.head)
+            dataclasses.replace(model, layers=[])
+
+    @pytest.mark.parametrize("value", [
+        [[1.0, -2.5], [0.0, 3.0]], [[1.0, math.inf]], [[math.nan, 1.0]], [1.0, 2.0], [[]], [[1.0, 2.0, 3.0]],
+    ])
+    def test_array_check_reads_a_float_array_as_its_nested_list(self, value):
+        def outcome(v):
+            try:
+                return _array("/w", v, ("rows", "cols"), {"cols": 2})
+            except ValueError as exc:
+                return type(exc), str(exc)
+
+        got, want = outcome(np.array(value)), outcome(value)
+        if isinstance(want, np.ndarray):
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes() and got.shape == want.shape
+        else:
+            assert got == want
+
+    def test_array_check_scans_a_bool_array(self):
+        with pytest.raises(ConfigError, match=r"^/w: entries must be numbers a double holds, got True$"):
+            _array("/w", np.array([[True, False]]), ("rows", "cols"), {})
 
     def test_zero_tap_filter_bank_rejected(self):
         with pytest.raises(ShapeError, match="non-empty"):

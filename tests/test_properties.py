@@ -33,7 +33,7 @@ from hypothesis import strategies as st
 from conftest import dense_rho, random_psd
 from covdensity import covariance, density, lab, spectral
 from covdensity.covariance import PSD_RTOL, CovarianceMatrix, trace_normalize
-from covdensity.density import _as_decomposition, density_operator, density_values
+from covdensity.density import density_operator, density_values
 from covdensity.entropy import cvne
 from covdensity.errors import BetaRangeError, SymmetryError
 from covdensity.filtering import FilterSpec, filter_apply
@@ -292,7 +292,7 @@ def test_layer_of_a_permuted_covariance_and_features_is_the_permuted_layer(case,
     x = rng.standard_normal((2, f_in, len(c)))  # (batch, channel, node)
 
     def channels(matrix, signal):
-        decomp = _as_decomposition(matrix)  # as forward_rows decomposes a plain array
+        decomp = spectral.eigh(matrix)  # as a model decomposes its covariance
         return _layer_channels(layer, decomp.eigenvectors, density_values(decomp.eigenvalues, layer.betas)[0], signal)[0]
 
     got = channels(c[np.ix_(perm, perm)], x[:, :, perm])
@@ -315,7 +315,7 @@ KINK_MARGIN = 1e-3
 
 @st.composite
 def network_case(draw):
-    """A model, a covariance, a batch with its targets, and a loss."""
+    """A model over a random covariance, a batch with its targets, and a loss."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     losses = sum(TASK_LOSSES.values(), ())
     dim, loss = draw(st.integers(2, 5)), draw(st.sampled_from(losses))
@@ -333,36 +333,35 @@ def network_case(draw):
         skip_k0=draw(st.booleans()),
         seed=draw(st.integers(0, 2**31 - 1)),
     )
-    model = init_model(dim, n_outputs, cfg)
-    c = random_psd(rng, dim)
+    model = init_model(random_psd(rng, dim), n_outputs, cfg)
     batch = draw(st.integers(1, 3))
     xs = rng.standard_normal((batch, dim))
     if {activation, head_activation} & {"elu", "relu"}:
         # Redraw the inputs until every pre-activation is off the kink.  One that is 0 whatever the
         # input (after a skip_k0 layer of order 0, which outputs zeros) never is: reject that model.
         for _ in range(100):
-            if min_pre_activation(model, c, xs) >= KINK_MARGIN:
+            if min_pre_activation(model, xs) >= KINK_MARGIN:
                 break
             xs = rng.standard_normal((batch, dim))
-        assume(min_pre_activation(model, c, xs) >= KINK_MARGIN)
+        assume(min_pre_activation(model, xs) >= KINK_MARGIN)
     if loss == "cross_entropy":
         ys = rng.integers(0, model.head.w2.shape[0], batch).tolist()
     else:  # each residual 0.5 to 1.5 away from the kink of |r| at 0
-        out = forward_rows(model, c, xs)
+        out = forward_rows(model, xs)
         ys = out + rng.choice([-1.0, 1.0], out.shape) * rng.uniform(0.5, 1.5, out.shape)
-    return model, c, xs, ys, loss
+    return model, xs, ys, loss
 
 
 @settings(max_examples=40, deadline=None)
 @given(network_case())
 def test_batched_gradients_equal_central_differences(case):
-    model, c, xs, ys, loss = case
-    value, grads = model_gradients(model, c, xs, ys, loss)
-    loss_value = evaluate_loss(model, c, xs, ys, loss)
+    model, xs, ys, loss = case
+    value, grads = model_gradients(model, xs, ys, loss)
+    loss_value = evaluate_loss(model, xs, ys, loss)
     assert value == loss_value  # one block of rows through the same forward arithmetic
     got = gradient_arrays(model, grads)
-    d_h = finite_difference_gradients(model, c, xs, ys, loss, step=STEP)
-    d_2h = finite_difference_gradients(model, c, xs, ys, loss, step=2 * STEP)
+    d_h = finite_difference_gradients(model, xs, ys, loss, step=STEP)
+    d_2h = finite_difference_gradients(model, xs, ys, loss, step=2 * STEP)
     assert list(got) == list(d_h)
     # Truncation: D(h) = (L(t + h) - L(t - h)) / 2h = g + h^2 L'''/6 + O(h^4), so
     # D(2h) - D(h) = h^2 L'''/2 + O(h^4), three times the leading error of D(h), which covers the

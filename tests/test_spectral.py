@@ -1,3 +1,5 @@
+import copy
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -183,11 +185,13 @@ def test_eigenvector_signs_leave_every_consumer_bit_identical(m, seed, mask, oth
         np.testing.assert_array_equal(got, expected)
 
     cfg = TrainConfig(betas=(0.5, -1.0), betas_learnable=True, hidden_dim=3, num_layers=2, seed=seed % 1000)
-    model = init_model(m, 2, cfg)
+    model = init_model(a @ a.T, 2, cfg)
+    flipped = copy.copy(model)
+    flipped.basis = flip_columns(model.basis, mask)
     xs, ys = rng.standard_normal((5, m)), rng.standard_normal((5, 2))
-    np.testing.assert_array_equal(forward_rows(model, d_flip, xs), forward_rows(model, d, xs))
-    loss_flip, grads_flip = model_gradients(model, d_flip, xs, ys, "mse", np.random.default_rng(seed), dropout=0.3)
-    loss, grads = model_gradients(model, d, xs, ys, "mse", np.random.default_rng(seed), dropout=0.3)
+    np.testing.assert_array_equal(forward_rows(flipped, xs), forward_rows(model, xs))
+    loss_flip, grads_flip = model_gradients(flipped, xs, ys, "mse", np.random.default_rng(seed), dropout=0.3)
+    loss, grads = model_gradients(model, xs, ys, "mse", np.random.default_rng(seed), dropout=0.3)
     assert loss_flip == loss
     assert len(grads_flip) == len(grads)
     for got, expected in zip(grads_flip, grads):
