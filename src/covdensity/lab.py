@@ -279,17 +279,14 @@ def run_lipschitz(cfg: LipschitzConfig) -> RunTable:
     return RunTable("lipschitz", cfg.seed, {"trial": trials}, metrics)
 
 
-def matched_alignment(g, w, coeffs):
+def matched_alignment(scores, w):
     """Mean |<u_i, v_i>| between matched covariance and Laplacian eigenvectors, and a degenerate flag, per item.
 
-    ``g`` is g(lambda) at each Laplacian's ascending eigenvalues, ``w`` the covariance's ascending eigenvectors in
-    that Laplacian's eigenbasis (<u_i, v_j> = w[i, j]).  The j-th smallest g(lambda)^2 is matched to the j-th smallest
-    covariance eigenvalue (reversed when g decreases); degenerate flags population ties, where matching is ill-defined.
+    ``scores`` is g(lambda)^2, the population covariance's eigenvalues, at each Laplacian's ascending eigenvalues, ``w``
+    the covariance's ascending eigenvectors in that Laplacian's eigenbasis (<u_i, v_j> = w[i, j]).  The j-th smallest
+    score is matched to the j-th smallest covariance eigenvalue (reversed when g decreases); degenerate flags population
+    ties, where matching is ill-defined.
     """
-    with np.errstate(over="ignore"):
-        scores = np.square(g)
-    if not np.all(np.isfinite(scores)):
-        raise ValueError(f"filter_coeffs: the population covariance g(L)^2 overflows a double, got {list(coeffs)}")
     order = np.argsort(scores, axis=-1, kind="stable")
     scale = np.maximum(1.0, np.max(np.abs(scores), axis=-1, keepdims=True))
     degenerate = np.any(np.diff(np.take_along_axis(scores, order, axis=-1), axis=-1) < 1e-9 * scale, axis=-1)
@@ -342,14 +339,18 @@ def run_surrogate(cfg: SurrogateConfig) -> RunTable:
         lam, v = spectral._eigh(laplacians)
         with np.errstate(over="ignore", invalid="ignore"):
             g = filtering.polynomial_response(spec, lam)
+            scores = np.square(g)  # the population covariance's eigenvalues
             covs = (np.swapaxes(v, -1, -2) @ s_w @ v) * g[..., :, None] * g[..., None, :]  # g_i g_j alone can overflow
         if not np.all(np.isfinite(g)):
             raise ValueError(f"filter_coeffs: the filter g(L) overflows a double, got {spec.coeffs.tolist()}")
+        if not np.all(np.isfinite(scores)):
+            raise ValueError(f"filter_coeffs: the population covariance g(L)^2 overflows a double, "
+                             f"got {list(cfg.filter_coeffs)}")
         if not np.all(np.isfinite(covs)):
             raise ValueError("sample covariance overflows a double")
         mu, w = spectral._eigh(covs)
         covariance._check_psd(mu)
-        alignment, degenerate = matched_alignment(g, w, cfg.filter_coeffs)
+        alignment, degenerate = matched_alignment(scores, w)
         degenerate |= np.array(cfg.sample_grid) <= cfg.dim
         return [(float(d), None if d else a) for a, d in zip(alignment.tolist(), degenerate.tolist())]
 

@@ -32,9 +32,11 @@ Dropout stream: ``model_gradients`` draws its dropout mask as one
 as B consecutive ``rng.random(hidden)`` draws, one per sample in batch order,
 so seeded training does not depend on how samples are grouped into passes.
 
-Parameter order: ``model_gradients`` returns one gradient per ``_trainable_params``
-entry, in that order (per layer its coeffs, then its betas if learnable; then the
-head's w1, b1, w2, b2); ``train`` hands it straight to Adam, fixed at (0.9, 0.999, 1e-8).
+Parameter order: the trained arrays are, per layer, its coeffs, then its betas if
+learnable; then the head's w1, b1, w2, b2.  ``model_gradients`` returns one gradient
+per array in that order.  ``train`` packs the arrays, in that order, into one flat
+vector whose views the records then hold, and runs Adam, fixed at (0.9, 0.999, 1e-8),
+over that vector; its best-epoch snapshot is a copy of the vector.
 
 Checkpoints: ``model_from_dict`` builds each record from model.json; ``ModelParams`` checks the rules across records.
 
@@ -45,7 +47,6 @@ central finite differences in the test suite.
 from __future__ import annotations
 
 import contextlib
-import copy
 import json
 import math
 import reprlib
@@ -328,7 +329,7 @@ def _loss_and_grad(out: np.ndarray, targets, loss: str):
 
 
 def _backward(model: ModelParams, tape: _Tape, d_out: np.ndarray) -> list[np.ndarray]:
-    """Gradients of sum_b <d_out[b], out[b]>, reduced over the batch axis, in ``_trainable_params`` order."""
+    """Gradients of sum_b <d_out[b], out[b]>, reduced over the batch axis, in parameter order (module docstring)."""
     head = model.head
     d_h1 = d_out @ head.w2
     if tape.mask is not None:
@@ -361,7 +362,7 @@ def _backward(model: ModelParams, tape: _Tape, d_out: np.ndarray) -> list[np.nda
 
 
 def model_gradients(model: ModelParams, batch_x, batch_y, loss: str, rng=None, dropout: float = 0.0):
-    """Mean batch loss and its analytic gradients, one array per ``_trainable_params`` entry, in that order.
+    """Mean batch loss and its analytic gradients, one per trained array, in parameter order (module docstring).
 
     The whole batch runs as one pass.  With ``dropout > 0`` each hidden unit of
     each sample is kept with probability ``1 - dropout`` (and scaled by its
@@ -401,49 +402,13 @@ class TrainResult:
 _ADAM_BETAS, _ADAM_EPS = (0.9, 0.999), 1e-8  # moment decay rates and denominator floor (Kingma & Ba)
 
 
-class _Adam:
-    def __init__(self, params: list[np.ndarray], lr):
-        self.params = params
-        self.lr = lr
-        self.m = [np.zeros_like(p) for p in params]
-        self.v = [np.zeros_like(p) for p in params]
-        self.t = 0
-
-    def step(self, grads: list[np.ndarray]):
-        self.t += 1
-        b1, b2 = _ADAM_BETAS
-        for p, g, m, v in zip(self.params, grads, self.m, self.v):
-            m *= b1
-            m += (1 - b1) * g
-            v *= b2
-            with np.errstate(over="ignore"):  # an overflow leaves an inf, checked next
-                v += (1 - b2) * g * g
-            if not np.all(np.isfinite(v)):
-                largest = np.max(np.abs(g))
-                raise TrainingError(f"Adam's second moment overflows a double (largest |gradient| {largest:.3g})")
-            m_hat = m / (1 - b1**self.t)
-            v_hat = v / (1 - b2**self.t)
-            p -= self.lr * m_hat / (np.sqrt(v_hat) + _ADAM_EPS)
-
-
-def _trainable_params(model: ModelParams) -> list[np.ndarray]:
-    """The trained arrays, in the order ``model_gradients`` returns their gradients."""
-    params = []
-    for layer in model.layers:
-        params.append(layer.coeffs)
-        if layer.betas_learnable:
-            params.append(layer.betas)
-    params.extend([model.head.w1, model.head.b1, model.head.w2, model.head.b2])
-    return params
-
-
 def train(model: ModelParams, train_data, val_data, cfg: TrainConfig) -> TrainResult:
     """Adam training with validation-based model selection, reading the optimizer keys of ``cfg``.
 
-    ``train_data`` and ``val_data`` are (xs, ys) pairs.  The returned model is
-    a copy of the parameters at the epoch with the lowest validation loss
-    (ties broken by the earliest epoch).  If the loss goes non-finite, training
-    aborts and the last finite state is kept, with ``diverged=True``.
+    ``train_data`` and ``val_data`` are (xs, ys) pairs.  ``model`` is trained in
+    place and returned at the epoch with the lowest validation loss (ties broken
+    by the earliest epoch).  If the loss goes non-finite, training aborts and the
+    last finite state is kept, with ``diverged=True``.
 
     Raises:
         TrainingError: the loss goes non-finite before the first epoch has a finite validation loss.
@@ -451,10 +416,17 @@ def train(model: ModelParams, train_data, val_data, cfg: TrainConfig) -> TrainRe
     xs, ys = _as_signals(model, train_data[0]), np.asarray(train_data[1])
     loss = cfg.task_loss
     rng = np.random.default_rng(cfg.seed)
-    optimizer = _Adam(_trainable_params(model), cfg.learning_rate)
+    slots = [(layer, key) for layer in model.layers for key in ("coeffs", "betas")[: 1 + layer.betas_learnable]]
+    slots += [(model.head, key) for key in ("w1", "b1", "w2", "b2")]
+    arrays = [getattr(record, key) for record, key in slots]
+    params = np.concatenate([a.ravel() for a in arrays])  # each trained field becomes a view of it, below
+    for (record, key), a, view in zip(slots, arrays, np.split(params, np.cumsum([a.size for a in arrays[:-1]]))):
+        setattr(record, key, view.reshape(a.shape))
+    m, v, step = np.zeros_like(params), np.zeros_like(params), 0  # Adam's moments and step count
+    b1, b2 = _ADAM_BETAS
     history = {"train_loss": [], "val_loss": []}
     best_val, best_epoch = math.inf, 0
-    best_model = copy.deepcopy(model)
+    best = params.copy()
     diverged = False
     n = len(xs)
     for epoch in range(cfg.epochs):
@@ -463,7 +435,17 @@ def train(model: ModelParams, train_data, val_data, cfg: TrainConfig) -> TrainRe
             for start in range(0, n, cfg.batch_size):
                 idx = order[start : start + cfg.batch_size]
                 _, grads = model_gradients(model, xs[idx], ys[idx], loss, rng, cfg.dropout)
-                optimizer.step(grads)
+                g = np.concatenate([a.ravel() for a in grads])
+                step += 1
+                m *= b1
+                m += (1 - b1) * g
+                v *= b2
+                with np.errstate(over="ignore"):  # an overflow leaves an inf, checked next
+                    v += (1 - b2) * g * g
+                if not np.all(np.isfinite(v)):
+                    largest = np.max(np.abs(g))
+                    raise TrainingError(f"Adam's second moment overflows a double (largest |gradient| {largest:.3g})")
+                params -= cfg.learning_rate * (m / (1 - b1**step)) / (np.sqrt(v / (1 - b2**step)) + _ADAM_EPS)
             with np.errstate(over="ignore", invalid="ignore"):  # an overflow leaves a non-finite loss, checked next
                 train_loss = evaluate_loss(model, xs, ys, loss)
                 val_loss = evaluate_loss(model, *val_data, loss)
@@ -480,8 +462,9 @@ def train(model: ModelParams, train_data, val_data, cfg: TrainConfig) -> TrainRe
         if val_loss < best_val:
             best_val = val_loss
             best_epoch = epoch
-            best_model = copy.deepcopy(model)
-    return TrainResult(model=best_model, history=history, best_epoch=best_epoch, diverged=diverged)
+            best = params.copy()
+    params[...] = best
+    return TrainResult(model=model, history=history, best_epoch=best_epoch, diverged=diverged)
 
 
 def init_model(cov, n_outputs: int, cfg: TrainConfig) -> ModelParams:

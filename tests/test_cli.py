@@ -503,16 +503,23 @@ class TestExperimentCommands:
                 "lipschitz", [], {"eigenvalue_range": [-1e308, 1e308]},
                 "/eigenvalue_range: high - low must be finite, got [-1e+308, 1e+308]",
             ),
-            # g(L) itself overflows, then g(L) S_w g(L)^T, then g(lambda)^2 alone.
+            # g(L) itself overflows, then g(lambda)^2, then g(L) S_w g(L)^T.
             (
                 "surrogate", ["--dim", "5"], {"filter_coeffs": [1.0, 1e308]},
                 "filter_coeffs: the filter g(L) overflows a double, got [1.0, 1e+308]",
             ),
-            ("surrogate", ["--dim", "5"], {"filter_coeffs": [1e200, 1.0]}, "sample covariance overflows a double"),
-            # Two samples give a rank-one S_w small along g's top eigenvector, so the covariance stays finite.
+            (
+                "surrogate", ["--dim", "5"], {"filter_coeffs": [1e200, 1.0]},
+                "filter_coeffs: the population covariance g(L)^2 overflows a double, got [1e+200, 1.0]",
+            ),
             (
                 "surrogate", ["--dim", "5", "--seed", "6", "--sample-grid", "2"], {"filter_coeffs": [1.5e154, 1.0]},
                 "filter_coeffs: the population covariance g(L)^2 overflows a double, got [1.5e+154, 1.0]",
+            ),
+            # A constant g = 1e154 squares to a finite 1e308, but g(L) S_w g(L)^T with a two-sample S_w does not.
+            (
+                "surrogate", ["--dim", "5", "--seed", "0", "--sample-grid", "2"], {"filter_coeffs": [1e154, 0.0]},
+                "sample covariance overflows a double",
             ),
             # The regime-1 spectrum base * scale overflows a double.
             (

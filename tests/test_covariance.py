@@ -154,7 +154,7 @@ class TestGraphStationary:
         lam, v = spectral._eigh(np.stack([lap, sample_covariance(data).matrix]))
         # g on L's spectrum, and the covariance eigenvectors in L's eigenbasis.
         g = polynomial_response(FilterSpec(coeffs=[1.0, 0.5], beta=0.0), lam[:1])
-        alignment, degenerate = matched_alignment(g, v[:1].swapaxes(-1, -2) @ v[1:], [1.0, 0.5])
+        alignment, degenerate = matched_alignment(np.square(g), v[:1].swapaxes(-1, -2) @ v[1:])
         assert not degenerate[0]
         assert alignment[0] >= 0.9
 

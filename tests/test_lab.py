@@ -405,6 +405,15 @@ class TestSurrogate:
         assert all(r.metrics["degenerate"] == 1.0 for r in records)
         assert all("alignment" not in r.metrics for r in records)
 
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("grid", [(2,), (100,), (2000,)])
+    def test_overflowing_population_covariance_is_named_before_the_sample_covariance(self, seed, grid):
+        # g >= 1.5e154 on every Laplacian eigenvalue, so g^2 overflows whatever the draw puts in S_w.
+        cfg = SurrogateConfig(dim=5, trials=1, seed=seed, sample_grid=grid, filter_coeffs=(1.5e154, 1.0))
+        assert error_of(run_surrogate, cfg) == (
+            ValueError, "filter_coeffs: the population covariance g(L)^2 overflows a double, got [1.5e+154, 1.0]"
+        )
+
     def test_rank_deficient_sample_covariance_is_degenerate(self):
         # At n <= dim the centred sample covariance has rank at most n - 1 < dim, so rounding alone
         # picks its null-space eigenvectors; those rows are flagged and carry no alignment.
@@ -521,7 +530,10 @@ class TestDeterminismAndThreads:
             ({"edge_prob": 1e-9}, (GraphGenerationError, "no connected graph in 100 attempts (dim=20, edge_prob=1e-09)")),
             ({"dim": 5, "filter_coeffs": (1.0, 1e308)},
              (ValueError, "filter_coeffs: the filter g(L) overflows a double, got [1.0, 1e+308]")),
-            ({"dim": 5, "filter_coeffs": (1e200, 1.0)}, (ValueError, "sample covariance overflows a double")),
+            ({"dim": 5, "filter_coeffs": (1e200, 1.0)},
+             (ValueError, "filter_coeffs: the population covariance g(L)^2 overflows a double, got [1e+200, 1.0]")),
+            ({"dim": 5, "seed": 0, "sample_grid": (2,), "filter_coeffs": (1e154, 0.0)},
+             (ValueError, "sample covariance overflows a double")),
             ({"dim": 5, "seed": 6, "sample_grid": (2,), "filter_coeffs": (1.5e154, 1.0)},
              (ValueError, "filter_coeffs: the population covariance g(L)^2 overflows a double, got [1.5e+154, 1.0]")),
         ],

@@ -19,7 +19,8 @@ from covdensity.network import (
     TrainConfig,
     evaluate_loss,
     forward_rows,
-    _Adam,
+    _ADAM_BETAS,
+    _ADAM_EPS,
     _aggregate,
     _forward,
     _layer_channels,
@@ -459,6 +460,80 @@ def toy_two_class_problem(rng, n=200, dim=4):
     return xs, ys
 
 
+class ReferenceAdam:
+    """Adam stepped array by array, each with its own moments: the optimizer ``train`` is checked against."""
+
+    def __init__(self, params, lr):
+        self.params, self.lr, self.t = params, lr, 0
+        self.m = [np.zeros_like(p) for p in params]
+        self.v = [np.zeros_like(p) for p in params]
+
+    def step(self, grads):
+        self.t += 1
+        b1, b2 = _ADAM_BETAS
+        for p, g, m, v in zip(self.params, grads, self.m, self.v):
+            m *= b1
+            m += (1 - b1) * g
+            v *= b2
+            with np.errstate(over="ignore"):
+                v += (1 - b2) * g * g
+            if not np.all(np.isfinite(v)):
+                largest = np.max(np.abs(g))
+                raise TrainingError(f"Adam's second moment overflows a double (largest |gradient| {largest:.3g})")
+            m_hat = m / (1 - b1**self.t)
+            v_hat = v / (1 - b2**self.t)
+            p -= self.lr * m_hat / (np.sqrt(v_hat) + _ADAM_EPS)
+
+
+def reference_train(model, train_data, val_data, cfg):
+    """``train``'s oracle: per-array Adam over ``model``'s own arrays, and a deep copy of the whole model at each new
+    best epoch.  Returns (best model, history, best epoch, diverged)."""
+    xs, ys = np.asarray(train_data[0], dtype=float), np.asarray(train_data[1])
+    loss, rng = cfg.task_loss, np.random.default_rng(cfg.seed)
+    optimizer = ReferenceAdam(list(named_parameters(model).values()), cfg.learning_rate)
+    history = {"train_loss": [], "val_loss": []}
+    best_val, best_epoch, best_model, diverged = math.inf, 0, copy.deepcopy(model), False
+    for epoch in range(cfg.epochs):
+        order = rng.permutation(len(xs))
+        try:
+            for start in range(0, len(xs), cfg.batch_size):
+                idx = order[start : start + cfg.batch_size]
+                optimizer.step(model_gradients(model, xs[idx], ys[idx], loss, rng, cfg.dropout)[1])
+            with np.errstate(over="ignore", invalid="ignore"):
+                train_loss = evaluate_loss(model, xs, ys, loss)
+                val_loss = evaluate_loss(model, *val_data, loss)
+            if not (math.isfinite(train_loss) and math.isfinite(val_loss)):
+                raise TrainingError("non-finite loss")
+        except TrainingError:
+            diverged = True
+            break
+        history["train_loss"].append(train_loss)
+        history["val_loss"].append(val_loss)
+        if val_loss < best_val:
+            best_val, best_epoch, best_model = val_loss, epoch, copy.deepcopy(model)
+    return best_model, history, best_epoch, diverged
+
+
+def parity_case(rng, case):
+    """(cfg, train_data, val_data) of one ``train`` parity case."""
+    xs = rng.standard_normal((40, 4))
+    ys = (xs @ rng.standard_normal(4))[:, None]
+    if case == "diverges":  # test_divergence_aborts_with_flag's recipe: the validation loss overflows in epoch 5
+        cfg = TrainConfig(
+            betas=(0.5,), hidden_dim=4, activation="identity", head_activation="identity",
+            learning_rate=0.1, epochs=30, batch_size=8, seed=0,
+        )
+        return cfg, (xs, 1e3 * ys), (1e152 * xs[:8], np.zeros((8, 1)))
+    cfg = TrainConfig(hidden_dim=6, learning_rate=0.02, epochs=8, batch_size=8, seed=3, **{
+        "dropout": dict(betas=(0.1, 5.0), dropout=0.5, task="classification"),
+        "learned": dict(betas=(0.0, 0.5, 1.0), betas_learnable=True),
+        "two_layer": dict(betas=(0.5, 2.0), num_layers=2, aggregation="sum", skip_k0=True),
+    }[case])
+    if cfg.task == "classification":
+        ys = (ys[:, 0] > 0).astype(int)
+    return cfg, (xs[:30], ys[:30]), (xs[30:], ys[30:])
+
+
 class TestTrain:
     def test_zero_learning_rate_keeps_parameters(self, rng):
         c = random_psd(rng, 3)
@@ -525,15 +600,53 @@ class TestTrain:
         assert all(math.isfinite(v) for v in result.history["val_loss"])
         assert np.all(np.isfinite(result.model.head.w1))
 
+    @pytest.mark.parametrize("case", ["dropout", "learned", "two_layer", "diverges"])
+    def test_matches_the_per_array_reference(self, rng, case):
+        cfg, train_data, val_data = parity_case(rng, case)
+        cov = random_psd_from_features(list(train_data[0]))
+        n_out = 2 if cfg.task == "classification" else 1
+        want, history, best_epoch, diverged = reference_train(init_model(cov, n_out, cfg), train_data, val_data, cfg)
+        result = train(init_model(cov, n_out, cfg), train_data, val_data, cfg)
+        assert diverged == (case == "diverges") and len(history["val_loss"]) > 1
+        assert (result.history, result.best_epoch, result.diverged) == (history, best_epoch, diverged)
+        got = named_parameters(result.model)
+        assert list(got) == list(named_parameters(want))
+        for name, expected in named_parameters(want).items():
+            np.testing.assert_array_equal(got[name], expected, err_msg=name)
+
     def test_adam_second_moment_overflow_raises_without_warning(self):
-        # A gradient entry above about 1.3e154 squares past the largest double.
-        optimizer = _Adam([np.zeros(2)], 1e-3)
+        # Rows scaled by 1e200 through identity activations give gradient entries near 1e199, whose squares
+        # pass the largest double; the mae loss itself stays finite.
+        rng = np.random.default_rng(0)
+        xs, ys = rng.standard_normal((16, 3)), rng.standard_normal((16, 1))
+        cfg = TrainConfig(
+            betas=(0.5,), hidden_dim=4, activation="identity", head_activation="identity", loss="mae",
+            epochs=2, batch_size=8, seed=0,
+        )
+        model = init_model(random_psd_from_features(list(xs)), 1, cfg)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            message = r"^Adam's second moment overflows a double \(largest \|gradient\| 1e\+200\)$"
+            message = (
+                r"^train epoch 1 of 2 diverged before any finite validation loss: "
+                r"Adam's second moment overflows a double \(largest \|gradient\| 4\.56e\+199\)$"
+            )
             with pytest.raises(TrainingError, match=message):
-                optimizer.step([np.array([1e200, 1.0])])
+                train(model, (1e200 * xs, ys), (xs, ys), cfg)
         assert caught == []
+
+    def test_returns_the_trained_model_at_its_best_epoch(self):
+        # Four samples a batch at lr 0.05 make the validation loss wander: its minimum is not the last epoch.
+        rng = np.random.default_rng(3)
+        xs, ys = rng.standard_normal((24, 4)), rng.standard_normal((24, 1))
+        val_data = (rng.standard_normal((12, 4)), rng.standard_normal((12, 1)))
+        cfg = TrainConfig(betas=(0.5, 2.0), hidden_dim=16, learning_rate=0.05, epochs=12, batch_size=4, seed=1)
+        model = init_model(random_psd_from_features(list(xs)), 1, cfg)
+        covariance, basis = model.covariance, model.basis
+        result = train(model, (xs, ys), val_data, cfg)
+        assert result.best_epoch < len(result.history["val_loss"]) - 1
+        assert evaluate_loss(result.model, *val_data, "mse") == result.history["val_loss"][result.best_epoch]
+        assert result.model is model
+        assert result.model.covariance is covariance and result.model.basis is basis
 
     def test_divergence_before_the_first_epoch_ends_raises_naming_the_stage(self, rng):
         xs, ys = toy_two_class_problem(rng, n=20)

@@ -180,8 +180,8 @@ def test_eigenvector_signs_leave_every_consumer_bit_identical(m, seed, mask, oth
     # d plays the Laplacian, c the covariance, whose eigenvectors the matching reads in d's basis.
     coeffs = rng.standard_normal(2)
     g = polynomial_response(FilterSpec(coeffs=coeffs, beta=0.0), d.eigenvalues)
-    flipped = matched_alignment(g, d_flip.eigenvectors.T @ c_flip.eigenvectors, coeffs)
-    for got, expected in zip(flipped, matched_alignment(g, d.eigenvectors.T @ c.eigenvectors, coeffs)):
+    flipped = matched_alignment(np.square(g), d_flip.eigenvectors.T @ c_flip.eigenvectors)
+    for got, expected in zip(flipped, matched_alignment(np.square(g), d.eigenvectors.T @ c.eigenvectors)):
         np.testing.assert_array_equal(got, expected)
 
     cfg = TrainConfig(betas=(0.5, -1.0), betas_learnable=True, hidden_dim=3, num_layers=2, seed=seed % 1000)
