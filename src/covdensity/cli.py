@@ -18,6 +18,7 @@ import datetime
 import functools
 import json
 import os
+import re
 import sys
 
 import numpy as np
@@ -52,6 +53,10 @@ class UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"-\.?\d")  # "-1,0.5" and "-1e-3" are values, not options
+
     def error(self, message):
         raise UsageError(f"{message}\n{self.format_usage()}")
 
@@ -267,11 +272,12 @@ def _experiment_headline(experiment: str, table) -> str:
         ratios = [v for v in metrics["ratio"] if v is not None]
         return f"max_ratio={max(ratios):.6f} n={len(ratios)}"
     if experiment == "surrogate":
-        by_n: dict = {}
-        for n, alignment in zip(table.params.get("n_samples", ()), metrics.get("alignment", ())):
+        n_samples = table.params.get("n_samples", ())
+        by_n: dict = {int(n): [] for n in sorted(n_samples)}
+        for n, alignment in zip(n_samples, metrics.get("alignment", ())):
             if alignment is not None:
-                by_n.setdefault(n, []).append(alignment)
-        parts = [f"n={int(n)}:{float(np.mean(v)):.4f}" for n, v in sorted(by_n.items())]
+                by_n[int(n)].append(alignment)
+        parts = [f"n={n}:{float(np.mean(v)):.4f}" if v else f"n={n}:none" for n, v in by_n.items()]
         return "mean_alignment " + " ".join(parts)
     return f"records={len(table)}"
 

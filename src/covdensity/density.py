@@ -52,16 +52,8 @@ class DensityOperator:
     log_partition: float
 
     @property
-    def partition_function(self) -> float:
-        return _exp("Z", self.log_partition)
-
-    @property
     def dim(self) -> int:
         return self.basis.dim
-
-    @property
-    def source_spectrum(self) -> np.ndarray:
-        return self.basis.eigenvalues
 
 
 def _exp(name: str, exponent: float, exp=math.exp) -> float:

@@ -1,10 +1,11 @@
 """Polynomial filters on density operators and their stability diagnostics.
 
 A filter with coefficients h_0..h_K applied to a density operator rho acts as
-sum_k h_k rho^k x, computed in the eigenbasis.  Its response at a source
-eigenvalue lambda is the polynomial at rho = exp(-beta lambda) / Z, which
-changes by at most alpha = sum_k |h_k| |beta k| per unit eigenvalue change;
-that constant is what lets beta trade discriminability against stability.
+sum_k h_k rho^k x, computed in the eigenbasis; h_0 = 0 drops the unfiltered
+k = 0 term.  Its response at a source eigenvalue lambda is the polynomial at
+rho = exp(-beta lambda) / Z, which changes by at most
+alpha = sum_k |h_k| |beta k| per unit eigenvalue change; that constant is what
+lets beta trade discriminability against stability.
 
 The response depends on the partition function Z of the whole operating
 spectrum, not on lambda alone, so it is evaluated at density eigenvalues, which
@@ -27,16 +28,10 @@ from .errors import ShapeError
 
 @dataclass(frozen=True)
 class FilterSpec:
-    """Polynomial filter taps h_0..h_K with the inverse temperature they assume.
-
-    ``skip_k0`` drops the unfiltered k = 0 term from application and response
-    (used to reduce noise in some recipes); it does not change the Lipschitz
-    constant since k = 0 contributes nothing there.
-    """
+    """Polynomial filter taps h_0..h_K (h_0 = 0 drops the unfiltered term) with the inverse temperature they assume."""
 
     coeffs: np.ndarray
     beta: float
-    skip_k0: bool = False
 
     def __post_init__(self):
         c = np.array(self.coeffs, dtype=float)  # a copy: the caller's array stays writable
@@ -53,10 +48,6 @@ class FilterSpec:
     def order(self) -> int:
         return self.coeffs.size - 1
 
-    @property
-    def k_start(self) -> int:
-        return 1 if self.skip_k0 else 0
-
 
 def _powers(r: np.ndarray, order: int) -> np.ndarray:
     """r**k for k = 0..order by repeated products, on a new second-to-last axis: (..., order + 1, m) for r (..., m)."""
@@ -69,7 +60,7 @@ def _powers(r: np.ndarray, order: int) -> np.ndarray:
 def polynomial_response(f: FilterSpec, rho_values) -> np.ndarray:
     """Evaluate sum_k h_k r^k elementwise over density eigenvalues r, summed in order of k."""
     r = np.asarray(rho_values, dtype=float)
-    terms = f.coeffs[f.k_start :, None] * _powers(np.atleast_1d(r), f.order)[..., f.k_start :, :]
+    terms = f.coeffs[:, None] * _powers(np.atleast_1d(r), f.order)
     return terms.sum(axis=-2).reshape(r.shape)
 
 

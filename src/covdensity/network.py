@@ -289,15 +289,14 @@ class _Tape:
     final_shape: tuple  # last layer's aggregated output, (B, C, m)
 
 
-def _forward(model: ModelParams, x: np.ndarray, mask=None, keep_tape=False):
-    """Outputs (B, n_outputs) for signals x of shape (B, m), and the tape if ``keep_tape``."""
+def _forward(model: ModelParams, x: np.ndarray, mask=None):
+    """Outputs (B, n_outputs) for signals x of shape (B, m), and the tape for backprop."""
     v, lam = model.basis.eigenvectors, model.basis.eigenvalues
     signal = x[:, None]
     layer_tapes = []
     for layer in model.layers:
         out, tape = _layer_channels(layer, v, density_values(lam, layer.betas)[0], signal)
-        if keep_tape:
-            layer_tapes.append(tape)
+        layer_tapes.append(tape)
         signal = _aggregate(layer.aggregation, out)
     flat = signal.reshape(len(x), -1)
 
@@ -307,7 +306,7 @@ def _forward(model: ModelParams, x: np.ndarray, mask=None, keep_tape=False):
     if mask is not None:
         h1 = h1 * mask
     out = h1 @ head.w2.T + head.b2
-    return out, (_Tape(layer_tapes, flat, z1, h1, mask, signal.shape) if keep_tape else None)
+    return out, _Tape(layer_tapes, flat, z1, h1, mask, signal.shape)
 
 
 def _loss_and_grad(out: np.ndarray, targets, loss: str):
@@ -378,7 +377,7 @@ def model_gradients(model: ModelParams, batch_x, batch_y, loss: str, rng=None, d
             raise ValueError("dropout needs an rng")
         mask = (rng.random((len(x), model.head.w1.shape[0])) >= dropout) / (1.0 - dropout)
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow leaves a non-finite loss, checked next
-        out, tape = _forward(model, x, mask, keep_tape=True)
+        out, tape = _forward(model, x, mask)
         losses, d_out = _loss_and_grad(out, batch_y, loss)
         mean_loss = float(losses.sum()) / len(x)
     if not math.isfinite(mean_loss):

@@ -25,7 +25,7 @@ def dense_rho(rho):
 def log_domain_response(spec, lam, log_z):
     """Oracle: the filter's response at source eigenvalue ``lam`` given ln Z of the operating spectrum,
     sum_k h_k exp(-beta lam k - k ln Z), which stays in range where Z^k would overflow."""
-    return sum(spec.coeffs[k] * math.exp(-spec.beta * lam * k - k * log_z) for k in range(spec.k_start, spec.order + 1))
+    return sum(spec.coeffs[k] * math.exp(-spec.beta * lam * k - k * log_z) for k in range(spec.order + 1))
 
 
 def random_psd(rng, dim, n_factor=5) -> CovarianceMatrix:

@@ -168,6 +168,24 @@ class TestEntropyCommand:
         assert code == 1
         assert "usage" in err.lower()
 
+    @pytest.mark.parametrize(
+        "argv,code,err",
+        [
+            (["stability", "--betas", "-1,0.5", "--dim", "4", "--trials", "1"], 0, ""),
+            (["entropy", "--beta", "-1e-3", "--input", "{cov}", "--input-is-covariance"], 0, ""),
+            (["fit-beta", "--spectrum", "-2,-1"], 2, "error: fit-beta without --target needs a positive eigenvalue"),
+            (["stability", "--noise-levels", "-0.1,0.2"], 2, "error: /noise_levels: entries must be >= 0"),
+            # An unknown flag is still one, whatever its value looks like.
+            (["stability", "--bogus", "-1"], 1, "unrecognized arguments: --bogus -1\n"),
+        ],
+    )
+    def test_a_value_that_starts_with_a_minus_sign_is_a_value(self, capsys, tmp_path, rank_one_cov, argv, code, err):
+        out_dir = tmp_path / "out"
+        argv = [rank_one_cov if arg == "{cov}" else arg for arg in argv]
+        got = run_cli(capsys, *argv, "--output-dir", str(out_dir))
+        assert got[0] == code and got[2].startswith(err), got
+        assert out_dir.exists() == (code == 0)
+
     def test_missing_file_is_runtime_error(self, capsys, tmp_path):
         code, _, err = run_cli(
             capsys, "entropy", "--input", str(tmp_path / "nope.csv"),
@@ -241,7 +259,9 @@ class TestFitBetaCommand:
         assert out == f"{fit.beta_star:.10g}\n"
         assert json.loads((out_dir / "summary.json").read_text())["fit"] == dataclasses.asdict(fit)
 
-    @pytest.mark.parametrize("spectrum", [["--spectrum", "0,0,0"], ["--spectrum=-2,-1"], None])
+    @pytest.mark.parametrize(
+        "spectrum", [["--spectrum", "0,0,0"], ["--spectrum=-2,-1"], ["--spectrum", "-2,-1"], None]
+    )
     def test_default_target_needs_a_positive_eigenvalue(self, capsys, tmp_path, spectrum):
         if spectrum is None:
             path = tmp_path / "zero.csv"
@@ -439,6 +459,24 @@ class TestExperimentCommands:
         assert (out_dir / "results.csv").exists()
         summary = json.loads((out_dir / "summary.json").read_text())
         assert "headline" in summary and "groups" in summary
+
+    @pytest.mark.parametrize("grid", ["2", "2,100", "100,2"])
+    def test_surrogate_headline_names_every_n_of_the_grid(self, capsys, tmp_path, grid):
+        # At n = 2 every draw is degenerate and records no alignment; that n is still named, in ascending order.
+        out_dir = tmp_path / "out"
+        code, out, err = run_cli(
+            capsys, "surrogate", "--dim", "5", "--sample-grid", grid, "--trials", "2", "--output-dir", str(out_dir)
+        )
+        assert (code, err) == (0, "")
+        with open(out_dir / "results.csv") as fh:
+            rows = list(csv.DictReader(fh))
+        parts = ["n=2:none"]
+        if grid != "2":
+            alignments = [float(r["m:alignment"]) for r in rows if r["p:n_samples"] == "100.0"]
+            parts.append(f"n=100:{np.mean(alignments):.4f}")
+        headline = "mean_alignment " + " ".join(parts)
+        assert out == f"{headline}\n"
+        assert json.loads((out_dir / "summary.json").read_text())["headline"] == headline
 
     def test_config_experiment_must_match_the_subcommand(self, capsys, tmp_path):
         cfg_path, out_dir = tmp_path / "cfg.json", tmp_path / "out"

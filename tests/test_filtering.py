@@ -14,9 +14,8 @@ def dense_polynomial_apply(spec, rho_dense, x):
     """Oracle: literal sum_k h_k rho^k x with dense matrix powers."""
     out = np.zeros_like(x)
     power = np.eye(len(x))
-    for k, h in enumerate(spec.coeffs):
-        if k >= spec.k_start:
-            out = out + h * (power @ x)
+    for h in spec.coeffs:
+        out = out + h * (power @ x)
         power = power @ rho_dense
     return out
 
@@ -49,12 +48,15 @@ class TestFilterApply:
             want = dense_polynomial_apply(spec, dense_rho(rho), x)
             np.testing.assert_allclose(got, want, rtol=1e-9, atol=1e-11)
 
-    def test_skip_k0_drops_identity_term(self, rng):
+    def test_h0_zero_drops_identity_term(self, rng):
         c = random_psd(rng, 3)
         rho = density_operator(c, 1.0)
         x = rng.standard_normal(3)
-        spec = FilterSpec(coeffs=[5.0, 1.0], beta=1.0, skip_k0=True)
+        spec = FilterSpec(coeffs=[0.0, 1.0], beta=1.0)
         np.testing.assert_allclose(filter_apply(spec, rho, x), dense_rho(rho) @ x, rtol=1e-10, atol=1e-12)
+        # Every other tap is the same: h_0 = 5 adds 5 x, and only that.
+        with_h0 = filter_apply(FilterSpec(coeffs=[5.0, 1.0], beta=1.0), rho, x)
+        np.testing.assert_allclose(with_h0 - 5.0 * x, dense_rho(rho) @ x, rtol=1e-10, atol=1e-12)
 
     def test_beta_zero_collapse_to_scalar_multiple(self, rng):
         dim = 5
@@ -94,7 +96,7 @@ class TestResponseAtDensityEigenvalues:
     def test_consistent_with_log_domain_formula(self, rng):
         rho = density_operator(random_psd(rng, 5), 1.1)
         spec = FilterSpec(coeffs=rng.standard_normal(4), beta=1.1)
-        want = np.array([log_domain_response(spec, lam, rho.log_partition) for lam in rho.source_spectrum])
+        want = np.array([log_domain_response(spec, lam, rho.log_partition) for lam in rho.basis.eigenvalues])
         np.testing.assert_allclose(polynomial_response(spec, rho.density_eigenvalues), want, rtol=1e-9, atol=1e-12)
         x = rng.standard_normal(5)
         v = rho.basis.eigenvectors
@@ -109,7 +111,9 @@ class TestResponseAtDensityEigenvalues:
 
     @pytest.mark.parametrize("shape", [(), (3,), (2, 3), (2, 1, 4)])
     def test_elementwise_over_any_shape(self, rng, shape):
-        spec = FilterSpec(coeffs=rng.standard_normal(4), beta=0.3, skip_k0=True)
+        coeffs = rng.standard_normal(4)
+        coeffs[0] = 0.0  # h_0 = 0: the response sums the taps k = 1..3
+        spec = FilterSpec(coeffs=coeffs, beta=0.3)
         r = rng.uniform(0.0, 1.0, shape)
         got = polynomial_response(spec, r)
         assert got.shape == shape
@@ -127,9 +131,9 @@ class TestLipschitzConstants:
     def test_weighted_sum(self):
         assert lipschitz_alpha(FilterSpec(coeffs=[1.0, 2.0, 3.0], beta=0.5)) == pytest.approx(4.0)
 
-    def test_skip_k0_does_not_change_alpha(self):
+    def test_h0_does_not_change_alpha(self):
         a = lipschitz_alpha(FilterSpec(coeffs=[9.0, 2.0], beta=1.0))
-        b = lipschitz_alpha(FilterSpec(coeffs=[9.0, 2.0], beta=1.0, skip_k0=True))
+        b = lipschitz_alpha(FilterSpec(coeffs=[0.0, 2.0], beta=1.0))
         assert a == b
 
     def test_empirical_lipschitz_bound(self, rng):

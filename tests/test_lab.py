@@ -604,7 +604,7 @@ def stability_oracle(cfg):
                 rho_base = density.density_operator(reg, beta)
                 rho_pert = density.density_operator(reg.matrix + dc, beta)
                 # The bound's formula on SVD norms and R read from the two operators' Z.
-                ratio = rho_pert.partition_function / rho_base.partition_function
+                ratio = math.exp(rho_pert.log_partition) / math.exp(rho_base.log_partition)
                 norms = [np.linalg.norm(m, 2) for m in (reg.matrix, reg.matrix + dc, dc)]
                 records.append(
                     ({"trial": t, "noise": eps, "method": "density", "beta": beta},

@@ -41,10 +41,9 @@ def layer_oracle(params, rhos, x_in):
     for mo in range(params.f_out):
         acc = np.zeros(x_in.shape[1])
         for g in range(params.coeffs.shape[1]):
-            spec = FilterSpec(
-                coeffs=params.coeffs[mo, g], beta=params.betas[mo], skip_k0=params.skip_k0
-            )
-            acc = acc + filter_apply(spec, rhos[mo], x_in[g])
+            taps = params.coeffs[mo, g].copy()
+            taps[: params.k_start] = 0.0  # a skip_k0 layer leaves out its h_0
+            acc = acc + filter_apply(FilterSpec(coeffs=taps, beta=params.betas[mo]), rhos[mo], x_in[g])
         outs.append(act(acc))
     return np.stack(outs)
 
@@ -278,7 +277,7 @@ def finite_difference_gradients(model, xs, ys, loss, step=1e-5):
 
 def min_pre_activation(model, xs):
     """Smallest |pre-activation| of any layer or head unit over the batch ``xs``, (n, dim)."""
-    _, tape = _forward(model, np.asarray(xs, dtype=float), keep_tape=True)
+    _, tape = _forward(model, np.asarray(xs, dtype=float))
     return min(float(np.min(np.abs(a))) for a in [tape.z1, *(layer.pre_activation for layer in tape.layers)])
 
 

@@ -87,7 +87,7 @@ def test_density_matrix_has_unit_trace_and_is_positive_where_no_weight_underflow
     # + ln m)).  A double holds that as a positive number while the exponent is above ln of half the
     # smallest subnormal, -745.13; the exponents' rounding is far below the remaining 0.13.  With
     # |beta| spread alone below 745, m >= 2 nearly equal top weights can still round rho_i to 0.
-    spread = float(np.ptp(rho.source_spectrum))
+    spread = float(np.ptp(rho.basis.eigenvalues))
     if abs(beta) * spread + math.log(m) < 745.0:
         assert np.all(values > 0.0)
 
@@ -98,7 +98,7 @@ def test_gibbs_form_equals_shannon_form(case):
     c, beta = case
     report = cvne(c, beta)
     rho = density_operator(c, beta)
-    m, norm, log_z = rho.dim, float(np.max(np.abs(rho.source_spectrum))), abs(rho.log_partition)
+    m, norm, log_z = rho.dim, float(np.max(np.abs(rho.basis.eigenvalues))), abs(rho.log_partition)
     # Both forms read the same computed rho~ and lambda.  -ln rho~_i = beta lambda_i + ln Z~ up to
     # the exponent's rounding (<= 1.5 eps |beta| ||C||: the product beta lambda_i, then the shift
     # by the top exponent, at most 2 |beta| ||C|| away) and eps from exp and the division; sum rho~
@@ -261,9 +261,12 @@ def permuted_case(draw):
 
 @settings(max_examples=200, deadline=None)
 @given(permuted_case(), st.integers(0, 4), st.booleans())
-def test_filter_of_a_permuted_covariance_is_the_permuted_filter(case, order, skip_k0):
+def test_filter_of_a_permuted_covariance_is_the_permuted_filter(case, order, zero_h0):
     c, beta, perm, rng = case
-    spec = FilterSpec(coeffs=rng.standard_normal(order + 1), beta=beta, skip_k0=skip_k0)
+    coeffs = rng.standard_normal(order + 1)
+    if zero_h0:
+        coeffs[0] = 0.0  # h_0 = 0 drops the unfiltered term, as a skip_k0 layer does
+    spec = FilterSpec(coeffs=coeffs, beta=beta)
     x = rng.standard_normal(len(c))
     got = filter_apply(spec, density_operator(c[np.ix_(perm, perm)], beta), x[perm])
     want = filter_apply(spec, density_operator(c, beta), x)[perm]

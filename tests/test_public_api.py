@@ -3,12 +3,16 @@
 import ast
 import importlib
 import inspect
+import math
 from pathlib import Path
+
+import pytest
 
 import covdensity
 from covdensity import errors
 
 SRC = Path(covdensity.__file__).parent
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def test_exports_are_pinned():
@@ -55,6 +59,16 @@ def loaded_names(tree) -> set[str]:
     return names
 
 
+def src_loaded_names() -> set[str]:
+    """Names that any covdensity submodule's code loads (``loaded_names`` of each)."""
+    return set().union(*(loaded_names(ast.parse(p.read_text())) for p in SRC.glob("*.py") if p.name != "__init__.py"))
+
+
+def quick_tour() -> str:
+    """The code block of the README's library quick tour."""
+    return README.read_text().split("## Library quick tour", 1)[1].split("```python", 1)[1].split("```", 1)[0]
+
+
 def public_definitions() -> set[str]:
     """``module.name`` of every public function and class that a covdensity submodule defines."""
     names = set()
@@ -71,10 +85,8 @@ def public_definitions() -> set[str]:
 def test_every_exported_function_and_class_has_a_caller():
     # Every public function and class of every submodule, exported or not: a public name that only
     # the tests use is an oracle, and belongs in tests/conftest.py.
-    used = set().union(*(loaded_names(ast.parse(p.read_text())) for p in SRC.glob("*.py") if p.name != "__init__.py"))
-    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
-    tour = readme.split("## Library quick tour", 1)[1].split("```python", 1)[1].split("```", 1)[0]
-    toured = {node.name for node in ast.walk(ast.parse(tour)) if isinstance(node, ast.alias)}
+    used = src_loaded_names()
+    toured = {node.name for node in ast.walk(ast.parse(quick_tour())) if isinstance(node, ast.alias)}
     defined = public_definitions()
     exported = {
         f"{obj.__module__.rsplit('.', 1)[1]}.{obj.__name__}"
@@ -83,6 +95,26 @@ def test_every_exported_function_and_class_has_a_caller():
     }
     assert len(exported) > 10 and exported <= defined
     assert sorted(name for name in defined if name.split(".")[1] not in used | toured) == []
+
+
+def test_every_property_of_a_public_class_is_read():
+    # A property that only the tests read is public API without a caller, as a function would be.
+    properties = set()
+    for name in public_definitions():
+        module, attr = name.split(".")
+        obj = getattr(importlib.import_module(f"covdensity.{module}"), attr)
+        if inspect.isclass(obj):
+            properties |= {f"{name}.{key}" for key, value in vars(obj).items() if isinstance(value, property)}
+    assert len(properties) > 5
+    read = src_loaded_names() | loaded_names(ast.parse(quick_tour()))
+    assert sorted(name for name in properties if name.rsplit(".", 1)[1] not in read) == []
+
+
+def test_quick_tour_runs_as_its_comments_say():
+    scope = {}
+    exec(compile(quick_tour(), "README.md quick tour", "exec"), scope)
+    assert scope["report"].entropy_bits == pytest.approx(1.277, abs=1e-3)
+    assert scope["fit"].beta_star == pytest.approx(-math.log(2), abs=1e-9)
 
 
 def raised_names(path) -> set[str]:
