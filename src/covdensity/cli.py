@@ -25,15 +25,8 @@ import numpy as np
 
 from . import __version__, covariance, density, entropy, lab, network
 from .betafit import fit_beta
-from .covariance import (
-    CovarianceMatrix,
-    DataMatrix,
-    read_csv_covariance,
-    read_csv_data,
-    sample_covariance,
-    trace_normalize,
-)
-from .errors import ConfigError, _keys, _read_json, _version
+from .covariance import CovarianceMatrix, read_csv_covariance, read_csv_data, sample_covariance
+from .errors import ConfigError, InsufficientDataError, _keys, _read_json, _version
 
 EXPERIMENT_SUBCOMMANDS = {
     "stability": "stability",
@@ -214,13 +207,12 @@ def _cmd_entropy(args) -> _Run:
 def _cmd_density(args) -> _Run:
     spectrum = covariance._spectrum(_read_cov(args))
     rho, log_z = density.density_values(spectrum, (args.beta,))
-    z = density._exp("Z", float(log_z[0]))
     table = lab.RunTable(
         "density", 0, {"index": range(spectrum.size)}, {"source_eigenvalue": spectrum, "density_eigenvalue": rho[0]}
     )
     return _Run(
         {"beta": args.beta, "input": args.input}, table,
-        {"partition_function": z, "beta": args.beta, "dim": spectrum.size}, ",".join(f"{v:.10g}" for v in rho[0]),
+        {"log_partition": float(log_z[0]), "beta": args.beta, "dim": spectrum.size}, ",".join(f"{v:.10g}" for v in rho[0]),
     )
 
 
@@ -324,11 +316,11 @@ def _cmd_train(args) -> _Run:
     order_idx = rng.permutation(n)
     n_val = max(1, int(round(cfg.val_fraction * n)))
     val_idx, train_idx = order_idx[:n_val], order_idx[n_val:]
-    if train_idx.size < 1:
-        raise ConfigError("not enough rows to split train/validation")
+    if train_idx.size < 2:  # the model's covariance is the training rows' sample covariance
+        raise InsufficientDataError(f"need at least 2 observations, got {train_idx.size}")
 
     xs, ys = features[train_idx], targets[train_idx]
-    cov = trace_normalize(sample_covariance(DataMatrix(xs)))
+    cov = covariance._trace_normalized(covariance._covariance_array(xs))[0]  # init_model's eigh checks it, once
     model = network.init_model(cov, n_outputs, cfg)
     result = network.train(model, (xs, ys), (features[val_idx], targets[val_idx]), cfg)
 

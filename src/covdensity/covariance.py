@@ -1,10 +1,10 @@
 """Sample covariance estimation, trace normalization, and synthetic data and graph generators.
 
 The estimator divides by ``n`` (not ``n - 1``); downstream formulas assume that
-convention.  Trace normalization (the plain-covariance baseline in experiments)
-returns a plain, re-checked :class:`CovarianceMatrix`.  A checked matrix keeps
-the spectrum its PSD check computed, which the entropies and the CLI read
-instead of decomposing the matrix again.
+convention.  Trace normalization is a kernel over stacked arrays, shared by the
+regression experiment and ``train``, with no public function.  A checked
+:class:`CovarianceMatrix` keeps the spectrum its PSD check computed, which the
+entropies and the CLI read instead of decomposing the matrix again.
 
 All generators take an explicit seed and never touch global RNG state, so
 trials can run in parallel and reproduce exactly.
@@ -142,15 +142,6 @@ def _covariance_array(x: np.ndarray) -> np.ndarray:
         raise ValueError("sample covariance overflows a double")
     c /= 2.0  # as spectral._symmetrize forms the mean, halving each entry first
     return c + np.swapaxes(c, -1, -2)
-
-
-def trace_normalize(cov: CovarianceMatrix) -> CovarianceMatrix:
-    """Divide by the trace so the result has unit trace.
-
-    Raises:
-        DegenerateCovarianceError: trace is (numerically) zero.
-    """
-    return CovarianceMatrix(matrix=_trace_normalized(cov.matrix)[0])
 
 
 def _trace_normalized(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

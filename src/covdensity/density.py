@@ -74,12 +74,13 @@ def density_values(eigenvalues, betas) -> tuple[np.ndarray, np.ndarray]:
     """
     lam = np.asarray(eigenvalues, dtype=float)
     betas = np.asarray(betas, dtype=float).ravel()  # a JSON int past int64 would make an object array
-    # An overflowed product that is not a row maximum only underflows its weight to 0.0.  The one array of
-    # products is negated, shifted, exponentiated and normalized in place.
+    # An overflowed product or shifted exponent that is not a row maximum only underflows its weight to 0.0.  The
+    # one array of products is negated, shifted, exponentiated and normalized in place.
     with np.errstate(over="ignore", invalid="ignore"):
         exponents = betas[:, None] * lam[..., None, :]
         np.negative(exponents, out=exponents)
         shift = exponents.max(axis=-1)
+        exponents -= shift[..., None]
     if not np.all(np.isfinite(shift)):
         if not np.all(np.isfinite(betas)):
             raise ValueError("beta must be finite")
@@ -87,7 +88,6 @@ def density_values(eigenvalues, betas) -> tuple[np.ndarray, np.ndarray]:
         k = np.flatnonzero(~np.isfinite(shift))[0]
         beta, norm = betas[k % betas.size], np.ravel(spectral._norm(lam))[k // betas.size]
         raise BetaRangeError(f"beta * lambda overflows a double at beta = {beta:.6g}, ||C|| = {norm:.6g}")
-    exponents -= shift[..., None]
     weights = np.exp(exponents, out=exponents)
     total = weights.sum(axis=-1)
     weights /= total[..., None]

@@ -461,6 +461,10 @@ class EntropyCurveConfig(_Config):
     trials: int = 100
     families: tuple[str, ...] = ("gaussian", "exponential", "gamma")
 
+    def _rules(self):
+        yield "families", set(self.families) <= set(covariance._FAMILIES), (
+            f"entries must be {' or '.join(map(repr, covariance._FAMILIES))}, got {list(self.families)}")
+
 
 def run_entropy_curve(cfg: EntropyCurveConfig) -> RunTable:
     """Density entropy over a beta grid for Gaussian/Exponential/Gamma covariances.

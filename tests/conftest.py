@@ -44,6 +44,11 @@ def min_shifted(c) -> CovarianceMatrix:
     return CovarianceMatrix(matrix=c.matrix - np.min(c._eigenvalues) * np.eye(c.dim))
 
 
+def trace_normalize(cov: CovarianceMatrix) -> CovarianceMatrix:
+    """Oracle: ``cov`` divided by its trace, checked again; DegenerateCovarianceError where the trace is (near) 0."""
+    return CovarianceMatrix(matrix=covariance._trace_normalized(cov.matrix)[0])
+
+
 def random_low_rank(rng, dim, rank) -> CovarianceMatrix:
     """Gram matrix of a rank-deficient factor."""
     factor = rng.standard_normal((dim, rank))

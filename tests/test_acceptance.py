@@ -20,6 +20,7 @@ from conftest import (
     permutation_residual,
     subadditivity,
     table_rows,
+    trace_normalize,
 )
 from covdensity import cli
 from covdensity.betafit import fit_beta
@@ -321,8 +322,6 @@ def test_criterion_13_learnable_beta_parity():
         label = i % 2
         xs.append(centers[label] + 0.5 * rng.standard_normal(4))
         ys.append(label)
-    from covdensity.covariance import trace_normalize
-
     cov = trace_normalize(sample_covariance(DataMatrix(values=np.stack(xs))))
     train_set, val_set = (xs[:150], ys[:150]), (xs[150:], ys[150:])
     cfg = TrainConfig(betas=(0.0,), learning_rate=0.02, epochs=60, batch_size=32, seed=4, task="classification")

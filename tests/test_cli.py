@@ -310,15 +310,16 @@ class TestDensityCommand:
         z = 2.0 + math.exp(-2.0)
         np.testing.assert_allclose(sorted(values), sorted([1 / z, 1 / z, math.exp(-2.0) / z]), rtol=1e-6)
 
-    def test_overflowing_partition_function_writes_nothing(self, capsys, tmp_path, rank_one_cov):
+    def test_overflowing_partition_function_writes_its_log(self, capsys, tmp_path, rank_one_cov):
+        # Z = exp(1600) overflows a double; the summary keeps ln Z, as every density eigenvalue is finite.
         out_dir = tmp_path / "out"
         code, out, err = run_cli(
             capsys, "density", "--input", rank_one_cov, "--input-is-covariance",
             "--beta", "-800", "--output-dir", str(out_dir),
         )
-        assert code == 2
-        assert "error: Z = exp(1600) overflows a double" in err
-        assert out == "" and not out_dir.exists()
+        assert (code, out, err) == (0, "0,0,1\n", "")
+        summary = json.loads((out_dir / "summary.json").read_text())
+        assert summary == {"log_partition": 1600.0, "beta": -800.0, "dim": 3}
 
 
 class TestExperimentCommands:
@@ -533,6 +534,11 @@ class TestExperimentCommands:
                 "entropy-curve", [], {"families": ["gamma", "gaussian", "gamma"]},
                 "/families: entries must be distinct, got ['gamma', 'gaussian', 'gamma']",
             ),
+            # An unknown family is named before any draw.
+            (
+                "entropy-curve", [], {"families": ["gaussian", "gausian"]},
+                "/families: entries must be 'gaussian' or 'exponential' or 'gamma', got ['gaussian', 'gausian']",
+            ),
             (
                 "lipschitz", [], {"beta_range": [-1e308, 1e308]},
                 "/beta_range: high - low must be finite, got [-1e+308, 1e+308]",
@@ -669,6 +675,25 @@ class TestExperimentCommands:
                 capsys, subcommand, "--dim", "5", "--trials", "2", "--noise-levels", "1e308",
                 "--output-dir", str(out_dir),
             )
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+        assert [str(w.message) for w in caught] == []
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["stability", "--betas", "1e308", "--trials", "1"],
+             "density error bound overflows a double at beta = 1e+308, ||C|| = 2.29051"),
+            (["fit-beta", "--spectrum", "-1e308,1e308", "--target", "0.5,0.5"],
+             "metric 'curvature_at_solution' is not finite: inf"),
+        ],
+    )
+    def test_exponents_straddling_the_double_range_print_only_the_error(self, capsys, tmp_path, argv, message):
+        # A density row whose exponents differ by more than the largest double shifts its smallest to -inf.
+        out_dir = tmp_path / "out"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run_cli(capsys, *argv, "--output-dir", str(out_dir))
         assert (code, out, err) == (2, "", f"error: {message}\n")
         assert [str(w.message) for w in caught] == []
         assert not out_dir.exists()
@@ -1406,7 +1431,7 @@ def _failing_run(name, tmp_path, rng):
     data_path = tmp_path / "rows.csv"
     data_path.write_text("\n".join(",".join(repr(float(v)) for v in row) for row in rng.standard_normal((30, 4))))
     if name == "density":
-        return ["density", "--input", str(cov_path), "--input-is-covariance", "--beta", "-800"]
+        return ["density", "--input", str(cov_path), "--input-is-covariance", "--beta", "-1e308"]
     if name == "stability":
         cfg_path.write_text(json.dumps({"dim": 4, "trials": 1, "betas": [-1000]}))
         return ["stability", "--config", str(cfg_path)]
@@ -1593,6 +1618,38 @@ _SHAPES = {"list": lambda v: [], "object": lambda v: {"bogus": 1.0}, "ragged lis
 def test_trained_checkpoint_predicts(trained_checkpoint):
     code, out, err, caught, wrote = predict_with(*trained_checkpoint)
     assert (code, len(out.splitlines()), err, caught, wrote) == (0, 4, "", [], True)
+
+
+@pytest.mark.parametrize(
+    "cfg,flags",
+    [
+        ({"betas": [0.1, 5.0, 15.1], "dropout": 0.7, "task": "classification"}, []),
+        ({"betas_learnable": True, "betas_init": [0.0, 0.0, 0.0, 0.0]}, []),
+        ({"betas": [1.0]}, ["--horizon", "1"]),
+    ],
+    ids=["fixed", "learned", "horizon"],
+)
+def test_train_decomposes_its_covariance_once(capsys, tmp_path, classification_csv, monkeypatch, cfg, flags):
+    cfg_path, out_dir = tmp_path / "cfg.json", tmp_path / "out"
+    cfg_path.write_text(json.dumps({"epochs": 2, "hidden_dim": 4, **cfg}))
+    eigvalsh_calls, eigh_calls = count_linalg_calls(monkeypatch, "eigvalsh"), count_linalg_calls(monkeypatch, "eigh")
+    code, _, err = run_cli(
+        capsys, "train", "--input", classification_csv, "--config", str(cfg_path), *flags, "--output-dir", str(out_dir)
+    )
+    assert (code, err) == (0, "")
+    # The model's eigh of the trace-normalized training covariance: its PSD check and every pass read it.
+    assert (eigvalsh_calls.matrices, eigh_calls.matrices) == (0, 1)
+
+
+def test_train_on_one_training_row_names_the_count(capsys, tmp_path, gaussian_data_csv):
+    # val_fraction 0.99 of 60 rows leaves one training row, which has no sample covariance.
+    cfg_path, out_dir = tmp_path / "cfg.json", tmp_path / "out"
+    cfg_path.write_text(json.dumps({"val_fraction": 0.99, "betas": [1.0]}))
+    code, out, err = run_cli(
+        capsys, "train", "--input", gaussian_data_csv, "--config", str(cfg_path), "--output-dir", str(out_dir)
+    )
+    assert (code, out, err) == (2, "", "error: need at least 2 observations, got 1\n")
+    assert not out_dir.exists()
 
 
 def test_predict_decomposes_the_model_covariance_once(trained_checkpoint, monkeypatch):

@@ -7,7 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
-from conftest import gen_graph_stationary
+from conftest import gen_graph_stationary, trace_normalize
 from covdensity import covariance, spectral
 from covdensity.covariance import (
     CovarianceMatrix,
@@ -16,7 +16,6 @@ from covdensity.covariance import (
     read_csv_covariance,
     read_csv_data,
     sample_covariance,
-    trace_normalize,
 )
 from covdensity.errors import (
     ConfigError,
@@ -81,16 +80,17 @@ def test_cached_spectrum_is_hidden_and_read_only():
 
 class TestTraceNormalize:
     def test_identity(self):
-        c = trace_normalize(CovarianceMatrix(matrix=np.eye(2)))
-        np.testing.assert_allclose(c.matrix, 0.5 * np.eye(2), atol=1e-15)
+        c, traces = covariance._trace_normalized(np.eye(2))
+        np.testing.assert_allclose(c, 0.5 * np.eye(2), atol=1e-15)
+        assert traces == 2.0
 
     def test_rank_one(self):
-        c = trace_normalize(CovarianceMatrix(matrix=np.diag([2.0, 0.0, 0.0])))
-        np.testing.assert_allclose(c.matrix, np.diag([1.0, 0.0, 0.0]), atol=1e-15)
+        c, _ = covariance._trace_normalized(np.diag([2.0, 0.0, 0.0]))
+        np.testing.assert_allclose(c, np.diag([1.0, 0.0, 0.0]), atol=1e-15)
 
     def test_zero_matrix_rejected(self):
         with pytest.raises(DegenerateCovarianceError):
-            trace_normalize(CovarianceMatrix(matrix=np.zeros((3, 3))))
+            covariance._trace_normalized(np.zeros((3, 3)))
 
 
 def _permutation_matrices(dim):

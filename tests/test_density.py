@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -275,6 +276,15 @@ class TestDensityValues:
         # Z = e^800 overflows a double; ln Z does not.
         _, log_z = density_values(np.array([-800.0, -799.0]), [1.0])
         assert log_z[0] == pytest.approx(800.0 + math.log1p(math.exp(-1.0)), rel=1e-15)
+
+    def test_exponents_straddling_the_double_range_map_without_warning(self):
+        # The exponents -1e308 and 1e308 differ by more than the largest double: the shifted smallest is -inf,
+        # whose weight is exactly 0.0.
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rho, log_z = density_values([1.0, -1.0], [1e308])
+        assert [str(w.message) for w in caught] == []
+        assert rho.tolist() == [[0.0, 1.0]] and log_z.tolist() == [1e308]
 
 
 class TestDecomposeOnce:

@@ -16,15 +16,11 @@ from conftest import (
     min_shifted,
     spectral_matrix,
     table_rows,
+    trace_normalize,
     window_by_window,
 )
 from covdensity import covariance, density, entropy, filtering, lab, spectral
-from covdensity.covariance import (
-    DataMatrix,
-    gen_gaussian_data,
-    sample_covariance,
-    trace_normalize,
-)
+from covdensity.covariance import DataMatrix, gen_gaussian_data, sample_covariance
 from covdensity.errors import BetaRangeError, ConfigError, DegenerateCovarianceError, GraphGenerationError
 from covdensity.lab import (
     BetafitDemoConfig,
@@ -232,6 +228,13 @@ class TestConfig:
         with pytest.raises(ConfigError) as info:
             DiscriminationConfig(n_windows=7, **fields)
         assert str(info.value) == message
+
+    def test_entropy_curve_families_are_known_names(self):
+        with pytest.raises(ConfigError) as info:
+            EntropyCurveConfig(families=("gaussian", "gausian"))
+        assert str(info.value) == (
+            "/families: entries must be 'gaussian' or 'exponential' or 'gamma', got ['gaussian', 'gausian']"
+        )
 
     def test_numpy_float_betas_accepted(self):
         cfg = StabilityConfig(betas=np.linspace(0.0, 1.0, 3), noise_levels=[np.float32(0.5)])
@@ -894,10 +897,12 @@ class TestStackedErrorOrder:
         assert got[0] is BetaRangeError and got[1].startswith("density error bound overflows a double at beta = -400,")
 
     def test_entropy_curve_draws_every_item_before_any_check(self):
-        # The first item's beta * lambda overflows; the second item cannot be drawn.
+        # The first item's beta * lambda overflows; the second item cannot be drawn.  The config names an unknown
+        # family as it is built, so the family is set past that check to reach gen_gaussian_data's own.
         cfg = EntropyCurveConfig(
-            dim=5, trials=2, seed=1, betas=(-1.7e308,), families=("gaussian", "bogus")
+            dim=5, trials=2, seed=1, betas=(-1.7e308,), families=("gaussian", "gamma")
         )
+        object.__setattr__(cfg, "families", ("gaussian", "bogus"))
         assert first_error(lambda: list(per_item_entropy_curve(cfg)))[0] is BetaRangeError
         assert first_error(run_entropy_curve, cfg) == first_error(gen_gaussian_data, cfg.dim, cfg.n_samples, "bogus")
 

@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from conftest import count_linalg_calls, dense_rho, random_psd
+from conftest import count_linalg_calls, dense_rho, random_psd, trace_normalize
 from covdensity.covariance import as_matrix
 from covdensity.density import density_operator, density_values
 from covdensity.filtering import FilterSpec, filter_apply
@@ -685,7 +685,7 @@ class TestTrain:
 
 
 def random_psd_from_features(xs):
-    from covdensity.covariance import DataMatrix, sample_covariance, trace_normalize
+    from covdensity.covariance import DataMatrix, sample_covariance
 
     return trace_normalize(sample_covariance(DataMatrix(values=np.stack(xs))))
 

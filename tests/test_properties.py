@@ -30,9 +30,9 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from conftest import dense_rho, random_psd
+from conftest import dense_rho, random_psd, trace_normalize
 from covdensity import covariance, density, lab, spectral
-from covdensity.covariance import PSD_RTOL, CovarianceMatrix, trace_normalize
+from covdensity.covariance import PSD_RTOL, CovarianceMatrix
 from covdensity.density import density_operator, density_values
 from covdensity.entropy import cvne
 from covdensity.errors import BetaRangeError, SymmetryError
@@ -453,13 +453,14 @@ def out_of_place_density_values(eigenvalues, betas):
     with np.errstate(over="ignore", invalid="ignore"):
         exponents = -(betas[:, None] * lam[..., None, :])
         shift = exponents.max(axis=-1)
+        shifted = exponents - shift[..., None]
     if not np.all(np.isfinite(shift)):
         if not np.all(np.isfinite(betas)):
             raise ValueError("beta must be finite")
         k = np.flatnonzero(~np.isfinite(shift))[0]
         beta, norm = betas[k % betas.size], np.ravel(spectral._norm(lam))[k // betas.size]
         raise BetaRangeError(f"beta * lambda overflows a double at beta = {beta:.6g}, ||C|| = {norm:.6g}")
-    weights = np.exp(exponents - shift[..., None])
+    weights = np.exp(shifted)
     total = weights.sum(axis=-1)
     return weights / total[..., None], shift + np.log(total)
 
@@ -522,6 +523,8 @@ _NON_FINITE = st.sampled_from([math.nan, math.inf, -math.inf])
     st.integers(1, 5).flatmap(lambda m: entry_arrays((m,))),
     st.lists(st.one_of(st.floats(-2.0, 2.0), _KERNEL_ENTRIES, _NON_FINITE), max_size=4),
 )
+@example(np.array([1.0, -1.0]), [1e308])  # the exponents straddle more than the double range: one shifts to -inf
+@example(np.array([[1.0, -1.0], [1.0, 2.0]]), [1.0, 1e308])  # the same row stacked beside an overflowed product
 def test_density_values_in_place_matches_out_of_place(lam, betas):
     assert outcome(density_values, lam, betas) == outcome(out_of_place_density_values, lam, betas)
 

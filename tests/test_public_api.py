@@ -43,7 +43,6 @@ def test_exports_are_pinned():
         "naive_entropy",
         "sample_covariance",
         "spectral",
-        "trace_normalize",
     ]
 
 
