@@ -54,18 +54,14 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(f"{message}\n{self.format_usage()}")
 
 
-def _float_list(text: str) -> tuple[float, ...]:
+def _list_of(kind, noun: str, text: str) -> tuple:
     try:
-        return tuple(float(part) for part in text.split(",") if part != "")
+        return tuple(kind(part) for part in text.split(",") if part != "")
     except ValueError as exc:
-        raise UsageError(f"expected comma-separated numbers, got {text!r}") from exc
+        raise UsageError(f"expected comma-separated {noun}, got {text!r}") from exc
 
 
-def _int_list(text: str) -> tuple[int, ...]:
-    try:
-        return tuple(int(part) for part in text.split(",") if part != "")
-    except ValueError as exc:
-        raise UsageError(f"expected comma-separated integers, got {text!r}") from exc
+_float_list, _int_list = functools.partial(_list_of, float, "numbers"), functools.partial(_list_of, int, "integers")
 
 
 @functools.cache  # one parser per process: parse_args keeps no state between calls
@@ -217,23 +213,10 @@ def _cmd_density(args) -> _Run:
 
 
 def _cmd_fit_beta(args) -> _Run:
-    if args.spectrum is not None:
-        spectrum = np.asarray(args.spectrum, dtype=float)
-    else:
-        spectrum = covariance._spectrum(_read_cov(args))
-    if args.target is not None:
-        target = np.asarray(args.target, dtype=float)
-    else:
-        clipped = np.clip(spectrum, 0.0, None)
-        with np.errstate(over="ignore", invalid="ignore"):
-            total = clipped.sum()
-            target = clipped / total
-        finite = np.isfinite(spectrum).all()  # else fit_beta names the spectrum
-        if finite and not total > 0.0:
-            raise ConfigError("fit-beta without --target needs a positive eigenvalue: its default target is the "
-                              "spectrum clipped at 0 and normalized")
-        if finite and np.isinf(total):
-            raise ConfigError("fit-beta without --target: its default target's sum overflows a double; give --target")
+    spectrum = (np.asarray(args.spectrum, dtype=float) if args.spectrum is not None
+                else covariance._spectrum(_read_cov(args)))
+    target = (np.asarray(args.target, dtype=float) if args.target is not None
+              else entropy._clipped_distribution(spectrum))
     result = fit_beta(spectrum, target, tol=args.tol)
     table = lab.RunTable("fit_beta", 0, {}, {k: [v] for k, v in dataclasses.asdict(result).items()})
     return _Run(
@@ -274,9 +257,11 @@ def _experiment_headline(experiment: str, table) -> str:
     return f"records={len(table)}"
 
 
-def _check_horizon(horizon: int) -> None:
+def _check_horizon(horizon: int, task: str) -> None:
     if horizon < 0:
         raise ConfigError(f"--horizon must be >= 0, got {horizon}")
+    if horizon > 0 and task == "classification":
+        raise ConfigError(f"--horizon {horizon} forecasts full future rows, which task 'classification' cannot fit")
 
 
 def _prepare_supervised(values: np.ndarray, horizon: int, task: str):
@@ -305,9 +290,7 @@ def _cmd_train(args) -> _Run:
     if args.seed is not None:
         payload["seed"] = args.seed
     cfg = network.TrainConfig(**payload)
-    _check_horizon(args.horizon)
-    if args.horizon > 0 and cfg.task == "classification":
-        raise ConfigError(f"--horizon {args.horizon} forecasts full future rows, which task 'classification' cannot fit")
+    _check_horizon(args.horizon, cfg.task)
     data = read_csv_data(args.input, header=args.header)
     features, targets, n_outputs = _prepare_supervised(data.values, args.horizon, cfg.task)
 
@@ -338,9 +321,9 @@ def _cmd_train(args) -> _Run:
 
 
 def _cmd_predict(args) -> _Run:
-    _check_horizon(args.horizon)
     model_path = args.model or "model.json"
     model = network.load_model(model_path)
+    _check_horizon(args.horizon, model.task)
     data = read_csv_data(args.input, header=args.header)
     outs = network.forward_rows(model, data.values)
     if model.task == "classification":

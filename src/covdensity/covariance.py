@@ -53,10 +53,6 @@ class DataMatrix:
     def n_samples(self) -> int:
         return self.values.shape[0]
 
-    @property
-    def dim(self) -> int:
-        return self.values.shape[1]
-
 
 @dataclass(frozen=True)
 class CovarianceMatrix:
@@ -72,10 +68,6 @@ class CovarianceMatrix:
         eigenvalues.flags.writeable = False
         object.__setattr__(self, "matrix", m)
         object.__setattr__(self, "_eigenvalues", eigenvalues)
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
 
 
 def _check_psd(eigenvalues: np.ndarray):
@@ -145,10 +137,11 @@ def _covariance_array(x: np.ndarray) -> np.ndarray:
 
 
 def _trace_normalized(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """m / tr(m) for each matrix of a stack, and the traces; DegenerateCovarianceError names the first tr <= 1e-14."""
+    """m / tr(m) for each matrix of a stack, and the traces; DegenerateCovarianceError names the first trace that is not a
+    positive normal double (>= ``np.finfo(float).tiny``), the one limit: a subnormal trace has lost its precision."""
     traces = np.trace(m, axis1=-2, axis2=-1)
-    if not np.all(traces > 1e-14):
-        raise DegenerateCovarianceError(f"trace {traces[~(traces > 1e-14)][0]:.3e} too small to normalize")
+    if not np.all(normal := traces >= np.finfo(float).tiny):
+        raise DegenerateCovarianceError(f"trace {traces[~normal][0]:.3e} too small to normalize")
     return m / traces[..., None, None], traces
 
 

@@ -70,22 +70,34 @@ def _shannon_nats(values: np.ndarray):
 def naive_entropy(c) -> float:
     """Trace-normalized spectral entropy in bits: -sum pi log2 pi, pi = lambda_i / tr C.
 
-    Blind to global scale by construction.  Eigenvalues that are negative at
-    roundoff level are clipped to zero and 0 log 0 counts as 0.
+    Blind to global scale by construction, at every scale a double holds.  Eigenvalues
+    that are negative at roundoff level are clipped to zero and 0 log 0 counts as 0.
 
     Raises:
-        DegenerateCovarianceError: trace is (numerically) zero.
+        DegenerateCovarianceError: no eigenvalue is positive.
     """
     return float(_naive_bits(_spectrum(c)))
 
 
+def _clipped_distribution(eigenvalues: np.ndarray) -> np.ndarray:
+    """Each spectrum on the last axis clipped at 0 and divided by its sum; DegenerateCovarianceError where no entry is
+    positive.  Only a sum that overflows a double is formed after dividing by the spectrum's largest entry, so a finite
+    sum divides exactly as ``w / w.sum()``.  A non-finite entry gives NaN, without a warning, for the caller to name."""
+    weights = np.clip(eigenvalues, 0.0, None)
+    if np.any(np.all(weights == 0.0, axis=-1)):
+        raise DegenerateCovarianceError("spectrum has no positive eigenvalue to normalize")
+    with np.errstate(over="ignore", invalid="ignore"):  # invalid: inf / inf
+        total = np.sum(weights, axis=-1, keepdims=True)
+        if np.any(overflowed := np.isinf(total)):
+            weights = np.where(overflowed, weights / np.max(weights, axis=-1, keepdims=True), weights)
+            total = np.sum(weights, axis=-1, keepdims=True)
+    return weights / total
+
+
 def _naive_bits(eigenvalues: np.ndarray):
     """naive_entropy of each ascending spectrum on the last axis."""
-    weights = np.clip(eigenvalues, 0.0, None)
-    total = np.sum(weights, axis=-1)
-    if np.any(total <= 1e-14):
-        raise DegenerateCovarianceError("zero-trace matrix has no normalized spectrum")
-    p = (weights / total[..., None]).reshape(-1, weights.shape[-1])
+    distributions = _clipped_distribution(eigenvalues)
+    p = distributions.reshape(-1, distributions.shape[-1])
     # Spectra ascend, so the zero weights of a row lead it.  Summing each row's
     # positive tail adds the same terms in the same order as a 1-D sum over p[p > 0].
     leading_zeros = np.sum(~(p > 0.0), axis=-1)
@@ -94,7 +106,7 @@ def _naive_bits(eigenvalues: np.ndarray):
         rows = leading_zeros == k
         tail = p[rows, k:]
         bits[rows] = -np.sum(tail * np.log2(tail), axis=-1)
-    return bits.reshape(total.shape)
+    return bits.reshape(distributions.shape[:-1])
 
 
 def threshold_auc(scores_a, scores_b) -> float:

@@ -95,11 +95,22 @@ def _version(path: str, value, version: int) -> None:
         raise ConfigError(f"{path}: must be the integer {version}, got {value!r}")
 
 
+def _unique_keys(pairs: list) -> dict:
+    """A JSON object's ``(key, value)`` pairs as a dict; a key given twice is a fault, not a silent override."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ValueError(f"repeated key {key!r}")
+        obj[key] = value
+    return obj
+
+
 def _read_json(path):
-    """The JSON document in the file at ``path``: one that does not parse raises ``<path>: invalid JSON: <fault>``."""
+    """The JSON document in the file at ``path``: one that does not parse, or repeats a key within an object, raises
+    ``<path>: invalid JSON: <fault>``."""
     with open(path) as fh:
         try:
-            return json.load(fh)
+            return json.load(fh, object_pairs_hook=_unique_keys)
         except ValueError as exc:  # a JSONDecodeError, or a UnicodeDecodeError for bytes that are not text
             raise ConfigError(f"{path}: invalid JSON: {exc}") from exc
 

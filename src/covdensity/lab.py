@@ -557,8 +557,7 @@ def run_betafit_demo(cfg: BetafitDemoConfig) -> RunTable:
     def trial(t: int):  # its arrays die once it is exhausted, before the next trial draws
         rng = np.random.default_rng([cfg.seed, t])
         cov = sample_covariance(gen_gaussian_data(cfg.dim, cfg.n_samples, "gaussian", seed=[cfg.seed, t, 2]))
-        target = np.clip(cov._eigenvalues, 0.0, None)
-        target = target / target.sum()
+        target = entropy._clipped_distribution(cov._eigenvalues)
         for eps in cfg.noise_levels:
             lam_noisy = np.linalg.eigvalsh(cov.matrix + _symmetric_noise(rng, cfg.dim, (eps,))[0][0])
             result = fit_beta(lam_noisy, target)

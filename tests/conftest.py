@@ -41,7 +41,7 @@ def min_shifted(c) -> CovarianceMatrix:
     at beta > 0 at least 1.
     """
     c = c if isinstance(c, CovarianceMatrix) else CovarianceMatrix(matrix=c)
-    return CovarianceMatrix(matrix=c.matrix - np.min(c._eigenvalues) * np.eye(c.dim))
+    return CovarianceMatrix(matrix=c.matrix - np.min(c._eigenvalues) * np.eye(c.matrix.shape[0]))
 
 
 def trace_normalize(cov: CovarianceMatrix) -> CovarianceMatrix:

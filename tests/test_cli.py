@@ -173,7 +173,7 @@ class TestEntropyCommand:
         [
             (["stability", "--betas", "-1,0.5", "--dim", "4", "--trials", "1"], 0, ""),
             (["entropy", "--beta", "-1e-3", "--input", "{cov}", "--input-is-covariance"], 0, ""),
-            (["fit-beta", "--spectrum", "-2,-1"], 2, "error: fit-beta without --target needs a positive eigenvalue"),
+            (["fit-beta", "--spectrum", "-2,-1"], 2, "error: spectrum has no positive eigenvalue to normalize"),
             (["stability", "--noise-levels", "-0.1,0.2"], 2, "error: /noise_levels: entries must be >= 0"),
             # An unknown flag is still one, whatever its value looks like.
             (["stability", "--bogus", "-1"], 1, "unrecognized arguments: --bogus -1\n"),
@@ -271,20 +271,20 @@ class TestFitBetaCommand:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             code, out, err = run_cli(capsys, "fit-beta", *spectrum, "--output-dir", str(out_dir))
-        message = "fit-beta without --target needs a positive eigenvalue: its default target is the spectrum clipped at 0 and normalized"
-        assert (code, out, err) == (2, "", f"error: {message}\n")
+        assert (code, out, err) == (2, "", "error: spectrum has no positive eigenvalue to normalize\n")
         assert not out_dir.exists()
 
     @pytest.mark.filterwarnings("error")
-    def test_default_target_sum_overflow_is_rejected(self, capsys, tmp_path):
+    def test_default_target_of_an_overflowing_sum_is_formed(self, capsys, tmp_path):
+        # A clipped sum that overflows a double is formed after dividing by the largest entry: the target
+        # (0.5, 0.5, 5e-309) reaches the fit, which finds its mean on the hull, as it does below the overflow.
         out_dir = tmp_path / "out"
-        code, out, err = run_cli(capsys, "fit-beta", "--spectrum", "1e308,1e308,1", "--output-dir", str(out_dir))
-        message = "fit-beta without --target: its default target's sum overflows a double; give --target"
-        assert (code, out, err) == (2, "", f"error: {message}\n")
-        assert not out_dir.exists()
-        # A sum just below the largest double is a finite default target; the fit then finds it infeasible.
-        code, out, err = run_cli(capsys, "fit-beta", "--spectrum", "8e307,8e307,1", "--output-dir", str(out_dir))
-        assert (code, out) == (2, "") and err.startswith("error: target mean 8e+307 lies outside the open spectral hull")
+        for spectrum, mean in (("1e308,1e308,1", "1e+308"), ("8e307,8e307,1", "8e+307")):
+            code, out, err = run_cli(capsys, "fit-beta", "--spectrum", spectrum, "--output-dir", str(out_dir))
+            assert (code, out) == (2, "")
+            assert err.startswith(f"error: target mean {mean} lies outside the open spectral hull")
+            assert len(err.splitlines()) == 1
+            assert not out_dir.exists()
         # A NaN or infinite entry is the spectrum's fault, named by the solver, and draws no warning.
         for spectrum in ("inf,1", "nan,1"):
             code, out, err = run_cli(capsys, "fit-beta", "--spectrum", spectrum, "--output-dir", str(out_dir))
@@ -1219,6 +1219,23 @@ class TestTrainPredict:
             assert (code, out, err) == (2, "", f"error: {message}\n")
             assert not out_dir.exists()
 
+    @pytest.mark.parametrize("horizon", [1, 2])
+    def test_predict_with_horizon_on_a_classification_model_rejected(self, capsys, tmp_path, classification_csv,
+                                                                     horizon):
+        model_path, out_dir = tmp_path / "model.json", tmp_path / "out"
+        cfg = network.TrainConfig(betas=(1.0,), task="classification")
+        network.save_model(model_path, network.init_model(np.eye(4), 2, cfg))
+        features_path = tmp_path / "features.csv"
+        rows = Path(classification_csv).read_text().splitlines()
+        features_path.write_text("".join(row.rsplit(",", 1)[0] + "\n" for row in rows))  # the label column goes
+        code, out, err = run_cli(
+            capsys, "predict", "--input", str(features_path), "--model", str(model_path), "--horizon", str(horizon),
+            "--output-dir", str(out_dir),
+        )
+        message = f"--horizon {horizon} forecasts full future rows, which task 'classification' cannot fit"
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+        assert not out_dir.exists()
+
     def test_float_keys_take_ints(self, capsys, tmp_path, classification_csv):
         cfg = {"learning_rate": 0, "dropout": 0, "val_fraction": 0.5, "betas": [1], "epochs": 1, "hidden_dim": 2}
         cfg_path, out_dir = tmp_path / "cfg.json", tmp_path / "out"
@@ -1740,3 +1757,75 @@ def test_every_array_field_names_a_bad_value(trained_checkpoint, path, kind):
     assert (code, out, caught, wrote) == (2, "", [], False)
     rule = "must have non-empty shape" if kind == "wrong shape" else "entries must be finite"
     assert err.startswith(f"error: checkpoint {path}: {rule}") and err.count("\n") == 1, err
+
+
+_SCALED_COVARIANCES = {
+    **{f"diag(s, 2s, 4s) at s = {s:g}": [s, 2.0 * s, 4.0 * s] for s in (1e-300, 1.0, 1e300)},
+    "diag(6e307, 7e307, 8e307)": [6e307, 7e307, 8e307],  # its trace overflows a double
+}
+
+
+@pytest.mark.parametrize("subcommand", ["entropy", "density", "fit-beta"])
+def test_covariance_subcommands_keep_the_scale_contract(tmp_path, subcommand):
+    # At any scale a double holds, a run exits 0 with nothing on stderr or exits 2 with one error line, and warns
+    # nothing; wherever entropy runs, its trace-normalized entropy is the one at s = 1.
+    naive = {}
+    for name, diagonal in _SCALED_COVARIANCES.items():
+        path, out_dir = tmp_path / "cov.csv", tmp_path / name
+        path.write_text("\n".join(",".join(map(repr, row)) for row in np.diag(diagonal).tolist()))
+        out, err = io.StringIO(), io.StringIO()
+        with warnings.catch_warnings(record=True) as caught, contextlib.redirect_stdout(out), \
+                contextlib.redirect_stderr(err):
+            warnings.simplefilter("always")
+            code = main([subcommand, "--input", str(path), "--input-is-covariance", "--output-dir", str(out_dir)])
+        assert [str(w.message) for w in caught] == [], name
+        if code == 0:
+            assert err.getvalue() == "", name
+        else:
+            assert code == 2 and out.getvalue() == "", name
+            assert err.getvalue().startswith("error: ") and len(err.getvalue().splitlines()) == 1, name
+        if subcommand == "entropy":
+            assert code == 0, name
+            naive[name] = json.loads((out_dir / "summary.json").read_text())["entropy"]["naive_entropy_bits"]
+    if subcommand == "entropy":
+        assert naive.pop("diag(6e307, 7e307, 8e307)") == 1.575114591410657
+        assert set(naive.values()) == {naive["diag(s, 2s, 4s) at s = 1"]}
+
+
+@pytest.mark.parametrize("scale, message", [(1e-8, None), (1e-160, "too small to normalize")])
+def test_train_normalizes_any_trace_a_normal_double_holds(capsys, tmp_path, scale, message):
+    # Features scaled by 1e-8 have a trace near 1e-16, which trace normalization takes; scaled by 1e-160, the
+    # sample covariance underflows to subnormal doubles, and the trace with them.
+    path, cfg_path, out_dir = tmp_path / "data.csv", tmp_path / "cfg.json", tmp_path / "out"
+    rows = scale * np.random.default_rng(0).standard_normal((60, 4))
+    path.write_text("".join(",".join(map(repr, row)) + "\n" for row in rows.tolist()))
+    cfg_path.write_text(json.dumps({"epochs": 2, "hidden_dim": 4, "betas": [1.0]}))
+    argv = ["train", "--input", str(path), "--config", str(cfg_path), "--output-dir", str(out_dir)]
+    code, out, err = run_cli(capsys, *argv)
+    if message is None:
+        assert (code, err) == (0, "")
+        covariance = np.array(json.loads((out_dir / "model.json").read_text())["covariance"])
+        assert np.trace(covariance) == pytest.approx(1.0, abs=1e-14)
+    else:
+        assert (code, out) == (2, "") and err.startswith("error: trace ") and err.endswith(f"{message}\n")
+        assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("document", ["experiment config", "train config", "model.json"])
+def test_a_repeated_json_key_is_named(capsys, tmp_path, gaussian_data_csv, document):
+    # json.load keeps the last value of a repeated key; the reader refuses the document instead, naming the key.
+    path, out_dir = tmp_path / "doc.json", tmp_path / "out"
+    if document == "experiment config":
+        path.write_text('{"dim": 3, "trials": 1, "trials": 2}')
+        argv, key = ["stability", "--config", str(path)], "trials"
+    elif document == "train config":
+        path.write_text('{"epochs": 1, "betas": [1.0], "epochs": 2}')
+        argv, key = ["train", "--config", str(path), "--input", gaussian_data_csv], "epochs"
+    else:
+        payload = json.dumps(network.model_to_dict(network.init_model(np.eye(3), 1, network.TrainConfig(betas=(1.0,)))))
+        head = payload.index('"head": {') + len('"head": {')
+        path.write_text(payload[:head] + '"b2": [0.0], ' + payload[head:])  # a nested object repeats its key
+        argv, key = ["predict", "--model", str(path), "--input", gaussian_data_csv], "b2"
+    code, out, err = run_cli(capsys, *argv, "--output-dir", str(out_dir))
+    assert (code, out, err) == (2, "", f"error: {path}: invalid JSON: repeated key {key!r}\n")
+    assert not out_dir.exists()

@@ -350,7 +350,7 @@ class TestCovarianceMatrixInvariants:
 
     def test_empty_matrix_is_psd(self):
         # As eigh decomposes it; its norm from the empty spectrum is 0.
-        assert CovarianceMatrix(matrix=np.zeros((0, 0))).dim == 0
+        assert CovarianceMatrix(matrix=np.zeros((0, 0))).matrix.shape == (0, 0)
 
     def test_data_matrix_rejects_non_finite(self):
         with pytest.raises(ValueError):

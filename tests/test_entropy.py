@@ -17,7 +17,7 @@ from conftest import (
     window_by_window,
 )
 from covdensity.covariance import CovarianceMatrix
-from covdensity.entropy import _naive_bits, cvne, naive_entropy, threshold_auc
+from covdensity.entropy import _clipped_distribution, _naive_bits, cvne, naive_entropy, threshold_auc
 from covdensity.errors import BetaRangeError, ConfigError, DegenerateCovarianceError
 
 
@@ -113,13 +113,16 @@ class TestGibbsEntropy:
 
 
 class TestNaiveEntropy:
-    def test_two_equal_modes(self):
-        assert naive_entropy(np.diag([1.0, 1.0, 0.0])) == pytest.approx(1.0, abs=1e-12)
+    @pytest.mark.parametrize("scale", [1e-300, 1e-15, 1.0, 1e300, 1e308])
+    def test_two_equal_modes(self, scale):
+        # No absolute threshold: a tiny trace normalizes, and a trace past the largest double is formed after
+        # dividing by the largest eigenvalue.
+        assert naive_entropy(np.diag([scale, scale, 0.0])) == 1.0
 
     def test_point_mass(self):
         assert naive_entropy(np.diag([1.0, 0.0, 0.0])) == pytest.approx(0.0, abs=1e-12)
 
-    @pytest.mark.parametrize("alpha", [0.1, 2.0, 100.0])
+    @pytest.mark.parametrize("alpha", [1e-300, 0.1, 2.0, 100.0, 1e300])
     def test_scale_blindness(self, alpha, rng):
         c = random_psd(rng, 5)
         a = naive_entropy(c)
@@ -127,8 +130,28 @@ class TestNaiveEntropy:
         assert abs(a - b) <= 1e-12
 
     def test_zero_trace_rejected(self):
-        with pytest.raises(DegenerateCovarianceError):
+        with pytest.raises(DegenerateCovarianceError, match="^spectrum has no positive eigenvalue to normalize$"):
             naive_entropy(np.zeros((3, 3)))
+
+
+class TestClippedDistribution:
+    def test_only_an_overflowing_sum_is_scaled_first(self):
+        stack = np.array([[-1e-17, 1.0, 2.0, 4.0], [1e-300, 6e307, 7e307, 8e307], [0.0, 1e308, 1e308, 1.0]])
+        p = _clipped_distribution(stack)
+        weights = np.clip(stack[0], 0.0, None)
+        assert p[0].tobytes() == (weights / weights.sum()).tobytes()
+        scaled = stack[1] / 8e307
+        assert p[1].tobytes() == (scaled / scaled.sum()).tobytes()
+        np.testing.assert_array_equal(p[2], [0.0, 0.5, 0.5, 5e-309])
+
+    def test_a_non_finite_entry_gives_nan_for_the_caller_to_name(self):
+        assert np.isnan(_clipped_distribution(np.array([np.inf, 1.0]))).any()
+        assert np.isnan(_clipped_distribution(np.array([np.nan, np.nan]))).all()
+
+    @pytest.mark.parametrize("spectra", [[[1.0, 2.0], [0.0, 0.0]], [-2.0, -1.0], [-0.0, -1e-300], []])
+    def test_no_positive_entry_is_rejected(self, spectra):
+        with pytest.raises(DegenerateCovarianceError, match="^spectrum has no positive eigenvalue to normalize$"):
+            _clipped_distribution(np.array(spectra))
 
 
 def masked_naive_bits(eigenvalues):

@@ -122,7 +122,7 @@ def test_shift_gives_a_zero_smallest_eigenvalue_and_trace_normalize_a_unit_trace
     # m eps ||C|| (about 1e-14 ||C|| for m <= 8) from 0, far inside the PSD tolerance.  The bound
     # scales with the input's norm, not the shifted matrix's: a rotated 1e8 I shifts to a matrix of
     # norm ~1e-7 whose smallest computed eigenvalue can be -2e-8.
-    shifted = cov.matrix - np.min(cov._eigenvalues) * np.eye(cov.dim)
+    shifted = cov.matrix - np.min(cov._eigenvalues) * np.eye(cov.matrix.shape[0])
     smallest = float(spectral._eigh(shifted)[0][0])
     assert abs(smallest) <= PSD_RTOL * max(1.0, norm)
     # tr C sums m diagonal entries (relative error (m - 1) eps, the entries being >= 0 up to
@@ -132,7 +132,7 @@ def test_shift_gives_a_zero_smallest_eigenvalue_and_trace_normalize_a_unit_trace
     if trace > 1e-14:
         assert abs(np.trace(trace_normalize(cov).matrix) - 1.0) <= 1e-10
         # Stability checks C itself and shifts only its spectrum, so it accepts every C.
-        _stability_responses(cov.matrix, np.zeros((1, cov.dim, cov.dim)), np.zeros(1), (0.0,))
+        _stability_responses(cov.matrix, np.zeros((1, *cov.matrix.shape)), np.zeros(1), (0.0,))
 
 
 @st.composite
@@ -170,7 +170,7 @@ def shifted_matrix_responses(c, dc, betas):
     spectra: C - lambda_min I is formed from C's checked spectrum, decomposed with its perturbations and checked
     at ||C||, and dC's norm is read from the stack of deltas."""
     cov = CovarianceMatrix(matrix=c)
-    shifted = cov.matrix - np.min(cov._eigenvalues) * np.eye(cov.dim)
+    shifted = cov.matrix - np.min(cov._eigenvalues) * np.eye(cov.matrix.shape[0])
     lam, v = spectral._eigh(np.concatenate([shifted[None], shifted + dc]))
     if lam[0, 0] < -PSD_RTOL * max(1.0, float(spectral._norm(cov._eigenvalues))):
         raise ValueError(f"matrix is not PSD within tolerance: min eigenvalue {lam[0, 0]:.3e}")
@@ -184,7 +184,7 @@ def shifted_matrix_responses(c, dc, betas):
     for k, norm_dc in enumerate(norms[:, 0].tolist(), 1):
         for i, beta in enumerate(betas):
             ratios.append(density._exp("Z'/Z", log_z[k][i] - log_z[0][i]))
-            bounds.append(density._error_bound(beta, cov.dim, norm_c[0], norm_c[k], norm_dc, ratios[-1]))
+            bounds.append(density._error_bound(beta, cov.matrix.shape[0], norm_c[0], norm_c[k], norm_dc, ratios[-1]))
     return norms[:, 1:], bounds, ratios
 
 

@@ -1,15 +1,20 @@
 """The package's public surface: its exports, and error types that the code really raises."""
 
 import ast
+import contextlib
 import importlib
 import inspect
+import io
+import json
 import math
+import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import covdensity
-from covdensity import errors
+from covdensity import cli, errors
 
 SRC = Path(covdensity.__file__).parent
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -107,6 +112,62 @@ def test_every_property_of_a_public_class_is_read():
     assert len(properties) > 5
     read = src_loaded_names() | loaded_names(ast.parse(quick_tour()))
     assert sorted(name for name in properties if name.rsplit(".", 1)[1] not in read) == []
+
+
+def counted_property(prop: property, name: str, reads: dict) -> property:
+    """``prop``, counting in ``reads[name]`` each read made by a covdensity submodule's code."""
+
+    def fget(obj):
+        if Path(sys._getframe(1).f_code.co_filename).parent == SRC:
+            reads[name] += 1
+        return prop.fget(obj)
+
+    return property(fget)
+
+
+def run_every_subcommand(root: Path) -> None:
+    """One small, successful call of each CLI subcommand, writing under ``root``."""
+    values = np.random.default_rng(0).standard_normal((30, 4))
+    data, features, cov = root / "data.csv", root / "features.csv", root / "cov.csv"
+    data.write_text("".join(",".join(map(repr, row)) + "\n" for row in values.tolist()))
+    features.write_text("".join(",".join(map(repr, row)) + "\n" for row in values[:, :3].tolist()))
+    cov.write_text("2.0,0.5,0.0\n0.5,1.0,0.0\n0.0,0.0,0.0\n")
+    configs = {
+        "stability": {"dim": 4, "trials": 1},
+        "lipschitz": {"trials": 2},
+        "surrogate": {"dim": 4, "trials": 1, "sample_grid": [30]},
+        "regression": {"trials": 1, "sample_grid": [30], "n_test": 30},
+        "entropy-curve": {"dim": 4, "trials": 1},
+        "discriminate": {"n_windows": 5},
+        "betafit-demo": {"dim": 4, "trials": 1},
+        "train": {"epochs": 1, "hidden_dim": 3, "betas": [1.0]},
+    }
+    runs = [["entropy", "--input", str(cov), "--input-is-covariance"], ["density", "--input", str(data)],
+            ["fit-beta", "--input", str(cov), "--input-is-covariance"]]
+    for name, cfg in configs.items():
+        (root / f"{name}.json").write_text(json.dumps(cfg))
+        runs.append([name, "--config", str(root / f"{name}.json"), *(["--input", str(data)] if name == "train" else [])])
+    runs.append(["predict", "--input", str(features), "--model", str(root / "train" / "model.json")])
+    with contextlib.redirect_stdout(io.StringIO()):
+        for argv in runs:
+            assert cli.main([*argv, "--output-dir", str(root / argv[0])]) == 0, argv
+
+
+def test_every_property_of_a_public_class_is_read_by_the_package(monkeypatch, tmp_path):
+    # Class-aware, unlike the name match above: each public class's own properties are wrapped, and only the reads
+    # made by covdensity's code count, over the README tour and one small call of each subcommand.
+    reads = {}
+    for name in public_definitions():
+        module, attr = name.split(".")
+        obj = getattr(importlib.import_module(f"covdensity.{module}"), attr)
+        for key, value in vars(obj).items() if inspect.isclass(obj) else ():
+            if isinstance(value, property):
+                reads[f"{name}.{key}"] = 0
+                monkeypatch.setattr(obj, key, counted_property(value, f"{name}.{key}", reads))
+    assert len(reads) > 5
+    exec(compile(quick_tour(), "README.md quick tour", "exec"), {})
+    run_every_subcommand(tmp_path)
+    assert sorted(name for name, count in reads.items() if count == 0) == []
 
 
 def test_quick_tour_runs_as_its_comments_say():
