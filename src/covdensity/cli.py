@@ -303,7 +303,8 @@ def _cmd_train(args) -> _Run:
         raise InsufficientDataError(f"need at least 2 observations, got {train_idx.size}")
 
     xs, ys = features[train_idx], targets[train_idx]
-    cov = covariance._trace_normalized(covariance._covariance_array(xs))[0]  # init_model's eigh checks it, once
+    e = np.frexp(np.max(np.abs(xs)))[1]  # xs / 2**e is exact, and its covariance stays normal where xs's underflows
+    cov = covariance._trace_normalized(covariance._covariance_array(np.ldexp(xs, -e)))[0]  # init_model's eigh checks it
     model = network.init_model(cov, n_outputs, cfg)
     result = network.train(model, (xs, ys), (features[val_idx], targets[val_idx]), cfg)
 

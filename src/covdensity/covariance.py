@@ -71,9 +71,9 @@ class CovarianceMatrix:
 
 
 def _check_psd(eigenvalues: np.ndarray):
-    """Raise unless each ascending spectrum (last axis) has min eigenvalue >= -PSD_RTOL * max(1, ||C||), C's norm
-    read from that spectrum; the first failing spectrum is named."""
-    tolerance = PSD_RTOL * np.maximum(1.0, spectral._norm(eigenvalues))
+    """Raise unless each ascending spectrum (last axis) has min eigenvalue >= -PSD_RTOL * ||C||, read from it, no floor
+    (C * 2**k is judged as C is; a zero matrix is PSD); the first failing spectrum is named."""
+    tolerance = PSD_RTOL * spectral._norm(eigenvalues)
     min_eig = np.min(eigenvalues, axis=-1, initial=0.0)  # an empty matrix is PSD
     failing = np.flatnonzero(min_eig < -tolerance)
     if failing.size:

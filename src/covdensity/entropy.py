@@ -39,16 +39,16 @@ class EntropyReport:
 def cvne(c, beta: float) -> EntropyReport:
     """Entropy report for a PSD matrix at inverse temperature beta.
 
-    ``c`` may be a CovarianceMatrix (its check's spectrum is read), a plain
-    array, or a SpectralDecomposition (only its eigenvalues are read), so a beta
-    sweep decomposes once.  entropy_nats is -sum_i rho_i ln rho_i;
-    gibbs_form_nats evaluates the same quantity as beta Tr[C rho] + ln Z (the
-    two agree to roundoff and both are reported as a cross-check).
+    ``c`` may be a CovarianceMatrix (its check's spectrum is read), a plain array, or a SpectralDecomposition (only its
+    eigenvalues are read), so a beta sweep decomposes once.  entropy_nats is -sum_i rho_i ln rho_i; gibbs_form_nats
+    evaluates the same quantity as beta Tr[C rho] + ln Z (the two agree to roundoff and both are reported as a
+    cross-check).  source_rank_estimate counts |lambda_i| > 1e-10 * ||C||, with no floor: it is the same for C * 2**k
+    as for C, and 0 for a zero matrix.
     """
     spectrum = _spectrum(c)
     rho, log_z = density_values(spectrum, (beta,))
     nats = float(_shannon_nats(rho[0]))
-    rank = int(np.sum(np.abs(spectrum) > _RANK_RTOL * max(1.0, float(_norm(spectrum)))))
+    rank = int(np.sum(np.abs(spectrum) > _RANK_RTOL * float(_norm(spectrum))))
     return EntropyReport(
         beta=float(beta),
         entropy_nats=nats,

@@ -285,11 +285,11 @@ def matched_alignment(scores, w):
     ``scores`` is g(lambda)^2, the population covariance's eigenvalues, at each Laplacian's ascending eigenvalues, ``w``
     the covariance's ascending eigenvectors in that Laplacian's eigenbasis (<u_i, v_j> = w[i, j]).  The j-th smallest
     score is matched to the j-th smallest covariance eigenvalue (reversed when g decreases); degenerate flags population
-    ties, where matching is ill-defined.
+    ties, where matching is ill-defined: adjacent scores within 1e-9 * max|score|, no floor, an exact tie included.
     """
     order = np.argsort(scores, axis=-1, kind="stable")
-    scale = np.maximum(1.0, np.max(np.abs(scores), axis=-1, keepdims=True))
-    degenerate = np.any(np.diff(np.take_along_axis(scores, order, axis=-1), axis=-1) < 1e-9 * scale, axis=-1)
+    scale = np.max(np.abs(scores), axis=-1, keepdims=True)
+    degenerate = np.any(np.diff(np.take_along_axis(scores, order, axis=-1), axis=-1) <= 1e-9 * scale, axis=-1)
     return np.mean(np.abs(np.take_along_axis(w, order[..., None, :], axis=-2)[..., 0, :]), axis=-1), degenerate
 
 

@@ -47,10 +47,11 @@ def _as_square_array(matrix) -> np.ndarray:
 
 
 def _symmetrize(m: np.ndarray) -> np.ndarray:
-    """(M + M^T)/2 over the last two axes of a finite stack; an asymmetry over tolerance names its first matrix."""
+    """(M + M^T)/2 over the last two axes of a finite stack; an asymmetry over SYMMETRY_RTOL * max|M|, no floor, names
+    its first matrix: M * 2**k is judged as M is, and a zero matrix is symmetric."""
     m_t = np.swapaxes(m, -1, -2)
     work = np.abs(m)  # the one working array: |m|, then |m - m_t|, then m / 2
-    tolerance = SYMMETRY_RTOL * work.max(axis=(-2, -1), initial=1.0)
+    tolerance = SYMMETRY_RTOL * work.max(axis=(-2, -1), initial=0.0)
     asym = np.abs(np.subtract(m, m_t, out=work), out=work).max(axis=(-2, -1), initial=0.0)
     if (asym > tolerance).any():
         k = np.flatnonzero(asym > tolerance)[0]

@@ -1506,11 +1506,15 @@ def test_input_subcommands_decompose_once(capsys, tmp_path, monkeypatch, gaussia
     assert (eigvalsh_calls, eigh_calls) == ([(3, 3)], [])
 
 
-def test_cli_import_does_not_load_scipy():
+def child_env(**extra) -> dict:
+    """The environment for a child interpreter that imports this covdensity, with ``extra`` variables set."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(covdensity.__file__)))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])), **extra)
+
+
+def test_cli_import_does_not_load_scipy():
     probe = "import sys, covdensity.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
-    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True, capture_output=True, text=True)
+    out = subprocess.run([sys.executable, "-c", probe], env=child_env(), check=True, capture_output=True, text=True)
     assert out.stdout.strip() == "[]"
 
 
@@ -1792,10 +1796,11 @@ def test_covariance_subcommands_keep_the_scale_contract(tmp_path, subcommand):
         assert set(naive.values()) == {naive["diag(s, 2s, 4s) at s = 1"]}
 
 
-@pytest.mark.parametrize("scale, message", [(1e-8, None), (1e-160, "too small to normalize")])
+@pytest.mark.parametrize("scale, message", [(1e-8, None), (1e-160, None), (0.0, "too small to normalize")])
 def test_train_normalizes_any_trace_a_normal_double_holds(capsys, tmp_path, scale, message):
-    # Features scaled by 1e-8 have a trace near 1e-16, which trace normalization takes; scaled by 1e-160, the
-    # sample covariance underflows to subnormal doubles, and the trace with them.
+    # train forms its covariance from the features divided by a power of two near their largest magnitude, which is
+    # exact: features scaled by 1e-8 or by 1e-160 (whose own covariance would underflow to subnormal doubles) train.
+    # All-zero features have a zero trace, which no scale normalizes.
     path, cfg_path, out_dir = tmp_path / "data.csv", tmp_path / "cfg.json", tmp_path / "out"
     rows = scale * np.random.default_rng(0).standard_normal((60, 4))
     path.write_text("".join(",".join(map(repr, row)) + "\n" for row in rows.tolist()))
@@ -1829,3 +1834,53 @@ def test_a_repeated_json_key_is_named(capsys, tmp_path, gaussian_data_csv, docum
     code, out, err = run_cli(capsys, *argv, "--output-dir", str(out_dir))
     assert (code, out, err) == (2, "", f"error: {path}: invalid JSON: repeated key {key!r}\n")
     assert not out_dir.exists()
+
+
+# A child interpreter runs every subcommand once, seeded, on the CSVs in ``root``; it prints {label: [code, stdout]}.
+_EVERY_SUBCOMMAND = r"""
+import contextlib, io, json, os, sys
+from covdensity.cli import EXPERIMENT_SUBCOMMANDS, main
+
+root, out = sys.argv[1], sys.argv[2]
+features, labelled = os.path.join(root, "features.csv"), os.path.join(root, "labelled.csv")
+calls = {name: [name, "--seed", "3", *(["--trials", "2"] if name != "discriminate" else [])]
+         for name in EXPERIMENT_SUBCOMMANDS}
+calls["train"] = ["train", "--input", labelled, "--config", os.path.join(root, "train.json"), "--seed", "3"]
+calls["predict"] = ["predict", "--input", features, "--model", os.path.join(out, "train", "model.json")]
+for name in ("entropy", "density", "fit-beta"):
+    calls[name] = [name, "--input", features]
+results = {}
+for label, argv in calls.items():
+    with contextlib.redirect_stdout(io.StringIO()) as stdout:
+        code = main([*argv, "--output-dir", os.path.join(out, label)])
+    results[label] = [code, stdout.getvalue()]
+print(json.dumps(results))
+"""
+
+
+def test_every_subcommand_writes_the_same_bytes_at_one_and_two_blas_threads(tmp_path):
+    # At dim 20, no result depends on how many threads OpenBLAS splits a product or a decomposition over.
+    rng = np.random.default_rng(11)
+    x = rng.standard_normal((240, 20)) @ rng.standard_normal((20, 20)) * np.geomspace(1.0, 0.05, 20)
+    labels = (x @ rng.standard_normal(20) > 0).astype(float)
+    for name, rows in (("features", x), ("labelled", np.column_stack([x, labels]))):
+        (tmp_path / f"{name}.csv").write_text("".join(",".join(map(repr, row)) + "\n" for row in rows.tolist()))
+    (tmp_path / "train.json").write_text(json.dumps(
+        {"epochs": 2, "hidden_dim": 16, "dropout": 0.5, "betas": [0.5, 2.0], "task": "classification"}))
+    children = {
+        threads: subprocess.Popen(
+            [sys.executable, "-c", _EVERY_SUBCOMMAND, str(tmp_path), str(tmp_path / f"threads{threads}")],
+            env=child_env(OPENBLAS_NUM_THREADS=str(threads)), stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+        for threads in (1, 2)
+    }
+    runs = {}
+    for threads, child in children.items():
+        stdout, stderr = child.communicate(timeout=120)
+        assert (child.returncode, stderr) == (0, ""), threads
+        runs[threads] = json.loads(stdout)
+    assert runs[1] == runs[2]
+    assert len(runs[1]) == 12 and all(code == 0 for code, _ in runs[1].values()), runs[1]
+    for label in runs[1]:
+        for name in ("results.csv", "summary.json", *(["model.json"] if label == "train" else [])):
+            one, two = (tmp_path / f"threads{threads}" / label / name for threads in (1, 2))
+            assert one.read_bytes() == two.read_bytes(), (label, name)

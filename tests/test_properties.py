@@ -17,6 +17,10 @@ shapes, and run tables against what results.csv reads back on random columns.  T
 stacked kernels are checked bit for bit against their out-of-place forms on single and stacked
 arrays with huge, subnormal and signed-zero entries.  Every config and parameter record either
 builds or names the one key that holds an adversarial value.
+
+The accept/reject checks have no absolute floor: the symmetry and PSD checks judge M * 2^k as they
+judge M, cvne's rank estimate of C * 2^k is C's, and the surrogate flags the same rows degenerate
+under filter coefficients * 2^k, for k in -1000..1000 wherever scaling by 2^k is exact.
 """
 
 import csv
@@ -34,7 +38,7 @@ from conftest import dense_rho, random_psd, trace_normalize
 from covdensity import covariance, density, lab, spectral
 from covdensity.covariance import PSD_RTOL, CovarianceMatrix
 from covdensity.density import density_operator, density_values
-from covdensity.entropy import cvne
+from covdensity.entropy import _RANK_RTOL, cvne
 from covdensity.errors import BetaRangeError, SymmetryError
 from covdensity.filtering import FilterSpec, filter_apply
 from covdensity.lab import RunTable, _stability_responses, records_to_csv
@@ -476,7 +480,7 @@ def out_of_place_covariance_array(x):
 
 def out_of_place_symmetrize(m):
     m_t = np.swapaxes(m, -1, -2)
-    tolerance = spectral.SYMMETRY_RTOL * np.abs(m).max(axis=(-2, -1), initial=1.0)
+    tolerance = spectral.SYMMETRY_RTOL * np.abs(m).max(axis=(-2, -1), initial=0.0)
     asym = np.abs(m - m_t).max(axis=(-2, -1), initial=0.0)
     if (asym > tolerance).any():
         k = np.flatnonzero(asym > tolerance)[0]
@@ -539,6 +543,7 @@ def test_covariance_array_in_place_matches_out_of_place(x):
 
 @settings(max_examples=300, deadline=None)
 @given(st.integers(1, 4).flatmap(lambda d: entry_arrays((d, d))), st.booleans(), st.booleans())
+@example(np.ldexp([[1.0, 0.5], [0.0, 1.0]], -40), False, False)  # an asymmetry far over tolerance at any scale
 def test_symmetrize_in_place_matches_out_of_place(m, mirror, nudge):
     if mirror:  # mirror the upper triangle, then perhaps move one entry an ulp toward 0
         m = np.triu(m) + np.swapaxes(np.triu(m, 1), -1, -2)
@@ -570,3 +575,93 @@ def test_record_builds_or_names_the_key_of_its_one_adversarial_value(case, value
         record(**{**base, key: value})
     except ValueError as exc:
         assert str(exc).startswith(f"/{key}: "), (record.__name__, key, value, str(exc))
+
+
+# Entries in [-10, 10], none below 1e-100 in magnitude but 0; exponents k of 2 across more than the double range.
+_LAW_ENTRIES = st.floats(-10.0, 10.0).map(lambda x: x if abs(x) >= 1e-100 else 0.0)
+_LAW_MATRICES = st.integers(1, 4).flatmap(
+    lambda d: st.lists(_LAW_ENTRIES, min_size=d * d, max_size=d * d).map(lambda v: np.reshape(v, (d, d))))
+_SCALE_EXPONENTS = st.integers(-1000, 1000)
+
+
+def scales_exactly(values, k, bound=968) -> bool:
+    """Whether every nonzero magnitude of ``values``, and of ``values`` * 2**k, lies in [2**-bound, 2**bound).
+
+    There scaling by 2**k is exact, and at the default bound so is every difference of two entries: it is a
+    multiple of 2**-1020, so normal or 0.
+    """
+    exponents = np.frexp(np.abs(values[values != 0]))[1]  # |x| = f * 2**e with f in [0.5, 1)
+    return exponents.size == 0 or (-bound < min(exponents.min(), exponents.min() + k)
+                                   and max(exponents.max(), exponents.max() + k) <= bound)
+
+
+def accepted(check, m, error) -> bool:
+    try:
+        check(m)
+    except error:
+        return False
+    return True
+
+
+def symmetric(m):
+    """m with its upper triangle mirrored below the diagonal."""
+    return np.triu(m) + np.triu(m, 1).T
+
+
+@settings(max_examples=200, deadline=None)
+@given(_LAW_MATRICES, st.sampled_from([None, 0.0, 5e-11, 1e-10, 2e-10, 0.5]), _SCALE_EXPONENTS)
+@example(np.array([[1.0, 0.5], [0.0, 1.0]]), None, -40)  # was accepted with its tolerance floored at 1e-10
+@example(np.zeros((2, 2)), None, -1000)  # a zero matrix is symmetric
+def test_symmetry_check_judges_m_times_2_to_the_k_as_m(m, skew, k):
+    if skew is not None and len(m) > 1:  # mirror the upper triangle, then move one entry by skew * max|m|
+        m = symmetric(m)
+        m[1, 0] += skew * np.abs(m).max()
+    assume(scales_exactly(m, k))  # then |m|, m - m^T and their maxima scale exactly; so does the tolerance
+    assert accepted(spectral.eigh, m, SymmetryError) == accepted(spectral.eigh, np.ldexp(m, k), SymmetryError)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_LAW_MATRICES, st.sampled_from([None, -0.5, -2e-8, -1e-8, -5e-9, 0.0]), _SCALE_EXPONENTS)
+@example(np.diag([1.0, -0.5]), None, -40)  # was accepted with its tolerance floored at 1e-8
+@example(np.diag([1.0, -5e-9]), None, -40)  # undershoots zero by less than the tolerance
+@example(np.zeros((2, 2)), None, 1000)  # a zero matrix is PSD
+def test_psd_check_judges_c_times_2_to_the_k_as_c(m, floor, k):
+    m = symmetric(m)
+    if floor is not None:  # shift the spectrum so its smallest eigenvalue sits near floor * ||C||
+        lam = np.linalg.eigvalsh(m)
+        m += (floor * np.abs(lam).max() - lam[0]) * np.eye(len(m))
+    lam = np.linalg.eigvalsh(m)
+    norm = np.abs(lam).max()
+    # The smallest eigenvalue is not within rounding of the threshold, where eigvalsh's own error could decide.
+    assume(norm == 0.0 or abs(lam[0] + PSD_RTOL * norm) > 1e-12 * norm)
+    assume(scales_exactly(m, k))
+    assert accepted(CovarianceMatrix, m, ValueError) == accepted(CovarianceMatrix, np.ldexp(m, k), ValueError)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_LAW_MATRICES, st.integers(0, 4), _SCALE_EXPONENTS)
+@example(np.diag([1.0, 1.0, 0.0]), 3, -40)  # rank 2 at every scale; was 0 with the tolerance floored at 1e-10
+@example(np.zeros((2, 2)), 2, 1000)  # a zero matrix has rank 0
+def test_rank_estimate_of_c_times_2_to_the_k_is_that_of_c(m, rank, k):
+    m = symmetric(m)
+    m[rank:, :] = m[:, rank:] = 0.0  # rank at most ``rank``
+    lam = np.abs(np.linalg.eigvalsh(m))
+    # No eigenvalue is within rounding of the threshold, where eigvalsh's own error could decide.
+    assume(np.all(np.abs(lam - _RANK_RTOL * lam.max()) > 1e-12 * lam.max()) or lam.max() == 0.0)
+    assume(scales_exactly(m, k))
+    assert cvne(np.ldexp(m, k), 0.0).source_rank_estimate == cvne(m, 0.0).source_rank_estimate
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.floats(-4.0, 4.0).map(lambda x: x if abs(x) >= 1e-3 else 0.0), min_size=1, max_size=3),
+       _SCALE_EXPONENTS)
+@example([1e-6, 5e-7], 20)  # every row was flagged with the tie scale floored at 1
+@example([0.0, 0.0], -1000)  # an all-zero filter ties every score: every row stays degenerate
+def test_surrogate_flags_the_same_rows_degenerate_under_filter_coeffs_times_2_to_the_k(coeffs, k):
+    # Within 2**-400..2**400 the scores g(L)^2, and the products g_i g_j forming C', stay normal.
+    assume(scales_exactly(np.array(coeffs), k, bound=400))
+    cfg = lab.SurrogateConfig(dim=5, sample_grid=(8, 60), trials=2, filter_coeffs=tuple(coeffs))
+    scaled = dataclasses.replace(cfg, filter_coeffs=tuple(np.ldexp(coeffs, k).tolist()))
+    flags = lab.run_surrogate(cfg).metrics["degenerate"]
+    assert lab.run_surrogate(scaled).metrics["degenerate"] == flags
+    assert any(coeffs) or set(flags) == {1.0}
