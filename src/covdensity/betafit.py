@@ -20,6 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .density import density_values
+from .entropy import _shannon_nats
 from .errors import InfeasibleTargetError
 
 _BRACKET_BUDGET = 60  # outward steps per bracket end
@@ -142,11 +143,9 @@ def fit_beta(
 
 
 def kl_to_density(spectrum, target_p, beta):
-    """D_KL(p || q_beta); differs from the moment objective by sum p ln p.
+    """D_KL(p || q_beta): the moment objective less the target's Shannon entropy -sum p ln p.
 
     ``beta`` may be a scalar or a 1-D array of betas, which are scored in one pass.
     """
     objective = moment_objective(spectrum, target_p, beta)  # validates the inputs
-    p = np.asarray(target_p, dtype=float)
-    nonzero = p[p > 0.0]
-    return float(np.sum(nonzero * np.log(nonzero))) + objective
+    return objective - float(_shannon_nats(np.asarray(target_p, dtype=float)))

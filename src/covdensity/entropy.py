@@ -8,7 +8,8 @@ and unlike the trace-normalized surrogate it responds to global scale changes.
 A density eigenvalue that a double rounds to 0.0, once |beta| |lambda_i -
 lambda_top| + ln m passes about 745.13, counts as 0 ln 0 (see DensityOperator).
 
-Internal unit is nats; bits are carried alongside for reporting.
+Every entropy in the package (density, trace-normalized, kl_to_density's target)
+is one kernel, _shannon_nats, over its distribution, in nats; bits = nats / ln 2.
 """
 
 from __future__ import annotations
@@ -60,7 +61,8 @@ def cvne(c, beta: float) -> EntropyReport:
 
 
 def _shannon_nats(values: np.ndarray):
-    """-sum p ln p of each distribution on the last axis, floored at zero; 0 ln 0 counts as 0."""
+    """-sum p ln p of each distribution on the last axis, floored at zero; 0 ln 0 counts as 0.  The package's one
+    Shannon sum: over density eigenvalues, a clipped trace-normalized spectrum, or betafit.kl_to_density's target."""
     # An entry that underflowed to 0 contributes 0 ln 1 = 0 instead of 0 * -inf = NaN.
     terms = values * np.log(np.where(values > 0.0, values, 1.0))
     # fmax(0, x) keeps 0.0 where x is -0.0, exactly as max(0.0, x) does.
@@ -76,7 +78,7 @@ def naive_entropy(c) -> float:
     Raises:
         DegenerateCovarianceError: no eigenvalue is positive.
     """
-    return float(_naive_bits(_spectrum(c)))
+    return float(_shannon_nats(_clipped_distribution(_spectrum(c))) / math.log(2.0))
 
 
 def _clipped_distribution(eigenvalues: np.ndarray) -> np.ndarray:
@@ -92,21 +94,6 @@ def _clipped_distribution(eigenvalues: np.ndarray) -> np.ndarray:
             weights = np.where(overflowed, weights / np.max(weights, axis=-1, keepdims=True), weights)
             total = np.sum(weights, axis=-1, keepdims=True)
     return weights / total
-
-
-def _naive_bits(eigenvalues: np.ndarray):
-    """naive_entropy of each ascending spectrum on the last axis."""
-    distributions = _clipped_distribution(eigenvalues)
-    p = distributions.reshape(-1, distributions.shape[-1])
-    # Spectra ascend, so the zero weights of a row lead it.  Summing each row's
-    # positive tail adds the same terms in the same order as a 1-D sum over p[p > 0].
-    leading_zeros = np.sum(~(p > 0.0), axis=-1)
-    bits = np.empty(len(p))
-    for k in set(leading_zeros.tolist()):
-        rows = leading_zeros == k
-        tail = p[rows, k:]
-        bits[rows] = -np.sum(tail * np.log2(tail), axis=-1)
-    return bits.reshape(distributions.shape[:-1])
 
 
 def threshold_auc(scores_a, scores_b) -> float:
@@ -134,7 +121,7 @@ def _window_entropies(covariances: np.ndarray, beta: float) -> tuple[np.ndarray,
     naive_entropy and cvne give for that covariance's CovarianceMatrix."""
     eigenvalues = np.linalg.eigvalsh(covariances)
     _check_psd(eigenvalues)
-    naive = _naive_bits(eigenvalues)
+    p = _clipped_distribution(eigenvalues)
     rho, _ = density_values(eigenvalues, (beta,))
-    return naive, _shannon_nats(rho[..., 0, :]) / math.log(2.0)
+    return _shannon_nats(p) / math.log(2.0), _shannon_nats(rho[..., 0, :]) / math.log(2.0)
 

@@ -138,15 +138,15 @@ def records_to_csv(table: RunTable, path) -> None:
 
 
 def summarize(table: RunTable) -> dict:
-    """Group rows by their param tuples and average each metric."""
+    """Group rows by their param label ("k=v,..." over the row's given params, or "all") and average each metric."""
     names = sorted(table.params)
     groups: dict = {}
     for i, values in enumerate(zip(*(table.params[k] for k in names)) if names else [()] * len(table)):
-        groups.setdefault(tuple((k, v) for k, v in zip(names, values) if v is not None), []).append(i)
+        label = ",".join(f"{k}={v}" for k, v in zip(names, values) if v is not None)
+        groups.setdefault(label or "all", []).append(i)
     metrics = sorted(table.metrics.items())
     summary = {}
-    for key, rows in sorted(groups.items(), key=lambda kv: repr(kv[0])):
-        label = ",".join(f"{k}={v}" for k, v in key) or "all"
+    for label, rows in groups.items():
         if len(rows) == 1:
             # np.mean of one value is the value + 0.0, bit for bit (-0.0 becomes 0.0).
             summary[label] = {m: c[rows[0]] + 0.0 for m, c in metrics if c[rows[0]] is not None}
@@ -246,10 +246,10 @@ class LipschitzConfig(_Config):
 def run_lipschitz(cfg: LipschitzConfig) -> RunTable:
     """Empirical check of |response difference| <= alpha |eigenvalue difference|.
 
-    Each trial draws an eigenvalue pair and a random filter, evaluates both
-    responses at the density eigenvalues of the two-point spectrum, and
-    records the ratio against the Lipschitz constant; near-identical pairs and
-    zero-alpha filters are skipped (0/0).
+    Each trial draws an eigenvalue pair and a random filter, evaluates both responses at the density eigenvalues of
+    the two-point spectrum, and records the ratio against the Lipschitz constant.  Zero-alpha filters and pairs whose
+    gap is at most 1e-12 of their larger |eigenvalue| (ties included) are skipped, as 0/0 or a quotient of rounding
+    errors; with no absolute floor, eigenvalues times 2**k and betas times 2**-k keep the same trials.
     """
     trials, rows = [], []
     for t in range(cfg.trials):
@@ -262,7 +262,7 @@ def run_lipschitz(cfg: LipschitzConfig) -> RunTable:
         with np.errstate(over="ignore"):
             alpha = filtering.lipschitz_alpha(spec)
         gap = float(abs(lam2 - lam1))
-        if gap < 1e-12 or alpha == 0.0:
+        if gap <= 1e-12 * max(abs(lam1), abs(lam2)) or alpha == 0.0:
             continue
         if math.isinf(alpha):
             raise ConfigError(f"/beta_range: alpha = sum_k |h_k| |beta k| overflows a double at beta = {beta:.6g}")
@@ -422,7 +422,6 @@ def run_regression(cfg: RegressionConfig) -> RunTable:
         covs, traces = covariance._trace_normalized(covs)
         lam, v = spectral._eigh(covs)
         covariance._check_psd(lam * traces[..., None])
-        covariance._check_psd(lam)
         rho, log_z = density.density_values(lam, betas)
         density._exp("/betas: 1/Z", float(np.max(-log_z)))  # a beta whose 1/Z overflows is a range error
         f = np.concatenate([lam[..., None, :], rho - np.exp(-log_z)[..., None]], axis=-2)

@@ -1792,7 +1792,7 @@ def test_covariance_subcommands_keep_the_scale_contract(tmp_path, subcommand):
             assert code == 0, name
             naive[name] = json.loads((out_dir / "summary.json").read_text())["entropy"]["naive_entropy_bits"]
     if subcommand == "entropy":
-        assert naive.pop("diag(6e307, 7e307, 8e307)") == 1.575114591410657
+        assert naive.pop("diag(6e307, 7e307, 8e307)") == 1.5751145914106572
         assert set(naive.values()) == {naive["diag(s, 2s, 4s) at s = 1"]}
 
 

@@ -181,9 +181,10 @@ class TestRunTable:
         reference_records_to_csv(table, tmp_path / "want.csv")
         assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
         got, want = summarize(table), reference_summarize(table)
-        assert json.dumps(got, indent=1) == json.dumps(want, indent=1)
-        assert [type(v) for g in got.values() for v in g.values()] == [
-            type(v) for g in want.values() for v in g.values()
+        # As summary.json is written: keys sorted, so the groups' insertion order is not part of the artifact.
+        assert json.dumps(got, sort_keys=True) == json.dumps(want, sort_keys=True)
+        assert [type(got[g][m]) for g in sorted(got) for m in sorted(got[g])] == [
+            type(want[g][m]) for g in sorted(want) for m in sorted(want[g])
         ]
 
 
@@ -379,6 +380,21 @@ class TestLipschitz:
             # run_lipschitz maps the unsorted pair with density_values; this path eigendecomposes
             # diag(lam1, lam2) first, so only roundoff may differ.
             assert r.metrics["response_diff"] == pytest.approx(diff, rel=1e-12, abs=1e-300)
+
+    @pytest.mark.parametrize("k", [-60, -50, -44, 17, 60])
+    def test_eigenvalues_times_two_to_the_k_with_betas_times_two_to_the_minus_k_keep_every_trial(self, k):
+        # The responses read beta * lambda only, and the pair skip is relative to the pair's scale, so the scaled
+        # draws keep the same trials with the same responses and ratios.  An absolute gap floor of 1e-12 skips
+        # every pair once the eigenvalue range is below it.
+        base = run_lipschitz(LipschitzConfig(trials=200, seed=6))
+        scaled = run_lipschitz(LipschitzConfig(
+            trials=200, seed=6, eigenvalue_range=(0.0, 10.0 * 2.0**k), beta_range=(-3.0 * 2.0**-k, 3.0 * 2.0**-k)
+        ))
+        assert len(base) > 190
+        assert scaled.params == base.params
+        for name in ("response_diff", "ratio"):
+            assert np.array(scaled.metrics[name]).tobytes() == np.array(base.metrics[name]).tobytes()
+        assert np.array_equal(np.array(scaled.metrics["lambda1"]), np.array(base.metrics["lambda1"]) * 2.0**k)
 
 
 class TestSurrogate:
