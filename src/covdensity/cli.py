@@ -276,7 +276,7 @@ def _prepare_supervised(values: np.ndarray, horizon: int, task: str):
     raw_targets = values[:, -1]
     if task == "classification":
         labels = np.trunc(raw_targets)  # checked as floats: a huge label must not reach the cast or size the head
-        if not np.all(np.abs(raw_targets - labels) < 1e-9) or labels.min() < 0:
+        if not np.all(raw_targets == labels) or labels.min() < 0:
             raise ConfigError("classification targets must be nonnegative integers")
         if labels.max() >= len(labels):
             raise ConfigError(f"classification targets must be below the row count {len(labels)} (n rows hold at "

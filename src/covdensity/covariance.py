@@ -99,11 +99,13 @@ def as_matrix(c) -> np.ndarray:
 
 
 def _spectrum(c) -> np.ndarray:
-    """Ascending eigenvalues of ``c``: those a CovarianceMatrix's check or a SpectralDecomposition
-    holds, else ``eigvalsh``'s of a plain symmetric array."""
+    """Ascending eigenvalues of ``c``: those a CovarianceMatrix's check or a SpectralDecomposition holds (ValueError
+    naming the first that is not finite), else ``eigvalsh``'s of a plain symmetric array."""
     if isinstance(c, CovarianceMatrix):
         return c._eigenvalues
     if isinstance(c, spectral.SpectralDecomposition):
+        if not np.all(finite := np.isfinite(c.eigenvalues)):
+            raise ValueError(f"eigenvalues must be finite, got {float(c.eigenvalues[~finite][0])!r}")
         return c.eigenvalues
     return np.linalg.eigvalsh(as_matrix(c))
 

@@ -30,9 +30,6 @@ from .errors import BetaRangeError
 
 _LOG_DBL_MAX = math.log(np.finfo(float).max)
 
-# Below this |beta * a| the (e^a - 1)/a factor is replaced by its series limit.
-_F_SERIES_EPS = 1e-8
-
 
 @dataclass(frozen=True)
 class DensityOperator:
@@ -70,11 +67,11 @@ def density_values(eigenvalues, betas) -> tuple[np.ndarray, np.ndarray]:
     leading axes; each spectrum's rows are computed exactly as a 1-D call would.
     Each row's exponents are shifted by their maximum before exponentiating, so
     every entry is finite and ln Z stays finite even where Z itself would overflow.
-    Raises ValueError for a NaN or infinite beta, BetaRangeError where beta * lambda overflows.
+    Raises ValueError where a non-finite beta or eigenvalue breaks it, BetaRangeError where beta * lambda overflows.
     """
     lam = np.asarray(eigenvalues, dtype=float)
     betas = np.asarray(betas, dtype=float).ravel()  # a JSON int past int64 would make an object array
-    # An overflowed product or shifted exponent that is not a row maximum only underflows its weight to 0.0.  The
+    # A product or shifted exponent that overflows and is not a row maximum only underflows its weight to 0.0.  The
     # one array of products is negated, shifted, exponentiated and normalized in place.
     with np.errstate(over="ignore", invalid="ignore"):
         exponents = betas[:, None] * lam[..., None, :]
@@ -84,6 +81,8 @@ def density_values(eigenvalues, betas) -> tuple[np.ndarray, np.ndarray]:
     if not np.all(np.isfinite(shift)):
         if not np.all(np.isfinite(betas)):
             raise ValueError("beta must be finite")
+        if not np.all(finite := np.isfinite(lam)):
+            raise ValueError(f"eigenvalues must be finite, got {float(lam[~finite][0])!r}")
         # Name the first failing spectrum and beta, in order, as a one-by-one evaluation meets them.
         k = np.flatnonzero(~np.isfinite(shift))[0]
         beta, norm = betas[k % betas.size], np.ravel(spectral._norm(lam))[k // betas.size]
@@ -118,9 +117,9 @@ def f_factor(beta: float, norm_c: float, norm_c_plus_dc: float) -> float:
     """Perturbation amplification factor from the density error bound.
 
     Equals 1 for beta >= 0.  For beta < 0 it is
-    exp(|beta| ||C||) * (exp(|beta| a) - 1) / (|beta| a) with
-    a = ||C + dC|| - ||C||; the removable singularity at a -> 0 is filled with
-    the series limit.  Continuous at beta -> 0 with limit 1.  Raises
+    exp(|beta| ||C||) * (exp(|beta| a) - 1) / (|beta| a) with a = ||C + dC|| - ||C||,
+    and its limit exp(|beta| ||C||) at a = 0 only (expm1(x) / x is accurate for
+    every other x).  Continuous at beta -> 0 with limit 1.  Raises
     BetaRangeError where exp(|beta| ||C||) or exp(|beta| a) overflows a double.
     """
     beta, norm_c, norm_c_plus_dc = float(beta), float(norm_c), float(norm_c_plus_dc)  # NumPy scalars warn on overflow
@@ -131,7 +130,7 @@ def f_factor(beta: float, norm_c: float, norm_c_plus_dc: float) -> float:
     amp = _exp("exp(|beta| ||C||)", abs(beta) * norm_c)
     a = norm_c_plus_dc - norm_c
     arg = abs(beta) * a
-    if abs(arg) < _F_SERIES_EPS:
+    if arg == 0.0:
         return amp
     return amp * _exp("exp(|beta| a)", arg, math.expm1) / arg
 

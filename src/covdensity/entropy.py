@@ -83,17 +83,16 @@ def naive_entropy(c) -> float:
 
 def _clipped_distribution(eigenvalues: np.ndarray) -> np.ndarray:
     """Each spectrum on the last axis clipped at 0 and divided by its sum; DegenerateCovarianceError where no entry is
-    positive.  Only a sum that overflows a double is formed after dividing by the spectrum's largest entry, so a finite
-    sum divides exactly as ``w / w.sum()``.  A non-finite entry gives NaN, without a warning, for the caller to name."""
+    positive.  A width-n spectrum w is first scaled by the power of two that puts its largest entry just under
+    2**(1023 - n.bit_length()), where its sum cannot overflow: w * 2**k gives w's bits, and so does ``w / w.sum()``
+    wherever that sum is finite, since the scaling rounds only entries whose share underflows to 0 either way.  A
+    non-finite entry gives NaN, without a warning, for the caller to name."""
     weights = np.clip(eigenvalues, 0.0, None)
     if np.any(np.all(weights == 0.0, axis=-1)):
         raise DegenerateCovarianceError("spectrum has no positive eigenvalue to normalize")
-    with np.errstate(over="ignore", invalid="ignore"):  # invalid: inf / inf
-        total = np.sum(weights, axis=-1, keepdims=True)
-        if np.any(overflowed := np.isinf(total)):
-            weights = np.where(overflowed, weights / np.max(weights, axis=-1, keepdims=True), weights)
-            total = np.sum(weights, axis=-1, keepdims=True)
-    return weights / total
+    with np.errstate(over="ignore", invalid="ignore"):  # only where an entry is not finite: x * 2**k, inf / inf
+        weights = np.ldexp(weights, 1023 - weights.shape[-1].bit_length() - np.frexp(weights.max(-1, keepdims=True))[1])
+        return weights / np.sum(weights, axis=-1, keepdims=True)
 
 
 def threshold_auc(scores_a, scores_b) -> float:

@@ -409,7 +409,7 @@ def run_regression(cfg: RegressionConfig) -> RunTable:
         support = rng.choice(cfg.dim, cfg.n_informative, replace=False)
         weights[support] = rng.normal(0.0, cfg.weight_scale, cfg.n_informative)
         x_train = rng.standard_normal((cfg.n_train, cfg.dim))
-        with np.errstate(over="ignore", invalid="ignore"):  # an overflowed label reaches both metrics, checked below
+        with np.errstate(over="ignore", invalid="ignore"):  # a label that overflows reaches both metrics, checked below
             y_train = x_train @ weights + rng.normal(0.0, noise, cfg.n_train)
             x_test = rng.standard_normal((cfg.n_test, cfg.dim))
             y_test = x_test @ weights + rng.normal(0.0, noise, cfg.n_test)

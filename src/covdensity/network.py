@@ -231,9 +231,7 @@ def _aggregate(mode: str, channels: np.ndarray) -> np.ndarray:
 
 
 def _unaggregate(p: LayerParams, d_folded: np.ndarray) -> np.ndarray:
-    """Gradient of the per-scale outputs (B, f_out, m) from that of the aggregated ones."""
-    if p.aggregation == "concatenate":
-        return d_folded
+    """Gradient of the per-scale outputs (B, f_out, m) from the aggregated ones' (concatenate's is that shape)."""
     if p.aggregation == "mean":
         d_folded = d_folded / p.f_out
     return np.broadcast_to(d_folded, (d_folded.shape[0], p.f_out, d_folded.shape[2]))
@@ -266,7 +264,7 @@ def forward_rows(model: ModelParams, xs) -> np.ndarray:
     """Outputs (n, n_outputs) for n signals of shape (dim,), run through the network in blocks of
     ``FORWARD_BLOCK`` so that the pass's temporaries do not grow with n."""
     x = _as_signals(model, xs)
-    blocks = [_forward(model, x[s : s + FORWARD_BLOCK])[0] for s in range(0, len(x), FORWARD_BLOCK)]
+    blocks = [_forward(model, x[s : s + FORWARD_BLOCK], 1.0)[0] for s in range(0, len(x), FORWARD_BLOCK)]
     return np.concatenate(blocks)
 
 
@@ -285,12 +283,12 @@ class _Tape:
     flat: np.ndarray  # (B, head inputs)
     z1: np.ndarray  # hidden pre-activation, (B, hidden)
     h1: np.ndarray  # hidden activation after dropout, (B, hidden)
-    mask: np.ndarray | None  # dropout mask, (B, hidden)
+    mask: np.ndarray | float  # dropout mask, (B, hidden); 1.0 for no dropout, since h * 1.0 is h bit for bit
     final_shape: tuple  # last layer's aggregated output, (B, C, m)
 
 
-def _forward(model: ModelParams, x: np.ndarray, mask=None):
-    """Outputs (B, n_outputs) for signals x of shape (B, m), and the tape for backprop."""
+def _forward(model: ModelParams, x: np.ndarray, mask):
+    """Outputs (B, n_outputs) for signals x of shape (B, m), hidden units times ``mask`` (1.0: no dropout), and tape."""
     v, lam = model.basis.eigenvectors, model.basis.eigenvalues
     signal = x[:, None]
     layer_tapes = []
@@ -302,9 +300,7 @@ def _forward(model: ModelParams, x: np.ndarray, mask=None):
 
     head = model.head
     z1 = flat @ head.w1.T + head.b1
-    h1 = ACTIVATIONS[head.activation][0](z1)
-    if mask is not None:
-        h1 = h1 * mask
+    h1 = ACTIVATIONS[head.activation][0](z1) * mask
     out = h1 @ head.w2.T + head.b2
     return out, _Tape(layer_tapes, flat, z1, h1, mask, signal.shape)
 
@@ -330,9 +326,7 @@ def _loss_and_grad(out: np.ndarray, targets, loss: str):
 def _backward(model: ModelParams, tape: _Tape, d_out: np.ndarray) -> list[np.ndarray]:
     """Gradients of sum_b <d_out[b], out[b]>, reduced over the batch axis, in parameter order (module docstring)."""
     head = model.head
-    d_h1 = d_out @ head.w2
-    if tape.mask is not None:
-        d_h1 = d_h1 * tape.mask
+    d_h1 = d_out @ head.w2 * tape.mask
     d_z1 = d_h1 * ACTIVATIONS[head.activation][1](tape.z1)
     d_signal = (d_z1 @ head.w1).reshape(tape.final_shape)
     grads = [d_z1.T @ tape.flat, d_z1.sum(axis=0), d_out.T @ tape.h1, d_out.sum(axis=0)]
@@ -371,7 +365,7 @@ def model_gradients(model: ModelParams, batch_x, batch_y, loss: str, rng=None, d
         TrainingError: the loss is non-finite.
     """
     x = _as_signals(model, batch_x)
-    mask = None
+    mask = 1.0
     if dropout > 0.0:
         if rng is None:
             raise ValueError("dropout needs an rng")

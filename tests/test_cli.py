@@ -1154,6 +1154,20 @@ class TestTrainPredict:
         assert (code, out, err) == (2, "", f"error: {message}\n")
         assert not out_dir.exists()
 
+    @pytest.mark.parametrize("label", [repr(1.0 + 1e-10), repr(1.0 - 1e-10)])
+    def test_label_near_an_integer_is_rejected(self, capsys, tmp_path, classification_csv, label):
+        # A label is a class only if it is exactly an integer, however close it lies on either side.
+        lines = Path(classification_csv).read_text().splitlines()
+        lines[5] = f"{lines[5].rsplit(',', 1)[0]},{label}"
+        data_path, cfg_path, out_dir = tmp_path / "labels.csv", tmp_path / "cfg.json", tmp_path / "out"
+        data_path.write_text("\n".join(lines) + "\n")
+        cfg_path.write_text(json.dumps({"epochs": 1, "betas": [1.0], "task": "classification"}))
+        code, out, err = run_cli(
+            capsys, "train", "--input", str(data_path), "--config", str(cfg_path), "--output-dir", str(out_dir)
+        )
+        assert (code, out, err) == (2, "", "error: classification targets must be nonnegative integers\n")
+        assert not out_dir.exists()
+
     def test_negative_seed_flag_rejected(self, capsys, tmp_path, classification_csv):
         code, out, err = run_cli(
             capsys, "train", "--input", classification_csv, "--seed", "-1", "--output-dir", str(tmp_path / "out")

@@ -1,9 +1,10 @@
+import decimal
 import math
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -94,6 +95,15 @@ class TestDensityOperator:
         with pytest.raises(ValueError, match="beta must be finite"):
             density_values([0.0, 0.0, 2.0], [1.0, beta])
 
+    @pytest.mark.parametrize(
+        "lam, beta, got",
+        [([np.nan, 1.0], 1.0, "nan"), ([1.0, np.inf], 0.0, "inf"), ([[1.0, 2.0], [-np.inf, np.nan]], -1.0, "-inf")],
+    )
+    def test_non_finite_eigenvalue_is_named(self, lam, beta, got):
+        # Where a non-finite eigenvalue breaks the map, the first one is named, not an overflow.
+        with pytest.raises(ValueError, match=f"^eigenvalues must be finite, got {got}$"):
+            density_values(np.array(lam), [beta])
+
     @settings(max_examples=100, deadline=None)
     @given(
         arrays(np.float64, st.integers(2, 6), elements=st.floats(0.0, 10.0)),
@@ -151,6 +161,34 @@ class TestFFactor:
 
     def test_series_limit_when_norms_match(self):
         assert f_factor(-2.0, 3.0, 3.0) == pytest.approx(math.exp(6.0), rel=1e-12)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.floats(-4.0, -1e-3),
+        st.floats(0.0, 4.0),
+        st.floats(1e-14, 1e-8, exclude_max=True),
+        st.sampled_from([-1.0, 1.0]),
+    )
+    @example(-1.0, 1.0, 1e-9, 1.0)
+    def test_small_arguments_against_a_40_digit_reference(self, beta, norm_c, x, sign):
+        """f_factor for 1e-14 <= |beta a| < 1e-8 lies within |beta| ||C|| + 7 ulps of
+        exp(|beta| ||C||) expm1(|beta| a) / (|beta| a), evaluated to 40 digits at the same float inputs.
+
+        With u = 2**-53 and exp and expm1 within 1 ulp (2u relative): |beta| ||C|| rounds by u, which moves its
+        exp by |beta| ||C|| u, and exp adds 2u; a = ||C + dC|| - ||C|| and |beta| a round by u each, which moves
+        phi(x) = expm1(x) / x by x u (d ln phi / d ln x ~ x / 2); expm1 adds 2u, and the product and quotient u
+        each.  The relative error is below (|beta| ||C|| + 6 + x) u, and an ulp of the result exceeds u times it,
+        so the error is below |beta| ||C|| + 6 + x ulps; x < 1e-8 and second-order terms fit in the last ulp.
+        """
+        norm_perturbed = norm_c + sign * x / abs(beta)
+        arg = abs(beta) * (norm_perturbed - norm_c)
+        assume(norm_perturbed >= 0.0 and 1e-14 <= abs(arg) < 1e-8)
+        with decimal.localcontext(decimal.Context(prec=40)):
+            b, a = decimal.Decimal(abs(beta)), decimal.Decimal(norm_perturbed) - decimal.Decimal(norm_c)
+            want = (b * decimal.Decimal(norm_c)).exp() * ((b * a).exp() - 1) / (b * a)
+            ulps = abs(decimal.Decimal(f_factor(beta, norm_c, norm_perturbed)) - want) / decimal.Decimal(
+                math.ulp(float(want)))
+        assert ulps <= abs(beta) * norm_c + 7
 
     def test_rejects_negative_norms(self):
         with pytest.raises(ValueError):

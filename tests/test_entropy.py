@@ -1,8 +1,9 @@
 import math
+import struct
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -19,6 +20,7 @@ from conftest import (
 from covdensity.covariance import CovarianceMatrix
 from covdensity.entropy import _clipped_distribution, _window_entropies, cvne, naive_entropy, threshold_auc
 from covdensity.errors import BetaRangeError, ConfigError, DegenerateCovarianceError
+from covdensity.spectral import SpectralDecomposition
 
 
 def scalar_entropy_nats(eigenvalues, beta):
@@ -135,7 +137,7 @@ class TestNaiveEntropy:
 
 
 class TestClippedDistribution:
-    def test_only_an_overflowing_sum_is_scaled_first(self):
+    def test_each_spectrum_is_scaled_by_a_power_of_two_first(self):
         stack = np.array([[-1e-17, 1.0, 2.0, 4.0], [1e-300, 6e307, 7e307, 8e307], [0.0, 1e308, 1e308, 1.0]])
         p = _clipped_distribution(stack)
         weights = np.clip(stack[0], 0.0, None)
@@ -143,6 +145,31 @@ class TestClippedDistribution:
         scaled = stack[1] / 8e307
         assert p[1].tobytes() == (scaled / scaled.sum()).tobytes()
         np.testing.assert_array_equal(p[2], [0.0, 0.5, 0.5, 5e-309])
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        arrays(np.float64, st.integers(1, 8), elements=st.one_of(st.just(0.0), st.floats(-1e-12, 0.0),
+                                                                 st.floats(2.0**-60, 1.0))),
+        st.integers(-1000, 1000),
+    )
+    @example(np.array([0.3428080423874833, 0.13687617154257523, 0.1148748719756762, 0.8319432152802452,
+                       0.9214800195499495, 0.6459721981904619, 0.7565469048855985]), 1023)
+    def test_times_two_to_the_k_gives_the_same_bits(self, w, k):
+        # Scaling by 2**k is exact wherever every nonzero entry stays a normal double, and the naive entropy is
+        # blind to scale, so the distribution and its entropy keep every bit.
+        scaled = np.ldexp(w, k)
+        assume(np.any(w > 0.0))
+        assume(all(np.all(np.isfinite(v) & ((v == 0.0) | (np.abs(v) >= np.finfo(float).tiny))) for v in (w, scaled)))
+        assert _clipped_distribution(scaled).tobytes() == _clipped_distribution(w).tobytes()
+        identity = np.eye(len(w))
+        want = naive_entropy(SpectralDecomposition(w, identity))
+        assert struct.pack("<d", naive_entropy(SpectralDecomposition(scaled, identity))) == struct.pack("<d", want)
+
+    def test_a_non_finite_eigenvalue_is_named(self):
+        decomposition = SpectralDecomposition(np.array([np.nan, 1.0]), np.eye(2))
+        for call in (naive_entropy, lambda c: cvne(c, 1.0)):
+            with pytest.raises(ValueError, match="^eigenvalues must be finite, got nan$"):
+                call(decomposition)
 
     def test_a_non_finite_entry_gives_nan_for_the_caller_to_name(self):
         assert np.isnan(_clipped_distribution(np.array([np.inf, 1.0]))).any()

@@ -277,7 +277,7 @@ def finite_difference_gradients(model, xs, ys, loss, step=1e-5):
 
 def min_pre_activation(model, xs):
     """Smallest |pre-activation| of any layer or head unit over the batch ``xs``, (n, dim)."""
-    _, tape = _forward(model, np.asarray(xs, dtype=float))
+    _, tape = _forward(model, np.asarray(xs, dtype=float), 1.0)
     return min(float(np.min(np.abs(a))) for a in [tape.z1, *(layer.pre_activation for layer in tape.layers)])
 
 

@@ -217,9 +217,8 @@ def test_shifting_spectra_gives_what_shifting_the_matrix_gives(case):
     the matrix (d ln Z = -beta tr(rho dA)) and shift invariant, so ln R = ln Z' - ln Z moves by at most
     4 |beta| delta, plus the rounding of each ln Z, eps (3 |beta| (2 ||C|| + ||dC||) + m + 2).  For beta < 0 the
     bound also reads e^{|beta| a}, 1 + m e^{|beta| a} and phi(x) = expm1(x) / x at x = |beta| (b - a); ln phi is
-    1-Lipschitz and its series cut at |x| < _F_SERIES_EPS errs by at most _F_SERIES_EPS / 2, so ln bound moves by
-    8 |beta| delta + _F_SERIES_EPS / 2 more.  The ratio and the bound are held to one log-tolerance, the sum of
-    these.  Where the shifted-matrix computation raises, the spectral one raises the same type.
+    1-Lipschitz, so ln bound moves by 8 |beta| delta more.  The ratio and the bound are held to one log-tolerance,
+    the sum of these.  Where the shifted-matrix computation raises, the spectral one raises the same type.
     """
     c, dc, betas = case
     got = first_error_or_result(lambda: _stability_responses(c, dc, spectral._norm(np.linalg.eigvalsh(dc)), betas))
@@ -234,7 +233,7 @@ def test_shifting_spectra_gives_what_shifting_the_matrix_gives(case):
     b = np.abs([0.0, *betas])  # the trace-normalized response, then each beta's
     assert np.all(np.abs(got[0] - want[0]) <= 8 * b * math.sqrt(m) * delta + 12 * m * EPS)
     log_tol = np.array([12 * abs(beta) * delta + 8 * EPS * (3 * abs(beta) * (2 * norm_c + norm_dc) + m + 2)
-                        + (density._F_SERIES_EPS / 2 if beta < 0 else 0.0) for beta in betas] * len(dc))
+                        for beta in betas] * len(dc))
     for name, got_values, want_values in (("bound", got[1], want[1]), ("ratio", got[2], want[2])):
         got_values = np.array([x for x in got_values if x is not None])
         assert np.all(np.abs(got_values - np.array(want_values)) <= np.expm1(log_tol) * np.abs(want_values)), name
