@@ -234,27 +234,8 @@ def _cmd_experiment(args) -> _Run:
     payload.update((key, value) for key, value in flags.items() if value is not None)  # every flag given wins
     cfg = config_class(**payload)
     table = runner(cfg)
-    headline = _experiment_headline(args.experiment, table)
+    headline = table.headline or f"records={len(table)}"
     return _Run(cfg.__dict__, table, {"headline": headline, "groups": lab.summarize(table)}, headline)
-
-
-def _experiment_headline(experiment: str, table) -> str:
-    metrics = table.metrics
-    if experiment == "discrimination" and "auc_naive" in metrics:
-        # run_discrimination ends its table with the AUC row.
-        return f"auc_naive={metrics['auc_naive'][-1]:.4f} auc_vne={metrics['auc_vne'][-1]:.4f}"
-    if experiment == "lipschitz" and "ratio" in metrics:
-        ratios = [v for v in metrics["ratio"] if v is not None]
-        return f"max_ratio={max(ratios):.6f} n={len(ratios)}"
-    if experiment == "surrogate":
-        n_samples = table.params.get("n_samples", ())
-        by_n: dict = {int(n): [] for n in sorted(n_samples)}
-        for n, alignment in zip(n_samples, metrics.get("alignment", ())):
-            if alignment is not None:
-                by_n[int(n)].append(alignment)
-        parts = [f"n={n}:{float(np.mean(v)):.4f}" if v else f"n={n}:none" for n, v in by_n.items()]
-        return "mean_alignment " + " ".join(parts)
-    return f"records={len(table)}"
 
 
 def _check_horizon(horizon: int, task: str) -> None:

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import spectral
-from .covariance import as_matrix
+from .covariance import _spectrum, as_matrix
 from .errors import BetaRangeError
 
 _LOG_DBL_MAX = math.log(np.finfo(float).max)
@@ -100,10 +100,10 @@ def density_operator(c, beta: float) -> DensityOperator:
     SpectralDecomposition (which is used as is, without decomposing again).
 
     Raises:
-        ValueError, BetaRangeError: as :func:`density_values`.
+        ValueError, BetaRangeError: as :func:`density_values`, and ValueError for any non-finite eigenvalue.
     """
     decomp = c if isinstance(c, spectral.SpectralDecomposition) else spectral.eigh(as_matrix(c))
-    rho, log_z = density_values(decomp.eigenvalues, (beta,))
+    rho, log_z = density_values(_spectrum(decomp), (beta,))
     rho.flags.writeable = False
     return DensityOperator(
         beta=float(beta),

@@ -88,17 +88,17 @@ def _first_non_finite(column: list):
 class RunTable:
     """One run's rows held as columns: a list per param and a list per metric.
 
-    Every column has one cell per row, in row order; a row that lacks a param
-    or metric holds None there, and a column that no row has is dropped.  Param
-    cells become floats (numbers and bools) or non-empty strings and metric cells floats;
-    a metric cell that is not finite raises ValueError naming the first one, in
-    row order and then column order, as a row-by-row check meets them.
+    Every column has one cell per row, in row order; a row that lacks a param or metric holds None there, and a column
+    that no row has is dropped.  Param cells become floats (numbers and bools) or non-empty strings and metric cells
+    floats; a metric cell that is not finite raises ValueError naming the first one, in row order and then column
+    order, as a row-by-row check meets them.  ``headline`` is the runner's one result line, or None.
     """
 
     experiment: str
     seed: int
     params: dict
     metrics: dict
+    headline: str | None = None
 
     def __post_init__(self):
         params = {k: [_canon(v) for v in c] for k, c in self.params.items()}
@@ -249,7 +249,8 @@ def run_lipschitz(cfg: LipschitzConfig) -> RunTable:
     Each trial draws an eigenvalue pair and a random filter, evaluates both responses at the density eigenvalues of
     the two-point spectrum, and records the ratio against the Lipschitz constant.  Zero-alpha filters and pairs whose
     gap is at most 1e-12 of their larger |eigenvalue| (ties included) are skipped, as 0/0 or a quotient of rounding
-    errors; with no absolute floor, eigenvalues times 2**k and betas times 2**-k keep the same trials.
+    errors; with no absolute floor, eigenvalues times 2**k and betas times 2**-k keep the same trials.  The headline
+    is the largest ratio over the kept trials and their count, None where no trial is kept.
     """
     trials, rows = [], []
     for t in range(cfg.trials):
@@ -276,7 +277,8 @@ def run_lipschitz(cfg: LipschitzConfig) -> RunTable:
         bound = alpha * gap  # past the largest double, the ratio is formed in two steps
         rows.append((lam1, lam2, beta, alpha, diff, diff / bound if math.isfinite(bound) else diff / alpha / gap))
     metrics = _columns(("lambda1", "lambda2", "beta", "alpha", "response_diff", "ratio"), rows)
-    return RunTable("lipschitz", cfg.seed, {"trial": trials}, metrics)
+    headline = f"max_ratio={max(row[-1] for row in rows):.6f} n={len(rows)}" if rows else None
+    return RunTable("lipschitz", cfg.seed, {"trial": trials}, metrics, headline)
 
 
 def matched_alignment(scores, w):
@@ -295,17 +297,15 @@ def matched_alignment(scores, w):
 
 def _white_covariance(rng: np.random.Generator, n: int, block: np.ndarray) -> np.ndarray:
     """Centred sample covariance (divisor n) of n standard normal rows drawn from ``rng`` into ``block``, a block at a
-    time, which consumes it as one ``(n, dim)`` draw does.  Chan et al.'s update folds in each block (k rows, mean mu_b,
-    centred Gram G_b): with delta = mu_b - mu, M2 += G_b + delta delta^T c k / (c + k) and mu += delta k / (c + k)."""
-    mean, m2 = np.zeros(block.shape[1]), np.zeros((block.shape[1],) * 2)
+    time, which consumes it as one ``(n, dim)`` draw does: S_w = G / n - mu mu^T from the blocks' summed Grams w^T w and
+    column sums n mu.  White draws have |mu| = O(n^-1/2) against unit variance, so the subtraction cancels nothing."""
+    gram, total = np.zeros((block.shape[1],) * 2), np.zeros(block.shape[1])
     for count in range(0, n, len(block)):
         w = rng.standard_normal(out=block[: n - count])
-        delta = w.mean(axis=0)
-        w -= delta
-        delta -= mean
-        m2 += w.T @ w + np.outer(delta, delta) * (count * len(w) / (count + len(w)))
-        mean += delta * (len(w) / (count + len(w)))
-    return m2 / n
+        gram += w.T @ w
+        total += w.sum(axis=0)
+    mean = total / n
+    return gram / n - np.outer(mean, mean)
 
 
 @dataclass(frozen=True)
@@ -327,7 +327,8 @@ def run_surrogate(cfg: SurrogateConfig) -> RunTable:
 
     A row is flagged degenerate, with no alignment, where the matching is ill-defined: at population eigenvalue
     ties (see :func:`matched_alignment`), and at n <= dim, where the centred sample covariance has rank at most
-    n - 1 and rounding alone picks the eigenvectors of its null space.
+    n - 1 and rounding alone picks the eigenvectors of its null space.  The headline is the mean alignment per n over
+    the rows that have one ("none" where every row at that n is degenerate).
     """
     def trial(t: int, block: np.ndarray) -> list:
         spec = filtering.FilterSpec(coeffs=cfg.filter_coeffs, beta=0.0)
@@ -356,8 +357,13 @@ def run_surrogate(cfg: SurrogateConfig) -> RunTable:
 
     block_shape = (min(max(1, _DRAW_BLOCK // cfg.dim), max(cfg.sample_grid)), cfg.dim)
     rows = [row for trial_rows in _concurrent_trials(trial, cfg.trials, block_shape) for row in trial_rows]
+    by_n = {n: [] for n in sorted(cfg.sample_grid)}
+    for n, (_, alignment) in zip(itertools.cycle(cfg.sample_grid), rows):
+        if alignment is not None:
+            by_n[n].append(alignment)
+    headline = "mean_alignment " + " ".join(f"n={n}:{np.mean(v):.4f}" if v else f"n={n}:none" for n, v in by_n.items())
     params = _columns(("trial", "n_samples"), itertools.product(range(cfg.trials), cfg.sample_grid))
-    return RunTable("surrogate", cfg.seed, params, _columns(("degenerate", "alignment"), rows))
+    return RunTable("surrogate", cfg.seed, params, _columns(("degenerate", "alignment"), rows), headline)
 
 
 @dataclass(frozen=True)
@@ -503,16 +509,14 @@ class DiscriminationConfig(_Config):
 def run_discrimination(cfg: DiscriminationConfig) -> RunTable:
     """Two-regime entropy discrimination on windowed sample covariances.
 
-    Regime 0 draws Gaussian windows with the base diagonal spectrum (singular by default,
-    where log-det entropies diverge); regime 1 scales it elementwise by ``regime_scale``.
-    Each window's sample covariance is scored by the trace-normalized entropy and by the
-    density entropy at ``beta``, and each score's two regimes are
-    separated by a best-direction threshold sweep (AUC): near-global scalings leave the
-    naive score at chance while the density entropy tracks the absolute spectrum.
+    Regime 0 draws Gaussian windows with the base diagonal spectrum (singular by default, where log-det entropies
+    diverge); regime 1 scales it elementwise by ``regime_scale``.  Each window's sample covariance is scored by the
+    trace-normalized entropy and by the density entropy at ``beta``, and each score's two regimes are separated by a
+    best-direction threshold sweep (AUC): near-global scalings leave the naive score at chance while the density
+    entropy tracks the absolute spectrum.  The headline is the two AUCs, the table's last row.
 
-    Each window has its own seeded stream; windows are drawn into covariances a chunk of at most
-    ``_DRAW_BLOCK`` doubles at a time.  One ``eigvalsh`` of the stacked covariances gives both
-    scores and every check.
+    Each window has its own seeded stream; windows are drawn into covariances a chunk of at most ``_DRAW_BLOCK``
+    doubles at a time.  One ``eigvalsh`` of the stacked covariances gives both scores and every check.
     """
     sd = np.sqrt(np.array([cfg.base_spectrum, cfg.regime_scale], dtype=float).cumprod(axis=0))  # base, base * scale
     n, window, dim = cfg.n_windows, cfg.window, sd.shape[1]
@@ -526,15 +530,17 @@ def run_discrimination(cfg: DiscriminationConfig) -> RunTable:
         covs[regime, start : start + len(samples)] = covariance._covariance_array(samples)
     s_naive, s_vne = entropy._window_entropies(covs, cfg.beta)
     # Rows: every regime-0 window, every regime-1 window, then the AUC row.
+    auc_naive, auc_vne = entropy.threshold_auc(*s_naive), entropy.threshold_auc(*s_vne)
     pad = [None] * (2 * n)
     params = {"regime": [0] * n + [1] * n + [None], "window_index": [*range(n)] * 2 + [None], "summary": pad + ["auc"]}
     metrics = {
         "s_naive_bits": [*s_naive.ravel().tolist(), None],
         "s_vne_bits": [*s_vne.ravel().tolist(), None],
-        "auc_naive": pad + [entropy.threshold_auc(*s_naive)],
-        "auc_vne": pad + [entropy.threshold_auc(*s_vne)],
+        "auc_naive": pad + [auc_naive],
+        "auc_vne": pad + [auc_vne],
     }
-    return RunTable("discrimination", cfg.seed, params, metrics)
+    headline = f"auc_naive={auc_naive:.4f} auc_vne={auc_vne:.4f}"
+    return RunTable("discrimination", cfg.seed, params, metrics, headline)
 
 
 @dataclass(frozen=True)

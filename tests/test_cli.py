@@ -402,9 +402,14 @@ class TestExperimentCommands:
         assert (code, out, err) == (2, "", "error: no connected graph in 100 attempts (dim=20, edge_prob=1e-09)\n")
         assert not out_dir.exists()
 
-    def test_lipschitz_with_every_trial_skipped(self, capsys, tmp_path):
+    @pytest.mark.parametrize(
+        "cfg",
+        [{"beta_range": [0, 0]}, {"eigenvalue_range": [1, 1], "trials": 5}],
+        ids=["zero_alpha_filters", "tied_pairs"],  # beta = 0 gives zero-alpha filters only; a zero-width range ties
+    )
+    def test_lipschitz_with_every_trial_skipped(self, capsys, tmp_path, cfg):
         cfg_path, out_dir = tmp_path / "cfg.json", tmp_path / "out"
-        cfg_path.write_text(json.dumps({"beta_range": [0, 0]}))  # beta = 0 gives zero-alpha filters only
+        cfg_path.write_text(json.dumps(cfg))
         code, out, _ = run_cli(capsys, "lipschitz", "--config", str(cfg_path), "--output-dir", str(out_dir))
         assert (code, out) == (0, "records=0\n")
         assert json.loads((out_dir / "summary.json").read_text()) == {"groups": {}, "headline": "records=0"}

@@ -13,7 +13,7 @@ from covdensity.covariance import CovarianceMatrix
 from covdensity.density import density_operator, density_values, f_factor
 from covdensity.entropy import cvne
 from covdensity.errors import BetaRangeError
-from covdensity.spectral import eigh
+from covdensity.spectral import SpectralDecomposition, eigh
 
 
 def scalar_density(eigenvalues, beta):
@@ -103,6 +103,16 @@ class TestDensityOperator:
         # Where a non-finite eigenvalue breaks the map, the first one is named, not an overflow.
         with pytest.raises(ValueError, match=f"^eigenvalues must be finite, got {got}$"):
             density_values(np.array(lam), [beta])
+
+    @pytest.mark.parametrize(
+        "lam, beta, got",
+        [([np.inf, 1.0], 1.0, "inf"), ([-np.inf, 1.0], -1.0, "-inf"), ([1.0, np.nan], 1.0, "nan")],
+    )
+    def test_non_finite_eigenvalue_of_a_decomposition_is_named(self, lam, beta, got):
+        # +inf at beta > 0 (-inf at beta < 0) only underflows its weight to 0.0, so the map alone does not fail there.
+        decomp = SpectralDecomposition(np.array(lam), np.eye(2))
+        with pytest.raises(ValueError, match=f"^eigenvalues must be finite, got {got}$"):
+            density_operator(decomp, beta)
 
     @settings(max_examples=100, deadline=None)
     @given(

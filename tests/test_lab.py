@@ -446,6 +446,46 @@ class TestSurrogate:
         assert all("alignment" in r.metrics for r in rows if r.params["n_samples"] == 100)
 
 
+class TestHeadline:
+    """A runner with a result line states it on its table; the others leave the headline None."""
+
+    def test_lipschitz_keeping_no_trial_has_no_headline(self):
+        # A zero-width eigenvalue range draws only ties, each skipped.
+        table = run_lipschitz(LipschitzConfig(trials=5, eigenvalue_range=(1.0, 1.0)))
+        assert len(table) == 0 and table.headline is None
+
+    def test_lipschitz_headline_is_the_largest_kept_ratio(self):
+        table = run_lipschitz(LipschitzConfig(trials=50, seed=2))
+        ratios = table.metrics["ratio"]
+        assert table.headline == f"max_ratio={max(ratios):.6f} n={len(ratios)}"
+
+    def test_discrimination_headline_is_its_auc_row(self):
+        table = run_discrimination(DiscriminationConfig(n_windows=20, window=16, seed=3))
+        assert table.params["summary"][-1] == "auc"
+        auc_naive, auc_vne = table.metrics["auc_naive"][-1], table.metrics["auc_vne"][-1]
+        assert table.headline == f"auc_naive={auc_naive:.4f} auc_vne={auc_vne:.4f}"
+
+    def test_surrogate_names_an_n_with_no_alignment(self):
+        # n <= dim (20) flags every row degenerate, with no alignment.
+        table = run_surrogate(SurrogateConfig(trials=2, sample_grid=(5, 10)))
+        assert table.headline == "mean_alignment n=5:none n=10:none"
+
+    @pytest.mark.parametrize(
+        "run, cfg",
+        [
+            (run_stability, StabilityConfig(dim=4, trials=1, betas=(1.0,), noise_levels=(0.1,))),
+            (run_regression, RegressionConfig(dim=6, trials=1, sample_grid=(25,), betas=(1.0,), n_informative=2,
+                                              n_test=20)),
+            (run_entropy_curve, EntropyCurveConfig(dim=4, trials=1, betas=(0.0, 1.0))),
+            (run_betafit_demo, BetafitDemoConfig(dim=4, trials=1)),
+        ],
+        ids=["stability", "regression", "entropy_curve", "betafit_demo"],
+    )
+    def test_other_runners_leave_the_headline_unset(self, run, cfg):
+        table = run(cfg)
+        assert len(table) > 0 and table.headline is None
+
+
 @pytest.fixture(scope="module")
 def regression_records():
     cfg = RegressionConfig(trials=40, seed=5)
@@ -981,6 +1021,13 @@ def one_shot_white_covariance(rng, n, dim):
     return w.T @ w / n
 
 
+def gram_and_sum_white_covariance(rng, n, dim):
+    """The white-noise covariance from one ``(n, dim)`` draw's Gram and column sums: G / n - mu mu^T."""
+    w = rng.standard_normal((n, dim))
+    mean = w.sum(axis=0) / n
+    return w.T @ w / n - np.outer(mean, mean)
+
+
 def all_at_once_discrimination(cfg):
     """run_discrimination's scores as they were formed: every window drawn into one (2, n_windows, window, m)
     array, scaled, checked for finiteness and reduced to covariances at once.  Returns (naive, vne), each
@@ -1019,21 +1066,27 @@ class TestDrawBlocks:
     @pytest.mark.parametrize("dim", [1, 20])
     @pytest.mark.parametrize("n", [2, 3, "rows - 1", "rows", "rows + 1", 20000])
     def test_white_covariance_matches_the_one_shot_draw(self, dim, n):
-        """Both ways compute the centred Gram of the same draws.  Each entry is a sum of at most n + 4B + 4
-        rounded terms (B blocks: the Gram sums, the means, the block updates) whose absolute values sum, by
-        Cauchy-Schwarz, to at most 4 n sqrt(Q_ii Q_jj) with Q_ii = sum_r x_ri^2 / n (|x - mu| <= |x| + |mu| and
-        n mu^2 <= sum x^2).  So each lies within 4 gamma sqrt(Q_ii Q_jj) of the exact S_w, gamma = k eps / (1 - k eps)
-        with k = n + 4B + 4 (Higham, Accuracy and Stability, Lemma 3.1), and the two within twice that.  With one
-        block they are the same operations, bit for bit."""
+        """With one block the blocked form and the one-shot Gram-and-sum oracle are the same operations, bit for
+        bit.  Against the centred one-shot oracle, with Q_ii = sum_r x_ri^2 / n, gamma_k = k eps / (1 - k eps)
+        (Higham, Accuracy and Stability, Lemma 3.1) and B blocks: the blocked form computes S_w = G / n - mu mu^T.
+        G's n products each pass through at most n + B + 2 roundings (the product, the sums within and across
+        blocks, the division, the subtraction) and their absolute values sum, by Cauchy-Schwarz, to at most
+        n sqrt(Q_ii Q_jj); mu_i mu_j = s_i s_j / n^2 is a sum of n^2 products, each through at most 2n + 2B + 2
+        roundings, whose absolute values sum to at most sqrt(Q_ii Q_jj) (sum_r |x_ri| <= n sqrt(Q_ii)).  So it lies
+        within 2 gamma_{2n + 2B + 2} sqrt(Q_ii Q_jj) <= 4 gamma_k sqrt(Q_ii Q_jj) of the exact S_w, k = n + 4B + 4.
+        The centred oracle's entries are sums of at most n + 8 rounded terms (the Gram sums, the means, the
+        centring) whose absolute values sum to at most 4 n sqrt(Q_ii Q_jj) (|x - mu| <= |x| + |mu| and
+        n mu^2 <= sum x^2), so it lies within 4 gamma_k sqrt(Q_ii Q_jj) too, and the two within twice that."""
         rows = lab._DRAW_BLOCK // dim
         n = {"rows - 1": rows - 1, "rows": rows, "rows + 1": rows + 1}.get(n, n)
         blocked_rng, one_shot_rng = np.random.default_rng([7, dim, n]), np.random.default_rng([7, dim, n])
         got = lab._white_covariance(blocked_rng, n, np.empty((rows, dim)))
-        expected = one_shot_white_covariance(one_shot_rng, n, dim)
+        one_shot = gram_and_sum_white_covariance(one_shot_rng, n, dim)
         # Row blocks consume the generator as the one (n, dim) draw does.
         assert blocked_rng.bit_generator.state == one_shot_rng.bit_generator.state
         if n <= rows:
-            assert got.tobytes() == expected.tobytes()
+            assert got.tobytes() == one_shot.tobytes()
+        expected = one_shot_white_covariance(np.random.default_rng([7, dim, n]), n, dim)
         x = np.random.default_rng([7, dim, n]).standard_normal((n, dim))
         q = np.sqrt(np.mean(x * x, axis=0))
         k = n + 4 * -(-n // rows) + 4
