@@ -171,36 +171,26 @@ def gen_gaussian_data(
     return DataMatrix(values=values)
 
 
-def _erdos_renyi_laplacian(dim: int, edge_prob: float, rng: np.random.Generator):
-    adjacency = np.zeros((dim, dim))
-    iu = np.triu_indices(dim, k=1)
-    edges = rng.random(len(iu[0])) < edge_prob
-    adjacency[iu] = edges.astype(float)
-    adjacency += adjacency.T
-    degree = np.diag(adjacency.sum(axis=1))
-    return degree - adjacency, adjacency
-
-
-def _is_connected(adjacency: np.ndarray) -> bool:
-    reached = np.arange(len(adjacency)) == 0
-    for _ in range(len(adjacency)):
-        reached = adjacency @ reached + reached > 0
-    return bool(reached.all())
-
-
 def _connected_laplacian(dim: int, edge_prob: float, rng: np.random.Generator) -> np.ndarray:
-    """The combinatorial Laplacian L = D - A of a connected Erdos-Renyi graph drawn from ``rng`` (up to 100 attempts).
+    """The combinatorial Laplacian L = D - A of a connected Erdos-Renyi graph drawn from ``rng`` (up to 100 attempts):
+    each attempt draws A's upper triangle in one ``rng.random`` call and tests reachability from vertex 0 in ``dim``
+    matrix-vector steps, and only the accepted graph's L is formed.
 
     Raises:
         GraphGenerationError: no connected graph within the retry budget.
     """
+    upper = np.triu_indices(dim, k=1)
     for _ in range(_CONNECTED_RETRY_BUDGET):
-        laplacian, adjacency = _erdos_renyi_laplacian(dim, edge_prob, rng)
-        if _is_connected(adjacency):
-            return laplacian
-    raise GraphGenerationError(
-        f"no connected graph in {_CONNECTED_RETRY_BUDGET} attempts (dim={dim}, edge_prob={edge_prob})"
-    )
+        adjacency = np.zeros((dim, dim))
+        adjacency[upper] = rng.random(len(upper[0])) < edge_prob
+        adjacency += adjacency.T
+        reached = np.arange(dim) == 0
+        for _ in range(dim):
+            reached = adjacency @ reached + reached > 0
+        if reached.all():
+            return np.diag(adjacency.sum(axis=1)) - adjacency
+    raise GraphGenerationError(f"no connected graph in {_CONNECTED_RETRY_BUDGET} attempts (dim={dim}, "
+                               f"edge_prob={edge_prob})")
 
 
 def read_csv_data(path, header: bool = False) -> DataMatrix:

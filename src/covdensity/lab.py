@@ -6,15 +6,15 @@ and reproducible bit for bit.  A run comes back as a :class:`RunTable`, one
 column per param and per metric, and is written from those columns: float
 cells are written with repr, so ``float`` reads each one back exactly.
 
-Stages with a stackable axis run once over it rather than once per item: within a trial,
-the stability perturbations, the regression covariances, the surrogate Laplacians and then
-its covariances; across the whole run, every entropy-curve and every discrimination covariance.
-Stacks whose items carry a full matrix per beta or per sample size stay per trial, and draws
-that grow with a sample size pass through one block of ``_DRAW_BLOCK`` doubles per running trial, which bounds their
-memory.  The surrogate's trials, whose draws and LAPACK calls release the GIL, run ``_WORKERS`` at a time on threads.  A
-GIL-bound trial-by-trial loop runs each trial in a helper whose arrays are freed before the next trial draws, and the
-stacked kernels (density values, sample covariances, symmetrization) each work in one array in place.  A stacked stage
-runs each check over the whole stack, and the first check that fails raises for its first failing item.
+Stages with a stackable axis run once over it rather than once per item: within a trial, the stability perturbations,
+the regression covariances, the surrogate Laplacians and then its covariances; across the whole run, every
+entropy-curve and every discrimination covariance.  Stacks whose items carry a full matrix per beta or per sample size
+stay per trial, and a draw that grows with a sample size passes through a block of at most ``_DRAW_BLOCK`` doubles
+that it allocates itself, so a running trial holds one such block at a time.  The surrogate's trials, whose draws and
+LAPACK calls release the GIL, run ``_WORKERS`` at a time on threads, each trial on its own.  A GIL-bound trial-by-trial
+loop runs each trial in a helper whose arrays are freed before the next trial draws, and the stacked kernels (density
+values, sample covariances, symmetrization) each work in one array in place.  A stacked stage runs each check over the
+whole stack, and the first check that fails raises for its first failing item.
 
 Trend claims (monotonicity, dominance) are properties of trial MEANS, not of
 individual draws; the test suite asserts them over the configured trial
@@ -43,24 +43,24 @@ _DRAW_BLOCK = 2**16  # doubles (512 KB): the most of a draw that grows with a sa
 _WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1  # usable cores
 
 
-def _concurrent_trials(trial, trials: int, block_shape):
-    """``trial(t, block)`` for every t: trial 0 here, trials 1 to ``_WORKERS - 1`` on threads in copies of this context
-    (its ``np.errstate``), then each slot's next trial, with a block per slot.  The lowest failing t re-raises."""
+def _concurrent_trials(trial, trials: int):
+    """``trial(t)`` for every t: trial 0 here, trials 1 to ``_WORKERS - 1`` on threads in copies of this context (its
+    ``np.errstate``), then each thread's next trial.  No trial starts above a failed one; the lowest one re-raises."""
     results, errors, order = [None] * trials, {}, itertools.count(min(_WORKERS, trials))
 
-    def work(t, block):
+    def work(t):
         while t < min(errors, default=trials):  # the int keys' min runs under the GIL in one step
             try:
-                results[t] = trial(t, block)
+                results[t] = trial(t)
             except Exception as exc:
                 errors[t] = exc
             t = next(order)
 
-    helpers = [threading.Thread(target=contextvars.copy_context().run, args=(work, t, np.empty(block_shape)))
+    helpers = [threading.Thread(target=contextvars.copy_context().run, args=(work, t))
                for t in range(1, min(_WORKERS, trials))]
     for helper in helpers:
         helper.start()
-    work(0, np.empty(block_shape))
+    work(0)
     for helper in helpers:
         helper.join()
     if errors:
@@ -295,17 +295,16 @@ def matched_alignment(scores, w):
     return np.mean(np.abs(np.take_along_axis(w, order[..., None, :], axis=-2)[..., 0, :]), axis=-1), degenerate
 
 
-def _white_covariance(rng: np.random.Generator, n: int, block: np.ndarray) -> np.ndarray:
-    """Centred sample covariance (divisor n) of n standard normal rows drawn from ``rng`` into ``block``, a block at a
-    time, which consumes it as one ``(n, dim)`` draw does: S_w = G / n - mu mu^T from the blocks' summed Grams w^T w and
-    column sums n mu.  White draws have |mu| = O(n^-1/2) against unit variance, so the subtraction cancels nothing."""
-    gram, total = np.zeros((block.shape[1],) * 2), np.zeros(block.shape[1])
+def _white_covariance(rng: np.random.Generator, n: int, dim: int) -> np.ndarray:
+    """Centred covariance (divisor n) of n standard normal rows of width ``dim`` drawn into a block of at most
+    ``_DRAW_BLOCK`` doubles that it allocates, which consumes ``rng`` as one ``(n, dim)`` draw does: S_w = G / n -
+    mu mu^T from the blocks' summed Grams and column sums n mu.  White |mu| = O(n^-1/2), so nothing cancels."""
+    block, gram, total = np.empty((min(max(1, _DRAW_BLOCK // dim), n), dim)), np.zeros((dim, dim)), np.zeros(dim)
     for count in range(0, n, len(block)):
         w = rng.standard_normal(out=block[: n - count])
         gram += w.T @ w
         total += w.sum(axis=0)
-    mean = total / n
-    return gram / n - np.outer(mean, mean)
+    return gram / n - np.outer(total / n, total / n)
 
 
 @dataclass(frozen=True)
@@ -330,13 +329,14 @@ def run_surrogate(cfg: SurrogateConfig) -> RunTable:
     n - 1 and rounding alone picks the eigenvectors of its null space.  The headline is the mean alignment per n over
     the rows that have one ("none" where every row at that n is degenerate).
     """
-    def trial(t: int, block: np.ndarray) -> list:
-        spec = filtering.FilterSpec(coeffs=cfg.filter_coeffs, beta=0.0)
+    spec = filtering.FilterSpec(coeffs=cfg.filter_coeffs, beta=0.0)
+
+    def trial(t: int) -> list:
         laplacians, s_w = (np.empty((len(cfg.sample_grid), cfg.dim, cfg.dim)) for _ in range(2))
         for i, n in enumerate(cfg.sample_grid):
             rng = np.random.default_rng([cfg.seed, t, n])
             laplacians[i] = covariance._connected_laplacian(cfg.dim, cfg.edge_prob, rng)
-            s_w[i] = _white_covariance(rng, n, block)
+            s_w[i] = _white_covariance(rng, n, cfg.dim)
         lam, v = spectral._eigh(laplacians)
         with np.errstate(over="ignore", invalid="ignore"):
             g = filtering.polynomial_response(spec, lam)
@@ -355,8 +355,7 @@ def run_surrogate(cfg: SurrogateConfig) -> RunTable:
         degenerate |= np.array(cfg.sample_grid) <= cfg.dim
         return [(float(d), None if d else a) for a, d in zip(alignment.tolist(), degenerate.tolist())]
 
-    block_shape = (min(max(1, _DRAW_BLOCK // cfg.dim), max(cfg.sample_grid)), cfg.dim)
-    rows = [row for trial_rows in _concurrent_trials(trial, cfg.trials, block_shape) for row in trial_rows]
+    rows = [row for trial_rows in _concurrent_trials(trial, cfg.trials) for row in trial_rows]
     by_n = {n: [] for n in sorted(cfg.sample_grid)}
     for n, (_, alignment) in zip(itertools.cycle(cfg.sample_grid), rows):
         if alignment is not None:

@@ -214,6 +214,9 @@ class TrainConfig(_Config, _Record):
         names = TASK_LOSSES[self.task]
         yield "loss", self.loss is None or self.loss in names, (
             f"expected {' or '.join(map(repr, names))} for task {self.task!r}, got {self.loss!r}")
+        if self.betas_init is not None:  # where only betas_init is given, betas already equals it
+            yield "betas_init", self.betas_init == self.betas, (
+                f"must equal betas when both are given, got {list(self.betas_init)} and betas {list(self.betas)}")
 
     @property
     def task_loss(self) -> str:

@@ -116,6 +116,10 @@ class TestFitBeta:
         assert result.curvature_at_solution > 0
         assert not result.degenerate
 
+    def test_empty_initial_bracket_is_rejected(self):
+        with pytest.raises(ValueError, match=r"^invalid initial bracket \(1\.0, 1\.0\)$"):
+            fit_beta([1.0, 2.0], [1 / 3, 2 / 3], initial_bracket=(1.0, 1.0))
+
     def test_uniform_target_gives_zero(self, rng):
         spectrum = np.sort(rng.uniform(0.0, 3.0, 6))
         spectrum[-1] += 0.5

@@ -10,6 +10,7 @@ import operator
 import os
 import platform
 import re
+import runpy
 import subprocess
 import sys
 import tempfile
@@ -1208,6 +1209,39 @@ class TestTrainPredict:
         assert (code, out, err) == (2, "", f"error: {message}\n")
         assert not out_dir.exists()
 
+    @pytest.mark.parametrize(
+        "rows,argv,message",
+        [
+            (["1,2", "3,4", "5,6", "7,8", "9,10"], ["--horizon", "5"], "need more than 5 rows for horizon 5"),
+            (["1", "2", "3", "4"], [], "need at least two columns (features + target)"),
+        ],
+    )
+    def test_input_too_small_for_the_targets_is_rejected(self, capsys, tmp_path, rows, argv, message):
+        data, cfg_path, out_dir = tmp_path / "data.csv", tmp_path / "cfg.json", tmp_path / "out"
+        data.write_text("\n".join(rows) + "\n")
+        cfg_path.write_text(json.dumps({"betas": [1.0], "epochs": 1}))
+        code, out, err = run_cli(
+            capsys, "train", "--input", str(data), "--config", str(cfg_path), *argv, "--output-dir", str(out_dir)
+        )
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+        assert not out_dir.exists()
+
+    def test_betas_init_that_differs_from_betas_is_rejected(self, capsys, tmp_path, classification_csv):
+        # Given both, a different betas_init would be ignored: training starts from betas.
+        cfg_path, out_dir = tmp_path / "cfg.json", tmp_path / "out"
+        cfg_path.write_text(json.dumps({"betas": [1.0, 2.0], "betas_init": [3.0, 4.0, 5.0], "betas_learnable": True,
+                                        "epochs": 1}))
+        code, out, err = run_cli(
+            capsys, "train", "--input", classification_csv, "--config", str(cfg_path), "--output-dir", str(out_dir)
+        )
+        message = "/betas_init: must equal betas when both are given, got [3.0, 4.0, 5.0] and betas [1.0, 2.0]"
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+        assert not out_dir.exists()
+
+    def test_betas_init_equal_to_betas_passes(self):
+        # The rule compares values: the integer 1 and the float 1.0 are one scale.
+        assert network.TrainConfig(betas=(1.0, 2.0), betas_init=(1, 2.0), betas_learnable=True).betas == (1.0, 2.0)
+
     def test_train_betas_may_repeat(self):
         # Train betas index filter scales, not rows: the experiments' distinct-entries rule does not apply.
         assert network.TrainConfig(betas=(1.0, 1.0)).betas == (1.0, 1.0)
@@ -1862,9 +1896,10 @@ from covdensity.cli import EXPERIMENT_SUBCOMMANDS, main
 
 root, out = sys.argv[1], sys.argv[2]
 features, labelled = os.path.join(root, "features.csv"), os.path.join(root, "labelled.csv")
-calls = {name: [name, "--seed", "3", *(["--trials", "2"] if name != "discriminate" else [])]
+calls = {name: [name, "--seed", "3", *(["--trials", "3"] if name != "discriminate" else [])]
          for name in EXPERIMENT_SUBCOMMANDS}
-calls["train"] = ["train", "--input", labelled, "--config", os.path.join(root, "train.json"), "--seed", "3"]
+for name in ("train", "train_fixed", "train_learned"):
+    calls[name] = ["train", "--input", labelled, "--config", os.path.join(root, f"{name}.json"), "--seed", "3"]
 calls["predict"] = ["predict", "--input", features, "--model", os.path.join(out, "train", "model.json")]
 for name in ("entropy", "density", "fit-beta"):
     calls[name] = [name, "--input", features]
@@ -1878,7 +1913,9 @@ print(json.dumps(results))
 
 
 def test_every_subcommand_writes_the_same_bytes_at_one_and_two_blas_threads(tmp_path):
-    # At dim 20, no result depends on how many threads OpenBLAS splits a product or a decomposition over.
+    # At dim 20, no result depends on how many threads OpenBLAS splits a product or a decomposition over.  Training
+    # runs one small config and the benchmark's two (fixed betas with dropout; learned betas).
+    benchmark = runpy.run_path(str(Path(__file__).parents[1] / "perfbench" / "workloads.py"))
     rng = np.random.default_rng(11)
     x = rng.standard_normal((240, 20)) @ rng.standard_normal((20, 20)) * np.geomspace(1.0, 0.05, 20)
     labels = (x @ rng.standard_normal(20) > 0).astype(float)
@@ -1886,6 +1923,8 @@ def test_every_subcommand_writes_the_same_bytes_at_one_and_two_blas_threads(tmp_
         (tmp_path / f"{name}.csv").write_text("".join(",".join(map(repr, row)) + "\n" for row in rows.tolist()))
     (tmp_path / "train.json").write_text(json.dumps(
         {"epochs": 2, "hidden_dim": 16, "dropout": 0.5, "betas": [0.5, 2.0], "task": "classification"}))
+    (tmp_path / "train_fixed.json").write_text(json.dumps(benchmark["FIXED_CONFIG"]))
+    (tmp_path / "train_learned.json").write_text(json.dumps(benchmark["LEARNED_CONFIG"]))
     children = {
         threads: subprocess.Popen(
             [sys.executable, "-c", _EVERY_SUBCOMMAND, str(tmp_path), str(tmp_path / f"threads{threads}")],
@@ -1898,8 +1937,8 @@ def test_every_subcommand_writes_the_same_bytes_at_one_and_two_blas_threads(tmp_
         assert (child.returncode, stderr) == (0, ""), threads
         runs[threads] = json.loads(stdout)
     assert runs[1] == runs[2]
-    assert len(runs[1]) == 12 and all(code == 0 for code, _ in runs[1].values()), runs[1]
+    assert len(runs[1]) == 14 and all(code == 0 for code, _ in runs[1].values()), runs[1]
     for label in runs[1]:
-        for name in ("results.csv", "summary.json", *(["model.json"] if label == "train" else [])):
+        for name in ("results.csv", "summary.json", *(["model.json"] if label.startswith("train") else [])):
             one, two = (tmp_path / f"threads{threads}" / label / name for threads in (1, 2))
             assert one.read_bytes() == two.read_bytes(), (label, name)

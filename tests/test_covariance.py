@@ -132,6 +132,22 @@ class TestGaussianGenerator:
         with pytest.raises(ValueError, match="unknown family"):
             gen_gaussian_data(2, 10, "cauchy", seed=0)
 
+    def test_impossible_size(self):
+        with pytest.raises(ValueError, match=r"^need dim >= 1 and n_samples >= 2$"):
+            gen_gaussian_data(0, 5)
+
+
+@pytest.mark.parametrize(
+    "values,message",
+    [
+        (np.ones(3), "data matrix must be 2-D, got shape (3,)"),
+        (np.empty((0, 3)), "data matrix must be non-empty, got shape (0, 3)"),
+    ],
+)
+def test_data_matrix_must_be_a_non_empty_table(values, message):
+    with pytest.raises(ShapeError, match=f"^{re.escape(message)}$"):
+        DataMatrix(values)
+
 
 class TestGraphStationary:
     def test_identity_filter_recovers_white_noise(self):
@@ -170,7 +186,7 @@ class TestGraphStationary:
         np.testing.assert_array_equal(a.values, b.values)
         np.testing.assert_array_equal(la, lb)
 
-    def test_connectivity_matches_breadth_first_search(self, rng):
+    def test_connectivity_matches_breadth_first_search(self):
         def bfs_connected(adjacency):
             seen, stack = {0}, [0]
             while stack:
@@ -180,13 +196,31 @@ class TestGraphStationary:
                         stack.append(nbr)
             return len(seen) == len(adjacency)
 
-        graphs = [
-            covariance._erdos_renyi_laplacian(dim, p, rng)[1]
-            for dim in (1, 2, 3, 8, 20) for p in (0.05, 0.2, 0.5) for _ in range(30)
-        ]
-        got = [covariance._is_connected(a) for a in graphs]
-        assert got == [bfs_connected(a) for a in graphs]
-        assert 0 < sum(got) < len(got)
+        def first_connected_laplacian(dim, p, rng):
+            """D - A of the first attempt that BFS finds connected, and its index, from the generator's draws replayed
+            attempt by attempt."""
+            for attempt in range(100):
+                adjacency = np.zeros((dim, dim))
+                adjacency[np.triu_indices(dim, k=1)] = rng.random(dim * (dim - 1) // 2) < p
+                adjacency += adjacency.T
+                if bfs_connected(adjacency):
+                    return np.diag(adjacency.sum(axis=1)) - adjacency, attempt
+            raise GraphGenerationError(f"no connected graph in 100 attempts (dim={dim}, edge_prob={p})")
+
+        got_rng, oracle_rng, attempts = np.random.default_rng(1234), np.random.default_rng(1234), []
+        for dim, p, _ in itertools.product((1, 2, 3, 8, 20), (0.05, 0.2, 0.5), range(30)):
+            try:
+                expected, attempt = first_connected_laplacian(dim, p, oracle_rng)
+            except GraphGenerationError as exc:
+                with pytest.raises(GraphGenerationError, match=re.escape(str(exc))):
+                    covariance._connected_laplacian(dim, p, got_rng)
+                attempts.append(None)
+            else:
+                assert covariance._connected_laplacian(dim, p, got_rng).tobytes() == expected.tobytes()
+                attempts.append(attempt)
+            assert got_rng.bit_generator.state == oracle_rng.bit_generator.state
+        # First-attempt acceptances, acceptances after retries and exhausted budgets all occur.
+        assert 0 in attempts and None in attempts and any(a is not None and a > 0 for a in attempts)
 
     def test_bad_edge_prob(self):
         # The surrogate's config checks edge_prob before any graph is drawn.

@@ -310,6 +310,10 @@ class TestThresholdAuc:
         auc = threshold_auc([0.0, 2.0], [1.0, 3.0])
         assert auc == pytest.approx(0.75)
 
+    def test_an_empty_group_is_rejected(self):
+        with pytest.raises(ValueError, match=r"^both groups must be non-empty$"):
+            threshold_auc([], [1.0])
+
     @settings(max_examples=200, deadline=None)
     @given(
         st.lists(st.integers(0, 4), min_size=1, max_size=40),

@@ -545,14 +545,14 @@ def on_helper_threads(monkeypatch):
     on the first helper thread.  Returns a dict that maps each real trial to the thread it ran on."""
     real, threads = lab._concurrent_trials, {}
 
-    def shifted(trial, trials, block_shape):
-        def run(t, block):
+    def shifted(trial, trials):
+        def run(t):
             if t == 0:
                 return None
             threads[t - 1] = threading.current_thread()
-            return trial(t - 1, block)
+            return trial(t - 1)
 
-        return real(run, trials + 1, block_shape)[1:]
+        return real(run, trials + 1)[1:]
 
     monkeypatch.setattr(lab, "_concurrent_trials", shifted)
     return threads
@@ -612,31 +612,31 @@ class TestDeterminismAndThreads:
         monkeypatch.setattr(lab, "_WORKERS", workers)
         started = []
 
-        def trial(t, block):
+        def trial(t):
             started.append(t)
             if t in failing:
                 raise ValueError(f"trial {t}")
-            return t, block.shape
+            return t
 
         with pytest.raises(ValueError, match=f"^trial {first}$"):
-            lab._concurrent_trials(trial, 7, (2, 3))
+            lab._concurrent_trials(trial, 7)
         if workers == 1:
             assert started == [0, 1]  # no trial starts above a failed one
-        assert lab._concurrent_trials(lambda t, block: (t, block.shape), 7, (2, 3)) == [(t, (2, 3)) for t in range(7)]
+        assert lab._concurrent_trials(lambda t: t, 7) == list(range(7))
 
     def test_helper_trials_see_the_callers_errstate(self, monkeypatch):
         monkeypatch.setattr(lab, "_WORKERS", 3)
 
-        def trial(t, block):
+        def trial(t):
             return threading.current_thread(), np.geterr()["over"]
 
-        def overflow(t, block):  # trial 1 overflows, on a helper thread
+        def overflow(t):  # trial 1 overflows, on a helper thread
             return float(np.float64(1e300) * (1e10 if t == 1 else 1.0))
 
         with np.errstate(over="raise"):
-            threads, modes = zip(*lab._concurrent_trials(trial, 3, (1, 1)))
+            threads, modes = zip(*lab._concurrent_trials(trial, 3))
             with pytest.raises(FloatingPointError, match="overflow"):
-                lab._concurrent_trials(overflow, 3, (1, 1))
+                lab._concurrent_trials(overflow, 3)
         assert modes == ("raise",) * 3
         assert len(set(threads)) == 3 and threads[0] is threading.main_thread()
 
@@ -1080,7 +1080,7 @@ class TestDrawBlocks:
         rows = lab._DRAW_BLOCK // dim
         n = {"rows - 1": rows - 1, "rows": rows, "rows + 1": rows + 1}.get(n, n)
         blocked_rng, one_shot_rng = np.random.default_rng([7, dim, n]), np.random.default_rng([7, dim, n])
-        got = lab._white_covariance(blocked_rng, n, np.empty((rows, dim)))
+        got = lab._white_covariance(blocked_rng, n, dim)
         one_shot = gram_and_sum_white_covariance(one_shot_rng, n, dim)
         # Row blocks consume the generator as the one (n, dim) draw does.
         assert blocked_rng.bit_generator.state == one_shot_rng.bit_generator.state

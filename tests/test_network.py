@@ -228,6 +228,16 @@ class TestModelForward:
             dataclasses.replace(model, covariance=np.diag([1.0, -1.0, 2.0, 3.0]))
         with pytest.raises(ShapeError, match=r"^input has 3 columns, model expects 4$"):
             forward_rows(model, np.zeros((2, 3)))
+        with pytest.raises(ShapeError, match=r"^signals must be \(n, dim\) with n >= 1, got shape \(0, 4\)$"):
+            forward_rows(model, np.empty((0, 4)))
+
+    def test_unknown_loss_and_dropout_without_an_rng_are_rejected(self, rng):
+        model = small_model(rng, random_psd(rng, 3))
+        xs, ys = rng.standard_normal((2, 3)), rng.standard_normal((2, 2))
+        with pytest.raises(ValueError, match=r"^unknown loss 'hinge'$"):
+            model_gradients(model, xs, ys, "hinge")
+        with pytest.raises(ValueError, match=r"^dropout needs an rng$"):
+            model_gradients(model, xs, ys, "mse", dropout=0.5)
 
 
 def named_parameters(model):
